@@ -32,6 +32,29 @@ pub struct AnswerTree {
     pub score: f64,
 }
 
+/// `(E, N, score)` of a tree from its per-keyword path weights, its root
+/// and its keyword leaves: `E = Σ_i s(T, t_i)`, `N` the prestige of the root
+/// plus the *distinct* leaves (summed in ascending node order).  `leaves`
+/// is scratch: on return it holds that sorted node set.
+///
+/// The one scoring routine: [`AnswerTree::new`] uses it on a finished tree,
+/// the expansion engine on a candidate it has not built yet.
+pub(crate) fn score_tree(
+    root: NodeId,
+    leaves: &mut Vec<NodeId>,
+    keyword_edge_scores: &[f64],
+    prestige: &PrestigeVector,
+    model: &ScoreModel,
+) -> (f64, f64, f64) {
+    let aggregate_edge_weight: f64 = keyword_edge_scores.iter().sum();
+    leaves.push(root);
+    leaves.sort_unstable();
+    leaves.dedup();
+    let node_prestige: f64 = leaves.iter().map(|n| prestige.get(*n)).sum();
+    let score = model.tree_score(aggregate_edge_weight, node_prestige);
+    (aggregate_edge_weight, node_prestige, score)
+}
+
 impl AnswerTree {
     /// Builds and scores an answer tree from its root and per-keyword paths.
     ///
@@ -67,17 +90,12 @@ impl AnswerTree {
             }
             keyword_edge_scores.push(sum);
         }
-        let aggregate_edge_weight: f64 = keyword_edge_scores.iter().sum();
-
-        // N = prestige of the root plus the distinct keyword leaves.
-        let mut prestige_nodes: BTreeSet<NodeId> = BTreeSet::new();
-        prestige_nodes.insert(root);
-        for path in &paths {
-            prestige_nodes.insert(*path.last().expect("path non-empty"));
-        }
-        let node_prestige: f64 = prestige_nodes.iter().map(|n| prestige.get(*n)).sum();
-
-        let score = model.tree_score(aggregate_edge_weight, node_prestige);
+        let mut leaves: Vec<NodeId> = paths
+            .iter()
+            .map(|path| *path.last().expect("path non-empty"))
+            .collect();
+        let (aggregate_edge_weight, node_prestige, score) =
+            score_tree(root, &mut leaves, &keyword_edge_scores, prestige, model);
         AnswerTree {
             root,
             paths,

@@ -22,15 +22,43 @@
 //! the paper's SI-Backward baseline (single backward iterator prioritised by
 //! distance), which is exactly how
 //! [`crate::SingleIteratorBackwardSearch`] is implemented.
+//!
+//! # How a step is paid for
+//!
+//! A step pops one queue entry, scans one adjacency row, and does no
+//! hashing and no allocation unless an answer is actually kept:
+//!
+//! * **State** lives in a per-query arena (`arena.rs`) on loan from the
+//!   thread's free list: node → slot through a generation-stamped array,
+//!   per-keyword `dist`/`act`/`sp` as struct-of-arrays with their folds
+//!   (`min`, `Σ`, finite count) cached per slot, explored parents in one
+//!   edge pool.  `Q_in`/`Q_out` are [`crate::pq::IndexedMaxHeap`]s keyed by
+//!   slot, so a priority change is a sift from the entry's position and
+//!   nothing stale is ever queued.
+//! * **Candidates are judged before they are built.**  `Attach` reaches a
+//!   complete node some six times per explored node, and nine in ten of
+//!   the trees rooted there are non-minimal or duplicates.  `emit` walks
+//!   the `sp` chains into scratch buffers — each hop carries the weight a
+//!   tree would report for it, so no adjacency row is re-scanned — decides
+//!   trace failure → minimality → duplicate from the scratch, and only
+//!   then lets [`OutputHeap::insert_judged`] call back for an
+//!   [`AnswerTree`].
+//! * **Release is gated.**  The output heap caches its best buffered score
+//!   and smallest aggregate weight; a step whose frontier bound cannot
+//!   clear them returns without scanning the buffer or reading the clock.
+//!
+//! None of this changes what is computed: answers, their order and every
+//! [`SearchStats`] counter are pinned by `tests/engine_golden.rs` to the
+//! values of the hash-map implementation this replaced.
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 use banks_graph::NodeId;
 
-use crate::answer::AnswerTree;
+use crate::answer::{score_tree, AnswerTree};
+use crate::arena::{Arena, Lease, ParentEdge, NO_SLOT};
 use crate::engine::{RankedAnswer, SearchEngine};
-use crate::output::{InsertOutcome, OutputHeap};
-use crate::pq::MaxPriorityQueue;
+use crate::output::OutputHeap;
 use crate::score::ScoreModel;
 use crate::stats::SearchStats;
 use crate::stream::{next_answer, AnswerStream, ExpansionMachine, QueryContext, StreamCore};
@@ -101,150 +129,11 @@ impl SearchEngine for BidirectionalSearch {
     }
 }
 
-/// Per-node search state (Figure 2 of the paper).
-struct NodeState {
-    /// `dist_{u,i}`: best known path length from this node to a node in
-    /// `S_i`.
-    dist: Vec<f64>,
-    /// `sp_{u,i}`: the child to follow for the best known path to `t_i`.
-    sp: Vec<Option<NodeId>>,
-    /// `a_{u,i}`: activation received from keyword `i`.
-    act: Vec<f64>,
-    /// Depth (in edges) from the nearest keyword node, assigned on first
-    /// insertion into a queue.
-    depth: u32,
-    /// Explored parents `P_u`: nodes `w` for which the edge `w -> u` has
-    /// been explored, along with that edge's weight.
-    parents: Vec<(NodeId, f64)>,
-    /// Already expanded by the incoming iterator (`X_in`).
-    in_xin: bool,
-    /// Already expanded by the outgoing iterator (`X_out`).
-    in_xout: bool,
-    /// Ever inserted into `Q_in` (for the touched-nodes metric).
-    touched_in: bool,
-    /// Ever inserted into `Q_out`.
-    touched_out: bool,
-    /// Aggregate edge weight of the best answer already emitted with this
-    /// node as root (avoids re-emitting unchanged trees).
-    best_emitted_weight: f64,
-}
-
-impl NodeState {
-    fn new(num_keywords: usize) -> Self {
-        NodeState {
-            dist: vec![f64::INFINITY; num_keywords],
-            sp: vec![None; num_keywords],
-            act: vec![0.0; num_keywords],
-            depth: u32::MAX,
-            parents: Vec::new(),
-            in_xin: false,
-            in_xout: false,
-            touched_in: false,
-            touched_out: false,
-            best_emitted_weight: f64::INFINITY,
-        }
-    }
-
-    fn is_complete(&self) -> bool {
-        self.dist.iter().all(|d| d.is_finite())
-    }
-
-    fn total_activation(&self) -> f64 {
-        self.act.iter().sum()
-    }
-
-    fn min_dist(&self) -> f64 {
-        self.dist.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-}
-
 /// Which queue an expansion step came from.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Side {
     Incoming,
     Outgoing,
-}
-
-/// Lazy per-keyword minimum of the frontier distances, used for the output
-/// bound of Section 4.5.
-struct FrontierBounds {
-    /// One lazy min-heap per keyword holding `(dist, node)` snapshots.
-    heaps: Vec<std::collections::BinaryHeap<std::cmp::Reverse<(OrderedF64, NodeId)>>>,
-}
-
-#[derive(PartialEq, PartialOrd)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-impl FrontierBounds {
-    fn new(num_keywords: usize) -> Self {
-        FrontierBounds {
-            heaps: (0..num_keywords).map(|_| Default::default()).collect(),
-        }
-    }
-
-    fn record(&mut self, keyword: usize, node: NodeId, dist: f64) {
-        if dist.is_finite() {
-            self.heaps[keyword].push(std::cmp::Reverse((OrderedF64(dist), node)));
-        }
-    }
-
-    /// Estimate of the aggregate edge weight of any answer not yet
-    /// generated, derived from the frontier distance labels (Section 4.5):
-    /// the paper's `h(m_1, ..., m_k) = Σ_i m_i`, where `m_i` is the
-    /// smallest distance label to keyword `i` among nodes still waiting in
-    /// `Q_in` (keywords with an empty frontier fall back to the global
-    /// minimum label).  Both emission policies consume this estimate; like
-    /// the paper's own bound it is an approximation — nodes that already
-    /// left the frontier may still complete into slightly better answers.
-    fn min_future_edge_weight(
-        &mut self,
-        states: &HashMap<NodeId, NodeState>,
-        q_in: &MaxPriorityQueue,
-    ) -> f64 {
-        let mut per_keyword: Vec<Option<f64>> = Vec::with_capacity(self.heaps.len());
-        for (i, heap) in self.heaps.iter_mut().enumerate() {
-            loop {
-                match heap.peek() {
-                    None => {
-                        per_keyword.push(None);
-                        break;
-                    }
-                    Some(std::cmp::Reverse((OrderedF64(d), node))) => {
-                        let stale = match states.get(node) {
-                            Some(state) => {
-                                !q_in.contains(*node) || (state.dist[i] - *d).abs() > 1e-12
-                            }
-                            None => true,
-                        };
-                        if stale {
-                            heap.pop();
-                        } else {
-                            per_keyword.push(Some(*d));
-                            break;
-                        }
-                    }
-                }
-            }
-        }
-        let global_min = per_keyword
-            .iter()
-            .flatten()
-            .copied()
-            .fold(f64::INFINITY, f64::min);
-        if global_min.is_infinite() {
-            return 0.0;
-        }
-        per_keyword.iter().map(|m| m.unwrap_or(global_min)).sum()
-    }
 }
 
 /// The shared expansion machinery for Bidirectional and SI-Backward search,
@@ -256,11 +145,10 @@ struct Expander<'a> {
     ctx: QueryContext<'a>,
     model: ScoreModel,
     num_keywords: usize,
-    states: HashMap<NodeId, NodeState>,
-    q_in: MaxPriorityQueue,
-    q_out: MaxPriorityQueue,
+    /// Per-node state, both frontier queues and every scratch buffer, on
+    /// loan from the thread's free list until the stream drops.
+    state: Lease,
     heap: OutputHeap,
-    bounds: FrontierBounds,
     /// Shared stream-driver state (ready queue, counters, lifecycle).
     core: StreamCore,
 }
@@ -273,9 +161,7 @@ impl<'a> Expander<'a> {
             config,
             model,
             num_keywords,
-            states: HashMap::new(),
-            q_in: MaxPriorityQueue::new(),
-            q_out: MaxPriorityQueue::new(),
+            state: Lease::checkout(ctx.graph.num_nodes(), num_keywords),
             heap: OutputHeap::new(
                 model,
                 ctx.params.emission,
@@ -283,23 +169,18 @@ impl<'a> Expander<'a> {
                 ctx.prestige.max(),
                 ctx.params.top_k,
             ),
-            bounds: FrontierBounds::new(num_keywords),
             core: StreamCore::new(),
             ctx,
         }
     }
 
-    fn state(&mut self, node: NodeId) -> &mut NodeState {
-        let n = self.num_keywords;
-        self.states.entry(node).or_insert_with(|| NodeState::new(n))
-    }
-
-    fn priority(&self, state: &NodeState) -> f64 {
+    fn priority(&self, slot: u32) -> f64 {
+        let record = &self.state.slots[slot as usize];
         if self.config.use_activation {
-            state.total_activation()
+            record.total_act
         } else {
             // Distance prioritisation: smaller distance = higher priority.
-            -state.min_dist()
+            -record.min_dist
         }
     }
 
@@ -320,7 +201,7 @@ impl<'a> Expander<'a> {
             return;
         }
 
-        if self.q_in.is_empty() && self.q_out.is_empty() {
+        if self.state.q_in.is_empty() && self.state.q_out.is_empty() {
             self.finish();
             return;
         }
@@ -371,43 +252,68 @@ impl<'a> Expander<'a> {
     /// Inserts all keyword nodes into `Q_in` with their seed activation
     /// (Equation 1 of the paper).
     fn seed(&mut self) {
-        for i in 0..self.num_keywords {
-            let origin: Vec<NodeId> = self.ctx.matches.origin_set(i).to_vec();
+        let matches = self.ctx.matches;
+        let k = self.num_keywords;
+        for i in 0..k {
+            let origin = matches.origin_set(i);
             let origin_size = origin.len().max(1) as f64;
-            for u in origin {
+            for &u in origin {
                 let prestige = self.ctx.prestige.get(u);
-                let state = self.state(u);
-                state.dist[i] = 0.0;
-                state.sp[i] = None;
-                state.act[i] = state.act[i].max(prestige / origin_size);
-                state.depth = 0;
+                let state = &mut *self.state;
+                let slot = state.slot_for(u);
+                let at = slot as usize * k + i;
+                state.dist[at] = 0.0;
+                state.sp[at] = NO_SLOT;
+                state.act[at] = state.act[at].max(prestige / origin_size);
+                state.slots[slot as usize].depth = 0;
+                state.refresh_dist(slot);
+                state.refresh_act(slot);
             }
         }
-        let seeds: Vec<NodeId> = self.ctx.matches.all_origin_nodes();
-        for u in seeds {
-            self.state(u).touched_in = true;
-            let prio = self.priority(&self.states[&u]);
-            self.q_in.push(u, prio);
-            self.core.stats.nodes_touched += 1;
-            for i in 0..self.num_keywords {
-                let d = self.states[&u].dist[i];
-                self.bounds.record(i, u, d);
-            }
+        for u in matches.all_origin_nodes() {
+            let slot = self.state.slot_for(u);
+            self.enqueue_incoming(slot);
             // Keyword nodes that already match every keyword are answers on
             // their own (single-keyword queries, or one node containing all
             // terms).
-            if self.states[&u].is_complete() {
-                self.emit(u);
+            if self.state.is_complete(slot) {
+                self.emit(slot);
             }
         }
     }
 
+    /// Puts a node into `Q_in` and snapshots its distances for the output
+    /// bound.
+    fn enqueue_incoming(&mut self, slot: u32) {
+        let priority = self.priority(slot);
+        let state = &mut *self.state;
+        let record = &mut state.slots[slot as usize];
+        if !record.touched_in {
+            record.touched_in = true;
+            self.core.stats.nodes_touched += 1;
+        }
+        state.q_in.push(slot, record.node, priority);
+        self.record_frontier(slot);
+    }
+
+    /// Puts a node into `Q_out`.
+    fn enqueue_outgoing(&mut self, slot: u32) {
+        let priority = self.priority(slot);
+        let state = &mut *self.state;
+        let record = &mut state.slots[slot as usize];
+        if !record.touched_out {
+            record.touched_out = true;
+            self.core.stats.nodes_touched += 1;
+        }
+        state.q_out.push(slot, record.node, priority);
+    }
+
     /// Chooses the iterator whose best frontier node has the highest
     /// priority (Figure 3, the `switch` at line 5).
-    fn pick_side(&mut self) -> Option<Side> {
-        let best_in = self.q_in.peek();
+    fn pick_side(&self) -> Option<Side> {
+        let best_in = self.state.q_in.peek();
         let best_out = if self.config.enable_outgoing {
-            self.q_out.peek()
+            self.state.q_out.peek()
         } else {
             None
         };
@@ -415,7 +321,7 @@ impl<'a> Expander<'a> {
             (None, None) => None,
             (Some(_), None) => Some(Side::Incoming),
             (None, Some(_)) => Some(Side::Outgoing),
-            (Some((_, p_in)), Some((_, p_out))) => {
+            (Some((_, _, p_in)), Some((_, _, p_out))) => {
                 if p_in >= p_out {
                     Some(Side::Incoming)
                 } else {
@@ -427,103 +333,89 @@ impl<'a> Expander<'a> {
 
     /// One expansion step of the incoming iterator (Figure 3, lines 6–14).
     fn expand_incoming(&mut self) {
-        let Some((v, _)) = self.q_in.pop() else {
+        let Some((v, node_v, _)) = self.state.q_in.pop() else {
             return;
         };
-        self.state(v).in_xin = true;
+        self.state.slots[v as usize].in_xin = true;
         self.core.stats.nodes_explored += 1;
 
-        if self.state(v).is_complete() {
+        if self.state.is_complete(v) {
             self.emit(v);
         }
 
-        let depth_v = self.states[&v].depth;
+        let depth_v = self.state.slots[v as usize].depth;
         if (depth_v as usize) < self.ctx.params.dmax {
             // Normalisation constant for backward activation spreading: the
             // received activation of v is split over its in-neighbours in
             // inverse proportion to the edge weights u -> v.
-            let in_edges: Vec<(NodeId, f64)> = self
-                .ctx
-                .graph
-                .in_edges(v)
-                .map(|e| (e.from, e.weight))
-                .collect();
-            let z: f64 = in_edges.iter().map(|(_, w)| 1.0 / w).sum();
-            for (u, w) in in_edges {
+            let graph = self.ctx.graph;
+            let mut row = std::mem::take(&mut self.state.row);
+            row.clear();
+            row.extend(graph.in_edges(node_v).map(|e| (e.from, e.weight)));
+            let z: f64 = row.iter().map(|(_, w)| 1.0 / w).sum();
+            let mut runs = ParallelRuns::default();
+            for (at, &(node_u, _)) in row.iter().enumerate() {
                 self.core.stats.edges_traversed += 1;
-                self.explore_edge(u, v, w, Side::Incoming, z);
-                {
-                    let state_u = self.state(u);
-                    if !state_u.in_xin && state_u.depth == u32::MAX {
-                        state_u.depth = depth_v + 1;
+                let u = self.state.slot_for(node_u);
+                self.explore_edge(u, v, runs.edge(&row, at), Side::Incoming, z);
+                let state = &mut *self.state;
+                let record = &mut state.slots[u as usize];
+                if !record.in_xin {
+                    if record.depth == u32::MAX {
+                        record.depth = depth_v + 1;
                     }
-                }
-                if !self.states[&u].in_xin && !self.q_in.contains(u) {
-                    let newly_touched = !self.states[&u].touched_in;
-                    self.state(u).touched_in = true;
-                    let prio = self.priority(&self.states[&u]);
-                    self.q_in.push(u, prio);
-                    if newly_touched {
-                        self.core.stats.nodes_touched += 1;
-                    }
-                    for i in 0..self.num_keywords {
-                        let d = self.states[&u].dist[i];
-                        self.bounds.record(i, u, d);
+                    if !state.q_in.contains(u) {
+                        self.enqueue_incoming(u);
                     }
                 }
             }
+            self.state.row = row;
         }
 
         // Every node explored by the incoming iterator is a potential answer
         // root: hand it to the outgoing iterator (Figure 3, line 14).
-        if self.config.enable_outgoing && !self.states[&v].in_xout && !self.states[&v].touched_out {
-            self.state(v).touched_out = true;
-            let prio = self.priority(&self.states[&v]);
-            self.q_out.push(v, prio);
-            self.core.stats.nodes_touched += 1;
+        let record = &self.state.slots[v as usize];
+        if self.config.enable_outgoing && !record.in_xout && !record.touched_out {
+            self.enqueue_outgoing(v);
         }
     }
 
     /// One expansion step of the outgoing iterator (Figure 3, lines 15–23).
     fn expand_outgoing(&mut self) {
-        let Some((u, _)) = self.q_out.pop() else {
+        let Some((u, node_u, _)) = self.state.q_out.pop() else {
             return;
         };
-        self.state(u).in_xout = true;
+        self.state.slots[u as usize].in_xout = true;
         self.core.stats.nodes_explored += 1;
 
-        if self.state(u).is_complete() {
+        if self.state.is_complete(u) {
             self.emit(u);
         }
 
-        let depth_u = self.states[&u].depth;
+        let depth_u = self.state.slots[u as usize].depth;
         if (depth_u as usize) < self.ctx.params.dmax {
-            let out_edges: Vec<(NodeId, f64)> = self
-                .ctx
-                .graph
-                .out_edges(u)
-                .map(|e| (e.to, e.weight))
-                .collect();
-            let z: f64 = out_edges.iter().map(|(_, w)| 1.0 / w).sum();
-            for (v, w) in out_edges {
+            let graph = self.ctx.graph;
+            let mut row = std::mem::take(&mut self.state.row);
+            row.clear();
+            row.extend(graph.out_edges(node_u).map(|e| (e.to, e.weight)));
+            let z: f64 = row.iter().map(|(_, w)| 1.0 / w).sum();
+            let mut runs = ParallelRuns::default();
+            for (at, &(node_v, _)) in row.iter().enumerate() {
                 self.core.stats.edges_traversed += 1;
-                self.explore_edge(u, v, w, Side::Outgoing, z);
-                {
-                    let state_v = self.state(v);
-                    if !state_v.in_xout && state_v.depth == u32::MAX {
-                        state_v.depth = depth_u + 1;
+                let v = self.state.slot_for(node_v);
+                self.explore_edge(u, v, runs.edge(&row, at), Side::Outgoing, z);
+                let state = &mut *self.state;
+                let record = &mut state.slots[v as usize];
+                if !record.in_xout {
+                    if record.depth == u32::MAX {
+                        record.depth = depth_u + 1;
                     }
-                }
-                if !self.states[&v].in_xout && !self.q_out.contains(v) {
-                    let newly_touched = !self.states[&v].touched_out;
-                    self.state(v).touched_out = true;
-                    let prio = self.priority(&self.states[&v]);
-                    self.q_out.push(v, prio);
-                    if newly_touched {
-                        self.core.stats.nodes_touched += 1;
+                    if !state.q_out.contains(v) {
+                        self.enqueue_outgoing(v);
                     }
                 }
             }
+            self.state.row = row;
         }
     }
 
@@ -534,35 +426,38 @@ impl<'a> Expander<'a> {
     /// spreading node divides the spread fraction `µ` of its activation
     /// (in-edges of `v` for the incoming side, out-edges of `u` for the
     /// outgoing side).
-    fn explore_edge(&mut self, u: NodeId, v: NodeId, weight: f64, side: Side, normalisation: f64) {
+    fn explore_edge(&mut self, u: u32, v: u32, edge: RowEdge, side: Side, normalisation: f64) {
+        let RowEdge {
+            weight,
+            tree_weight,
+            repeat,
+        } = edge;
         // Register u as an explored parent of v so later improvements of
-        // dist_v can be propagated to u (the Attach procedure).
-        {
-            let state_v = self.state(v);
-            if !state_v.parents.iter().any(|(p, _)| *p == u) {
-                state_v.parents.push((u, weight));
-            }
+        // dist_v can be propagated to u (the Attach procedure) — once per
+        // pair, first registration wins.  The pair was explored before iff
+        // a parallel edge came earlier in this row, or the other iterator
+        // has already scanned the row at the far end of the edge: a node is
+        // expanded at most once per side, its depth is fixed before that,
+        // and a scanned row holds every edge of the pair.  No list walk.
+        let dmax = self.ctx.params.dmax;
+        let slots = &self.state.slots;
+        let known = repeat
+            || match side {
+                Side::Incoming => {
+                    let far = &slots[u as usize];
+                    far.in_xout && (far.depth as usize) < dmax
+                }
+                Side::Outgoing => {
+                    let far = &slots[v as usize];
+                    far.in_xin && (far.depth as usize) < dmax
+                }
+            };
+        if !known {
+            self.state.add_parent(v, u, weight, tree_weight);
         }
 
         // Distance updates: u reaches keyword i through v.
-        let dist_v = self
-            .states
-            .get(&v)
-            .map(|s| s.dist.clone())
-            .unwrap_or_default();
-        let mut improved = false;
-        {
-            let state_u = self.state(u);
-            for (i, d) in dist_v.iter().enumerate() {
-                let candidate = d + weight;
-                if candidate < state_u.dist[i] - 1e-12 {
-                    state_u.dist[i] = candidate;
-                    state_u.sp[i] = Some(v);
-                    improved = true;
-                }
-            }
-        }
-        if improved {
+        if self.state.relax(u, v, weight, tree_weight) {
             self.attach(u);
         }
 
@@ -575,27 +470,10 @@ impl<'a> Expander<'a> {
                 Side::Outgoing => (u, v),
             };
             let share = (1.0 / weight) / normalisation;
-            let spread: Vec<f64> = self
-                .states
-                .get(&spreader)
-                .map(|s| {
-                    s.act
-                        .iter()
-                        .map(|a| a * self.ctx.params.mu * share)
-                        .collect()
-                })
-                .unwrap_or_default();
-            let mut changed = false;
+            if self
+                .state
+                .spread(spreader, receiver, self.ctx.params.mu, share)
             {
-                let state_r = self.state(receiver);
-                for (i, candidate) in spread.iter().enumerate() {
-                    if *candidate > state_r.act[i] {
-                        state_r.act[i] = *candidate;
-                        changed = true;
-                    }
-                }
-            }
-            if changed {
                 self.activate(receiver);
             }
         }
@@ -604,8 +482,10 @@ impl<'a> Expander<'a> {
     /// `Attach`: re-prioritise `u` and propagate its improved distances to
     /// all explored parents, best-first; emit any node that becomes (or
     /// remains) complete with a strictly better tree.
-    fn attach(&mut self, start: NodeId) {
-        let mut work = vec![start];
+    fn attach(&mut self, start: u32) {
+        let mut work = std::mem::take(&mut self.state.work);
+        work.clear();
+        work.push(start);
         let mut guard = 0usize;
         while let Some(node) = work.pop() {
             guard += 1;
@@ -613,43 +493,39 @@ impl<'a> Expander<'a> {
                 break; // safety valve; propagation is strictly improving so this should not trigger
             }
             self.reprioritise(node);
-            if self.states[&node].is_complete() {
+            if self.state.is_complete(node) {
                 self.emit(node);
             }
             // record frontier distances for the output bound
-            if self.q_in.contains(node) {
-                for i in 0..self.num_keywords {
-                    let d = self.states[&node].dist[i];
-                    self.bounds.record(i, node, d);
-                }
+            if self.state.q_in.contains(node) {
+                self.record_frontier(node);
             }
-            let parents = self.states[&node].parents.clone();
-            let dist_node = self.states[&node].dist.clone();
-            for (parent, weight) in parents {
-                let mut improved = false;
-                {
-                    let state_p = self.state(parent);
-                    for (i, d) in dist_node.iter().enumerate() {
-                        let candidate = d + weight;
-                        if candidate < state_p.dist[i] - 1e-12 {
-                            state_p.dist[i] = candidate;
-                            state_p.sp[i] = Some(node);
-                            improved = true;
-                        }
-                    }
-                }
-                if improved {
+            let state = &mut *self.state;
+            let mut at = state.slots[node as usize].parents_head;
+            while at != NO_SLOT {
+                let ParentEdge {
+                    parent,
+                    next,
+                    weight,
+                    tree_weight,
+                } = state.parents[at as usize];
+                if state.relax(parent, node, weight, tree_weight) {
                     work.push(parent);
                 }
+                at = next;
             }
         }
+        self.state.work = work;
     }
 
     /// `Activate`: re-prioritise the receiver and propagate increased
     /// activation backward to explored parents (attenuated by `µ` at every
     /// hop, so the propagation dies out geometrically).
-    fn activate(&mut self, start: NodeId) {
-        let mut work = vec![start];
+    fn activate(&mut self, start: u32) {
+        let mu = self.ctx.params.mu;
+        let mut work = std::mem::take(&mut self.state.work);
+        work.clear();
+        work.push(start);
         let mut guard = 0usize;
         while let Some(node) = work.pop() {
             guard += 1;
@@ -657,107 +533,192 @@ impl<'a> Expander<'a> {
                 break;
             }
             self.reprioritise(node);
-            let parents = self.states[&node].parents.clone();
-            if parents.is_empty() {
-                continue;
-            }
-            let z: f64 = parents.iter().map(|(_, w)| 1.0 / w).sum();
+            let state = &mut *self.state;
+            let head = state.slots[node as usize].parents_head;
+            let z: f64 = state.parent_edges(head).map(|e| 1.0 / e.weight).sum();
             if z <= 0.0 {
-                continue;
+                continue; // no explored parents
             }
-            let act_node = self.states[&node].act.clone();
-            let mu = self.ctx.params.mu;
-            for (parent, weight) in parents {
-                let share = (1.0 / weight) / z;
-                let mut changed = false;
-                {
-                    let state_p = self.state(parent);
-                    for (i, a) in act_node.iter().enumerate() {
-                        let candidate = a * mu * share;
-                        if candidate > state_p.act[i] {
-                            state_p.act[i] = candidate;
-                            changed = true;
-                        }
-                    }
-                }
-                if changed {
+            let mut at = head;
+            while at != NO_SLOT {
+                let ParentEdge {
+                    parent,
+                    next,
+                    weight,
+                    ..
+                } = state.parents[at as usize];
+                if state.spread(node, parent, mu, (1.0 / weight) / z) {
                     work.push(parent);
                 }
+                at = next;
             }
         }
+        self.state.work = work;
     }
 
     /// Updates a node's queue priorities after its state changed.
-    fn reprioritise(&mut self, node: NodeId) {
-        let prio = self.priority(&self.states[&node]);
-        if self.q_in.contains(node) {
-            self.q_in.push(node, prio);
+    fn reprioritise(&mut self, slot: u32) {
+        let priority = self.priority(slot);
+        let state = &mut *self.state;
+        let node = state.slots[slot as usize].node;
+        if state.q_in.contains(slot) {
+            state.q_in.push(slot, node, priority);
         }
-        if self.q_out.contains(node) {
-            self.q_out.push(node, prio);
+        if state.q_out.contains(slot) {
+            state.q_out.push(slot, node, priority);
         }
     }
 
-    /// `Emit`: build the answer tree rooted at `node` from the `sp`
-    /// pointers and insert it into the output heap.
-    fn emit(&mut self, node: NodeId) {
+    /// `Emit`: judge the answer tree rooted at `root` — read off the `sp`
+    /// pointers into scratch buffers — and build it only if the output
+    /// heap keeps it.  About nine candidates in ten are non-minimal or
+    /// duplicates and cost no allocation.
+    fn emit(&mut self, root: u32) {
         if let Some(cap) = self.ctx.params.max_generated {
             if self.core.stats.answers_generated >= cap {
                 return;
             }
         }
-        let state = &self.states[&node];
-        let aggregate: f64 = state.dist.iter().sum();
-        if aggregate >= state.best_emitted_weight - 1e-12 {
+        let k = self.num_keywords;
+        let at = root as usize * k;
+        let aggregate: f64 = self.state.dist[at..at + k].iter().sum();
+        if aggregate >= self.state.slots[root as usize].best_emitted_weight - 1e-12 {
             return; // nothing better than what this root already produced
         }
 
-        let mut paths = Vec::with_capacity(self.num_keywords);
-        for i in 0..self.num_keywords {
-            match self.trace_path(node, i) {
-                Some(path) => paths.push(path),
-                None => return, // inconsistent sp chain (should not happen)
+        let dmax = self.ctx.params.dmax;
+        let state = &mut *self.state;
+        state.path_nodes.clear();
+        state.path_ends.clear();
+        state.path_weights.clear();
+        for keyword in 0..k {
+            if !state.trace_path(root, keyword, dmax) {
+                // Not a candidate at all (see `Arena::trace_path`): nothing
+                // is counted and the root's `best_emitted_weight` stays, so
+                // it is tried again whenever `emit` next reaches it.
+                return;
             }
         }
-
-        let tree = AnswerTree::new(node, paths, self.ctx.graph, self.ctx.prestige, &self.model);
-        self.state(node).best_emitted_weight = aggregate;
+        state.slots[root as usize].best_emitted_weight = aggregate;
         self.core.stats.answers_generated += 1;
-        let elapsed = self.core.started.elapsed();
+
+        let Arena {
+            slots,
+            path_nodes,
+            path_ends,
+            path_weights,
+            signature,
+            prestige_nodes,
+            ..
+        } = state;
+        let path = |i: usize| {
+            let start = if i == 0 { 0 } else { path_ends[i - 1] };
+            &path_nodes[start..path_ends[i]]
+        };
+        // Minimality (Section 3): the root matches a keyword itself, or
+        // its paths leave through at least two different children.
+        let minimal = (0..k).any(|i| path(i).len() == 1 || path(i)[1] != path(0)[1]);
+        if !minimal {
+            self.heap.discard_non_minimal();
+            return;
+        }
+
+        signature.clear();
+        signature.extend_from_slice(path_nodes);
+        signature.sort_unstable();
+        signature.dedup();
+        prestige_nodes.clear();
+        prestige_nodes.extend((0..k).map(|i| *path(i).last().expect("a path holds its root")));
+        let root_node = slots[root as usize].node;
+        let (aggregate_edge_weight, node_prestige, score) = score_tree(
+            root_node,
+            prestige_nodes,
+            path_weights,
+            self.ctx.prestige,
+            &self.model,
+        );
+
         let explored = self.core.stats.nodes_explored;
-        let _: InsertOutcome = self.heap.insert(tree, elapsed, explored);
+        let started = self.core.started;
+        self.heap.insert_judged(signature, score, explored, || {
+            let tree = AnswerTree {
+                root: root_node,
+                paths: (0..k).map(|i| path(i).to_vec()).collect(),
+                keyword_edge_scores: path_weights.clone(),
+                aggregate_edge_weight,
+                node_prestige,
+                score,
+            };
+            (tree, started.elapsed())
+        });
     }
 
-    /// Follows the `sp` pointers from `root` to a node matching keyword `i`.
-    fn trace_path(&self, root: NodeId, keyword: usize) -> Option<Vec<NodeId>> {
-        let mut path = vec![root];
-        let mut cur = root;
-        let mut hops = 0usize;
-        loop {
-            let state = self.states.get(&cur)?;
-            if state.dist[keyword] <= 0.0 {
-                return Some(path);
-            }
-            let next = state.sp[keyword]?;
-            if !self.ctx.graph.has_edge(cur, next) {
-                return None;
-            }
-            path.push(next);
-            cur = next;
-            hops += 1;
-            if hops > self.ctx.params.dmax + 2 {
-                return None; // cycle guard
+    /// Snapshots the finite distances of a node in `Q_in` into the
+    /// per-keyword frontier heaps.
+    fn record_frontier(&mut self, slot: u32) {
+        let state = &mut *self.state;
+        let at = slot as usize * state.k;
+        for (heap, dist) in state.frontier.iter_mut().zip(&state.dist[at..at + state.k]) {
+            if dist.is_finite() {
+                debug_assert!(*dist >= 0.0, "bit order needs non-negative distances");
+                heap.push(Reverse((dist.to_bits(), slot)));
             }
         }
+    }
+
+    /// Estimate of the aggregate edge weight of any answer not yet
+    /// generated, derived from the frontier distance labels (Section 4.5):
+    /// the paper's `h(m_1, ..., m_k) = Σ_i m_i`, where `m_i` is the
+    /// smallest distance label to keyword `i` among nodes still waiting in
+    /// `Q_in` (keywords with an empty frontier fall back to the global
+    /// minimum label).  Both emission policies consume this estimate; like
+    /// the paper's own bound it is an approximation — nodes that already
+    /// left the frontier may still complete into slightly better answers.
+    fn min_future_edge_weight(&mut self) -> f64 {
+        let state = &mut *self.state;
+        let k = state.k;
+        let mut global_min = f64::INFINITY;
+        for (i, heap) in state.frontier.iter_mut().enumerate() {
+            // Drop snapshots of nodes that left `Q_in` or whose distance
+            // has improved since; what is then on top is the live minimum.
+            while let Some(&Reverse((bits, slot))) = heap.peek() {
+                let snapshot = f64::from_bits(bits);
+                let live = state.q_in.contains(slot)
+                    && (state.dist[slot as usize * k + i] - snapshot).abs() <= 1e-12;
+                if live {
+                    global_min = global_min.min(snapshot);
+                    break;
+                }
+                heap.pop();
+            }
+        }
+        if global_min.is_infinite() {
+            return 0.0;
+        }
+        state
+            .frontier
+            .iter()
+            .map(|heap| {
+                heap.peek()
+                    .map_or(global_min, |Reverse((bits, _))| f64::from_bits(*bits))
+            })
+            .sum()
     }
 
     /// Releases buffered answers allowed by the emission policy.
     fn release(&mut self) {
+        // Nothing buffered or no budget left: no bound could release anything.
+        if !self.heap.can_release(f64::INFINITY) {
+            return;
+        }
         // Both emission policies use the paper's h(m_1..m_k) = Σ_i m_i
         // estimate; the ExactBound policy additionally folds in the maximum
         // node prestige (Section 4.5).  Output order is best-effort (the
         // recall/precision experiment quantifies this).
-        let bound = self.bounds.min_future_edge_weight(&self.states, &self.q_in);
+        let bound = self.min_future_edge_weight();
+        if !self.heap.can_release(bound) {
+            return;
+        }
         let elapsed = self.core.started.elapsed();
         let explored = self.core.stats.nodes_explored;
         let released = self.heap.release(bound, elapsed, explored);
@@ -770,6 +731,48 @@ impl<'a> Expander<'a> {
         let explored = self.core.stats.nodes_explored;
         let released = self.heap.flush(elapsed, explored);
         self.core.push_released(self.ctx.params.top_k, released);
+    }
+}
+
+/// One entry of the adjacency row being expanded.
+#[derive(Clone, Copy)]
+struct RowEdge {
+    weight: f64,
+    /// Weight of the cheapest edge parallel to this one — what a tree using
+    /// the hop reports, as `DataGraph::edge_weight` would.
+    tree_weight: f64,
+    /// Whether a parallel edge came earlier in the row.
+    repeat: bool,
+}
+
+/// Finds the runs of parallel edges in an adjacency row.  Rows are sorted
+/// by neighbour (`CsrAdjacency::sort_rows`, and overlay rows likewise), so
+/// parallel edges are adjacent; the minimum of a run is computed once, when
+/// the scan enters it.
+#[derive(Default)]
+struct ParallelRuns {
+    run_end: usize,
+    run_min: f64,
+}
+
+impl ParallelRuns {
+    #[inline]
+    fn edge(&mut self, row: &[(NodeId, f64)], at: usize) -> RowEdge {
+        let (neighbour, weight) = row[at];
+        let repeat = at < self.run_end;
+        if !repeat {
+            self.run_min = weight;
+            self.run_end = at + 1;
+            while self.run_end < row.len() && row[self.run_end].0 == neighbour {
+                self.run_min = self.run_min.min(row[self.run_end].1);
+                self.run_end += 1;
+            }
+        }
+        RowEdge {
+            weight,
+            tree_weight: self.run_min,
+            repeat,
+        }
     }
 }
 
@@ -1216,5 +1219,266 @@ mod tests {
             assert!(a.timing.generated_at <= a.timing.output_at);
             assert!(a.timing.explored_at_generation <= a.timing.explored_at_output);
         }
+    }
+
+    /// The chain `0 – 1 – … – len-1` with a keyword at each end: what every
+    /// run below searches.
+    fn chain(len: usize) -> (DataGraph, KeywordMatches) {
+        let edges: Vec<(u32, u32)> = (0..len as u32 - 1).map(|i| (i, i + 1)).collect();
+        let g = graph_from_edges(len, &edges);
+        let m = KeywordMatches::from_sets(vec![
+            ("left", vec![NodeId(0)]),
+            ("right", vec![NodeId(len as u32 - 1)]),
+        ]);
+        (g, m)
+    }
+
+    /// `trace_path` gives up on `sp` chains longer than `dmax + 2` hops —
+    /// not an inconsistency but the normal fate of a node near one keyword
+    /// whose distance to the other arrived through `Attach`, which has no
+    /// depth cap.  Such a root is complete, `emit` reaches it, and the
+    /// candidate is dropped without being counted or remembered.
+    ///
+    /// On a 17-chain the two sides meet at node 8 (depth 8 from either
+    /// end); `Attach` then carries the far keyword's distance back down
+    /// each side, and from 11 hops on the candidates are dropped.
+    #[test]
+    fn overlong_sp_chain_is_dropped_before_it_is_counted() {
+        let (g, m) = chain(17);
+        let p = uniform(&g);
+        let params = SearchParams::with_top_k(64);
+        let mut expander = Expander::new(
+            BidirectionalConfig::default(),
+            QueryContext::new(&g, &p, &m, params),
+        );
+        while !expander.core.done {
+            expander.advance();
+        }
+        let state = &mut *expander.state;
+        let complete: Vec<u32> = (0..state.slots.len() as u32)
+            .filter(|slot| state.is_complete(*slot))
+            .collect();
+        let generated = complete
+            .iter()
+            .filter(|slot| state.slots[**slot as usize].best_emitted_weight.is_finite())
+            .count();
+        // Every root generated exactly once here (a chain has one tree per
+        // root), so the counter equals the roots that remember a tree.
+        assert_eq!(expander.core.stats.answers_generated, generated);
+        let dropped: Vec<u32> = complete
+            .iter()
+            .copied()
+            .filter(|slot| {
+                state.slots[*slot as usize]
+                    .best_emitted_weight
+                    .is_infinite()
+            })
+            .collect();
+        assert!(
+            !dropped.is_empty(),
+            "a complete root whose chain is too long must exist on a 17-chain"
+        );
+        for root in dropped {
+            state.path_nodes.clear();
+            state.path_ends.clear();
+            state.path_weights.clear();
+            let traced = (0..2).all(|keyword| state.trace_path(root, keyword, params.dmax));
+            assert!(!traced, "root {} traces", state.slots[root as usize].node);
+            // The chain is overlong, not broken: it does reach the keyword.
+            let hops = (0..2)
+                .map(|keyword| {
+                    let (mut cur, mut hops) = (root, 0);
+                    while state.dist[cur as usize * 2 + keyword] > 0.0 {
+                        cur = state.sp[cur as usize * 2 + keyword];
+                        assert_ne!(cur, NO_SLOT);
+                        hops += 1;
+                    }
+                    hops
+                })
+                .max();
+            assert!(hops > Some(params.dmax + 2));
+        }
+    }
+
+    /// Everything about a run that must not depend on which arena ran it.
+    fn fingerprint(outcome: &crate::SearchOutcome) -> String {
+        let mut out = format!(
+            "{} {} {} {} {} {}",
+            outcome.stats.nodes_explored,
+            outcome.stats.nodes_touched,
+            outcome.stats.edges_traversed,
+            outcome.stats.answers_generated,
+            outcome.stats.duplicates_discarded,
+            outcome.stats.non_minimal_discarded
+        );
+        for a in &outcome.answers {
+            out.push_str(&format!(
+                " | {} {:?} {:?} {}:{}",
+                a.rank,
+                a.tree.paths,
+                a.tree.score.to_bits(),
+                a.timing.explored_at_generation,
+                a.timing.explored_at_output
+            ));
+        }
+        out
+    }
+
+    /// The same search on a thread of its own: a brand-new arena.
+    fn on_fresh_thread(g: &DataGraph, m: &KeywordMatches, params: SearchParams) -> String {
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    assert_eq!(crate::arena::pooled(), 0);
+                    let p = uniform(g);
+                    fingerprint(&BidirectionalSearch::new().search(g, &p, m, &params))
+                })
+                .join()
+                .expect("reference search panicked")
+        })
+    }
+
+    fn search(g: &DataGraph, m: &KeywordMatches, params: SearchParams) -> String {
+        let p = uniform(g);
+        fingerprint(&BidirectionalSearch::new().search(g, &p, m, &params))
+    }
+
+    /// One arena serves a small graph, then a successor epoch with more
+    /// nodes — including overlay-only ids past the base storage — and then
+    /// the small graph again.
+    #[test]
+    fn arena_is_reused_across_graphs_of_different_size() {
+        use banks_graph::MutationBatch;
+        let params = SearchParams::with_top_k(64);
+        let (small, small_matches) = chain(6);
+        assert_eq!(
+            search(&small, &small_matches, params),
+            on_fresh_thread(&small, &small_matches, params)
+        );
+        assert_eq!(crate::arena::pooled(), 1);
+
+        // Nodes 6 and 7 exist only in the overlay: 5 -> 6 -> 7.
+        let (grown, outcome) = small.apply_batch(
+            &MutationBatch::new()
+                .add_node("node", "v6")
+                .add_node("node", "v7")
+                .add_edge(NodeId(5), NodeId(6))
+                .add_edge(NodeId(6), NodeId(7)),
+        );
+        assert_eq!(outcome.rejected(), 0);
+        assert_eq!(grown.num_nodes(), 8);
+        let grown_matches =
+            KeywordMatches::from_sets(vec![("left", vec![NodeId(0)]), ("right", vec![NodeId(7)])]);
+        assert_eq!(
+            search(&grown, &grown_matches, params),
+            on_fresh_thread(&grown, &grown_matches, params)
+        );
+        assert_eq!(
+            search(&small, &small_matches, params),
+            on_fresh_thread(&small, &small_matches, params)
+        );
+        assert_eq!(crate::arena::pooled(), 1, "one arena did all three");
+    }
+
+    /// When the generation counter wraps, stamps of the query that ran
+    /// 2^32 generations ago must not read as live.
+    #[test]
+    fn generation_wrap_does_not_resurrect_old_state() {
+        let params = SearchParams::with_top_k(64);
+        let (g, m) = chain(12);
+        let expected = on_fresh_thread(&g, &m, params);
+        crate::arena::set_pooled_generation(0);
+        assert_eq!(search(&g, &m, params), expected); // stamps carry generation 1
+        crate::arena::set_pooled_generation(u32::MAX); // next begin() wraps to 0 -> 1
+        let (other, other_matches) = chain(9);
+        assert_eq!(
+            search(&other, &other_matches, params),
+            on_fresh_thread(&other, &other_matches, params)
+        );
+        assert_eq!(search(&g, &m, params), expected);
+    }
+
+    /// Two streams polled alternately on one thread hold two arenas.
+    #[test]
+    fn interleaved_streams_on_one_thread_do_not_share_state() {
+        let params = SearchParams::with_top_k(64).emission(EmissionPolicy::Immediate);
+        let (g1, m1) = chain(10);
+        let (g2, m2) = chain(7);
+        let (p1, p2) = (uniform(&g1), uniform(&g2));
+        let engine = BidirectionalSearch::new();
+        let mut first = engine.start(QueryContext::new(&g1, &p1, &m1, params));
+        let mut second = engine.start(QueryContext::new(&g2, &p2, &m2, params));
+        let (mut answers1, mut answers2) = (Vec::new(), Vec::new());
+        loop {
+            let (a, b) = (first.next(), second.next());
+            if a.is_none() && b.is_none() {
+                break;
+            }
+            answers1.extend(a);
+            answers2.extend(b);
+        }
+        let interleaved = |answers, stream: &dyn AnswerStream| {
+            fingerprint(&crate::SearchOutcome {
+                answers,
+                stats: stream.stats(),
+            })
+        };
+        assert_eq!(
+            interleaved(answers1, first.as_ref()),
+            on_fresh_thread(&g1, &m1, params)
+        );
+        assert_eq!(
+            interleaved(answers2, second.as_ref()),
+            on_fresh_thread(&g2, &m2, params)
+        );
+        drop((first, second));
+        assert_eq!(crate::arena::pooled(), 2);
+    }
+
+    /// A client that disconnects (`take(1)`, drop) hands back an arena the
+    /// next query can use as if it were new.
+    #[test]
+    fn stream_dropped_mid_search_returns_a_clean_arena() {
+        let params = SearchParams::with_top_k(64).emission(EmissionPolicy::Immediate);
+        let (g, m) = chain(14);
+        let p = uniform(&g);
+        {
+            let mut stream =
+                BidirectionalSearch::new().start(QueryContext::new(&g, &p, &m, params));
+            assert!(stream.next().is_some());
+            assert!(!stream.is_exhausted(), "dropped with work left");
+        }
+        assert_eq!(crate::arena::pooled(), 1);
+        let (other, other_matches) = chain(9);
+        assert_eq!(
+            search(&other, &other_matches, params),
+            on_fresh_thread(&other, &other_matches, params)
+        );
+        assert_eq!(crate::arena::pooled(), 1);
+    }
+
+    /// A `next()` that panics does not put its arena back.
+    #[test]
+    fn panicking_search_does_not_return_its_arena() {
+        let params = SearchParams::with_top_k(64);
+        let (g, m) = chain(8);
+        assert_eq!(search(&g, &m, params), on_fresh_thread(&g, &m, params));
+        assert_eq!(crate::arena::pooled(), 1);
+
+        // A prestige vector for a smaller graph: seeding node 7 indexes
+        // past its end.
+        let short = uniform(&chain(4).0);
+        let result = std::panic::catch_unwind(|| {
+            let mut stream =
+                BidirectionalSearch::new().start(QueryContext::new(&g, &short, &m, params));
+            stream.next()
+        });
+        assert!(result.is_err(), "the search must have panicked");
+        assert_eq!(
+            crate::arena::pooled(),
+            0,
+            "the arena the panicking search held is gone, not pooled"
+        );
+        assert_eq!(search(&g, &m, params), on_fresh_thread(&g, &m, params));
     }
 }

@@ -90,7 +90,9 @@
 //!
 //! Supporting structure: the answer-tree model and ranking of Section 2
 //! ([`AnswerTree`], [`ScoreModel`]), the output buffering / top-k emission
-//! logic of Section 4.5 ([`output::OutputHeap`]), a priori cost estimation
+//! logic of Section 4.5 ([`output::OutputHeap`]), the indexed frontier
+//! queue the expansion engine keeps its per-query state around
+//! ([`pq::IndexedMaxHeap`]), a priori cost estimation
 //! for admission scheduling ([`QueryCost`]), and instrumentation
 //! ([`SearchStats`], [`SearchOutcome::time_to_first_answer`]) exposing the
 //! paper's metrics.
@@ -98,6 +100,7 @@
 #![deny(missing_docs)]
 
 pub mod answer;
+mod arena;
 pub mod backward;
 pub mod bidirectional;
 pub mod cache;

@@ -7,7 +7,7 @@
 //! than one result, but with different roots; such duplicates with lower
 //! score are discarded".
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use banks_graph::NodeId;
@@ -51,9 +51,16 @@ pub struct OutputHeap {
     /// deduplicates but never releases anything.
     remaining_budget: usize,
     buffered: HashMap<Vec<NodeId>, Buffered>,
-    /// Signatures already output, with the score they were output at, so
-    /// later re-discoveries of the same tree are suppressed.
-    emitted: HashMap<Vec<NodeId>, f64>,
+    /// No buffered answer scores higher than this.  Exact after every
+    /// insert; only removals can leave it loose, and the scan that removes
+    /// re-tightens it.
+    score_ceiling: f64,
+    /// No buffered answer has a smaller aggregate edge weight than this
+    /// (loose after a removal or a replacement, like `score_ceiling`).
+    weight_floor: f64,
+    /// Signatures already output, so later re-discoveries of the same tree
+    /// are suppressed.
+    emitted: HashSet<Vec<NodeId>>,
     duplicates_discarded: usize,
     non_minimal_discarded: usize,
 }
@@ -75,7 +82,9 @@ impl OutputHeap {
             max_node_prestige,
             remaining_budget: top_k,
             buffered: HashMap::new(),
-            emitted: HashMap::new(),
+            score_ceiling: f64::NEG_INFINITY,
+            weight_floor: f64::INFINITY,
+            emitted: HashSet::new(),
             duplicates_discarded: 0,
             non_minimal_discarded: 0,
         }
@@ -109,50 +118,92 @@ impl OutputHeap {
         explored_at_generation: usize,
     ) -> InsertOutcome {
         if !tree.is_minimal() {
-            self.non_minimal_discarded += 1;
-            return InsertOutcome::DiscardedNonMinimal;
+            return self.discard_non_minimal();
         }
-        let signature = tree.signature();
-        if let Some(prev_score) = self.emitted.get(&signature) {
-            if *prev_score >= tree.score {
-                self.duplicates_discarded += 1;
-                return InsertOutcome::DiscardedDuplicate;
+        let (signature, score) = (tree.signature(), tree.score);
+        self.insert_judged(&signature, score, explored_at_generation, || {
+            (tree, generated_at)
+        })
+    }
+
+    /// Counts a candidate its generator found to be non-minimal (its root
+    /// has a single child and does not itself match a keyword).
+    pub fn discard_non_minimal(&mut self) -> InsertOutcome {
+        self.non_minimal_discarded += 1;
+        InsertOutcome::DiscardedNonMinimal
+    }
+
+    /// Judges a *minimal* candidate by its signature and score alone and
+    /// calls `build` — for the tree and its generation time — only when the
+    /// candidate is kept (`Buffered` / `ReplacedDuplicate`).  This is the
+    /// one decision path; [`OutputHeap::insert`] feeds it a finished tree.
+    ///
+    /// A better-scoring version of an already *output* tree is discarded
+    /// like any other duplicate: the paper does not retract answers.
+    pub fn insert_judged(
+        &mut self,
+        signature: &[NodeId],
+        score: f64,
+        explored_at_generation: usize,
+        build: impl FnOnce() -> (AnswerTree, Duration),
+    ) -> InsertOutcome {
+        let outcome = if self.emitted.contains(signature) {
+            InsertOutcome::DiscardedDuplicate
+        } else {
+            match self.buffered.get(signature) {
+                Some(existing) if existing.tree.score >= score => InsertOutcome::DiscardedDuplicate,
+                Some(_) => InsertOutcome::ReplacedDuplicate,
+                None => InsertOutcome::Buffered,
             }
-            // A strictly better version of an already-output tree: the paper
-            // does not retract output answers, so we also discard it but do
-            // not count it as a duplicate "win".
+        };
+        if outcome != InsertOutcome::Buffered {
             self.duplicates_discarded += 1;
-            return InsertOutcome::DiscardedDuplicate;
         }
-        match self.buffered.get(&signature) {
-            Some(existing) if existing.tree.score >= tree.score => {
-                self.duplicates_discarded += 1;
-                InsertOutcome::DiscardedDuplicate
-            }
-            Some(_) => {
-                self.buffered.insert(
-                    signature,
-                    Buffered {
-                        tree,
-                        generated_at,
-                        explored_at_generation,
-                    },
-                );
-                self.duplicates_discarded += 1;
-                InsertOutcome::ReplacedDuplicate
-            }
-            None => {
-                self.buffered.insert(
-                    signature,
-                    Buffered {
-                        tree,
-                        generated_at,
-                        explored_at_generation,
-                    },
-                );
-                InsertOutcome::Buffered
-            }
+        if outcome != InsertOutcome::DiscardedDuplicate {
+            let (tree, generated_at) = build();
+            debug_assert!(tree.score == score && tree.signature() == signature);
+            self.score_ceiling = self.score_ceiling.max(tree.score);
+            self.weight_floor = self.weight_floor.min(tree.aggregate_edge_weight);
+            self.buffered.insert(
+                signature.to_vec(),
+                Buffered {
+                    tree,
+                    generated_at,
+                    explored_at_generation,
+                },
+            );
         }
+        outcome
+    }
+
+    /// Whether [`OutputHeap::release`] could return anything for this
+    /// bound — O(1), and `false` on almost every expansion step, which
+    /// lets the engine skip the release scan and its clock read.  May say
+    /// `true` when the scan then finds nothing (the cached extremes are
+    /// bounds, not exact, after a removal); never `false` wrongly.
+    pub fn can_release(&self, min_future_edge_weight: f64) -> bool {
+        if self.remaining_budget == 0 || self.buffered.is_empty() {
+            return false;
+        }
+        if min_future_edge_weight.is_infinite() {
+            return true;
+        }
+        match self.policy {
+            EmissionPolicy::Immediate => true,
+            EmissionPolicy::ExactBound => {
+                self.score_ceiling >= self.score_bar(min_future_edge_weight)
+            }
+            EmissionPolicy::Heuristic => self.weight_floor <= min_future_edge_weight + 1e-12,
+        }
+    }
+
+    /// The score a buffered answer must reach under `ExactBound`.
+    fn score_bar(&self, min_future_edge_weight: f64) -> f64 {
+        self.model.score_upper_bound(
+            min_future_edge_weight,
+            self.max_node_prestige,
+            self.num_keywords,
+        ) - 1e-12
     }
 
     /// Releases every buffered answer whose score clears the emission
@@ -168,21 +219,17 @@ impl OutputHeap {
         now: Duration,
         explored_now: usize,
     ) -> Vec<(AnswerTree, AnswerTiming)> {
-        if self.remaining_budget == 0 {
+        if !self.can_release(min_future_edge_weight) {
             return Vec::new();
         }
         let release_all = min_future_edge_weight.is_infinite();
         let ready: Vec<Vec<NodeId>> = match self.policy {
             EmissionPolicy::Immediate => self.buffered.keys().cloned().collect(),
             EmissionPolicy::ExactBound => {
-                let bound = self.model.score_upper_bound(
-                    min_future_edge_weight,
-                    self.max_node_prestige,
-                    self.num_keywords,
-                );
+                let bar = self.score_bar(min_future_edge_weight);
                 self.buffered
                     .iter()
-                    .filter(|(_, b)| release_all || b.tree.score >= bound - 1e-12)
+                    .filter(|(_, b)| release_all || b.tree.score >= bar)
                     .map(|(sig, _)| sig.clone())
                     .collect()
             }
@@ -228,7 +275,15 @@ impl OutputHeap {
         }
         self.remaining_budget -= released.len();
         for (tree, _) in &released {
-            self.emitted.insert(tree.signature(), tree.score);
+            self.emitted.insert(tree.signature());
+        }
+        // What is left decides the next `can_release`: make the cached
+        // extremes exact again.
+        self.score_ceiling = f64::NEG_INFINITY;
+        self.weight_floor = f64::INFINITY;
+        for b in self.buffered.values() {
+            self.score_ceiling = self.score_ceiling.max(b.tree.score);
+            self.weight_floor = self.weight_floor.min(b.tree.aggregate_edge_weight);
         }
         released
     }
@@ -524,5 +579,80 @@ mod tests {
         }
         assert_eq!(heap.duplicates_discarded(), 100);
         assert_eq!(heap.buffered_len(), 0);
+    }
+
+    /// `insert_judged` asks for the tree only when it keeps the candidate.
+    #[test]
+    fn judged_insert_builds_only_what_it_keeps() {
+        let (g, p, m) = setup();
+        let mut heap = OutputHeap::new(m, EmissionPolicy::Immediate, 2, p.max(), UNCAPPED);
+        let worse = tree(&g, &p, &m, 0, vec![vec![0], vec![0, 4, 1]]);
+        let better = tree(&g, &p, &m, 4, vec![vec![4, 0], vec![4, 1]]);
+        let signature = better.signature();
+        let mut built = 0;
+        let mut judge = |heap: &mut OutputHeap, t: &AnswerTree| {
+            heap.insert_judged(&signature, t.score, 1, || {
+                built += 1;
+                (t.clone(), Duration::ZERO)
+            })
+        };
+        assert_eq!(judge(&mut heap, &worse), InsertOutcome::Buffered);
+        assert_eq!(judge(&mut heap, &worse), InsertOutcome::DiscardedDuplicate);
+        assert_eq!(judge(&mut heap, &better), InsertOutcome::ReplacedDuplicate);
+        assert_eq!(heap.release(0.0, Duration::ZERO, 2).len(), 1);
+        assert_eq!(
+            judge(&mut heap, &better),
+            InsertOutcome::DiscardedDuplicate,
+            "already output"
+        );
+        assert_eq!(built, 2, "one build per kept candidate");
+        assert_eq!(heap.duplicates_discarded(), 3);
+    }
+
+    /// `can_release` agrees with what `release` then does, for every
+    /// policy, and a scan leaves the cached extremes exact for what stays
+    /// buffered.
+    #[test]
+    fn can_release_gates_exactly_after_inserts_and_scans() {
+        let (g, p, m) = setup();
+        let short = tree(&g, &p, &m, 4, vec![vec![4, 0], vec![4, 1]]); // E = 2
+        let long = tree(&g, &p, &m, 4, vec![vec![4, 0], vec![4, 2, 3]]); // E = 3
+        for policy in [
+            EmissionPolicy::ExactBound,
+            EmissionPolicy::Heuristic,
+            EmissionPolicy::Immediate,
+        ] {
+            let mut heap = OutputHeap::new(m, policy, 2, p.max(), UNCAPPED);
+            assert!(!heap.can_release(f64::INFINITY), "nothing buffered");
+            heap.insert(long.clone(), Duration::ZERO, 1);
+            heap.insert(short.clone(), Duration::ZERO, 1);
+            for bound in [0.0, 1.0, 2.0, 2.5, 3.0, 10.0, f64::INFINITY] {
+                let mut probe = OutputHeap::new(m, policy, 2, p.max(), UNCAPPED);
+                probe.insert(long.clone(), Duration::ZERO, 1);
+                probe.insert(short.clone(), Duration::ZERO, 1);
+                let said = probe.can_release(bound);
+                let released = probe.release(bound, Duration::ZERO, 1).len();
+                assert_eq!(said, released > 0, "{policy:?} at bound {bound}");
+                if released == 1 {
+                    // The extremes were re-tightened to the survivor.
+                    assert!(!probe.can_release(bound), "{policy:?} at {bound}");
+                }
+            }
+            assert_eq!(heap.flush(Duration::ZERO, 2).len(), 2);
+            assert!(!heap.can_release(f64::INFINITY), "drained");
+        }
+    }
+
+    /// A zero budget closes the gate whatever is buffered.
+    #[test]
+    fn can_release_is_false_without_budget() {
+        let (g, p, m) = setup();
+        let mut heap = OutputHeap::new(m, EmissionPolicy::Immediate, 2, p.max(), 0);
+        heap.insert(
+            tree(&g, &p, &m, 4, vec![vec![4, 0], vec![4, 1]]),
+            Duration::ZERO,
+            1,
+        );
+        assert!(!heap.can_release(f64::INFINITY));
     }
 }

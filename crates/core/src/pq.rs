@@ -1,131 +1,186 @@
-//! A small updatable max-priority queue over nodes.
+//! An indexed 4-ary max-heap over the slots of a per-query arena (`arena.rs`).
 //!
 //! The incoming and outgoing iterators of Bidirectional search order their
 //! frontiers by node activation, and activation values change while a node
-//! is queued (the `Activate` propagation of Figure 3).  Rust's
-//! `BinaryHeap` has no decrease/increase-key, so this queue uses the classic
-//! lazy-deletion trick: every priority change pushes a fresh entry, and
-//! stale entries are skipped at pop time by comparing against the live
-//! priority map.
+//! is queued (the `Activate` propagation of Figure 3).  The heap therefore
+//! keeps, next to the entry array, a **position array** indexed by arena
+//! slot: changing a queued node's priority is a true increase/decrease-key
+//! (sift from its current position), membership is one array read, and the
+//! heap never holds a stale entry — what `peek` returns is live.
+//!
+//! Order is `(priority, lower NodeId first)`, a total order with no equal
+//! keys (a node is queued at most once), so the pop sequence is fully
+//! determined by the pushed keys and does not depend on the heap's shape.
+//!
+//! Memory is proportional to the slots pushed, not to the graph:
+//! [`IndexedMaxHeap::clear`] truncates both arrays in O(1) and keeps their
+//! capacity for the next query.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
 
 use banks_graph::NodeId;
 
-#[derive(PartialEq)]
+/// Children per heap node.  Four keeps the tree half as deep as a binary
+/// heap; the extra comparisons per level stay within one cache line of
+/// 16-byte entries.
+const ARITY: usize = 4;
+
+/// Position-array value of a slot that is not queued.
+const ABSENT: u32 = u32::MAX;
+
+#[derive(Clone, Copy)]
 struct Entry {
     priority: f64,
     node: NodeId,
+    slot: u32,
 }
 
-impl Eq for Entry {}
-
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Max-heap on priority; ties broken on node id (lower id first) so
-        // that runs are fully deterministic.
+impl Entry {
+    /// Max-heap order on priority; ties broken on node id (lower id first)
+    /// so that runs are fully deterministic.
+    #[inline]
+    fn beats(&self, other: &Entry) -> bool {
         self.priority
             .total_cmp(&other.priority)
             .then_with(|| other.node.cmp(&self.node))
+            == Ordering::Greater
     }
 }
 
-/// Updatable max-priority queue keyed by [`NodeId`].
+/// Updatable max-priority queue keyed by arena slot.
 #[derive(Default)]
-pub struct MaxPriorityQueue {
-    heap: BinaryHeap<Entry>,
-    live: HashMap<NodeId, f64>,
+pub struct IndexedMaxHeap {
+    entries: Vec<Entry>,
+    /// `position[slot]` is the index of the slot's entry in `entries`, or
+    /// [`ABSENT`].  Grown on demand, so slots never pushed cost nothing.
+    position: Vec<u32>,
 }
 
-impl MaxPriorityQueue {
+impl IndexedMaxHeap {
     /// Creates an empty queue.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of live (non-stale) nodes in the queue.
+    /// Empties the queue in O(1), keeping the allocations.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.position.clear();
+    }
+
+    /// Number of queued slots.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.entries.len()
     }
 
-    /// True when no live nodes remain.
+    /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.entries.is_empty()
     }
 
-    /// True when the node is currently queued.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.live.contains_key(&node)
+    /// True when the slot is currently queued.
+    #[inline]
+    pub fn contains(&self, slot: u32) -> bool {
+        self.position
+            .get(slot as usize)
+            .is_some_and(|at| *at != ABSENT)
     }
 
-    /// Current priority of a queued node.
-    pub fn priority(&self, node: NodeId) -> Option<f64> {
-        self.live.get(&node).copied()
-    }
-
-    /// Inserts a node or raises/lowers its priority.  Returns `true` if the
-    /// node was not previously queued.
-    pub fn push(&mut self, node: NodeId, priority: f64) -> bool {
-        let fresh = self.live.insert(node, priority).is_none();
-        self.heap.push(Entry { priority, node });
-        fresh
-    }
-
-    /// Updates the priority only if the new value is higher.  Returns `true`
-    /// if the priority changed (or the node was newly inserted).
-    pub fn push_max(&mut self, node: NodeId, priority: f64) -> bool {
-        match self.live.get(&node) {
-            Some(current) if *current >= priority => false,
-            _ => {
-                self.push(node, priority);
-                true
+    /// Inserts a slot, or raises/lowers the priority of a queued one.
+    /// `node` is the slot's node id, used only to break priority ties.
+    /// Returns `true` if the slot was not previously queued.
+    pub fn push(&mut self, slot: u32, node: NodeId, priority: f64) -> bool {
+        let entry = Entry {
+            priority,
+            node,
+            slot,
+        };
+        if self.contains(slot) {
+            let at = self.position[slot as usize] as usize;
+            let raised = entry.beats(&self.entries[at]);
+            self.entries[at] = entry;
+            if raised {
+                self.sift_up(at);
+            } else {
+                self.sift_down(at);
             }
+            return false;
         }
+        if self.position.len() <= slot as usize {
+            self.position.resize(slot as usize + 1, ABSENT);
+        }
+        self.entries.push(entry);
+        self.sift_up(self.entries.len() - 1);
+        true
     }
 
-    /// Highest live priority without removing it.
-    pub fn peek(&mut self) -> Option<(NodeId, f64)> {
-        self.skim();
-        self.heap.peek().map(|e| (e.node, e.priority))
+    /// The queued `(slot, node, priority)` with the highest priority.
+    #[inline]
+    pub fn peek(&self) -> Option<(u32, NodeId, f64)> {
+        self.entries.first().map(|e| (e.slot, e.node, e.priority))
     }
 
-    /// Removes and returns the node with the highest priority.
-    pub fn pop(&mut self) -> Option<(NodeId, f64)> {
-        self.skim();
-        let entry = self.heap.pop()?;
-        self.live.remove(&entry.node);
-        Some((entry.node, entry.priority))
+    /// Removes and returns the entry with the highest priority.
+    pub fn pop(&mut self) -> Option<(u32, NodeId, f64)> {
+        let top = *self.entries.first()?;
+        let last = self.entries.pop().expect("the heap has a first entry");
+        self.position[top.slot as usize] = ABSENT;
+        if !self.entries.is_empty() {
+            self.entries[0] = last;
+            self.sift_down(0);
+        }
+        Some((top.slot, top.node, top.priority))
     }
 
-    /// Removes a node from the queue without popping it (used when a node
-    /// expanded by one iterator must not be re-expanded).
-    pub fn remove(&mut self, node: NodeId) -> bool {
-        self.live.remove(&node).is_some()
+    /// Moves the entry at `at` towards the root until its parent beats it.
+    fn sift_up(&mut self, mut at: usize) {
+        let entry = self.entries[at];
+        while at > 0 {
+            let parent = (at - 1) / ARITY;
+            if !entry.beats(&self.entries[parent]) {
+                break;
+            }
+            self.place(at, self.entries[parent]);
+            at = parent;
+        }
+        self.place(at, entry);
     }
 
-    /// Drops stale heap entries from the top.
-    fn skim(&mut self) {
-        while let Some(top) = self.heap.peek() {
-            match self.live.get(&top.node) {
-                Some(p) if (*p - top.priority).abs() < f64::EPSILON => break,
-                _ => {
-                    self.heap.pop();
+    /// Moves the entry at `at` towards the leaves until it beats every
+    /// child.
+    fn sift_down(&mut self, mut at: usize) {
+        let entry = self.entries[at];
+        let len = self.entries.len();
+        loop {
+            let first = at * ARITY + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for child in first + 1..(first + ARITY).min(len) {
+                if self.entries[child].beats(&self.entries[best]) {
+                    best = child;
                 }
             }
+            if !self.entries[best].beats(&entry) {
+                break;
+            }
+            self.place(at, self.entries[best]);
+            at = best;
         }
+        self.place(at, entry);
+    }
+
+    #[inline]
+    fn place(&mut self, at: usize, entry: Entry) {
+        self.position[entry.slot as usize] = at as u32;
+        self.entries[at] = entry;
     }
 }
 
-impl std::fmt::Debug for MaxPriorityQueue {
+impl std::fmt::Debug for IndexedMaxHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MaxPriorityQueue")
+        f.debug_struct("IndexedMaxHeap")
             .field("len", &self.len())
             .finish()
     }
@@ -134,70 +189,155 @@ impl std::fmt::Debug for MaxPriorityQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// Slot and node id coincide in these tests.
+    fn push(q: &mut IndexedMaxHeap, id: u32, priority: f64) -> bool {
+        q.push(id, NodeId(id), priority)
+    }
+
+    fn pop_node(q: &mut IndexedMaxHeap) -> u32 {
+        q.pop().expect("queue is not empty").0
+    }
 
     #[test]
     fn pops_in_priority_order() {
-        let mut q = MaxPriorityQueue::new();
-        q.push(NodeId(1), 0.5);
-        q.push(NodeId(2), 0.9);
-        q.push(NodeId(3), 0.1);
+        let mut q = IndexedMaxHeap::new();
+        assert!(push(&mut q, 1, 0.5));
+        assert!(push(&mut q, 2, 0.9));
+        assert!(push(&mut q, 3, 0.1));
         assert_eq!(q.len(), 3);
-        assert_eq!(q.pop().unwrap().0, NodeId(2));
-        assert_eq!(q.pop().unwrap().0, NodeId(1));
-        assert_eq!(q.pop().unwrap().0, NodeId(3));
+        assert_eq!(pop_node(&mut q), 2);
+        assert_eq!(pop_node(&mut q), 1);
+        assert_eq!(pop_node(&mut q), 3);
         assert!(q.pop().is_none());
         assert!(q.is_empty());
     }
 
     #[test]
-    fn priority_updates_take_effect() {
-        let mut q = MaxPriorityQueue::new();
-        q.push(NodeId(1), 0.2);
-        q.push(NodeId(2), 0.5);
-        q.push(NodeId(1), 0.9); // raise node 1 above node 2
+    fn priority_updates_take_effect_in_both_directions() {
+        let mut q = IndexedMaxHeap::new();
+        push(&mut q, 1, 0.2);
+        push(&mut q, 2, 0.5);
+        assert!(!push(&mut q, 1, 0.9), "a re-push is an update");
         assert_eq!(q.len(), 2);
-        assert_eq!(q.pop().unwrap(), (NodeId(1), 0.9));
-        assert_eq!(q.pop().unwrap(), (NodeId(2), 0.5));
+        assert_eq!(q.peek(), Some((1, NodeId(1), 0.9)));
+        push(&mut q, 1, 0.1);
+        assert_eq!(q.pop(), Some((2, NodeId(2), 0.5)));
+        assert_eq!(q.pop(), Some((1, NodeId(1), 0.1)));
     }
 
     #[test]
-    fn push_max_only_raises() {
-        let mut q = MaxPriorityQueue::new();
-        assert!(q.push_max(NodeId(1), 0.4));
-        assert!(!q.push_max(NodeId(1), 0.3));
-        assert!(q.push_max(NodeId(1), 0.6));
-        assert_eq!(q.priority(NodeId(1)), Some(0.6));
-        assert_eq!(q.pop().unwrap(), (NodeId(1), 0.6));
+    fn ties_break_on_node_id_not_slot() {
+        let mut q = IndexedMaxHeap::new();
+        q.push(0, NodeId(7), 1.0);
+        q.push(1, NodeId(3), 1.0);
+        assert_eq!(q.pop().unwrap().1, NodeId(3));
+        assert_eq!(q.pop().unwrap().1, NodeId(7));
+    }
+
+    /// Priorities closer than `f64::EPSILON` are still distinct keys (the
+    /// lazy-deletion queue this heap replaced compared them with an
+    /// absolute epsilon and read such neighbours as one).
+    #[test]
+    fn priorities_below_epsilon_apart_stay_ordered() {
+        let mut q = IndexedMaxHeap::new();
+        push(&mut q, 1, 1e-20);
+        push(&mut q, 2, 3e-20);
+        push(&mut q, 1, 2e-20);
+        assert_eq!(q.pop(), Some((2, NodeId(2), 3e-20)));
+        assert_eq!(q.pop(), Some((1, NodeId(1), 2e-20)));
     }
 
     #[test]
-    fn ties_break_on_node_id() {
-        let mut q = MaxPriorityQueue::new();
-        q.push(NodeId(7), 1.0);
-        q.push(NodeId(3), 1.0);
-        assert_eq!(q.pop().unwrap().0, NodeId(3));
-        assert_eq!(q.pop().unwrap().0, NodeId(7));
+    fn contains_tracks_membership_and_clear_forgets_everything() {
+        let mut q = IndexedMaxHeap::new();
+        push(&mut q, 5, 0.3);
+        push(&mut q, 2, 0.8);
+        assert!(q.contains(2) && q.contains(5));
+        assert!(!q.contains(3) && !q.contains(99));
+        assert_eq!(pop_node(&mut q), 2);
+        assert!(!q.contains(2));
+        q.clear();
+        assert!(q.is_empty() && !q.contains(5));
+        assert!(push(&mut q, 5, 0.1), "a cleared slot is fresh again");
     }
 
-    #[test]
-    fn remove_and_contains() {
-        let mut q = MaxPriorityQueue::new();
-        q.push(NodeId(1), 0.3);
-        q.push(NodeId(2), 0.8);
-        assert!(q.contains(NodeId(2)));
-        assert!(q.remove(NodeId(2)));
-        assert!(!q.contains(NodeId(2)));
-        assert!(!q.remove(NodeId(2)));
-        assert_eq!(q.pop().unwrap().0, NodeId(1));
-        assert!(q.is_empty());
+    /// One step of the random walk: push/raise/lower a slot, or pop.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Push { slot: u32, level: u8 },
+        Pop,
     }
 
-    #[test]
-    fn peek_skips_stale_entries() {
-        let mut q = MaxPriorityQueue::new();
-        q.push(NodeId(1), 0.9);
-        q.push(NodeId(1), 0.1); // lower the priority
-        q.push(NodeId(2), 0.5);
-        assert_eq!(q.peek().unwrap().0, NodeId(2));
+    fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
+        // Few slots and few priority levels, so re-pushes (raises and
+        // lowers) and priority ties are the common case.
+        proptest::collection::vec((0u32..24, 0u8..6, 0u8..4), 1..200).prop_map(|steps| {
+            steps
+                .into_iter()
+                .map(|(slot, level, kind)| {
+                    if kind == 0 {
+                        Op::Pop
+                    } else {
+                        Op::Push { slot, level }
+                    }
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Against a naive model — a `Vec` scanned for its maximum under
+        /// the same `(priority, lower NodeId first)` order — every push
+        /// reports freshness alike, and peek, pop, len and contains agree
+        /// after every step.  Node ids run opposite to slots, so a heap
+        /// that broke ties on the slot would be caught.
+        #[test]
+        fn behaves_like_a_sorted_vec(ops in arb_ops()) {
+            let node_of = |slot: u32| NodeId(1000 - slot);
+            let mut heap = IndexedMaxHeap::new();
+            let mut model: Vec<(u32, f64)> = Vec::new();
+            for op in ops {
+                match op {
+                    Op::Push { slot, level } => {
+                        let priority = f64::from(level) * 0.25;
+                        let fresh = match model.iter_mut().find(|(s, _)| *s == slot) {
+                            Some(entry) => {
+                                entry.1 = priority;
+                                false
+                            }
+                            None => {
+                                model.push((slot, priority));
+                                true
+                            }
+                        };
+                        prop_assert_eq!(heap.push(slot, node_of(slot), priority), fresh);
+                    }
+                    Op::Pop => {
+                        model.sort_by(|a, b| {
+                            b.1.total_cmp(&a.1).then_with(|| node_of(a.0).cmp(&node_of(b.0)))
+                        });
+                        let expected = if model.is_empty() {
+                            None
+                        } else {
+                            let (slot, priority) = model.remove(0);
+                            Some((slot, node_of(slot), priority))
+                        };
+                        prop_assert_eq!(heap.peek(), expected);
+                        prop_assert_eq!(heap.pop(), expected);
+                    }
+                }
+                prop_assert_eq!(heap.len(), model.len());
+                for slot in 0..24 {
+                    prop_assert_eq!(
+                        heap.contains(slot),
+                        model.iter().any(|(s, _)| *s == slot)
+                    );
+                }
+            }
+        }
     }
 }
