@@ -16,9 +16,10 @@
 //!   slot and refreshed where the vectors change.
 //! * Explored-parent lists (`P_u` of Figure 2) are singly linked through
 //!   one shared edge pool, in registration order.
-//! * The two frontier queues, the per-keyword frontier-distance heaps and
-//!   the scratch buffers of `emit` / `attach` / the row scan live here too,
-//!   so a warmed-up arena runs a query without allocating.
+//! * The two frontier queues, the per-keyword frontier-distance heaps, the
+//!   scratch buffers of `emit` / `attach` / the row scan and the output
+//!   heap's candidate pool (`output.rs`) live here too, so a warmed-up
+//!   arena runs a query without allocating.
 //!
 //! Arenas are checked out of a **per-thread free list** by
 //! [`Lease::checkout`] and handed back when the lease drops, so a worker
@@ -35,6 +36,7 @@ use std::ops::{Deref, DerefMut};
 
 use banks_graph::NodeId;
 
+use crate::output::CandidatePool;
 use crate::pq::IndexedMaxHeap;
 
 /// "No slot": end of a parent list, or an `sp` pointer not yet set.
@@ -130,6 +132,9 @@ pub(crate) struct Arena {
     /// root plus leaves.
     pub signature: Vec<NodeId>,
     pub prestige_nodes: Vec<NodeId>,
+    /// The output heap's storage between queries: the search that holds the
+    /// lease takes it, and puts it back when it ends.
+    pub candidates: CandidatePool,
 }
 
 impl Arena {
@@ -239,16 +244,31 @@ impl Arena {
     /// `weight`: wherever going through `via` is shorter, `to` adopts the
     /// distance and points its `sp` at `via`.  Returns whether anything
     /// improved.
+    ///
+    /// A node waiting in `Q_in` also gets the new distance snapshotted into
+    /// that keyword's frontier heap.  Together with the snapshot of every
+    /// finite distance taken when a node enters `Q_in`, this keeps the
+    /// invariant the output bound reads: each `(node in Q_in, keyword)`
+    /// with a finite distance has a snapshot of its *current* value.  (An
+    /// improvement is by more than the staleness tolerance, so the
+    /// snapshot it supersedes reads as stale.)
     pub fn relax(&mut self, to: u32, via: u32, weight: f64, tree_weight: f64) -> bool {
         let (to_at, via_at) = (to as usize * self.k, via as usize * self.k);
         let mut improved = false;
+        let mut queued = false;
         for i in 0..self.k {
             let candidate = self.dist[via_at + i] + weight;
             if candidate < self.dist[to_at + i] - 1e-12 {
+                if !improved {
+                    improved = true;
+                    queued = self.q_in.contains(to);
+                }
                 self.dist[to_at + i] = candidate;
                 self.sp[to_at + i] = via;
                 self.sp_weight[to_at + i] = tree_weight;
-                improved = true;
+                if queued {
+                    self.snapshot(i, candidate, to);
+                }
             }
         }
         if improved {
@@ -276,6 +296,21 @@ impl Arena {
         changed
     }
 
+    /// Records that `slot`, waiting in `Q_in`, is `dist` away from
+    /// `keyword`.
+    #[inline]
+    pub fn snapshot(&mut self, keyword: usize, dist: f64, slot: u32) {
+        debug_assert!(dist >= 0.0, "bit order needs non-negative distances");
+        self.frontier[keyword].push(Reverse((dist.to_bits(), slot)));
+    }
+
+    /// Whether the `sp` chain from `root` towards `keyword` is short enough
+    /// for [`Arena::trace_path`] to succeed — the same walk, recording
+    /// nothing.
+    pub fn chain_fits(&self, root: u32, keyword: usize, dmax: usize) -> bool {
+        walk_chain(&self.dist, &self.sp, self.k, root, keyword, dmax, |_, _| {})
+    }
+
     /// Follows the `sp` pointers from `root` to a node matching `keyword`,
     /// appending the path to the `path_*` scratch buffers.
     ///
@@ -292,28 +327,25 @@ impl Arena {
     /// `dmax + 2` edges pass.)  The walk cannot cycle: every hop strictly
     /// decreases the distance.
     pub fn trace_path(&mut self, root: u32, keyword: usize, dmax: usize) -> bool {
-        let mut cur = root;
-        let mut hops = 0usize;
+        let Arena {
+            dist,
+            sp,
+            sp_weight,
+            slots,
+            path_nodes,
+            ..
+        } = self;
         let mut weight = 0.0;
-        self.path_nodes.push(self.slots[cur as usize].node);
-        loop {
-            let at = cur as usize * self.k + keyword;
-            if self.dist[at] <= 0.0 {
-                self.path_ends.push(self.path_nodes.len());
-                self.path_weights.push(weight);
-                return true;
-            }
-            cur = self.sp[at];
-            if cur == NO_SLOT {
-                return false; // no finite distance: the caller checked completeness
-            }
-            weight += self.sp_weight[at];
-            self.path_nodes.push(self.slots[cur as usize].node);
-            hops += 1;
-            if hops > dmax + 2 {
-                return false;
-            }
+        path_nodes.push(slots[root as usize].node);
+        let reached = walk_chain(dist, sp, self.k, root, keyword, dmax, |at, next| {
+            weight += sp_weight[at];
+            path_nodes.push(slots[next as usize].node);
+        });
+        if reached {
+            self.path_ends.push(self.path_nodes.len());
+            self.path_weights.push(weight);
         }
+        reached
     }
 
     /// Appends `parent` to `child`'s explored-parent list.  The caller
@@ -332,6 +364,40 @@ impl Arena {
             tail => self.parents[tail as usize].next = new,
         }
         record.parents_tail = new;
+    }
+}
+
+/// Follows the `sp` pointers from `root` until a node matching `keyword`
+/// (distance zero), calling `hop(at, next)` for every edge taken, where `at`
+/// indexes the per-keyword arrays of the node being left and `next` is the
+/// slot entered.  `false` if the chain takes more than `dmax + 2` hops (or
+/// breaks off, which a complete root's does not).
+#[inline]
+fn walk_chain(
+    dist: &[f64],
+    sp: &[u32],
+    k: usize,
+    root: u32,
+    keyword: usize,
+    dmax: usize,
+    mut hop: impl FnMut(usize, u32),
+) -> bool {
+    let mut cur = root;
+    let mut hops = 0usize;
+    loop {
+        let at = cur as usize * k + keyword;
+        if dist[at] <= 0.0 {
+            return true;
+        }
+        cur = sp[at];
+        if cur == NO_SLOT {
+            return false; // no finite distance: the caller checked completeness
+        }
+        hop(at, cur);
+        hops += 1;
+        if hops > dmax + 2 {
+            return false;
+        }
     }
 }
 

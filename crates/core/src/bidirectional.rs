@@ -25,40 +25,49 @@
 //!
 //! # How a step is paid for
 //!
-//! A step pops one queue entry, scans one adjacency row, and does no
-//! hashing and no allocation unless an answer is actually kept:
+//! A step pops one queue entry, scans one adjacency row, and neither
+//! hashes, allocates nor walks a chain for a candidate it then drops:
 //!
 //! * **State** lives in a per-query arena (`arena.rs`) on loan from the
 //!   thread's free list: node → slot through a generation-stamped array,
 //!   per-keyword `dist`/`act`/`sp` as struct-of-arrays with their folds
 //!   (`min`, `Σ`, finite count) cached per slot, explored parents in one
 //!   edge pool.  `Q_in`/`Q_out` are [`crate::pq::IndexedMaxHeap`]s keyed by
-//!   slot, so a priority change is a sift from the entry's position and
-//!   nothing stale is ever queued.
-//! * **Candidates are judged before they are built.**  `Attach` reaches a
+//!   slot, so a priority change is a sift from the entry's position,
+//!   nothing stale is ever queued, and a re-push that changes nothing
+//!   (every node `Attach` visits, under activation priority) costs a
+//!   comparison.
+//! * **Candidates are judged where they lie.**  `Attach` reaches a
 //!   complete node some six times per explored node, and nine in ten of
-//!   the trees rooted there are non-minimal or duplicates.  `emit` walks
-//!   the `sp` chains into scratch buffers — each hop carries the weight a
-//!   tree would report for it, so no adjacency row is re-scanned — decides
-//!   trace failure → minimality → duplicate from the scratch, and only
-//!   then lets [`OutputHeap::insert_judged`] call back for an
-//!   [`AnswerTree`].
+//!   the trees rooted there are non-minimal — which the root's own row
+//!   shows: no `dist` is zero and every `sp` is the same slot.  Those only
+//!   have their `sp` chains measured (an overlong chain makes them no
+//!   candidate at all).  The minimal tenth is traced into scratch buffers —
+//!   each hop carries the weight a tree would report for it, so no
+//!   adjacency row is re-scanned — scored, hashed once, and handed to
+//!   `OutputHeap::insert_candidate`, which copies what it keeps into
+//!   pooled storage.  No [`crate::AnswerTree`] exists until one is
+//!   released.
+//! * **The output bound is kept by change.**  The per-keyword heaps of
+//!   frontier-distance snapshots get a node's finite distances when it
+//!   enters `Q_in`, and afterwards exactly the distances `Arena::relax`
+//!   changes while the node is queued.
 //! * **Release is gated.**  The output heap caches its best buffered score
 //!   and smallest aggregate weight; a step whose frontier bound cannot
 //!   clear them returns without scanning the buffer or reading the clock.
 //!
 //! None of this changes what is computed: answers, their order and every
 //! [`SearchStats`] counter are pinned by `tests/engine_golden.rs` to the
-//! values of the hash-map implementation this replaced.
+//! values of the hash-map implementation the arena replaced.
 
 use std::cmp::Reverse;
 
 use banks_graph::NodeId;
 
-use crate::answer::{score_tree, AnswerTree};
+use crate::answer::score_tree;
 use crate::arena::{Arena, Lease, ParentEdge, NO_SLOT};
 use crate::engine::{RankedAnswer, SearchEngine};
-use crate::output::OutputHeap;
+use crate::output::{signature_hash, Candidate, OutputHeap};
 use crate::score::ScoreModel;
 use crate::stats::SearchStats;
 use crate::stream::{next_answer, AnswerStream, ExpansionMachine, QueryContext, StreamCore};
@@ -129,6 +138,14 @@ impl SearchEngine for BidirectionalSearch {
     }
 }
 
+/// Most nodes one `Attach` or `Activate` propagation may visit.  Both are
+/// monotone (distances only fall, activations only rise, each by more than
+/// a tolerance) and so end on their own; the cap bounds what one update of a
+/// hub with a huge explored neighbourhood can cost a single step.  Cutting
+/// a propagation short leaves some labels stale, so the answers may differ
+/// from an uncapped run: the search is then reported as truncated.
+const PROPAGATION_CAP: usize = if cfg!(test) { 1_000 } else { 100_000 };
+
 /// Which queue an expansion step came from.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Side {
@@ -157,18 +174,20 @@ impl<'a> Expander<'a> {
     fn new(config: BidirectionalConfig, ctx: QueryContext<'a>) -> Self {
         let num_keywords = ctx.matches.num_keywords();
         let model = ctx.params.score_model();
+        let mut state = Lease::checkout(ctx.graph.num_nodes(), num_keywords);
         Expander {
             config,
             model,
             num_keywords,
-            state: Lease::checkout(ctx.graph.num_nodes(), num_keywords),
-            heap: OutputHeap::new(
+            heap: OutputHeap::with_pool(
+                std::mem::take(&mut state.candidates),
                 model,
                 ctx.params.emission,
                 num_keywords,
                 ctx.prestige.max(),
                 ctx.params.top_k,
             ),
+            state,
             core: StreamCore::new(),
             ctx,
         }
@@ -233,6 +252,8 @@ impl<'a> Expander<'a> {
             }
         }
         self.release();
+        #[cfg(debug_assertions)]
+        self.check_frontier_bound();
     }
 
     /// Ends the search: whatever is still buffered can safely be flushed
@@ -282,8 +303,8 @@ impl<'a> Expander<'a> {
         }
     }
 
-    /// Puts a node into `Q_in` and snapshots its distances for the output
-    /// bound.
+    /// Puts a node into `Q_in` and snapshots its finite distances for the
+    /// output bound (from here on `Arena::relax` snapshots what changes).
     fn enqueue_incoming(&mut self, slot: u32) {
         let priority = self.priority(slot);
         let state = &mut *self.state;
@@ -293,7 +314,13 @@ impl<'a> Expander<'a> {
             self.core.stats.nodes_touched += 1;
         }
         state.q_in.push(slot, record.node, priority);
-        self.record_frontier(slot);
+        let at = slot as usize * state.k;
+        for keyword in 0..state.k {
+            let dist = state.dist[at + keyword];
+            if dist.is_finite() {
+                state.snapshot(keyword, dist, slot);
+            }
+        }
     }
 
     /// Puts a node into `Q_out`.
@@ -486,19 +513,16 @@ impl<'a> Expander<'a> {
         let mut work = std::mem::take(&mut self.state.work);
         work.clear();
         work.push(start);
-        let mut guard = 0usize;
+        let mut visited = 0usize;
         while let Some(node) = work.pop() {
-            guard += 1;
-            if guard > 100_000 {
-                break; // safety valve; propagation is strictly improving so this should not trigger
+            visited += 1;
+            if visited > PROPAGATION_CAP {
+                self.core.stats.truncated = true;
+                break;
             }
             self.reprioritise(node);
             if self.state.is_complete(node) {
                 self.emit(node);
-            }
-            // record frontier distances for the output bound
-            if self.state.q_in.contains(node) {
-                self.record_frontier(node);
             }
             let state = &mut *self.state;
             let mut at = state.slots[node as usize].parents_head;
@@ -526,10 +550,11 @@ impl<'a> Expander<'a> {
         let mut work = std::mem::take(&mut self.state.work);
         work.clear();
         work.push(start);
-        let mut guard = 0usize;
+        let mut visited = 0usize;
         while let Some(node) = work.pop() {
-            guard += 1;
-            if guard > 100_000 {
+            visited += 1;
+            if visited > PROPAGATION_CAP {
+                self.core.stats.truncated = true;
                 break;
             }
             self.reprioritise(node);
@@ -569,10 +594,10 @@ impl<'a> Expander<'a> {
         }
     }
 
-    /// `Emit`: judge the answer tree rooted at `root` — read off the `sp`
-    /// pointers into scratch buffers — and build it only if the output
-    /// heap keeps it.  About nine candidates in ten are non-minimal or
-    /// duplicates and cost no allocation.
+    /// `Emit`: judge the answer tree rooted at `root` where it lies — in
+    /// the `sp` pointers — and copy it into the output heap only if the
+    /// heap keeps it.  About nine candidates in ten are non-minimal and
+    /// are never traced at all; of the rest one in seven is a duplicate.
     fn emit(&mut self, root: u32) {
         if let Some(cap) = self.ctx.params.max_generated {
             if self.core.stats.answers_generated >= cap {
@@ -588,16 +613,29 @@ impl<'a> Expander<'a> {
 
         let dmax = self.ctx.params.dmax;
         let state = &mut *self.state;
+        // Minimality (Section 3): the root matches a keyword itself, or its
+        // paths leave through at least two different children.  Both read
+        // off the root's own row.
+        let first_hops = &state.sp[at..at + k];
+        let minimal = state.dist[at..at + k].iter().any(|dist| *dist <= 0.0)
+            || first_hops.iter().any(|hop| *hop != first_hops[0]);
+        // A chain longer than `dmax + 2` hops makes this no candidate at
+        // all (see `Arena::trace_path`): nothing is counted and the root's
+        // `best_emitted_weight` stays, so it is tried again whenever `emit`
+        // next reaches it.  A non-minimal tree is only measured, not traced.
+        if !minimal {
+            if (0..k).all(|keyword| state.chain_fits(root, keyword, dmax)) {
+                state.slots[root as usize].best_emitted_weight = aggregate;
+                self.core.stats.answers_generated += 1;
+                self.heap.discard_non_minimal();
+            }
+            return;
+        }
         state.path_nodes.clear();
         state.path_ends.clear();
         state.path_weights.clear();
-        for keyword in 0..k {
-            if !state.trace_path(root, keyword, dmax) {
-                // Not a candidate at all (see `Arena::trace_path`): nothing
-                // is counted and the root's `best_emitted_weight` stays, so
-                // it is tried again whenever `emit` next reaches it.
-                return;
-            }
+        if !(0..k).all(|keyword| state.trace_path(root, keyword, dmax)) {
+            return;
         }
         state.slots[root as usize].best_emitted_weight = aggregate;
         self.core.stats.answers_generated += 1;
@@ -611,24 +649,12 @@ impl<'a> Expander<'a> {
             prestige_nodes,
             ..
         } = state;
-        let path = |i: usize| {
-            let start = if i == 0 { 0 } else { path_ends[i - 1] };
-            &path_nodes[start..path_ends[i]]
-        };
-        // Minimality (Section 3): the root matches a keyword itself, or
-        // its paths leave through at least two different children.
-        let minimal = (0..k).any(|i| path(i).len() == 1 || path(i)[1] != path(0)[1]);
-        if !minimal {
-            self.heap.discard_non_minimal();
-            return;
-        }
-
         signature.clear();
         signature.extend_from_slice(path_nodes);
         signature.sort_unstable();
         signature.dedup();
         prestige_nodes.clear();
-        prestige_nodes.extend((0..k).map(|i| *path(i).last().expect("a path holds its root")));
+        prestige_nodes.extend(path_ends.iter().map(|end| path_nodes[end - 1]));
         let root_node = slots[root as usize].node;
         let (aggregate_edge_weight, node_prestige, score) = score_tree(
             root_node,
@@ -638,32 +664,22 @@ impl<'a> Expander<'a> {
             &self.model,
         );
 
-        let explored = self.core.stats.nodes_explored;
         let started = self.core.started;
-        self.heap.insert_judged(signature, score, explored, || {
-            let tree = AnswerTree {
+        self.heap.insert_candidate(
+            Candidate {
+                hash: signature_hash(signature),
+                signature,
                 root: root_node,
-                paths: (0..k).map(|i| path(i).to_vec()).collect(),
-                keyword_edge_scores: path_weights.clone(),
+                path_nodes,
+                path_ends,
+                path_weights,
                 aggregate_edge_weight,
                 node_prestige,
                 score,
-            };
-            (tree, started.elapsed())
-        });
-    }
-
-    /// Snapshots the finite distances of a node in `Q_in` into the
-    /// per-keyword frontier heaps.
-    fn record_frontier(&mut self, slot: u32) {
-        let state = &mut *self.state;
-        let at = slot as usize * state.k;
-        for (heap, dist) in state.frontier.iter_mut().zip(&state.dist[at..at + state.k]) {
-            if dist.is_finite() {
-                debug_assert!(*dist >= 0.0, "bit order needs non-negative distances");
-                heap.push(Reverse((dist.to_bits(), slot)));
-            }
-        }
+            },
+            self.core.stats.nodes_explored,
+            || started.elapsed(),
+        );
     }
 
     /// Estimate of the aggregate edge weight of any answer not yet
@@ -705,6 +721,39 @@ impl<'a> Expander<'a> {
             .sum()
     }
 
+    /// Debug builds, small frontiers: the bound read off the snapshot heaps
+    /// must be what a scan of `Q_in` gives.  (`tests/prop_search.rs` drives
+    /// this after every step of searches on random graphs; on a large
+    /// frontier the scan would make debug runs quadratic.)
+    #[cfg(debug_assertions)]
+    fn check_frontier_bound(&mut self) {
+        const SCANNED_FRONTIER: usize = 64;
+        if self.state.q_in.len() > SCANNED_FRONTIER {
+            return;
+        }
+        let k = self.num_keywords;
+        let mut minima = vec![f64::INFINITY; k];
+        for slot in self.state.q_in.slots() {
+            for (keyword, min) in minima.iter_mut().enumerate() {
+                *min = min.min(self.state.dist[slot as usize * k + keyword]);
+            }
+        }
+        let global_min = minima.iter().copied().fold(f64::INFINITY, f64::min);
+        let scanned: f64 = if global_min.is_infinite() {
+            0.0
+        } else {
+            minima
+                .iter()
+                .map(|min| if min.is_finite() { *min } else { global_min })
+                .sum()
+        };
+        let bound = self.min_future_edge_weight();
+        assert!(
+            bound.to_bits() == scanned.to_bits(),
+            "frontier bound {bound} but Q_in scans to {scanned} ({minima:?})"
+        );
+    }
+
     /// Releases buffered answers allowed by the emission policy.
     fn release(&mut self) {
         // Nothing buffered or no budget left: no bound could release anything.
@@ -731,6 +780,14 @@ impl<'a> Expander<'a> {
         let explored = self.core.stats.nodes_explored;
         let released = self.heap.flush(elapsed, explored);
         self.core.push_released(self.ctx.params.top_k, released);
+    }
+}
+
+impl Drop for Expander<'_> {
+    /// The candidate pool goes back into the arena, and with it to the
+    /// thread's free list (or nowhere, if the thread is panicking).
+    fn drop(&mut self) {
+        self.state.candidates = self.heap.take_pool();
     }
 }
 
@@ -1300,6 +1357,45 @@ mod tests {
         }
     }
 
+    /// A hub that matches one keyword, `spokes` nodes pointing at it, and one
+    /// edge from the hub to the node matching the other keyword.  The hub is
+    /// expanded first (every spoke becomes its explored parent); when the
+    /// far keyword's distance then reaches the hub, one `Attach` has to
+    /// carry it to every spoke.
+    fn star(spokes: u32) -> (DataGraph, KeywordMatches) {
+        let mut edges = vec![(0, 1)];
+        edges.extend((2..spokes + 2).map(|spoke| (spoke, 0)));
+        let g = graph_from_edges(spokes as usize + 2, &edges);
+        let m = KeywordMatches::from_sets(vec![("hub", vec![NodeId(0)]), ("far", vec![NodeId(1)])]);
+        (g, m)
+    }
+
+    /// A propagation that runs into [`PROPAGATION_CAP`] (lowered for unit
+    /// tests) is cut short as before, but the search says so.
+    #[test]
+    fn capped_propagation_reports_truncation() {
+        let params = SearchParams::with_top_k(4);
+        for config in [
+            BidirectionalConfig::default(),
+            BidirectionalConfig {
+                enable_outgoing: false,
+                use_activation: false,
+            },
+        ] {
+            let engine = BidirectionalSearch::with_config(config);
+            let run = |spokes: usize| {
+                let (g, m) = star(spokes as u32);
+                engine.search(&g, &uniform(&g), &m, &params)
+            };
+            let small = run(PROPAGATION_CAP / 2);
+            assert!(!small.stats.truncated, "{config:?}: under the cap");
+            assert!(!small.answers.is_empty());
+            let big = run(PROPAGATION_CAP + PROPAGATION_CAP / 2);
+            assert!(big.stats.truncated, "{config:?}: the hub update was cut");
+            assert!(!big.answers.is_empty(), "what was found still comes out");
+        }
+    }
+
     /// Everything about a run that must not depend on which arena ran it.
     fn fingerprint(outcome: &crate::SearchOutcome) -> String {
         let mut out = format!(
@@ -1378,6 +1474,30 @@ mod tests {
             on_fresh_thread(&small, &small_matches, params)
         );
         assert_eq!(crate::arena::pooled(), 1, "one arena did all three");
+    }
+
+    /// One arena — and in it one candidate pool, whose per-keyword arrays
+    /// are laid out by `k` — serves queries of two, three, one and two
+    /// keywords in turn.
+    #[test]
+    fn arena_is_reused_across_keyword_counts() {
+        let params = SearchParams::with_top_k(64);
+        let (g, two) = chain(9);
+        let three = KeywordMatches::from_sets(vec![
+            ("left", vec![NodeId(0)]),
+            ("middle", vec![NodeId(3), NodeId(5)]),
+            ("right", vec![NodeId(8)]),
+        ]);
+        let one = KeywordMatches::from_sets(vec![("any", vec![NodeId(2), NodeId(6)])]);
+        for matches in [&two, &three, &two, &one, &three, &two] {
+            assert_eq!(
+                search(&g, matches, params),
+                on_fresh_thread(&g, matches, params),
+                "{} keyword(s)",
+                matches.num_keywords()
+            );
+            assert_eq!(crate::arena::pooled(), 1);
+        }
     }
 
     /// When the generation counter wraps, stamps of the query that ran

@@ -97,6 +97,12 @@ impl IndexedMaxHeap {
         };
         if self.contains(slot) {
             let at = self.position[slot as usize] as usize;
+            if self.entries[at].priority.to_bits() == priority.to_bits() {
+                // Same key: the entry is where it belongs.  `Attach` re-pushes
+                // every node it visits, and under activation priority a
+                // distance update changes nothing here.
+                return false;
+            }
             let raised = entry.beats(&self.entries[at]);
             self.entries[at] = entry;
             if raised {
@@ -176,6 +182,24 @@ impl IndexedMaxHeap {
         self.position[entry.slot as usize] = at as u32;
         self.entries[at] = entry;
     }
+
+    /// The queued slots, in no particular order.
+    #[cfg(debug_assertions)]
+    pub(crate) fn slots(&self) -> impl Iterator<Item = u32> + '_ {
+        self.entries.iter().map(|e| e.slot)
+    }
+
+    /// Panics unless the heap property holds and the position array and the
+    /// entry array describe each other.
+    #[cfg(test)]
+    fn assert_consistent(&self) {
+        for (at, entry) in self.entries.iter().enumerate() {
+            assert_eq!(self.position[entry.slot as usize] as usize, at);
+            assert!(at == 0 || !entry.beats(&self.entries[(at - 1) / ARITY]));
+        }
+        let queued = self.position.iter().filter(|at| **at != ABSENT).count();
+        assert_eq!(queued, self.entries.len());
+    }
 }
 
 impl std::fmt::Debug for IndexedMaxHeap {
@@ -225,6 +249,40 @@ mod tests {
         push(&mut q, 1, 0.1);
         assert_eq!(q.pop(), Some((2, NodeId(2), 0.5)));
         assert_eq!(q.pop(), Some((1, NodeId(1), 0.1)));
+    }
+
+    /// Re-pushing a queued slot with the priority it already has changes
+    /// nothing: not its place, not anyone else's, not the pop order.
+    #[test]
+    fn same_key_push_is_a_no_op() {
+        let mut q = IndexedMaxHeap::new();
+        for (id, priority) in [(1, 0.5), (2, 0.9), (3, 0.1), (4, 0.5), (5, 0.7), (6, 0.3)] {
+            push(&mut q, id, priority);
+        }
+        let before: Vec<(u32, u64)> = q
+            .entries
+            .iter()
+            .map(|e| (e.slot, e.priority.to_bits()))
+            .collect();
+        let positions = q.position.clone();
+        for (id, priority) in [(4, 0.5), (2, 0.9), (3, 0.1)] {
+            assert!(!push(&mut q, id, priority));
+        }
+        let after: Vec<(u32, u64)> = q
+            .entries
+            .iter()
+            .map(|e| (e.slot, e.priority.to_bits()))
+            .collect();
+        assert_eq!(before, after);
+        assert_eq!(positions, q.position);
+        q.assert_consistent();
+        // -0.0 and 0.0 are different keys to `total_cmp`, so not a no-op.
+        push(&mut q, 7, 0.0);
+        push(&mut q, 8, 0.0);
+        push(&mut q, 8, -0.0);
+        q.assert_consistent();
+        let order: Vec<u32> = std::iter::from_fn(|| q.pop().map(|e| e.0)).collect();
+        assert_eq!(order, vec![2, 5, 1, 4, 6, 3, 7, 8]);
     }
 
     #[test]
@@ -294,7 +352,10 @@ mod tests {
         /// the same `(priority, lower NodeId first)` order — every push
         /// reports freshness alike, and peek, pop, len and contains agree
         /// after every step.  Node ids run opposite to slots, so a heap
-        /// that broke ties on the slot would be caught.
+        /// that broke ties on the slot would be caught.  With six priority
+        /// levels over 24 slots about one re-push in six carries the key
+        /// the slot already has: the early return must leave the position
+        /// array and the heap order as a sift would have.
         #[test]
         fn behaves_like_a_sorted_vec(ops in arb_ops()) {
             let node_of = |slot: u32| NodeId(1000 - slot);
@@ -330,6 +391,7 @@ mod tests {
                         prop_assert_eq!(heap.pop(), expected);
                     }
                 }
+                heap.assert_consistent();
                 prop_assert_eq!(heap.len(), model.len());
                 for slot in 0..24 {
                     prop_assert_eq!(

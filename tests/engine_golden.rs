@@ -7,7 +7,11 @@
 //! `tests/engine_golden.tsv` holds one row per (engine, emission policy,
 //! query): the six work counters, `explored_at_generation:explored_at_output`
 //! of every answer, and an FNV-1a hash of the canonical answer JSON
-//! (`rank:tree`, wall-clock timing left out) in emission order.
+//! (`rank:tree`, wall-clock timing left out) in emission order.  After the
+//! base grid (24 queries, default parameters) come the extra rows,
+//! recorded on commit 455a53a: query shapes and parameters the base grid
+//! does not reach — 1, 4 and 5 keywords, `top_k` 0 / 1 / 50, and a
+//! `max_generated` cap that truncates.
 //!
 //! Re-record (only when a change is *meant* to alter engine behaviour):
 //!
@@ -54,6 +58,33 @@ struct Fixture {
     /// 12 two-keyword queries, then 6 three-keyword `Rare`, then 6
     /// three-keyword `Frequent`.
     queries: Vec<Vec<String>>,
+    /// Runs outside the base grid.
+    extras: Vec<Case>,
+}
+
+/// One run per emission policy; `label` goes in the row's query column.
+struct Case {
+    label: String,
+    keywords: Vec<String>,
+    params: SearchParams,
+    truncates: bool,
+}
+
+impl Fixture {
+    /// The base grid: every pool query under default parameters, labelled
+    /// by its index.
+    fn base(&self) -> Vec<Case> {
+        self.queries
+            .iter()
+            .enumerate()
+            .map(|(index, keywords)| Case {
+                label: index.to_string(),
+                keywords: keywords.clone(),
+                params: SearchParams::default(),
+                truncates: false,
+            })
+            .collect()
+    }
 }
 
 fn fixture() -> &'static Fixture {
@@ -101,10 +132,59 @@ fn fixture() -> &'static Fixture {
             assert_eq!(class.len(), count, "corpus too small for {count} queries");
             queries.extend(class);
         }
+        let mut extras = Vec::new();
+        // Drawn after the base pool, so the base pool is what it always was.
+        for (label, num_keywords, answer_size) in [("k1", 1, 1), ("k4", 4, 5), ("k5", 5, 5)] {
+            let case = generator
+                .generate(&WorkloadConfig {
+                    num_queries: 1,
+                    num_keywords,
+                    answer_size,
+                    compute_ground_truth: false,
+                    ..WorkloadConfig::default()
+                })
+                .pop()
+                .unwrap_or_else(|| panic!("corpus too small for a {num_keywords}-keyword query"));
+            extras.push(Case {
+                label: label.to_string(),
+                keywords: case.keywords,
+                params: SearchParams::default(),
+                truncates: false,
+            });
+        }
+        for (label, index, params, truncates) in [
+            ("top0", 2, SearchParams::with_top_k(0), false),
+            (
+                "top1",
+                REPLACED_DUPLICATE_QUERY,
+                SearchParams::with_top_k(1),
+                false,
+            ),
+            (
+                "top50",
+                TRACE_FAILURE_QUERY,
+                SearchParams::with_top_k(50),
+                false,
+            ),
+            (
+                "maxgen",
+                1,
+                SearchParams::with_top_k(50).max_generated(20),
+                true,
+            ),
+        ] {
+            extras.push(Case {
+                label: label.to_string(),
+                keywords: queries[index].clone(),
+                params,
+                truncates,
+            });
+        }
         Fixture {
             data,
             prestige,
             queries,
+            extras,
         }
     })
 }
@@ -119,7 +199,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// One golden row: everything about a run that must not change.
-fn row(engine: &str, policy: &str, index: usize, outcome: &SearchOutcome) -> String {
+fn row(engine: &str, policy: &str, index: &str, outcome: &SearchOutcome) -> String {
     let stats = &outcome.stats;
     let mut canonical = String::new();
     let mut marks = String::new();
@@ -154,22 +234,23 @@ fn row(engine: &str, policy: &str, index: usize, outcome: &SearchOutcome) -> Str
     )
 }
 
-/// Every row of one engine, in (policy, query) order.
-fn rows_for(engine: &str) -> Vec<String> {
+/// One engine's rows for `cases`, in (policy, case) order.
+fn rows_for(engine: &str, cases: &[Case]) -> Vec<String> {
     let fixture = fixture();
     let banks = Banks::open(fixture.data.dataset.graph())
         .with_prestige(fixture.prestige.clone())
         .with_index(fixture.data.dataset.index().clone());
     let mut rows = Vec::new();
     for (policy_name, policy) in POLICIES {
-        for (index, keywords) in fixture.queries.iter().enumerate() {
+        for case in cases {
             let outcome = banks
-                .query(keywords.iter().map(String::as_str))
+                .query(case.keywords.iter().map(String::as_str))
                 .engine(engine)
-                .params(SearchParams::default().emission(policy))
+                .params(case.params.emission(policy))
                 .run();
-            assert!(!outcome.stats.truncated && !outcome.stats.cancelled);
-            rows.push(row(engine, policy_name, index, &outcome));
+            assert_eq!(outcome.stats.truncated, case.truncates, "{}", case.label);
+            assert!(!outcome.stats.cancelled);
+            rows.push(row(engine, policy_name, &case.label, &outcome));
         }
     }
     rows
@@ -182,7 +263,9 @@ fn assert_engine_matches_golden(engine: &str) {
         .lines()
         .filter(|line| line.starts_with(engine) && line[engine.len()..].starts_with('\t'))
         .collect();
-    let actual = rows_for(engine);
+    let fixture = fixture();
+    let mut actual = rows_for(engine, &fixture.base());
+    actual.extend(rows_for(engine, &fixture.extras));
     assert_eq!(
         expected.len(),
         actual.len(),
@@ -226,7 +309,17 @@ fn golden_covers_the_promised_grid() {
     assert!(fixture.queries.iter().any(|q| q.len() == 2));
     assert!(fixture.queries.iter().any(|q| q.len() == 3));
     let rows = GOLDEN.lines().filter(|l| !l.starts_with('#')).count();
-    assert_eq!(rows, ENGINES.len() * POLICIES.len() * fixture.queries.len());
+    assert_eq!(
+        rows,
+        ENGINES.len() * POLICIES.len() * (fixture.queries.len() + fixture.extras.len())
+    );
+    for keywords in [1, 4, 5] {
+        assert!(fixture.extras.iter().any(|e| e.keywords.len() == keywords));
+    }
+    for top_k in [0, 1, 50] {
+        assert!(fixture.extras.iter().any(|e| e.params.top_k == top_k));
+    }
+    assert!(fixture.extras.iter().any(|e| e.truncates));
 }
 
 /// The corner queries must stay in the pool, and — what can be seen from
@@ -257,10 +350,15 @@ fn corner_queries_are_in_the_pool() {
 fn record() {
     let mut out = String::from(HEADER);
     out.push('\n');
-    for engine in ENGINES {
-        for line in rows_for(engine) {
-            out.push_str(&line);
-            out.push('\n');
+    // Base grid first, extras after: appending extras leaves every earlier
+    // row where it was.
+    let fixture = fixture();
+    for cases in [&fixture.base(), &fixture.extras] {
+        for engine in ENGINES {
+            for line in rows_for(engine, cases) {
+                out.push_str(&line);
+                out.push('\n');
+            }
         }
     }
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/engine_golden.tsv");

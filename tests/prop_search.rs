@@ -122,6 +122,33 @@ proptest! {
         }
     }
 
+    /// The output bound of Section 4.5 is read off per-keyword heaps of
+    /// distance snapshots, pushed only when a queued node's distance
+    /// changes.  In a debug build the engine compares that bound with a
+    /// plain scan of `Q_in` after every step (`check_frontier_bound`; the
+    /// frontiers of these graphs are always small enough to be scanned), so
+    /// a snapshot missed or wrongly kept alive anywhere fails here.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn frontier_bound_equals_a_scan_of_the_frontier((n, edges, keywords) in arb_instance()) {
+        let graph = build(n, &edges);
+        let matches = to_matches(&keywords);
+        let prestige = PrestigeVector::uniform_for(&graph);
+        for policy in [EmissionPolicy::ExactBound, EmissionPolicy::Heuristic, EmissionPolicy::Immediate] {
+            for top_k in [1, 10_000] {
+                let params = SearchParams::with_top_k(top_k).emission(policy);
+                for engine in [
+                    Box::new(BidirectionalSearch::new()) as Box<dyn SearchEngine>,
+                    Box::new(SingleIteratorBackwardSearch::new()),
+                ] {
+                    let outcome = engine.search(&graph, &prestige, &matches, &params);
+                    prop_assert!(outcome.answers.len() <= top_k);
+                    prop_assert!(!outcome.stats.truncated);
+                }
+            }
+        }
+    }
+
     /// Output scores are consistent with recomputation from the graph.
     #[test]
     fn scores_match_recomputation((n, edges, keywords) in arb_instance()) {
