@@ -46,6 +46,6 @@ pub use store::{
     PersistentStore, Recovery, SNAPSHOT_EXT, SNAPSHOT_PREFIX, WAL_FILE,
 };
 pub use wal::{
-    decode_record, encode_record, read_strict, scan_bytes, scan_file, FsyncPolicy, Wal, WalRecord,
-    WalScan, WAL_MAGIC, WAL_VERSION,
+    decode_record, encode_record, read_strict, scan_bytes, scan_file, FsyncPolicy, Wal, WalChunk,
+    WalPosition, WalRecord, WalScan, WAL_MAGIC, WAL_VERSION,
 };

@@ -25,9 +25,15 @@
 //! deliberately lenient: the first bad record ends the scan (it is almost
 //! always the torn final write of a crash) and [`WalScan::valid_bytes`]
 //! tells the caller where to truncate before appending resumes.
+//!
+//! A reader of a log that is still growing — the replication stream —
+//! keeps a [`WalPosition`] and asks [`Wal::read_since`] for the bytes
+//! appended past it; decoding that [`WalChunk`] is the same scan, started
+//! at a record boundary instead of at the header, so reading the whole
+//! file is the position-zero case and not a second decoder.
 
 use std::fs::{File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use banks_graph::{decode_batch, encode_batch, MutationBatch};
@@ -87,6 +93,58 @@ pub struct WalScan {
     pub valid_bytes: u64,
     /// Why the scan stopped early, if it did not reach a clean EOF.
     pub anomaly: Option<String>,
+}
+
+/// How far a reader has consumed a WAL that may still be growing.
+///
+/// The default position is "nothing read, not even the header"; a read
+/// from there is the full scan.  A truncation ([`Wal::reset`]) starts a new
+/// *generation* of the file, which sends a position taken in an older one
+/// back to the start — byte offsets do not carry over a truncation, even
+/// when the log has since grown past them.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct WalPosition {
+    /// Truncations of the file ([`Wal::reset`]) the offsets below postdate.
+    generation: u64,
+    /// Bytes of the file consumed so far, header included (0: nothing).
+    bytes: u64,
+    /// Records consumed so far: the next one carries sequence number
+    /// `records + 1`.
+    records: u64,
+}
+
+/// The bytes of a WAL file from a [`WalPosition`] to the end of the file,
+/// read but not yet decoded — so the read can happen under a lock and the
+/// decoding ([`WalChunk::scan`]) outside it.
+#[derive(Debug)]
+pub struct WalChunk {
+    at: WalPosition,
+    bytes: Vec<u8>,
+}
+
+impl WalChunk {
+    /// Leniently decodes the chunk: every intact record in it, and the
+    /// position after the last of them — where the next read resumes, so a
+    /// torn tail is read again once the writer has completed it.
+    /// [`WalScan::valid_bytes`] is an offset into the file, not the chunk.
+    pub fn scan(&self) -> Result<(WalScan, WalPosition)> {
+        let scan = scan_from(&self.bytes, self.at.bytes, self.at.records + 1)?;
+        let end = WalPosition {
+            generation: self.at.generation,
+            bytes: scan.valid_bytes,
+            records: self.at.records + scan.records.len() as u64,
+        };
+        Ok((scan, end))
+    }
+}
+
+/// Reads `path` from `at` to the end of the file.
+fn read_chunk(path: &Path, at: WalPosition) -> Result<WalChunk> {
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(at.bytes))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    Ok(WalChunk { at, bytes })
 }
 
 /// Encodes one WAL record — the `len`/`CRC` framing plus sequence number,
@@ -177,6 +235,93 @@ fn header() -> [u8; WAL_HEADER_LEN] {
 /// Only structural header problems (wrong magic, future version, flipped
 /// header bits) are hard errors: they mean the file is not a WAL at all.
 pub fn scan_bytes(bytes: &[u8]) -> Result<WalScan> {
+    scan_from(bytes, 0, 1)
+}
+
+/// The one record scanner: `bytes` are the file's contents from byte
+/// `offset` — 0, where the header is checked first, or a record boundary —
+/// and the first record must carry sequence number `first_seq`.  Offsets in
+/// the result and in anomaly messages are file offsets.
+fn scan_from(bytes: &[u8], offset: u64, first_seq: u64) -> Result<WalScan> {
+    let mut pos = 0;
+    if offset == 0 {
+        check_header(bytes)?;
+        pos = WAL_HEADER_LEN;
+    }
+    let at = |pos: usize| offset + pos as u64;
+    let mut scan = WalScan {
+        valid_bytes: at(pos),
+        ..WalScan::default()
+    };
+    let mut expected_seq = first_seq;
+    while pos < bytes.len() {
+        if bytes.len() - pos < 8 {
+            scan.anomaly = Some(format!("torn record header at byte {}", at(pos)));
+            break;
+        }
+        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+        let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
+        let body_start = pos + 8;
+        let body_end = match body_start.checked_add(len) {
+            Some(e) if e <= bytes.len() => e,
+            _ => {
+                scan.anomaly = Some(format!(
+                    "torn record at byte {}: {len}-byte body extends past EOF",
+                    at(pos)
+                ));
+                break;
+            }
+        };
+        if len < WAL_RECORD_HEADER_LEN - 8 {
+            scan.anomaly = Some(format!(
+                "record at byte {} too short ({len} bytes)",
+                at(pos)
+            ));
+            break;
+        }
+        let body = &bytes[body_start..body_end];
+        let computed = crc32(body);
+        if computed != stored_crc {
+            scan.anomaly = Some(format!(
+                "checksum mismatch at byte {}: stored {stored_crc:#010x}, \
+                 computed {computed:#010x}",
+                at(pos)
+            ));
+            break;
+        }
+        let mut c = Cursor::new(body, at(body_start));
+        let seq = c.u64("wal seq")?;
+        let parent_epoch = c.u64("wal parent epoch")?;
+        let epoch = c.u64("wal epoch")?;
+        let batch = match decode_batch(c.take(c.remaining(), "wal payload")?) {
+            Ok(b) => b,
+            Err(e) => {
+                scan.anomaly = Some(format!("undecodable batch at byte {}: {e}", at(pos)));
+                break;
+            }
+        };
+        if seq != expected_seq {
+            scan.anomaly = Some(format!(
+                "sequence gap at byte {}: found {seq}, expected {expected_seq}",
+                at(pos)
+            ));
+            break;
+        }
+        expected_seq += 1;
+        scan.records.push(WalRecord {
+            seq,
+            parent_epoch,
+            epoch,
+            batch,
+        });
+        pos = body_end;
+        scan.valid_bytes = at(pos);
+    }
+    Ok(scan)
+}
+
+/// Structural header problems: the file is not a WAL this build can read.
+fn check_header(bytes: &[u8]) -> Result<()> {
     if bytes.len() < WAL_HEADER_LEN {
         return Err(PersistError::Truncated {
             offset: 0,
@@ -205,80 +350,18 @@ pub fn scan_bytes(bytes: &[u8]) -> Result<WalScan> {
             supported: WAL_VERSION,
         });
     }
-
-    let mut scan = WalScan {
-        valid_bytes: WAL_HEADER_LEN as u64,
-        ..WalScan::default()
-    };
-    let mut pos = WAL_HEADER_LEN;
-    let mut expected_seq = 1u64;
-    while pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            scan.anomaly = Some(format!("torn record header at byte {pos}"));
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + 8;
-        let body_end = match body_start.checked_add(len) {
-            Some(e) if e <= bytes.len() => e,
-            _ => {
-                scan.anomaly = Some(format!(
-                    "torn record at byte {pos}: {len}-byte body extends past EOF"
-                ));
-                break;
-            }
-        };
-        if len < WAL_RECORD_HEADER_LEN - 8 {
-            scan.anomaly = Some(format!("record at byte {pos} too short ({len} bytes)"));
-            break;
-        }
-        let body = &bytes[body_start..body_end];
-        let computed = crc32(body);
-        if computed != stored_crc {
-            scan.anomaly = Some(format!(
-                "checksum mismatch at byte {pos}: stored {stored_crc:#010x}, \
-                 computed {computed:#010x}"
-            ));
-            break;
-        }
-        let mut c = Cursor::new(body, body_start as u64);
-        let seq = c.u64("wal seq")?;
-        let parent_epoch = c.u64("wal parent epoch")?;
-        let epoch = c.u64("wal epoch")?;
-        let batch = match decode_batch(c.take(c.remaining(), "wal payload")?) {
-            Ok(b) => b,
-            Err(e) => {
-                scan.anomaly = Some(format!("undecodable batch at byte {pos}: {e}"));
-                break;
-            }
-        };
-        if seq != expected_seq {
-            scan.anomaly = Some(format!(
-                "sequence gap at byte {pos}: found {seq}, expected {expected_seq}"
-            ));
-            break;
-        }
-        expected_seq += 1;
-        scan.records.push(WalRecord {
-            seq,
-            parent_epoch,
-            epoch,
-            batch,
-        });
-        pos = body_end;
-        scan.valid_bytes = pos as u64;
-    }
-    Ok(scan)
+    Ok(())
 }
 
 /// Leniently scans a WAL file on disk.  A missing file is an empty scan,
 /// not an error — a fresh data directory simply has no WAL yet.
 pub fn scan_file(path: &Path) -> Result<WalScan> {
-    match std::fs::read(path) {
-        Ok(bytes) => scan_bytes(&bytes),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(WalScan::default()),
-        Err(e) => Err(e.into()),
+    match read_chunk(path, WalPosition::default()) {
+        Ok(chunk) => Ok(chunk.scan()?.0),
+        Err(PersistError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+            Ok(WalScan::default())
+        }
+        Err(e) => Err(e),
     }
 }
 
@@ -310,6 +393,13 @@ pub struct Wal {
     syncs: u64,
     /// Duration of the most recent `sync_data`, in microseconds.
     last_sync_us: u64,
+    /// Truncations ([`Wal::reset`]) since the WAL was opened: the
+    /// generation a [`WalPosition`] must match for its offsets to mean
+    /// anything.
+    generation: u64,
+    /// File reads [`Wal::read_since`] has made (a caught-up reader costs
+    /// none).
+    reads: u64,
 }
 
 impl Wal {
@@ -333,6 +423,8 @@ impl Wal {
             fsync_hist: banks_obs::Histogram::new(),
             syncs: 0,
             last_sync_us: 0,
+            generation: 0,
+            reads: 0,
         })
     }
 
@@ -358,10 +450,11 @@ impl Wal {
             fsync_hist: banks_obs::Histogram::new(),
             syncs: 0,
             last_sync_us: 0,
+            generation: 0,
+            reads: 0,
         };
         // Position at the end of the valid prefix.
-        use std::io::Seek;
-        wal.file.seek(std::io::SeekFrom::Start(scan.valid_bytes))?;
+        wal.file.seek(SeekFrom::Start(scan.valid_bytes))?;
         Ok(wal)
     }
 
@@ -410,16 +503,45 @@ impl Wal {
     /// Truncates the log back to an empty header — called after a
     /// checkpoint makes every logged record redundant.
     pub fn reset(&mut self) -> Result<()> {
-        use std::io::Seek;
         self.file.set_len(0)?;
-        self.file.seek(std::io::SeekFrom::Start(0))?;
+        self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header())?;
         self.file.sync_all()?;
         self.unsynced = 0;
         self.next_seq = 1;
         self.records = 0;
         self.bytes = WAL_HEADER_LEN as u64;
+        self.generation += 1;
         Ok(())
+    }
+
+    /// The bytes appended past `position`, undecoded — everything in the
+    /// log when the position is the default one or predates a
+    /// [`Wal::reset`].  A position at the end of the log is answered from
+    /// memory, without opening the file.  Scan the chunk for the records
+    /// and the position to pass next time.
+    pub fn read_since(&mut self, position: WalPosition) -> Result<WalChunk> {
+        let at = if position.generation == self.generation {
+            position
+        } else {
+            WalPosition {
+                generation: self.generation,
+                ..WalPosition::default()
+            }
+        };
+        if at.bytes == self.bytes {
+            return Ok(WalChunk {
+                at,
+                bytes: Vec::new(),
+            });
+        }
+        self.reads += 1;
+        read_chunk(&self.path, at)
+    }
+
+    /// Number of file reads [`Wal::read_since`] has made.
+    pub fn reads(&self) -> u64 {
+        self.reads
     }
 
     /// Number of records in the log.
@@ -646,6 +768,116 @@ mod tests {
         // Appending after reset restarts the sequence.
         let seq = wal.append(5, 6, &sample_batch(1)).unwrap();
         assert_eq!(seq, 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Test randomness without a dev-dependency: a 64-bit LCG's high bits.
+    fn next(state: &mut u64) -> usize {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) as usize
+    }
+
+    fn random_batch(rng: &mut u64) -> MutationBatch {
+        (0..next(rng) % 4).fold(sample_batch(next(rng) as u64 % 1000), |batch, i| {
+            batch.add_node("paper", "x".repeat(next(rng) % 60) + &i.to_string())
+        })
+    }
+
+    /// A file that grows in steps respecting no record boundary, read by a
+    /// reader that resumes from its position after every step, yields
+    /// exactly the records (and the valid prefix) of one scan of the final
+    /// file — torn tails along the way, and a torn final tail, included.
+    #[test]
+    fn suffix_reads_concatenate_to_the_full_scan() {
+        let dir = tmp_dir("suffix");
+        let path = dir.join("wal.log");
+        let growing = dir.join("growing.log");
+        for seed in 0..48u64 {
+            let mut rng = seed;
+            let mut wal = Wal::create(&path, FsyncPolicy::Never).unwrap();
+            for i in 0..1 + next(&mut rng) % 12 {
+                wal.append(i as u64, i as u64 + 1, &random_batch(&mut rng))
+                    .unwrap();
+            }
+            let mut target = std::fs::read(&path).unwrap();
+            target.truncate(target.len() - next(&mut rng) % 20);
+            let full = scan_bytes(&target).unwrap();
+
+            let mut position = WalPosition::default();
+            let mut records = Vec::new();
+            // A file shorter than its header is a hard error by design;
+            // growth is observed from the header on.
+            let mut len = WAL_HEADER_LEN;
+            loop {
+                std::fs::write(&growing, &target[..len]).unwrap();
+                let (scan, end) = read_chunk(&growing, position).unwrap().scan().unwrap();
+                assert_eq!(scan.valid_bytes, end.bytes);
+                assert_eq!(
+                    scan.anomaly.is_some(),
+                    end.bytes < len as u64,
+                    "seed {seed}: an anomaly exactly when the read stopped short"
+                );
+                records.extend(scan.records);
+                position = end;
+                if len == target.len() {
+                    break;
+                }
+                len = target.len().min(len + 1 + next(&mut rng) % 90);
+            }
+            assert_eq!(records, full.records, "seed {seed}");
+            assert_eq!(position.bytes, full.valid_bytes, "seed {seed}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The live reader: random appends, reads and truncations.  After every
+    /// read the records gathered since the reader last started over are
+    /// the file's records; a read fetches the bytes past the position and
+    /// no others, and touches the file only when there are any.
+    #[test]
+    fn read_since_follows_appends_and_starts_over_after_a_reset() {
+        let dir = tmp_dir("since");
+        let path = dir.join("wal.log");
+        for seed in 0..24u64 {
+            let mut rng = seed ^ 0x9e37_79b9;
+            let mut wal = Wal::create(&path, FsyncPolicy::Never).unwrap();
+            let mut position = WalPosition::default();
+            let mut records = Vec::new();
+            let mut epoch = 0;
+            let mut dirty = true; // the header itself is unread
+            for _ in 0..60 {
+                match next(&mut rng) % 8 {
+                    0 => {
+                        wal.reset().unwrap();
+                        dirty = true;
+                    }
+                    1..=4 => {
+                        wal.append(epoch, epoch + 1, &random_batch(&mut rng))
+                            .unwrap();
+                        epoch += 1;
+                        dirty = true;
+                    }
+                    _ => {
+                        let reads = wal.reads();
+                        let chunk = wal.read_since(position).unwrap();
+                        assert_eq!(wal.reads() - reads, dirty as u64, "seed {seed}");
+                        dirty = false;
+                        assert_eq!(chunk.bytes.len() as u64, wal.bytes() - chunk.at.bytes);
+                        if chunk.at.bytes == 0 {
+                            records.clear();
+                        }
+                        let (scan, end) = chunk.scan().unwrap();
+                        assert!(scan.anomaly.is_none(), "seed {seed}: {:?}", scan.anomaly);
+                        records.extend(scan.records);
+                        position = end;
+                        assert_eq!(records, scan_file(&path).unwrap().records, "seed {seed}");
+                        assert_eq!(position.bytes, wal.bytes());
+                    }
+                }
+            }
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -25,10 +25,17 @@
 //!    same way leader recovery does, and installs it via
 //!    [`banks_service::Service::install_replicated_snapshot`] — then
 //!    resumes tailing from the installed epoch.
-//! 3. **Report lag** from the leader's periodic `head` events
+//! 3. **Report lag** from the leader's `head` events
 //!    ([`banks_service::Service::note_replication_head`]): `/healthz`,
 //!    `/metrics` and the `replication_lag` SLO on the follower all read
-//!    from that single clock.
+//!    from that single clock.  The leader sends one as the stream's first
+//!    frame, one before each batch and one a second while idle; a head
+//!    *behind* the follower's serving epoch means the follower's state is
+//!    not of this leader's line (a fresh replica's locally minted epoch),
+//!    and is handled as a gap — so a new follower is re-seeded on
+//!    connect.  The leader's stream wakes on each epoch publish and the
+//!    follower blocks in its socket read, so nothing between a leader
+//!    write and the follower's apply waits on a timer.
 //!
 //! Because record epochs are leader-assigned and
 //! [`Service::apply_replicated`](banks_service::Service::apply_replicated)

@@ -194,6 +194,58 @@ fn follower_bootstraps_tails_and_serves_identical_answers() {
 }
 
 #[test]
+fn a_follower_minted_after_the_leader_is_re_seeded_on_connect() {
+    let leader_dir = tmp_dir("leader-seed");
+    let follower_dir = tmp_dir("follower-seed");
+    let leader = Arc::new(
+        Service::builder(leader_graph())
+            .workers(1)
+            .persistence(&leader_dir, FsyncPolicy::Always)
+            .build(),
+    );
+    leader.checkpoint().unwrap();
+    let server = Server::builder(Arc::clone(&leader)).spawn().unwrap();
+    let url = format!("http://{}", server.local_addr());
+
+    // Booted later, on unrelated data: its locally minted epoch is above
+    // the leader's, so no record and no truncation horizon will ever tell
+    // it that it holds alien data — only the leader's `head` does, and the
+    // stream opens with one rather than sending it a second into idling.
+    let follower = Arc::new(
+        Service::builder(boot_graph())
+            .workers(1)
+            .persistence(&follower_dir, FsyncPolicy::Always)
+            .build(),
+    );
+    assert!(follower.epoch() > leader.epoch());
+    let started = Instant::now();
+    let client = Follower::start(Arc::clone(&follower), &url).unwrap();
+    while follower.epoch() != leader.epoch() {
+        assert!(
+            started.elapsed() < Duration::from_secs(10),
+            "never re-seeded: follower {} leader {}",
+            follower.epoch(),
+            leader.epoch()
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_millis(500),
+        "re-seeded after {took:?}"
+    );
+    assert_eq!(
+        answers(&follower, "gray locks"),
+        answers(&leader, "gray locks")
+    );
+
+    client.stop();
+    server.shutdown();
+    std::fs::remove_dir_all(&leader_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
+}
+
+#[test]
 fn a_follower_behind_the_truncation_horizon_rebootstraps() {
     let leader_dir = tmp_dir("leader-trunc");
     let follower_dir = tmp_dir("follower-trunc");

@@ -29,7 +29,7 @@
 //! | `POST /admin/mutate` | apply a JSON [`banks_graph::MutationBatch`] incrementally: delta snapshot, fresh epoch, per-op accept/reject counts — on a follower, **409** with a `Location` pointing at the leader |
 //! | `POST /admin/checkpoint` | force a durable snapshot + WAL truncation (409 when persistence is off) |
 //! | `POST /admin/slo` | reconfigure SLOs at runtime: a `{"slos":[…]}` body replaces the set, a single spec object upserts one objective |
-//! | `GET /replication/stream` | SSE tail of the mutation WAL for followers: `record` events carry hex WAL record bytes with the record epoch as the SSE id (`Last-Event-ID` / `?from_epoch=` resumes); `head` events announce leader epoch + pending records; a cursor behind the truncation horizon gets a terminal `bootstrap` event |
+//! | `GET /replication/stream` | SSE tail of the mutation WAL for followers: `record` events carry hex WAL record bytes with the record epoch as the SSE id (`Last-Event-ID` / `?from_epoch=` resumes); `head` events (always the first frame, then before each batch and once a second while idle) announce leader epoch + pending records; the stream wakes on each epoch publish; a cursor behind the truncation horizon gets a terminal `bootstrap` event |
 //! | `GET /replication/snapshot` | the newest on-disk snapshot verbatim (epoch in `X-Banks-Snapshot-Epoch`) — follower bootstrap seed |
 //! | `GET /healthz` | liveness: status, SLO `health` verdict, serving epoch, worker count, shard count, engine names, durability (`last_checkpoint_epoch`, `wal_records`, `wal_bytes`), replication role + lag |
 //!
@@ -63,7 +63,11 @@
 //! [`banks_core::CancelToken`], and the engine stops within one expansion
 //! step — remote disconnects cost one step of wasted work, not a full
 //! query.  [`Server::shutdown`] (or drop) stops accepting, lets in-flight
-//! streams finish, and drains the service.
+//! query streams finish, and drains the service.  The two streams with no
+//! end of their own — `GET /replication/stream` and
+//! `GET /debug/events/tail`, which block until the service publishes an
+//! epoch or logs an event — are woken by the shutdown and close at once:
+//! the peer reads EOF (a follower reconnects with backoff).
 
 #![deny(missing_docs)]
 

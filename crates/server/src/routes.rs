@@ -8,12 +8,12 @@
 //! | `GET /debug/trace/<id>` | one retained trace by query id (`7` or `q7`) |
 //! | `GET /debug/slo` | the stored SLO burn-rate report: overall health + per-objective rows |
 //! | `GET /debug/events` | a page of the structured event log (`?since=<id>&limit=N`) |
-//! | `GET /debug/events/tail` | live SSE tail of the event log; `Last-Event-ID` (or `?since=`) resumes after a disconnect |
+//! | `GET /debug/events/tail` | live SSE tail of the event log, woken by each `emit`; `Last-Event-ID` (or `?since=`) resumes after a disconnect; ends on server shutdown |
 //! | `POST /admin/swap` | rebuild and atomically swap the served snapshot |
 //! | `POST /admin/mutate` | apply a JSON [`MutationBatch`] incrementally: new epoch + per-op accept/reject; 409 + `Location` on a follower |
 //! | `POST /admin/checkpoint` | force a durable snapshot and truncate the WAL |
 //! | `POST /admin/slo` | replace (`{"slos":[…]}` / bare array) or upsert (single spec object) the SLO set at runtime |
-//! | `GET /replication/stream` | SSE tail of the leader WAL: `record` events (hex-encoded WAL record bytes, epoch as SSE `id:`), periodic `head` events, a terminal `bootstrap` event when the cursor is behind the truncation horizon; resume via `Last-Event-ID` or `?from_epoch=` |
+//! | `GET /replication/stream` | SSE tail of the leader WAL, woken by each epoch publish: a `head` event first, then `record` events (hex-encoded WAL record bytes, epoch as SSE `id:`) with a `head` before each batch and once a second while idle, a terminal `bootstrap` event when the cursor is behind the truncation horizon; resume via `Last-Event-ID` or `?from_epoch=`; ends on server shutdown |
 //! | `GET /replication/snapshot` | the newest on-disk snapshot, verbatim (`X-Banks-Snapshot-Epoch` header) — follower bootstrap |
 //! | `GET /healthz` | liveness probe (epoch, workers, shards, engines) + durability status + replication status + three-state SLO health |
 //!
@@ -39,6 +39,7 @@
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,8 +47,8 @@ use banks_core::json as corejson;
 use banks_core::EmissionPolicy;
 use banks_graph::{GraphMutation, MutationBatch, NodeId, OpEffect};
 use banks_service::{
-    encode_record, parse_slo_specs, GraphSnapshot, PersistError, Priority, QueryEvent, QueryResult,
-    QuerySpec, RecvTimeout, ReplicationRole, Service, SubmitError,
+    encode_record, parse_slo_specs, EventLevel, GraphSnapshot, PersistError, Priority, QueryEvent,
+    QueryResult, QuerySpec, RecvTimeout, ReplicationRole, Service, SubmitError, WalPosition,
 };
 
 use crate::http::{self, Limits, ParseError, Request};
@@ -75,6 +76,10 @@ pub(crate) struct ServerContext {
     /// Where writes live when this process is a follower — the `Location`
     /// a rejected `POST /admin/mutate` points at.
     pub(crate) leader_url: Option<String>,
+    /// Set by [`crate::Server::shutdown`]: the two open-ended streams
+    /// (replication, event tail) end at their next wake instead of
+    /// outliving the server.
+    pub(crate) shutdown: Arc<AtomicBool>,
 }
 
 /// An error destined for the wire: status, machine-readable code, message,
@@ -442,17 +447,31 @@ fn replication_head_json(ctx: &ServerContext, checkpoint_epoch: u64, pending: us
     )
 }
 
+/// How long an idle stream (replication or event tail) blocks before it
+/// probes its peer and sends a keep-alive.
+const STREAM_KEEPALIVE: Duration = Duration::from_secs(1);
+
 /// `GET /replication/stream`: SSE tail of the leader's mutation WAL.
 ///
 /// The cursor (epoch of the last record the follower holds) comes from
 /// `Last-Event-ID` (the header wins) or `?from_epoch=`.  Each WAL record
 /// past the cursor is a `record` event whose SSE `id:` is the record's
-/// epoch and whose payload carries the exact WAL record bytes hex-encoded;
-/// a `head` event precedes every batch and fires roughly once a second
-/// while idle (keep-alive + lag signal).  A cursor behind the WAL
-/// truncation horizon gets a terminal `bootstrap` event: the follower must
-/// re-seed from `GET /replication/snapshot` before resuming.  409 when the
-/// leader runs without persistence (there is no WAL to stream).
+/// epoch and whose payload carries the exact WAL record bytes hex-encoded.
+/// A cursor behind the WAL truncation horizon gets a terminal `bootstrap`
+/// event, at any point: the follower must re-seed from
+/// `GET /replication/snapshot` before resuming.  Otherwise the first frame
+/// is a `head` — the first batch's own when records are pending, an idle
+/// one if not — so a follower whose state cannot descend from this leader
+/// learns it at once; after that a `head` precedes every batch and fires
+/// once a second while idle (keep-alive + lag signal).  409 when the leader
+/// runs without persistence (there is no WAL to stream).
+///
+/// The handler wakes on publish: it blocks in
+/// [`Service::wait_for_publish`] and reads the WAL — only the bytes
+/// appended since its last read — when an epoch was published or a
+/// checkpoint moved the horizon, so an idle stream reads no file and
+/// takes no `persistence` lock.  A failed read closes the stream after a
+/// `replication-error` event; server shutdown closes it at once.
 fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
     let mut writer = stream;
     let mut cursor = request
@@ -480,11 +499,27 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
         return;
     }
     let mut sse = SseWriter::new(writer);
-    let mut idle_polls = 0u32;
-    loop {
-        // Re-read the horizon every pass: a checkpoint can truncate the
-        // WAL at any moment, turning "caught up" into "unreachable".
-        let checkpoint_epoch = ctx.service.durability().last_checkpoint_epoch;
+    let mut position = WalPosition::default();
+    let mut greeted = false;
+    // Read before the records are looked for: a publish that the read
+    // below misses has then advanced the generation past `seen`, and the
+    // wait returns at once.
+    let mut seen = ctx.service.publish_generation();
+    while !ctx.shutdown.load(Ordering::SeqCst) {
+        let tail = match ctx.service.replication_records_after(cursor, &mut position) {
+            Ok(tail) => tail,
+            Err(e) => {
+                ctx.service.events().emit(
+                    EventLevel::Error,
+                    "replication-error",
+                    format!("closing a replication stream at epoch {cursor}: WAL read failed: {e}"),
+                );
+                return;
+            }
+        };
+        // A checkpoint can truncate the WAL at any moment, turning
+        // "caught up" into "unreachable".
+        let checkpoint_epoch = tail.checkpoint_epoch;
         if cursor < checkpoint_epoch {
             let _ = sse.event(
                 "bootstrap",
@@ -495,36 +530,18 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
             );
             return;
         }
-        let records = match ctx.service.replication_records_after(cursor) {
-            Ok(records) => records,
-            Err(_) => return,
-        };
-        if records.is_empty() {
-            idle_polls += 1;
-            if peer_disconnected(stream) {
-                return;
-            }
-            if idle_polls.is_multiple_of(10)
-                && sse
-                    .event("head", &replication_head_json(ctx, checkpoint_epoch, 0))
-                    .is_err()
-            {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(100));
-            continue;
-        }
-        idle_polls = 0;
-        if sse
-            .event(
-                "head",
-                &replication_head_json(ctx, checkpoint_epoch, records.len()),
-            )
-            .is_err()
+        if (!greeted || !tail.records.is_empty())
+            && sse
+                .event(
+                    "head",
+                    &replication_head_json(ctx, checkpoint_epoch, tail.records.len()),
+                )
+                .is_err()
         {
             return;
         }
-        for record in records {
+        greeted = true;
+        for record in tail.records {
             let payload = to_hex(&encode_record(
                 record.seq,
                 record.parent_epoch,
@@ -539,6 +556,23 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
                 return;
             }
             cursor = record.epoch;
+        }
+        // Idle until the next publish; each keep-alive interval without
+        // one, probe the peer and tell it where the leader stands (neither
+        // epoch can have moved: both moves signal).
+        loop {
+            let now = ctx.service.wait_for_publish(seen, STREAM_KEEPALIVE);
+            if now != seen {
+                seen = now;
+                break;
+            }
+            if peer_disconnected(stream)
+                || sse
+                    .event("head", &replication_head_json(ctx, checkpoint_epoch, 0))
+                    .is_err()
+            {
+                return;
+            }
         }
     }
 }
@@ -752,9 +786,11 @@ fn respond_events(ctx: &ServerContext, request: &Request, w: &mut impl Write, ke
 /// conforming client that reconnects with `Last-Event-ID` resumes exactly
 /// where it left off (a `?since=<id>` query parameter does the same for
 /// hand-rolled clients; the header wins when both are present).  History
-/// after the cursor is replayed first, then the handler polls the log,
-/// probing the peer and emitting keep-alive comments while idle so an
-/// abandoned tail releases its handler.
+/// after the cursor is replayed first, then the handler blocks in
+/// [`banks_service::EventLog::wait_since`] and is woken by the next
+/// `emit`; each second without one it probes the peer and sends a
+/// keep-alive comment, so an abandoned tail releases its handler.  Server
+/// shutdown emits a `shutdown` event, which ends the tail after it.
 fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
     let mut writer = stream;
     let mut cursor = request
@@ -770,24 +806,14 @@ fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStrea
         return;
     }
     let mut sse = SseWriter::new(writer);
-    let mut idle_polls = 0u32;
-    loop {
-        let batch = ctx.service.events().since(cursor, EVENTS_PAGE_LIMIT);
-        if batch.is_empty() {
-            // Idle: probe the peer now, keep-alive it roughly once a
-            // second (every tenth 100 ms poll) — same liveness discipline
-            // as the query stream, scaled to the tail's poll cadence.
-            idle_polls += 1;
-            if peer_disconnected(stream) {
-                return;
-            }
-            if idle_polls.is_multiple_of(10) && sse.comment("keepalive").is_err() {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(100));
-            continue;
+    while !ctx.shutdown.load(Ordering::SeqCst) {
+        let batch = ctx
+            .service
+            .events()
+            .wait_since(cursor, EVENTS_PAGE_LIMIT, STREAM_KEEPALIVE);
+        if batch.is_empty() && (peer_disconnected(stream) || sse.comment("keepalive").is_err()) {
+            return;
         }
-        idle_polls = 0;
         for event in batch {
             if sse
                 .event_with_id("event", event.id, &event_json(&event))

@@ -11,11 +11,13 @@
 //! ## Graceful shutdown
 //!
 //! [`Server::shutdown`] stops accepting, then lets every already-accepted
-//! connection finish — in-flight SSE streams run to their `finished` event
-//! rather than being cut mid-answer — then drains the service
+//! connection finish — in-flight SSE query streams run to their `finished`
+//! event rather than being cut mid-answer — then drains the service
 //! ([`banks_service::Service::drain`]) so no engine work is abandoned:
 //!
-//! 1. the shutdown flag flips; a wake-up connection unblocks `accept`;
+//! 1. the shutdown flag flips, and the open-ended streams (replication,
+//!    event tail) are woken to see it and close; a wake-up connection
+//!    unblocks `accept`;
 //! 2. the acceptor drops the channel sender and exits;
 //! 3. handlers drain the channel and exit when it closes;
 //! 4. `Service::drain` waits out any remaining queued/executing queries.
@@ -27,7 +29,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use banks_service::{GraphSnapshot, Service};
+use banks_service::{EventLevel, GraphSnapshot, Service};
 
 use crate::http::Limits;
 use crate::routes::{handle_connection, GraphSource, ServerContext};
@@ -98,6 +100,7 @@ impl ServerBuilder {
             graph_source: self.graph_source,
             limits: self.limits,
             leader_url: self.leader_url,
+            shutdown: Arc::clone(&shutdown),
         });
 
         // A *bounded* hand-off queue: when every handler is busy and the
@@ -231,14 +234,25 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, finish every accepted connection
-    /// (in-flight SSE streams included), drain the service.  Equivalent to
-    /// dropping the server, but explicit.
+    /// (in-flight SSE query streams included; replication streams and event
+    /// tails are closed), drain the service.  Equivalent to dropping the
+    /// server, but explicit.
     pub fn shutdown(self) {}
 
     fn begin_shutdown(&mut self) {
         if self.shutdown.swap(true, Ordering::SeqCst) {
             return;
         }
+        // The replication streams and event tails would otherwise run for
+        // as long as their peers stay: wake them to see the flag.  The
+        // generation bump and the event are what a handler that checked
+        // the flag just before it was set finds instead of a wait.
+        self.service.wake_publish_waiters();
+        self.service.events().emit(
+            EventLevel::Info,
+            "shutdown",
+            format!("server on {} shutting down", self.local_addr),
+        );
         // Unblock `accept` so the acceptor observes the flag.  The wake-up
         // connection is closed immediately; if it raced an actual accept,
         // the handler simply sees ConnectionClosed and moves on.  A bind

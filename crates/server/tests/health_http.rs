@@ -284,6 +284,32 @@ fn events_tail_streams_live_and_resumes_with_last_event_id() {
 }
 
 #[test]
+fn shutdown_closes_an_attached_event_tail() {
+    let service = Arc::new(Service::builder(tiny_graph()).workers(1).build());
+    let server = Server::builder(Arc::clone(&service)).spawn().unwrap();
+    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(b"GET /debug/events/tail HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send request");
+    // Attached once the stream header is back.
+    let mut head = [0u8; 16];
+    conn.read_exact(&mut head).expect("stream header");
+    assert!(head.starts_with(b"HTTP/1.1 200"), "head: {head:?}");
+
+    // The peer stays; the handler must not wait for it to leave.
+    let asked = Instant::now();
+    server.shutdown();
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+    let mut rest = String::new();
+    conn.read_to_string(&mut rest).expect("EOF, not a timeout");
+    let last = parse_sse(rest.split_once("\r\n\r\n").expect("header end").1)
+        .pop()
+        .expect("the shutdown event");
+    assert!(last.2.contains("\"kind\":\"shutdown\""), "last: {last:?}");
+}
+
+#[test]
 fn query_answers_carry_ids_and_resume_skips_what_was_delivered() {
     let service = Arc::new(Service::builder(tiny_graph()).workers(1).build());
     let server = Server::builder(service).spawn().unwrap();

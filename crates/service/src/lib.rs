@@ -151,12 +151,14 @@ pub use banks_obs::{
     SloRow, SloSpec, TimeSample, TimeSeriesRing, TraceSpan,
 };
 pub use banks_persist::{
-    decode_record, encode_record, FsyncPolicy, PersistError, PersistOptions, WalRecord,
+    decode_record, encode_record, FsyncPolicy, PersistError, PersistOptions, WalPosition, WalRecord,
 };
 pub use handle::{QueryEvent, QueryHandle, QueryId, QueryResult, RecvTimeout};
 pub use metrics::{QueueWaitSummary, ServiceMetrics, TenantMetrics, OVERFLOW_TENANT};
 pub use persistence::DurabilityStatus;
-pub use replication::{ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationStatus};
+pub use replication::{
+    ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationStatus, WalTail,
+};
 pub use service::{parse_slo_specs, MutationReport, Service, ServiceBuilder, SubmitError};
 pub use shardset::ShardSet;
 pub use snapshot::GraphSnapshot;

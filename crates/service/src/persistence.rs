@@ -15,7 +15,8 @@ use std::path::{Path, PathBuf};
 
 use banks_obs::{Histogram, LatencySummary};
 use banks_persist::{
-    list_snapshots, snapshot_file_name, write_snapshot, PersistError, PersistOptions, Wal, WalScan,
+    list_snapshots, snapshot_file_name, write_snapshot, PersistError, PersistOptions, Wal,
+    WalChunk, WalPosition, WalScan,
 };
 
 use crate::snapshot::GraphSnapshot;
@@ -35,6 +36,10 @@ pub struct DurabilityStatus {
     pub wal_records: u64,
     /// Size of the WAL file in bytes.
     pub wal_bytes: u64,
+    /// Times a replication stream has read the WAL file since the service
+    /// started: one per stream per publish it had to fetch, none while
+    /// idle.
+    pub wal_reads: u64,
     /// Checkpoints taken since the service started (the boot checkpoint
     /// included).
     pub checkpoints: u64,
@@ -142,9 +147,14 @@ impl Persistence {
         &self.dir
     }
 
-    /// Path of the live WAL file (the replication stream's source).
-    pub(crate) fn wal_path(&self) -> PathBuf {
-        self.dir.join(banks_persist::WAL_FILE)
+    /// The truncation horizon and the WAL bytes appended past `position`
+    /// (everything, after a truncation), read together so that neither
+    /// can move between the two.
+    pub(crate) fn read_wal(
+        &mut self,
+        position: WalPosition,
+    ) -> Result<(u64, WalChunk), PersistError> {
+        Ok((self.last_checkpoint_epoch, self.wal.read_since(position)?))
     }
 
     /// Deletes every on-disk snapshot.  A follower bootstrap invalidates
@@ -205,6 +215,7 @@ impl Persistence {
             last_checkpoint_epoch: self.last_checkpoint_epoch,
             wal_records: self.wal.records(),
             wal_bytes: self.wal.bytes(),
+            wal_reads: self.wal.reads(),
             checkpoints: self.checkpoints,
             replayed_records: self.replayed_records,
             last_error: self.last_error.clone(),

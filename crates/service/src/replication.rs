@@ -125,6 +125,21 @@ impl ReplicationState {
     }
 }
 
+/// What [`crate::Service::replication_records_after`] read: the leader's
+/// truncation horizon and the WAL records past the cursor, as of one
+/// moment.
+#[derive(Clone, Debug, PartialEq)]
+pub struct WalTail {
+    /// Epoch of the leader's last checkpoint.  A cursor below it is behind
+    /// the WAL truncation horizon — `records` cannot bridge the gap and
+    /// the follower must re-bootstrap — so empty `records` alone do not
+    /// mean "caught up".
+    pub checkpoint_epoch: u64,
+    /// Records with an epoch above the cursor that the caller's
+    /// [`banks_persist::WalPosition`] had not yet passed, in log order.
+    pub records: Vec<banks_persist::WalRecord>,
+}
+
 /// Outcome of [`crate::Service::apply_replicated`] when the record was
 /// accepted (or was already reflected in the serving graph).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

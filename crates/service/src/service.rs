@@ -22,8 +22,8 @@ use banks_obs::{
     SloReport, SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
 };
 use banks_persist::{
-    list_snapshots, recover, replay_wal, scan_file, FsyncPolicy, PersistError, PersistOptions, Wal,
-    WalRecord,
+    list_snapshots, recover, replay_wal, FsyncPolicy, PersistError, PersistOptions, Wal,
+    WalPosition, WalRecord,
 };
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, KeywordMatches};
@@ -34,6 +34,7 @@ use crate::persistence::{DurabilityStatus, Persistence};
 use crate::quota::{QuotaConfig, QuotaSettings, QuotaState};
 use crate::replication::{
     ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationState, ReplicationStatus,
+    WalTail,
 };
 use crate::sched::WorkQueue;
 use crate::shardset::ShardSet;
@@ -343,6 +344,14 @@ struct Inner {
     /// [`Service::swap_graph`] replaces the `Arc` while in-flight queries
     /// keep their pinned clones alive.
     serving: Mutex<Arc<ShardSet>>,
+    /// Counts what a replication stream must look at again: every publish
+    /// of a serving epoch, every checkpoint (the WAL truncation horizon
+    /// moved) and every [`Service::wake_publish_waiters`].  Advanced only
+    /// under `serving`, which is what [`Service::wait_for_publish`] waits
+    /// on — so no advance is slept through.
+    publish_generation: AtomicU64,
+    /// Signalled after every `publish_generation` advance.
+    published: Condvar,
     /// Configured shard count (≥ 1); every swapped-in version is
     /// partitioned to the same count.
     shards: usize,
@@ -780,6 +789,8 @@ impl ServiceBuilder {
         let quota_enabled = self.quota.enabled();
         let inner = Arc::new(Inner {
             serving: Mutex::new(Arc::new(ShardSet::build(snapshot, self.shards))),
+            publish_generation: AtomicU64::new(0),
+            published: Condvar::new(),
             shards: self.shards,
             registry,
             default_engine: self.default_engine,
@@ -1447,14 +1458,7 @@ impl Service {
             let mut persistence = persistence.lock().expect("persistence lock");
             if compacted || persistence.wants_rotation() {
                 let checkpoint_start_us = elapsed_us();
-                let snapshot = self.snapshot();
-                if persistence.checkpoint(&snapshot).is_ok() {
-                    self.inner.events.emit(
-                        EventLevel::Info,
-                        "checkpoint",
-                        format!("mutation-triggered checkpoint at epoch {epoch}"),
-                    );
-                }
+                let _ = self.checkpoint_locked(&mut persistence, "mutation-triggered");
                 checkpoint_span = Some((checkpoint_start_us, elapsed_us()));
             }
         }
@@ -1537,14 +1541,7 @@ impl Service {
         let epoch = self.swap_snapshot_inner(snapshot, partition);
         if let Some(persistence) = &self.inner.persistence {
             let mut persistence = persistence.lock().expect("persistence lock");
-            let current = self.snapshot();
-            if persistence.checkpoint(&current).is_ok() {
-                self.inner.events.emit(
-                    EventLevel::Info,
-                    "checkpoint",
-                    format!("post-swap checkpoint at epoch {epoch}"),
-                );
-            }
+            let _ = self.checkpoint_locked(&mut persistence, "post-swap");
         }
         epoch
     }
@@ -1568,7 +1565,9 @@ impl Service {
                 ShardSpec::new(self.inner.shards),
                 partition,
             ));
+            self.inner.publish_generation.fetch_add(1, Ordering::SeqCst);
         }
+        self.inner.published.notify_all();
         Counters::bump(&self.inner.counters.swaps);
         self.inner.events.emit(
             EventLevel::Info,
@@ -1594,16 +1593,26 @@ impl Service {
         let Some(persistence) = &self.inner.persistence else {
             return Err(PersistError::Disabled);
         };
-        let snapshot = self.snapshot();
-        let epoch = persistence
-            .lock()
-            .expect("persistence lock")
-            .checkpoint(&snapshot)?;
+        let mut persistence = persistence.lock().expect("persistence lock");
+        self.checkpoint_locked(&mut persistence, "on-demand")
+    }
+
+    /// Checkpoints the serving snapshot.  A failure is recorded in the
+    /// durability status by [`Persistence::checkpoint`]; a success moved
+    /// the WAL truncation horizon, so it is logged and the replication
+    /// streams are woken to look at it.
+    fn checkpoint_locked(
+        &self,
+        persistence: &mut Persistence,
+        trigger: &str,
+    ) -> Result<u64, PersistError> {
+        let epoch = persistence.checkpoint(&self.snapshot())?;
         self.inner.events.emit(
             EventLevel::Info,
             "checkpoint",
-            format!("on-demand checkpoint at epoch {epoch}"),
+            format!("{trigger} checkpoint at epoch {epoch}"),
         );
+        self.wake_publish_waiters();
         Ok(epoch)
     }
 
@@ -1742,14 +1751,7 @@ impl Service {
         if let Some(persistence) = &self.inner.persistence {
             let mut persistence = persistence.lock().expect("persistence lock");
             if compacted || persistence.wants_rotation() {
-                let snapshot = self.snapshot();
-                if persistence.checkpoint(&snapshot).is_ok() {
-                    self.inner.events.emit(
-                        EventLevel::Info,
-                        "checkpoint",
-                        format!("replication-triggered checkpoint at epoch {epoch}"),
-                    );
-                }
+                let _ = self.checkpoint_locked(&mut persistence, "replication-triggered");
             }
         }
         self.note_applied_locked(epoch);
@@ -1781,14 +1783,7 @@ impl Service {
             // would keep (or even prefer) them, so wipe before writing the
             // bootstrap checkpoint.
             persistence.clear_snapshots();
-            let current = self.snapshot();
-            if persistence.checkpoint(&current).is_ok() {
-                self.inner.events.emit(
-                    EventLevel::Info,
-                    "checkpoint",
-                    format!("bootstrap checkpoint at epoch {epoch}"),
-                );
-            }
+            let _ = self.checkpoint_locked(&mut persistence, "bootstrap");
         }
         self.note_applied_locked(epoch);
         epoch
@@ -1803,31 +1798,75 @@ impl Service {
             .note_applied(epoch, unix_ms());
     }
 
-    /// WAL records with `epoch > from_epoch`, in log order — the payload
-    /// of the leader's `GET /replication/stream`.  Scanned under the
-    /// persistence lock, so the returned prefix is consistent with
-    /// concurrent appends.  [`PersistError::Disabled`] when the service
-    /// has no data directory (nothing to stream).
-    ///
-    /// An empty result does **not** distinguish "caught up" from
-    /// "truncated past you": compare `from_epoch` against
-    /// [`DurabilityStatus::last_checkpoint_epoch`] — a `from_epoch` below
-    /// the last checkpoint epoch is behind the truncation horizon and the
-    /// follower must re-bootstrap.
+    /// The leader's WAL past a follower's cursor — what
+    /// `GET /replication/stream` ships — read incrementally: `position` is
+    /// the caller's place in the WAL file (start from
+    /// [`WalPosition::default`]), only the bytes appended past it are read
+    /// and decoded, and it is advanced over them; after a checkpoint
+    /// truncated the file it starts over by itself.  The `persistence`
+    /// lock is held for the file read alone (not at all when nothing was
+    /// appended), so the read is consistent with concurrent appends and
+    /// the decoding delays no writer.  [`PersistError::Disabled`] when the
+    /// service has no data directory; a WAL that does not decode cleanly
+    /// up to its end is [`PersistError::Corrupt`], not a shorter answer.
     pub fn replication_records_after(
         &self,
         from_epoch: u64,
-    ) -> Result<Vec<WalRecord>, PersistError> {
+        position: &mut WalPosition,
+    ) -> Result<WalTail, PersistError> {
         let Some(persistence) = &self.inner.persistence else {
             return Err(PersistError::Disabled);
         };
-        let persistence = persistence.lock().expect("persistence lock");
-        let scan = scan_file(&persistence.wal_path())?;
-        Ok(scan
-            .records
-            .into_iter()
-            .filter(|r| r.epoch > from_epoch)
-            .collect())
+        let (checkpoint_epoch, chunk) = persistence
+            .lock()
+            .expect("persistence lock")
+            .read_wal(*position)?;
+        let (mut scan, end) = chunk.scan()?;
+        if let Some(detail) = scan.anomaly {
+            return Err(PersistError::Corrupt { detail });
+        }
+        *position = end;
+        scan.records.retain(|r| r.epoch > from_epoch);
+        Ok(WalTail {
+            checkpoint_epoch,
+            records: scan.records,
+        })
+    }
+
+    /// The current publish generation: read it *before* looking for
+    /// records, pass it to [`Service::wait_for_publish`] after finding
+    /// none.
+    pub fn publish_generation(&self) -> u64 {
+        self.inner.publish_generation.load(Ordering::SeqCst)
+    }
+
+    /// Blocks while the publish generation is still `seen`, for at most
+    /// `timeout`, and returns the generation then current.  The generation
+    /// advances when a serving epoch is published (leader writes,
+    /// replicated applies, installed snapshots, wholesale swaps), when a
+    /// checkpoint moves the WAL truncation horizon, and on
+    /// [`Service::wake_publish_waiters`] — everything a replication stream
+    /// reacts to, so it needs no timer to notice any of it.
+    pub fn wait_for_publish(&self, seen: u64, timeout: Duration) -> u64 {
+        let serving = self.inner.serving.lock().expect("serving lock");
+        let (_serving, _) = self
+            .inner
+            .published
+            .wait_timeout_while(serving, timeout, |_| self.publish_generation() == seen)
+            .expect("serving lock");
+        self.publish_generation()
+    }
+
+    /// Ends every [`Service::wait_for_publish`] in progress by advancing
+    /// the generation without publishing anything: the truncation horizon
+    /// moved, or a front-end is shutting down and wants its stream
+    /// handlers to look at their stop flag.
+    pub fn wake_publish_waiters(&self) {
+        {
+            let _serving = self.inner.serving.lock().expect("serving lock");
+            self.inner.publish_generation.fetch_add(1, Ordering::SeqCst);
+        }
+        self.inner.published.notify_all();
     }
 
     /// Epoch and path of the newest on-disk snapshot — what
@@ -2028,6 +2067,9 @@ impl Service {
     /// blocked on a slow consumer still counts as executing until the
     /// worker finishes it.
     pub fn drain(&self) {
+        // A front-end that drains is winding down: its streams should look
+        // at their stop flag now, not at the next keep-alive.
+        self.wake_publish_waiters();
         let mut queue = self.inner.queue.lock().expect("queue lock");
         while !queue.jobs.is_empty() || queue.executing > 0 {
             queue = self.inner.idle.wait(queue).expect("queue lock");

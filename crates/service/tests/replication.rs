@@ -10,7 +10,7 @@ use banks_graph::{DataGraph, GraphBuilder, MutationBatch, NodeId};
 use banks_persist::read_snapshot;
 use banks_service::{
     parse_slo_specs, FsyncPolicy, GraphSnapshot, QuerySpec, ReplicationApplyError, ReplicationRole,
-    Service, SloSpec,
+    Service, SloSpec, WalPosition, WalRecord,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -90,6 +90,15 @@ fn bootstrap_follower(leader: &Service, follower: &Service) -> u64 {
     installed
 }
 
+/// Every record in the leader's WAL: a stream's first read, from a fresh
+/// position and cursor 0.
+fn leader_records(leader: &Service) -> Vec<WalRecord> {
+    leader
+        .replication_records_after(0, &mut WalPosition::default())
+        .unwrap()
+        .records
+}
+
 fn leader_batches() -> Vec<MutationBatch> {
     // The base graph has 47 nodes (7 core + 40 filler), so the two nodes
     // the first batch adds get ids 47 and 48.
@@ -121,7 +130,7 @@ fn follower_replays_the_leader_wal_to_the_same_epoch_and_answers() {
         assert!(leader.apply_mutations(&batch).swapped);
     }
 
-    let records = leader.replication_records_after(0).unwrap();
+    let records = leader_records(&leader);
     assert_eq!(records.len(), 3, "one WAL record per applied batch");
     for record in &records {
         let applied = follower.apply_replicated(record).unwrap();
@@ -155,7 +164,7 @@ fn resumed_streams_are_idempotent() {
     for batch in leader_batches() {
         leader.apply_mutations(&batch);
     }
-    let records = leader.replication_records_after(0).unwrap();
+    let records = leader_records(&leader);
     for record in &records {
         follower.apply_replicated(record).unwrap();
     }
@@ -181,7 +190,7 @@ fn a_record_past_the_serving_epoch_is_an_epoch_gap() {
     for batch in leader_batches() {
         leader.apply_mutations(&batch);
     }
-    let records = leader.replication_records_after(0).unwrap();
+    let records = leader_records(&leader);
     // Skip the first record: the second builds on an epoch the follower
     // never saw, which must not be silently applied.
     let err = follower.apply_replicated(&records[1]).unwrap_err();
@@ -203,8 +212,9 @@ fn a_record_past_the_serving_epoch_is_an_epoch_gap() {
     bootstrap_follower(&leader, &follower);
     assert_eq!(follower.epoch(), leader.epoch());
     assert!(leader
-        .replication_records_after(follower.epoch())
+        .replication_records_after(follower.epoch(), &mut WalPosition::default())
         .unwrap()
+        .records
         .is_empty());
 }
 
@@ -225,7 +235,7 @@ fn replicated_state_is_durable_in_the_follower_wal() {
         for batch in leader_batches() {
             leader.apply_mutations(&batch);
         }
-        for record in &leader.replication_records_after(0).unwrap() {
+        for record in &leader_records(&leader) {
             follower.apply_replicated(record).unwrap();
         }
         assert_eq!(follower.epoch(), leader.epoch());
@@ -243,6 +253,86 @@ fn replicated_state_is_durable_in_the_follower_wal() {
         "recovery reaches the leader epoch"
     );
     assert_eq!(answers(&reborn, "soumen search"), expected);
+}
+
+/// The replication stream's protocol — note the generation, look for
+/// records, wait while the generation is the one noted — with each event
+/// it must react to placed where a timer-less reader could lose it.
+#[test]
+fn a_stream_reader_is_woken_by_publishes_and_checkpoints_and_reads_only_the_suffix() {
+    use std::time::{Duration, Instant};
+    const LONG: Duration = Duration::from_secs(30);
+    let leader_dir = tmp_dir("wake");
+    let leader = Service::builder(dblp_like())
+        .workers(1)
+        .persistence(&leader_dir, FsyncPolicy::Always)
+        .build();
+    let mut batches = leader_batches().into_iter();
+    let mut position = WalPosition::default();
+    let mut cursor = leader.epoch();
+    let mut read = |cursor: u64| {
+        leader
+            .replication_records_after(cursor, &mut position)
+            .unwrap()
+    };
+
+    // A publish that lands after the look and before the wait.
+    let seen = leader.publish_generation();
+    assert!(read(cursor).records.is_empty());
+    assert!(leader.apply_mutations(&batches.next().unwrap()).swapped);
+    let started = Instant::now();
+    let woken = leader.wait_for_publish(seen, LONG);
+    assert_ne!(woken, seen);
+    assert!(
+        started.elapsed() < LONG / 2,
+        "the generation ended the wait"
+    );
+    let reads = leader.durability().wal_reads;
+    let tail = read(cursor);
+    assert_eq!(tail.records.len(), 1);
+    assert_eq!(tail.records[0].epoch, leader.epoch());
+    assert_eq!(leader.durability().wal_reads, reads + 1);
+    cursor = leader.epoch();
+
+    // Nothing published: the wait runs out, and looking costs no file read.
+    assert_eq!(
+        leader.wait_for_publish(woken, Duration::from_millis(20)),
+        woken
+    );
+    assert!(read(cursor).records.is_empty());
+    assert_eq!(leader.durability().wal_reads, reads + 1);
+
+    // A publish while the reader is (about to be) blocked, from elsewhere.
+    std::thread::scope(|scope| {
+        let waiter = scope.spawn(|| leader.wait_for_publish(woken, LONG));
+        assert!(leader.apply_mutations(&batches.next().unwrap()).swapped);
+        assert_ne!(waiter.join().unwrap(), woken);
+    });
+    let tail = read(cursor);
+    assert_eq!(tail.records.len(), 1, "only the record appended since");
+    assert_eq!(tail.records[0].parent_epoch, cursor);
+    cursor = leader.epoch();
+
+    // A checkpoint publishes no epoch but moves the horizon and truncates
+    // the file: readers are woken, and the position starts over by itself.
+    let seen = leader.publish_generation();
+    leader.checkpoint().unwrap();
+    assert_ne!(leader.wait_for_publish(seen, LONG), seen);
+    let tail = read(cursor);
+    assert_eq!(tail.checkpoint_epoch, cursor);
+    assert!(tail.records.is_empty());
+    assert!(leader.apply_mutations(&batches.next().unwrap()).swapped);
+    let tail = read(cursor);
+    assert_eq!(tail.records.len(), 1);
+    assert_eq!(tail.records[0].seq, 1, "first record of the truncated log");
+
+    // And a front-end can end the wait without publishing anything.
+    let seen = leader.publish_generation();
+    leader.wake_publish_waiters();
+    assert_ne!(leader.wait_for_publish(seen, LONG), seen);
+
+    drop(leader);
+    std::fs::remove_dir_all(&leader_dir).unwrap();
 }
 
 #[test]
