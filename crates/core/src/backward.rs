@@ -24,7 +24,7 @@ use crate::stream::{next_answer, AnswerStream, ExpansionMachine, QueryContext, S
 /// Upper bound on the number of answer-tree combinations generated when a
 /// single node is reached by many iterators of the same keyword, protecting
 /// against the cross-product blow-up inherent to the multi-iterator design.
-pub(crate) const MAX_COMBINATIONS_PER_VISIT: usize = 256;
+const MAX_COMBINATIONS_PER_VISIT: usize = 256;
 
 /// The MI-Backward search engine.
 #[derive(Clone, Copy, Debug, Default)]
@@ -38,7 +38,7 @@ impl BackwardExpandingSearch {
 }
 
 #[derive(PartialEq, PartialOrd)]
-pub(crate) struct OrderedF64(pub(crate) f64);
+struct OrderedF64(f64);
 
 impl Eq for OrderedF64 {}
 
@@ -50,9 +50,9 @@ impl Ord for OrderedF64 {
 }
 
 /// One single-source shortest-path iterator (one per keyword node).
-pub(crate) struct SsspIterator {
-    pub(crate) keyword: usize,
-    pub(crate) origin: NodeId,
+struct SsspIterator {
+    keyword: usize,
+    origin: NodeId,
     /// Tentative distance labels.
     tentative: HashMap<NodeId, f64>,
     /// Finalised nodes.
@@ -66,7 +66,7 @@ pub(crate) struct SsspIterator {
 }
 
 impl SsspIterator {
-    pub(crate) fn new(keyword: usize, origin: NodeId) -> Self {
+    fn new(keyword: usize, origin: NodeId) -> Self {
         let mut it = SsspIterator {
             keyword,
             origin,
@@ -83,7 +83,7 @@ impl SsspIterator {
     }
 
     /// Distance of the next node this iterator would visit, if any.
-    pub(crate) fn peek_dist(&mut self) -> Option<f64> {
+    fn peek_dist(&mut self) -> Option<f64> {
         while let Some(Reverse((OrderedF64(d), node))) = self.frontier.peek() {
             let stale = self.visited.contains_key(node)
                 || self
@@ -103,7 +103,7 @@ impl SsspIterator {
     /// Runs one `getnext()` step: finalises the closest frontier node and
     /// relaxes its incoming edges.  Returns the finalised node, its
     /// distance, and the number of nodes newly labelled (touched).
-    pub(crate) fn step(&mut self, graph: &DataGraph, dmax: usize) -> Option<(NodeId, f64, usize)> {
+    fn step(&mut self, graph: &DataGraph, dmax: usize) -> Option<(NodeId, f64, usize)> {
         self.peek_dist()?;
         let Reverse((OrderedF64(d), m)) = self.frontier.pop()?;
         self.visited.insert(m, d);
@@ -137,7 +137,7 @@ impl SsspIterator {
 
     /// Path from `root` to this iterator's origin, following the relaxation
     /// predecessors.  `root` must have been visited.
-    pub(crate) fn path_to_origin(&self, root: NodeId) -> Option<Vec<NodeId>> {
+    fn path_to_origin(&self, root: NodeId) -> Option<Vec<NodeId>> {
         let mut path = vec![root];
         let mut cur = root;
         let mut guard = 0usize;
@@ -403,7 +403,7 @@ impl<'a> AnswerStream for MiExpander<'a> {
 /// Enumerates combinations of one iterator per keyword that include the
 /// newly arrived iterator `new_idx` for keyword `new_keyword` (so that every
 /// combination is generated exactly once over the lifetime of the search).
-pub(crate) fn enumerate_combinations(
+fn enumerate_combinations(
     lists: &[Vec<usize>],
     new_keyword: usize,
     new_idx: usize,
@@ -472,6 +472,7 @@ pub(crate) fn enumerate_combinations(
 mod tests {
     use super::*;
     use crate::bidirectional::BidirectionalSearch;
+    use crate::engine::SearchOutcome;
     use crate::params::SearchParams;
     use crate::si_backward::SingleIteratorBackwardSearch;
     use banks_graph::builder::graph_from_edges;
@@ -572,6 +573,64 @@ mod tests {
             mi.stats.nodes_touched,
             si.stats.nodes_touched
         );
+    }
+
+    /// 30 papers under one author hub plus a second hub over half of them:
+    /// 32 iterators whose frontiers interleave at equal distances.
+    fn busy_graph() -> (DataGraph, KeywordMatches) {
+        let mut edges = Vec::new();
+        for i in 0..30u32 {
+            edges.push((31 + i, i));
+            edges.push((31 + i, 61));
+        }
+        for i in 0..15u32 {
+            edges.push((62 + i, 2 * i));
+            edges.push((62 + i, 77));
+        }
+        let g = graph_from_edges(78, &edges);
+        let m = KeywordMatches::from_sets(vec![
+            ("database", (0..30).map(NodeId).collect()),
+            ("author", vec![NodeId(61), NodeId(77)]),
+        ]);
+        (g, m)
+    }
+
+    /// Each capped run emits a rank-and-signature prefix of the uncapped
+    /// run and stops where its cap says: (explored, touched, generated,
+    /// output, truncated) are exact.
+    #[test]
+    fn capped_runs_are_prefixes_of_the_uncapped_run_and_stop_at_their_cap() {
+        let (g, m) = busy_graph();
+        let p = uniform(&g);
+        let run = |params: SearchParams| BackwardExpandingSearch::new().search(&g, &p, &m, &params);
+        let counters = |o: &SearchOutcome| {
+            let s = &o.stats;
+            (
+                s.nodes_explored,
+                s.nodes_touched,
+                s.answers_generated,
+                s.answers_output,
+                s.truncated,
+            )
+        };
+        let wide = SearchParams::with_top_k(50);
+        let full = run(wide);
+        assert_eq!(counters(&full), (247, 1329, 175, 50, false));
+        for (params, expected) in [
+            (SearchParams::with_top_k(3), (80, 170, 3, 3, false)),
+            (wide.max_explored(17), (17, 58, 0, 0, true)),
+            (wide.max_generated(5), (82, 172, 5, 5, true)),
+            (wide.answer_work_budget(9), (10, 47, 0, 0, true)),
+            (wide.dmax(2), (212, 212, 135, 45, false)),
+        ] {
+            let capped = run(params);
+            assert_eq!(counters(&capped), expected, "{params:?}");
+            assert_eq!(capped.answers.len(), expected.3, "{params:?}");
+            for (a, b) in capped.answers.iter().zip(&full.answers) {
+                assert_eq!(a.rank, b.rank, "{params:?}");
+                assert_eq!(a.tree.signature(), b.tree.signature(), "{params:?}");
+            }
+        }
     }
 
     #[test]

@@ -80,10 +80,7 @@ impl QueryCost {
     ///    number of answers the engine must keep producing.
     /// 3. Multiply by the engine factor: ×1 for `bidirectional` (and its
     ///    ablations), ×2 for `si-backward`, ×4 for `mi-backward` — the
-    ///    coarse shape of the paper's measured exploration ratios.  The
-    ///    `scatter-gather` variants price like their base engine: sharding
-    ///    moves the same exploration onto more cores, it does not shrink
-    ///    it.
+    ///    coarse shape of the paper's measured exploration ratios.
     /// 4. Clamp to the explicit caps when present: `max_explored`, and
     ///    `origin + top_k × answer_work_budget` (the budget bounds the work
     ///    *between* emissions, so `top_k` budgets plus the seed frontier
@@ -120,9 +117,9 @@ fn engine_factor(engine: &str) -> u64 {
     // spellings the registry resolves.
     let canonical = crate::registry::normalize(engine);
     match canonical.as_str() {
-        "bidirectional" | "bidir" | "bidirectional-no-activation" | "sg-bidirectional" => 1,
-        "si-backward" | "si" | "backward-activation" | "sg-si-backward" => 2,
-        "mi-backward" | "mi" | "backward" | "scatter-gather" | "sg" | "sg-mi-backward" => 4,
+        "bidirectional" | "bidir" | "bidirectional-no-activation" => 1,
+        "si-backward" | "si" | "backward-activation" => 2,
+        "mi-backward" | "mi" | "backward" => 4,
         _ => 2,
     }
 }
@@ -171,19 +168,6 @@ mod tests {
         // unknown engines price like the middle of the range
         assert_eq!(
             QueryCost::estimate(&m, &params, "quantum").estimated_work,
-            si
-        );
-        // scatter-gather variants price like their base engine
-        assert_eq!(
-            QueryCost::estimate(&m, &params, "scatter-gather").estimated_work,
-            mi
-        );
-        assert_eq!(
-            QueryCost::estimate(&m, &params, "sg-bidirectional").estimated_work,
-            bidir
-        );
-        assert_eq!(
-            QueryCost::estimate(&m, &params, "sg-si-backward").estimated_work,
             si
         );
     }

@@ -75,13 +75,7 @@
 //!   ("MI-Backward" in the evaluation),
 //! * [`SingleIteratorBackwardSearch`] — the intermediate "SI-Backward"
 //!   variant of Section 4.6: a single merged backward iterator prioritised
-//!   by distance, with no forward iterator and no activation,
-//! * [`ScatterGatherSearch`] — the sharded merge engine: groups the
-//!   multi-iterator engine's Dijkstra iterators by the shard owning their
-//!   origin ([`banks_graph::ShardSpec`]), refills per-shard event buffers
-//!   in parallel, and replays the merged events through the same output
-//!   heap — byte-identical to the unsharded run for every shard count
-//!   ([`QueryContext::with_shards`]).
+//!   by distance, with no forward iterator and no activation.
 //!
 //! All three are registered in [`EngineRegistry::with_default_engines`] and
 //! selectable by name (`"bidirectional"`, `"si-backward"`,
@@ -113,7 +107,6 @@ pub mod params;
 pub mod pq;
 pub mod registry;
 pub mod relevance;
-pub mod scatter;
 pub mod score;
 pub mod session;
 pub mod si_backward;
@@ -130,7 +123,6 @@ pub use engine::{RankedAnswer, SearchEngine, SearchOutcome};
 pub use params::{EmissionPolicy, SearchParams};
 pub use registry::{EngineRegistry, UnknownEngine};
 pub use relevance::{GroundTruth, RecallPrecision};
-pub use scatter::ScatterGatherSearch;
 pub use score::{EdgeScoreCombiner, ScoreModel};
 pub use session::{build_label_index, label_index_delta, Banks, QuerySession};
 pub use si_backward::SingleIteratorBackwardSearch;

@@ -8,7 +8,6 @@
 use crate::backward::BackwardExpandingSearch;
 use crate::bidirectional::{BidirectionalConfig, BidirectionalSearch};
 use crate::engine::SearchEngine;
-use crate::scatter::ScatterGatherSearch;
 use crate::si_backward::SingleIteratorBackwardSearch;
 
 /// A factory producing a boxed engine.
@@ -80,10 +79,6 @@ impl EngineRegistry {
     /// | `mi-backward` (aliases `mi`, `backward`) | [`BackwardExpandingSearch`] |
     /// | `bidirectional-no-activation` | forward iterator, distance priority |
     /// | `backward-activation` | no forward iterator, activation priority |
-    /// | `scatter-gather` (alias `sg`) | [`ScatterGatherSearch`] over MI-Backward |
-    /// | `sg-bidirectional` | scatter-gather delegating to Bidirectional |
-    /// | `sg-si-backward` | scatter-gather delegating to SI-Backward |
-    /// | `sg-mi-backward` | scatter-gather over MI-Backward |
     pub fn with_default_engines() -> Self {
         let mut registry = EngineRegistry::new();
         registry.register_with_aliases(
@@ -120,26 +115,6 @@ impl EngineRegistry {
                     use_activation: true,
                 }))
             }),
-        );
-        registry.register_with_aliases(
-            "scatter-gather",
-            vec!["sg"],
-            Box::new(|| Box::new(ScatterGatherSearch::new())),
-        );
-        registry.register_with_aliases(
-            "sg-bidirectional",
-            vec![],
-            Box::new(|| Box::new(ScatterGatherSearch::over_bidirectional())),
-        );
-        registry.register_with_aliases(
-            "sg-si-backward",
-            vec![],
-            Box::new(|| Box::new(ScatterGatherSearch::over_si_backward())),
-        );
-        registry.register_with_aliases(
-            "sg-mi-backward",
-            vec![],
-            Box::new(|| Box::new(ScatterGatherSearch::over_mi_backward())),
         );
         registry
     }
@@ -292,10 +267,6 @@ mod tests {
                 "mi-backward",
                 "bidirectional-no-activation",
                 "backward-activation",
-                "scatter-gather",
-                "sg-bidirectional",
-                "sg-si-backward",
-                "sg-mi-backward",
             ]
         );
         assert_eq!(
@@ -320,23 +291,6 @@ mod tests {
         assert_eq!(
             registry.create("backward-activation").unwrap().name(),
             "Backward(activation)"
-        );
-        assert_eq!(
-            registry.create("scatter-gather").unwrap().name(),
-            "ScatterGather"
-        );
-        assert_eq!(registry.create("sg").unwrap().name(), "ScatterGather");
-        assert_eq!(
-            registry.create("sg-bidirectional").unwrap().name(),
-            "ScatterGather(bidirectional)"
-        );
-        assert_eq!(
-            registry.create("sg-si-backward").unwrap().name(),
-            "ScatterGather(si-backward)"
-        );
-        assert_eq!(
-            registry.create("sg-mi-backward").unwrap().name(),
-            "ScatterGather"
         );
     }
 
@@ -429,6 +383,6 @@ mod tests {
         assert_eq!(registry.create("bidir").unwrap().name(), "SI-Backward");
         registry.register("custom", Box::new(|| Box::new(BidirectionalSearch::new())));
         assert!(registry.contains("custom"));
-        assert_eq!(registry.names().len(), 10);
+        assert_eq!(registry.names().len(), 6);
     }
 }

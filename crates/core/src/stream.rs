@@ -40,7 +40,7 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use banks_graph::DataGraph;
-use banks_obs::{ShardTimes, WorkCounters};
+use banks_obs::WorkCounters;
 use banks_prestige::PrestigeVector;
 use banks_textindex::KeywordMatches;
 
@@ -74,14 +74,6 @@ pub struct QueryContext<'a> {
     /// default) skips sampling entirely, keeping untraced queries free of
     /// instrumentation cost.
     pub observer: Option<&'a WorkCounters>,
-    /// Number of execution shards a scatter-gather engine may spread its
-    /// iterator groups over.  `1` (the default) keeps every engine on the
-    /// unsharded single-thread code path.
-    pub shards: usize,
-    /// Per-shard busy-time accumulators the scatter-gather engine adds its
-    /// parallel refill rounds into.  `None` (the default) skips the
-    /// accounting entirely.
-    pub shard_times: Option<&'a ShardTimes>,
 }
 
 impl<'a> QueryContext<'a> {
@@ -100,8 +92,6 @@ impl<'a> QueryContext<'a> {
             params,
             cancel: None,
             observer: None,
-            shards: 1,
-            shard_times: None,
         }
     }
 
@@ -117,22 +107,6 @@ impl<'a> QueryContext<'a> {
     /// step with relaxed stores.
     pub fn with_observer(mut self, observer: &'a WorkCounters) -> Self {
         self.observer = Some(observer);
-        self
-    }
-
-    /// Sets the number of execution shards available to scatter-gather
-    /// engines (clamped to at least 1).  Engines without a sharded
-    /// decomposition ignore it.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
-    /// Attaches per-shard busy-time accumulators: the scatter-gather
-    /// engine adds the wall time of every parallel refill round to the
-    /// slot of the shard it served.
-    pub fn with_shard_times(mut self, times: &'a ShardTimes) -> Self {
-        self.shard_times = Some(times);
         self
     }
 
@@ -446,12 +420,10 @@ mod tests {
         assert!(!stream.is_exhausted());
     }
 
-    /// All four engines honour cancellation through the shared driver
-    /// (scatter-gather is exercised on its genuinely sharded path).
+    /// All three engines honour cancellation through the shared driver.
     #[test]
     fn every_engine_honours_cancellation() {
         use crate::backward::BackwardExpandingSearch;
-        use crate::scatter::ScatterGatherSearch;
         use crate::si_backward::SingleIteratorBackwardSearch;
 
         let g = graph_from_edges(50, &(0..49).map(|i| (i, i + 1)).collect::<Vec<_>>());
@@ -462,16 +434,12 @@ mod tests {
             Box::new(BidirectionalSearch::new()),
             Box::new(SingleIteratorBackwardSearch::new()),
             Box::new(BackwardExpandingSearch::new()),
-            Box::new(ScatterGatherSearch::new()),
         ];
         for engine in engines {
             let token = crate::CancelToken::new();
             token.cancel();
-            let mut stream = engine.start(
-                QueryContext::new(&g, &p, &m, params)
-                    .with_cancel(&token)
-                    .with_shards(4),
-            );
+            let mut stream =
+                engine.start(QueryContext::new(&g, &p, &m, params).with_cancel(&token));
             assert!(stream.next().is_none(), "{}", engine.name());
             assert!(stream.stats().cancelled, "{}", engine.name());
             assert!(!stream.is_exhausted(), "{}", engine.name());

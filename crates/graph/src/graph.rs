@@ -641,8 +641,8 @@ impl DataGraph {
     }
 
     /// Fraction of nodes whose adjacency rows live in the overlay rather
-    /// than the shared base — the signal [`crate::GraphStore`] uses to
-    /// decide when compaction pays.
+    /// than the shared base — the signal the serving and persistence tiers
+    /// use to decide when compaction pays.
     pub fn overlay_ratio(&self) -> f64 {
         let n = self.num_nodes();
         if n == 0 {

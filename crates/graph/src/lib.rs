@@ -23,13 +23,12 @@
 //!   first-class incremental updates: a batch produces a structurally
 //!   shared successor graph (copy-on-write adjacency, fresh epoch) in
 //!   O(touched rows) instead of a rebuild,
-//! * [`GraphStore`] — owns the current version, applies batches, keeps the
-//!   mutation log, and compacts the overlay when it grows,
+//! * [`MutationLog`] — the bounded record of applied batches the owner of
+//!   the current version keeps beside it,
 //! * [`ExpansionPolicy`] / [`BackwardWeightPolicy`] — the knobs controlling
 //!   how backward edges are derived,
-//! * traversal helpers ([`traversal`]), statistics ([`stats`]),
-//!   Graphviz export ([`dot`]) and a dependency-free text serialisation
-//!   format ([`serialize`]).
+//! * traversal helpers ([`traversal`]), statistics ([`stats`]) and
+//!   Graphviz export ([`dot`]).
 //!
 //! The in-memory representation follows the paper's "the graph is really
 //! only an index" philosophy: nodes carry only a kind id and a short label;
@@ -42,12 +41,10 @@ pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod ids;
+pub mod log;
 pub mod mutation;
 pub mod node;
-pub mod partition;
-pub mod serialize;
 pub mod stats;
-pub mod store;
 pub mod traversal;
 pub mod weights;
 
@@ -57,11 +54,10 @@ pub use csr::CsrAdjacency;
 pub use error::GraphError;
 pub use graph::{DataGraph, EdgeRef, GraphMemory, StorageParts, StorageRef};
 pub use ids::{EdgeId, KindId, NodeId};
+pub use log::{AppliedBatch, MutationLog, DEFAULT_LOG_CAPACITY};
 pub use mutation::{BatchOutcome, GraphMutation, LabelChange, MutationBatch, OpEffect};
 pub use node::{EdgeKind, NodeMeta};
-pub use partition::{GraphPartition, ShardSpec, ShardStats, ShardSubgraph};
 pub use stats::GraphStats;
-pub use store::{AppliedBatch, GraphStore, MutationLog, DEFAULT_LOG_CAPACITY};
 pub use weights::{BackwardWeightPolicy, ExpansionPolicy};
 
 /// Result alias used throughout the crate.

@@ -96,23 +96,6 @@ proptest! {
         }
     }
 
-    /// Serialisation round-trips the original structure.
-    #[test]
-    fn serialization_roundtrip((n, edges) in arb_graph()) {
-        let g = build(n, &edges, ExpansionPolicy::paper_default());
-        let text = banks_graph::serialize::to_text(&g);
-        let g2 = banks_graph::serialize::from_text(&text, ExpansionPolicy::paper_default()).unwrap();
-        prop_assert_eq!(g.num_nodes(), g2.num_nodes());
-        prop_assert_eq!(g.num_original_edges(), g2.num_original_edges());
-        for u in g.nodes() {
-            let mut a: Vec<_> = g.out_edges(u).map(|e| (e.to.0, e.kind.is_backward())).collect();
-            let mut b: Vec<_> = g2.out_edges(u).map(|e| (e.to.0, e.kind.is_backward())).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            prop_assert_eq!(a, b);
-        }
-    }
-
     /// Dijkstra distances satisfy the triangle inequality over direct edges.
     #[test]
     fn dijkstra_relaxed_edges((n, edges) in arb_graph()) {

@@ -2,7 +2,7 @@
 //!
 //! Counters say *how often*, traces say *how long* — the event log says
 //! *what happened*: admission rejects, quota 429s, mutation batches,
-//! checkpoints, snapshot swaps, crash recovery, shard fan-out, SLO alert
+//! checkpoints, snapshot swaps, crash recovery, SLO alert
 //! fire/resolve, and watchdog trips, each stamped with a monotonically
 //! increasing id so HTTP clients can page (`GET /debug/events?since=<id>`)
 //! or tail live over SSE and resume after a disconnect with

@@ -14,9 +14,6 @@
 //!   queue wait, TTFA, mutation apply, checkpoint and WAL-fsync latencies;
 //! * [`WorkCounters`] — the per-query live counters (heap pops, rows
 //!   expanded) an engine's step driver publishes with relaxed stores;
-//! * [`ShardTimes`] — per-shard busy-time accumulators the scatter-gather
-//!   engine's parallel refill rounds add into, read back by the service as
-//!   per-shard `expand` spans;
 //! * [`QueryTrace`] / [`TraceSpan`] — one query's phase timeline
 //!   (admit → queue → resolve → expand → first-answer → finish);
 //! * [`TraceRing`] — the bounded ring retaining traced and slow queries
@@ -47,7 +44,6 @@ mod event;
 mod hist;
 mod prom;
 mod ring;
-mod shard;
 mod slo;
 mod timeseries;
 mod trace;
@@ -58,7 +54,6 @@ pub use event::{Event, EventLevel, EventLog};
 pub use hist::{Histogram, LatencySummary, HISTOGRAM_BUCKETS};
 pub use prom::PromText;
 pub use ring::TraceRing;
-pub use shard::ShardTimes;
 pub use slo::{Health, SloEngine, SloReport, SloRow, SloSpec, SloTransition};
 pub use timeseries::{TimeSample, TimeSeriesRing};
 pub use trace::{QueryTrace, TraceSpan};

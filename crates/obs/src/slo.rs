@@ -103,14 +103,12 @@ impl SloSpec {
     }
 
     /// The stock objectives the service ships with: `ttfa_p99 < 250 ms`,
-    /// `error_ratio < 1%`, `queue_wait_p90 < 50 ms`, and per-shard load
-    /// imbalance below 2× the mean.
+    /// `error_ratio < 1%` and `queue_wait_p90 < 50 ms`.
     pub fn defaults() -> Vec<SloSpec> {
         vec![
             SloSpec::upper_bound("ttfa_p99", "ttfa_p99_us", 250_000.0),
             SloSpec::upper_bound("error_ratio", "error_ratio", 0.01),
             SloSpec::upper_bound("queue_wait_p90", "queue_wait_p90_us", 50_000.0),
-            SloSpec::upper_bound("shard_imbalance", "shard_imbalance", 2.0),
         ]
     }
 
@@ -480,15 +478,7 @@ mod tests {
     fn default_specs_cover_the_stock_objectives() {
         let specs = SloSpec::defaults();
         let names: Vec<&str> = specs.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(
-            names,
-            vec![
-                "ttfa_p99",
-                "error_ratio",
-                "queue_wait_p90",
-                "shard_imbalance"
-            ]
-        );
+        assert_eq!(names, vec!["ttfa_p99", "error_ratio", "queue_wait_p90"]);
         for s in &specs {
             assert_eq!(s.fast_window_ms, 300_000);
             assert_eq!(s.slow_window_ms, 3_600_000);

@@ -1,7 +1,6 @@
 //! Durable graph store: snapshot + WAL lifecycle and crash recovery.
 //!
-//! [`PersistentStore`] is the persistence-aware analogue of
-//! `banks_graph::GraphStore`: it owns the current [`DataGraph`] version,
+//! [`PersistentStore`] owns the current [`DataGraph`] version,
 //! appends every accepted batch to the WAL **before** advancing the
 //! in-memory state, and periodically [`checkpoint`](PersistentStore::checkpoint)s
 //! — writing a fresh snapshot, pruning stale ones and truncating the log.

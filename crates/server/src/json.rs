@@ -103,18 +103,6 @@ pub fn metrics(m: &ServiceMetrics) -> String {
         ));
     }
     buf.push(']');
-    buf.push_str(&format!(",\"shards\":{},\"shard_stats\":[", m.shards));
-    for (i, s) in m.shard_stats.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&format!(
-            "{{\"shard\":{},\"owned_nodes\":{},\"replica_nodes\":{},\
-             \"owned_edges\":{},\"cut_edges\":{}}}",
-            s.shard, s.owned_nodes, s.replica_nodes, s.owned_edges, s.cut_edges,
-        ));
-    }
-    buf.push(']');
     for (name, summary) in [
         ("queue_wait", &m.queue_wait),
         ("ttfa", &m.ttfa),
@@ -282,7 +270,6 @@ mod tests {
             "mutation_log_entries",
             "mutation_log_dropped",
             "slow_queries",
-            "shards",
             "health",
             "trace_ring_dropped",
             "event_log_dropped",
@@ -311,7 +298,6 @@ mod tests {
             "default snapshot is healthy"
         );
         assert_eq!(v.get("slo"), Some(&JsonValue::Array(vec![])));
-        assert_eq!(v.get("shard_stats"), Some(&JsonValue::Array(vec![])));
         for summary in [
             "queue_wait",
             "ttfa",

@@ -31,7 +31,7 @@
 //! | `POST /admin/slo` | reconfigure SLOs at runtime: a `{"slos":[…]}` body replaces the set, a single spec object upserts one objective |
 //! | `GET /replication/stream` | SSE tail of the mutation WAL for followers: `record` events carry hex WAL record bytes with the record epoch as the SSE id (`Last-Event-ID` / `?from_epoch=` resumes); `head` events (always the first frame, then before each batch and once a second while idle) announce leader epoch + pending records; the stream wakes on each epoch publish; a cursor behind the truncation horizon gets a terminal `bootstrap` event |
 //! | `GET /replication/snapshot` | the newest on-disk snapshot verbatim (epoch in `X-Banks-Snapshot-Epoch`) — follower bootstrap seed |
-//! | `GET /healthz` | liveness: status, SLO `health` verdict, serving epoch, worker count, shard count, engine names, durability (`last_checkpoint_epoch`, `wal_records`, `wal_bytes`), replication role + lag |
+//! | `GET /healthz` | liveness: status, SLO `health` verdict, serving epoch, worker count, engine names, durability (`last_checkpoint_epoch`, `wal_records`, `wal_bytes`), replication role + lag |
 //!
 //! `POST /query` takes a JSON body — `{"q":"jim gray","top_k":5}` or
 //! `{"keywords":["jim","gray"],"engine":"si-backward"}` — while `GET

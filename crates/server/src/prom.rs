@@ -229,39 +229,6 @@ pub fn render(m: &ServiceMetrics) -> String {
         "Admission queue occupancy as a fraction of its capacity.",
         m.queue_saturation,
     );
-    p.gauge(
-        "banks_shards",
-        "Shards the served graph is partitioned into (1 = unsharded).",
-        m.shards as f64,
-    );
-    for s in &m.shard_stats {
-        let shard = s.shard.to_string();
-        let labels = [("shard", shard.as_str())];
-        p.gauge_labeled(
-            "banks_shard_owned_nodes",
-            "Nodes owned by each shard.",
-            &labels,
-            s.owned_nodes as f64,
-        );
-        p.gauge_labeled(
-            "banks_shard_replica_nodes",
-            "Boundary replica nodes held by each shard.",
-            &labels,
-            s.replica_nodes as f64,
-        );
-        p.gauge_labeled(
-            "banks_shard_owned_edges",
-            "Edges whose source is owned by each shard.",
-            &labels,
-            s.owned_edges as f64,
-        );
-        p.gauge_labeled(
-            "banks_shard_cut_edges",
-            "Edges crossing out of each shard (replicated at the boundary).",
-            &labels,
-            s.cut_edges as f64,
-        );
-    }
 
     summary(
         &mut p,
@@ -386,7 +353,7 @@ fn summary(p: &mut PromText, name: &str, help: &str, s: &LatencySummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use banks_service::{CalibrationRow, ShardStats, SloRow, TenantMetrics};
+    use banks_service::{CalibrationRow, SloRow, TenantMetrics};
     use std::collections::HashSet;
     use std::time::Duration;
 
@@ -397,14 +364,6 @@ mod tests {
             cache_hits: 3,
             slow_queries: 1,
             persistence_enabled: true,
-            shards: 2,
-            shard_stats: vec![ShardStats {
-                shard: 0,
-                owned_nodes: 40,
-                replica_nodes: 6,
-                owned_edges: 90,
-                cut_edges: 12,
-            }],
             tenants: vec![TenantMetrics {
                 tenant: "acme".to_string(),
                 executed: 5,
@@ -490,9 +449,6 @@ mod tests {
             "banks_calibration_correction{engine=\"bidirectional\",origin_bucket=\"3\"} 1.4"
         ));
         assert!(text.contains("banks_persistence_enabled 1"));
-        assert!(text.contains("banks_shards 2"));
-        assert!(text.contains("banks_shard_owned_nodes{shard=\"0\"} 40"));
-        assert!(text.contains("banks_shard_cut_edges{shard=\"0\"} 12"));
     }
 
     #[test]

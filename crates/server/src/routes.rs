@@ -15,7 +15,7 @@
 //! | `POST /admin/slo` | replace (`{"slos":[…]}` / bare array) or upsert (single spec object) the SLO set at runtime |
 //! | `GET /replication/stream` | SSE tail of the leader WAL, woken by each epoch publish: a `head` event first, then `record` events (hex-encoded WAL record bytes, epoch as SSE `id:`) with a `head` before each batch and once a second while idle, a terminal `bootstrap` event when the cursor is behind the truncation horizon; resume via `Last-Event-ID` or `?from_epoch=`; ends on server shutdown |
 //! | `GET /replication/snapshot` | the newest on-disk snapshot, verbatim (`X-Banks-Snapshot-Epoch` header) — follower bootstrap |
-//! | `GET /healthz` | liveness probe (epoch, workers, shards, engines) + durability status + replication status + three-state SLO health |
+//! | `GET /healthz` | liveness probe (epoch, workers, engines) + durability status + replication status + three-state SLO health |
 //!
 //! Tenant and priority travel as headers (`X-Banks-Tenant`,
 //! `X-Banks-Priority`), so the PR-3 scheduler and the quota layer govern
@@ -299,14 +299,13 @@ fn respond_healthz(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
     // `health` is the SLO judgment ("the process answers *well*") — a
     // probe that only checks reachability keeps working unchanged.
     let body = format!(
-        "{{\"status\":\"ok\",\"health\":\"{}\",\"epoch\":{},\"workers\":{},\"shards\":{},\
+        "{{\"status\":\"ok\",\"health\":\"{}\",\"epoch\":{},\"workers\":{},\
          \"engines\":{},\
          \"persistence\":{},\"last_checkpoint_epoch\":{},\"wal_records\":{},\
          \"wal_bytes\":{},\"replication\":{}}}",
         ctx.service.health().as_str(),
         ctx.service.epoch(),
         ctx.service.workers(),
-        ctx.service.shards(),
         engines,
         durability.enabled,
         durability.last_checkpoint_epoch,

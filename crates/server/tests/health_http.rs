@@ -160,20 +160,12 @@ fn debug_slo_serves_the_stored_report() {
         Some(JsonValue::Array(rows)) => rows,
         other => panic!("expected slos array, got {other:?}"),
     };
-    assert_eq!(rows.len(), 4, "the four stock objectives");
+    assert_eq!(rows.len(), 3, "the three stock objectives");
     let names: Vec<&str> = rows
         .iter()
         .map(|r| r.get("name").and_then(JsonValue::as_str).unwrap())
         .collect();
-    assert_eq!(
-        names,
-        vec![
-            "ttfa_p99",
-            "error_ratio",
-            "queue_wait_p90",
-            "shard_imbalance"
-        ]
-    );
+    assert_eq!(names, vec!["ttfa_p99", "error_ratio", "queue_wait_p90"]);
     for row in rows {
         assert_eq!(row.get("state").and_then(JsonValue::as_str), Some("ok"));
         assert!(row.get("threshold").and_then(JsonValue::as_f64).is_some());

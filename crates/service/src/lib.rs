@@ -27,14 +27,6 @@
 //!   the snapshot it resolved against: in-flight work finishes on the old
 //!   version, new admissions see the new epoch, and the epoch-keyed result
 //!   cache can never serve stale answers.
-//! * **Sharded scatter-gather execution** — [`ServiceBuilder::shards`]
-//!   partitions the served graph into `K` hash-assigned shards behind a
-//!   [`ShardSet`] (union snapshot + [`banks_graph::GraphPartition`], one
-//!   logical epoch).  The `scatter-gather` engine family refills per-shard
-//!   frontiers in parallel and merges them through a single output heap,
-//!   so the answer stream is **byte-identical** to the unsharded run;
-//!   mutations fan their accepted ops out to the owning shards inside the
-//!   same epoch swap.  `K = 1` degenerates to the plain snapshot path.
 //! * **Incremental mutations** — [`Service::apply_mutations`] applies a
 //!   [`banks_graph::MutationBatch`] to the served snapshot as a *delta*:
 //!   copy-on-write adjacency, index delta (only touched labels
@@ -75,7 +67,7 @@
 //!   saturated.
 //! * **[`ServiceMetrics`]** — aggregate counters (submitted / rejected /
 //!   executed / cancelled / cache hits / swaps), queue-wait percentiles
-//!   ([`QueueWaitSummary`]) and per-tenant outcomes ([`TenantMetrics`]).
+//!   ([`LatencySummary`]) and per-tenant outcomes ([`TenantMetrics`]).
 //!
 //! ## Example
 //!
@@ -141,11 +133,9 @@ mod quota;
 pub mod replication;
 mod sched;
 pub mod service;
-pub mod shardset;
 pub mod snapshot;
 pub mod spec;
 
-pub use banks_graph::{ShardSpec, ShardStats};
 pub use banks_obs::{
     CalibrationRow, Event, EventLevel, EventLog, Health, LatencySummary, QueryTrace, SloReport,
     SloRow, SloSpec, TimeSample, TimeSeriesRing, TraceSpan,
@@ -154,12 +144,11 @@ pub use banks_persist::{
     decode_record, encode_record, FsyncPolicy, PersistError, PersistOptions, WalPosition, WalRecord,
 };
 pub use handle::{QueryEvent, QueryHandle, QueryId, QueryResult, RecvTimeout};
-pub use metrics::{QueueWaitSummary, ServiceMetrics, TenantMetrics, OVERFLOW_TENANT};
+pub use metrics::{ServiceMetrics, TenantMetrics, OVERFLOW_TENANT};
 pub use persistence::DurabilityStatus;
 pub use replication::{
     ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationStatus, WalTail,
 };
 pub use service::{parse_slo_specs, MutationReport, Service, ServiceBuilder, SubmitError};
-pub use shardset::ShardSet;
 pub use snapshot::GraphSnapshot;
 pub use spec::{Priority, QuerySpec};

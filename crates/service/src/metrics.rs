@@ -21,8 +21,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use banks_graph::ShardStats;
-use banks_obs::{CalibrationRow, Health, Histogram, SloRow, HISTOGRAM_BUCKETS};
+use banks_obs::{CalibrationRow, Health, Histogram, LatencySummary, SloRow, HISTOGRAM_BUCKETS};
 
 use crate::quota::QuotaSettings;
 use crate::replication::ReplicationStatus;
@@ -118,7 +117,7 @@ impl WaitStats {
         self.row(tenant).quota_rejected += 1;
     }
 
-    fn summary(&self) -> QueueWaitSummary {
+    fn summary(&self) -> LatencySummary {
         self.hist.summary()
     }
 
@@ -148,12 +147,6 @@ impl WaitStats {
         rows
     }
 }
-
-/// Distribution of queue wait (admission → worker pickup) across every
-/// executed query.  An alias of [`banks_obs::LatencySummary`] — the
-/// generalized histogram kit this summary's original implementation was
-/// extracted into — kept for source compatibility.
-pub type QueueWaitSummary = banks_obs::LatencySummary;
 
 /// Per-tenant scheduling outcomes: how much ran and how long it queued.
 ///
@@ -250,26 +243,20 @@ pub struct ServiceMetrics {
     /// retained for `GET /debug/slow`).
     pub slow_queries: u64,
     /// Queue-wait distribution across executed queries.
-    pub queue_wait: QueueWaitSummary,
+    pub queue_wait: LatencySummary,
     /// Time-to-first-answer distribution across executed queries that
     /// produced at least one answer (cache hits excluded — they answer at
     /// submit time).
-    pub ttfa: QueueWaitSummary,
+    pub ttfa: LatencySummary,
     /// Apply-latency distribution of successful mutation batches
     /// (lock acquisition through snapshot swap, WAL append included).
-    pub mutation_apply: QueueWaitSummary,
+    pub mutation_apply: LatencySummary,
     /// Checkpoint-latency distribution (snapshot write + WAL reset +
     /// prune); empty when persistence is off.
-    pub checkpoint_latency: QueueWaitSummary,
+    pub checkpoint_latency: LatencySummary,
     /// WAL fsync-latency distribution; empty when persistence is off or
     /// the fsync policy never syncs.
-    pub wal_fsync: QueueWaitSummary,
-    /// Number of shards the serving graph is partitioned into
-    /// ([`crate::ServiceBuilder::shards`]; 1 = unsharded).
-    pub shards: u64,
-    /// Per-shard partition sizes (owned/replica nodes, owned/cut edges)
-    /// of the currently-served version; empty when unsharded.
-    pub shard_stats: Vec<ShardStats>,
+    pub wal_fsync: LatencySummary,
     /// Per-tenant scheduling outcomes, sorted by tenant name.
     pub tenants: Vec<TenantMetrics>,
     /// Cost-model calibration rows: measured `nodes_explored` per
@@ -365,12 +352,10 @@ impl ServiceMetrics {
             mutation_log_dropped: 0,
             slow_queries: counters.slow_queries.load(Ordering::Relaxed),
             queue_wait: waits.summary(),
-            ttfa: QueueWaitSummary::default(),
-            mutation_apply: QueueWaitSummary::default(),
-            checkpoint_latency: QueueWaitSummary::default(),
-            wal_fsync: QueueWaitSummary::default(),
-            shards: 1,
-            shard_stats: Vec::new(),
+            ttfa: LatencySummary::default(),
+            mutation_apply: LatencySummary::default(),
+            checkpoint_latency: LatencySummary::default(),
+            wal_fsync: LatencySummary::default(),
             tenants,
             calibration: Vec::new(),
             health: Health::Ok,
@@ -423,7 +408,7 @@ mod tests {
         assert_eq!(snap.epoch, 42);
         assert!((snap.cache_hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(ServiceMetrics::default().cache_hit_rate(), 0.0);
-        assert_eq!(snap.queue_wait, QueueWaitSummary::default());
+        assert_eq!(snap.queue_wait, LatencySummary::default());
         assert!(snap.tenants.is_empty());
     }
 

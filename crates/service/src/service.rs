@@ -14,12 +14,11 @@ use banks_core::{
     CancelToken, EngineRegistry, QueryContext, QueryCost, ResultCache, SearchOutcome, SearchStats,
 };
 use banks_graph::{
-    AppliedBatch, BatchOutcome, DataGraph, GraphPartition, MutationBatch, MutationLog, ShardSpec,
-    ShardStats, DEFAULT_LOG_CAPACITY,
+    AppliedBatch, BatchOutcome, DataGraph, MutationBatch, MutationLog, DEFAULT_LOG_CAPACITY,
 };
 use banks_obs::{
-    CostCalibration, EventLevel, EventLog, Health, Histogram, QueryTrace, ShardTimes, SloEngine,
-    SloReport, SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
+    CostCalibration, EventLevel, EventLog, Health, Histogram, QueryTrace, SloEngine, SloReport,
+    SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
 };
 use banks_persist::{
     list_snapshots, recover, replay_wal, FsyncPolicy, PersistError, PersistOptions, Wal,
@@ -37,7 +36,6 @@ use crate::replication::{
     WalTail,
 };
 use crate::sched::WorkQueue;
-use crate::shardset::ShardSet;
 use crate::snapshot::GraphSnapshot;
 use crate::spec::QuerySpec;
 
@@ -108,10 +106,10 @@ pub struct MutationReport {
     /// unchanged, so the caller can retry safely.
     pub persist_error: Option<String>,
     /// Phase trace of the apply itself — delta build, WAL append (with
-    /// the fsync this append triggered, if any), shard fan-out, snapshot
-    /// swap, and the checkpoint the mutation triggered.  `None` when
-    /// nothing was applied.  The same trace is retained in the service's
-    /// trace ring under `engine == "mutation"`.
+    /// the fsync this append triggered, if any), snapshot swap, and the
+    /// checkpoint the mutation triggered.  `None` when nothing was
+    /// applied.  The same trace is retained in the service's trace ring
+    /// under `engine == "mutation"`.
     pub trace: Option<Arc<QueryTrace>>,
 }
 
@@ -153,7 +151,6 @@ fn timeseries_schema() -> Vec<&'static str> {
         "ttfa_p99_us",
         "queue_wait_p50_us",
         "queue_wait_p90_us",
-        "shard_imbalance",
         "queue_saturation",
         "replication_lag_ms",
     ]
@@ -166,20 +163,6 @@ fn unix_ms() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
         .unwrap_or(0)
-}
-
-/// Span names for per-shard expand attribution.  [`banks_obs::TraceSpan`]
-/// names are `&'static str`, so shard indices map through a fixed table;
-/// shards beyond it share the overflow name (a display concern only — the
-/// per-shard times themselves are exact for any count).
-const SHARD_SPAN_NAMES: [&str; 16] = [
-    "shard-0", "shard-1", "shard-2", "shard-3", "shard-4", "shard-5", "shard-6", "shard-7",
-    "shard-8", "shard-9", "shard-10", "shard-11", "shard-12", "shard-13", "shard-14", "shard-15",
-];
-
-/// The static span name for `shard`.
-fn shard_span_name(shard: usize) -> &'static str {
-    SHARD_SPAN_NAMES.get(shard).copied().unwrap_or("shard-16+")
 }
 
 /// Phase timestamps collected while a query moves through admission and
@@ -240,7 +223,6 @@ fn build_trace(
     expand_end_us: Option<u64>,
     time_to_first_answer: Option<Duration>,
     stats: &SearchStats,
-    shard_times: Option<&ShardTimes>,
 ) -> QueryTrace {
     let mut trace = QueryTrace {
         id: id.0,
@@ -259,21 +241,6 @@ fn build_trace(
     if let (Some(pickup), Some(expand_end)) = (pickup_us, expand_end_us) {
         trace.push_span("queue", ctx.enqueued_us, pickup);
         trace.push_span("expand", pickup, expand_end);
-        // Per-shard expand attribution: the scatter engine charges each
-        // shard its proportional share of every refill round's wall time,
-        // so these spans — laid end to end from pickup — always sum to at
-        // most the expand span (the merge loop and rounding eat the rest).
-        if let Some(times) = shard_times {
-            let mut start = pickup;
-            for (shard, busy) in times.totals().into_iter().enumerate() {
-                if busy == 0 {
-                    continue;
-                }
-                let end = (start + busy).min(expand_end);
-                trace.push_span(shard_span_name(shard), start, end);
-                start = end;
-            }
-        }
     }
     if let Some(ttfa) = time_to_first_answer {
         let ttfa_us = ttfa.as_micros().min(u64::MAX as u128) as u64;
@@ -323,10 +290,6 @@ struct Job {
     /// The a priori cost estimate the scheduler charged (calibration
     /// feedback compares it with the measured `nodes_explored`).
     cost: QueryCost,
-    /// Shard count of the set this job was admitted under — the
-    /// scatter-gather engines parallelise across this many shards; 1 runs
-    /// the plain unsharded path.
-    shards: usize,
     trace: TraceCtx,
 }
 
@@ -340,10 +303,9 @@ struct QueueState {
 
 /// Everything the workers share.
 struct Inner {
-    /// The currently-served shard set (union snapshot + partition);
-    /// [`Service::swap_graph`] replaces the `Arc` while in-flight queries
-    /// keep their pinned clones alive.
-    serving: Mutex<Arc<ShardSet>>,
+    /// The currently-served snapshot; [`Service::swap_graph`] replaces the
+    /// `Arc` while in-flight queries keep their pinned clones alive.
+    serving: Mutex<Arc<GraphSnapshot>>,
     /// Counts what a replication stream must look at again: every publish
     /// of a serving epoch, every checkpoint (the WAL truncation horizon
     /// moved) and every [`Service::wake_publish_waiters`].  Advanced only
@@ -352,9 +314,6 @@ struct Inner {
     publish_generation: AtomicU64,
     /// Signalled after every `publish_generation` advance.
     published: Condvar,
-    /// Configured shard count (≥ 1); every swapped-in version is
-    /// partitioned to the same count.
-    shards: usize,
     registry: EngineRegistry,
     default_engine: String,
     cache: Arc<ResultCache>,
@@ -436,7 +395,6 @@ pub struct ServiceBuilder {
     persistence: Option<(PathBuf, PersistOptions)>,
     log_capacity: usize,
     slow_query_threshold: Duration,
-    shards: usize,
     collector_cadence: Duration,
     slos: Option<Vec<SloSpec>>,
     event_log_capacity: usize,
@@ -630,19 +588,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Partitions the served graph into `shards` hash-assigned shards
-    /// (default 1: unsharded; clamped to at least 1).  Every graph version
-    /// this service serves — the boot graph, recovered state, wholesale
-    /// swaps, mutation successors — is partitioned to the same count
-    /// behind a [`ShardSet`], and the `scatter-gather` engine family
-    /// executes across the shards in parallel while emitting a stream
-    /// byte-identical to the unsharded run.  Mutation batches fan their
-    /// accepted ops out to the owning shards inside the same epoch swap.
-    pub fn shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// End-to-end latency beyond which a query counts as **slow** (default
     /// 250 ms): its phase trace is retained in the bounded trace ring —
     /// retrievable via [`Service::slow_traces`] / [`Service::trace`], and
@@ -664,9 +609,9 @@ impl ServiceBuilder {
     }
 
     /// Replaces the stock SLO set ([`SloSpec::defaults`]: `ttfa_p99 <
-    /// 250 ms`, `error_ratio < 1%`, `queue_wait_p90 < 50 ms`,
-    /// `shard_imbalance < 2`).  An empty vector disables SLO judgment —
-    /// health stays `ok` and `GET /debug/slo` reports no specs.
+    /// 250 ms`, `error_ratio < 1%`, `queue_wait_p90 < 50 ms`).  An empty
+    /// vector disables SLO judgment — health stays `ok` and `GET
+    /// /debug/slo` reports no specs.
     pub fn slos(mut self, specs: Vec<SloSpec>) -> Self {
         self.slos = Some(specs);
         self
@@ -788,10 +733,9 @@ impl ServiceBuilder {
         };
         let quota_enabled = self.quota.enabled();
         let inner = Arc::new(Inner {
-            serving: Mutex::new(Arc::new(ShardSet::build(snapshot, self.shards))),
+            serving: Mutex::new(Arc::new(snapshot)),
             publish_generation: AtomicU64::new(0),
             published: Condvar::new(),
-            shards: self.shards,
             registry,
             default_engine: self.default_engine,
             cache,
@@ -860,8 +804,8 @@ impl ServiceBuilder {
 /// `"name"`, `"metric"` and `"threshold"`; the optional `"budget"`,
 /// `"fast_window_ms"`, `"slow_window_ms"`, `"fire_burn"` and
 /// `"resolve_burn"` members override the [`SloSpec::upper_bound`]
-/// defaults.  Unknown members are rejected — a typo must not silently
-/// weaken an objective.
+/// defaults.  Unknown members, and a `"metric"` the collector records no
+/// series for, are rejected — a typo must not silently weaken an objective.
 ///
 /// ```
 /// let specs = banks_service::parse_slo_specs(
@@ -889,6 +833,7 @@ pub fn parse_slo_specs(text: &str) -> Result<Vec<SloSpec>, String> {
         },
         _ => return Err("expected a top-level array or object".to_string()),
     };
+    let known_metrics = timeseries_schema();
     let mut specs = Vec::with_capacity(entries.len());
     for (i, entry) in entries.iter().enumerate() {
         let JsonValue::Object(map) = entry else {
@@ -936,8 +881,17 @@ pub fn parse_slo_specs(text: &str) -> Result<Vec<SloSpec>, String> {
         };
         let threshold =
             number_field("threshold")?.ok_or_else(|| format!("slo #{i}: missing \"threshold\""))?;
-        let mut spec =
-            SloSpec::upper_bound(string_field("name")?, string_field("metric")?, threshold);
+        let name = string_field("name")?;
+        let metric = string_field("metric")?;
+        // `burn_over` finds no samples for a series the collector does not
+        // record, so such an objective would read `ok` and never fire.
+        if !known_metrics.contains(&metric.as_str()) {
+            return Err(format!(
+                "slo #{i}: unknown metric {metric:?}; known metrics: {}",
+                known_metrics.join(", ")
+            ));
+        }
+        let mut spec = SloSpec::upper_bound(name, metric, threshold);
         if let Some(budget) = number_field("budget")? {
             if !(budget > 0.0 && budget <= 1.0) {
                 return Err(format!("slo #{i}: \"budget\" must be in (0, 1]"));
@@ -1039,7 +993,6 @@ impl Service {
             persistence: None,
             log_capacity: DEFAULT_LOG_CAPACITY,
             slow_query_threshold: Duration::from_millis(250),
-            shards: 1,
             collector_cadence: Duration::from_secs(10),
             slos: None,
             event_log_capacity: 1024,
@@ -1103,14 +1056,10 @@ impl Service {
         }
         trace.admit_us = trace.elapsed_us();
 
-        // Pin the serving shard set: everything below — keyword resolution,
+        // Pin the serving snapshot: everything below — keyword resolution,
         // cache key, execution — consistently uses this version, no matter
-        // how many swaps happen while the query waits or runs.  The cache
-        // key carries only the epoch: the shard count never affects answer
-        // bytes (that is the scatter-gather contract), so sharded and
-        // unsharded runs share cache entries.
-        let shard_set = Arc::clone(&inner.serving.lock().expect("serving lock"));
-        let snapshot = Arc::clone(shard_set.snapshot());
+        // how many swaps happen while the query waits or runs.
+        let snapshot = self.snapshot();
 
         // The same single normalization point as the `Banks` facade: the
         // normalized keywords feed both origin-set resolution and the cache
@@ -1170,7 +1119,6 @@ impl Service {
                     None,
                     first_answer,
                     &hit.stats,
-                    None,
                 ))
             });
             if slow {
@@ -1245,7 +1193,6 @@ impl Service {
             state: Arc::clone(&state),
             submitted_at,
             cost,
-            shards: shard_set.shards(),
             trace,
         };
         {
@@ -1358,8 +1305,7 @@ impl Service {
         let apply_started = Instant::now();
         let elapsed_us = || apply_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
         let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let current_set = self.shard_set();
-        let current = Arc::clone(current_set.snapshot());
+        let current = self.snapshot();
         let previous_epoch = current.epoch();
         // The expensive part — adjacency row rewrites, index delta,
         // prestige refresh, the occasional compaction — happens here, with
@@ -1414,15 +1360,8 @@ impl Service {
             }
         }
 
-        // Shard fan-out: clone the partition (structurally shared) and
-        // apply exactly the accepted ops to the owning shards, so the
-        // successor set swaps in with union and shards at one epoch.
-        let fanout_start_us = elapsed_us();
-        let partition = current_set.successor_partition(&next, batch, &outcome);
-        let fanout_end_us = elapsed_us();
-
         let swap_start_us = elapsed_us();
-        let epoch = self.swap_snapshot_inner(next, partition);
+        let epoch = self.swap_snapshot_inner(next);
         let swap_end_us = elapsed_us();
         // Apply latency: admin-lock acquisition through WAL append and
         // snapshot swap (post-swap checkpoints are accounted separately).
@@ -1470,16 +1409,6 @@ impl Service {
                 outcome.rejected()
             ),
         );
-        if current_set.shards() > 1 {
-            self.inner.events.emit(
-                EventLevel::Info,
-                "shard-fanout",
-                format!(
-                    "batch fanned out across {} shards at epoch {epoch}",
-                    current_set.shards()
-                ),
-            );
-        }
 
         // The mutation's own phase trace: the checkpoint and WAL fsync it
         // triggered are attributed to it here rather than showing up only
@@ -1499,9 +1428,6 @@ impl Service {
             if fsync_us > 0 {
                 trace.push_span("wal-fsync", end.saturating_sub(fsync_us), end);
             }
-        }
-        if current_set.shards() > 1 {
-            trace.push_span("shard-fanout", fanout_start_us, fanout_end_us);
         }
         trace.push_span("swap", swap_start_us, swap_end_us);
         if let Some((start, end)) = checkpoint_span {
@@ -1534,11 +1460,7 @@ impl Service {
     /// not undo the swap (queries are already running on the new graph);
     /// it is recorded and surfaced via [`Service::durability`].
     pub fn swap_snapshot(&self, snapshot: GraphSnapshot) -> u64 {
-        // A wholesale swap has no delta to fan out: rebuild the partition
-        // from scratch, outside the serving lock.
-        let partition = (self.inner.shards > 1)
-            .then(|| GraphPartition::build(snapshot.graph(), ShardSpec::new(self.inner.shards)));
-        let epoch = self.swap_snapshot_inner(snapshot, partition);
+        let epoch = self.swap_snapshot_inner(snapshot);
         if let Some(persistence) = &self.inner.persistence {
             let mut persistence = persistence.lock().expect("persistence lock");
             let _ = self.checkpoint_locked(&mut persistence, "post-swap");
@@ -1546,11 +1468,7 @@ impl Service {
         epoch
     }
 
-    fn swap_snapshot_inner(
-        &self,
-        mut snapshot: GraphSnapshot,
-        partition: Option<GraphPartition>,
-    ) -> u64 {
+    fn swap_snapshot_inner(&self, mut snapshot: GraphSnapshot) -> u64 {
         let old_epoch;
         let new_epoch;
         {
@@ -1560,11 +1478,7 @@ impl Service {
                 snapshot.bump_epoch();
             }
             new_epoch = snapshot.epoch();
-            *serving = Arc::new(ShardSet::from_parts(
-                snapshot,
-                ShardSpec::new(self.inner.shards),
-                partition,
-            ));
+            *serving = Arc::new(snapshot);
             self.inner.publish_generation.fetch_add(1, Ordering::SeqCst);
         }
         self.inner.published.notify_all();
@@ -1688,8 +1602,7 @@ impl Service {
 
         let apply_started = Instant::now();
         let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let current_set = self.shard_set();
-        let current = Arc::clone(current_set.snapshot());
+        let current = self.snapshot();
         let serving_epoch = current.epoch();
         if record.epoch <= serving_epoch {
             self.note_applied_locked(serving_epoch);
@@ -1721,8 +1634,7 @@ impl Service {
             }
         }
 
-        let partition = current_set.successor_partition(&next, &record.batch, &outcome);
-        let epoch = self.swap_snapshot_inner(next, partition);
+        let epoch = self.swap_snapshot_inner(next);
         debug_assert_eq!(epoch, record.epoch, "replicated epoch must be preserved");
         self.inner
             .mutation_apply_hist
@@ -1771,10 +1683,7 @@ impl Service {
         let _admin = self.inner.mutate.lock().expect("mutate lock");
         let epoch = snapshot.epoch();
         if epoch != self.epoch() {
-            let partition = (self.inner.shards > 1).then(|| {
-                GraphPartition::build(snapshot.graph(), ShardSpec::new(self.inner.shards))
-            });
-            self.swap_snapshot_inner(snapshot, partition);
+            self.swap_snapshot_inner(snapshot);
         }
         if let Some(persistence) = &self.inner.persistence {
             let mut persistence = persistence.lock().expect("persistence lock");
@@ -1932,8 +1841,6 @@ impl Service {
         metrics.ttfa = self.inner.ttfa_hist.summary();
         metrics.mutation_apply = self.inner.mutation_apply_hist.summary();
         metrics.calibration = self.inner.calibration.rows();
-        metrics.shards = self.inner.shards as u64;
-        metrics.shard_stats = self.shard_stats();
         {
             let report = self.inner.slo_report.lock().expect("slo report lock");
             metrics.health = report.health;
@@ -2020,25 +1927,7 @@ impl Service {
     /// it.  The returned `Arc` stays valid across swaps (it simply stops
     /// being current).
     pub fn snapshot(&self) -> Arc<GraphSnapshot> {
-        Arc::clone(self.inner.serving.lock().expect("serving lock").snapshot())
-    }
-
-    /// The shard set currently being served — the union snapshot plus its
-    /// `K`-way partition.  Like [`Service::snapshot`], the returned `Arc`
-    /// stays valid across swaps.
-    pub fn shard_set(&self) -> Arc<ShardSet> {
         Arc::clone(&self.inner.serving.lock().expect("serving lock"))
-    }
-
-    /// Configured shard count (1 = unsharded).
-    pub fn shards(&self) -> usize {
-        self.inner.shards
-    }
-
-    /// Per-shard partition statistics of the currently-served version;
-    /// empty when the service is unsharded.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.shard_set().stats()
     }
 
     /// The epoch of the graph currently being served (the cache-key
@@ -2158,20 +2047,13 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     Counters::bump(&inner.counters.executed);
     let pickup_us = job.trace.elapsed_us();
     let snapshot = &job.snapshot;
-    // Per-shard busy-time accumulators, attached only when the set is
-    // actually sharded — the K = 1 path allocates and samples nothing.
-    let shard_times = (job.shards > 1).then(|| ShardTimes::new(job.shards));
     let mut ctx = QueryContext::new(
         snapshot.graph(),
         snapshot.prestige(),
         &job.matches,
         job.spec_params,
     )
-    .with_cancel(&job.token)
-    .with_shards(job.shards);
-    if let Some(times) = &shard_times {
-        ctx = ctx.with_shard_times(times);
-    }
+    .with_cancel(&job.token);
     if let Some(counters) = job.trace.counters.as_deref() {
         ctx = ctx.with_observer(counters);
     }
@@ -2287,7 +2169,6 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
             Some(expand_end_us),
             first_answer,
             &stats,
-            shard_times.as_ref(),
         ))
     });
     if let Some(trace) = &retained {
@@ -2411,20 +2292,6 @@ fn collector_tick(inner: &Inner, state: &mut CollectorState, now_ms: u64) {
         }
     };
 
-    let shard_stats = inner.serving.lock().expect("serving lock").clone().stats();
-    let imbalance = if shard_stats.len() <= 1 {
-        1.0
-    } else {
-        let max = shard_stats.iter().map(|s| s.owned_nodes).max().unwrap_or(0) as f64;
-        let mean = shard_stats.iter().map(|s| s.owned_nodes).sum::<usize>() as f64
-            / shard_stats.len() as f64;
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    };
-
     // Values in timeseries_schema() order.
     inner.series.record(
         now_ms,
@@ -2445,7 +2312,6 @@ fn collector_tick(inner: &Inner, state: &mut CollectorState, now_ms: u64) {
             pct(&ttfa_delta, 0.99),
             pct(&wait_delta, 0.50),
             pct(&wait_delta, 0.90),
-            imbalance,
             saturation,
             replication_lag_ms,
         ],

@@ -424,6 +424,8 @@ fn slo_specs_parse_from_json_and_swap_at_runtime() {
             "fast_window_ms":600000,"slow_window_ms":60000}]"#,
         r#"[{"name":"a","metric":"queued","threshold":1},
             {"name":"a","metric":"queued","threshold":2}]"#,
+        r#"[{"name":"a","metric":"shard_imbalance","threshold":2}]"#,
+        r#"[{"name":"a","metric":"ttfa_p9_us","threshold":1}]"#,
     ] {
         assert!(parse_slo_specs(bad).is_err(), "should reject {bad}");
     }
@@ -452,4 +454,16 @@ fn slo_specs_parse_from_json_and_swap_at_runtime() {
 
     let missing = Service::builder(decoy()).slos_from_path(dir.join("absent.json"));
     assert!(missing.is_err());
+
+    // An objective on a series nobody records would read `ok` forever.
+    std::fs::write(
+        &path,
+        r#"[{"name":"ttfa","metric":"ttfa_p9_us","threshold":1}]"#,
+    )
+    .unwrap();
+    let Err(typo) = Service::builder(decoy()).slos_from_path(&path) else {
+        panic!("an unknown metric must fail at boot");
+    };
+    assert!(typo.contains("unknown metric \"ttfa_p9_us\""), "{typo}");
+    assert!(typo.contains("ttfa_p99_us, queue_wait_p50_us"), "{typo}");
 }

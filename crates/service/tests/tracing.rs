@@ -175,86 +175,10 @@ fn a_high_threshold_marks_nothing_slow() {
     assert_eq!(service.metrics().slow_queries, 0);
 }
 
-/// A wide forest whose shared keywords fan hundreds of Dijkstra origins
-/// across every shard, so the scatter-gather refill rounds do measurable
-/// per-shard work.
-fn wide_forest(chains: usize) -> DataGraph {
-    let mut b = GraphBuilder::new();
-    let hub = b.add_node("conference", "hub venue");
-    for i in 0..chains {
-        let a = b.add_node("author", format!("alpha author{i}"));
-        let p = b.add_node("paper", format!("beta paper{i}"));
-        let w = b.add_node("writes", format!("w{i}"));
-        b.add_edge(w, a).unwrap();
-        b.add_edge(w, p).unwrap();
-        b.add_edge(p, hub).unwrap();
-    }
-    b.build_default()
-}
-
-/// The tentpole trace contract: a traced scatter-gather query on a
-/// sharded service carries per-shard `shard-N` expand spans, nested
-/// inside the expand span, whose durations sum to **at most** the total
-/// expand time — the parallel refill rounds charge wall time, never the
-/// (overlapping) per-worker busy sums.
-#[test]
-fn sharded_queries_attribute_per_shard_expand_spans() {
-    let service = Service::builder(wide_forest(400))
-        .workers(1)
-        .cache_capacity(0)
-        .shards(4)
-        .build();
-    let spec = QuerySpec::parse("alpha beta")
-        .top_k(20)
-        .engine("scatter-gather")
-        .trace("shard-spans");
-    let (outcome, result) = service.submit(spec).unwrap().wait();
-    assert!(!outcome.answers.is_empty());
-    let trace = result.trace.as_ref().expect("trace was requested");
-    assert_spans_consistent(trace, result.time_to_first_answer);
-
-    let expand = trace.span("expand").expect("executed queries expand");
-    let shard_spans: Vec<_> = trace
-        .spans
-        .iter()
-        .filter(|s| s.name.starts_with("shard-"))
-        .collect();
-    assert!(
-        !shard_spans.is_empty(),
-        "a sharded query attributes per-shard spans: {:?}",
-        trace.spans
-    );
-    let mut sum = 0u64;
-    for span in &shard_spans {
-        assert!(
-            span.start_us >= expand.start_us && span.end_us <= expand.end_us,
-            "shard span {span:?} must nest inside expand {expand:?}"
-        );
-        sum += span.duration_us();
-    }
-    assert!(
-        sum <= expand.duration_us(),
-        "shard spans sum to {sum}µs, exceeding the {}µs expand span",
-        expand.duration_us()
-    );
-}
-
-/// Unsharded services never emit shard spans — K=1 is the plain code path.
-#[test]
-fn unsharded_queries_carry_no_shard_spans() {
-    let service = Service::builder(wide_forest(50)).workers(1).build();
-    let (_, result) = service
-        .submit(QuerySpec::parse("alpha beta").top_k(5).trace("flat"))
-        .unwrap()
-        .wait();
-    let trace = result.trace.expect("trace was requested");
-    assert!(trace.spans.iter().all(|s| !s.name.starts_with("shard-")));
-}
-
 /// The ROADMAP trace gap: checkpoint and WAL-fsync work must be
 /// attributed to the mutation that triggered it.  An applied batch on a
-/// durable sharded service reports a `mutation` trace with the apply /
-/// wal-append / shard-fanout / swap phases, lands it in the ring (so
+/// durable service reports a `mutation` trace with the apply /
+/// wal-append / swap phases, lands it in the ring (so
 /// `/debug/trace/<id>` can serve it), and charges any fsync inside the
 /// wal-append span.
 #[test]
@@ -267,7 +191,6 @@ fn mutations_trace_their_phases_and_land_in_the_ring() {
     std::fs::create_dir_all(&dir).unwrap();
     let service = Service::builder(dblp_like())
         .workers(1)
-        .shards(2)
         .persistence(&dir, FsyncPolicy::Always)
         .build();
     let report = service.apply_mutations(
@@ -285,9 +208,15 @@ fn mutations_trace_their_phases_and_land_in_the_ring() {
     assert_eq!(trace.counter("ops"), Some(5));
     assert_eq!(trace.counter("accepted"), Some(4));
     assert_eq!(trace.counter("rejected"), Some(1));
-    for phase in ["apply", "wal-append", "shard-fanout", "swap", "finish"] {
+    for phase in ["apply", "wal-append", "swap", "finish"] {
         assert!(trace.span(phase).is_some(), "missing {phase} span");
     }
+    // The write path is validate -> WAL -> apply -> publish: no fan-out
+    // stage is left in the trace or the event log.
+    assert!(trace.spans.iter().all(|s| !s.name.contains("shard")));
+    let events = service.events().since(0, usize::MAX);
+    assert!(events.iter().any(|e| e.kind == "mutation-batch"));
+    assert!(events.iter().all(|e| !e.kind.contains("shard")));
     // FsyncPolicy::Always: the append fsynced, and the fsync span sits at
     // the tail of the wal-append span.
     let append = trace.span("wal-append").unwrap();
@@ -309,9 +238,9 @@ fn mutations_trace_their_phases_and_land_in_the_ring() {
 }
 
 /// Without persistence there is no WAL; the mutation trace still covers
-/// apply and swap, and an unsharded service skips the fanout span.
+/// apply and swap.
 #[test]
-fn undurable_unsharded_mutations_trace_apply_and_swap_only() {
+fn undurable_mutations_trace_apply_and_swap_only() {
     let service = Service::builder(dblp_like()).workers(1).build();
     let report = service.apply_mutations(&MutationBatch::new().add_node("paper", "Fresh result"));
     assert!(report.swapped);
@@ -320,7 +249,6 @@ fn undurable_unsharded_mutations_trace_apply_and_swap_only() {
     assert!(trace.span("swap").is_some());
     assert!(trace.span("wal-append").is_none());
     assert!(trace.span("wal-fsync").is_none());
-    assert!(trace.span("shard-fanout").is_none());
     assert_spans_consistent(trace, None);
 }
 

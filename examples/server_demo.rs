@@ -4,7 +4,6 @@
 //! cargo run --release --example server_demo            # workload demo
 //! cargo run --release --example server_demo -- --serve 127.0.0.1:7878
 //! cargo run --release --example server_demo -- --serve 127.0.0.1:7878 --data-dir ./banks-data
-//! cargo run --release --example server_demo -- --serve 127.0.0.1:7878 --shards 4
 //! cargo run --release --example server_demo -- --serve 127.0.0.1:7879 \
 //!     --data-dir ./replica-data --replicate-from http://127.0.0.1:7878
 //! ```
@@ -22,9 +21,6 @@
 //! WAL-logged before it is acknowledged, `POST /admin/checkpoint` forces a
 //! snapshot, and a restart (even after `kill -9`) recovers the pre-crash
 //! graph from the directory instead of regenerating the corpus.
-//! `--shards K` partitions the served graph into `K` shards: the
-//! `scatter-gather` engine family fans each query out across per-shard
-//! engines and merges the streams, byte-identical to unsharded execution.
 //! `--replicate-from <url>` runs this process as a **read replica** of the
 //! leader at `<url>`: it bootstraps from the leader's snapshot, tails the
 //! leader's mutation WAL over SSE, serves reads at the replicated epoch,
@@ -38,7 +34,7 @@ use std::time::{Duration, Instant};
 
 use banks::prelude::*;
 
-fn dblp_service(shards: usize) -> Service {
+fn dblp_service() -> Service {
     let data = DblpDataset::generate(DblpConfig {
         num_authors: 600,
         num_papers: 1200,
@@ -51,7 +47,6 @@ fn dblp_service(shards: usize) -> Service {
         .queue_capacity(1024)
         .cache_capacity(256)
         .tenant_quota(25.0, 40)
-        .shards(shards)
         .slos(SloSpec::defaults())
         .index(data.dataset.index().clone())
         .build()
@@ -70,18 +65,12 @@ fn main() {
             .position(|a| a == "--data-dir")
             .and_then(|i| args.get(i + 1))
             .cloned();
-        let shards = args
-            .iter()
-            .position(|a| a == "--shards")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(1usize);
         let replicate_from = args
             .iter()
             .position(|a| a == "--replicate-from")
             .and_then(|i| args.get(i + 1))
             .cloned();
-        serve_forever(addr, data_dir, shards, replicate_from);
+        serve_forever(addr, data_dir, replicate_from);
         return;
     }
     workload_demo();
@@ -92,7 +81,7 @@ fn main() {
 /// generated corpus only seeds an empty directory), uses the default
 /// label index so recovery needs nothing beyond the graph, and fsyncs
 /// every mutation before acknowledging it.
-fn serve_forever(addr: &str, data_dir: Option<String>, shards: usize, leader: Option<String>) {
+fn serve_forever(addr: &str, data_dir: Option<String>, leader: Option<String>) {
     let service = match &data_dir {
         Some(dir) => {
             let data = DblpDataset::generate(DblpConfig {
@@ -107,7 +96,6 @@ fn serve_forever(addr: &str, data_dir: Option<String>, shards: usize, leader: Op
                 .queue_capacity(1024)
                 .cache_capacity(256)
                 .tenant_quota(25.0, 40)
-                .shards(shards)
                 .persistence(dir, FsyncPolicy::Always)
                 .build();
             let durability = service.durability();
@@ -118,11 +106,8 @@ fn serve_forever(addr: &str, data_dir: Option<String>, shards: usize, leader: Op
             );
             service
         }
-        None => dblp_service(shards),
+        None => dblp_service(),
     };
-    if shards > 1 {
-        println!("sharded mode: {shards} shards, scatter-gather engines registered");
-    }
     let service = Arc::new(service);
     // A follower tails the leader's WAL and refuses writes; a durable
     // standalone process declares itself the leader so replicas (and the

@@ -16,14 +16,6 @@
 //! plus the 100 ms collector / SLO / event-log retention layer —
 //! interleaved; writes `BENCH_obs.json` and exits non-zero if the stack
 //! costs more than 5% QPS.
-//!
-//! `--e2e-bench` runs the end-to-end sharding benchmark: the same mixed
-//! workload through the scatter-gather engine at K=1 and K=4, measuring
-//! QPS, TTFA p50/p99 and mutation-apply latency per configuration, plus a
-//! single-query TTFA comparison on a large corpus; writes `BENCH_e2e.json`.
-//! With `--gate`, exits non-zero unless K=4 TTFA beats K=1 by ≥1.5× — the
-//! gate only *enforces* on hosts with ≥4 cores, since a parallel scatter
-//! phase cannot honestly beat the sequential path on fewer.
 
 use std::time::{Duration, Instant};
 
@@ -34,192 +26,8 @@ fn main() {
         obs_gate();
         return;
     }
-    if std::env::args().any(|a| a == "--e2e-bench") {
-        e2e_bench(std::env::args().any(|a| a == "--gate"));
-        return;
-    }
     figure4_demo();
     dblp_workload();
-}
-
-/// The end-to-end sharding benchmark (and, with `gate`, the K=4 perf gate).
-fn e2e_bench(gate: bool) {
-    const TTFA_RATIO_REQUIRED: f64 = 1.5;
-    const GATE_MIN_CORES: usize = 4;
-
-    let data = DblpDataset::generate(DblpConfig {
-        num_authors: 2000,
-        num_papers: 4000,
-        num_conferences: 12,
-        seed: 7,
-        ..DblpConfig::default()
-    });
-    println!(
-        "e2e bench: dblp graph with {} nodes, {} directed edges",
-        data.dataset.graph().num_nodes(),
-        data.dataset.graph().num_directed_edges()
-    );
-    let mut generator = WorkloadGenerator::new(&data, 42);
-    let cases = generator.generate(&WorkloadConfig {
-        num_queries: 40,
-        num_keywords: 2,
-        answer_size: 5,
-        origin_bias: banks::datagen::OriginBias::Any,
-        compute_ground_truth: false,
-        ..WorkloadConfig::default()
-    });
-    // the heavy gate query: frequent keywords fan hundreds of origins, so
-    // the scatter phase dominates time-to-first-answer
-    let heavy = generator.generate(&WorkloadConfig {
-        num_queries: 3,
-        num_keywords: 3,
-        answer_size: 5,
-        origin_bias: banks::datagen::OriginBias::Frequent,
-        compute_ground_truth: false,
-        ..WorkloadConfig::default()
-    });
-
-    /// One configuration's measurements, all in microseconds.
-    struct Config {
-        shards: usize,
-        qps: f64,
-        ttfa_p50_us: u64,
-        ttfa_p99_us: u64,
-        mutation_apply_p50_us: u64,
-        heavy_ttfa_us: u64,
-    }
-
-    let run = |shards: usize| -> Config {
-        let service = Service::builder(data.dataset.graph().clone())
-            .workers(4)
-            .queue_capacity(1024)
-            .cache_capacity(0) // every submission executes: honest engine work
-            .shards(shards)
-            .index(data.dataset.index().clone())
-            .build();
-
-        let mut ttfa: Vec<Duration> = Vec::new();
-        let started = Instant::now();
-        let handles: Vec<_> = cases
-            .iter()
-            .map(|case| {
-                let spec = QuerySpec::new(case.query())
-                    .params(SearchParams::with_top_k(10))
-                    .engine("scatter-gather");
-                service.submit(spec).expect("submit")
-            })
-            .collect();
-        for handle in handles {
-            let (_, result) = handle.wait();
-            if let Some(t) = result.time_to_first_answer {
-                ttfa.push(t);
-            }
-        }
-        let qps = cases.len() as f64 / started.elapsed().as_secs_f64();
-
-        // mutation-apply latency: a stream of small batches with shard
-        // fan-out included (at K>1 each clones + patches the partition)
-        let base = service.snapshot().graph().num_nodes() as u32;
-        for i in 0..8u32 {
-            let n = base + 2 * i;
-            let report = service.apply_mutations(
-                &MutationBatch::new()
-                    .add_node("paper", format!("bench paper {i}"))
-                    .add_node("writes", format!("bench w{i}"))
-                    .add_edge(NodeId(n + 1), NodeId(n))
-                    .add_edge(NodeId(n + 1), NodeId(0)),
-            );
-            assert!(report.swapped, "bench mutation {i} must apply");
-        }
-        let mutation_apply = service.metrics().mutation_apply;
-
-        // best-of-5 TTFA for the heaviest query, submitted alone so the
-        // scatter phase has the machine to itself
-        let mut heavy_best = Duration::MAX;
-        for _ in 0..5 {
-            for case in &heavy {
-                let spec = QuerySpec::new(case.query())
-                    .params(SearchParams::with_top_k(10))
-                    .engine("scatter-gather");
-                let (_, result) = service.submit(spec).expect("submit").wait();
-                if let Some(t) = result.time_to_first_answer {
-                    heavy_best = heavy_best.min(t);
-                }
-            }
-        }
-
-        ttfa.sort_unstable();
-        let pct = |p: f64| -> u64 {
-            if ttfa.is_empty() {
-                return 0;
-            }
-            ttfa[((ttfa.len() - 1) as f64 * p) as usize].as_micros() as u64
-        };
-        Config {
-            shards,
-            qps,
-            ttfa_p50_us: pct(0.50),
-            ttfa_p99_us: pct(0.99),
-            mutation_apply_p50_us: mutation_apply.p50.as_micros() as u64,
-            heavy_ttfa_us: heavy_best.as_micros() as u64,
-        }
-    };
-
-    run(1); // warm-up, discarded
-    let configs = [run(1), run(4)];
-    for c in &configs {
-        println!(
-            "  K={}: {:.0} QPS, ttfa p50 {}µs p99 {}µs, mutation-apply p50 {}µs, heavy ttfa {}µs",
-            c.shards, c.qps, c.ttfa_p50_us, c.ttfa_p99_us, c.mutation_apply_p50_us, c.heavy_ttfa_us
-        );
-    }
-
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let ratio = configs[0].heavy_ttfa_us as f64 / configs[1].heavy_ttfa_us.max(1) as f64;
-    let enforced = gate && cores >= GATE_MIN_CORES;
-    let pass = ratio >= TTFA_RATIO_REQUIRED;
-    println!(
-        "  gate: K=4 heavy TTFA {ratio:.2}x better than K=1 (required {TTFA_RATIO_REQUIRED}x, \
-         {cores} core(s), {})",
-        if enforced {
-            "enforced"
-        } else {
-            "report-only: needs >=4 cores"
-        }
-    );
-    // GitHub Actions annotation: the gate's mode and measured ratio land
-    // on the run summary page instead of being buried in the step log.
-    println!(
-        "::notice title=Sharded TTFA gate::mode={} ratio={ratio:.2}x \
-         required={TTFA_RATIO_REQUIRED}x cores={cores} pass={pass}",
-        if enforced { "enforced" } else { "report-only" }
-    );
-
-    let mut json = String::from("{\"bench\":\"e2e_sharded\",\"configs\":[");
-    for (i, c) in configs.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"shards\":{},\"qps\":{:.1},\"ttfa_p50_us\":{},\"ttfa_p99_us\":{},\
-             \"mutation_apply_p50_us\":{},\"heavy_ttfa_us\":{}}}",
-            c.shards, c.qps, c.ttfa_p50_us, c.ttfa_p99_us, c.mutation_apply_p50_us, c.heavy_ttfa_us
-        ));
-    }
-    json.push_str(&format!(
-        "],\"ttfa_gate\":{{\"cores\":{cores},\"ratio\":{ratio:.3},\
-         \"required\":{TTFA_RATIO_REQUIRED},\"enforced\":{enforced},\"pass\":{pass}}}}}\n"
-    ));
-    std::fs::write("BENCH_e2e.json", &json).expect("write BENCH_e2e.json");
-    println!("wrote BENCH_e2e.json");
-
-    if enforced && !pass {
-        eprintln!(
-            "FAIL: K=4 TTFA only {ratio:.2}x better than K=1 (required {TTFA_RATIO_REQUIRED}x)"
-        );
-        std::process::exit(1);
-    }
-    println!("PASS");
 }
 
 /// The observability overhead gate.

@@ -108,8 +108,8 @@ pub mod prelude {
         build_label_index, drain, AnswerStream, AnswerTree, BackwardExpandingSearch, Banks,
         BidirectionalConfig, BidirectionalSearch, CacheKey, CancelToken, EdgeScoreCombiner,
         EmissionPolicy, EngineRegistry, GroundTruth, QueryContext, QueryCost, QuerySession,
-        RankedAnswer, ResultCache, ScatterGatherSearch, ScoreModel, SearchEngine, SearchOutcome,
-        SearchParams, SearchStats, SingleIteratorBackwardSearch, UnknownEngine,
+        RankedAnswer, ResultCache, ScoreModel, SearchEngine, SearchOutcome, SearchParams,
+        SearchStats, SingleIteratorBackwardSearch, UnknownEngine,
     };
     pub use banks_datagen::{
         figure4_example, DblpConfig, DblpDataset, ImdbConfig, ImdbDataset, KeywordCategory,
@@ -117,7 +117,7 @@ pub mod prelude {
     };
     pub use banks_graph::{
         BatchOutcome, DataGraph, EdgeKind, ExpansionPolicy, GraphBuilder, GraphMutation,
-        GraphPartition, GraphStats, GraphStore, MutationBatch, NodeId, ShardSpec, ShardStats,
+        GraphStats, MutationBatch, NodeId,
     };
     pub use banks_persist::{read_snapshot, write_snapshot, PersistentStore, SnapshotContents};
     pub use banks_prestige::{
@@ -128,10 +128,10 @@ pub mod prelude {
     pub use banks_server::Server;
     pub use banks_service::{
         DurabilityStatus, Event, EventLevel, EventLog, FsyncPolicy, GraphSnapshot, Health,
-        MutationReport, PersistError, PersistOptions, Priority, QueryEvent, QueryHandle, QueryId,
-        QueryResult, QuerySpec, QueueWaitSummary, ReplicationRole, ReplicationStatus, Service,
-        ServiceBuilder, ServiceMetrics, ShardSet, SloReport, SloRow, SloSpec, SubmitError,
-        TenantMetrics, TimeSeriesRing,
+        LatencySummary, MutationReport, PersistError, PersistOptions, Priority, QueryEvent,
+        QueryHandle, QueryId, QueryResult, QuerySpec, ReplicationRole, ReplicationStatus, Service,
+        ServiceBuilder, ServiceMetrics, SloReport, SloRow, SloSpec, SubmitError, TenantMetrics,
+        TimeSeriesRing,
     };
     pub use banks_textindex::{IndexBuilder, InvertedIndex, KeywordMatches, Query, Tokenizer};
 }

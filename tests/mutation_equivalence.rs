@@ -340,21 +340,21 @@ fn randomized_batches_keep_indegree_prestige_exact() {
     }
 }
 
-/// `GraphStore` compaction must be invisible to queries: same epoch, same
-/// rows, same answers.
+/// Compaction must be invisible to queries: same epoch, same rows, same
+/// answers.
 #[test]
 fn compaction_is_query_invisible() {
     let mut rng = Rng::new(0xDEADBEEF);
     let mut model = Model::random(&mut rng);
-    let mut store = GraphStore::new(model.rebuild());
+    let mut mutated = model.rebuild();
     for _ in 0..3 {
         let batch = random_batch(&mut rng, &mut model);
-        store.apply(&batch);
+        mutated = mutated.apply_batch(&batch).0;
     }
-    let before = store.current().clone();
-    store.compact();
-    assert_eq!(store.epoch(), before.epoch(), "contents identical");
-    assert!(!store.current().has_overlay());
-    assert_graphs_identical(store.current(), &before, "compaction");
-    assert_graphs_identical(store.current(), &model.rebuild(), "compaction vs model");
+    assert!(mutated.has_overlay());
+    let flat = mutated.compacted();
+    assert_eq!(flat.epoch(), mutated.epoch(), "contents identical");
+    assert!(!flat.has_overlay());
+    assert_graphs_identical(&flat, &mutated, "compaction");
+    assert_graphs_identical(&flat, &model.rebuild(), "compaction vs model");
 }
