@@ -167,12 +167,14 @@ impl DblpDataset {
             }
         }
 
-        // Citations (papers cite earlier papers; popularity is skewed).
+        // Citations (papers cite earlier papers; popularity is skewed): paper
+        // `citing` draws from Zipf(citing), the first `citing` ranks of one
+        // shared table.
+        let popularity = Zipf::new(config.num_papers.max(1), config.skew + 0.2);
         for citing in 1..config.num_papers as u32 {
-            let popularity = Zipf::new(citing as usize, config.skew + 0.2);
             let count = rng.gen_range(0..=config.citations_per_paper * 2);
             for _ in 0..count {
-                let cited = popularity.sample(&mut rng) as u32;
+                let cited = popularity.sample_first(citing as usize, &mut rng) as u32;
                 if cited != citing {
                     db.insert(cites, vec![citing.into(), cited.into()])
                         .expect("insert");

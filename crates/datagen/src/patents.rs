@@ -157,11 +157,12 @@ impl PatentsDataset {
                     .expect("insert");
             }
         }
+        // Patent `citing` draws from Zipf(citing): a prefix of one table.
+        let popularity = Zipf::new(config.num_patents.max(1), config.skew + 0.2);
         for citing in 1..config.num_patents as u32 {
-            let popularity = Zipf::new(citing as usize, config.skew + 0.2);
             let count = rng.gen_range(0..=config.citations_per_patent);
             for _ in 0..count {
-                let cited = popularity.sample(&mut rng) as u32;
+                let cited = popularity.sample_first(citing as usize, &mut rng) as u32;
                 if cited != citing {
                     db.insert(patent_cites, vec![citing.into(), cited.into()])
                         .expect("insert");

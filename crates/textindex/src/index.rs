@@ -33,6 +33,8 @@ pub struct IndexBuilder {
     /// Relation-name pseudo terms: term -> kind ids whose *entire* node set
     /// matches the term.
     kind_terms: HashMap<String, Vec<KindId>>,
+    /// The lower-casing buffer [`IndexBuilder::add_text`] reuses per token.
+    term: String,
 }
 
 impl IndexBuilder {
@@ -42,6 +44,7 @@ impl IndexBuilder {
             tokenizer,
             postings: HashMap::new(),
             kind_terms: HashMap::new(),
+            term: String::new(),
         }
     }
 
@@ -52,9 +55,26 @@ impl IndexBuilder {
 
     /// Indexes one attribute text for a node.  May be called repeatedly for
     /// the same node (e.g. one call per string attribute).
+    ///
+    /// Each token is lower-cased into one reused buffer and looked up by
+    /// `&str`; a key is allocated only for a term seen for the first time.
+    /// A node already at the end of the term's list is not pushed again,
+    /// and [`IndexBuilder::build`] removes whatever repeats remain.
     pub fn add_text(&mut self, node: NodeId, text: &str) {
-        for term in self.tokenizer.tokenize_unique(text) {
-            self.postings.entry(term).or_default().push(node);
+        for raw in Tokenizer::raw_tokens(text) {
+            if !self.tokenizer.normalize_into(raw, &mut self.term) {
+                continue;
+            }
+            match self.postings.get_mut(self.term.as_str()) {
+                Some(list) => {
+                    if list.last() != Some(&node) {
+                        list.push(node);
+                    }
+                }
+                None => {
+                    self.postings.insert(self.term.clone(), vec![node]);
+                }
+            }
         }
     }
 
@@ -79,6 +99,7 @@ impl IndexBuilder {
             tokenizer,
             postings,
             kind_terms,
+            term: _,
         } = self;
         let mut index: HashMap<Arc<str>, Arc<[NodeId]>> = HashMap::with_capacity(postings.len());
         for (term, mut nodes) in postings {
@@ -586,6 +607,105 @@ mod tests {
         assert_eq!(updated.postings("database"), &[NodeId(0), NodeId(1)]);
         assert_eq!(updated.postings("locking"), &[NodeId(0)]);
         assert!(updated.postings("recovery").is_empty());
+    }
+
+    /// Word pieces for random texts: mixed case, digits, stop words and
+    /// non-ASCII whose lower case differs in length (`İ`), in context (a
+    /// final `Σ`) or not at all (CJK), plus an `ß` stop word.
+    const PIECES: &[&str] = &[
+        "Data",
+        "base",
+        "DATABASE",
+        "x1",
+        "2005",
+        "a",
+        "An",
+        "The",
+        "of",
+        "ß",
+        "Straße",
+        "İstanbul",
+        "ΟΔΟΣ",
+        "σοφός",
+        "ΣΑΣ",
+        "数据库",
+        "検索",
+        "Émile",
+        "ǅ",
+        "İİ",
+    ];
+    const SEPARATORS: &[&str] = &["", " ", "-", ", ", "!", "\t", "·", "_"];
+
+    /// The path `add_text` replaced, kept as the oracle: one `String` per
+    /// token, a deduplicating pass per text, every survivor pushed.
+    fn oracle_postings(
+        tokenizer: &Tokenizer,
+        calls: &[(NodeId, String)],
+    ) -> HashMap<String, Vec<NodeId>> {
+        let mut postings: HashMap<String, Vec<NodeId>> = HashMap::new();
+        for (node, text) in calls {
+            for term in tokenizer.tokenize_unique(text) {
+                postings.entry(term).or_default().push(*node);
+            }
+        }
+        for list in postings.values_mut() {
+            list.sort_unstable();
+            list.dedup();
+        }
+        postings
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Several `add_text` calls per node, interleaved across nodes, under
+        /// every stop-word setting and minimum length 1..4: the built index
+        /// equals the oracle's term by term.
+        #[test]
+        fn add_text_builds_what_tokenize_unique_built(
+            (stopwords, min_len, calls) in (
+                0usize..3,
+                1usize..5,
+                proptest::collection::vec(
+                    (
+                        0u32..6,
+                        proptest::collection::vec((0usize..PIECES.len(), 0usize..SEPARATORS.len()), 0..10),
+                    ),
+                    0..16,
+                ),
+            )
+        ) {
+            let tokenizer = match stopwords {
+                0 => Tokenizer::new(),
+                1 => Tokenizer::new().with_stopword_removal(true),
+                _ => Tokenizer::new()
+                    .with_stopwords(["Straße", "data", "ǆ"])
+                    .with_stopword_removal(true),
+            }
+            .with_min_token_len(min_len);
+            let calls: Vec<(NodeId, String)> = calls
+                .into_iter()
+                .map(|(node, words)| {
+                    let text: String = words
+                        .into_iter()
+                        .map(|(piece, sep)| format!("{}{}", PIECES[piece], SEPARATORS[sep]))
+                        .collect();
+                    (NodeId(node), text)
+                })
+                .collect();
+
+            let oracle = oracle_postings(&tokenizer, &calls);
+            let mut builder = IndexBuilder::new(tokenizer);
+            for (node, text) in &calls {
+                builder.add_text(*node, text);
+            }
+            proptest::prop_assert_eq!(builder.num_terms(), oracle.len());
+            let index = builder.build();
+            proptest::prop_assert_eq!(index.num_terms(), oracle.len());
+            for (term, list) in &oracle {
+                proptest::prop_assert_eq!(index.postings(term), &list[..], "term {:?}", term);
+            }
+        }
     }
 
     #[test]

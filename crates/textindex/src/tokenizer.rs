@@ -82,10 +82,33 @@ impl Tokenizer {
         self.min_token_len
     }
 
-    /// Tokenises a text into lower-case terms.
-    pub fn tokenize(&self, text: &str) -> Vec<String> {
+    /// The raw tokens of a text: its maximal runs of alphanumeric
+    /// characters, case preserved.
+    pub(crate) fn raw_tokens(text: &str) -> impl Iterator<Item = &str> {
         text.split(|c: char| !c.is_alphanumeric())
             .filter(|t| !t.is_empty())
+    }
+
+    /// Lower-cases one raw token into `term` (replacing its contents) and
+    /// reports whether it survives the length and stop-word filters: one
+    /// step of [`Tokenizer::tokenize`] without a `String` per token.  ASCII
+    /// is lower-cased in place; anything else goes through
+    /// `str::to_lowercase`, which also handles a word-final `Σ`.
+    pub(crate) fn normalize_into(&self, raw: &str, term: &mut String) -> bool {
+        term.clear();
+        if raw.is_ascii() {
+            term.push_str(raw);
+            term.make_ascii_lowercase();
+        } else {
+            term.push_str(&raw.to_lowercase());
+        }
+        term.len() >= self.min_token_len
+            && !(self.remove_stopwords && self.stopwords.contains(term.as_str()))
+    }
+
+    /// Tokenises a text into lower-case terms.
+    pub fn tokenize(&self, text: &str) -> Vec<String> {
+        Self::raw_tokens(text)
             .map(|t| t.to_lowercase())
             .filter(|t| t.len() >= self.min_token_len)
             .filter(|t| !self.remove_stopwords || !self.stopwords.contains(t))
