@@ -145,6 +145,12 @@ impl<'a> Cursor<'a> {
 
     /// Reads a length-prefixed UTF-8 string.
     pub fn string(&mut self, region: &'static str) -> Result<String> {
+        self.str(region).map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, for callers that
+    /// store it in a form other than `String`.
+    pub fn str(&mut self, region: &'static str) -> Result<&'a str> {
         let len = self.u32(region)? as usize;
         if len > self.remaining() {
             return Err(PersistError::Truncated {
@@ -153,7 +159,7 @@ impl<'a> Cursor<'a> {
             });
         }
         let bytes = self.take(len, region)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| PersistError::Corrupt {
+        std::str::from_utf8(bytes).map_err(|e| PersistError::Corrupt {
             detail: format!("{region}: invalid UTF-8: {e}"),
         })
     }

@@ -12,7 +12,10 @@
 //!   serializes the flat CSR arrays **verbatim** (weights as raw IEEE-754
 //!   bit patterns, rows in their canonical order), so a loaded graph is
 //!   bit-identical to the written one and every engine answers queries
-//!   identically.  CSR payloads are page-aligned within the file.
+//!   identically.  CSR payloads are page-aligned within the file.  An
+//!   optional [`Derivation`] record says how the persisted index and
+//!   prestige were derived, so a reader can serve them as written;
+//!   [`decode_snapshot_with`] builds only the parts a caller keeps.
 //! - [`wal`] — an append-only log of accepted mutation batches, written
 //!   *before* the in-memory snapshot pointer swings, with a configurable
 //!   [`FsyncPolicy`].  A torn final record (the signature of a crash) is
@@ -20,7 +23,7 @@
 //! - [`store`] — [`PersistentStore`] ties the two together: WAL-first
 //!   apply, automatic rotation, [`checkpoint`](PersistentStore::checkpoint)
 //!   (fresh snapshot + WAL truncation + pruning), and
-//!   [`recover`]/[`replay_wal`] for boot.
+//!   [`recover`]/[`recover_with`]/[`replay_wal`] for boot.
 //!
 //! Everything decodes defensively: corrupt input yields a typed
 //! [`PersistError`], never a panic, and recovery falls back past corrupt
@@ -32,18 +35,20 @@
 pub mod bytes;
 pub mod crc;
 pub mod error;
+mod par;
 pub mod snapshot;
 pub mod store;
 pub mod wal;
 
 pub use error::{PersistError, Result};
 pub use snapshot::{
-    decode_snapshot, encode_snapshot, read_snapshot, write_snapshot, SnapshotContents,
-    FORMAT_VERSION, PAGE_SIZE, SNAPSHOT_MAGIC,
+    decode_snapshot, decode_snapshot_with, encode_snapshot, encode_snapshot_with, read_snapshot,
+    write_snapshot, write_snapshot_bytes, Derivation, IndexDerivation, Keep, PrestigeDerivation,
+    SnapshotContents, FORMAT_VERSION, PAGE_SIZE, SNAPSHOT_MAGIC,
 };
 pub use store::{
-    list_snapshots, recover, replay_wal, snapshot_file_name, BootSource, PersistOptions,
-    PersistentStore, Recovery, SNAPSHOT_EXT, SNAPSHOT_PREFIX, WAL_FILE,
+    list_snapshots, recover, recover_with, replay_wal, snapshot_file_name, BootSource,
+    PersistOptions, PersistentStore, Recovery, SNAPSHOT_EXT, SNAPSHOT_PREFIX, WAL_FILE,
 };
 pub use wal::{
     decode_record, encode_record, read_strict, scan_bytes, scan_file, FsyncPolicy, Wal, WalChunk,

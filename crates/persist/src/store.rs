@@ -16,7 +16,7 @@ use banks_graph::{
 };
 
 use crate::error::{PersistError, Result};
-use crate::snapshot::{read_snapshot, write_snapshot, SnapshotContents};
+use crate::snapshot::{decode_snapshot_with, write_snapshot, Derivation, Keep, SnapshotContents};
 use crate::wal::{scan_file, FsyncPolicy, Wal, WalRecord, WalScan};
 
 /// File name of the write-ahead log inside a data directory.
@@ -109,13 +109,26 @@ pub struct Recovery {
 /// and pairs the winner with a lenient WAL scan.  Only if *every* snapshot
 /// fails does this return [`PersistError::NoValidSnapshot`].
 pub fn recover(dir: &Path) -> Result<Option<Recovery>> {
+    recover_with(dir, |_| Keep::ALL)
+}
+
+/// [`recover`] that decodes only the optional snapshot parts `keep` asks
+/// for, given each candidate file's derivation record — what a caller
+/// that may derive those parts anyway uses to avoid building them twice.
+pub fn recover_with(
+    dir: &Path,
+    keep: impl Fn(Option<Derivation>) -> Keep,
+) -> Result<Option<Recovery>> {
     let snapshots = list_snapshots(dir)?;
     if snapshots.is_empty() {
         return Ok(None);
     }
     let mut last_error: Option<PersistError> = None;
     for (skipped, (epoch, path)) in snapshots.iter().enumerate() {
-        match read_snapshot(path) {
+        match std::fs::read(path)
+            .map_err(PersistError::from)
+            .and_then(|bytes| decode_snapshot_with(&bytes, &keep))
+        {
             Ok(contents) => {
                 let wal = scan_file(&dir.join(WAL_FILE))?;
                 return Ok(Some(Recovery {

@@ -501,8 +501,18 @@ impl Wal {
     }
 
     /// Truncates the log back to an empty header — called after a
-    /// checkpoint makes every logged record redundant.
+    /// checkpoint makes every logged record redundant.  A log that holds
+    /// its header and nothing else (no record, and the write position
+    /// still right after the header, so no failed append left bytes
+    /// behind) is already that: it is left alone, without an fsync.
     pub fn reset(&mut self) -> Result<()> {
+        let header_only = WAL_HEADER_LEN as u64;
+        if self.records == 0
+            && self.bytes == header_only
+            && self.file.stream_position()? == header_only
+        {
+            return Ok(());
+        }
         self.file.set_len(0)?;
         self.file.seek(SeekFrom::Start(0))?;
         self.file.write_all(&header())?;
@@ -771,6 +781,26 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    #[test]
+    fn resetting_an_empty_log_leaves_the_file_alone() {
+        let dir = tmp_dir("reset-empty");
+        let path = dir.join("wal.log");
+        let mut wal = Wal::create(&path, FsyncPolicy::Always).unwrap();
+        let written = std::fs::metadata(&path).unwrap().modified().unwrap();
+        wal.reset().unwrap();
+        wal.reset().unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().modified().unwrap(),
+            written,
+            "nothing to truncate, nothing written"
+        );
+        wal.append(1, 2, &sample_batch(0)).unwrap();
+        let scan = scan_file(&path).unwrap();
+        assert_eq!(scan.records.len(), 1);
+        assert!(scan.anomaly.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// Test randomness without a dev-dependency: a 64-bit LCG's high bits.
     fn next(state: &mut u64) -> usize {
         *state = state
@@ -850,8 +880,10 @@ mod tests {
             for _ in 0..60 {
                 match next(&mut rng) % 8 {
                     0 => {
+                        // Resetting a log with no record leaves it as it
+                        // is: nothing new to read.
+                        dirty |= wal.records() > 0;
                         wal.reset().unwrap();
-                        dirty = true;
                     }
                     1..=4 => {
                         wal.append(epoch, epoch + 1, &random_batch(&mut rng))

@@ -9,10 +9,7 @@ use std::time::Duration;
 
 use banks_core::json::{self, JsonValue};
 use banks_obs::EventLevel;
-use banks_persist::decode_snapshot;
-use banks_service::{
-    decode_record, GraphSnapshot, ReplicationApplyError, ReplicationRole, Service,
-};
+use banks_service::{decode_record, ReplicationApplyError, ReplicationRole, Service};
 
 use crate::client::{self, LeaderUrl};
 use crate::from_hex;
@@ -328,9 +325,11 @@ fn bootstrap(service: &Arc<Service>, leader: &LeaderUrl) -> Result<u64, String> 
             String::from_utf8_lossy(&response.body)
         ));
     }
-    let contents = decode_snapshot(&response.body).map_err(|e| format!("corrupt snapshot: {e}"))?;
-    // Derive prestige + index exactly the way leader-side recovery does,
-    // so follower answers are byte-identical to the leader's.
-    let snapshot = GraphSnapshot::with_defaults(contents.graph);
-    Ok(service.install_replicated_snapshot(snapshot))
+    // Serve the leader's version as it persisted it — index, prestige and
+    // how each is kept current — so follower answers are byte-identical to
+    // the leader's; the received bytes become the local checkpoint as they
+    // are.
+    service
+        .install_replicated_snapshot_bytes(&response.body)
+        .map_err(|e| format!("corrupt snapshot: {e}"))
 }

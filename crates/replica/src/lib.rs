@@ -20,10 +20,15 @@
 //!    leader's truncation horizon gets a terminal `bootstrap` event (and a
 //!    mid-stream gap surfaces as
 //!    [`banks_service::ReplicationApplyError::EpochGap`]).  The follower
-//!    fetches `GET /replication/snapshot`, decodes it
-//!    ([`banks_persist::decode_snapshot`]), derives prestige + index the
-//!    same way leader recovery does, and installs it via
-//!    [`banks_service::Service::install_replicated_snapshot`] — then
+//!    fetches `GET /replication/snapshot` and installs it via
+//!    [`banks_service::Service::install_replicated_snapshot_bytes`]: the
+//!    file is decoded, every CRC checked, and served as the leader
+//!    persisted it — graph, keyword index and prestige under the modes the
+//!    file's derivation record names, so a leader with a supplied index or
+//!    pinned prestige has a follower that answers like it — and the same
+//!    bytes become the follower's bootstrap checkpoint.  A file from a
+//!    leader that writes no derivation record is served with the default
+//!    index and prestige derived from its graph.  Then the follower
 //!    resumes tailing from the installed epoch.
 //! 3. **Report lag** from the leader's `head` events
 //!    ([`banks_service::Service::note_replication_head`]): `/healthz`,

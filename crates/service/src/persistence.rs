@@ -4,18 +4,20 @@
 //! The [`crate::Service`] write path is WAL-first: inside the mutation
 //! mutex, an accepted batch is appended (and fsynced per policy) *before*
 //! the successor snapshot is swapped in.  Checkpoints — a full snapshot of
-//! graph, prestige **and** keyword index, then WAL truncation and stale
-//! snapshot pruning — happen on demand ([`crate::Service::checkpoint`]),
-//! when a mutation chain triggers compaction, when the WAL crosses its
-//! rotation threshold, and after a wholesale
-//! [`crate::Service::swap_graph`] (which bypasses the WAL and therefore
-//! must be made durable by a snapshot).
+//! graph, prestige **and** keyword index plus the record of how the last
+//! two were derived, then WAL truncation and stale snapshot pruning —
+//! happen on demand ([`crate::Service::checkpoint`]), when a mutation chain
+//! triggers compaction, when the WAL crosses its rotation threshold, and
+//! after a wholesale [`crate::Service::swap_graph`] (which bypasses the WAL
+//! and therefore must be made durable by a snapshot).  A checkpoint with
+//! nothing to add — the newest file on disk is already at the serving
+//! epoch and the WAL is empty — writes nothing.
 
 use std::path::{Path, PathBuf};
 
 use banks_obs::{Histogram, LatencySummary};
 use banks_persist::{
-    list_snapshots, snapshot_file_name, write_snapshot, PersistError, PersistOptions, Wal,
+    list_snapshots, snapshot_file_name, write_snapshot_bytes, PersistError, PersistOptions, Wal,
     WalChunk, WalPosition, WalScan,
 };
 
@@ -162,7 +164,7 @@ impl Persistence {
     /// ordered against epochs minted locally before the bootstrap, so
     /// retention-by-newest-epoch must restart from a clean slate before
     /// the bootstrap checkpoint is written.
-    pub(crate) fn clear_snapshots(&mut self) {
+    fn clear_snapshots(&mut self) {
         if let Ok(snapshots) = list_snapshots(&self.dir) {
             for (_, path) in snapshots {
                 let _ = std::fs::remove_file(path);
@@ -170,20 +172,55 @@ impl Persistence {
         }
     }
 
-    /// Writes a full snapshot of `snapshot` (graph, prestige and index),
-    /// truncates the WAL and prunes snapshots beyond the retention bound.
-    /// Returns the checkpointed epoch.
-    pub(crate) fn checkpoint(&mut self, snapshot: &GraphSnapshot) -> Result<u64, PersistError> {
-        let started = std::time::Instant::now();
+    /// Whether the newest on-disk snapshot is at `epoch` and the WAL holds
+    /// no record since — a checkpoint of `epoch` would rewrite the same
+    /// state.  (An unreadable directory counts as not current.)
+    pub(crate) fn is_current(&self, epoch: u64) -> bool {
+        self.wal.records() == 0
+            && list_snapshots(&self.dir)
+                .ok()
+                .and_then(|snapshots| snapshots.first().map(|(newest, _)| *newest))
+                == Some(epoch)
+    }
+
+    /// Writes a full snapshot of `snapshot` (graph, prestige, index and
+    /// their derivation record), truncates the WAL and prunes snapshots
+    /// beyond the retention bound.  Returns the checkpointed epoch, or
+    /// `None` — having written nothing — when the state on disk is already
+    /// current ([`Persistence::is_current`]), as after a checkpoint with no
+    /// write since.
+    pub(crate) fn checkpoint(
+        &mut self,
+        snapshot: &GraphSnapshot,
+    ) -> Result<Option<u64>, PersistError> {
         let epoch = snapshot.epoch();
+        if self.is_current(epoch) {
+            return Ok(None);
+        }
+        let started = std::time::Instant::now();
+        self.write(epoch, &snapshot.encode(), started).map(Some)
+    }
+
+    /// Makes a leader's snapshot file, received as `bytes` at `epoch`, the
+    /// local bootstrap checkpoint: every local snapshot is deleted (see
+    /// [`Persistence::clear_snapshots`]) and the bytes are written as they
+    /// came — no re-encode.
+    pub(crate) fn install(&mut self, epoch: u64, bytes: &[u8]) -> Result<u64, PersistError> {
+        let started = std::time::Instant::now();
+        self.clear_snapshots();
+        self.write(epoch, bytes, started)
+    }
+
+    /// Writes one snapshot file, truncates the WAL, prunes, and books the
+    /// checkpoint (or the failure).
+    fn write(
+        &mut self,
+        epoch: u64,
+        bytes: &[u8],
+        started: std::time::Instant,
+    ) -> Result<u64, PersistError> {
         let path = self.dir.join(snapshot_file_name(epoch));
-        let result = write_snapshot(
-            &path,
-            snapshot.graph(),
-            Some(snapshot.prestige()),
-            Some(snapshot.index()),
-        )
-        .and_then(|_| self.wal.reset());
+        let result = write_snapshot_bytes(&path, bytes).and_then(|_| self.wal.reset());
         match result {
             Ok(()) => {
                 self.checkpoint_hist.record(started.elapsed());

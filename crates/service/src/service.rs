@@ -21,8 +21,8 @@ use banks_obs::{
     SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
 };
 use banks_persist::{
-    list_snapshots, recover, replay_wal, FsyncPolicy, PersistError, PersistOptions, Wal,
-    WalPosition, WalRecord,
+    list_snapshots, recover_with, replay_wal, FsyncPolicy, PersistError, PersistOptions, Recovery,
+    Wal, WalPosition, WalRecord,
 };
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, KeywordMatches};
@@ -554,8 +554,11 @@ impl ServiceBuilder {
     /// checkpoints run on demand ([`Service::checkpoint`]), on compaction,
     /// on WAL rotation, and after a wholesale [`Service::swap_graph`].
     ///
-    /// Recovery derives the keyword index and prestige from the recovered
-    /// graph (the builder defaults).  A deployment that supplies its own
+    /// Recovery serves the builder defaults for the keyword index and
+    /// prestige (label index, uniform).  After a clean shutdown — no WAL
+    /// record to replay — it adopts the snapshot's own copies when the
+    /// snapshot says they are those defaults; otherwise it derives them
+    /// from the recovered graph.  A deployment that supplies its own
     /// [`ServiceBuilder::index`] / [`ServiceBuilder::prestige`] must
     /// re-supply them on restart — they are treated as external state, and
     /// the persisted copies are available to the caller via
@@ -685,26 +688,38 @@ impl ServiceBuilder {
             ),
             Some((dir, options)) => {
                 std::fs::create_dir_all(&dir)?;
-                match recover(&dir)? {
+                let adoptable =
+                    GraphSnapshot::adoptable(self.prestige.is_some(), self.index.is_some());
+                match recover_with(&dir, adoptable)? {
                     Some(recovery) => {
-                        let (graph, replayed) =
-                            replay_wal(recovery.contents.graph, &recovery.wal.records)?;
-                        let wal = Persistence::open_wal(&dir, &options, &recovery.wal)?;
-                        let snapshot =
-                            GraphSnapshot::from_optional(graph, self.prestige, self.index);
+                        let Recovery {
+                            mut contents,
+                            snapshot_epoch,
+                            wal: scan,
+                            ..
+                        } = recovery;
+                        let (graph, replayed) = replay_wal(contents.graph, &scan.records)?;
+                        contents.graph = graph;
+                        let wal = Persistence::open_wal(&dir, &options, &scan)?;
+                        let snapshot = GraphSnapshot::recovered(
+                            contents,
+                            replayed == 0,
+                            self.prestige,
+                            self.index,
+                        );
                         let persistence = Persistence::recovered(
                             &dir,
                             wal,
                             options,
-                            recovery.snapshot_epoch,
+                            snapshot_epoch,
                             replayed as u64,
                         );
                         events.emit(
                             EventLevel::Info,
                             "recovery",
                             format!(
-                                "recovered snapshot epoch {} and replayed {} WAL record(s)",
-                                recovery.snapshot_epoch, replayed
+                                "recovered snapshot epoch {snapshot_epoch} and replayed \
+                                 {replayed} WAL record(s)"
                             ),
                         );
                         (snapshot, Some(persistence))
@@ -1498,7 +1513,10 @@ impl Service {
     /// served version (graph, prestige, keyword index), truncates the WAL
     /// and prunes snapshots beyond the retention bound.  Returns the
     /// checkpointed epoch, or [`PersistError::Disabled`] when the service
-    /// was built without [`ServiceBuilder::persistence`].
+    /// was built without [`ServiceBuilder::persistence`].  When the newest
+    /// snapshot on disk is already at the serving epoch and the WAL is
+    /// empty, nothing is written (no event, no new file) and that epoch is
+    /// returned.
     ///
     /// Serialized with [`Service::apply_mutations`] (same admin mutex), so
     /// the written snapshot is never mid-mutation.
@@ -1520,14 +1538,27 @@ impl Service {
         persistence: &mut Persistence,
         trigger: &str,
     ) -> Result<u64, PersistError> {
-        let epoch = persistence.checkpoint(&self.snapshot())?;
+        let snapshot = self.snapshot();
+        match persistence.checkpoint(&snapshot)? {
+            Some(epoch) => {
+                self.checkpoint_written(epoch, trigger);
+                Ok(epoch)
+            }
+            // Already on disk: nothing was written, the horizon did not
+            // move, so nobody is told.
+            None => Ok(snapshot.epoch()),
+        }
+    }
+
+    /// Logs a written checkpoint and wakes the replication streams to look
+    /// at the WAL truncation horizon it moved.
+    fn checkpoint_written(&self, epoch: u64, trigger: &str) {
         self.inner.events.emit(
             EventLevel::Info,
             "checkpoint",
             format!("{trigger} checkpoint at epoch {epoch}"),
         );
         self.wake_publish_waiters();
-        Ok(epoch)
     }
 
     /// The service's durability state: whether persistence is on, the last
@@ -1677,9 +1708,30 @@ impl Service {
     /// re-bootstrap) path.  The snapshot's epoch is preserved, the swap is
     /// made durable by an immediate local checkpoint (which also truncates
     /// any stale local WAL), and the replication progress advances to the
-    /// installed epoch.  Installing the epoch already being served is a
-    /// no-op apart from the progress note.
+    /// installed epoch.  Installing the epoch already being served, when
+    /// the newest local snapshot is already at it, is a no-op apart from
+    /// the progress note.
     pub fn install_replicated_snapshot(&self, snapshot: GraphSnapshot) -> u64 {
+        self.install_locked(snapshot, None)
+    }
+
+    /// [`Service::install_replicated_snapshot`] for a snapshot file as the
+    /// leader sent it: the bytes are decoded (every CRC checked) into the
+    /// version they persisted — graph, index and prestige, each under the
+    /// mode the file's derivation record names, the default derivations
+    /// where the file has no such record — and the same bytes become the
+    /// local bootstrap checkpoint, unchanged.  Returns the installed epoch,
+    /// or the decode error (nothing is installed then).  Like
+    /// [`Service::install_replicated_snapshot`], a failed local write is
+    /// recorded in [`Service::durability`] and does not undo the install.
+    pub fn install_replicated_snapshot_bytes(&self, bytes: &[u8]) -> Result<u64, PersistError> {
+        let snapshot = GraphSnapshot::decode_persisted(bytes)?;
+        Ok(self.install_locked(snapshot, Some(bytes)))
+    }
+
+    /// The install both entry points share; `bytes`, when given, is the
+    /// encoded form of `snapshot` and is written instead of an encode.
+    fn install_locked(&self, snapshot: GraphSnapshot, bytes: Option<&[u8]>) -> u64 {
         let _admin = self.inner.mutate.lock().expect("mutate lock");
         let epoch = snapshot.epoch();
         if epoch != self.epoch() {
@@ -1687,12 +1739,24 @@ impl Service {
         }
         if let Some(persistence) = &self.inner.persistence {
             let mut persistence = persistence.lock().expect("persistence lock");
-            // Pre-bootstrap snapshots carry locally-minted epochs that are
-            // not ordered against the leader's; newest-epoch retention
-            // would keep (or even prefer) them, so wipe before writing the
-            // bootstrap checkpoint.
-            persistence.clear_snapshots();
-            let _ = self.checkpoint_locked(&mut persistence, "bootstrap");
+            if !persistence.is_current(epoch) {
+                // Pre-bootstrap snapshots carry locally-minted epochs that
+                // are not ordered against the leader's; newest-epoch
+                // retention would keep (or even prefer) them, so the
+                // install wipes them before writing the bootstrap
+                // checkpoint.
+                let encoded;
+                let bytes = match bytes {
+                    Some(bytes) => bytes,
+                    None => {
+                        encoded = self.snapshot().encode();
+                        &encoded
+                    }
+                };
+                if persistence.install(epoch, bytes).is_ok() {
+                    self.checkpoint_written(epoch, "bootstrap");
+                }
+            }
         }
         self.note_applied_locked(epoch);
         epoch

@@ -20,6 +20,10 @@
 
 use banks_core::{build_label_index, label_index_delta};
 use banks_graph::{BatchOutcome, DataGraph, MutationBatch};
+use banks_persist::{
+    decode_snapshot_with, encode_snapshot_with, Derivation, IndexDerivation, Keep, PersistError,
+    PrestigeDerivation, SnapshotContents,
+};
 use banks_prestige::{IndegreePrestige, PrestigeVector};
 use banks_textindex::{InvertedIndex, TextDelta};
 
@@ -107,15 +111,27 @@ impl GraphSnapshot {
     /// prestige and the label index built from the graph's node labels —
     /// the same defaults [`crate::ServiceBuilder::build`] applies.
     pub fn with_defaults(graph: DataGraph) -> Self {
-        let prestige = PrestigeVector::uniform_for(&graph);
-        let index = build_label_index(&graph);
-        GraphSnapshot {
-            graph,
-            prestige,
-            index,
-            prestige_mode: PrestigeMode::Uniform,
-            index_mode: IndexMode::Labels,
-        }
+        Self::assemble(graph, None, None)
+    }
+
+    /// Decodes a snapshot file (every CRC checked) and serves it as it was
+    /// persisted: the graph, and the index and prestige beside it under
+    /// the modes its derivation record names — how a follower takes over
+    /// its leader's serving version, supplied parts and all, without
+    /// deriving anything.  What the file cannot vouch for — no derivation
+    /// record (then index and prestige are not even decoded), a part that
+    /// is missing, a prestige vector of the wrong length — is derived as
+    /// [`GraphSnapshot::with_defaults`] derives it.
+    pub(crate) fn decode_persisted(bytes: &[u8]) -> Result<Self, PersistError> {
+        let contents = decode_snapshot_with(bytes, |derivation| {
+            if derivation.is_some() {
+                Keep::ALL
+            } else {
+                Keep::GRAPH
+            }
+        })?;
+        let (graph, prestige, index) = persisted_parts(contents);
+        Ok(Self::assemble(graph, prestige, index))
     }
 
     /// Builder-internal constructor: derives the parts the caller did not
@@ -126,20 +142,100 @@ impl GraphSnapshot {
         prestige: Option<PrestigeVector>,
         index: Option<InvertedIndex>,
     ) -> Self {
-        let (index, index_mode) = match index {
-            Some(index) => (index, IndexMode::External),
-            None => (build_label_index(&graph), IndexMode::Labels),
+        Self::assemble(
+            graph,
+            prestige.map(|p| (p, PrestigeMode::Pinned)),
+            index.map(|i| (i, IndexMode::External)),
+        )
+    }
+
+    /// Builder-internal constructor for recovery, over `contents` whose
+    /// graph has already been replayed to the end of the WAL.  Parts the
+    /// builder supplied win, as in [`GraphSnapshot::from_optional`].  Of
+    /// the rest, the file's copies are adopted when `adopt` (nothing was
+    /// replayed, so they describe this very graph) and its derivation
+    /// record names the builder's own defaults — the label index, uniform
+    /// prestige; everything else is derived.
+    pub(crate) fn recovered(
+        contents: SnapshotContents,
+        adopt: bool,
+        prestige: Option<PrestigeVector>,
+        index: Option<InvertedIndex>,
+    ) -> Self {
+        let (graph, persisted_prestige, persisted_index) = if adopt {
+            persisted_parts(contents)
+        } else {
+            (contents.graph, None, None)
         };
-        let (prestige, prestige_mode) = match prestige {
-            Some(prestige) => (prestige, PrestigeMode::Pinned),
-            None => (PrestigeVector::uniform_for(&graph), PrestigeMode::Uniform),
-        };
+        let prestige = prestige
+            .map(|p| (p, PrestigeMode::Pinned))
+            .or(persisted_prestige.filter(|(_, mode)| matches!(mode, PrestigeMode::Uniform)));
+        let index = index
+            .map(|i| (i, IndexMode::External))
+            .or(persisted_index.filter(|(_, mode)| matches!(mode, IndexMode::Labels)));
+        Self::assemble(graph, prestige, index)
+    }
+
+    /// The parts of a snapshot file [`GraphSnapshot::recovered`] may
+    /// adopt, given what the builder supplied: an unsupplied part whose
+    /// derivation record names the builder's default.  Recovery decodes
+    /// only those.
+    pub(crate) fn adoptable(
+        prestige_supplied: bool,
+        index_supplied: bool,
+    ) -> impl Fn(Option<Derivation>) -> Keep {
+        move |derivation| Keep {
+            prestige: !prestige_supplied
+                && derivation.is_some_and(|d| d.prestige == PrestigeDerivation::Uniform),
+            index: !index_supplied
+                && derivation.is_some_and(|d| d.index == IndexDerivation::Labels),
+        }
+    }
+
+    /// Bundles `graph` with the given parts, deriving a missing one by
+    /// default: the label index, uniform prestige.
+    fn assemble(
+        graph: DataGraph,
+        prestige: Option<(PrestigeVector, PrestigeMode)>,
+        index: Option<(InvertedIndex, IndexMode)>,
+    ) -> Self {
+        let (index, index_mode) =
+            index.unwrap_or_else(|| (build_label_index(&graph), IndexMode::Labels));
+        let (prestige, prestige_mode) = prestige
+            .unwrap_or_else(|| (PrestigeVector::uniform_for(&graph), PrestigeMode::Uniform));
         GraphSnapshot {
             graph,
             prestige,
             index,
             prestige_mode,
             index_mode,
+        }
+    }
+
+    /// This version as a snapshot file: graph, prestige, index and the
+    /// derivation record that lets a reader serve the last two as they
+    /// are.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        encode_snapshot_with(
+            &self.graph,
+            Some(&self.prestige),
+            Some(&self.index),
+            Some(self.derivation()),
+        )
+    }
+
+    /// How this version's index and prestige were derived.
+    fn derivation(&self) -> Derivation {
+        Derivation {
+            index: match self.index_mode {
+                IndexMode::Labels => IndexDerivation::Labels,
+                IndexMode::External => IndexDerivation::External,
+            },
+            prestige: match self.prestige_mode {
+                PrestigeMode::Uniform => PrestigeDerivation::Uniform,
+                PrestigeMode::Indegree(_) => PrestigeDerivation::Indegree,
+                PrestigeMode::Pinned => PrestigeDerivation::Pinned,
+            },
         }
     }
 
@@ -151,14 +247,7 @@ impl GraphSnapshot {
     pub fn with_indegree_prestige(graph: DataGraph) -> Self {
         let state = IndegreePrestige::compute(&graph);
         let prestige = state.to_vector();
-        let index = build_label_index(&graph);
-        GraphSnapshot {
-            graph,
-            prestige,
-            index,
-            prestige_mode: PrestigeMode::Indegree(state),
-            index_mode: IndexMode::Labels,
-        }
+        Self::assemble(graph, Some((prestige, PrestigeMode::Indegree(state))), None)
     }
 
     /// Applies a [`MutationBatch`], producing the successor serving
@@ -281,6 +370,44 @@ impl GraphSnapshot {
     pub(crate) fn restore_epoch(&mut self, epoch: u64) {
         self.graph.restore_epoch(epoch);
     }
+}
+
+/// A decoded file's graph, and its index and prestige paired with the
+/// modes the derivation record names; a part is `None` where the file
+/// cannot vouch for it (see [`GraphSnapshot::decode_persisted`]).
+type PersistedParts = (
+    DataGraph,
+    Option<(PrestigeVector, PrestigeMode)>,
+    Option<(InvertedIndex, IndexMode)>,
+);
+
+fn persisted_parts(contents: SnapshotContents) -> PersistedParts {
+    let SnapshotContents {
+        graph,
+        prestige,
+        index,
+        derivation,
+    } = contents;
+    let Some(derivation) = derivation else {
+        return (graph, None, None);
+    };
+    let index = index.map(|index| match derivation.index {
+        IndexDerivation::Labels => (index, IndexMode::Labels),
+        IndexDerivation::External => (index, IndexMode::External),
+    });
+    let prestige =
+        prestige
+            .filter(|p| p.len() == graph.num_nodes())
+            .map(|p| match derivation.prestige {
+                PrestigeDerivation::Uniform => (p, PrestigeMode::Uniform),
+                // The refresh state is not persisted; it is recomputed from
+                // the graph, and the values stay the ones written.
+                PrestigeDerivation::Indegree => {
+                    (p, PrestigeMode::Indegree(IndegreePrestige::compute(&graph)))
+                }
+                PrestigeDerivation::Pinned => (p, PrestigeMode::Pinned),
+            });
+    (graph, prestige, index)
 }
 
 #[cfg(test)]

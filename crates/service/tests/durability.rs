@@ -214,3 +214,190 @@ fn rejected_batches_touch_neither_wal_nor_epoch() {
     drop(service);
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// An idle checkpoint — the newest file already at the serving epoch, the
+/// WAL empty — writes nothing, logs nothing and wakes no stream; a WAL
+/// record, or a missing file, makes the next one write.
+#[test]
+fn an_idle_checkpoint_writes_nothing() {
+    use std::os::unix::fs::MetadataExt;
+    use std::time::Duration;
+
+    let dir = tmp_dir("idle");
+    let service = Service::builder(dblp_like())
+        .workers(1)
+        .persistence(&dir, FsyncPolicy::Always)
+        .build();
+    let checkpoint_events = |service: &Service| {
+        service
+            .events()
+            .since(0, 10_000)
+            .iter()
+            .filter(|e| e.kind == "checkpoint")
+            .count()
+    };
+    let (epoch, path) = service.newest_snapshot_file().unwrap().unwrap();
+    let file = std::fs::metadata(&path).unwrap();
+    let (checkpoints, events) = (
+        service.durability().checkpoints,
+        checkpoint_events(&service),
+    );
+    let generation = service.publish_generation();
+
+    assert_eq!(service.checkpoint().unwrap(), epoch);
+    let again = std::fs::metadata(&path).unwrap();
+    assert_eq!(again.ino(), file.ino(), "the file was not rewritten");
+    assert_eq!(again.modified().unwrap(), file.modified().unwrap());
+    assert_eq!(service.durability().checkpoints, checkpoints);
+    assert_eq!(checkpoint_events(&service), events);
+    assert_eq!(
+        service.wait_for_publish(generation, Duration::from_millis(10)),
+        generation,
+        "no publish waiter was woken"
+    );
+
+    // One WAL record: the next checkpoint writes.
+    let report = service.apply_mutations(&MutationBatch::new().add_node("author", "Jim Gray"));
+    assert!(report.swapped);
+    assert_eq!(service.checkpoint().unwrap(), report.epoch);
+    assert_eq!(service.durability().checkpoints, checkpoints + 1);
+    assert_eq!(checkpoint_events(&service), events + 1);
+
+    // The file gone (the WAL is empty): the next checkpoint writes it back.
+    let (_, newest) = service.newest_snapshot_file().unwrap().unwrap();
+    std::fs::remove_file(&newest).unwrap();
+    assert_eq!(service.checkpoint().unwrap(), report.epoch);
+    assert!(newest.exists());
+    assert_eq!(service.durability().checkpoints, checkpoints + 2);
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The label index from `dblp_like`, plus one term ("zeppelin", on node 0)
+/// the labels do not hold: served only if adopted from the file.
+fn marked_index(graph: &DataGraph) -> banks_textindex::InvertedIndex {
+    let mut builder = banks_textindex::IndexBuilder::with_default_tokenizer();
+    for node in graph.nodes() {
+        builder.add_text(node, graph.node_label(node));
+    }
+    builder.add_text(NodeId(0), "zeppelin");
+    for kind in 0..graph.num_kinds() {
+        let kind = banks_graph::KindId(kind as u16);
+        builder.add_relation_name(graph.kind_name(kind), kind);
+    }
+    builder.build()
+}
+
+/// A data directory holding one snapshot file with the given bytes.
+fn dir_with_snapshot(tag: &str, epoch: u64, bytes: &[u8]) -> PathBuf {
+    let dir = tmp_dir(tag);
+    banks_persist::write_snapshot_bytes(&dir.join(banks_persist::snapshot_file_name(epoch)), bytes)
+        .unwrap();
+    dir
+}
+
+fn matches_zeppelin(service: &Service) -> bool {
+    let (outcome, _) = service
+        .submit(QuerySpec::keywords(["zeppelin"]).top_k(1))
+        .unwrap()
+        .wait();
+    !outcome.answers.is_empty()
+}
+
+/// A clean restart serves the persisted index when the derivation record
+/// says it is the label index; a file without the record (the format
+/// before it), with an unreadable one, with one that says "external", or
+/// with the record but no index re-derives; a damaged record is a typed
+/// error; and a restart that replays WAL records derives as before.
+#[test]
+fn recovery_adopts_only_what_the_derivation_record_vouches_for() {
+    use banks_persist::{encode_snapshot_with, Derivation, IndexDerivation, PrestigeDerivation};
+    use banks_prestige::PrestigeVector;
+
+    let graph = dblp_like();
+    let epoch = graph.epoch();
+    let prestige = PrestigeVector::uniform_for(&graph);
+    let index = marked_index(&graph);
+    let derivation = |index| Derivation {
+        index,
+        prestige: PrestigeDerivation::Uniform,
+    };
+    let encode = |index: Option<&banks_textindex::InvertedIndex>, d: Option<Derivation>| {
+        encode_snapshot_with(&graph, Some(&prestige), index, d)
+    };
+    let boot = |dir: &PathBuf| {
+        Service::builder(decoy())
+            .workers(1)
+            .persistence(dir, FsyncPolicy::Always)
+            .try_build()
+    };
+
+    let labels = encode(Some(&index), Some(derivation(IndexDerivation::Labels)));
+    let mut unknown_mode = labels.clone();
+    let at = unknown_mode.len() - 8; // the record's 2-byte payload
+    unknown_mode[at] = 9;
+    let crc = banks_persist::crc::crc32(&unknown_mode[at..at + 2]);
+    unknown_mode[at - 8..at - 4].copy_from_slice(&crc.to_le_bytes());
+    let cases = [
+        ("adopted", labels.clone(), true),
+        ("parent-format", encode(Some(&index), None), false),
+        ("unknown-mode", unknown_mode, false),
+        (
+            "external",
+            encode(Some(&index), Some(derivation(IndexDerivation::External))),
+            false,
+        ),
+        (
+            "no-index",
+            encode(None, Some(derivation(IndexDerivation::Labels))),
+            false,
+        ),
+    ];
+    for (tag, bytes, adopted) in cases {
+        let dir = dir_with_snapshot(tag, epoch, &bytes);
+        let service = boot(&dir).unwrap();
+        assert_eq!(service.epoch(), epoch, "{tag}");
+        assert_eq!(matches_zeppelin(&service), adopted, "{tag}");
+        assert_eq!(
+            answers(&service, "soumen bidirectional"),
+            answers(
+                &Service::builder(dblp_like()).build(),
+                "soumen bidirectional"
+            ),
+            "{tag}: label answers are the same either way"
+        );
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // Cut inside the record, or a bit flipped in its payload: the only
+    // snapshot does not load, and the boot fails with a typed error.
+    let mut flipped = labels.clone();
+    let at = flipped.len() - 7;
+    flipped[at] ^= 0x01;
+    for (tag, bytes) in [
+        ("cut", labels[..labels.len() - 9].to_vec()),
+        ("flipped", flipped),
+    ] {
+        let dir = dir_with_snapshot(tag, epoch, &bytes);
+        assert!(
+            matches!(boot(&dir), Err(PersistError::NoValidSnapshot { .. })),
+            "{tag}"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    // A WAL record to replay: the index is derived from the replayed graph.
+    let dir = dir_with_snapshot("replayed", epoch, &labels);
+    let service = boot(&dir).unwrap();
+    assert!(matches_zeppelin(&service));
+    let report = service.apply_mutations(&MutationBatch::new().add_node("author", "Jim Gray"));
+    assert!(report.swapped);
+    drop(service);
+    let service = boot(&dir).unwrap();
+    assert_eq!(service.epoch(), report.epoch);
+    assert_eq!(service.durability().replayed_records, 1);
+    assert!(!matches_zeppelin(&service));
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -29,6 +29,10 @@ fn tmp_dir(tag: &str) -> PathBuf {
 /// compaction threshold — compaction would checkpoint and truncate the
 /// leader WAL mid-test, making the streamed record set nondeterministic.
 fn dblp_like() -> DataGraph {
+    dblp_with_filler(40)
+}
+
+fn dblp_with_filler(filler: usize) -> DataGraph {
     let mut b = GraphBuilder::new();
     let soumen = b.add_node("author", "Soumen Chakrabarti");
     let shashank = b.add_node("author", "Shashank Pandit");
@@ -43,7 +47,7 @@ fn dblp_like() -> DataGraph {
     b.add_edge(w1, bidir).unwrap();
     b.add_edge(w2, soumen).unwrap();
     b.add_edge(w2, bidir).unwrap();
-    for i in 0..40 {
+    for i in 0..filler {
         b.add_node("filler", format!("filler {i}"));
     }
     b.build_default()
@@ -75,17 +79,16 @@ fn answers(service: &Service, query: &str) -> Vec<(String, Vec<(u32, u64)>)> {
 }
 
 /// Bootstraps a follower from the leader's newest on-disk snapshot, the
-/// way the replication client does: decode the snapshot file, rebuild the
-/// serving version with the default derivations, install it wholesale.
+/// way the replication client does: the file's bytes, installed as they
+/// are.
 fn bootstrap_follower(leader: &Service, follower: &Service) -> u64 {
     let (epoch, path) = leader
         .newest_snapshot_file()
         .unwrap()
         .expect("leader has a snapshot");
-    let contents = read_snapshot(&path).unwrap();
-    assert_eq!(contents.graph.epoch(), epoch);
-    let installed =
-        follower.install_replicated_snapshot(GraphSnapshot::with_defaults(contents.graph));
+    let installed = follower
+        .install_replicated_snapshot_bytes(&std::fs::read(&path).unwrap())
+        .unwrap();
     assert_eq!(installed, epoch);
     installed
 }
@@ -361,8 +364,135 @@ fn bootstrap_installs_checkpoint_and_preserves_the_leader_epoch() {
         "bootstrap checkpoints locally at the installed epoch"
     );
     assert_eq!(durability.wal_records, 0, "stale local WAL is truncated");
-    // Installing the same epoch again is a harmless no-op.
+    // The leader's file is the follower's checkpoint, byte for byte.
+    let (_, leader_file) = leader.newest_snapshot_file().unwrap().unwrap();
+    let (_, follower_file) = follower.newest_snapshot_file().unwrap().unwrap();
+    assert_eq!(
+        std::fs::read(&follower_file).unwrap(),
+        std::fs::read(&leader_file).unwrap()
+    );
+}
+
+/// Installing the epoch already served, with the newest local snapshot
+/// already at it, is a no-op apart from the progress note — through either
+/// entry point: no file is rewritten, no checkpoint counted, no event.
+#[test]
+fn installing_the_served_epoch_again_writes_nothing() {
+    use std::os::unix::fs::MetadataExt;
+
+    let leader_dir = tmp_dir("again-leader");
+    let follower_dir = tmp_dir("again-follower");
+    let leader = Service::builder(dblp_like())
+        .workers(1)
+        .persistence(&leader_dir, FsyncPolicy::Always)
+        .build();
+    leader.apply_mutations(&leader_batches()[0]);
+    leader.checkpoint().unwrap();
+    let follower = Service::builder(decoy())
+        .workers(1)
+        .persistence(&follower_dir, FsyncPolicy::Always)
+        .build();
+    let installed = bootstrap_follower(&leader, &follower);
+
+    let (_, path) = follower.newest_snapshot_file().unwrap().unwrap();
+    let file = std::fs::metadata(&path).unwrap();
+    let checkpoints = follower.durability().checkpoints;
+    let events = follower.events().since(0, 10_000).len();
     assert_eq!(bootstrap_follower(&leader, &follower), installed);
+    let (_, leader_file) = leader.newest_snapshot_file().unwrap().unwrap();
+    let graph = read_snapshot(&leader_file).unwrap().graph;
+    assert_eq!(
+        follower.install_replicated_snapshot(GraphSnapshot::with_defaults(graph)),
+        installed
+    );
+    let again = std::fs::metadata(&path).unwrap();
+    assert_eq!(again.ino(), file.ino(), "the file was not rewritten");
+    assert_eq!(again.modified().unwrap(), file.modified().unwrap());
+    assert_eq!(follower.durability().checkpoints, checkpoints);
+    assert_eq!(follower.events().since(0, 10_000).len(), events);
+    assert_eq!(follower.replication_status().applied_epoch, installed);
+}
+
+/// A leader built with its own index (one the labels cannot rebuild) and
+/// pinned prestige: the follower serves both, with the leader's modes, so
+/// the two answer alike at the bootstrap epoch and after every mutation.
+#[test]
+fn a_follower_serves_a_supplied_index_and_pinned_prestige_as_the_leader_does() {
+    let base = dblp_with_filler(440);
+    let mut index = banks_textindex::IndexBuilder::with_default_tokenizer();
+    for node in base.nodes() {
+        index.add_text(node, base.node_label(node));
+    }
+    // Abstract text only the supplied index knows.
+    index.add_text(NodeId(2), "proximity search over relational data");
+    index.add_text(NodeId(3), "frontier proximity heuristics");
+    for kind in 0..base.num_kinds() {
+        let kind = banks_graph::KindId(kind as u16);
+        index.add_relation_name(base.kind_name(kind), kind);
+    }
+    let prestige = banks_prestige::PrestigeVector::from_values(
+        (0..base.num_nodes())
+            .map(|i| 0.25 + (i % 7) as f64)
+            .collect(),
+    );
+    let leader_dir = tmp_dir("supplied-leader");
+    let follower_dir = tmp_dir("supplied-follower");
+    let leader = Service::builder(base)
+        .workers(1)
+        .index(index.build())
+        .prestige(prestige)
+        .persistence(&leader_dir, FsyncPolicy::Always)
+        .build();
+    let follower = Service::builder(decoy())
+        .workers(1)
+        .persistence(&follower_dir, FsyncPolicy::Always)
+        .build();
+    bootstrap_follower(&leader, &follower);
+    let queries = [
+        "proximity soumen",
+        "frontier keyword",
+        "soumen search",
+        "paper",
+    ];
+    let compare = |step: &str| {
+        assert_eq!(follower.epoch(), leader.epoch(), "{step}");
+        for query in queries {
+            assert_eq!(
+                answers(&follower, query),
+                answers(&leader, query),
+                "{step}: {query}"
+            );
+        }
+    };
+    compare("bootstrap");
+    assert!(!answers(&leader, "proximity soumen")[0].1.is_empty());
+
+    let batches = [
+        MutationBatch::new()
+            .add_node("paper", "Proximity ranking in graphs")
+            .add_edge(NodeId(447), NodeId(0)),
+        MutationBatch::new().set_label(NodeId(3), "Bidirectional keyword search"),
+        MutationBatch::new()
+            .add_node("writes", "w9")
+            .add_edge(NodeId(448), NodeId(1))
+            .add_edge(NodeId(448), NodeId(447)),
+        MutationBatch::new().set_weight(NodeId(4), NodeId(0), 3.5),
+        MutationBatch::new().add_node("author", "Frontier Search Author"),
+        MutationBatch::new().remove_node(NodeId(1)),
+    ];
+    for (step, batch) in batches.iter().enumerate() {
+        assert!(leader.apply_mutations(batch).swapped, "batch {step}");
+        let tail = leader
+            .replication_records_after(follower.epoch(), &mut WalPosition::default())
+            .unwrap();
+        for record in &tail.records {
+            follower.apply_replicated(record).unwrap();
+        }
+        compare(&format!("after batch {step}"));
+    }
+    drop((leader, follower));
+    std::fs::remove_dir_all(&leader_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
 }
 
 #[test]

@@ -199,3 +199,53 @@ fn random_mutation_chains_survive_crashes_byte_identically() {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+/// FNV-1a, 64-bit, over a byte string.
+fn fnv(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The snapshot a service checkpoints for the 8k-node corpus is the
+/// pinned `encode_snapshot` output (label index, uniform prestige) plus
+/// exactly one 32-byte derivation record; stripping that record (and
+/// fixing the header's record count and CRC) gives the hash
+/// `tests/corpus_fingerprint.rs` pins.
+#[test]
+fn a_service_checkpoint_is_the_pinned_snapshot_plus_one_record() {
+    use banks::persist::{encode_snapshot, snapshot_file_name};
+
+    let data = DblpDataset::generate(DblpConfig {
+        num_authors: 600,
+        num_papers: 1200,
+        num_conferences: 8,
+        seed: 7,
+        ..DblpConfig::default()
+    });
+    let mut graph = data.dataset.graph().clone();
+    graph.restore_epoch(1);
+    let pinned = encode_snapshot(
+        &graph,
+        Some(&PrestigeVector::uniform_for(&graph)),
+        Some(&banks::core::build_label_index(&graph)),
+    );
+    let dir = std::env::temp_dir().join(format!("banks-persist-pinned-{}", std::process::id()));
+    let service = Service::builder(graph)
+        .workers(1)
+        .persistence(&dir, FsyncPolicy::Always)
+        .build();
+    let written = std::fs::read(dir.join(snapshot_file_name(1))).unwrap();
+    drop(service);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    assert_eq!(written.len(), pinned.len() + 32);
+    assert_eq!(&written[64..pinned.len()], &pinned[64..]);
+    let mut stripped = written[..pinned.len()].to_vec();
+    let records = u64::from_le_bytes(written[24..32].try_into().unwrap());
+    stripped[24..32].copy_from_slice(&(records - 1).to_le_bytes());
+    let crc = banks::persist::crc::crc32(&stripped[..60]);
+    stripped[60..64].copy_from_slice(&crc.to_le_bytes());
+    assert_eq!(stripped, pinned);
+    assert_eq!(fnv(&stripped), 0xe2fa_11a4_08f8_5556, "the recorded hash");
+}

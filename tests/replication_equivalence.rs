@@ -321,3 +321,79 @@ fn random_mutation_chains_replicate_byte_identically_at_every_epoch() {
         std::fs::remove_dir_all(&follower_dir).unwrap();
     }
 }
+
+/// A leader built with its own keyword index — every label plus text the
+/// labels do not hold — and pinned prestige.  Its follower serves both as
+/// the leader persisted them, index and prestige modes included, so the
+/// two stream identical answers at the bootstrap epoch and at every epoch
+/// of a mutation chain (additive index deltas, prestige carried forward,
+/// on both sides).
+#[test]
+fn a_leader_with_a_supplied_index_and_pinned_prestige_replicates_byte_identically() {
+    let mut rng = Rng::new(0x5EED_1DEA);
+    let leader_dir = tmp_dir("supplied-lead");
+    let follower_dir = tmp_dir("supplied-foll");
+    let queries: Vec<String> = (0..4).map(|_| random_label(&mut rng)).collect();
+
+    let graph = random_graph(&mut rng);
+    let mut index = IndexBuilder::with_default_tokenizer();
+    for node in graph.nodes() {
+        index.add_text(node, graph.node_label(node));
+        if node.0 % 3 == 0 {
+            index.add_text(node, &random_label(&mut rng));
+        }
+    }
+    for kind in 0..graph.num_kinds() {
+        let kind = banks::graph::KindId(kind as u16);
+        index.add_relation_name(graph.kind_name(kind), kind);
+    }
+    let prestige = PrestigeVector::from_values(
+        (0..graph.num_nodes())
+            .map(|_| 0.25 + rng.below(8) as f64)
+            .collect(),
+    );
+    let defaults = Service::builder(graph.clone()).workers(1).build();
+    let leader = Arc::new(
+        Service::builder(graph)
+            .workers(2)
+            .index(index.build())
+            .prestige(prestige)
+            .persistence(&leader_dir, FsyncPolicy::Always)
+            .build(),
+    );
+    assert_ne!(
+        engine_fingerprints(&leader, &queries),
+        engine_fingerprints(&defaults, &queries),
+        "the supplied parts must change some answer, or this proves nothing"
+    );
+    leader.set_replication_role(ReplicationRole::Leader);
+    let server = Server::builder(Arc::clone(&leader)).spawn().unwrap();
+    let follower = Arc::new(
+        Service::builder(boot_graph(&mut rng))
+            .workers(2)
+            .persistence(&follower_dir, FsyncPolicy::Always)
+            .build(),
+    );
+    let client = Follower::start(
+        Arc::clone(&follower),
+        &format!("http://{}", server.local_addr()),
+    )
+    .unwrap();
+    assert_converged(&leader, &follower, &queries, "supplied parts, bootstrap");
+    for step in 0..6 {
+        let nodes = leader.snapshot().graph().num_nodes() as u32;
+        let report = leader.apply_mutations(&random_batch(&mut rng, nodes));
+        assert!(report.persist_error.is_none(), "WAL append");
+        assert_converged(
+            &leader,
+            &follower,
+            &queries,
+            &format!("supplied parts, step {step}"),
+        );
+    }
+
+    drop(client);
+    server.shutdown();
+    std::fs::remove_dir_all(&leader_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
+}
