@@ -41,59 +41,16 @@ use crate::stream::{drain, AnswerStream, QueryContext};
 /// as in the paper's DBLP examples.  Shared by the lazily-initialising
 /// [`Banks`] facade and the concurrent query service (which builds the index
 /// eagerly at start-up).
-///
-/// Graphs of at least [`PARALLEL_INDEX_MIN_NODES`] nodes are indexed on up
-/// to `available_parallelism()` scoped threads: each reads every label in
-/// node order and keeps one hash shard of the terms
-/// ([`IndexBuilder::shard`]), so the index is exactly the one a single
-/// thread builds.
 pub fn build_label_index(graph: &DataGraph) -> InvertedIndex {
-    let shards = if graph.num_nodes() < PARALLEL_INDEX_MIN_NODES {
-        1
-    } else {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    };
-    build_label_index_sharded(graph, shards)
-}
-
-/// Below this many nodes [`build_label_index`] runs on the calling thread.
-/// Every shard thread tokenizes every label, so a second thread pays for
-/// itself only once hashing and allocating the vocabulary dominate: on a
-/// 2-core box it loses up to ~520k nodes and wins 0.78× at 1.3 M (table in
-/// `docs/PERF.md`).
-pub const PARALLEL_INDEX_MIN_NODES: usize = 1 << 20;
-
-/// [`build_label_index`] with the vocabulary split into `shards` term-hash
-/// shards, one scoped thread each (the calling thread takes shard 0).
-fn build_label_index_sharded(graph: &DataGraph, shards: usize) -> InvertedIndex {
-    let shards = shards.max(1);
-    let index_shard = |shard: usize| {
-        let mut builder = IndexBuilder::with_default_tokenizer();
-        if shards > 1 {
-            builder = builder.shard(shard, shards);
-        }
-        for node in graph.nodes() {
-            builder.add_text(node, graph.node_label(node));
-        }
-        builder
-    };
-    let mut builders = std::thread::scope(|scope| {
-        let later: Vec<_> = (1..shards)
-            .map(|shard| scope.spawn(move || index_shard(shard)))
-            .collect();
-        let mut builders = vec![index_shard(0)];
-        builders.extend(
-            later
-                .into_iter()
-                .map(|handle| handle.join().expect("label index thread panicked")),
-        );
-        builders
-    });
+    let mut builder = IndexBuilder::with_default_tokenizer();
+    for node in graph.nodes() {
+        builder.add_text(node, graph.node_label(node));
+    }
     for kind in 0..graph.num_kinds() {
         let kind = KindId(kind as u16);
-        builders[0].add_relation_name(graph.kind_name(kind), kind);
+        builder.add_relation_name(graph.kind_name(kind), kind);
     }
-    IndexBuilder::build_shards(builders)
+    builder.build()
 }
 
 /// Translates a mutation-batch outcome into the text delta that keeps a
@@ -476,46 +433,6 @@ impl<'b, 'g> QuerySession<'b, 'g> {
 mod tests {
     use super::*;
     use banks_graph::{GraphBuilder, NodeId};
-
-    #[test]
-    fn the_label_index_is_the_same_on_any_number_of_threads() {
-        let words = [
-            "Graph",
-            "search",
-            "İstanbul",
-            "Straße",
-            "数据库",
-            "a",
-            "the",
-            "BANKS",
-        ];
-        let mut b = GraphBuilder::new();
-        for i in 0..3000 {
-            b.add_node(
-                ["author", "paper", "writes"][i % 3],
-                format!(
-                    "{} {}-{} w{}",
-                    words[i % 8],
-                    words[(i / 8) % 8],
-                    words[(i * 7) % 8],
-                    i % 997
-                ),
-            );
-        }
-        let graph = b.build_default();
-        let available = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let single = build_label_index_sharded(&graph, 1);
-        for threads in [2, 3, available] {
-            let index = build_label_index_sharded(&graph, threads);
-            assert_eq!(index.num_terms(), single.num_terms(), "{threads} threads");
-            for term in single.terms() {
-                assert_eq!(index.postings(term), single.postings(term), "{term:?}");
-            }
-            for (term, kinds) in single.kind_terms() {
-                assert_eq!(index.kinds_for_term(term), kinds, "{term:?}");
-            }
-        }
-    }
 
     /// writes -> {author, paper} with searchable labels.
     fn tiny_graph() -> DataGraph {

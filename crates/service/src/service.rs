@@ -1622,7 +1622,7 @@ impl Service {
     /// `parent_epoch` does not match the serving epoch returns
     /// [`ReplicationApplyError::EpochGap`] — the follower fell behind the
     /// leader's WAL truncation horizon and must re-bootstrap from a
-    /// leader snapshot ([`Service::install_replicated_snapshot`]).
+    /// leader snapshot ([`Service::install_replicated_snapshot_bytes`]).
     pub fn apply_replicated(
         &self,
         record: &WalRecord,
@@ -1704,62 +1704,43 @@ impl Service {
         })
     }
 
-    /// Installs a leader snapshot wholesale — the follower bootstrap (and
-    /// re-bootstrap) path.  The snapshot's epoch is preserved, the swap is
-    /// made durable by an immediate local checkpoint (which also truncates
+    /// Installs a leader snapshot file wholesale — the follower bootstrap
+    /// (and re-bootstrap) path.  The bytes are decoded (every CRC checked)
+    /// into the version they persisted: graph, index and prestige, each
+    /// under the mode the file's derivation record names, and the default
+    /// derivations for what the file cannot vouch for (see
+    /// [`GraphSnapshot`]).  The snapshot's epoch is preserved, the same
+    /// bytes become the local bootstrap checkpoint (which also truncates
     /// any stale local WAL), and the replication progress advances to the
     /// installed epoch.  Installing the epoch already being served, when
     /// the newest local snapshot is already at it, is a no-op apart from
-    /// the progress note.
-    pub fn install_replicated_snapshot(&self, snapshot: GraphSnapshot) -> u64 {
-        self.install_locked(snapshot, None)
-    }
-
-    /// [`Service::install_replicated_snapshot`] for a snapshot file as the
-    /// leader sent it: the bytes are decoded (every CRC checked) into the
-    /// version they persisted — graph, index and prestige, each under the
-    /// mode the file's derivation record names, the default derivations
-    /// where the file has no such record — and the same bytes become the
-    /// local bootstrap checkpoint, unchanged.  Returns the installed epoch,
-    /// or the decode error (nothing is installed then).  Like
-    /// [`Service::install_replicated_snapshot`], a failed local write is
-    /// recorded in [`Service::durability`] and does not undo the install.
+    /// the progress note.  Returns the installed epoch, or the decode
+    /// error (nothing is installed then); a failed local write is recorded
+    /// in [`Service::durability`] and does not undo the install.
     pub fn install_replicated_snapshot_bytes(&self, bytes: &[u8]) -> Result<u64, PersistError> {
         let snapshot = GraphSnapshot::decode_persisted(bytes)?;
-        Ok(self.install_locked(snapshot, Some(bytes)))
-    }
-
-    /// The install both entry points share; `bytes`, when given, is the
-    /// encoded form of `snapshot` and is written instead of an encode.
-    fn install_locked(&self, snapshot: GraphSnapshot, bytes: Option<&[u8]>) -> u64 {
         let _admin = self.inner.mutate.lock().expect("mutate lock");
         let epoch = snapshot.epoch();
-        if epoch != self.epoch() {
+        let swapped = epoch != self.epoch();
+        if swapped {
             self.swap_snapshot_inner(snapshot);
         }
         if let Some(persistence) = &self.inner.persistence {
             let mut persistence = persistence.lock().expect("persistence lock");
-            if !persistence.is_current(epoch) {
-                // Pre-bootstrap snapshots carry locally-minted epochs that
-                // are not ordered against the leader's; newest-epoch
-                // retention would keep (or even prefer) them, so the
-                // install wipes them before writing the bootstrap
-                // checkpoint.
-                let encoded;
-                let bytes = match bytes {
-                    Some(bytes) => bytes,
-                    None => {
-                        encoded = self.snapshot().encode();
-                        &encoded
-                    }
-                };
-                if persistence.install(epoch, bytes).is_ok() {
-                    self.checkpoint_written(epoch, "bootstrap");
-                }
+            // An install that swapped always writes: a file already named
+            // for this epoch may be one recovery skipped as damaged.
+            // Pre-bootstrap snapshots carry locally-minted epochs that are
+            // not ordered against the leader's; newest-epoch retention
+            // would keep (or even prefer) them, so the install wipes them
+            // before writing the bootstrap checkpoint.
+            if (swapped || !persistence.is_current(epoch))
+                && persistence.install(epoch, bytes).is_ok()
+            {
+                self.checkpoint_written(epoch, "bootstrap");
             }
         }
         self.note_applied_locked(epoch);
-        epoch
+        Ok(epoch)
     }
 
     /// Updates follower progress after serving-state advanced to `epoch`.

@@ -120,7 +120,8 @@ impl GraphSnapshot {
     /// its leader's serving version, supplied parts and all, without
     /// deriving anything.  What the file cannot vouch for — no derivation
     /// record (then index and prestige are not even decoded), a part that
-    /// is missing, a prestige vector of the wrong length — is derived as
+    /// is missing, a prestige vector of the wrong length, an index naming a
+    /// node or kind the graph lacks — is derived as
     /// [`GraphSnapshot::with_defaults`] derives it.
     pub(crate) fn decode_persisted(bytes: &[u8]) -> Result<Self, PersistError> {
         let contents = decode_snapshot_with(bytes, |derivation| {
@@ -391,10 +392,12 @@ fn persisted_parts(contents: SnapshotContents) -> PersistedParts {
     let Some(derivation) = derivation else {
         return (graph, None, None);
     };
-    let index = index.map(|index| match derivation.index {
-        IndexDerivation::Labels => (index, IndexMode::Labels),
-        IndexDerivation::External => (index, IndexMode::External),
-    });
+    let index = index
+        .filter(|index| fits(index, &graph))
+        .map(|index| match derivation.index {
+            IndexDerivation::Labels => (index, IndexMode::Labels),
+            IndexDerivation::External => (index, IndexMode::External),
+        });
     let prestige =
         prestige
             .filter(|p| p.len() == graph.num_nodes())
@@ -408,6 +411,23 @@ fn persisted_parts(contents: SnapshotContents) -> PersistedParts {
                 PrestigeDerivation::Pinned => (p, PrestigeMode::Pinned),
             });
     (graph, prestige, index)
+}
+
+/// Whether every node and kind `index` names exists in `graph`.  A file
+/// whose CRCs all pass can still hold an index that does not belong to its
+/// graph, and the first query to reach a missing node would panic; such an
+/// index is derived again instead.  Posting lists are strictly ascending,
+/// so each is checked by its last entry.
+fn fits(index: &InvertedIndex, graph: &DataGraph) -> bool {
+    let (nodes, kinds) = (graph.num_nodes(), graph.num_kinds());
+    index.terms().all(|term| {
+        index
+            .postings(term)
+            .last()
+            .is_none_or(|n| n.index() < nodes)
+    }) && index
+        .kind_terms()
+        .all(|(_, ids)| ids.iter().all(|k| k.index() < kinds))
 }
 
 #[cfg(test)]

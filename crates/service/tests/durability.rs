@@ -332,6 +332,20 @@ fn recovery_adopts_only_what_the_derivation_record_vouches_for() {
             .try_build()
     };
 
+    // The marked index plus a term on `node` and a relation name for
+    // `kind`, either of which may lie past the graph's end.
+    let naming = |node: u32, kind: u16| {
+        let mut builder = banks_textindex::IndexBuilder::with_default_tokenizer();
+        for n in graph.nodes() {
+            builder.add_text(n, graph.node_label(n));
+        }
+        builder.add_text(NodeId(0), "zeppelin");
+        builder.add_text(NodeId(node), "phantom");
+        builder.add_relation_name("ghost", banks_graph::KindId(kind));
+        builder.build()
+    };
+    let (nodes, kinds) = (graph.num_nodes() as u32, graph.num_kinds() as u16);
+
     let labels = encode(Some(&index), Some(derivation(IndexDerivation::Labels)));
     let mut unknown_mode = labels.clone();
     let at = unknown_mode.len() - 8; // the record's 2-byte payload
@@ -352,20 +366,36 @@ fn recovery_adopts_only_what_the_derivation_record_vouches_for() {
             encode(None, Some(derivation(IndexDerivation::Labels))),
             false,
         ),
+        (
+            "missing-node",
+            encode(
+                Some(&naming(nodes, 0)),
+                Some(derivation(IndexDerivation::Labels)),
+            ),
+            false,
+        ),
+        (
+            "missing-kind",
+            encode(
+                Some(&naming(0, kinds)),
+                Some(derivation(IndexDerivation::Labels)),
+            ),
+            false,
+        ),
     ];
+    let fresh = Service::builder(dblp_like()).build();
     for (tag, bytes, adopted) in cases {
         let dir = dir_with_snapshot(tag, epoch, &bytes);
         let service = boot(&dir).unwrap();
         assert_eq!(service.epoch(), epoch, "{tag}");
         assert_eq!(matches_zeppelin(&service), adopted, "{tag}");
-        assert_eq!(
-            answers(&service, "soumen bidirectional"),
-            answers(
-                &Service::builder(dblp_like()).build(),
-                "soumen bidirectional"
-            ),
-            "{tag}: label answers are the same either way"
-        );
+        for query in ["soumen bidirectional", "phantom soumen", "ghost"] {
+            assert_eq!(
+                answers(&service, query),
+                answers(&fresh, query),
+                "{tag}: label answers are the same either way ({query})"
+            );
+        }
         drop(service);
         std::fs::remove_dir_all(&dir).unwrap();
     }

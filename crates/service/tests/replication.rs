@@ -1,16 +1,15 @@
 //! Follower-side replication through the service API: WAL record apply
 //! (`Service::apply_replicated`), snapshot bootstrap
-//! (`Service::install_replicated_snapshot`), idempotent stream resume,
+//! (`Service::install_replicated_snapshot_bytes`), idempotent stream resume,
 //! epoch-gap detection, local durability of replicated state, and the
 //! runtime SLO configuration surface.
 
 use std::path::PathBuf;
 
 use banks_graph::{DataGraph, GraphBuilder, MutationBatch, NodeId};
-use banks_persist::read_snapshot;
 use banks_service::{
-    parse_slo_specs, FsyncPolicy, GraphSnapshot, QuerySpec, ReplicationApplyError, ReplicationRole,
-    Service, SloSpec, WalPosition, WalRecord,
+    parse_slo_specs, FsyncPolicy, QuerySpec, ReplicationApplyError, ReplicationRole, Service,
+    SloSpec, WalPosition, WalRecord,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -374,8 +373,8 @@ fn bootstrap_installs_checkpoint_and_preserves_the_leader_epoch() {
 }
 
 /// Installing the epoch already served, with the newest local snapshot
-/// already at it, is a no-op apart from the progress note — through either
-/// entry point: no file is rewritten, no checkpoint counted, no event.
+/// already at it, is a no-op apart from the progress note: no file is
+/// rewritten, no checkpoint counted, no event.
 #[test]
 fn installing_the_served_epoch_again_writes_nothing() {
     use std::os::unix::fs::MetadataExt;
@@ -399,18 +398,119 @@ fn installing_the_served_epoch_again_writes_nothing() {
     let checkpoints = follower.durability().checkpoints;
     let events = follower.events().since(0, 10_000).len();
     assert_eq!(bootstrap_follower(&leader, &follower), installed);
-    let (_, leader_file) = leader.newest_snapshot_file().unwrap().unwrap();
-    let graph = read_snapshot(&leader_file).unwrap().graph;
-    assert_eq!(
-        follower.install_replicated_snapshot(GraphSnapshot::with_defaults(graph)),
-        installed
-    );
     let again = std::fs::metadata(&path).unwrap();
     assert_eq!(again.ino(), file.ino(), "the file was not rewritten");
     assert_eq!(again.modified().unwrap(), file.modified().unwrap());
     assert_eq!(follower.durability().checkpoints, checkpoints);
     assert_eq!(follower.events().since(0, 10_000).len(), events);
     assert_eq!(follower.replication_status().applied_epoch, installed);
+}
+
+/// A follower that recovered past a damaged newest snapshot serves an
+/// older epoch while that file still carries a newer epoch's name.  An
+/// install at that epoch swaps the served version, so it must also replace
+/// the file (and clear the older one): the next restart recovers the
+/// installed epoch from a good file.
+#[test]
+fn an_install_that_swaps_rewrites_a_damaged_newest_snapshot() {
+    let leader_dir = tmp_dir("damaged-leader");
+    let follower_dir = tmp_dir("damaged-follower");
+    let file = |dir: &PathBuf, epoch| dir.join(banks_persist::snapshot_file_name(epoch));
+    let leader = Service::builder(dblp_like())
+        .workers(1)
+        .persistence(&leader_dir, FsyncPolicy::Always)
+        .build();
+    let (older, _) = leader.newest_snapshot_file().unwrap().unwrap();
+    leader.apply_mutations(&leader_batches()[0]);
+    let newest = leader.checkpoint().unwrap();
+    assert!(file(&leader_dir, older).exists(), "both files are retained");
+
+    // The follower's directory: the leader's two files, the newer one with
+    // a damaged header.
+    std::fs::copy(file(&leader_dir, older), file(&follower_dir, older)).unwrap();
+    let bytes = std::fs::read(file(&leader_dir, newest)).unwrap();
+    let mut damaged = bytes.clone();
+    damaged[20] ^= 0x01;
+    std::fs::write(file(&follower_dir, newest), &damaged).unwrap();
+    let boot = || {
+        Service::builder(decoy())
+            .workers(1)
+            .persistence(&follower_dir, FsyncPolicy::Always)
+            .build()
+    };
+    let follower = boot();
+    assert_eq!(
+        follower.epoch(),
+        older,
+        "recovery fell back past the damaged file"
+    );
+
+    assert_eq!(
+        follower.install_replicated_snapshot_bytes(&bytes).unwrap(),
+        newest
+    );
+    assert_eq!(std::fs::read(file(&follower_dir, newest)).unwrap(), bytes);
+    assert!(
+        !file(&follower_dir, older).exists(),
+        "pre-bootstrap files cleared"
+    );
+    drop(follower);
+    let follower = boot();
+    assert_eq!(follower.epoch(), newest);
+    assert_eq!(answers(&follower, "soumen"), answers(&leader, "soumen"));
+    drop((leader, follower));
+    std::fs::remove_dir_all(&leader_dir).unwrap();
+    std::fs::remove_dir_all(&follower_dir).unwrap();
+}
+
+/// A leader file whose CRCs pass but whose index names a node, or a kind,
+/// the graph does not have is not served as it is: the follower derives
+/// the label index instead and answers like a service built on the graph.
+#[test]
+fn an_install_rederives_an_index_that_names_what_the_graph_lacks() {
+    use banks_persist::{encode_snapshot_with, Derivation, IndexDerivation, PrestigeDerivation};
+
+    let graph = dblp_like();
+    let reference = Service::builder(graph.clone()).workers(1).build();
+    let naming = |node: u32, kind: u16| {
+        let mut index = banks_textindex::IndexBuilder::with_default_tokenizer();
+        for n in graph.nodes() {
+            index.add_text(n, graph.node_label(n));
+        }
+        index.add_text(NodeId(node), "phantom");
+        index.add_relation_name("ghost", banks_graph::KindId(kind));
+        encode_snapshot_with(
+            &graph,
+            Some(&banks_prestige::PrestigeVector::uniform_for(&graph)),
+            Some(&index.build()),
+            Some(Derivation {
+                index: IndexDerivation::External,
+                prestige: PrestigeDerivation::Uniform,
+            }),
+        )
+    };
+    let (nodes, kinds) = (graph.num_nodes() as u32, graph.num_kinds() as u16);
+    for (tag, bytes) in [("node", naming(nodes, 0)), ("kind", naming(0, kinds))] {
+        let dir = tmp_dir(&format!("lacks-{tag}"));
+        let follower = Service::builder(decoy())
+            .workers(1)
+            .persistence(&dir, FsyncPolicy::Always)
+            .build();
+        assert_eq!(
+            follower.install_replicated_snapshot_bytes(&bytes).unwrap(),
+            graph.epoch(),
+            "{tag}"
+        );
+        for query in ["phantom soumen", "ghost", "soumen bidirectional"] {
+            assert_eq!(
+                answers(&follower, query),
+                answers(&reference, query),
+                "{tag}: {query}"
+            );
+        }
+        drop(follower);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// A leader built with its own index (one the labels cannot rebuild) and

@@ -35,9 +35,6 @@ pub struct IndexBuilder {
     kind_terms: HashMap<String, Vec<KindId>>,
     /// The lower-casing buffer [`IndexBuilder::add_text`] reuses per token.
     term: String,
-    /// `(shard, shards)`: keep only the text terms that hash into `shard`
-    /// (see [`IndexBuilder::shard`]).
-    shard: Option<(u64, u64)>,
 }
 
 impl IndexBuilder {
@@ -48,7 +45,6 @@ impl IndexBuilder {
             postings: HashMap::new(),
             kind_terms: HashMap::new(),
             term: String::new(),
-            shard: None,
         }
     }
 
@@ -69,11 +65,6 @@ impl IndexBuilder {
             if !self.tokenizer.normalize_into(raw, &mut self.term) {
                 continue;
             }
-            if let Some((shard, shards)) = self.shard {
-                if term_shard(&self.term, shards) != shard {
-                    continue;
-                }
-            }
             match self.postings.get_mut(self.term.as_str()) {
                 Some(list) => {
                     if list.last() != Some(&node) {
@@ -85,19 +76,6 @@ impl IndexBuilder {
                 }
             }
         }
-    }
-
-    /// Makes this builder keep, of the terms [`IndexBuilder::add_text`]
-    /// meets, only those in hash shard `shard` of `shards` (relation
-    /// names are not filtered).  Builders fed the same texts in the same
-    /// order, one per shard, hold disjoint terms whose posting lists are
-    /// exactly those a single builder makes, so their
-    /// [`IndexBuilder::build_shards`] is that builder's index — and each
-    /// can be fed on a thread of its own.
-    pub fn shard(mut self, shard: usize, shards: usize) -> Self {
-        assert!(shard < shards, "shard {shard} of {shards}");
-        self.shard = Some((shard as u64, shards as u64));
-        self
     }
 
     /// Registers a relation (kind) name so that a query term equal to the
@@ -122,7 +100,6 @@ impl IndexBuilder {
             postings,
             kind_terms,
             term: _,
-            shard: _,
         } = self;
         let mut index: HashMap<Arc<str>, Arc<[NodeId]>> = HashMap::with_capacity(postings.len());
         for (term, mut nodes) in postings {
@@ -142,47 +119,6 @@ impl IndexBuilder {
             kind_terms: kinds,
         }
     }
-
-    /// Freezes the shard builders of one text collection (see
-    /// [`IndexBuilder::shard`]) into the single index they partition:
-    /// every shard is built on a scoped thread of its own (the first on
-    /// the calling thread), and their disjoint terms are moved into the
-    /// first's index.  Relation-name terms are pooled; the first builder's
-    /// tokenizer is kept.
-    pub fn build_shards(shards: Vec<IndexBuilder>) -> InvertedIndex {
-        let mut shards = shards.into_iter();
-        let first = shards
-            .next()
-            .unwrap_or_else(IndexBuilder::with_default_tokenizer);
-        std::thread::scope(|scope| {
-            let later: Vec<_> = shards.map(|shard| scope.spawn(|| shard.build())).collect();
-            let mut index = first.build();
-            for handle in later {
-                let part = handle.join().expect("index shard thread panicked");
-                index.postings.extend(part.postings);
-                for (term, kinds) in part.kind_terms {
-                    let mut ids = index
-                        .kind_terms
-                        .remove(&term)
-                        .map_or_else(Vec::new, Vec::from);
-                    ids.extend_from_slice(&kinds);
-                    ids.sort_unstable();
-                    ids.dedup();
-                    index.kind_terms.insert(term, ids.into_boxed_slice());
-                }
-            }
-            index
-        })
-    }
-}
-
-/// The shard of `shards` a normalised term belongs to: FNV-1a of its
-/// bytes, so every builder agrees without sharing a hasher.
-fn term_shard(term: &str, shards: u64) -> u64 {
-    let hash = term.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
-        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
-    });
-    hash % shards
 }
 
 fn is_strictly_ascending(nodes: &[NodeId]) -> bool {
@@ -780,57 +716,6 @@ mod tests {
             for (term, list) in &oracle {
                 proptest::prop_assert_eq!(index.postings(term), &list[..], "term {:?}", term);
             }
-        }
-    }
-
-    proptest::proptest! {
-        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(128))]
-
-        /// Texts fed in the same order to one builder per shard: the shards
-        /// hold disjoint terms and together build the single builder's index.
-        #[test]
-        fn shard_builders_build_the_single_builders_index(
-            (shards, calls) in (
-                1usize..5,
-                proptest::collection::vec(
-                    (
-                        0u32..40,
-                        proptest::collection::vec((0usize..PIECES.len(), 0usize..SEPARATORS.len()), 0..8),
-                    ),
-                    0..24,
-                ),
-            )
-        ) {
-            let texts: Vec<(NodeId, String)> = calls
-                .into_iter()
-                .map(|(node, words)| {
-                    let text: String = words
-                        .into_iter()
-                        .map(|(piece, sep)| format!("{}{}", PIECES[piece], SEPARATORS[sep]))
-                        .collect();
-                    (NodeId(node), text)
-                })
-                .collect();
-            let mut single = IndexBuilder::with_default_tokenizer();
-            let mut parts: Vec<IndexBuilder> = (0..shards)
-                .map(|shard| IndexBuilder::with_default_tokenizer().shard(shard, shards))
-                .collect();
-            for (node, text) in &texts {
-                single.add_text(*node, text);
-                for part in &mut parts {
-                    part.add_text(*node, text);
-                }
-            }
-            single.add_relation_name("paper", KindId(1));
-            parts[0].add_relation_name("paper", KindId(1));
-            let terms: usize = parts.iter().map(IndexBuilder::num_terms).sum();
-            proptest::prop_assert_eq!(terms, single.num_terms());
-            let (single, sharded) = (single.build(), IndexBuilder::build_shards(parts));
-            proptest::prop_assert_eq!(sharded.num_terms(), single.num_terms());
-            for term in single.terms() {
-                proptest::prop_assert_eq!(sharded.postings(term), single.postings(term));
-            }
-            proptest::prop_assert_eq!(sharded.kinds_for_term("paper"), &[KindId(1)][..]);
         }
     }
 
