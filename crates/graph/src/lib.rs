@@ -23,8 +23,6 @@
 //!   first-class incremental updates: a batch produces a structurally
 //!   shared successor graph (copy-on-write adjacency, fresh epoch) in
 //!   O(touched rows) instead of a rebuild,
-//! * [`MutationLog`] — the bounded record of applied batches the owner of
-//!   the current version keeps beside it,
 //! * [`ExpansionPolicy`] / [`BackwardWeightPolicy`] — the knobs controlling
 //!   how backward edges are derived,
 //! * traversal helpers ([`traversal`]), statistics ([`stats`]) and
@@ -41,7 +39,6 @@ pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod ids;
-pub mod log;
 pub mod mutation;
 pub mod node;
 pub mod stats;
@@ -54,7 +51,6 @@ pub use csr::CsrAdjacency;
 pub use error::GraphError;
 pub use graph::{DataGraph, EdgeRef, GraphMemory, StorageParts, StorageRef};
 pub use ids::{EdgeId, KindId, NodeId};
-pub use log::{AppliedBatch, MutationLog, DEFAULT_LOG_CAPACITY};
 pub use mutation::{BatchOutcome, GraphMutation, LabelChange, MutationBatch, OpEffect};
 pub use node::{EdgeKind, NodeMeta};
 pub use stats::GraphStats;

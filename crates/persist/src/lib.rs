@@ -20,10 +20,11 @@
 //!   *before* the in-memory snapshot pointer swings, with a configurable
 //!   [`FsyncPolicy`].  A torn final record (the signature of a crash) is
 //!   detected by CRC and dropped, never replayed and never fatal.
-//! - [`store`] — [`PersistentStore`] ties the two together: WAL-first
-//!   apply, automatic rotation, [`checkpoint`](PersistentStore::checkpoint)
-//!   (fresh snapshot + WAL truncation + pruning), and
-//!   [`recover`]/[`recover_with`]/[`replay_wal`] for boot.
+//! - [`store`] — the data-directory layout and boot:
+//!   [`recover`]/[`recover_with`] load the newest loadable snapshot and
+//!   [`replay_wal`] replays the WAL suffix on top of it.  The write side
+//!   (WAL-first commit, checkpoint, pruning) is the query service's epoch
+//!   pipeline.
 //!
 //! Everything decodes defensively: corrupt input yields a typed
 //! [`PersistError`], never a panic, and recovery falls back past corrupt
@@ -47,10 +48,10 @@ pub use snapshot::{
     SnapshotContents, FORMAT_VERSION, PAGE_SIZE, SNAPSHOT_MAGIC,
 };
 pub use store::{
-    list_snapshots, recover, recover_with, replay_wal, snapshot_file_name, BootSource,
-    PersistOptions, PersistentStore, Recovery, SNAPSHOT_EXT, SNAPSHOT_PREFIX, WAL_FILE,
+    list_snapshots, recover, recover_with, replay_wal, snapshot_file_name, Recovery, SNAPSHOT_EXT,
+    SNAPSHOT_PREFIX, WAL_FILE,
 };
 pub use wal::{
-    decode_record, encode_record, read_strict, scan_bytes, scan_file, FsyncPolicy, Wal, WalChunk,
-    WalPosition, WalRecord, WalScan, WAL_MAGIC, WAL_VERSION,
+    decode_record, encode_record, read_strict, scan_bytes, scan_file, Chain, FsyncPolicy, Wal,
+    WalChunk, WalPosition, WalRecord, WalScan, WAL_MAGIC, WAL_VERSION,
 };

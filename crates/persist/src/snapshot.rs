@@ -965,11 +965,6 @@ fn decode_index(payload: &[u8]) -> Result<InvertedIndex> {
     ))
 }
 
-/// Convenience: `Arc`s the decoded contents for cheap sharing.
-pub fn read_snapshot_arc(path: &Path) -> Result<Arc<SnapshotContents>> {
-    Ok(Arc::new(read_snapshot(path)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -83,6 +83,31 @@ pub struct WalRecord {
     pub batch: MutationBatch,
 }
 
+/// Where a [`WalRecord`] stands against the epoch a reader is at — the one
+/// rule recovery replay and a follower's apply both follow.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Chain {
+    /// The record's epoch is at or behind the reader's: already applied.
+    Covered,
+    /// The record builds on exactly the reader's epoch: apply it.
+    Next,
+    /// The record builds on some other epoch: the history has a hole.
+    Gap,
+}
+
+impl WalRecord {
+    /// Classifies this record against a reader at `epoch`.
+    pub fn chain(&self, epoch: u64) -> Chain {
+        if self.epoch <= epoch {
+            Chain::Covered
+        } else if self.parent_epoch == epoch {
+            Chain::Next
+        } else {
+            Chain::Gap
+        }
+    }
+}
+
 /// Result of leniently scanning a WAL file.
 #[derive(Clone, Debug, Default)]
 pub struct WalScan {
@@ -562,16 +587,6 @@ impl Wal {
     /// Size of the log in bytes (header included).
     pub fn bytes(&self) -> u64 {
         self.bytes
-    }
-
-    /// Path of the log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// The configured fsync policy.
-    pub fn fsync_policy(&self) -> FsyncPolicy {
-        self.fsync
     }
 
     /// Latency summary of every fsync this WAL has issued since it was

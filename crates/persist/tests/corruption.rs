@@ -3,12 +3,13 @@
 //! surface as a typed `PersistError` (or a tolerated scan anomaly), never
 //! a panic, and recovery must fall back to the newest loadable state.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use banks_graph::{DataGraph, GraphBuilder, MutationBatch, NodeId};
 use banks_persist::{
-    decode_snapshot, encode_snapshot, list_snapshots, read_snapshot, recover, scan_file,
-    BootSource, FsyncPolicy, PersistError, PersistOptions, PersistentStore, FORMAT_VERSION,
+    decode_snapshot, encode_snapshot, list_snapshots, read_snapshot, recover, replay_wal,
+    scan_file, snapshot_file_name, write_snapshot, FsyncPolicy, PersistError, Wal, FORMAT_VERSION,
+    WAL_FILE,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -48,55 +49,71 @@ fn graph_signature(g: &DataGraph) -> Vec<NodeSignature> {
         .collect()
 }
 
+/// Writes `graph` as a snapshot file of `dir`.
+fn checkpoint(dir: &Path, graph: &DataGraph) {
+    write_snapshot(
+        &dir.join(snapshot_file_name(graph.epoch())),
+        graph,
+        None,
+        None,
+    )
+    .unwrap();
+}
+
+/// A data directory as a durable writer leaves it: a snapshot of the seed
+/// graph, then a WAL holding one record per batch, synced.  Returns the
+/// directory and the graph after the last batch.
+fn durable_dir(tag: &str, policy: FsyncPolicy, batches: &[MutationBatch]) -> (PathBuf, DataGraph) {
+    let (dir, mut graph) = (tmp_dir(tag), seed_graph());
+    checkpoint(&dir, &graph);
+    let mut wal = Wal::create(&dir.join(WAL_FILE), policy).unwrap();
+    for batch in batches {
+        let (next, _) = graph.apply_batch(batch);
+        wal.append(graph.epoch(), next.epoch(), batch).unwrap();
+        graph = next;
+    }
+    wal.sync().unwrap();
+    (dir, graph)
+}
+
+/// Boots `dir` the way the service does — the newest loadable snapshot,
+/// the WAL suffix replayed on it, the log reopened at its valid prefix —
+/// and returns the graph, the records replayed, whether the WAL had a
+/// damaged tail, and how many newer snapshots were skipped.
+fn reboot(dir: &Path) -> (DataGraph, usize, bool, usize) {
+    let recovery = recover(dir).unwrap().expect("a snapshot to recover");
+    let wal = Wal::open_after_scan(&dir.join(WAL_FILE), FsyncPolicy::Always, &recovery.wal);
+    assert_eq!(wal.unwrap().bytes(), recovery.wal.valid_bytes);
+    let torn = recovery.wal.anomaly.is_some();
+    let (graph, replayed) = replay_wal(recovery.contents.graph, &recovery.wal.records).unwrap();
+    (graph, replayed, torn, recovery.skipped_snapshots)
+}
+
+fn add_nodes(kind: &str, n: usize) -> Vec<MutationBatch> {
+    (0..n)
+        .map(|i| MutationBatch::new().add_node(kind, format!("N{i}")))
+        .collect()
+}
+
 #[test]
 fn truncated_wal_tail_recovers_prefix() {
-    let dir = tmp_dir("torn-wal");
-    let expected;
-    {
-        let mut store = PersistentStore::open(&dir, seed_graph).unwrap();
-        for i in 0..5 {
-            store
-                .apply(&MutationBatch::new().add_node("author", format!("N{i}")))
-                .unwrap();
-        }
-        store.sync().unwrap();
-        // The first four batches are what a torn fifth record leaves.
-        expected = 4 + seed_graph().num_nodes();
-    }
-    // Tear the last record mid-payload.
-    let wal = dir.join("wal.log");
+    let (dir, _) = durable_dir("torn-wal", FsyncPolicy::Always, &add_nodes("author", 5));
+    // Tear the last record mid-payload: the first four batches survive.
+    let wal = dir.join(WAL_FILE);
     let bytes = std::fs::read(&wal).unwrap();
     std::fs::write(&wal, &bytes[..bytes.len() - 11]).unwrap();
 
-    let store = PersistentStore::open(&dir, || panic!("must recover")).unwrap();
-    match store.boot_source() {
-        BootSource::Recovered {
-            replayed,
-            torn_tail,
-            ..
-        } => {
-            assert_eq!(replayed, 4);
-            assert!(torn_tail);
-        }
-        other => panic!("expected recovery, got {other:?}"),
-    }
-    assert_eq!(store.graph().num_nodes(), expected);
+    let (graph, replayed, torn, _) = reboot(&dir);
+    assert_eq!(replayed, 4);
+    assert!(torn);
+    assert_eq!(graph.num_nodes(), seed_graph().num_nodes() + 4);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn bit_flipped_wal_record_stops_replay_at_flip() {
-    let dir = tmp_dir("flip-wal");
-    {
-        let mut store = PersistentStore::open(&dir, seed_graph).unwrap();
-        for i in 0..3 {
-            store
-                .apply(&MutationBatch::new().add_node("conference", format!("C{i}")))
-                .unwrap();
-        }
-        store.sync().unwrap();
-    }
-    let wal = dir.join("wal.log");
+    let (dir, _) = durable_dir("flip-wal", FsyncPolicy::Always, &add_nodes("conference", 3));
+    let wal = dir.join(WAL_FILE);
     let mut bytes = std::fs::read(&wal).unwrap();
     // Flip a bit two thirds in — inside the second or third record.
     let target = bytes.len() * 2 / 3;
@@ -108,49 +125,49 @@ fn bit_flipped_wal_record_stops_replay_at_flip() {
     assert!(scan.records.len() < 3, "replay stops before the flip");
 
     // Recovery still succeeds with the intact prefix.
-    let store = PersistentStore::open(&dir, || panic!("must recover")).unwrap();
-    assert_eq!(
-        store.graph().num_nodes(),
-        seed_graph().num_nodes() + scan.records.len()
-    );
+    let (graph, replayed, torn, _) = reboot(&dir);
+    assert!(torn);
+    assert_eq!(replayed, scan.records.len());
+    assert_eq!(graph.num_nodes(), seed_graph().num_nodes() + replayed);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Two checkpoints, the newest damaged: recovery skips it for the older
+/// one, whose WAL the newer checkpoint already truncated — a bad magic and
+/// a flipped body byte alike.
 #[test]
-fn bad_magic_snapshot_is_typed_and_skipped() {
-    let dir = tmp_dir("magic");
-    let sig;
-    {
-        let mut store = PersistentStore::open(&dir, seed_graph).unwrap();
-        store
-            .apply(&MutationBatch::new().set_label(NodeId(0), "Renamed"))
-            .unwrap();
-        store.checkpoint().unwrap();
-        sig = graph_signature(store.graph());
+fn damaged_newest_snapshot_is_typed_and_skipped() {
+    for tag in ["magic", "body"] {
+        let batch = MutationBatch::new().set_label(NodeId(0), "Renamed");
+        let (dir, renamed) = durable_dir(tag, FsyncPolicy::Always, &[batch]);
+        checkpoint(&dir, &renamed);
+        Wal::create(&dir.join(WAL_FILE), FsyncPolicy::Always).unwrap();
+        let snaps = list_snapshots(&dir).unwrap();
+        assert_eq!(snaps.len(), 2, "{tag}");
+
+        let newest = snaps[0].1.clone();
+        let mut bytes = std::fs::read(&newest).unwrap();
+        if tag == "magic" {
+            bytes[..8].copy_from_slice(b"NOTBANKS");
+            std::fs::write(&newest, &bytes).unwrap();
+            assert!(matches!(
+                read_snapshot(&newest),
+                Err(PersistError::BadMagic { .. })
+            ));
+        } else {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            std::fs::write(&newest, &bytes).unwrap();
+        }
+
+        let rec = recover(&dir).unwrap().expect("older snapshot usable");
+        assert_eq!(rec.skipped_snapshots, 1, "{tag}");
+        assert_eq!(rec.snapshot_epoch, snaps[1].0, "{tag}");
+        // The lost checkpoint window is gone, but nothing panicked.
+        let recovered = graph_signature(&rec.contents.graph);
+        assert_eq!(recovered, graph_signature(&seed_graph()), "{tag}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    let snaps = list_snapshots(&dir).unwrap();
-    assert_eq!(snaps.len(), 2);
-
-    // Overwrite the newest snapshot's magic.
-    let newest = snaps[0].1.clone();
-    let mut bytes = std::fs::read(&newest).unwrap();
-    bytes[..8].copy_from_slice(b"NOTBANKS");
-    std::fs::write(&newest, &bytes).unwrap();
-
-    // Direct read gives the typed error…
-    assert!(matches!(
-        read_snapshot(&newest),
-        Err(PersistError::BadMagic { .. })
-    ));
-    // …and recovery falls back to the older snapshot.  Its WAL is empty
-    // (checkpoint truncated it), so the fallback state is the older epoch.
-    let rec = recover(&dir).unwrap().expect("older snapshot usable");
-    assert_eq!(rec.skipped_snapshots, 1);
-    assert_eq!(rec.snapshot_epoch, snaps[1].0);
-    // The pre-corruption signature differs from the fallback: data from
-    // the lost checkpoint window is gone, but nothing panicked.
-    assert_ne!(graph_signature(&rec.contents.graph), sig);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -243,20 +260,12 @@ fn fsync_policies_all_round_trip() {
         FsyncPolicy::EveryN(2),
         FsyncPolicy::Never,
     ] {
-        let dir = tmp_dir("fsync");
-        let options = PersistOptions {
-            fsync: policy,
-            ..PersistOptions::default()
-        };
-        {
-            let mut store = PersistentStore::open_with(&dir, options, seed_graph).unwrap();
-            store
-                .apply(&MutationBatch::new().add_node("author", "Synced"))
-                .unwrap();
-            store.sync().unwrap();
-        }
-        let store = PersistentStore::open_with(&dir, options, || panic!("must recover")).unwrap();
-        assert_eq!(store.graph().num_nodes(), seed_graph().num_nodes() + 1);
+        let batch = MutationBatch::new().add_node("author", "Synced");
+        let (dir, written) = durable_dir("fsync", policy, &[batch]);
+        let (graph, replayed, torn, skipped) = reboot(&dir);
+        assert_eq!((replayed, torn, skipped), (1, false, 0), "{policy:?}");
+        assert_eq!(graph.epoch(), written.epoch());
+        assert_eq!(graph_signature(&graph), graph_signature(&written));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -119,9 +119,31 @@ fn write_request(
     stream.write_all(request.as_bytes())
 }
 
+/// Bound on a response's status line and headers together: the budget
+/// the server grants a request head, so a peer that never ends its head
+/// costs the follower 16 KiB, not its memory.
+const MAX_HEAD_BYTES: u64 = 16 * 1024;
+
+/// Most of an announced body length reserved before its bytes arrive —
+/// enough for a snapshot of a ~400k-node graph in one allocation, too
+/// little for a hostile `Content-Length` to exhaust memory.
+const MAX_BODY_RESERVE: u64 = 64 * 1024 * 1024;
+
 fn read_head(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Vec<(String, String)>)> {
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+    let mut head = reader.take(MAX_HEAD_BYTES);
+    let mut next_line = || {
+        let mut line = String::new();
+        head.read_line(&mut line)?;
+        if !line.ends_with('\n') {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidData,
+                format!("response head cut short or over {MAX_HEAD_BYTES} bytes"),
+            ));
+        }
+        line.truncate(line.trim_end_matches(['\r', '\n']).len());
+        Ok(line)
+    };
+    let line = next_line()?;
     let status = line
         .split(' ')
         .nth(1)
@@ -134,9 +156,7 @@ fn read_head(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Vec<(St
         })?;
     let mut headers = Vec::new();
     loop {
-        let mut line = String::new();
-        reader.read_line(&mut line)?;
-        let line = line.trim_end_matches(['\r', '\n']);
+        let line = next_line()?;
         if line.is_empty() {
             return Ok((status, headers));
         }
@@ -161,12 +181,21 @@ pub(crate) fn get(
     let length = headers
         .iter()
         .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok());
+        .and_then(|(_, v)| v.parse::<u64>().ok());
     let mut body = Vec::new();
     match length {
+        // The peer's `Content-Length` is a claim: it sizes the buffer up
+        // to `MAX_BODY_RESERVE`, and past that the body grows only as its
+        // bytes arrive.
         Some(length) => {
-            body.resize(length, 0);
-            reader.read_exact(&mut body)?;
+            body.reserve_exact(length.min(MAX_BODY_RESERVE) as usize);
+            let read = reader.take(length).read_to_end(&mut body)?;
+            if (read as u64) < length {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    format!("response body ended after {read} of {length} announced bytes"),
+                ));
+            }
         }
         None => {
             reader.read_to_end(&mut body)?;
@@ -211,6 +240,52 @@ pub(crate) fn open_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
+
+    /// A one-shot stub leader: accepts one connection, reads the request
+    /// head, writes `response`, and closes.
+    fn stub(response: Vec<u8>) -> LeaderUrl {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while request.read_line(&mut line).unwrap_or(0) > 2 {
+                line.clear();
+            }
+            // The client may hang up first; that is what is under test.
+            let _ = stream.write_all(&response);
+        });
+        LeaderUrl::parse(&format!("http://127.0.0.1:{port}")).unwrap()
+    }
+
+    const WAIT: Duration = Duration::from_secs(5);
+
+    #[test]
+    fn an_announced_body_larger_than_what_arrives_is_a_typed_error() {
+        let url = stub(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\nshort".to_vec());
+        let err = get(&url, "/replication/snapshot", &[], WAIT).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+
+        let url = stub(b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nexact".to_vec());
+        let response = get(&url, "/healthz", &[], WAIT).unwrap();
+        assert_eq!((response.status, response.body), (200, b"exact".to_vec()));
+    }
+
+    #[test]
+    fn a_response_head_past_the_budget_is_refused() {
+        let endless = format!(
+            "HTTP/1.1 200 OK\r\n{}",
+            "X-Padding: abcdefgh\r\n".repeat(4096)
+        );
+        let err = get(&stub(endless.into_bytes()), "/healthz", &[], WAIT).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+
+        let url = stub(vec![b'H'; 4 * MAX_HEAD_BYTES as usize]);
+        let err = open_stream(&url, "/replication/stream", &[], WAIT, WAIT).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
 
     #[test]
     fn urls_parse_with_and_without_scheme_base_and_port() {

@@ -61,15 +61,12 @@ pub fn metrics(m: &ServiceMetrics) -> String {
     buf.push_str(&format!(
         ",\"persistence_enabled\":{},\"last_checkpoint_epoch\":{},\
          \"wal_records\":{},\"wal_bytes\":{},\"checkpoints\":{},\
-         \"mutation_log_entries\":{},\"mutation_log_dropped\":{},\
          \"slow_queries\":{}",
         m.persistence_enabled,
         m.last_checkpoint_epoch,
         m.wal_records,
         m.wal_bytes,
         m.checkpoints,
-        m.mutation_log_entries,
-        m.mutation_log_dropped,
         m.slow_queries,
     ));
     buf.push_str(&format!(",\"replication\":{}", replication(&m.replication)));
@@ -267,8 +264,6 @@ mod tests {
             "wal_records",
             "wal_bytes",
             "checkpoints",
-            "mutation_log_entries",
-            "mutation_log_dropped",
             "slow_queries",
             "health",
             "trace_ring_dropped",

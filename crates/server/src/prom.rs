@@ -152,16 +152,6 @@ pub fn render(m: &ServiceMetrics) -> String {
         "How long this follower has continuously been behind, in ms.",
         m.replication.lag_ms as f64,
     );
-    p.gauge(
-        "banks_mutation_log_entries",
-        "Applied batches held in the in-memory mutation log ring.",
-        m.mutation_log_entries as f64,
-    );
-    p.counter(
-        "banks_mutation_log_dropped_total",
-        "Applied batches dropped from the mutation log ring.",
-        m.mutation_log_dropped,
-    );
     p.counter(
         "banks_slow_queries_total",
         "Queries whose latency crossed the slow-query threshold.",

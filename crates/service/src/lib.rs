@@ -126,6 +126,7 @@
 
 #![deny(missing_docs)]
 
+mod epoch;
 pub mod handle;
 pub mod metrics;
 pub mod persistence;
@@ -141,14 +142,15 @@ pub use banks_obs::{
     SloRow, SloSpec, TimeSample, TimeSeriesRing, TraceSpan,
 };
 pub use banks_persist::{
-    decode_record, encode_record, FsyncPolicy, PersistError, PersistOptions, WalPosition, WalRecord,
+    decode_record, encode_record, FsyncPolicy, PersistError, WalPosition, WalRecord,
 };
+pub use epoch::MutationReport;
 pub use handle::{QueryEvent, QueryHandle, QueryId, QueryResult, RecvTimeout};
 pub use metrics::{ServiceMetrics, TenantMetrics, OVERFLOW_TENANT};
 pub use persistence::DurabilityStatus;
 pub use replication::{
     ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationStatus, WalTail,
 };
-pub use service::{parse_slo_specs, MutationReport, Service, ServiceBuilder, SubmitError};
+pub use service::{parse_slo_specs, Service, ServiceBuilder, SubmitError};
 pub use snapshot::GraphSnapshot;
 pub use spec::{Priority, QuerySpec};

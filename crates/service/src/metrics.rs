@@ -233,11 +233,6 @@ pub struct ServiceMetrics {
     /// Checkpoints taken since the service started (boot checkpoint
     /// included).
     pub checkpoints: u64,
-    /// Applied batches currently held in the in-memory mutation log ring.
-    pub mutation_log_entries: u64,
-    /// Applied batches dropped from the ring after it filled
-    /// ([`crate::ServiceBuilder::mutation_log_capacity`]).
-    pub mutation_log_dropped: u64,
     /// Queries whose end-to-end latency crossed the configured
     /// [`crate::ServiceBuilder::slow_query_threshold`] (their traces are
     /// retained for `GET /debug/slow`).
@@ -339,7 +334,7 @@ impl ServiceMetrics {
             mutation_ops_accepted: counters.mutation_ops_accepted.load(Ordering::Relaxed),
             mutation_ops_rejected: counters.mutation_ops_rejected.load(Ordering::Relaxed),
             epoch,
-            // Durability, mutation-log occupancy, the latency distributions
+            // Durability, the latency distributions
             // other than queue wait, and the calibration table are owned by
             // other locks; `Service::metrics` fills them in after this
             // snapshot.
@@ -348,8 +343,6 @@ impl ServiceMetrics {
             wal_records: 0,
             wal_bytes: 0,
             checkpoints: 0,
-            mutation_log_entries: 0,
-            mutation_log_dropped: 0,
             slow_queries: counters.slow_queries.load(Ordering::Relaxed),
             queue_wait: waits.summary(),
             ttfa: LatencySummary::default(),

@@ -1,13 +1,13 @@
 //! Service-side durability plumbing: the WAL + checkpoint lifecycle run
 //! around the serving snapshot.
 //!
-//! The [`crate::Service`] write path is WAL-first: inside the mutation
-//! mutex, an accepted batch is appended (and fsynced per policy) *before*
+//! Every commit of the epoch pipeline is WAL-first: under its `mutate`
+//! lock, an accepted batch is appended (and fsynced per policy) *before*
 //! the successor snapshot is swapped in.  Checkpoints — a full snapshot of
 //! graph, prestige **and** keyword index plus the record of how the last
 //! two were derived, then WAL truncation and stale snapshot pruning —
 //! happen on demand ([`crate::Service::checkpoint`]), when a mutation chain
-//! triggers compaction, when the WAL crosses its rotation threshold, and
+//! triggers compaction, when the WAL crosses 8 MiB (`ROTATE_WAL_BYTES`), and
 //! after a wholesale [`crate::Service::swap_graph`] (which bypasses the WAL
 //! and therefore must be made durable by a snapshot).  A checkpoint with
 //! nothing to add — the newest file on disk is already at the serving
@@ -17,11 +17,18 @@ use std::path::{Path, PathBuf};
 
 use banks_obs::{Histogram, LatencySummary};
 use banks_persist::{
-    list_snapshots, snapshot_file_name, write_snapshot_bytes, PersistError, PersistOptions, Wal,
-    WalChunk, WalPosition, WalScan,
+    list_snapshots, snapshot_file_name, write_snapshot_bytes, PersistError, Wal, WalChunk,
+    WalPosition,
 };
 
 use crate::snapshot::GraphSnapshot;
+
+/// WAL size at which the next commit checkpoints (and so truncates it).
+/// Unit tests lower it so a handful of records cross it.
+pub(crate) const ROTATE_WAL_BYTES: u64 = if cfg!(test) { 1024 } else { 8 * 1024 * 1024 };
+
+/// Snapshot files a checkpoint keeps; older ones are pruned.
+const KEEP_SNAPSHOTS: usize = 2;
 
 /// Durability state of a service, as reported by
 /// [`crate::Service::durability`] and the `/healthz` endpoint.  All-zero
@@ -30,8 +37,6 @@ use crate::snapshot::GraphSnapshot;
 pub struct DurabilityStatus {
     /// Whether the service was built with a data directory.
     pub enabled: bool,
-    /// The data directory, when enabled.
-    pub data_dir: Option<PathBuf>,
     /// Epoch of the most recent on-disk snapshot.
     pub last_checkpoint_epoch: u64,
     /// Mutation batches in the WAL since that snapshot.
@@ -58,11 +63,11 @@ pub struct DurabilityStatus {
     pub wal_fsync: LatencySummary,
 }
 
-/// The mutable durability state guarded by `Inner::persistence`.
+/// The mutable durability state guarded by the epoch pipeline's
+/// `persistence` lock.
 pub(crate) struct Persistence {
     dir: PathBuf,
     wal: Wal,
-    options: PersistOptions,
     last_checkpoint_epoch: u64,
     checkpoints: u64,
     replayed_records: u64,
@@ -71,47 +76,24 @@ pub(crate) struct Persistence {
 }
 
 impl Persistence {
-    /// Wraps a freshly-created WAL for a directory with no prior state.
-    pub(crate) fn fresh(dir: &Path, wal: Wal, options: PersistOptions) -> Self {
-        Persistence {
-            dir: dir.to_path_buf(),
-            wal,
-            options,
-            last_checkpoint_epoch: 0,
-            checkpoints: 0,
-            replayed_records: 0,
-            last_error: None,
-            checkpoint_hist: Histogram::new(),
-        }
-    }
-
-    /// Wraps the WAL re-opened after recovery.
-    pub(crate) fn recovered(
+    /// Wraps the open WAL of `dir`, whose newest snapshot is at
+    /// `last_checkpoint_epoch` (0 when there is none yet) and from which
+    /// boot replayed `replayed_records` records.
+    pub(crate) fn new(
         dir: &Path,
         wal: Wal,
-        options: PersistOptions,
-        snapshot_epoch: u64,
+        last_checkpoint_epoch: u64,
         replayed_records: u64,
     ) -> Self {
         Persistence {
             dir: dir.to_path_buf(),
             wal,
-            options,
-            last_checkpoint_epoch: snapshot_epoch,
+            last_checkpoint_epoch,
             checkpoints: 0,
             replayed_records,
             last_error: None,
             checkpoint_hist: Histogram::new(),
         }
-    }
-
-    /// Opens (or creates) the WAL for `dir` after a recovery scan.
-    pub(crate) fn open_wal(
-        dir: &Path,
-        options: &PersistOptions,
-        scan: &WalScan,
-    ) -> Result<Wal, PersistError> {
-        Wal::open_after_scan(&dir.join(banks_persist::WAL_FILE), options.fsync, scan)
     }
 
     /// Appends one accepted batch, WAL-first.  A failure here means the
@@ -141,7 +123,7 @@ impl Persistence {
 
     /// Whether the WAL has grown past the rotation threshold.
     pub(crate) fn wants_rotation(&self) -> bool {
-        self.wal.bytes() >= self.options.rotate_wal_bytes
+        self.wal.bytes() >= ROTATE_WAL_BYTES
     }
 
     /// The data directory this state persists into.
@@ -227,9 +209,8 @@ impl Persistence {
                 self.last_checkpoint_epoch = epoch;
                 self.checkpoints += 1;
                 self.last_error = None;
-                let keep = self.options.keep_snapshots.max(1);
                 if let Ok(snapshots) = list_snapshots(&self.dir) {
-                    for (_, stale) in snapshots.into_iter().skip(keep) {
+                    for (_, stale) in snapshots.into_iter().skip(KEEP_SNAPSHOTS) {
                         // Best-effort: a vanished file must not fail the
                         // checkpoint that just succeeded.
                         let _ = std::fs::remove_file(stale);
@@ -248,7 +229,6 @@ impl Persistence {
     pub(crate) fn status(&self) -> DurabilityStatus {
         DurabilityStatus {
             enabled: true,
-            data_dir: Some(self.dir.clone()),
             last_checkpoint_epoch: self.last_checkpoint_epoch,
             wal_records: self.wal.records(),
             wal_bytes: self.wal.bytes(),

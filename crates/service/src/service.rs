@@ -13,28 +13,20 @@ use banks_core::registry::UnknownEngine;
 use banks_core::{
     CancelToken, EngineRegistry, QueryContext, QueryCost, ResultCache, SearchOutcome, SearchStats,
 };
-use banks_graph::{
-    AppliedBatch, BatchOutcome, DataGraph, MutationBatch, MutationLog, DEFAULT_LOG_CAPACITY,
-};
+use banks_graph::DataGraph;
 use banks_obs::{
     CostCalibration, EventLevel, EventLog, Health, Histogram, QueryTrace, SloEngine, SloReport,
     SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
 };
-use banks_persist::{
-    list_snapshots, recover_with, replay_wal, FsyncPolicy, PersistError, PersistOptions, Recovery,
-    Wal, WalPosition, WalRecord,
-};
+use banks_persist::{FsyncPolicy, PersistError};
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, KeywordMatches};
 
+use crate::epoch::Epochs;
 use crate::handle::{HandleState, QueryEvent, QueryHandle, QueryId, QueryResult};
 use crate::metrics::{Counters, ServiceMetrics, WaitStats};
-use crate::persistence::{DurabilityStatus, Persistence};
 use crate::quota::{QuotaConfig, QuotaSettings, QuotaState};
-use crate::replication::{
-    ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationState, ReplicationStatus,
-    WalTail,
-};
+use crate::replication::{ReplicationRole, ReplicationState, ReplicationStatus};
 use crate::sched::WorkQueue;
 use crate::snapshot::GraphSnapshot;
 use crate::spec::QuerySpec;
@@ -86,33 +78,6 @@ impl std::fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
-/// What [`Service::apply_mutations`] did: the epoch transition plus the
-/// per-op [`BatchOutcome`].
-#[derive(Clone, Debug)]
-pub struct MutationReport {
-    /// The serving epoch after the call (unchanged when nothing was
-    /// accepted).
-    pub epoch: u64,
-    /// The serving epoch the batch was applied against.
-    pub previous_epoch: u64,
-    /// Whether a successor snapshot was actually swapped in (false when
-    /// every op was rejected, or when the WAL append failed).
-    pub swapped: bool,
-    /// Per-op accept/reject results and the derived-structure deltas.
-    pub outcome: BatchOutcome,
-    /// Why the batch could not be made durable, when persistence is
-    /// enabled and the WAL append failed.  The batch was **not** applied:
-    /// the serving snapshot, the epoch and the disk state are all
-    /// unchanged, so the caller can retry safely.
-    pub persist_error: Option<String>,
-    /// Phase trace of the apply itself — delta build, WAL append (with
-    /// the fsync this append triggered, if any), snapshot swap, and the
-    /// checkpoint the mutation triggered.  `None` when nothing was
-    /// applied.  The same trace is retained in the service's trace ring
-    /// under `engine == "mutation"`.
-    pub trace: Option<Arc<QueryTrace>>,
-}
-
 /// Capacity of the trace retention ring ([`Service::trace`] /
 /// [`Service::slow_traces`] look traces up in it).
 const TRACE_RING_CAPACITY: usize = 256;
@@ -158,7 +123,7 @@ fn timeseries_schema() -> Vec<&'static str> {
 
 /// Wall-clock milliseconds since the Unix epoch (the time base of the
 /// time-series ring and SLO evaluation).
-fn unix_ms() -> u64 {
+pub(crate) fn unix_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
@@ -302,24 +267,24 @@ struct QueueState {
 }
 
 /// Everything the workers share.
-struct Inner {
-    /// The currently-served snapshot; [`Service::swap_graph`] replaces the
+pub(crate) struct Inner {
+    /// The currently-served snapshot; the epoch pipeline replaces the
     /// `Arc` while in-flight queries keep their pinned clones alive.
-    serving: Mutex<Arc<GraphSnapshot>>,
+    pub(crate) serving: Mutex<Arc<GraphSnapshot>>,
     /// Counts what a replication stream must look at again: every publish
     /// of a serving epoch, every checkpoint (the WAL truncation horizon
     /// moved) and every [`Service::wake_publish_waiters`].  Advanced only
     /// under `serving`, which is what [`Service::wait_for_publish`] waits
     /// on — so no advance is slept through.
-    publish_generation: AtomicU64,
+    pub(crate) publish_generation: AtomicU64,
     /// Signalled after every `publish_generation` advance.
-    published: Condvar,
+    pub(crate) published: Condvar,
     registry: EngineRegistry,
     default_engine: String,
-    cache: Arc<ResultCache>,
+    pub(crate) cache: Arc<ResultCache>,
     /// Whether the cache was created by (and is private to) this service —
     /// only then may a swap eagerly evict the superseded epoch's entries.
-    cache_private: bool,
+    pub(crate) cache_private: bool,
     queue: Mutex<QueueState>,
     queue_capacity: usize,
     work_available: Condvar,
@@ -331,37 +296,27 @@ struct Inner {
     /// The quota configuration (kept outside the bucket mutex so metrics
     /// snapshots never contend with the admission path).
     quota_settings: Option<QuotaSettings>,
-    /// Serializes [`Service::apply_mutations`] callers, so concurrent
-    /// batches compose instead of clobbering each other.  Never held while
-    /// queries are admitted or executed — the delta build happens outside
-    /// the serving lock.
-    mutate: Mutex<()>,
-    /// Durability state (WAL + checkpoint bookkeeping); `None` when the
-    /// service was built without [`ServiceBuilder::persistence`].  Lock
-    /// order: `mutate` → `persistence` (never the reverse).
-    persistence: Option<Mutex<Persistence>>,
-    /// Ring of recently applied mutation batches (epoch transitions and
-    /// accept/reject counts), bounded by
-    /// [`ServiceBuilder::mutation_log_capacity`].
-    mutation_log: Mutex<MutationLog>,
-    counters: Counters,
+    /// The writers' lock and the durability state: every new serving
+    /// version is made through it (see [`crate::epoch`]).
+    pub(crate) epochs: Epochs,
+    pub(crate) counters: Counters,
     waits: Mutex<WaitStats>,
-    next_id: AtomicU64,
+    pub(crate) next_id: AtomicU64,
     /// Retained phase traces (explicitly traced + slow queries).
-    traces: TraceRing,
+    pub(crate) traces: TraceRing,
     /// End-to-end latency beyond which a query counts as *slow*: its trace
     /// is retained and [`ServiceMetrics::slow_queries`] is bumped.
     slow_threshold: Duration,
     /// Time-to-first-answer distribution across executed queries.
     ttfa_hist: Histogram,
     /// Apply-latency distribution of successful mutation batches.
-    mutation_apply_hist: Histogram,
+    pub(crate) mutation_apply_hist: Histogram,
     /// Online correction of the a priori cost model from measured
     /// `nodes_explored`, per (engine, origin-size bucket).
     calibration: CostCalibration,
     /// The structured operational event log (admission rejects, mutation
     /// batches, checkpoints, swaps, alerts, watchdog trips).
-    events: EventLog,
+    pub(crate) events: EventLog,
     /// Retained metric snapshots, written by the collector thread.
     series: TimeSeriesRing,
     /// The burn-rate judge over [`Inner::series`].
@@ -371,7 +326,7 @@ struct Inner {
     slo_report: Mutex<SloReport>,
     /// Replication role and follower progress (see
     /// [`crate::replication`]).
-    replication: Mutex<ReplicationState>,
+    pub(crate) replication: Mutex<ReplicationState>,
     /// Nodes-explored multiple of the a priori estimate beyond which the
     /// watchdog flags a finished query as an overrun.
     watchdog_factor: u64,
@@ -392,8 +347,7 @@ pub struct ServiceBuilder {
     registry: Option<EngineRegistry>,
     default_engine: String,
     quota: QuotaSettings,
-    persistence: Option<(PathBuf, PersistOptions)>,
-    log_capacity: usize,
+    persistence: Option<(PathBuf, FsyncPolicy)>,
     slow_query_threshold: Duration,
     collector_cadence: Duration,
     slos: Option<Vec<SloSpec>>,
@@ -541,8 +495,8 @@ impl ServiceBuilder {
     }
 
     /// Enables durable persistence in `data_dir` with the given fsync
-    /// policy (defaults for everything else — see
-    /// [`ServiceBuilder::persistence_with`] for the full knob set).
+    /// policy.  The WAL is checkpointed away once it passes 8 MiB, and
+    /// each checkpoint keeps the two newest snapshot files.
     ///
     /// With persistence enabled, [`Service::build`](ServiceBuilder::build)
     /// first tries to **recover**: if `data_dir` holds a usable snapshot,
@@ -563,31 +517,8 @@ impl ServiceBuilder {
     /// re-supply them on restart — they are treated as external state, and
     /// the persisted copies are available to the caller via
     /// [`banks_persist::read_snapshot`].
-    pub fn persistence(self, data_dir: impl Into<PathBuf>, fsync: FsyncPolicy) -> Self {
-        let options = PersistOptions {
-            fsync,
-            ..PersistOptions::default()
-        };
-        self.persistence_with(data_dir, options)
-    }
-
-    /// Enables durable persistence with full [`PersistOptions`] control
-    /// (fsync policy, WAL rotation threshold, snapshot retention).
-    pub fn persistence_with(
-        mut self,
-        data_dir: impl Into<PathBuf>,
-        options: PersistOptions,
-    ) -> Self {
-        self.persistence = Some((data_dir.into(), options));
-        self
-    }
-
-    /// Capacity of the in-memory mutation log ring (default
-    /// [`banks_graph::DEFAULT_LOG_CAPACITY`]).  Once full, the oldest
-    /// entries are dropped and counted in
-    /// [`ServiceMetrics::mutation_log_dropped`].
-    pub fn mutation_log_capacity(mut self, capacity: usize) -> Self {
-        self.log_capacity = capacity;
+    pub fn persistence(mut self, data_dir: impl Into<PathBuf>, fsync: FsyncPolicy) -> Self {
+        self.persistence = Some((data_dir.into(), fsync));
         self
     }
 
@@ -674,67 +605,14 @@ impl ServiceBuilder {
         // Derived parts (uniform prestige, label index) refresh exactly on
         // `apply_mutations`; caller-supplied parts are treated as external
         // (prestige carried forward, index updated additively only).
-        //
-        // With persistence, recovery decides the boot graph: a usable
-        // snapshot (plus replayed WAL suffix) supersedes the builder's
-        // graph; a fresh directory uses the builder's graph and writes an
-        // initial checkpoint so the directory is valid from the first
-        // moment.
         let events = EventLog::new(self.event_log_capacity);
-        let (snapshot, persistence) = match self.persistence {
-            None => (
-                GraphSnapshot::from_optional(self.graph, self.prestige, self.index),
-                None,
-            ),
-            Some((dir, options)) => {
-                std::fs::create_dir_all(&dir)?;
-                let adoptable =
-                    GraphSnapshot::adoptable(self.prestige.is_some(), self.index.is_some());
-                match recover_with(&dir, adoptable)? {
-                    Some(recovery) => {
-                        let Recovery {
-                            mut contents,
-                            snapshot_epoch,
-                            wal: scan,
-                            ..
-                        } = recovery;
-                        let (graph, replayed) = replay_wal(contents.graph, &scan.records)?;
-                        contents.graph = graph;
-                        let wal = Persistence::open_wal(&dir, &options, &scan)?;
-                        let snapshot = GraphSnapshot::recovered(
-                            contents,
-                            replayed == 0,
-                            self.prestige,
-                            self.index,
-                        );
-                        let persistence = Persistence::recovered(
-                            &dir,
-                            wal,
-                            options,
-                            snapshot_epoch,
-                            replayed as u64,
-                        );
-                        events.emit(
-                            EventLevel::Info,
-                            "recovery",
-                            format!(
-                                "recovered snapshot epoch {snapshot_epoch} and replayed \
-                                 {replayed} WAL record(s)"
-                            ),
-                        );
-                        (snapshot, Some(persistence))
-                    }
-                    None => {
-                        let snapshot =
-                            GraphSnapshot::from_optional(self.graph, self.prestige, self.index);
-                        let wal = Wal::create(&dir.join(banks_persist::WAL_FILE), options.fsync)?;
-                        let mut persistence = Persistence::fresh(&dir, wal, options);
-                        persistence.checkpoint(&snapshot)?;
-                        (snapshot, Some(persistence))
-                    }
-                }
-            }
-        };
+        let (snapshot, epochs) = Epochs::boot(
+            self.graph,
+            self.prestige,
+            self.index,
+            self.persistence,
+            &events,
+        )?;
         let registry = self.registry.unwrap_or_default();
         if !registry.contains(&self.default_engine) {
             panic!("{}", registry.unknown(&self.default_engine));
@@ -765,9 +643,7 @@ impl ServiceBuilder {
             idle: Condvar::new(),
             quota: quota_enabled.then(|| Mutex::new(QuotaState::new(self.quota.clone()))),
             quota_settings: quota_enabled.then_some(self.quota),
-            mutate: Mutex::new(()),
-            persistence: persistence.map(Mutex::new),
-            mutation_log: Mutex::new(MutationLog::new(self.log_capacity)),
+            epochs,
             counters: Counters::default(),
             waits: Mutex::new(WaitStats::default()),
             next_id: AtomicU64::new(0),
@@ -979,7 +855,7 @@ pub fn parse_slo_specs(text: &str) -> Result<Vec<SloSpec>, String> {
 /// assert_eq!(result.epoch, service.epoch());
 /// ```
 pub struct Service {
-    inner: Arc<Inner>,
+    pub(crate) inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
     /// The metrics collector thread (time-series snapshots, SLO passes,
     /// queue watchdog); joined on shutdown via `collector_stop`.
@@ -1006,7 +882,6 @@ impl Service {
             default_engine: "bidirectional".to_string(),
             quota: QuotaSettings::default(),
             persistence: None,
-            log_capacity: DEFAULT_LOG_CAPACITY,
             slow_query_threshold: Duration::from_millis(250),
             collector_cadence: Duration::from_secs(10),
             slos: None,
@@ -1246,332 +1121,6 @@ impl Service {
         })
     }
 
-    /// Atomically replaces the served graph with a new version, deriving
-    /// the default prestige vector and label index for it (use
-    /// [`Service::swap_snapshot`] to supply precomputed ones).  Returns the
-    /// new serving epoch.
-    ///
-    /// The swap is the whole online-reindexing story:
-    ///
-    /// * **in-flight queries** — running *or still queued* — finish on the
-    ///   snapshot they were admitted under, which stays alive until its
-    ///   last query drops it;
-    /// * **new admissions** resolve, execute and cache against the new
-    ///   version;
-    /// * **the result cache** needs no flush: keys carry the epoch, so old
-    ///   entries can never serve the new graph.  If this service owns its
-    ///   cache (no [`ServiceBuilder::shared_cache`]), the superseded
-    ///   epoch's entries are evicted eagerly to reclaim capacity.
-    ///
-    /// Swapping in a clone of the currently-served graph still produces a
-    /// distinct epoch (and therefore a cold cache): the contract is
-    /// "admissions after the swap run on the swapped-in version", not
-    /// "...unless the bytes look the same".
-    pub fn swap_graph(&self, graph: DataGraph) -> u64 {
-        // Derivations run *before* the serving lock is taken: queries keep
-        // flowing against the old version while prestige and the index for
-        // the new one are computed.
-        self.swap_snapshot(GraphSnapshot::with_defaults(graph))
-    }
-
-    /// Applies a [`MutationBatch`] to the currently-served snapshot and
-    /// swaps the successor in, returning the per-op outcome and the new
-    /// serving epoch.
-    ///
-    /// This is the incremental counterpart of [`Service::swap_graph`],
-    /// sharing all of its machinery and guarantees — pinned snapshots,
-    /// epoch-keyed caches, eager eviction for private caches — while
-    /// building the new version as a **delta** instead of a rebuild:
-    ///
-    /// * the successor snapshot (graph + index + prestige) is derived
-    ///   *outside the serving lock* via [`GraphSnapshot::apply_batch`], so
-    ///   queries keep flowing on the old version throughout;
-    /// * queued and in-flight queries finish on the snapshot they pinned
-    ///   at admission; new admissions see the new epoch;
-    /// * the epoch-keyed result cache stays correct for free (a private
-    ///   cache additionally evicts the superseded epoch eagerly);
-    /// * a batch in which **no** op was accepted swaps nothing — the
-    ///   epoch, the cache and the serving snapshot are untouched, and the
-    ///   report says so (`swapped == false`).
-    ///
-    /// Concurrent `apply_mutations` callers are serialized (each batch
-    /// builds on the previous one's result); a concurrent
-    /// [`Service::swap_graph`] interleaves on last-writer-wins terms,
-    /// exactly as two wholesale swaps would.
-    ///
-    /// Long mutation chains do not degrade the serving graph: once more
-    /// than a quarter of the nodes carry copy-on-write overlay rows, the
-    /// successor is compacted back into flat CSR storage before the swap
-    /// (same contents, same epoch — invisible to queries and caches).
-    ///
-    /// With persistence enabled ([`ServiceBuilder::persistence`]) the
-    /// write path is **WAL-first**: the accepted batch is appended to the
-    /// log (and fsynced per policy) *before* the successor snapshot swaps
-    /// in.  If the append fails, nothing swaps — the report carries
-    /// [`MutationReport::persist_error`] and the serving state is
-    /// unchanged, so acknowledged mutations are exactly the durable ones.
-    /// A swap that triggered compaction, or a WAL past its rotation
-    /// threshold, checkpoints immediately afterwards (snapshot + WAL
-    /// truncation), off the freshly-swapped snapshot.
-    pub fn apply_mutations(&self, batch: &MutationBatch) -> MutationReport {
-        /// Overlay fraction beyond which the successor graph is flattened.
-        const COMPACT_OVERLAY_RATIO: f64 = 0.25;
-
-        let apply_started = Instant::now();
-        let elapsed_us = || apply_started.elapsed().as_micros().min(u64::MAX as u128) as u64;
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let current = self.snapshot();
-        let previous_epoch = current.epoch();
-        // The expensive part — adjacency row rewrites, index delta,
-        // prestige refresh, the occasional compaction — happens here, with
-        // no service lock held.
-        let (mut next, outcome) = current.apply_batch(batch);
-        let compacted = next.maybe_compact(COMPACT_OVERLAY_RATIO);
-        let apply_end_us = elapsed_us();
-        let accepted = outcome.accepted();
-        if accepted == 0 {
-            Counters::add(
-                &self.inner.counters.mutation_ops_rejected,
-                outcome.rejected() as u64,
-            );
-            return MutationReport {
-                epoch: previous_epoch,
-                previous_epoch,
-                swapped: false,
-                outcome,
-                persist_error: None,
-                trace: None,
-            };
-        }
-
-        // Durability barrier: the batch must be on the log before any
-        // query can observe its effects.  A failed append aborts the
-        // mutation entirely — the successor is dropped, the epoch does not
-        // advance, and the disk and memory states remain consistent.
-        let mut wal_span = None;
-        let mut fsync_us = 0u64;
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
-            let wal_start_us = elapsed_us();
-            match persistence.append(previous_epoch, next.epoch(), batch) {
-                Ok(sync_us) => {
-                    wal_span = Some((wal_start_us, elapsed_us()));
-                    fsync_us = sync_us;
-                }
-                Err(e) => {
-                    Counters::add(
-                        &self.inner.counters.mutation_ops_rejected,
-                        outcome.rejected() as u64,
-                    );
-                    return MutationReport {
-                        epoch: previous_epoch,
-                        previous_epoch,
-                        swapped: false,
-                        outcome,
-                        persist_error: Some(e.to_string()),
-                        trace: None,
-                    };
-                }
-            }
-        }
-
-        let swap_start_us = elapsed_us();
-        let epoch = self.swap_snapshot_inner(next);
-        let swap_end_us = elapsed_us();
-        // Apply latency: admin-lock acquisition through WAL append and
-        // snapshot swap (post-swap checkpoints are accounted separately).
-        self.inner
-            .mutation_apply_hist
-            .record(apply_started.elapsed());
-        Counters::bump(&self.inner.counters.mutation_batches);
-        Counters::add(&self.inner.counters.mutation_ops_accepted, accepted as u64);
-        Counters::add(
-            &self.inner.counters.mutation_ops_rejected,
-            outcome.rejected() as u64,
-        );
-        self.inner
-            .mutation_log
-            .lock()
-            .expect("mutation log lock")
-            .push(AppliedBatch {
-                parent_epoch: previous_epoch,
-                epoch,
-                ops: batch.len(),
-                accepted,
-                rejected: outcome.rejected(),
-            });
-
-        // Checkpoint triggers: a compaction just produced the flat graph a
-        // snapshot wants anyway, and a WAL past its rotation threshold is
-        // due for truncation.  Both write off the freshly-swapped
-        // snapshot.  Failures are recorded (and surfaced via
-        // `durability()`) but do not fail the mutation — it is already
-        // durable in the WAL.
-        let mut checkpoint_span = None;
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
-            if compacted || persistence.wants_rotation() {
-                let checkpoint_start_us = elapsed_us();
-                let _ = self.checkpoint_locked(&mut persistence, "mutation-triggered");
-                checkpoint_span = Some((checkpoint_start_us, elapsed_us()));
-            }
-        }
-        self.inner.events.emit(
-            EventLevel::Info,
-            "mutation-batch",
-            format!(
-                "epoch {previous_epoch} -> {epoch}: {accepted} op(s) accepted, {} rejected",
-                outcome.rejected()
-            ),
-        );
-
-        // The mutation's own phase trace: the checkpoint and WAL fsync it
-        // triggered are attributed to it here rather than showing up only
-        // as anonymous durability histograms.  Retained in the same trace
-        // ring as query traces, under `engine == "mutation"`.
-        let total_us = elapsed_us();
-        let mut trace = QueryTrace {
-            id: self.inner.next_id.fetch_add(1, Ordering::Relaxed),
-            engine: "mutation".to_string(),
-            epoch,
-            total_us,
-            ..QueryTrace::default()
-        };
-        trace.push_span("apply", 0, apply_end_us);
-        if let Some((start, end)) = wal_span {
-            trace.push_span("wal-append", start, end);
-            if fsync_us > 0 {
-                trace.push_span("wal-fsync", end.saturating_sub(fsync_us), end);
-            }
-        }
-        trace.push_span("swap", swap_start_us, swap_end_us);
-        if let Some((start, end)) = checkpoint_span {
-            trace.push_span("checkpoint", start, end);
-        }
-        trace.push_span("finish", 0, total_us);
-        trace.push_counter("ops", batch.len() as u64);
-        trace.push_counter("accepted", accepted as u64);
-        trace.push_counter("rejected", outcome.rejected() as u64);
-        let trace = Arc::new(trace);
-        self.inner.traces.push(Arc::clone(&trace));
-
-        MutationReport {
-            epoch,
-            previous_epoch,
-            swapped: true,
-            outcome,
-            persist_error: None,
-            trace: Some(trace),
-        }
-    }
-
-    /// [`Service::swap_graph`] with caller-supplied prestige and index (the
-    /// online equivalent of [`ServiceBuilder::prestige`] /
-    /// [`ServiceBuilder::index`]).  Returns the new serving epoch.
-    ///
-    /// A wholesale swap bypasses the mutation WAL — there is no batch to
-    /// log — so with persistence enabled the swap is made durable by an
-    /// immediate checkpoint of the new version.  A checkpoint failure does
-    /// not undo the swap (queries are already running on the new graph);
-    /// it is recorded and surfaced via [`Service::durability`].
-    pub fn swap_snapshot(&self, snapshot: GraphSnapshot) -> u64 {
-        let epoch = self.swap_snapshot_inner(snapshot);
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
-            let _ = self.checkpoint_locked(&mut persistence, "post-swap");
-        }
-        epoch
-    }
-
-    fn swap_snapshot_inner(&self, mut snapshot: GraphSnapshot) -> u64 {
-        let old_epoch;
-        let new_epoch;
-        {
-            let mut serving = self.inner.serving.lock().expect("serving lock");
-            old_epoch = serving.epoch();
-            if snapshot.epoch() == old_epoch {
-                snapshot.bump_epoch();
-            }
-            new_epoch = snapshot.epoch();
-            *serving = Arc::new(snapshot);
-            self.inner.publish_generation.fetch_add(1, Ordering::SeqCst);
-        }
-        self.inner.published.notify_all();
-        Counters::bump(&self.inner.counters.swaps);
-        self.inner.events.emit(
-            EventLevel::Info,
-            "swap",
-            format!("serving epoch {old_epoch} -> {new_epoch}"),
-        );
-        if self.inner.cache_private {
-            self.inner.cache.evict_epoch(old_epoch);
-        }
-        new_epoch
-    }
-
-    /// Forces a checkpoint now: writes a full snapshot of the currently
-    /// served version (graph, prestige, keyword index), truncates the WAL
-    /// and prunes snapshots beyond the retention bound.  Returns the
-    /// checkpointed epoch, or [`PersistError::Disabled`] when the service
-    /// was built without [`ServiceBuilder::persistence`].  When the newest
-    /// snapshot on disk is already at the serving epoch and the WAL is
-    /// empty, nothing is written (no event, no new file) and that epoch is
-    /// returned.
-    ///
-    /// Serialized with [`Service::apply_mutations`] (same admin mutex), so
-    /// the written snapshot is never mid-mutation.
-    pub fn checkpoint(&self) -> Result<u64, PersistError> {
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let Some(persistence) = &self.inner.persistence else {
-            return Err(PersistError::Disabled);
-        };
-        let mut persistence = persistence.lock().expect("persistence lock");
-        self.checkpoint_locked(&mut persistence, "on-demand")
-    }
-
-    /// Checkpoints the serving snapshot.  A failure is recorded in the
-    /// durability status by [`Persistence::checkpoint`]; a success moved
-    /// the WAL truncation horizon, so it is logged and the replication
-    /// streams are woken to look at it.
-    fn checkpoint_locked(
-        &self,
-        persistence: &mut Persistence,
-        trigger: &str,
-    ) -> Result<u64, PersistError> {
-        let snapshot = self.snapshot();
-        match persistence.checkpoint(&snapshot)? {
-            Some(epoch) => {
-                self.checkpoint_written(epoch, trigger);
-                Ok(epoch)
-            }
-            // Already on disk: nothing was written, the horizon did not
-            // move, so nobody is told.
-            None => Ok(snapshot.epoch()),
-        }
-    }
-
-    /// Logs a written checkpoint and wakes the replication streams to look
-    /// at the WAL truncation horizon it moved.
-    fn checkpoint_written(&self, epoch: u64, trigger: &str) {
-        self.inner.events.emit(
-            EventLevel::Info,
-            "checkpoint",
-            format!("{trigger} checkpoint at epoch {epoch}"),
-        );
-        self.wake_publish_waiters();
-    }
-
-    /// The service's durability state: whether persistence is on, the last
-    /// checkpoint epoch, WAL size, and the most recent persistence error
-    /// (if any).  All-zero with `enabled == false` when the service was
-    /// built without a data directory.
-    pub fn durability(&self) -> DurabilityStatus {
-        match &self.inner.persistence {
-            Some(persistence) => persistence.lock().expect("persistence lock").status(),
-            None => DurabilityStatus::default(),
-        }
-    }
-
     /// Declares this service's replication role (default
     /// [`ReplicationRole::Standalone`]).  The role is descriptive state —
     /// it feeds [`ReplicationStatus::role`], the `replication_lag_ms`
@@ -1605,186 +1154,6 @@ impl Service {
             .lock()
             .expect("replication lock")
             .note_head(leader_epoch, lag_records, unix_ms());
-    }
-
-    /// Applies one leader WAL record on a follower, through the same
-    /// WAL-first path as [`Service::apply_mutations`]: the record is
-    /// appended to the **local** WAL (with the leader's epochs) before
-    /// the successor swaps in, so a follower killed mid-stream recovers
-    /// to a prefix of the leader's history on restart.
-    ///
-    /// The record's epochs are authoritative: the successor serves at
-    /// exactly `record.epoch`, which is what makes a shared epoch on
-    /// leader and follower name the same graph version byte-for-byte.
-    ///
-    /// Records at or behind the serving epoch are skipped (a resumed
-    /// stream replays the tail; the apply is idempotent).  A record whose
-    /// `parent_epoch` does not match the serving epoch returns
-    /// [`ReplicationApplyError::EpochGap`] — the follower fell behind the
-    /// leader's WAL truncation horizon and must re-bootstrap from a
-    /// leader snapshot ([`Service::install_replicated_snapshot_bytes`]).
-    pub fn apply_replicated(
-        &self,
-        record: &WalRecord,
-    ) -> Result<ReplicatedApply, ReplicationApplyError> {
-        /// Same flattening threshold as [`Service::apply_mutations`] —
-        /// leader and follower compact on the same schedule.
-        const COMPACT_OVERLAY_RATIO: f64 = 0.25;
-
-        let apply_started = Instant::now();
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let current = self.snapshot();
-        let serving_epoch = current.epoch();
-        if record.epoch <= serving_epoch {
-            self.note_applied_locked(serving_epoch);
-            return Ok(ReplicatedApply {
-                epoch: serving_epoch,
-                applied: false,
-            });
-        }
-        if record.parent_epoch != serving_epoch {
-            return Err(ReplicationApplyError::EpochGap {
-                serving_epoch,
-                parent_epoch: record.parent_epoch,
-                record_epoch: record.epoch,
-            });
-        }
-
-        let (mut next, outcome) = current.apply_batch(&record.batch);
-        let compacted = next.maybe_compact(COMPACT_OVERLAY_RATIO);
-        next.restore_epoch(record.epoch);
-        let accepted = outcome.accepted();
-
-        // WAL-first, exactly like the leader: a failed local append
-        // applies nothing, so disk and memory stay consistent and the
-        // caller can retry the same record.
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
-            if let Err(e) = persistence.append(record.parent_epoch, record.epoch, &record.batch) {
-                return Err(ReplicationApplyError::Persist(e.to_string()));
-            }
-        }
-
-        let epoch = self.swap_snapshot_inner(next);
-        debug_assert_eq!(epoch, record.epoch, "replicated epoch must be preserved");
-        self.inner
-            .mutation_apply_hist
-            .record(apply_started.elapsed());
-        Counters::bump(&self.inner.counters.mutation_batches);
-        Counters::add(&self.inner.counters.mutation_ops_accepted, accepted as u64);
-        Counters::add(
-            &self.inner.counters.mutation_ops_rejected,
-            outcome.rejected() as u64,
-        );
-        self.inner
-            .mutation_log
-            .lock()
-            .expect("mutation log lock")
-            .push(AppliedBatch {
-                parent_epoch: record.parent_epoch,
-                epoch,
-                ops: record.batch.len(),
-                accepted,
-                rejected: outcome.rejected(),
-            });
-
-        // Same checkpoint triggers as the leader path: compaction wants a
-        // flat snapshot anyway, and a WAL past its rotation threshold is
-        // due for truncation.
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
-            if compacted || persistence.wants_rotation() {
-                let _ = self.checkpoint_locked(&mut persistence, "replication-triggered");
-            }
-        }
-        self.note_applied_locked(epoch);
-        Ok(ReplicatedApply {
-            epoch,
-            applied: true,
-        })
-    }
-
-    /// Installs a leader snapshot file wholesale — the follower bootstrap
-    /// (and re-bootstrap) path.  The bytes are decoded (every CRC checked)
-    /// into the version they persisted: graph, index and prestige, each
-    /// under the mode the file's derivation record names, and the default
-    /// derivations for what the file cannot vouch for (see
-    /// [`GraphSnapshot`]).  The snapshot's epoch is preserved, the same
-    /// bytes become the local bootstrap checkpoint (which also truncates
-    /// any stale local WAL), and the replication progress advances to the
-    /// installed epoch.  Installing the epoch already being served, when
-    /// the newest local snapshot is already at it, is a no-op apart from
-    /// the progress note.  Returns the installed epoch, or the decode
-    /// error (nothing is installed then); a failed local write is recorded
-    /// in [`Service::durability`] and does not undo the install.
-    pub fn install_replicated_snapshot_bytes(&self, bytes: &[u8]) -> Result<u64, PersistError> {
-        let snapshot = GraphSnapshot::decode_persisted(bytes)?;
-        let _admin = self.inner.mutate.lock().expect("mutate lock");
-        let epoch = snapshot.epoch();
-        let swapped = epoch != self.epoch();
-        if swapped {
-            self.swap_snapshot_inner(snapshot);
-        }
-        if let Some(persistence) = &self.inner.persistence {
-            let mut persistence = persistence.lock().expect("persistence lock");
-            // An install that swapped always writes: a file already named
-            // for this epoch may be one recovery skipped as damaged.
-            // Pre-bootstrap snapshots carry locally-minted epochs that are
-            // not ordered against the leader's; newest-epoch retention
-            // would keep (or even prefer) them, so the install wipes them
-            // before writing the bootstrap checkpoint.
-            if (swapped || !persistence.is_current(epoch))
-                && persistence.install(epoch, bytes).is_ok()
-            {
-                self.checkpoint_written(epoch, "bootstrap");
-            }
-        }
-        self.note_applied_locked(epoch);
-        Ok(epoch)
-    }
-
-    /// Updates follower progress after serving-state advanced to `epoch`.
-    fn note_applied_locked(&self, epoch: u64) {
-        self.inner
-            .replication
-            .lock()
-            .expect("replication lock")
-            .note_applied(epoch, unix_ms());
-    }
-
-    /// The leader's WAL past a follower's cursor — what
-    /// `GET /replication/stream` ships — read incrementally: `position` is
-    /// the caller's place in the WAL file (start from
-    /// [`WalPosition::default`]), only the bytes appended past it are read
-    /// and decoded, and it is advanced over them; after a checkpoint
-    /// truncated the file it starts over by itself.  The `persistence`
-    /// lock is held for the file read alone (not at all when nothing was
-    /// appended), so the read is consistent with concurrent appends and
-    /// the decoding delays no writer.  [`PersistError::Disabled`] when the
-    /// service has no data directory; a WAL that does not decode cleanly
-    /// up to its end is [`PersistError::Corrupt`], not a shorter answer.
-    pub fn replication_records_after(
-        &self,
-        from_epoch: u64,
-        position: &mut WalPosition,
-    ) -> Result<WalTail, PersistError> {
-        let Some(persistence) = &self.inner.persistence else {
-            return Err(PersistError::Disabled);
-        };
-        let (checkpoint_epoch, chunk) = persistence
-            .lock()
-            .expect("persistence lock")
-            .read_wal(*position)?;
-        let (mut scan, end) = chunk.scan()?;
-        if let Some(detail) = scan.anomaly {
-            return Err(PersistError::Corrupt { detail });
-        }
-        *position = end;
-        scan.records.retain(|r| r.epoch > from_epoch);
-        Ok(WalTail {
-            checkpoint_epoch,
-            records: scan.records,
-        })
     }
 
     /// The current publish generation: read it *before* looking for
@@ -1823,18 +1192,6 @@ impl Service {
         self.inner.published.notify_all();
     }
 
-    /// Epoch and path of the newest on-disk snapshot — what
-    /// `GET /replication/snapshot` streams to a bootstrapping follower.
-    /// `Ok(None)` when no snapshot exists yet;
-    /// [`PersistError::Disabled`] without persistence.
-    pub fn newest_snapshot_file(&self) -> Result<Option<(u64, PathBuf)>, PersistError> {
-        let Some(persistence) = &self.inner.persistence else {
-            return Err(PersistError::Disabled);
-        };
-        let persistence = persistence.lock().expect("persistence lock");
-        Ok(list_snapshots(persistence.dir())?.into_iter().next())
-    }
-
     /// Replaces the full SLO spec set at runtime (the online equivalent of
     /// [`ServiceBuilder::slos`]).  All burn-rate states reset to `Ok`; the
     /// next collector tick judges the new set.
@@ -1855,8 +1212,7 @@ impl Service {
     }
 
     /// A point-in-time snapshot of the aggregate counters, queue-wait
-    /// percentiles, per-tenant scheduling outcomes, durability state and
-    /// mutation-log occupancy.
+    /// percentiles, per-tenant scheduling outcomes and durability state.
     pub fn metrics(&self) -> ServiceMetrics {
         let queued = self.inner.queue.lock().expect("queue lock").jobs.len();
         let epoch = self.epoch();
@@ -1870,11 +1226,6 @@ impl Service {
                 self.inner.quota_settings.as_ref(),
             )
         };
-        {
-            let log = self.inner.mutation_log.lock().expect("mutation log lock");
-            metrics.mutation_log_entries = log.len() as u64;
-            metrics.mutation_log_dropped = log.dropped();
-        }
         let durability = self.durability();
         metrics.persistence_enabled = durability.enabled;
         metrics.last_checkpoint_epoch = durability.last_checkpoint_epoch;
@@ -2272,9 +1623,11 @@ fn collector_loop(inner: Arc<Inner>, stop: Arc<(Mutex<bool>, Condvar)>, cadence:
     collector_tick(&inner, &mut state, unix_ms());
     loop {
         {
+            // The predicate, not the signal, decides: a stop raised while
+            // the first tick ran must not wait out a whole cadence.
             let stopped = flag.lock().expect("collector stop lock");
             let (stopped, _) = signal
-                .wait_timeout(stopped, cadence)
+                .wait_timeout_while(stopped, cadence, |stopped| !*stopped)
                 .expect("collector stop lock");
             if *stopped {
                 return;

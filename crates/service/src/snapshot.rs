@@ -27,6 +27,10 @@ use banks_persist::{
 use banks_prestige::{IndegreePrestige, PrestigeVector};
 use banks_textindex::{InvertedIndex, TextDelta};
 
+/// Overlay fraction beyond which [`GraphSnapshot::maybe_compact`] flattens
+/// a graph.
+const COMPACT_OVERLAY_RATIO: f64 = 0.25;
+
 /// How a snapshot's prestige vector is kept current when the graph mutates
 /// under it ([`GraphSnapshot::apply_batch`]).
 #[derive(Clone, Debug)]
@@ -319,14 +323,14 @@ impl GraphSnapshot {
     }
 
     /// Flattens the graph's copy-on-write overlay back into flat CSR
-    /// storage when more than `ratio` of its nodes carry overlay rows.
-    /// Contents (and the epoch) are unchanged — only the representation —
-    /// so pinned queries, caches and metrics are unaffected.  Returns
-    /// whether compaction ran.  [`crate::Service::apply_mutations`] calls
-    /// this so long mutation chains do not pay the overlay indirection
-    /// forever.
-    pub fn maybe_compact(&mut self, ratio: f64) -> bool {
-        if self.graph.overlay_ratio() > ratio {
+    /// storage when more than a quarter of its nodes carry overlay rows.  Contents (and the epoch) are unchanged — only the
+    /// representation — so pinned queries, caches and metrics are
+    /// unaffected.  Returns whether compaction ran.  Every committed
+    /// successor passes through here, so long mutation chains do not pay
+    /// the overlay indirection forever — on a leader and its followers
+    /// alike.
+    pub fn maybe_compact(&mut self) -> bool {
+        if self.graph.overlay_ratio() > COMPACT_OVERLAY_RATIO {
             self.graph = self.graph.compacted();
             true
         } else {
@@ -560,18 +564,25 @@ mod tests {
 
     #[test]
     fn maybe_compact_flattens_without_changing_epoch_or_contents() {
-        use banks_graph::{MutationBatch, NodeId};
-        let snap = GraphSnapshot::with_defaults(tiny());
-        let (mut next, _) = snap.apply_batch(&MutationBatch::new().add_edge(NodeId(0), NodeId(1)));
-        assert!(next.graph().has_overlay());
+        use banks_graph::{GraphBuilder, MutationBatch, NodeId};
+        // One relabel of nine nodes leaves every adjacency row shared.
+        let mut b = GraphBuilder::new();
+        let nodes: Vec<NodeId> = (0..9)
+            .map(|i| b.add_node("author", format!("A{i}")))
+            .collect();
+        let snap = GraphSnapshot::with_defaults(b.build_default());
+        let (mut next, _) = snap.apply_batch(&MutationBatch::new().set_label(nodes[0], "Codd"));
+        assert!(!next.maybe_compact(), "below the ratio: untouched");
+        // An edge add rewrites the rows of both ends: 2 of 9 nodes, then 4.
+        let (mut next, _) = next.apply_batch(&MutationBatch::new().add_edge(nodes[1], nodes[2]));
+        assert!(!next.maybe_compact(), "2/9 is below the ratio");
+        let (mut next, _) = next.apply_batch(&MutationBatch::new().add_edge(nodes[3], nodes[4]));
         let epoch = next.epoch();
-        // the edge add fans out to every node of the tiny graph: ratio 1.0
-        assert!(!next.maybe_compact(1.5), "below threshold: untouched");
-        assert!(next.graph().has_overlay());
-        assert!(next.maybe_compact(0.1), "above threshold: flattened");
+        assert!(next.maybe_compact(), "above the ratio: flattened");
         assert!(!next.graph().has_overlay());
         assert_eq!(next.epoch(), epoch, "same contents, same epoch");
-        assert!(next.graph().has_edge(NodeId(0), NodeId(1)));
+        assert!(next.graph().has_edge(nodes[1], nodes[2]));
+        assert!(next.graph().has_edge(nodes[3], nodes[4]));
     }
 
     #[test]

@@ -119,7 +119,7 @@ pub mod prelude {
         BatchOutcome, DataGraph, EdgeKind, ExpansionPolicy, GraphBuilder, GraphMutation,
         GraphStats, MutationBatch, NodeId,
     };
-    pub use banks_persist::{read_snapshot, write_snapshot, PersistentStore, SnapshotContents};
+    pub use banks_persist::{read_snapshot, recover, write_snapshot, SnapshotContents};
     pub use banks_prestige::{
         compute_pagerank, refresh_pagerank, IndegreePrestige, PageRankConfig, PrestigeVector,
     };
@@ -128,10 +128,9 @@ pub mod prelude {
     pub use banks_server::Server;
     pub use banks_service::{
         DurabilityStatus, Event, EventLevel, EventLog, FsyncPolicy, GraphSnapshot, Health,
-        LatencySummary, MutationReport, PersistError, PersistOptions, Priority, QueryEvent,
-        QueryHandle, QueryId, QueryResult, QuerySpec, ReplicationRole, ReplicationStatus, Service,
-        ServiceBuilder, ServiceMetrics, SloReport, SloRow, SloSpec, SubmitError, TenantMetrics,
-        TimeSeriesRing,
+        LatencySummary, MutationReport, PersistError, Priority, QueryEvent, QueryHandle, QueryId,
+        QueryResult, QuerySpec, ReplicationRole, ReplicationStatus, Service, ServiceBuilder,
+        ServiceMetrics, SloReport, SloRow, SloSpec, SubmitError, TenantMetrics, TimeSeriesRing,
     };
     pub use banks_textindex::{IndexBuilder, InvertedIndex, KeywordMatches, Query, Tokenizer};
 }
