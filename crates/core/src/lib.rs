@@ -61,7 +61,9 @@
 //! keyed by `(graph epoch, normalized keywords, params/engine fingerprint)`
 //! and interposed in the facade ([`Banks::with_cache`]); the concurrent
 //! query service (`banks-service`) shares the same cache type, the same
-//! cancellation tokens, and the same work-budget deadlines.
+//! cancellation tokens, and the same work-budget deadlines.  The wire
+//! codecs the front-end and the follower share live here too: [`json`]
+//! renders and parses JSON, [`sse`] writes and parses server-sent events.
 //!
 //! ## The engines
 //!
@@ -110,6 +112,7 @@ pub mod relevance;
 pub mod score;
 pub mod session;
 pub mod si_backward;
+pub mod sse;
 pub mod stats;
 pub mod stream;
 

@@ -8,12 +8,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use banks_core::json::{self, JsonValue};
+use banks_core::sse::SseParser;
 use banks_obs::EventLevel;
 use banks_service::{decode_record, ReplicationApplyError, ReplicationRole, Service};
 
 use crate::client::{self, LeaderUrl};
 use crate::from_hex;
-use crate::sse::SseParser;
 
 /// How long a connect / one-shot GET may take before the attempt counts
 /// as failed and backoff kicks in.

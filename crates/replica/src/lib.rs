@@ -75,11 +75,9 @@
 
 mod client;
 mod follower;
-mod sse;
 
 pub use client::{LeaderUrl, Response};
 pub use follower::Follower;
-pub use sse::{SseEvent, SseParser};
 
 /// Decodes lowercase/uppercase hex into bytes (the `payload` encoding of
 /// replication `record` events).

@@ -8,7 +8,10 @@
 //!   total head size ([`Limits::max_head_bytes`]), so a client cannot make
 //!   the server buffer without bound;
 //! * bodies require `Content-Length` (chunked transfer encoding is
-//!   rejected) and are capped by [`Limits::max_body_bytes`];
+//!   rejected) and are capped by [`Limits::max_body_bytes`]; the length
+//!   must be plain ASCII digits, and repeated `Content-Length` headers
+//!   must agree (RFC 9112 §6.3) — otherwise the body boundary, and with it
+//!   the next request on a kept-alive connection, would be ambiguous;
 //! * partial reads are handled by construction: every read goes through
 //!   `BufRead`, which retries short reads until a full line/body arrives;
 //! * methods must be ASCII-uppercase tokens — binary garbage on the wire
@@ -30,6 +33,13 @@ use std::io::{BufRead, Write};
 /// by [`write_response`] and enforced (as the socket read timeout between
 /// requests) by the dispatch loop in `routes`.
 pub const KEEPALIVE_IDLE_SECS: u64 = 5;
+
+/// The response head that precedes an SSE stream (the frames themselves
+/// are written by [`banks_core::sse::SseWriter`]).
+pub const STREAM_HEADER: &str = "HTTP/1.1 200 OK\r\n\
+    Content-Type: text/event-stream\r\n\
+    Cache-Control: no-cache\r\n\
+    Connection: close\r\n\r\n";
 
 /// Parser resource bounds.
 #[derive(Clone, Copy, Debug)]
@@ -275,10 +285,7 @@ pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reques
             )));
         }
     }
-    if let Some(raw_len) = request.header("content-length") {
-        let len: usize = raw_len
-            .parse()
-            .map_err(|_| ParseError::BadRequest(format!("bad content-length {raw_len:?}")))?;
+    if let Some(len) = content_length(&request.headers)? {
         if len > limits.max_body_bytes {
             return Err(ParseError::BodyTooLarge);
         }
@@ -289,6 +296,28 @@ pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reques
         request.body = body;
     }
     Ok(request)
+}
+
+/// The declared body length: every `Content-Length` header must be plain
+/// ASCII digits (`usize::from_str` alone would take `+5`), and repeated
+/// headers must carry the same value.
+fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, ParseError> {
+    let bad = |raw: &str| ParseError::BadRequest(format!("bad content-length {raw:?}"));
+    let mut declared: Option<&str> = None;
+    for (_, raw) in headers.iter().filter(|(name, _)| name == "content-length") {
+        if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
+            return Err(bad(raw));
+        }
+        if let Some(first) = declared.filter(|first| *first != raw) {
+            return Err(ParseError::BadRequest(format!(
+                "conflicting content-length headers {first:?} and {raw:?}"
+            )));
+        }
+        declared = Some(raw);
+    }
+    declared
+        .map(|raw| raw.parse().map_err(|_| bad(raw)))
+        .transpose()
 }
 
 /// Human-readable reason phrase for the status codes this server emits.
@@ -483,6 +512,36 @@ mod tests {
     }
 
     #[test]
+    fn conflicting_content_lengths_are_rejected() {
+        // The first header alone would frame a 5-byte body and leave the
+        // rest to be read as the next request on a kept-alive connection.
+        let raw = b"POST /admin/mutate HTTP/1.1\r\nContent-Length: 5\r\n\
+                    Content-Length: 50\r\n\r\nhelloGET /healthz HTTP/1.1\r\n\r\n";
+        assert!(matches!(parse(raw), Err(ParseError::BadRequest(_))));
+        // Repeating the same value is unambiguous and allowed.
+        let req = parse(b"POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello")
+            .unwrap();
+        assert_eq!(req.body, b"hello");
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        for value in ["+5", "-5", "5 5", "0x5", "5,5", ""] {
+            let raw = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert!(
+                matches!(parse(raw.as_bytes()), Err(ParseError::BadRequest(_))),
+                "should reject {value:?}"
+            );
+        }
+        assert_eq!(
+            parse(b"POST / HTTP/1.1\r\nContent-Length: 05\r\n\r\nhello")
+                .unwrap()
+                .body,
+            b"hello"
+        );
+    }
+
+    #[test]
     fn chunked_transfer_encoding_is_rejected() {
         assert!(matches!(
             parse(b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"),
@@ -525,6 +584,13 @@ mod tests {
         assert!(text.contains("Retry-After: 7\r\n"));
         assert!(text.contains("Connection: close\r\n"));
         assert!(text.ends_with("\r\n\r\n{}"));
+    }
+
+    #[test]
+    fn stream_header_declares_event_stream() {
+        assert!(STREAM_HEADER.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(STREAM_HEADER.contains("Content-Type: text/event-stream\r\n"));
+        assert!(STREAM_HEADER.ends_with("\r\n\r\n"));
     }
 
     #[test]

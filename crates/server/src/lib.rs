@@ -10,16 +10,17 @@
 //!
 //! Everything is hand-rolled over `std` (the workspace vendors no HTTP or
 //! JSON dependency): request parsing with strict resource limits
-//! ([`http`]), a minimal JSON parser and the response encodings
-//! ([`json`]), SSE framing with flush-per-answer ([`sse`]), and a
-//! thread-pool listener with graceful drain ([`Server`]).
+//! ([`http`]), the response encodings ([`json`]), SSE framing with
+//! flush-per-answer ([`banks_core::sse`], shared with the follower), and a
+//! pool of handler threads accepting on one listener, with graceful drain
+//! ([`Server`]).
 //!
 //! ## Endpoints
 //!
 //! | method + path | behaviour |
 //! |---------------|-----------|
 //! | `POST /query` (also `GET`) | submit a query; stream `answer` SSE events incrementally (each with its 1-based rank as the SSE id, so `Last-Event-ID` resumes without duplicates), then one `finished` event — plus a `trace` event when `X-Banks-Trace` was sent |
-//! | `GET /metrics` | [`banks_service::ServiceMetrics`] as JSON (per-tenant rows, latency percentiles, calibration table, SLO rows, overflow counters); `?format=prometheus` for text format 0.0.4; real DEFLATE gzip on `Accept-Encoding: gzip` |
+//! | `GET /metrics` | [`banks_service::ServiceMetrics`] as JSON (per-tenant rows, latency percentiles, calibration table, SLO rows, overflow counters); `?format=prometheus` for text format 0.0.4; always identity-encoded |
 //! | `GET /debug/slow` | recent slow-query traces, newest first (`?limit=N`) |
 //! | `GET /debug/trace/<id>` | one retained [`banks_service::QueryTrace`] by query id |
 //! | `GET /debug/slo` | the SLO burn-rate report: three-state health + per-objective value/burn/state rows |
@@ -71,16 +72,14 @@
 
 #![deny(missing_docs)]
 
-pub mod gzip;
 pub mod http;
 pub mod json;
 pub mod prom;
 pub mod routes;
 pub mod server;
-pub mod sse;
 
+pub use banks_core::sse::SseWriter;
 pub use http::{Limits, ParseError, Request};
 pub use json::JsonValue;
 pub use routes::GraphSource;
 pub use server::{Server, ServerBuilder};
-pub use sse::SseWriter;

@@ -3,7 +3,7 @@
 //! | endpoint | behaviour |
 //! |----------|-----------|
 //! | `POST /query` (also `GET`) | submit a [`QuerySpec`], stream `answer` events as SSE (each carrying its 1-based rank as the SSE `id:`, so `Last-Event-ID` resumes mid-stream), finish with a `finished` event (plus a `trace` event when `X-Banks-Trace` was sent) |
-//! | `GET /metrics` | [`banks_service::ServiceMetrics`] as JSON; `?format=prometheus` renders text format 0.0.4; `Accept-Encoding: gzip` is honoured |
+//! | `GET /metrics` | [`banks_service::ServiceMetrics`] as JSON; `?format=prometheus` renders text format 0.0.4; identity encoding whatever `Accept-Encoding` says |
 //! | `GET /debug/slow` | recent slow-query traces (newest first; `?limit=N`) |
 //! | `GET /debug/trace/<id>` | one retained trace by query id (`7` or `q7`) |
 //! | `GET /debug/slo` | the stored SLO burn-rate report: overall health + per-objective rows |
@@ -44,6 +44,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use banks_core::json as corejson;
+use banks_core::sse::SseWriter;
 use banks_core::EmissionPolicy;
 use banks_graph::{GraphMutation, MutationBatch, NodeId, OpEffect};
 use banks_service::{
@@ -51,9 +52,8 @@ use banks_service::{
     QueryResult, QuerySpec, RecvTimeout, ReplicationRole, Service, SubmitError, WalPosition,
 };
 
-use crate::http::{self, Limits, ParseError, Request};
+use crate::http::{self, Limits, ParseError, Request, STREAM_HEADER};
 use crate::json::{self, JsonValue};
-use crate::sse::{SseWriter, STREAM_HEADER};
 
 /// Bound on requests served over one kept-alive connection before the
 /// server closes it (defence against a connection monopolised forever).
@@ -72,7 +72,6 @@ pub type GraphSource = Box<dyn Fn() -> GraphSnapshot + Send + Sync>;
 pub(crate) struct ServerContext {
     pub(crate) service: Arc<Service>,
     pub(crate) graph_source: Option<GraphSource>,
-    pub(crate) limits: Limits,
     /// Where writes live when this process is a follower — the `Location`
     /// a rejected `POST /admin/mutate` points at.
     pub(crate) leader_url: Option<String>,
@@ -127,30 +126,29 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
     let mut reader = BufReader::new(reader_stream);
     let mut writer = &stream;
 
+    let limits = Limits::default();
     let mut served = 0usize;
     loop {
-        let request = match http::read_request(&mut reader, &ctx.limits) {
+        let request = match http::read_request(&mut reader, &limits) {
             Ok(request) => request,
             // Idle keep-alive connections end here: either an orderly close
             // or the idle read timeout surfacing as an I/O error.
             Err(ParseError::ConnectionClosed) | Err(ParseError::Io(_)) => return,
             Err(ParseError::BadRequest(msg)) => {
-                respond_error(&mut writer, &HttpError::bad_request(msg), false);
+                respond_error(&mut writer, HttpError::bad_request(msg));
                 return;
             }
             Err(ParseError::HeadTooLarge) => {
                 respond_error(
                     &mut writer,
-                    &HttpError::new(431, "headers_too_large", "request head too large"),
-                    false,
+                    HttpError::new(431, "headers_too_large", "request head too large"),
                 );
                 return;
             }
             Err(ParseError::BodyTooLarge) => {
                 respond_error(
                     &mut writer,
-                    &HttpError::new(413, "body_too_large", "request body too large"),
-                    false,
+                    HttpError::new(413, "body_too_large", "request body too large"),
                 );
                 return;
             }
@@ -219,50 +217,38 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
             ("GET", "/replication/snapshot") => {
                 respond_replication_snapshot(ctx, &mut writer, keep)
             }
-            (_, "/healthz")
-            | (_, "/metrics")
-            | (_, "/query")
-            | (_, "/debug/slow")
-            | (_, "/debug/slo")
-            | (_, "/debug/events")
-            | (_, "/debug/events/tail")
-            | (_, "/admin/swap")
-            | (_, "/admin/mutate")
-            | (_, "/admin/checkpoint")
-            | (_, "/admin/slo")
-            | (_, "/replication/stream")
-            | (_, "/replication/snapshot") => {
+            (_, path)
+                if path.starts_with("/debug/trace/")
+                    || matches!(
+                        path,
+                        "/healthz"
+                            | "/metrics"
+                            | "/query"
+                            | "/debug/slow"
+                            | "/debug/slo"
+                            | "/debug/events"
+                            | "/debug/events/tail"
+                            | "/admin/swap"
+                            | "/admin/mutate"
+                            | "/admin/checkpoint"
+                            | "/admin/slo"
+                            | "/replication/stream"
+                            | "/replication/snapshot"
+                    ) =>
+            {
                 respond_error(
                     &mut writer,
-                    &HttpError::new(
+                    HttpError::new(
                         405,
                         "method_not_allowed",
                         format!("{} not allowed on {}", request.method, request.path),
                     ),
-                    false,
-                );
-                false
+                )
             }
-            (_, path) if path.starts_with("/debug/trace/") => {
-                respond_error(
-                    &mut writer,
-                    &HttpError::new(
-                        405,
-                        "method_not_allowed",
-                        format!("{} not allowed on {}", request.method, request.path),
-                    ),
-                    false,
-                );
-                false
-            }
-            (_, path) => {
-                respond_error(
-                    &mut writer,
-                    &HttpError::new(404, "not_found", format!("no route for {path}")),
-                    false,
-                );
-                false
-            }
+            (_, path) => respond_error(
+                &mut writer,
+                HttpError::new(404, "not_found", format!("no route for {path}")),
+            ),
         };
         if !kept {
             return;
@@ -272,7 +258,9 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
     }
 }
 
-fn respond_error(w: &mut impl Write, error: &HttpError, keep_alive: bool) {
+/// Writes `error` as its JSON envelope and returns `false`: an error
+/// response always closes the connection.
+fn respond_error(w: &mut impl Write, error: HttpError) -> bool {
     let body = json::error_body(error.status, error.code, &error.message, &error.extras);
     let headers: Vec<(&str, &str)> = error
         .headers
@@ -285,8 +273,9 @@ fn respond_error(w: &mut impl Write, error: &HttpError, keep_alive: bool) {
         &headers,
         "application/json",
         body.as_bytes(),
-        keep_alive,
+        false,
     );
+    false
 }
 
 fn respond_healthz(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
@@ -332,26 +321,15 @@ fn respond_checkpoint(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool)
                 http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
             keep_alive
         }
-        Err(PersistError::Disabled) => {
-            respond_error(
-                w,
-                &HttpError::new(
-                    409,
-                    "persistence_disabled",
-                    "service is running without a data directory",
-                ),
-                false,
-            );
-            false
-        }
-        Err(e) => {
-            respond_error(
-                w,
-                &HttpError::new(500, "checkpoint_failed", e.to_string()),
-                false,
-            );
-            false
-        }
+        Err(PersistError::Disabled) => respond_error(
+            w,
+            HttpError::new(
+                409,
+                "persistence_disabled",
+                "service is running without a data directory",
+            ),
+        ),
+        Err(e) => respond_error(w, HttpError::new(500, "checkpoint_failed", e.to_string())),
     }
 }
 
@@ -370,27 +348,17 @@ fn respond_slo_update(
     let body = match request.body_utf8() {
         Ok(body) if !body.trim().is_empty() => body,
         Ok(_) => {
-            respond_error(
+            return respond_error(
                 w,
-                &HttpError::bad_request("empty body (expected SLO spec JSON)"),
-                false,
-            );
-            return false;
+                HttpError::bad_request("empty body (expected SLO spec JSON)"),
+            )
         }
-        Err(e) => {
-            respond_error(w, &HttpError::bad_request(e), false);
-            return false;
-        }
+        Err(e) => return respond_error(w, HttpError::bad_request(e)),
     };
     let value = match json::parse(body) {
         Ok(value) => value,
         Err(e) => {
-            respond_error(
-                w,
-                &HttpError::bad_request(format!("invalid JSON body: {e}")),
-                false,
-            );
-            return false;
+            return respond_error(w, HttpError::bad_request(format!("invalid JSON body: {e}")))
         }
     };
     let replace = matches!(value, JsonValue::Array(_)) || value.get("slos").is_some();
@@ -401,10 +369,7 @@ fn respond_slo_update(
     };
     let specs = match parse_slo_specs(&text) {
         Ok(specs) => specs,
-        Err(e) => {
-            respond_error(w, &HttpError::new(400, "invalid_slo_spec", e), false);
-            return false;
-        }
+        Err(e) => return respond_error(w, HttpError::new(400, "invalid_slo_spec", e)),
     };
     let body = if replace {
         let count = specs.len();
@@ -485,12 +450,11 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
     if !ctx.service.durability().enabled {
         respond_error(
             &mut writer,
-            &HttpError::new(
+            HttpError::new(
                 409,
                 "persistence_disabled",
                 "replication requires the leader to run with a data directory",
             ),
-            false,
         );
         return;
     }
@@ -595,49 +559,33 @@ fn respond_replication_snapshot(ctx: &ServerContext, w: &mut impl Write, keep_al
                 );
                 keep_alive
             }
-            Err(e) => {
-                respond_error(
-                    w,
-                    &HttpError::new(500, "snapshot_read_failed", e.to_string()),
-                    false,
-                );
-                false
-            }
+            Err(e) => respond_error(
+                w,
+                HttpError::new(500, "snapshot_read_failed", e.to_string()),
+            ),
         },
-        Ok(None) => {
-            respond_error(
-                w,
-                &HttpError::new(404, "no_snapshot", "no snapshot has been written yet"),
-                false,
-            );
-            false
-        }
-        Err(PersistError::Disabled) => {
-            respond_error(
-                w,
-                &HttpError::new(
-                    409,
-                    "persistence_disabled",
-                    "service is running without a data directory",
-                ),
-                false,
-            );
-            false
-        }
-        Err(e) => {
-            respond_error(
-                w,
-                &HttpError::new(500, "snapshot_list_failed", e.to_string()),
-                false,
-            );
-            false
-        }
+        Ok(None) => respond_error(
+            w,
+            HttpError::new(404, "no_snapshot", "no snapshot has been written yet"),
+        ),
+        Err(PersistError::Disabled) => respond_error(
+            w,
+            HttpError::new(
+                409,
+                "persistence_disabled",
+                "service is running without a data directory",
+            ),
+        ),
+        Err(e) => respond_error(
+            w,
+            HttpError::new(500, "snapshot_list_failed", e.to_string()),
+        ),
     }
 }
 
 /// `GET /metrics`: JSON by default, Prometheus text format 0.0.4 with
-/// `?format=prometheus`.  A client advertising `Accept-Encoding: gzip`
-/// gets the body DEFLATE-compressed in gzip framing (see [`crate::gzip`]).
+/// `?format=prometheus`.  The body is always identity-encoded: HTTP lets a
+/// server ignore `Accept-Encoding`, and scrapers accept that.
 fn respond_metrics(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep_alive: bool) {
     let metrics = ctx.service.metrics();
     let (body, content_type) = match request.query_param("format").as_deref() {
@@ -647,34 +595,7 @@ fn respond_metrics(ctx: &ServerContext, request: &Request, w: &mut impl Write, k
         ),
         _ => (json::metrics(&metrics), "application/json"),
     };
-    if accepts_gzip(request) {
-        let compressed = crate::gzip::compress(body.as_bytes());
-        let _ = http::write_response(
-            w,
-            200,
-            &[("Content-Encoding", "gzip")],
-            content_type,
-            &compressed,
-            keep_alive,
-        );
-    } else {
-        let _ = http::write_response(w, 200, &[], content_type, body.as_bytes(), keep_alive);
-    }
-}
-
-/// Whether the client listed `gzip` in `Accept-Encoding` (q-values beyond
-/// an explicit `gzip;q=0` refusal are not weighed — any mention opts in).
-fn accepts_gzip(request: &Request) -> bool {
-    request.header("accept-encoding").is_some_and(|v| {
-        v.split(',').any(|token| {
-            let mut parts = token.split(';');
-            let coding = parts.next().unwrap_or("").trim();
-            let refused = parts.any(|p| {
-                p.trim().eq_ignore_ascii_case("q=0") || p.trim().eq_ignore_ascii_case("q=0.0")
-            });
-            coding.eq_ignore_ascii_case("gzip") && !refused
-        })
-    })
+    let _ = http::write_response(w, 200, &[], content_type, body.as_bytes(), keep_alive);
 }
 
 /// `GET /debug/slow`: the retained slow-query traces, newest first.
@@ -805,12 +726,18 @@ fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStrea
         return;
     }
     let mut sse = SseWriter::new(writer);
-    while !ctx.shutdown.load(Ordering::SeqCst) {
+    // Shutdown sets the flag and then emits its `shutdown` event, so a
+    // tail that sees the flag still waits for that event and delivers it;
+    // only a tail already past it ends at its first idle wait.
+    loop {
+        let stopping = ctx.shutdown.load(Ordering::SeqCst);
         let batch = ctx
             .service
             .events()
             .wait_since(cursor, EVENTS_PAGE_LIMIT, STREAM_KEEPALIVE);
-        if batch.is_empty() && (peer_disconnected(stream) || sse.comment("keepalive").is_err()) {
+        if batch.is_empty()
+            && (stopping || peer_disconnected(stream) || sse.comment("keepalive").is_err())
+        {
             return;
         }
         for event in batch {
@@ -821,6 +748,9 @@ fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStrea
                 return;
             }
             cursor = event.id;
+            if event.kind == "shutdown" && ctx.shutdown.load(Ordering::SeqCst) {
+                return;
+            }
         }
     }
 }
@@ -834,12 +764,10 @@ fn respond_trace(ctx: &ServerContext, path: &str, w: &mut impl Write, keep_alive
     let trace = match id {
         Ok(id) => ctx.service.trace(banks_service::QueryId(id)),
         Err(_) => {
-            respond_error(
+            return respond_error(
                 w,
-                &HttpError::bad_request(format!("bad query id {raw:?} (expected 7 or q7)")),
-                false,
-            );
-            return false;
+                HttpError::bad_request(format!("bad query id {raw:?} (expected 7 or q7)")),
+            )
         }
     };
     match trace {
@@ -849,18 +777,14 @@ fn respond_trace(ctx: &ServerContext, path: &str, w: &mut impl Write, keep_alive
                 http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
             keep_alive
         }
-        None => {
-            respond_error(
-                w,
-                &HttpError::new(
-                    404,
-                    "trace_not_found",
-                    format!("no retained trace for query {raw} (evicted, or never traced)"),
-                ),
-                false,
-            );
-            false
-        }
+        None => respond_error(
+            w,
+            HttpError::new(
+                404,
+                "trace_not_found",
+                format!("no retained trace for query {raw} (evicted, or never traced)"),
+            ),
+        ),
     }
 }
 
@@ -925,16 +849,12 @@ fn respond_mutate(
                 .push(("Location", format!("{base}/admin/mutate")));
             error.extras.push(("leader", corejson::string(leader)));
         }
-        respond_error(w, &error, false);
-        return false;
+        return respond_error(w, error);
     }
     let started = Instant::now();
     let batch = match parse_mutation_body(request) {
         Ok(batch) => batch,
-        Err(error) => {
-            respond_error(w, &error, false);
-            return false;
-        }
+        Err(error) => return respond_error(w, error),
     };
     let report = ctx.service.apply_mutations(&batch);
     let mut results = String::from("[");
@@ -1274,14 +1194,14 @@ fn respond_query(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
     let spec = match build_spec(request) {
         Ok(spec) => spec,
         Err(error) => {
-            respond_error(&mut writer, &error, false);
+            respond_error(&mut writer, error);
             return;
         }
     };
     let handle = match ctx.service.submit(spec) {
         Ok(handle) => handle,
         Err(err) => {
-            respond_error(&mut writer, &submit_error(err), false);
+            respond_error(&mut writer, submit_error(err));
             return;
         }
     };

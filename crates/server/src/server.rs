@@ -1,12 +1,15 @@
-//! The listener: accept loop, connection-handler pool, graceful shutdown.
+//! The listener: a pool of handler threads accepting on one socket,
+//! graceful shutdown.
 //!
-//! One acceptor thread feeds accepted connections through a channel to a
-//! fixed pool of handler threads; each handler serves one connection at a
-//! time (parse → dispatch → respond → close).  An SSE query stream
-//! occupies its handler for the query's lifetime — the pool size is
-//! therefore the bound on concurrent *streams*, while the service's worker
-//! pool bounds concurrent *engine work* and its admission queue + quotas
-//! bound everything else.
+//! Each of the [`HANDLER_THREADS`] handlers calls `accept` on the shared
+//! listener and serves what it accepted, one connection at a time (parse →
+//! dispatch → respond → close).  An SSE query stream occupies its handler
+//! for the query's lifetime — the pool size is therefore the bound on
+//! concurrent *streams*, while the service's worker pool bounds concurrent
+//! *engine work* and its admission queue + quotas bound everything else.
+//! While every handler is busy, new connections wait in the kernel accept
+//! backlog, and once that is full the OS refuses them: backpressure ends
+//! at the TCP layer, with no queue of open descriptors in between.
 //!
 //! ## Graceful shutdown
 //!
@@ -16,30 +19,38 @@
 //! ([`banks_service::Service::drain`]) so no engine work is abandoned:
 //!
 //! 1. the shutdown flag flips, and the open-ended streams (replication,
-//!    event tail) are woken to see it and close; a wake-up connection
-//!    unblocks `accept`;
-//! 2. the acceptor drops the channel sender and exits;
-//! 3. handlers drain the channel and exit when it closes;
-//! 4. `Service::drain` waits out any remaining queued/executing queries.
+//!    event tail) are woken to see it and close;
+//! 2. one loopback connection per handler unblocks its `accept`; a handler
+//!    that returns from `accept` and finds the flag set closes what it
+//!    accepted unserved and exits — as happens to connections still in
+//!    the kernel backlog when the listener closes;
+//! 3. the handlers are joined, then `Service::drain` waits out any
+//!    remaining queued/executing queries.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use banks_service::{EventLevel, GraphSnapshot, Service};
 
-use crate::http::Limits;
 use crate::routes::{handle_connection, GraphSource, ServerContext};
+
+/// Number of connection-handler threads.  This bounds concurrent HTTP
+/// connections, including long-lived SSE streams; connections beyond it
+/// wait in the kernel accept backlog.
+pub const HANDLER_THREADS: usize = 8;
+
+/// How long a handler backs off after a failed `accept`.  Transient errors
+/// (aborted handshakes) must not kill the server, but a persistent one
+/// (fd exhaustion) must not spin the handlers at full CPU either.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(50);
 
 /// Configures and spawns a [`Server`].
 pub struct ServerBuilder {
     service: Arc<Service>,
     addr: String,
-    handler_threads: usize,
-    limits: Limits,
     graph_source: Option<GraphSource>,
     leader_url: Option<String>,
 }
@@ -49,23 +60,6 @@ impl ServerBuilder {
     /// port — read it back with [`Server::local_addr`]).
     pub fn addr(mut self, addr: impl Into<String>) -> Self {
         self.addr = addr.into();
-        self
-    }
-
-    /// Number of connection-handler threads (default 8; at least 1).  This
-    /// bounds concurrent HTTP connections, including long-lived SSE
-    /// streams; up to 2× this many accepted connections wait in a bounded
-    /// hand-off queue, and everything beyond that stays in the kernel
-    /// accept backlog (the acceptor blocks rather than buffer without
-    /// limit).
-    pub fn handler_threads(mut self, threads: usize) -> Self {
-        self.handler_threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the HTTP parser limits (head/body byte caps).
-    pub fn limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
         self
     }
 
@@ -90,81 +84,41 @@ impl ServerBuilder {
         self
     }
 
-    /// Binds the listener and spawns the acceptor + handler threads.
+    /// Binds the listener and spawns the handler threads.
     pub fn spawn(self) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&self.addr)?;
+        let listener = Arc::new(TcpListener::bind(&self.addr)?);
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let context = Arc::new(ServerContext {
             service: Arc::clone(&self.service),
             graph_source: self.graph_source,
-            limits: self.limits,
             leader_url: self.leader_url,
             shutdown: Arc::clone(&shutdown),
         });
-
-        // A *bounded* hand-off queue: when every handler is busy and the
-        // queue is full, the acceptor blocks, the kernel accept backlog
-        // fills, and the OS refuses further connections — backpressure
-        // ends at the TCP layer instead of as unbounded open fds here.
-        let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
-            sync_channel(self.handler_threads * 2);
-        let rx = Arc::new(Mutex::new(rx));
-        let handlers = (0..self.handler_threads)
+        let handlers = (0..HANDLER_THREADS)
             .map(|i| {
-                let rx = Arc::clone(&rx);
+                let listener = Arc::clone(&listener);
                 let context = Arc::clone(&context);
                 std::thread::Builder::new()
                     .name(format!("banks-http-{i}"))
                     .spawn(move || loop {
-                        // Hold the lock only to pop; serving happens
-                        // unlocked so handlers work in parallel.
-                        let stream = rx.lock().expect("conn queue lock").recv();
-                        match stream {
-                            Ok(stream) => handle_connection(&context, stream),
-                            Err(_) => return, // acceptor gone, queue drained
+                        let accepted = listener.accept();
+                        if context.shutdown.load(Ordering::SeqCst) {
+                            return;
+                        }
+                        match accepted {
+                            Ok((stream, _)) => handle_connection(&context, stream),
+                            Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
                         }
                     })
                     .expect("spawn handler thread")
             })
             .collect();
 
-        let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            std::thread::Builder::new()
-                .name("banks-accept".to_string())
-                .spawn(move || {
-                    // `tx` moves in here: when this thread returns, the
-                    // channel closes and the handlers wind down.
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::SeqCst) {
-                            return;
-                        }
-                        match stream {
-                            Ok(stream) => {
-                                if tx.send(stream).is_err() {
-                                    return;
-                                }
-                            }
-                            // Transient accept errors (EMFILE, aborted
-                            // handshakes) must not kill the server — but a
-                            // persistent one (fd exhaustion) must not spin
-                            // the acceptor at full CPU either.
-                            Err(_) => {
-                                std::thread::sleep(Duration::from_millis(50));
-                                continue;
-                            }
-                        }
-                    }
-                })
-                .expect("spawn acceptor thread")
-        };
-
         Ok(Server {
             local_addr,
             service: self.service,
             shutdown,
-            acceptor: Some(acceptor),
             handlers,
         })
     }
@@ -205,7 +159,6 @@ pub struct Server {
     local_addr: SocketAddr,
     service: Arc<Service>,
     shutdown: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
     handlers: Vec<JoinHandle<()>>,
 }
 
@@ -215,8 +168,6 @@ impl Server {
         ServerBuilder {
             service,
             addr: "127.0.0.1:0".to_string(),
-            handler_threads: 8,
-            limits: Limits::default(),
             graph_source: None,
             leader_url: None,
         }
@@ -253,11 +204,11 @@ impl Server {
             "shutdown",
             format!("server on {} shutting down", self.local_addr),
         );
-        // Unblock `accept` so the acceptor observes the flag.  The wake-up
-        // connection is closed immediately; if it raced an actual accept,
-        // the handler simply sees ConnectionClosed and moves on.  A bind
-        // to the unspecified address (0.0.0.0 / ::) is not connectable on
-        // every platform, so the wake targets loopback on the same port.
+        // Unblock each handler's `accept` so it observes the flag.  The
+        // wake-up connections are closed immediately; a handler that
+        // accepts one exits without reading it.  A bind to the unspecified
+        // address (0.0.0.0 / ::) is not connectable on every platform, so
+        // the wake targets loopback on the same port.
         let mut wake_addr = self.local_addr;
         if wake_addr.ip().is_unspecified() {
             wake_addr.set_ip(match wake_addr.ip() {
@@ -265,21 +216,17 @@ impl Server {
                 std::net::IpAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
             });
         }
-        let woke = TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1)).is_ok();
+        let woke = (0..self.handlers.len())
+            .all(|_| TcpStream::connect_timeout(&wake_addr, Duration::from_secs(1)).is_ok());
         if woke {
-            if let Some(acceptor) = self.acceptor.take() {
-                let _ = acceptor.join();
-            }
             for handler in self.handlers.drain(..) {
                 let _ = handler.join();
             }
         } else {
-            // The acceptor could not be woken (firewalled loopback, dead
+            // A handler could not be woken (firewalled loopback, dead
             // listener): joining would hang forever.  Detach the threads —
-            // the flag is set, so the acceptor exits at its next accept
-            // and takes the handlers with it — and still drain the engine
-            // work below.
-            self.acceptor.take();
+            // the flag is set, so each exits at its next accept — and
+            // still drain the engine work below.
             self.handlers.clear();
         }
         self.service.drain();

@@ -9,10 +9,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use banks_core::sse::{self, SseEvent};
 use banks_graph::{DataGraph, GraphBuilder};
 use banks_server::json::{self, JsonValue};
 use banks_server::Server;
 use banks_service::{Service, SloSpec};
+
+mod common;
+use common::{get, send};
 
 fn tiny_graph() -> DataGraph {
     let mut b = GraphBuilder::new();
@@ -28,46 +32,11 @@ fn tiny_graph() -> DataGraph {
     b.build_default()
 }
 
-fn send(addr: std::net::SocketAddr, raw: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(raw.as_bytes()).expect("send request");
-    let mut response = Vec::new();
-    conn.read_to_end(&mut response).expect("read response");
-    String::from_utf8(response).expect("utf-8 response")
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> String {
-    send(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
 fn get_json(addr: std::net::SocketAddr, path: &str) -> JsonValue {
     let response = get(addr, path);
     let (head, body) = response.split_once("\r\n\r\n").expect("header split");
     assert!(head.starts_with("HTTP/1.1 200"), "head: {head}");
     json::parse(body).expect("JSON body")
-}
-
-/// One parsed SSE frame: event name, `id:` (when present), joined data.
-type Frame = (String, Option<u64>, String);
-
-fn parse_sse(body: &str) -> Vec<Frame> {
-    let mut frames = Vec::new();
-    let mut name = String::new();
-    let mut id = None;
-    let mut data: Vec<&str> = Vec::new();
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix("event: ") {
-            name = rest.to_string();
-        } else if let Some(rest) = line.strip_prefix("id: ") {
-            id = rest.parse().ok();
-        } else if let Some(rest) = line.strip_prefix("data: ") {
-            data.push(rest);
-        } else if line.is_empty() && !name.is_empty() {
-            frames.push((std::mem::take(&mut name), id.take(), data.join("\n")));
-            data.clear();
-        }
-    }
-    frames
 }
 
 /// Opens the event tail (optionally resuming from `last_event_id`) and
@@ -78,7 +47,7 @@ fn read_tail(
     last_event_id: Option<u64>,
     want: usize,
     deadline: Duration,
-) -> Vec<Frame> {
+) -> Vec<SseEvent> {
     let mut conn = TcpStream::connect(addr).expect("connect");
     conn.set_read_timeout(Some(Duration::from_millis(100)))
         .unwrap();
@@ -101,9 +70,9 @@ fn read_tail(
         }
         let text = String::from_utf8_lossy(&raw);
         if let Some((_, body)) = text.split_once("\r\n\r\n") {
-            if parse_sse(body)
+            if sse::parse(body)
                 .iter()
-                .filter(|(n, _, _)| n == "event")
+                .filter(|f| f.name == "event")
                 .count()
                 >= want
             {
@@ -114,9 +83,9 @@ fn read_tail(
     let text = String::from_utf8_lossy(&raw).into_owned();
     let (head, body) = text.split_once("\r\n\r\n").expect("stream header");
     assert!(head.contains("text/event-stream"), "head: {head}");
-    parse_sse(body)
+    sse::parse(body)
         .into_iter()
-        .filter(|(n, _, _)| n == "event")
+        .filter(|f| f.name == "event")
         .collect()
 }
 
@@ -250,11 +219,11 @@ fn events_tail_streams_live_and_resumes_with_last_event_id() {
     }
     let first = read_tail(addr, None, 2, Duration::from_secs(5));
     assert!(first.len() >= 2, "tail replayed {} frames", first.len());
-    let cursor = first[0].1.expect("frame id");
-    let seen: Vec<u64> = first.iter().map(|f| f.1.unwrap()).collect();
+    let cursor = first[0].id.expect("frame id");
+    let seen: Vec<u64> = first.iter().map(|f| f.id.unwrap()).collect();
     assert!(seen.windows(2).all(|w| w[0] < w[1]), "ids ascend: {seen:?}");
-    for (_, _, data) in &first {
-        let v = json::parse(data).expect("event JSON");
+    for frame in &first {
+        let v = json::parse(&frame.data).expect("event JSON");
         assert!(v.get("kind").and_then(JsonValue::as_str).is_some());
     }
 
@@ -263,7 +232,7 @@ fn events_tail_streams_live_and_resumes_with_last_event_id() {
     // without duplicating the acknowledged one.
     send(addr, "POST /admin/swap HTTP/1.1\r\nHost: t\r\n\r\n");
     let resumed = read_tail(addr, Some(cursor), seen.len(), Duration::from_secs(5));
-    let resumed_ids: Vec<u64> = resumed.iter().map(|f| f.1.unwrap()).collect();
+    let resumed_ids: Vec<u64> = resumed.iter().map(|f| f.id.unwrap()).collect();
     assert!(
         resumed_ids.iter().all(|&id| id > cursor),
         "resume must not replay acknowledged ids: {resumed_ids:?}"
@@ -275,18 +244,24 @@ fn events_tail_streams_live_and_resumes_with_last_event_id() {
     server.shutdown();
 }
 
+/// Opens an event tail and returns once it is attached (its stream
+/// header is back), with a 5 s read timeout on the connection.
+fn attach_tail(addr: std::net::SocketAddr) -> TcpStream {
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    conn.write_all(b"GET /debug/events/tail HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send request");
+    let mut head = [0u8; 16];
+    conn.read_exact(&mut head).expect("stream header");
+    assert!(head.starts_with(b"HTTP/1.1 200"), "head: {head:?}");
+    conn
+}
+
 #[test]
 fn shutdown_closes_an_attached_event_tail() {
     let service = Arc::new(Service::builder(tiny_graph()).workers(1).build());
     let server = Server::builder(Arc::clone(&service)).spawn().unwrap();
-    let mut conn = TcpStream::connect(server.local_addr()).expect("connect");
-    conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-    conn.write_all(b"GET /debug/events/tail HTTP/1.1\r\nHost: t\r\n\r\n")
-        .expect("send request");
-    // Attached once the stream header is back.
-    let mut head = [0u8; 16];
-    conn.read_exact(&mut head).expect("stream header");
-    assert!(head.starts_with(b"HTTP/1.1 200"), "head: {head:?}");
+    let mut conn = attach_tail(server.local_addr());
 
     // The peer stays; the handler must not wait for it to leave.
     let asked = Instant::now();
@@ -295,10 +270,67 @@ fn shutdown_closes_an_attached_event_tail() {
     assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
     let mut rest = String::new();
     conn.read_to_string(&mut rest).expect("EOF, not a timeout");
-    let last = parse_sse(rest.split_once("\r\n\r\n").expect("header end").1)
+    let last = sse::parse(rest.split_once("\r\n\r\n").expect("header end").1)
         .pop()
         .expect("the shutdown event");
-    assert!(last.2.contains("\"kind\":\"shutdown\""), "last: {last:?}");
+    assert!(
+        last.data.contains("\"kind\":\"shutdown\""),
+        "last: {last:?}"
+    );
+}
+
+/// With every handler held by a stream, a new connection waits in the
+/// accept backlog — no byte comes back — until one stream ends; shutdown
+/// then returns promptly and closes the streams still attached.
+#[test]
+fn held_handlers_park_new_connections_and_shutdown_closes_the_rest() {
+    let service = Arc::new(Service::builder(tiny_graph()).workers(1).build());
+    let server = Server::builder(service).spawn().unwrap();
+    let addr = server.local_addr();
+    let mut tails: Vec<TcpStream> = (0..banks_server::server::HANDLER_THREADS)
+        .map(|_| attach_tail(addr))
+        .collect();
+
+    let mut ninth = TcpStream::connect(addr).expect("the kernel still completes the handshake");
+    ninth
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+        .expect("send request");
+    ninth
+        .set_read_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let mut byte = [0u8; 1];
+    let err = ninth
+        .read(&mut byte)
+        .expect_err("no handler is free to answer");
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+        ),
+        "{err}"
+    );
+
+    // Closing one tail frees its handler at its next peer probe (one
+    // keep-alive interval), and that handler accepts the waiting request.
+    drop(tails.pop());
+    ninth
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut response = String::new();
+    ninth
+        .read_to_string(&mut response)
+        .expect("answered once a handler is free");
+    assert!(response.starts_with("HTTP/1.1 200 OK"), "{response:?}");
+    assert!(response.contains("\"status\":\"ok\""), "{response:?}");
+
+    let asked = Instant::now();
+    server.shutdown();
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(5), "shutdown took {took:?}");
+    for mut tail in tails {
+        let mut rest = Vec::new();
+        tail.read_to_end(&mut rest).expect("EOF, not a timeout");
+    }
 }
 
 #[test]
@@ -308,11 +340,11 @@ fn query_answers_carry_ids_and_resume_skips_what_was_delivered() {
     let addr = server.local_addr();
 
     let response = get(addr, "/query?q=gray+locks&top_k=3");
-    let frames = parse_sse(response.split_once("\r\n\r\n").unwrap().1);
-    let answers: Vec<&Frame> = frames.iter().filter(|(n, _, _)| n == "answer").collect();
+    let frames = sse::parse(response.split_once("\r\n\r\n").unwrap().1);
+    let answers: Vec<&SseEvent> = frames.iter().filter(|f| f.name == "answer").collect();
     assert!(answers.len() >= 2, "need 2+ answers to test resume");
-    for (i, (_, id, _)) in answers.iter().enumerate() {
-        assert_eq!(*id, Some(i as u64 + 1), "answers carry 1-based ids");
+    for (i, answer) in answers.iter().enumerate() {
+        assert_eq!(answer.id, Some(i as u64 + 1), "answers carry 1-based ids");
     }
 
     // Reconnect claiming the first answer was delivered: the replayed
@@ -321,18 +353,18 @@ fn query_answers_carry_ids_and_resume_skips_what_was_delivered() {
         addr,
         "GET /query?q=gray+locks&top_k=3 HTTP/1.1\r\nHost: t\r\nLast-Event-ID: 1\r\n\r\n",
     );
-    let resumed_frames = parse_sse(resumed.split_once("\r\n\r\n").unwrap().1);
-    let resumed_answers: Vec<&Frame> = resumed_frames
+    let resumed_frames = sse::parse(resumed.split_once("\r\n\r\n").unwrap().1);
+    let resumed_answers: Vec<&SseEvent> = resumed_frames
         .iter()
-        .filter(|(n, _, _)| n == "answer")
+        .filter(|f| f.name == "answer")
         .collect();
     assert_eq!(resumed_answers.len(), answers.len() - 1);
     for (original, replayed) in answers.iter().skip(1).zip(&resumed_answers) {
-        assert_eq!(original.1, replayed.1, "ids line up across reconnects");
-        assert_eq!(original.2, replayed.2, "payloads line up");
+        assert_eq!(original.id, replayed.id, "ids line up across reconnects");
+        assert_eq!(original.data, replayed.data, "payloads line up");
     }
     assert!(
-        resumed_frames.iter().any(|(n, _, _)| n == "finished"),
+        resumed_frames.iter().any(|f| f.name == "finished"),
         "resumed stream still finishes"
     );
     server.shutdown();

@@ -18,21 +18,14 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use banks_core::json as corejson;
+use banks_core::sse;
 use banks_graph::{DataGraph, GraphBuilder};
 use banks_server::json::JsonValue;
-use banks_server::{Limits, Server};
+use banks_server::Server;
 use banks_service::{QueryEvent, QuerySpec, Service};
 
-/// writes -> {author "Jim Gray", paper "Granularity of locks"}.
-fn tiny_graph() -> DataGraph {
-    let mut b = GraphBuilder::new();
-    let a = b.add_node("author", "Jim Gray");
-    let p = b.add_node("paper", "Granularity of locks");
-    let w = b.add_node("writes", "w0");
-    b.add_edge(w, a).unwrap();
-    b.add_edge(w, p).unwrap();
-    b.build_default()
-}
+mod common;
+use common::{body_of, error_code, get, header_of, post, send, status_of, tiny_graph};
 
 /// A wide forest of `root -> {alpha i, beta i}` stars: the query
 /// "alpha beta" yields one answer per star, so `n` controls how long a
@@ -49,20 +42,6 @@ fn forest(n: usize) -> DataGraph {
     b.build_default()
 }
 
-/// Sends `raw` and reads the whole response (responses carry
-/// `Connection: close`, so EOF is the framing).
-fn send(addr: std::net::SocketAddr, raw: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(raw.as_bytes()).expect("send request");
-    let mut response = Vec::new();
-    conn.read_to_end(&mut response).expect("read response");
-    String::from_utf8(response).expect("utf-8 response")
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> String {
-    send(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
 fn post_query(addr: std::net::SocketAddr, body: &str, headers: &str) -> String {
     send(
         addr,
@@ -73,59 +52,9 @@ fn post_query(addr: std::net::SocketAddr, body: &str, headers: &str) -> String {
     )
 }
 
-fn status_of(response: &str) -> u16 {
-    response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line in {response:?}"))
-}
-
-fn header_of<'a>(response: &'a str, name: &str) -> Option<&'a str> {
-    let head = response.split("\r\n\r\n").next().unwrap_or("");
-    head.lines().skip(1).find_map(|line| {
-        let (n, v) = line.split_once(':')?;
-        n.eq_ignore_ascii_case(name).then(|| v.trim())
-    })
-}
-
-fn body_of(response: &str) -> &str {
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or("")
-}
-
 fn error_json(response: &str) -> JsonValue {
     banks_server::json::parse(body_of(response))
         .unwrap_or_else(|e| panic!("unparseable error body ({e}): {response:?}"))
-}
-
-fn error_code(response: &str) -> String {
-    error_json(response)
-        .get("error")
-        .and_then(|e| e.get("code"))
-        .and_then(|c| c.as_str())
-        .unwrap_or_else(|| panic!("no error.code in {response:?}"))
-        .to_string()
-}
-
-/// Parses an SSE body into `(event_name, data)` pairs.
-fn parse_sse(body: &str) -> Vec<(String, String)> {
-    let mut events = Vec::new();
-    let mut name = String::new();
-    let mut data: Vec<&str> = Vec::new();
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix("event: ") {
-            name = rest.to_string();
-        } else if let Some(rest) = line.strip_prefix("data: ") {
-            data.push(rest);
-        } else if line.is_empty() && !name.is_empty() {
-            events.push((std::mem::take(&mut name), data.join("\n")));
-            data.clear();
-        }
-    }
-    events
 }
 
 #[test]
@@ -178,13 +107,7 @@ fn checkpoint_endpoint_truncates_wal_and_healthz_reports_durability() {
 
     // A remote mutation lands in the WAL…
     let body = r#"{"ops":[{"op":"add_node","kind":"author","label":"Pat Selinger"}]}"#;
-    let response = send(
-        addr,
-        &format!(
-            "POST /admin/mutate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    );
+    let response = post(addr, "/admin/mutate", body);
     assert_eq!(status_of(&response), 200);
 
     // …and /healthz shows it, alongside the rest of the durability fields.
@@ -266,9 +189,9 @@ fn sse_stream_is_byte_identical_to_in_process_answers() {
         header_of(&response, "content-type"),
         Some("text/event-stream")
     );
-    let events = parse_sse(body_of(&response));
+    let events = sse::parse(body_of(&response));
     let (finished_events, answer_events): (Vec<_>, Vec<_>) =
-        events.iter().partition(|(name, _)| name == "finished");
+        events.iter().partition(|e| e.name == "finished");
     assert_eq!(finished_events.len(), 1, "exactly one terminal event");
     assert!(!answer_events.is_empty(), "the query must produce answers");
 
@@ -287,11 +210,11 @@ fn sse_stream_is_byte_identical_to_in_process_answers() {
     }
     assert_eq!(in_process.len(), answer_events.len());
     for (wire, local) in answer_events.iter().zip(&in_process) {
-        assert_eq!(&wire.1, local, "SSE payload != in-process encoding");
+        assert_eq!(&wire.data, local, "SSE payload != in-process encoding");
     }
 
     // the finished event carries the stats envelope
-    let v = banks_server::json::parse(&finished_events[0].1).unwrap();
+    let v = banks_server::json::parse(&finished_events[0].data).unwrap();
     assert_eq!(v.get("cache_hit"), Some(&JsonValue::Bool(false)));
     assert!(v
         .get("stats")
@@ -445,8 +368,8 @@ fn quota_429_while_other_tenants_stream() {
     // another tenant's bucket is untouched: full stream, 200
     let response = post_query(addr, body, "X-Banks-Tenant: paid\r\n");
     assert_eq!(status_of(&response), 200);
-    let events = parse_sse(body_of(&response));
-    assert!(events.iter().any(|(name, _)| name == "answer"));
+    let events = sse::parse(body_of(&response));
+    assert!(events.iter().any(|e| e.name == "answer"));
 
     // ... and the rejection is observable per tenant
     let metrics = get(addr, "/metrics");
@@ -521,16 +444,16 @@ fn swap_under_load_advances_the_epoch() {
 
     // post-swap: the new graph serves its own content...
     let response = post_query(addr, r#"{"q":"codd relational","top_k":3}"#, "");
-    let events = parse_sse(body_of(&response));
+    let events = sse::parse(body_of(&response));
     assert!(
-        events.iter().any(|(name, _)| name == "answer"),
+        events.iter().any(|e| e.name == "answer"),
         "swapped-in graph must answer its keywords"
     );
     // ...and the old content is gone
     let response = post_query(addr, r#"{"q":"gray locks","top_k":3}"#, "");
-    let events = parse_sse(body_of(&response));
+    let events = sse::parse(body_of(&response));
     assert!(
-        !events.iter().any(|(name, _)| name == "answer"),
+        !events.iter().any(|e| e.name == "answer"),
         "old graph's keywords must not match after the swap"
     );
     assert_eq!(service.metrics().swaps, 1);
@@ -627,23 +550,25 @@ fn unknown_routes_and_methods_map_to_404_and_405() {
 #[test]
 fn oversized_heads_and_bodies_map_to_431_and_413() {
     let service = Arc::new(Service::builder(tiny_graph()).workers(1).build());
-    let server = Server::builder(service)
-        .limits(Limits {
-            max_head_bytes: 256,
-            max_body_bytes: 64,
-        })
-        .spawn()
-        .unwrap();
+    let server = Server::builder(service).spawn().unwrap();
     let addr = server.local_addr();
+    let limits = banks_server::Limits::default();
     let response = send(
         addr,
         &format!(
             "GET /healthz HTTP/1.1\r\nX-Huge: {}\r\n\r\n",
-            "a".repeat(1000)
+            "a".repeat(limits.max_head_bytes)
         ),
     );
     assert_eq!(status_of(&response), 431);
-    let response = post_query(addr, &format!("{{\"q\":\"{}\"}}", "x".repeat(200)), "");
+    // Rejected by declaration, before a body byte is read: none is sent.
+    let response = send(
+        addr,
+        &format!(
+            "POST /query HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+            limits.max_body_bytes + 1
+        ),
+    );
     assert_eq!(status_of(&response), 413);
     server.shutdown();
 }
@@ -793,13 +718,7 @@ fn admin_mutate_applies_a_batch_over_the_wire() {
         {"op":"add_edge","from":3,"to":4,"weight":1.5},
         {"op":"remove_edge","from":0,"to":1}
     ]}"#;
-    let response = send(
-        addr,
-        &format!(
-            "POST /admin/mutate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    );
+    let response = post(addr, "/admin/mutate", body);
     assert_eq!(status_of(&response), 200, "{response:?}");
     let report = banks_server::json::parse(body_of(&response)).expect("mutate response json");
     assert_eq!(report.get("swapped"), Some(&JsonValue::Bool(true)));
@@ -844,11 +763,11 @@ fn admin_mutate_applies_a_batch_over_the_wire() {
     // The mutated data is immediately queryable over the wire.
     let response = post_query(addr, r#"{"q":"gray recovery"}"#, "");
     assert_eq!(status_of(&response), 200);
-    let events = parse_sse(body_of(&response));
+    let events = sse::parse(body_of(&response));
     assert!(
         events
             .iter()
-            .any(|(name, data)| name == "answer" && data.contains("\"root\"")),
+            .any(|e| e.name == "answer" && e.data.contains("\"root\"")),
         "mutated graph must answer: {events:?}"
     );
 
@@ -867,13 +786,7 @@ fn admin_mutate_applies_a_batch_over_the_wire() {
         Some(4)
     );
     let body = r#"{"ops":[{"op":"remove_edge","from":0,"to":1}]}"#;
-    let response = send(
-        addr,
-        &format!(
-            "POST /admin/mutate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    );
+    let response = post(addr, "/admin/mutate", body);
     let report = banks_server::json::parse(body_of(&response)).unwrap();
     assert_eq!(report.get("swapped"), Some(&JsonValue::Bool(false)));
     assert_eq!(
@@ -901,13 +814,7 @@ fn admin_mutate_rejects_malformed_bodies() {
         (r#"{"ops":[{"op":"add_edge","from":-1,"to":2}]}"#, "node id"),
         (r#"{"ops":[{"op":"set_weight","from":0,"to":1}]}"#, "weight"),
     ] {
-        let response = send(
-            addr,
-            &format!(
-                "POST /admin/mutate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-                body.len()
-            ),
-        );
+        let response = post(addr, "/admin/mutate", body);
         assert_eq!(status_of(&response), 400, "body {body:?}: {response:?}");
         assert_eq!(error_code(&response), "bad_request");
         let _ = fragment; // messages are asserted loosely: status + code

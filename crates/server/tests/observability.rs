@@ -1,77 +1,16 @@
 //! Loopback tests for the observability surface: the `trace` SSE event,
-//! the debug trace endpoints, Prometheus exposition and gzip framing.
+//! the debug trace endpoints and Prometheus exposition.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use banks_graph::{DataGraph, GraphBuilder};
+use banks_core::sse;
 use banks_server::json::JsonValue;
 use banks_server::Server;
 use banks_service::Service;
 
-fn tiny_graph() -> DataGraph {
-    let mut b = GraphBuilder::new();
-    let a = b.add_node("author", "Jim Gray");
-    let p = b.add_node("paper", "Granularity of locks");
-    let w = b.add_node("writes", "w0");
-    b.add_edge(w, a).unwrap();
-    b.add_edge(w, p).unwrap();
-    b.build_default()
-}
-
-fn send(addr: std::net::SocketAddr, raw: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(raw.as_bytes()).expect("send request");
-    let mut response = Vec::new();
-    conn.read_to_end(&mut response).expect("read response");
-    String::from_utf8(response).expect("utf-8 response")
-}
-
-fn send_raw(addr: std::net::SocketAddr, raw: &str) -> Vec<u8> {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(raw.as_bytes()).expect("send request");
-    let mut response = Vec::new();
-    conn.read_to_end(&mut response).expect("read response");
-    response
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> String {
-    send(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn status_of(response: &str) -> u16 {
-    response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line in {response:?}"))
-}
-
-fn body_of(response: &str) -> &str {
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or("")
-}
-
-fn parse_sse(body: &str) -> Vec<(String, String)> {
-    let mut events = Vec::new();
-    let mut name = String::new();
-    let mut data: Vec<&str> = Vec::new();
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix("event: ") {
-            name = rest.to_string();
-        } else if let Some(rest) = line.strip_prefix("data: ") {
-            data.push(rest);
-        } else if line.is_empty() && !name.is_empty() {
-            events.push((std::mem::take(&mut name), data.join("\n")));
-            data.clear();
-        }
-    }
-    events
-}
+mod common;
+use common::{body_of, get, header_of, send, status_of, tiny_graph};
 
 fn span_of(trace: &JsonValue, name: &str) -> Option<(u64, u64)> {
     match trace.get("spans") {
@@ -103,22 +42,22 @@ fn traced_query_emits_a_trace_event_and_debug_endpoint_agrees() {
         ),
     );
     assert_eq!(status_of(&response), 200);
-    let events = parse_sse(body_of(&response));
+    let events = sse::parse(body_of(&response));
     let finished = events
         .iter()
-        .find(|(name, _)| name == "finished")
+        .find(|e| e.name == "finished")
         .expect("finished event");
     let trace_event = events
         .iter()
-        .find(|(name, _)| name == "trace")
+        .find(|e| e.name == "trace")
         .expect("trace event after finished");
     assert!(
-        events.iter().position(|(n, _)| n == "trace")
-            > events.iter().position(|(n, _)| n == "finished"),
+        events.iter().position(|e| e.name == "trace")
+            > events.iter().position(|e| e.name == "finished"),
         "trace rides after finished"
     );
 
-    let trace = banks_server::json::parse(&trace_event.1).expect("trace JSON");
+    let trace = banks_server::json::parse(&trace_event.data).expect("trace JSON");
     assert_eq!(
         trace.get("client_ref").and_then(JsonValue::as_str),
         Some("corr-7")
@@ -132,7 +71,7 @@ fn traced_query_emits_a_trace_event_and_debug_endpoint_agrees() {
     let (e0, e1) = span_of(&trace, "expand").expect("expand span");
     assert!(q0 <= q1 && e0 <= e1 && q1 <= e0 + 1);
     assert!((q1 - q0) + (e1 - e0) <= total_us);
-    let finished_json = banks_server::json::parse(&finished.1).unwrap();
+    let finished_json = banks_server::json::parse(&finished.data).unwrap();
     let ttfa = finished_json
         .get("time_to_first_answer_us")
         .and_then(JsonValue::as_usize)
@@ -164,9 +103,9 @@ fn untraced_queries_emit_no_trace_event() {
     let server = Server::builder(service).spawn().unwrap();
     let response = get(server.local_addr(), "/query?q=gray+locks&top_k=3");
     assert_eq!(status_of(&response), 200);
-    let events = parse_sse(body_of(&response));
-    assert!(events.iter().any(|(n, _)| n == "finished"));
-    assert!(!events.iter().any(|(n, _)| n == "trace"));
+    let events = sse::parse(body_of(&response));
+    assert!(events.iter().any(|e| e.name == "finished"));
+    assert!(!events.iter().any(|e| e.name == "trace"));
     server.shutdown();
 }
 
@@ -276,49 +215,25 @@ fn prometheus_exposition_passes_the_scrape_grammar() {
 }
 
 #[test]
-fn metrics_gzip_when_the_client_accepts_it() {
+fn metrics_answer_identity_whatever_accept_encoding_says() {
     let service = Arc::new(Service::builder(tiny_graph()).workers(1).build());
     let server = Server::builder(service).spawn().unwrap();
     let addr = server.local_addr();
 
-    let plain = get(addr, "/metrics?format=prometheus");
-    assert!(!plain.contains("Content-Encoding"));
-
-    let raw = send_raw(
-        addr,
-        "GET /metrics?format=prometheus HTTP/1.1\r\nHost: t\r\n\
-         Accept-Encoding: gzip, deflate\r\n\r\n",
-    );
-    let split = raw
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .expect("header/body split");
-    let head = String::from_utf8_lossy(&raw[..split]);
-    assert!(head.contains("Content-Encoding: gzip"), "head: {head}");
-    let body = &raw[split + 4..];
-    assert_eq!(&body[..2], &[0x1f, 0x8b], "gzip magic");
-    assert_eq!(
-        body[10] & 0b110,
-        0b010,
-        "first DEFLATE block is fixed-Huffman, not stored"
-    );
-
-    // Round-trip through the decoder (which verifies the CRC32 and ISIZE
-    // trailer) and compare against the plain body: the compression is real
-    // but lossless.
-    let inflated = banks_server::gzip::gunzip(body).expect("CRC-valid gzip member");
-    assert!(
-        inflated.len() > body.len(),
-        "compression actually shrank it"
-    );
-    let text = String::from_utf8(inflated).unwrap();
-    assert!(text.contains("# TYPE banks_queries_submitted_total counter"));
-
-    // A client refusing gzip (q=0) gets identity.
-    let refused = send(
-        addr,
-        "GET /metrics HTTP/1.1\r\nHost: t\r\nAccept-Encoding: gzip;q=0\r\n\r\n",
-    );
-    assert!(!refused.contains("Content-Encoding"));
+    for (path, marker) in [
+        (
+            "/metrics?format=prometheus",
+            "# TYPE banks_queries_submitted_total counter",
+        ),
+        ("/metrics", "\"submitted\":"),
+    ] {
+        let asked = send(
+            addr,
+            &format!("GET {path} HTTP/1.1\r\nHost: t\r\nAccept-Encoding: gzip, deflate\r\n\r\n"),
+        );
+        assert_eq!(status_of(&asked), 200);
+        assert_eq!(header_of(&asked, "content-encoding"), None, "{path}");
+        assert!(body_of(&asked).contains(marker), "{path}: {asked:?}");
+    }
     server.shutdown();
 }

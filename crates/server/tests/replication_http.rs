@@ -27,10 +27,14 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use banks_core::sse::{self, SseEvent};
 use banks_graph::{DataGraph, GraphBuilder, MutationBatch, NodeId};
 use banks_server::json::JsonValue;
 use banks_server::Server;
 use banks_service::{decode_record, FsyncPolicy, ReplicationRole, Service};
+
+mod common;
+use common::{body_of, error_code, get, header_of, post, status_of};
 
 /// writes -> {author, paper}, padded with filler nodes so a couple of
 /// small mutation batches stay far below the compaction overlay ratio —
@@ -55,86 +59,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
         std::process::id(),
         COUNTER.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
     ))
-}
-
-fn send(addr: std::net::SocketAddr, raw: &str) -> String {
-    let mut conn = TcpStream::connect(addr).expect("connect");
-    conn.write_all(raw.as_bytes()).expect("send request");
-    let mut response = Vec::new();
-    conn.read_to_end(&mut response).expect("read response");
-    String::from_utf8(response).expect("utf-8 response")
-}
-
-fn get(addr: std::net::SocketAddr, path: &str) -> String {
-    send(addr, &format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n"))
-}
-
-fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> String {
-    send(
-        addr,
-        &format!(
-            "POST {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{body}",
-            body.len()
-        ),
-    )
-}
-
-fn status_of(response: &str) -> u16 {
-    response
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("unparseable status line in {response:?}"))
-}
-
-fn header_of<'a>(response: &'a str, name: &str) -> Option<&'a str> {
-    let head = response.split("\r\n\r\n").next().unwrap_or("");
-    head.lines().skip(1).find_map(|line| {
-        let (n, v) = line.split_once(':')?;
-        n.eq_ignore_ascii_case(name).then(|| v.trim())
-    })
-}
-
-fn body_of(response: &str) -> &str {
-    response
-        .split_once("\r\n\r\n")
-        .map(|(_, body)| body)
-        .unwrap_or("")
-}
-
-fn error_code(response: &str) -> String {
-    banks_server::json::parse(body_of(response))
-        .ok()
-        .and_then(|v| {
-            v.get("error")?
-                .get("code")?
-                .as_str()
-                .map(ToString::to_string)
-        })
-        .unwrap_or_else(|| panic!("no error.code in {response:?}"))
-}
-
-/// One parsed SSE frame: event name, `id:` (when present), joined data.
-type Frame = (String, Option<u64>, String);
-
-fn parse_sse(body: &str) -> Vec<Frame> {
-    let mut frames = Vec::new();
-    let mut name = String::new();
-    let mut id = None;
-    let mut data: Vec<&str> = Vec::new();
-    for line in body.lines() {
-        if let Some(rest) = line.strip_prefix("event: ") {
-            name = rest.to_string();
-        } else if let Some(rest) = line.strip_prefix("id: ") {
-            id = rest.parse().ok();
-        } else if let Some(rest) = line.strip_prefix("data: ") {
-            data.push(rest);
-        } else if line.is_empty() && !name.is_empty() {
-            frames.push((std::mem::take(&mut name), id.take(), data.join("\n")));
-            data.clear();
-        }
-    }
-    frames
 }
 
 fn from_hex(text: &str) -> Vec<u8> {
@@ -174,7 +98,7 @@ impl Tail {
     /// The complete frames that arrived since the last call, after at most
     /// one read-timeout of waiting; `None` once the server closed the
     /// stream and everything was handed out.
-    fn poll(&mut self) -> Option<Vec<Frame>> {
+    fn poll(&mut self) -> Option<Vec<SseEvent>> {
         let mut buf = [0u8; 64 << 10];
         let arrived = self.raw.len();
         let eof = match self.conn.read(&mut buf) {
@@ -205,7 +129,7 @@ impl Tail {
             if let Some(end) = self.raw[from..].windows(2).rposition(|w| w == b"\n\n") {
                 let end = from + end + 2;
                 let fresh = std::str::from_utf8(&self.raw[self.parsed..end]).expect("utf-8");
-                frames = parse_sse(fresh);
+                frames = sse::parse(fresh);
                 self.parsed = end;
             }
         }
@@ -214,7 +138,11 @@ impl Tail {
 
     /// Polls until `done` holds for the frames gathered so far, the server
     /// closes the stream or `deadline` passes.
-    fn read_until(&mut self, deadline: Duration, done: impl Fn(&[Frame]) -> bool) -> Vec<Frame> {
+    fn read_until(
+        &mut self,
+        deadline: Duration,
+        done: impl Fn(&[SseEvent]) -> bool,
+    ) -> Vec<SseEvent> {
         let start = Instant::now();
         let mut frames = Vec::new();
         while !done(&frames) && start.elapsed() < deadline {
@@ -227,15 +155,15 @@ impl Tail {
     }
 }
 
-fn is(frame: &Frame, name: &str) -> bool {
-    frame.0 == name
+fn is(frame: &SseEvent, name: &str) -> bool {
+    frame.name == name
 }
 
-fn field(frame: &Frame, name: &str) -> u64 {
+fn field(frame: &SseEvent, name: &str) -> u64 {
     // A record's payload comes last and can be large: leave it unparsed.
-    let head = match frame.2.split_once(",\"payload\":") {
+    let head = match frame.data.split_once(",\"payload\":") {
         Some((head, _)) => format!("{head}}}"),
-        None => frame.2.clone(),
+        None => frame.data.clone(),
     };
     banks_server::json::parse(&head)
         .unwrap()
@@ -251,7 +179,7 @@ fn read_stream(
     cursor: Option<u64>,
     want: usize,
     deadline: Duration,
-) -> Vec<Frame> {
+) -> Vec<SseEvent> {
     Tail::open(addr, cursor).read_until(deadline, |frames| {
         frames.iter().filter(|f| is(f, "record")).count() >= want
             || frames.iter().any(|f| is(f, "bootstrap"))
@@ -293,14 +221,14 @@ fn stream_ships_wal_records_that_decode_and_resume() {
     }
 
     let frames = read_stream(addr, Some(base), 2, Duration::from_secs(5));
-    let records: Vec<&Frame> = frames.iter().filter(|(n, _, _)| n == "record").collect();
+    let records: Vec<&SseEvent> = frames.iter().filter(|f| is(f, "record")).collect();
     assert_eq!(records.len(), 2, "frames: {frames:?}");
 
     // Exactly one head frame precedes the batch — it doubles as the
     // stream's opening head — and reports how far behind we are.
     assert!(is(&frames[0], "head"), "frames: {frames:?}");
     assert!(is(&frames[1], "record"), "frames: {frames:?}");
-    let head_json = banks_server::json::parse(&frames[0].2).unwrap();
+    let head_json = banks_server::json::parse(&frames[0].data).unwrap();
     assert_eq!(
         head_json.get("pending").and_then(JsonValue::as_usize),
         Some(2)
@@ -312,9 +240,9 @@ fn stream_ships_wal_records_that_decode_and_resume() {
     // chain from the checkpoint, and the SSE id mirrors the epoch.
     let mut parent = base;
     for frame in &records {
-        let data = banks_server::json::parse(&frame.2).unwrap();
+        let data = banks_server::json::parse(&frame.data).unwrap();
         let epoch = data.get("epoch").and_then(JsonValue::as_usize).unwrap() as u64;
-        assert_eq!(frame.1, Some(epoch), "id: must carry the record epoch");
+        assert_eq!(frame.id, Some(epoch), "id: must carry the record epoch");
         let payload = data.get("payload").and_then(|p| p.as_str()).unwrap();
         let (record, _) = decode_record(&from_hex(payload)).expect("payload decodes");
         assert_eq!(record.epoch, epoch);
@@ -324,11 +252,11 @@ fn stream_ships_wal_records_that_decode_and_resume() {
     assert_eq!(parent, service.epoch());
 
     // Resuming from the first record's epoch delivers only the second.
-    let first_epoch = records[0].1.unwrap();
+    let first_epoch = records[0].id.unwrap();
     let frames = read_stream(addr, Some(first_epoch), 1, Duration::from_secs(5));
-    let resumed: Vec<&Frame> = frames.iter().filter(|(n, _, _)| n == "record").collect();
+    let resumed: Vec<&SseEvent> = frames.iter().filter(|f| is(f, "record")).collect();
     assert_eq!(resumed.len(), 1, "frames: {frames:?}");
-    assert_eq!(resumed[0].1, records[1].1);
+    assert_eq!(resumed[0].id, records[1].id);
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).unwrap();
@@ -357,8 +285,8 @@ fn a_cursor_behind_the_checkpoint_gets_a_bootstrap_order() {
         Duration::from_secs(5),
     );
     assert_eq!(frames.len(), 1, "frames: {frames:?}");
-    assert_eq!(frames[0].0, "bootstrap");
-    let data = banks_server::json::parse(&frames[0].2).unwrap();
+    assert_eq!(frames[0].name, "bootstrap");
+    let data = banks_server::json::parse(&frames[0].data).unwrap();
     assert_eq!(
         data.get("checkpoint_epoch").and_then(JsonValue::as_usize),
         Some(checkpoint as usize)
@@ -425,7 +353,7 @@ impl FollowerTail {
         for frame in self.tail.poll().expect("only shutdown ends a stream") {
             if is(&frame, "record") {
                 let epoch = field(&frame, "epoch");
-                assert_eq!(frame.1, Some(epoch));
+                assert_eq!(frame.id, Some(epoch));
                 self.records.push((field(&frame, "parent_epoch"), epoch));
                 self.held = epoch;
             } else if is(&frame, "bootstrap") {

@@ -129,9 +129,11 @@ fn is_strictly_ascending(nodes: &[NodeId]) -> bool {
 ///
 /// Posting lists — and the term strings keying them — are `Arc`-shared,
 /// so cloning the index (and producing a successor via
-/// [`InvertedIndex::apply_delta`]) shares every untouched allocation
-/// structurally; the per-delta cost is refcount bumps plus the touched
-/// terms, not a copy of the vocabulary.
+/// [`InvertedIndex::apply_delta`]) shares every untouched posting list
+/// and term string structurally.  The term → list map itself is copied,
+/// though: a delta allocates a fresh table the size of the vocabulary and
+/// bumps one refcount pair per term, so its cost is O(vocabulary) plus
+/// the touched terms' lists, however small the delta.
 #[derive(Clone, Debug)]
 pub struct InvertedIndex {
     tokenizer: Tokenizer,
