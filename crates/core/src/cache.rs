@@ -91,57 +91,25 @@ struct Table {
 ///
 /// Capacity 0 disables the cache entirely (every lookup misses, nothing is
 /// stored).  Eviction is least-recently-used; lookups refresh recency.
-///
-/// ## Admission policy
-///
-/// By default every completed outcome is stored.  Under a mixed workload
-/// that lets a stream of trivial queries (one origin node, answered in a
-/// handful of expansion steps) evict the expensive outcomes that are the
-/// whole point of caching — re-running a tiny query costs less than the
-/// cache slot it occupies.  [`ResultCache::min_work`] sets a cost threshold
-/// in nodes explored ([`crate::SearchStats::nodes_explored`]): outcomes
-/// measured below it are *not admitted* (counted in
-/// [`ResultCache::admission_rejected`]), while lookups behave exactly as
-/// before.  The threshold trades recomputation of cheap queries for
-/// retention of expensive ones; 0 (the default) admits everything.
 pub struct ResultCache {
     capacity: usize,
-    min_work: u64,
     table: Mutex<Table>,
     hits: AtomicU64,
     misses: AtomicU64,
-    admission_rejected: AtomicU64,
 }
 
 impl ResultCache {
-    /// Creates a cache holding at most `capacity` outcomes, admitting every
-    /// completed outcome (no cost threshold).
+    /// Creates a cache holding at most `capacity` outcomes.
     pub fn new(capacity: usize) -> Self {
         ResultCache {
             capacity,
-            min_work: 0,
             table: Mutex::new(Table {
                 entries: HashMap::new(),
                 tick: 0,
             }),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            admission_rejected: AtomicU64::new(0),
         }
-    }
-
-    /// Sets the admission threshold: only outcomes whose measured work
-    /// (`stats.nodes_explored`) is at least `min_work` are stored, so tiny
-    /// queries stop evicting expensive ones.  Builder-style — call before
-    /// sharing the cache.
-    pub fn min_work(mut self, min_work: u64) -> Self {
-        self.min_work = min_work;
-        self
-    }
-
-    /// The configured admission threshold (0 admits everything).
-    pub fn admission_threshold(&self) -> u64 {
-        self.min_work
     }
 
     /// Maximum number of cached outcomes.
@@ -178,14 +146,9 @@ impl ResultCache {
     }
 
     /// Stores an outcome, evicting the least-recently-used entry when full.
-    /// No-op when the capacity is 0 or the outcome's measured work falls
-    /// below the [admission threshold](ResultCache::min_work).
+    /// No-op when the capacity is 0.
     pub fn insert(&self, key: CacheKey, outcome: Arc<SearchOutcome>) {
         if self.capacity == 0 {
-            return;
-        }
-        if (outcome.stats.nodes_explored as u64) < self.min_work {
-            self.admission_rejected.fetch_add(1, Ordering::Relaxed);
             return;
         }
         let mut table = self.table.lock().expect("cache lock");
@@ -230,12 +193,6 @@ impl ResultCache {
         let before = table.entries.len();
         table.entries.retain(|key, _| key.epoch != epoch);
         before - table.entries.len()
-    }
-
-    /// Number of completed outcomes refused admission because their measured
-    /// work fell below the [threshold](ResultCache::min_work).
-    pub fn admission_rejected(&self) -> u64 {
-        self.admission_rejected.load(Ordering::Relaxed)
     }
 
     /// Number of lookups that found an entry.
@@ -414,35 +371,6 @@ mod tests {
         cache.insert(key(1, "a"), outcome(9));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.get(&key(1, "a")).unwrap().stats.nodes_explored, 9);
-    }
-
-    #[test]
-    fn admission_threshold_rejects_cheap_outcomes() {
-        let cache = ResultCache::new(4).min_work(100);
-        assert_eq!(cache.admission_threshold(), 100);
-        // measured work below the threshold: refused, counted
-        cache.insert(key(1, "tiny"), outcome(5));
-        assert!(cache.is_empty());
-        assert_eq!(cache.admission_rejected(), 1);
-        // at/above the threshold: admitted as usual
-        cache.insert(key(1, "big"), outcome(100));
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(&key(1, "big")).is_some());
-        assert_eq!(cache.admission_rejected(), 1);
-    }
-
-    #[test]
-    fn cheap_queries_cannot_evict_expensive_ones() {
-        let cache = ResultCache::new(1).min_work(50);
-        cache.insert(key(1, "expensive"), outcome(500));
-        for i in 0..10 {
-            cache.insert(key(1, &format!("tiny{i}")), outcome(1));
-        }
-        assert!(
-            cache.get(&key(1, "expensive")).is_some(),
-            "sub-threshold outcomes must not displace the expensive entry"
-        );
-        assert_eq!(cache.admission_rejected(), 10);
     }
 
     #[test]

@@ -70,8 +70,9 @@ pub struct QueryCost {
 
 impl QueryCost {
     /// Estimates the cost of running `matches` under `params` on the engine
-    /// registered as `engine` (a [`crate::EngineRegistry`] name; unknown
-    /// names are treated like the mid-cost single-iterator backward search).
+    /// registered as `engine` (its [`crate::EngineRegistry::canonical`]
+    /// name; any other name, an alias included, is treated like the
+    /// mid-cost single-iterator backward search).
     ///
     /// The model, in order:
     ///
@@ -111,15 +112,14 @@ impl QueryCost {
 
 /// Relative exploration cost of the registered engines, normalised to
 /// Bidirectional = 1.  Matches the coarse shape of the paper's Figure 6
-/// ratios (MI-Backward ≫ SI-Backward > Bidirectional).
+/// ratios (MI-Backward ≫ SI-Backward > Bidirectional).  Takes the
+/// registry's canonical name ([`crate::EngineRegistry::canonical`]);
+/// anything else prices like the middle of the range.
 fn engine_factor(engine: &str) -> u64 {
-    // The registry's own canonicalisation, so pricing accepts exactly the
-    // spellings the registry resolves.
-    let canonical = crate::registry::normalize(engine);
-    match canonical.as_str() {
-        "bidirectional" | "bidir" | "bidirectional-no-activation" => 1,
-        "si-backward" | "si" | "backward-activation" => 2,
-        "mi-backward" | "mi" | "backward" => 4,
+    match engine {
+        "bidirectional" | "bidirectional-no-activation" => 1,
+        "si-backward" | "backward-activation" => 2,
+        "mi-backward" => 4,
         _ => 2,
     }
 }
@@ -147,8 +147,16 @@ mod tests {
         assert_eq!(large.origin_nodes, 500);
         assert!(small.estimated_work < large.estimated_work);
 
-        let k1 = QueryCost::estimate(&matches(&[10]), &SearchParams::with_top_k(1), "bidir");
-        let k50 = QueryCost::estimate(&matches(&[10]), &SearchParams::with_top_k(50), "bidir");
+        let k1 = QueryCost::estimate(
+            &matches(&[10]),
+            &SearchParams::with_top_k(1),
+            "bidirectional",
+        );
+        let k50 = QueryCost::estimate(
+            &matches(&[10]),
+            &SearchParams::with_top_k(50),
+            "bidirectional",
+        );
         assert!(k1.estimated_work < k50.estimated_work);
     }
 
@@ -160,16 +168,15 @@ mod tests {
         let si = QueryCost::estimate(&m, &params, "si-backward").estimated_work;
         let mi = QueryCost::estimate(&m, &params, "mi-backward").estimated_work;
         assert!(bidir < si && si < mi, "{bidir} {si} {mi}");
-        // aliases resolve like the registry
-        assert_eq!(
-            QueryCost::estimate(&m, &params, "MI_Backward").estimated_work,
-            mi
-        );
-        // unknown engines price like the middle of the range
-        assert_eq!(
-            QueryCost::estimate(&m, &params, "quantum").estimated_work,
-            si
-        );
+        // only canonical names are priced: an alias or an unknown engine
+        // prices like the middle of the range
+        for other in ["MI_Backward", "mi", "quantum"] {
+            assert_eq!(
+                QueryCost::estimate(&m, &params, other).estimated_work,
+                si,
+                "{other}"
+            );
+        }
     }
 
     #[test]

@@ -157,22 +157,34 @@ impl EngineRegistry {
 
     /// Instantiates the engine registered under `name` (or one of its
     /// aliases).  Returns `None` for unknown names.
-    ///
-    /// Canonical names take precedence over aliases, so registering a new
-    /// engine under a name that happens to be another entry's alias (e.g.
-    /// `"bidir"`) makes the new entry win, preserving the latest-wins
-    /// override semantics.  Among aliases, the most recently registered
-    /// entry wins.
     pub fn create(&self, name: &str) -> Option<Box<dyn SearchEngine>> {
+        self.entry(name).map(|e| (e.factory)())
+    }
+
+    /// The canonical name `name` resolves to (an alias, or any spelling
+    /// the lookup forgives, maps to its entry's registered name), or
+    /// `None` when it resolves to no engine.  Pure name scan — never
+    /// invokes a factory.  Callers that key state by engine (caches,
+    /// calibration, metrics) key it by this name, so `"BIDIR"` and
+    /// `"bidirectional"` share one row.
+    pub fn canonical(&self, name: &str) -> Option<&'static str> {
+        self.entry(name).map(|e| e.name)
+    }
+
+    /// The entry `name` resolves to.  Canonical names take precedence
+    /// over aliases, so registering a new engine under a name that happens
+    /// to be another entry's alias (e.g. `"bidir"`) makes the new entry
+    /// win, preserving the latest-wins override semantics.  Among aliases,
+    /// the most recently registered entry wins.
+    fn entry(&self, name: &str) -> Option<&Entry> {
         let wanted = normalize(name);
         if let Some(entry) = self.entries.iter().find(|e| normalize(e.name) == wanted) {
-            return Some((entry.factory)());
+            return Some(entry);
         }
         self.entries
             .iter()
             .rev()
             .find(|e| e.aliases.iter().any(|a| normalize(a) == wanted))
-            .map(|e| (e.factory)())
     }
 
     /// Instantiates the engine registered under `name`, or returns an
@@ -211,15 +223,6 @@ impl EngineRegistry {
     pub fn names(&self) -> Vec<&'static str> {
         self.entries.iter().map(|e| e.name).collect()
     }
-
-    /// True when `name` (or an alias) resolves to an engine.  Pure name
-    /// scan — never invokes a factory.
-    pub fn contains(&self, name: &str) -> bool {
-        let wanted = normalize(name);
-        self.entries.iter().any(|e| {
-            normalize(e.name) == wanted || e.aliases.iter().any(|a| normalize(a) == wanted)
-        })
-    }
 }
 
 impl Default for EngineRegistry {
@@ -228,10 +231,9 @@ impl Default for EngineRegistry {
     }
 }
 
-/// Canonical form of an engine name: trimmed, lower-cased, underscores
-/// folded to dashes.  Shared with the cost estimator
-/// ([`crate::cost`]) so pricing and resolution agree on what a name means.
-pub(crate) fn normalize(name: &str) -> String {
+/// Lookup form of an engine name: trimmed, lower-cased, underscores
+/// folded to dashes.
+fn normalize(name: &str) -> String {
     name.trim().to_ascii_lowercase().replace('_', "-")
 }
 
@@ -297,11 +299,11 @@ mod tests {
     #[test]
     fn lookup_is_forgiving() {
         let registry = EngineRegistry::with_default_engines();
-        assert!(registry.contains("SI_Backward"));
-        assert!(registry.contains(" Bidirectional "));
-        assert!(registry.contains("bidir"));
-        assert!(registry.contains("mi"));
-        assert!(!registry.contains("quantum"));
+        assert_eq!(registry.canonical("SI_Backward"), Some("si-backward"));
+        assert_eq!(registry.canonical(" Bidirectional "), Some("bidirectional"));
+        assert_eq!(registry.canonical("BIDIR"), Some("bidirectional"));
+        assert_eq!(registry.canonical("mi"), Some("mi-backward"));
+        assert_eq!(registry.canonical("quantum"), None);
         assert!(registry.create("quantum").is_none());
     }
 
@@ -382,7 +384,7 @@ mod tests {
         // the replaced entry's aliases survive and point at the override
         assert_eq!(registry.create("bidir").unwrap().name(), "SI-Backward");
         registry.register("custom", Box::new(|| Box::new(BidirectionalSearch::new())));
-        assert!(registry.contains("custom"));
+        assert_eq!(registry.canonical("Custom"), Some("custom"));
         assert_eq!(registry.names().len(), 6);
     }
 }

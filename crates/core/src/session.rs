@@ -154,7 +154,7 @@ impl<'g> Banks<'g> {
     /// lists the known engines and the nearest alias.
     pub fn with_engine(mut self, name: impl Into<String>) -> Self {
         let name = name.into();
-        if !self.registry.contains(&name) {
+        if self.registry.canonical(&name).is_none() {
             panic!("{}", self.registry.unknown(&name));
         }
         self.default_engine = name;
@@ -278,7 +278,7 @@ impl<'b, 'g> QuerySession<'b, 'g> {
     /// lists the known engines and the nearest alias.
     pub fn engine(mut self, name: impl Into<String>) -> Self {
         let name = name.into();
-        if !self.banks.registry.contains(&name) {
+        if self.banks.registry.canonical(&name).is_none() {
             panic!("{}", self.banks.registry.unknown(&name));
         }
         self.engine = name;

@@ -134,17 +134,12 @@ pub fn metrics(m: &ServiceMetrics) -> String {
         }
         buf.push_str(&format!(
             "{{\"tenant\":{},\"executed\":{},\"quota_rejected\":{},\
-             \"mean_queue_wait_us\":{},\"max_queue_wait_us\":{},\
-             \"quota_rate_per_sec\":{},\"quota_burst\":{}}}",
+             \"mean_queue_wait_us\":{},\"max_queue_wait_us\":{}}}",
             corejson::string(&t.tenant),
             t.executed,
             t.quota_rejected,
             corejson::duration_us(t.mean_queue_wait),
             corejson::duration_us(t.max_queue_wait),
-            t.quota_rate_per_sec
-                .map_or_else(|| "null".to_string(), corejson::number),
-            t.quota_burst
-                .map_or_else(|| "null".to_string(), |b| b.to_string()),
         ));
     }
     buf.push_str("]}");

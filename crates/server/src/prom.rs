@@ -277,22 +277,6 @@ pub fn render(m: &ServiceMetrics) -> String {
             &labels,
             t.max_queue_wait.as_secs_f64(),
         );
-        if let Some(rate) = t.quota_rate_per_sec {
-            p.gauge_labeled(
-                "banks_tenant_quota_rate_per_sec",
-                "Configured quota refill rate per tenant.",
-                &labels,
-                rate,
-            );
-        }
-        if let Some(burst) = t.quota_burst {
-            p.gauge_labeled(
-                "banks_tenant_quota_burst",
-                "Configured quota burst capacity per tenant.",
-                &labels,
-                burst as f64,
-            );
-        }
     }
 
     for row in &m.calibration {
@@ -360,8 +344,6 @@ mod tests {
                 quota_rejected: 2,
                 mean_queue_wait: Duration::from_micros(120),
                 max_queue_wait: Duration::from_micros(900),
-                quota_rate_per_sec: Some(50.0),
-                quota_burst: Some(100),
             }],
             calibration: vec![CalibrationRow {
                 engine: "bidirectional".to_string(),
@@ -432,7 +414,7 @@ mod tests {
         let text = render(&populated());
         assert!(text.contains("banks_queries_submitted_total 10"));
         assert!(text.contains("banks_tenant_executed_total{tenant=\"acme\"} 5"));
-        assert!(text.contains("banks_tenant_quota_rate_per_sec{tenant=\"acme\"} 50"));
+        assert!(text.contains("banks_tenant_quota_rejected_total{tenant=\"acme\"} 2"));
         assert!(text.contains("banks_queue_wait_seconds{quantile=\"0.99\"}"));
         assert!(text.contains("banks_ttfa_seconds_count 0"));
         assert!(text.contains(

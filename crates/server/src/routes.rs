@@ -338,7 +338,7 @@ fn respond_checkpoint(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool)
 /// A body with a `"slos"` array (or a bare array) **replaces** the whole
 /// set; a single spec object **upserts** that one spec, keeping the other
 /// objectives' burn-rate history.  Specs use the same JSON shape as
-/// [`banks_service::ServiceBuilder::slos_from_path`].
+/// [`banks_service::parse_slo_specs`].
 fn respond_slo_update(
     ctx: &ServerContext,
     request: &Request,

@@ -167,9 +167,8 @@ impl Service {
     /// * **new admissions** resolve, execute and cache against the new
     ///   version;
     /// * **the result cache** needs no flush: keys carry the epoch, so old
-    ///   entries can never serve the new graph.  If this service owns its
-    ///   cache (no [`crate::ServiceBuilder::shared_cache`]), the superseded
-    ///   epoch's entries are evicted eagerly to reclaim capacity.
+    ///   entries can never serve the new graph.  The superseded epoch's
+    ///   entries are evicted eagerly to reclaim capacity.
     ///
     /// Swapping in a clone of the currently-served graph still produces a
     /// distinct epoch (and therefore a cold cache): the contract is
@@ -462,9 +461,7 @@ impl Service {
             "swap",
             format!("serving epoch {old_epoch} -> {new_epoch}"),
         );
-        if self.inner.cache_private {
-            self.inner.cache.evict_epoch(old_epoch);
-        }
+        self.inner.cache.evict_epoch(old_epoch);
         new_epoch
     }
 

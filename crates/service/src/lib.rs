@@ -43,24 +43,20 @@
 //!   without tearing down the worker.
 //! * **Admission control** — a bounded queue; a full queue rejects with
 //!   [`SubmitError::QueueFull`] instead of buffering without limit.
-//! * **Per-tenant quotas** — optional token buckets
-//!   ([`ServiceBuilder::tenant_quota`]): each tenant may burst up to the
-//!   bucket capacity, then is limited to the refill rate; an empty bucket
-//!   rejects with [`SubmitError::QuotaExceeded`] (carrying a retry-after
-//!   hint), counted per tenant in [`TenantMetrics::quota_rejected`].
-//!   Named tenants get their own configured rates
-//!   ([`ServiceBuilder::tenant_quota_for`], surfaced in
-//!   [`TenantMetrics::quota_rate_per_sec`]), and
-//!   [`ServiceBuilder::quota_work_per_token`] switches charging from one
-//!   token per request to the query's estimated work.
+//! * **Per-tenant quotas** — optional token buckets, one flat rate and
+//!   burst for every tenant ([`ServiceBuilder::tenant_quota`]): each
+//!   submission takes one token, each tenant may burst up to the bucket
+//!   capacity, then is limited to the refill rate; an empty bucket rejects
+//!   with [`SubmitError::QuotaExceeded`] (carrying a retry-after hint),
+//!   counted per tenant in [`TenantMetrics::quota_rejected`].
 //! * **Graceful drain** — [`Service::drain`] blocks until the queue is
 //!   empty and no worker is mid-query, the hook a network front-end uses
 //!   to finish in-flight streams before shutting down.
-//! * **Result cache** — a shared [`banks_core::ResultCache`] keyed by
-//!   `(graph epoch, normalized keywords, params/engine fingerprint)`; hits
-//!   complete at submit time with zero engine work.  An admission
-//!   threshold ([`ServiceBuilder::cache_min_work`]) keeps tiny queries
-//!   from evicting expensive outcomes.
+//! * **Result cache** — the service's own [`banks_core::ResultCache`]
+//!   keyed by `(graph epoch, normalized keywords, params/engine
+//!   fingerprint)`; hits complete at submit time with zero engine work.
+//!   Engine names are canonicalised at admission, so `"BIDIR"` and
+//!   `"bidirectional"` share entries.
 //! * **Deterministic deadlines** — per-answer budgets are *work-based*
 //!   ([`banks_core::SearchParams::answer_work_budget`], nodes explored per
 //!   answer), so they cut at the same node whether the pool is idle or
@@ -68,6 +64,28 @@
 //! * **[`ServiceMetrics`]** — aggregate counters (submitted / rejected /
 //!   executed / cancelled / cache hits / swaps), queue-wait percentiles
 //!   ([`LatencySummary`]) and per-tenant outcomes ([`TenantMetrics`]).
+//!
+//! ## Configuration
+//!
+//! [`ServiceBuilder`] has eleven setters: [`workers`], [`queue_capacity`],
+//! [`cache_capacity`], [`prestige`], [`index`], [`registry`],
+//! [`tenant_quota`], [`persistence`], [`slow_query_threshold`],
+//! [`collector_cadence`] and [`slos`].  The rest is fixed: a query naming
+//! no engine runs `"bidirectional"`, the event log keeps the newest 1024
+//! events, and the watchdog flags a query that explores 8× its a priori
+//! estimate.
+//!
+//! [`workers`]: ServiceBuilder::workers
+//! [`queue_capacity`]: ServiceBuilder::queue_capacity
+//! [`cache_capacity`]: ServiceBuilder::cache_capacity
+//! [`prestige`]: ServiceBuilder::prestige
+//! [`index`]: ServiceBuilder::index
+//! [`registry`]: ServiceBuilder::registry
+//! [`tenant_quota`]: ServiceBuilder::tenant_quota
+//! [`persistence`]: ServiceBuilder::persistence
+//! [`slow_query_threshold`]: ServiceBuilder::slow_query_threshold
+//! [`collector_cadence`]: ServiceBuilder::collector_cadence
+//! [`slos`]: ServiceBuilder::slos
 //!
 //! ## Example
 //!
@@ -126,6 +144,7 @@
 
 #![deny(missing_docs)]
 
+mod collector;
 mod epoch;
 pub mod handle;
 pub mod metrics;
@@ -144,6 +163,7 @@ pub use banks_obs::{
 pub use banks_persist::{
     decode_record, encode_record, FsyncPolicy, PersistError, WalPosition, WalRecord,
 };
+pub use collector::parse_slo_specs;
 pub use epoch::MutationReport;
 pub use handle::{QueryEvent, QueryHandle, QueryId, QueryResult, RecvTimeout};
 pub use metrics::{ServiceMetrics, TenantMetrics, OVERFLOW_TENANT};
@@ -151,6 +171,6 @@ pub use persistence::DurabilityStatus;
 pub use replication::{
     ReplicatedApply, ReplicationApplyError, ReplicationRole, ReplicationStatus, WalTail,
 };
-pub use service::{parse_slo_specs, Service, ServiceBuilder, SubmitError};
+pub use service::{Service, ServiceBuilder, SubmitError};
 pub use snapshot::GraphSnapshot;
 pub use spec::{Priority, QuerySpec};

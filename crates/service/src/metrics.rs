@@ -23,7 +23,6 @@ use std::time::Duration;
 
 use banks_obs::{CalibrationRow, Health, Histogram, LatencySummary, SloRow, HISTOGRAM_BUCKETS};
 
-use crate::quota::QuotaSettings;
 use crate::replication::ReplicationStatus;
 
 /// Lock-free counters updated by the submit path and the workers.
@@ -139,8 +138,6 @@ impl WaitStats {
                     t.wait_sum_us.checked_div(t.executed).unwrap_or(0),
                 ),
                 max_queue_wait: Duration::from_micros(t.wait_max_us),
-                quota_rate_per_sec: None,
-                quota_burst: None,
             })
             .collect();
         rows.sort_by(|a, b| a.tenant.cmp(&b.tenant));
@@ -169,14 +166,6 @@ pub struct TenantMetrics {
     pub mean_queue_wait: Duration,
     /// Worst queue wait of this tenant's executed queries.
     pub max_queue_wait: Duration,
-    /// The quota refill rate governing this tenant
-    /// ([`crate::ServiceBuilder::tenant_quota_for`] override if one is
-    /// configured, else the shared default); `None` when the tenant is
-    /// unlimited.
-    pub quota_rate_per_sec: Option<f64>,
-    /// The quota burst capacity governing this tenant; `None` when
-    /// unlimited.
-    pub quota_burst: Option<u64>,
 }
 
 /// A point-in-time snapshot of the service counters.
@@ -271,8 +260,8 @@ pub struct ServiceMetrics {
     /// Id of the newest structured event (0 when none were emitted) — the
     /// cursor a `GET /debug/events?since=` poller should start from.
     pub event_log_last_id: u64,
-    /// Completed queries the watchdog flagged for exploring ≥ N× their
-    /// a priori work estimate ([`crate::ServiceBuilder::watchdog_overrun_factor`]).
+    /// Completed queries the watchdog flagged for exploring ≥ 8× their
+    /// a priori work estimate.
     pub watchdog_overruns: u64,
     /// Times the collector's queue-saturation watchdog tripped (queue
     /// occupancy crossed the trip threshold).
@@ -291,32 +280,7 @@ impl ServiceMetrics {
         waits: &WaitStats,
         queued: usize,
         epoch: u64,
-        quota: Option<&QuotaSettings>,
     ) -> Self {
-        let mut tenants = waits.tenant_metrics();
-        if let Some(quota) = quota {
-            for row in &mut tenants {
-                // the overflow row aggregates many tenants; quote the
-                // default rate for it, like any non-overridden name
-                if let Some(cfg) = quota.config_for(&row.tenant) {
-                    row.quota_rate_per_sec = Some(cfg.rate_per_sec);
-                    row.quota_burst = Some(cfg.burst);
-                }
-            }
-            // Tenants with a configured override but no traffic yet still
-            // surface their configured rate.
-            for (name, cfg) in &quota.overrides {
-                if !tenants.iter().any(|t| &t.tenant == name) {
-                    tenants.push(TenantMetrics {
-                        tenant: name.clone(),
-                        quota_rate_per_sec: Some(cfg.rate_per_sec),
-                        quota_burst: Some(cfg.burst),
-                        ..TenantMetrics::default()
-                    });
-                }
-            }
-            tenants.sort_by(|a, b| a.tenant.cmp(&b.tenant));
-        }
         ServiceMetrics {
             submitted: counters.submitted.load(Ordering::Relaxed),
             rejected: counters.rejected.load(Ordering::Relaxed),
@@ -349,7 +313,7 @@ impl ServiceMetrics {
             mutation_apply: LatencySummary::default(),
             checkpoint_latency: LatencySummary::default(),
             wal_fsync: LatencySummary::default(),
-            tenants,
+            tenants: waits.tenant_metrics(),
             calibration: Vec::new(),
             health: Health::Ok,
             slo: Vec::new(),
@@ -392,7 +356,7 @@ mod tests {
         Counters::bump(&counters.swaps);
         Counters::add(&counters.answers_delivered, 5);
         let waits = WaitStats::default();
-        let snap = ServiceMetrics::snapshot(&counters, &waits, 3, 42, None);
+        let snap = ServiceMetrics::snapshot(&counters, &waits, 3, 42);
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.answers_delivered, 5);
@@ -469,38 +433,6 @@ mod tests {
         let paid = rows.iter().find(|r| r.tenant == "paid").expect("paid row");
         assert_eq!(paid.quota_rejected, 0);
         assert_eq!(paid.executed, 1);
-    }
-
-    #[test]
-    fn tenant_rows_surface_their_configured_quota() {
-        use crate::quota::{QuotaConfig, QuotaSettings};
-        let mut waits = WaitStats::default();
-        waits.record("free", Duration::from_micros(10));
-        let mut settings = QuotaSettings {
-            default: Some(QuotaConfig::new(5.0, 10)),
-            ..QuotaSettings::default()
-        };
-        settings
-            .overrides
-            .insert("paid".to_string(), QuotaConfig::new(100.0, 500));
-        let counters = Counters::default();
-        let snap = ServiceMetrics::snapshot(&counters, &waits, 0, 1, Some(&settings));
-        let free = snap.tenant("free").expect("free row");
-        assert_eq!(free.quota_rate_per_sec, Some(5.0));
-        assert_eq!(free.quota_burst, Some(10));
-        // configured-but-silent tenants still surface their rate
-        let paid = snap.tenant("paid").expect("paid row from override");
-        assert_eq!(paid.quota_rate_per_sec, Some(100.0));
-        assert_eq!(paid.quota_burst, Some(500));
-        assert_eq!(paid.executed, 0);
-        // rows stay sorted by tenant name
-        let names: Vec<&str> = snap.tenants.iter().map(|t| t.tenant.as_str()).collect();
-        let mut sorted = names.clone();
-        sorted.sort_unstable();
-        assert_eq!(names, sorted);
-        // without quotas, the fields stay None
-        let snap = ServiceMetrics::snapshot(&counters, &waits, 0, 1, None);
-        assert_eq!(snap.tenant("free").unwrap().quota_rate_per_sec, None);
     }
 
     #[test]

@@ -1,25 +1,18 @@
 //! Per-tenant token-bucket admission quotas.
 //!
-//! The scheduler's fair share (PR 3) prevents *starvation* — every tenant
+//! The scheduler's fair share prevents *starvation* — every tenant
 //! eventually runs — but not *overload*: a tenant free to submit without
 //! bound still fills the admission queue and inflates everyone's queue
 //! wait.  The quota layer sits in front of the scheduler and answers a
 //! different question: "may this tenant submit at all right now?".
 //!
-//! The mechanism is the classic token bucket.  Each tenant owns a bucket of
-//! capacity `burst` refilled continuously at `rate_per_sec`; a submission
-//! takes one token by default, or a cost-weighted charge when
-//! [`crate::ServiceBuilder::quota_work_per_token`] is set (expensive
-//! queries drain the bucket faster than cheap ones).  An empty bucket
-//! rejects with [`crate::SubmitError::QuotaExceeded`], which carries the
-//! time until the charge becomes affordable — the HTTP front-end turns
-//! that into a `429` with a `Retry-After` header.
-//!
-//! Configuration is two-level: [`crate::ServiceBuilder::tenant_quota`]
-//! sets the shared default, and
-//! [`crate::ServiceBuilder::tenant_quota_for`] overrides rate/burst for a
-//! named tenant (paid tiers, internal dashboards).  Tenants with neither
-//! an override nor a default are unlimited.
+//! The mechanism is the classic token bucket, one flat configuration for
+//! every tenant ([`crate::ServiceBuilder::tenant_quota`]).  Each tenant
+//! owns a bucket of capacity `burst` refilled continuously at
+//! `rate_per_sec`; a submission takes one token.  An empty bucket rejects
+//! with [`crate::SubmitError::QuotaExceeded`], which carries the time until
+//! the next token arrives — the HTTP front-end turns that into a `429`
+//! with a `Retry-After` header.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -32,15 +25,15 @@ use std::time::{Duration, Instant};
 /// full bucket, which only errs in the tenant's favour).
 const MAX_BUCKETS: usize = 4096;
 
-/// Rate/burst pair for one bucket.
+/// The rate/burst pair every tenant's bucket is configured with.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct QuotaConfig {
     /// Tokens refilled per second (floor: one token per day, so the
     /// retry-after arithmetic stays finite).
-    pub rate_per_sec: f64,
+    rate_per_sec: f64,
     /// Bucket capacity: the burst a previously-idle tenant may submit
     /// before the rate limit bites (at least 1).
-    pub burst: u64,
+    burst: u64,
 }
 
 impl QuotaConfig {
@@ -48,41 +41,6 @@ impl QuotaConfig {
         QuotaConfig {
             rate_per_sec: rate_per_sec.max(1.0 / 86_400.0),
             burst: burst.max(1),
-        }
-    }
-}
-
-/// The full quota configuration: an optional shared default, per-tenant
-/// overrides, and the optional cost-weighting scale.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct QuotaSettings {
-    /// The rate every tenant without an override gets (`None`: such
-    /// tenants are unlimited).
-    pub default: Option<QuotaConfig>,
-    /// Named tenants with their own configured rates.
-    pub overrides: HashMap<String, QuotaConfig>,
-    /// When set, a submission is charged
-    /// `max(1, estimated_work / work_per_token)` tokens instead of 1.
-    pub work_per_token: Option<u64>,
-}
-
-impl QuotaSettings {
-    /// Whether any quota is configured at all.
-    pub(crate) fn enabled(&self) -> bool {
-        self.default.is_some() || !self.overrides.is_empty()
-    }
-
-    /// The configuration governing `tenant`, if any.
-    pub(crate) fn config_for(&self, tenant: &str) -> Option<QuotaConfig> {
-        self.overrides.get(tenant).copied().or(self.default)
-    }
-
-    /// The token charge for a submission with the given a priori work
-    /// estimate (1 when cost weighting is off).
-    pub(crate) fn charge_for(&self, estimated_work: u64) -> f64 {
-        match self.work_per_token {
-            Some(scale) => (estimated_work / scale.max(1)).max(1) as f64,
-            None => 1.0,
         }
     }
 }
@@ -103,68 +61,25 @@ impl Bucket {
     }
 }
 
-/// All tenant buckets plus the shared configuration.
+/// All tenant buckets plus the configuration they share.
 #[derive(Debug)]
 pub(crate) struct QuotaState {
-    settings: QuotaSettings,
+    config: QuotaConfig,
     buckets: HashMap<String, Bucket>,
 }
 
 impl QuotaState {
-    pub(crate) fn new(settings: QuotaSettings) -> Self {
+    pub(crate) fn new(config: QuotaConfig) -> Self {
         QuotaState {
-            settings,
+            config,
             buckets: HashMap::new(),
         }
     }
 
-    /// Takes `tokens` from `tenant`'s bucket at time `now`.  A charge
-    /// larger than the bucket's burst is clamped to the burst (the query
-    /// costs the whole bucket; it is not permanently unaffordable).  On an
-    /// underfunded bucket, returns the duration until the charge becomes
-    /// affordable.  Tenants with no governing config are always admitted.
-    pub(crate) fn try_take(
-        &mut self,
-        tenant: &str,
-        now: Instant,
-        tokens: f64,
-    ) -> Result<(), Duration> {
-        let Some(cfg) = self.settings.config_for(tenant) else {
-            return Ok(());
-        };
-        let charge = tokens.min(cfg.burst as f64).max(1.0);
-        self.take_from_bucket(tenant, cfg, now, charge)
-    }
-
-    /// Takes the *remainder* of a cost-weighted charge whose one-token
-    /// floor was already taken up front: `max(0, min(total, burst) − 1)`
-    /// tokens.  The split lets the admission path reject an over-quota
-    /// tenant before doing any resolution work, while a query estimated
-    /// above the burst still costs exactly the full bucket (floor
-    /// included) instead of becoming forever unaffordable.
-    pub(crate) fn try_take_remainder(
-        &mut self,
-        tenant: &str,
-        now: Instant,
-        total: f64,
-    ) -> Result<(), Duration> {
-        let Some(cfg) = self.settings.config_for(tenant) else {
-            return Ok(());
-        };
-        let charge = (total.min(cfg.burst as f64) - 1.0).max(0.0);
-        if charge == 0.0 {
-            return Ok(());
-        }
-        self.take_from_bucket(tenant, cfg, now, charge)
-    }
-
-    fn take_from_bucket(
-        &mut self,
-        tenant: &str,
-        cfg: QuotaConfig,
-        now: Instant,
-        charge: f64,
-    ) -> Result<(), Duration> {
+    /// Takes one token from `tenant`'s bucket at time `now`.  On an empty
+    /// bucket, returns the duration until the next token arrives.
+    pub(crate) fn try_take(&mut self, tenant: &str, now: Instant) -> Result<(), Duration> {
+        let cfg = self.config;
         if !self.buckets.contains_key(tenant) {
             if self.buckets.len() >= MAX_BUCKETS {
                 self.make_room(now);
@@ -179,11 +94,11 @@ impl QuotaState {
         }
         let bucket = self.buckets.get_mut(tenant).expect("bucket just ensured");
         bucket.refill(&cfg, now);
-        if bucket.tokens >= charge {
-            bucket.tokens -= charge;
+        if bucket.tokens >= 1.0 {
+            bucket.tokens -= 1.0;
             Ok(())
         } else {
-            let deficit = charge - bucket.tokens;
+            let deficit = 1.0 - bucket.tokens;
             Err(Duration::from_secs_f64(deficit / cfg.rate_per_sec))
         }
     }
@@ -196,11 +111,8 @@ impl QuotaState {
     /// and eviction only ever errs in a tenant's favour (it restarts with
     /// a full bucket).
     fn make_room(&mut self, now: Instant) {
-        let settings = self.settings.clone();
-        self.buckets.retain(|tenant, b| {
-            let cfg = settings
-                .config_for(tenant)
-                .expect("buckets only exist for governed tenants");
+        let cfg = self.config;
+        self.buckets.retain(|_, b| {
             b.refill(&cfg, now);
             b.tokens < cfg.burst as f64
         });
@@ -227,16 +139,8 @@ impl QuotaState {
 mod tests {
     use super::*;
 
-    fn settings(rate: f64, burst: u64) -> QuotaSettings {
-        QuotaSettings {
-            default: Some(QuotaConfig::new(rate, burst)),
-            overrides: HashMap::new(),
-            work_per_token: None,
-        }
-    }
-
     fn state(rate: f64, burst: u64) -> QuotaState {
-        QuotaState::new(settings(rate, burst))
+        QuotaState::new(QuotaConfig::new(rate, burst))
     }
 
     #[test]
@@ -244,9 +148,9 @@ mod tests {
         let mut q = state(1.0, 3);
         let t0 = Instant::now();
         for _ in 0..3 {
-            assert!(q.try_take("a", t0, 1.0).is_ok());
+            assert!(q.try_take("a", t0).is_ok());
         }
-        let retry = q.try_take("a", t0, 1.0).expect_err("bucket must be empty");
+        let retry = q.try_take("a", t0).expect_err("bucket must be empty");
         // one token at 1/s: the next token is ~1s away
         assert!(retry > Duration::from_millis(900) && retry <= Duration::from_secs(1));
     }
@@ -255,42 +159,42 @@ mod tests {
     fn refill_restores_tokens() {
         let mut q = state(2.0, 2);
         let t0 = Instant::now();
-        assert!(q.try_take("a", t0, 1.0).is_ok());
-        assert!(q.try_take("a", t0, 1.0).is_ok());
-        assert!(q.try_take("a", t0, 1.0).is_err());
+        assert!(q.try_take("a", t0).is_ok());
+        assert!(q.try_take("a", t0).is_ok());
+        assert!(q.try_take("a", t0).is_err());
         // 2 tokens/s: after 600ms, one token is back
         let t1 = t0 + Duration::from_millis(600);
-        assert!(q.try_take("a", t1, 1.0).is_ok());
-        assert!(q.try_take("a", t1, 1.0).is_err());
+        assert!(q.try_take("a", t1).is_ok());
+        assert!(q.try_take("a", t1).is_err());
     }
 
     #[test]
     fn refill_caps_at_burst() {
         let mut q = state(1000.0, 2);
         let t0 = Instant::now();
-        assert!(q.try_take("a", t0, 1.0).is_ok());
+        assert!(q.try_take("a", t0).is_ok());
         // a long idle period refills to burst, not beyond
         let t1 = t0 + Duration::from_secs(60);
-        assert!(q.try_take("a", t1, 1.0).is_ok());
-        assert!(q.try_take("a", t1, 1.0).is_ok());
-        assert!(q.try_take("a", t1, 1.0).is_err());
+        assert!(q.try_take("a", t1).is_ok());
+        assert!(q.try_take("a", t1).is_ok());
+        assert!(q.try_take("a", t1).is_err());
     }
 
     #[test]
     fn tenants_are_isolated() {
         let mut q = state(0.01, 1);
         let t0 = Instant::now();
-        assert!(q.try_take("a", t0, 1.0).is_ok());
-        assert!(q.try_take("a", t0, 1.0).is_err(), "tenant a exhausted");
-        assert!(q.try_take("b", t0, 1.0).is_ok(), "tenant b unaffected");
+        assert!(q.try_take("a", t0).is_ok());
+        assert!(q.try_take("a", t0).is_err(), "tenant a exhausted");
+        assert!(q.try_take("b", t0).is_ok(), "tenant b unaffected");
     }
 
     #[test]
     fn zero_rate_is_clamped_finite() {
         let mut q = state(0.0, 1);
         let t0 = Instant::now();
-        assert!(q.try_take("a", t0, 1.0).is_ok());
-        let retry = q.try_take("a", t0, 1.0).expect_err("empty");
+        assert!(q.try_take("a", t0).is_ok());
+        let retry = q.try_take("a", t0).expect_err("empty");
         // clamped to one token per day: finite, under a day and a half
         assert!(retry <= Duration::from_secs(86_400 + 43_200));
     }
@@ -302,77 +206,11 @@ mod tests {
         // Far more tenants than the cap, each touched once: full buckets are
         // pruned, so the map stays bounded.
         for i in 0..(MAX_BUCKETS * 2) {
-            assert!(q.try_take(&format!("t{i}"), t0, 1.0).is_ok());
+            assert!(q.try_take(&format!("t{i}"), t0).is_ok());
         }
         assert!(q.bucket_count() <= MAX_BUCKETS + 1);
         // Pruning a nearly-full bucket only ever errs in the tenant's
         // favour: admission still succeeds.
-        assert!(q.try_take("t0", t0 + Duration::from_secs(1), 1.0).is_ok());
-    }
-
-    #[test]
-    fn overrides_give_named_tenants_their_own_rate() {
-        let mut s = settings(1000.0, 1);
-        s.overrides
-            .insert("paid".to_string(), QuotaConfig::new(1000.0, 5));
-        let mut q = QuotaState::new(s);
-        let t0 = Instant::now();
-        assert!(q.try_take("free", t0, 1.0).is_ok());
-        assert!(q.try_take("free", t0, 1.0).is_err(), "default burst 1");
-        for _ in 0..5 {
-            assert!(q.try_take("paid", t0, 1.0).is_ok(), "override burst 5");
-        }
-        assert!(q.try_take("paid", t0, 1.0).is_err());
-    }
-
-    #[test]
-    fn overrides_without_a_default_leave_other_tenants_unlimited() {
-        let mut s = QuotaSettings::default();
-        s.overrides
-            .insert("scraper".to_string(), QuotaConfig::new(0.001, 1));
-        let mut q = QuotaState::new(s);
-        let t0 = Instant::now();
-        assert!(q.try_take("scraper", t0, 1.0).is_ok());
-        assert!(q.try_take("scraper", t0, 1.0).is_err());
-        for _ in 0..100 {
-            assert!(q.try_take("anyone-else", t0, 1.0).is_ok(), "ungoverned");
-        }
-    }
-
-    #[test]
-    fn cost_weighted_charges_scale_with_work() {
-        let s = QuotaSettings {
-            default: Some(QuotaConfig::new(1.0, 10)),
-            overrides: HashMap::new(),
-            work_per_token: Some(100),
-        };
-        assert_eq!(s.charge_for(50), 1.0, "floor of one token");
-        assert_eq!(s.charge_for(100), 1.0);
-        assert_eq!(s.charge_for(450), 4.0);
-        let mut q = QuotaState::new(s.clone());
-        let t0 = Instant::now();
-        // one 800-work query (8 tokens) + one small one exhaust burst 10
-        assert!(q.try_take("a", t0, s.charge_for(800)).is_ok());
-        assert!(q.try_take("a", t0, s.charge_for(100)).is_ok());
-        let retry = q
-            .try_take("a", t0, s.charge_for(300))
-            .expect_err("3 tokens needed, 1 left");
-        // 2 missing tokens at 1/s
-        assert!(retry > Duration::from_millis(1900) && retry <= Duration::from_secs(2));
-    }
-
-    #[test]
-    fn charges_beyond_the_burst_are_clamped_to_the_bucket() {
-        let s = QuotaSettings {
-            default: Some(QuotaConfig::new(1.0, 4)),
-            overrides: HashMap::new(),
-            work_per_token: Some(1),
-        };
-        let mut q = QuotaState::new(s.clone());
-        let t0 = Instant::now();
-        // 1M estimated work would be 1M tokens; clamped to the burst the
-        // query costs the full bucket instead of being forever rejected.
-        assert!(q.try_take("a", t0, s.charge_for(1_000_000)).is_ok());
-        assert!(q.try_take("a", t0, 1.0).is_err(), "bucket fully drained");
+        assert!(q.try_take("t0", t0 + Duration::from_secs(1)).is_ok());
     }
 }

@@ -1,7 +1,7 @@
 //! The worker-pool query service: priority admission, pinned snapshots,
 //! online graph swapping.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -16,16 +16,17 @@ use banks_core::{
 use banks_graph::DataGraph;
 use banks_obs::{
     CostCalibration, EventLevel, EventLog, Health, Histogram, QueryTrace, SloEngine, SloReport,
-    SloSpec, TimeSeriesRing, TraceRing, WorkCounters, HISTOGRAM_BUCKETS,
+    SloSpec, TimeSeriesRing, TraceRing, WorkCounters,
 };
 use banks_persist::{FsyncPolicy, PersistError};
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, KeywordMatches};
 
+use crate::collector::{collector_loop, timeseries_schema};
 use crate::epoch::Epochs;
 use crate::handle::{HandleState, QueryEvent, QueryHandle, QueryId, QueryResult};
 use crate::metrics::{Counters, ServiceMetrics, WaitStats};
-use crate::quota::{QuotaConfig, QuotaSettings, QuotaState};
+use crate::quota::{QuotaConfig, QuotaState};
 use crate::replication::{ReplicationRole, ReplicationState, ReplicationStatus};
 use crate::sched::WorkQueue;
 use crate::snapshot::GraphSnapshot;
@@ -86,40 +87,19 @@ const TRACE_RING_CAPACITY: usize = 256;
 /// cadence this retains one hour of history.
 const TIMESERIES_CAPACITY: usize = 360;
 
-/// Queue occupancy (fraction of capacity) at which the watchdog flags
-/// saturation, and the lower fraction at which the flag clears.
-const QUEUE_SATURATION_TRIP: f64 = 0.8;
-const QUEUE_SATURATION_CLEAR: f64 = 0.5;
+/// The engine run when a [`QuerySpec`] names none.  A custom
+/// [`ServiceBuilder::registry`] must resolve it.
+const DEFAULT_ENGINE: &str = "bidirectional";
 
-/// The fixed schema of series the collector snapshots every tick.
-/// Cumulative counters keep their counter names (windowed deltas/rates come
-/// from [`TimeSeriesRing::delta`] / [`TimeSeriesRing::rate_per_sec`]);
-/// `*_p*_us` series are **windowed** percentiles — computed from the
-/// histogram-bucket delta of the tick, `NaN` when the tick saw no samples —
-/// so they decay when a latency regression ends, which is what lets an SLO
-/// alert resolve.
-fn timeseries_schema() -> Vec<&'static str> {
-    vec![
-        "submitted",
-        "executed",
-        "completed",
-        "rejected",
-        "quota_rejected",
-        "cancelled",
-        "cache_hits",
-        "answers_delivered",
-        "slow_queries",
-        "queued",
-        "error_ratio",
-        "ttfa_p50_us",
-        "ttfa_p90_us",
-        "ttfa_p99_us",
-        "queue_wait_p50_us",
-        "queue_wait_p90_us",
-        "queue_saturation",
-        "replication_lag_ms",
-    ]
-}
+/// Capacity of the structured event-log ring; once full, the oldest events
+/// are evicted and counted in [`ServiceMetrics::event_log_dropped`].
+const EVENT_LOG_CAPACITY: usize = 1024;
+
+/// Nodes-explored multiple of the scheduler's a priori estimate at which a
+/// finished query trips the watchdog: the overrun is counted in
+/// [`ServiceMetrics::watchdog_overruns`] and logged as a
+/// `watchdog-overrun` event.
+const WATCHDOG_OVERRUN_FACTOR: u64 = 8;
 
 /// Wall-clock milliseconds since the Unix epoch (the time base of the
 /// time-series ring and SLO evaluation).
@@ -172,73 +152,9 @@ impl TraceCtx {
     }
 }
 
-/// Assembles the retained [`QueryTrace`] for one finished query.  `pickup`
-/// and `expand_end` are `None` for cache hits (which never queue or run).
-#[allow(clippy::too_many_arguments)]
-fn build_trace(
-    ctx: &TraceCtx,
-    id: QueryId,
-    engine: &str,
-    tenant: &str,
-    epoch: u64,
-    cache_hit: bool,
-    slow: bool,
-    total_us: u64,
-    pickup_us: Option<u64>,
-    expand_end_us: Option<u64>,
-    time_to_first_answer: Option<Duration>,
-    stats: &SearchStats,
-) -> QueryTrace {
-    let mut trace = QueryTrace {
-        id: id.0,
-        client_ref: ctx.requested.clone(),
-        tenant: (!tenant.is_empty()).then(|| tenant.to_string()),
-        engine: engine.to_string(),
-        cache_hit,
-        slow,
-        epoch,
-        total_us,
-        spans: Vec::new(),
-        counters: Vec::new(),
-    };
-    trace.push_span("admit", 0, ctx.admit_us);
-    trace.push_span("resolve", ctx.resolve_start_us, ctx.resolve_end_us);
-    if let (Some(pickup), Some(expand_end)) = (pickup_us, expand_end_us) {
-        trace.push_span("queue", ctx.enqueued_us, pickup);
-        trace.push_span("expand", pickup, expand_end);
-    }
-    if let Some(ttfa) = time_to_first_answer {
-        let ttfa_us = ttfa.as_micros().min(u64::MAX as u128) as u64;
-        trace.push_span(
-            "first-answer",
-            ctx.submitted_off_us,
-            ctx.submitted_off_us + ttfa_us,
-        );
-    }
-    trace.push_span("finish", 0, total_us);
-    // Explicitly traced queries carry the live counters the step driver
-    // sampled; slow-only traces fall back to the final statistics (same
-    // values, just not sampled mid-flight).
-    match &ctx.counters {
-        Some(c) => {
-            trace.push_counter("heap_pops", c.heap_pops.get());
-            trace.push_counter("nodes_touched", c.nodes_touched.get());
-            trace.push_counter("rows_expanded", c.rows_expanded.get());
-            trace.push_counter("answers_emitted", c.answers_emitted.get());
-        }
-        None => {
-            trace.push_counter("heap_pops", stats.nodes_explored as u64);
-            trace.push_counter("nodes_touched", stats.nodes_touched as u64);
-            trace.push_counter("rows_expanded", stats.edges_traversed as u64);
-            trace.push_counter("answers_emitted", stats.answers_output as u64);
-        }
-    }
-    trace
-}
-
 /// One unit of queued work, pinned to the serving snapshot it was admitted
 /// under.
-struct Job {
+pub(crate) struct Job {
     id: QueryId,
     /// The graph version this query resolves, expands and caches against —
     /// fixed at admission, unaffected by later swaps.
@@ -246,7 +162,8 @@ struct Job {
     matches: KeywordMatches,
     cache_key: CacheKey,
     spec_params: banks_core::SearchParams,
-    engine: String,
+    /// The registry's canonical name for the requested engine.
+    engine: &'static str,
     tenant: String,
     token: CancelToken,
     events: Sender<QueryEvent>,
@@ -258,8 +175,8 @@ struct Job {
     trace: TraceCtx,
 }
 
-struct QueueState {
-    jobs: WorkQueue<Job>,
+pub(crate) struct QueueState {
+    pub(crate) jobs: WorkQueue<Job>,
     /// Jobs currently running on a worker (popped but not finished) — the
     /// other half of the quiescence test [`Service::drain`] waits on.
     executing: usize,
@@ -280,27 +197,24 @@ pub(crate) struct Inner {
     /// Signalled after every `publish_generation` advance.
     pub(crate) published: Condvar,
     registry: EngineRegistry,
-    default_engine: String,
-    pub(crate) cache: Arc<ResultCache>,
-    /// Whether the cache was created by (and is private to) this service —
-    /// only then may a swap eagerly evict the superseded epoch's entries.
-    pub(crate) cache_private: bool,
-    queue: Mutex<QueueState>,
-    queue_capacity: usize,
+    /// The canonical name [`DEFAULT_ENGINE`] resolves to in `registry`.
+    default_engine: &'static str,
+    /// This service's own result cache: a swap evicts the superseded
+    /// epoch's entries.
+    pub(crate) cache: ResultCache,
+    pub(crate) queue: Mutex<QueueState>,
+    pub(crate) queue_capacity: usize,
     work_available: Condvar,
     /// Signalled whenever the queue empties *and* the last executing job
     /// finishes; [`Service::drain`] waits on it.
     idle: Condvar,
     /// Per-tenant token buckets (`None`: quotas disabled).
     quota: Option<Mutex<QuotaState>>,
-    /// The quota configuration (kept outside the bucket mutex so metrics
-    /// snapshots never contend with the admission path).
-    quota_settings: Option<QuotaSettings>,
     /// The writers' lock and the durability state: every new serving
     /// version is made through it (see [`crate::epoch`]).
     pub(crate) epochs: Epochs,
     pub(crate) counters: Counters,
-    waits: Mutex<WaitStats>,
+    pub(crate) waits: Mutex<WaitStats>,
     pub(crate) next_id: AtomicU64,
     /// Retained phase traces (explicitly traced + slow queries).
     pub(crate) traces: TraceRing,
@@ -308,7 +222,7 @@ pub(crate) struct Inner {
     /// is retained and [`ServiceMetrics::slow_queries`] is bumped.
     slow_threshold: Duration,
     /// Time-to-first-answer distribution across executed queries.
-    ttfa_hist: Histogram,
+    pub(crate) ttfa_hist: Histogram,
     /// Apply-latency distribution of successful mutation batches.
     pub(crate) mutation_apply_hist: Histogram,
     /// Online correction of the a priori cost model from measured
@@ -318,18 +232,15 @@ pub(crate) struct Inner {
     /// batches, checkpoints, swaps, alerts, watchdog trips).
     pub(crate) events: EventLog,
     /// Retained metric snapshots, written by the collector thread.
-    series: TimeSeriesRing,
+    pub(crate) series: TimeSeriesRing,
     /// The burn-rate judge over [`Inner::series`].
-    slo: SloEngine,
+    pub(crate) slo: SloEngine,
     /// The most recent collector-pass verdict, served on `GET /debug/slo`
     /// and folded into `/healthz` and `/metrics`.
-    slo_report: Mutex<SloReport>,
+    pub(crate) slo_report: Mutex<SloReport>,
     /// Replication role and follower progress (see
     /// [`crate::replication`]).
     pub(crate) replication: Mutex<ReplicationState>,
-    /// Nodes-explored multiple of the a priori estimate beyond which the
-    /// watchdog flags a finished query as an overrun.
-    watchdog_factor: u64,
     /// Collector cadence (also reported on `GET /debug/slo`).
     collector_cadence: Duration,
 }
@@ -340,19 +251,14 @@ pub struct ServiceBuilder {
     workers: usize,
     queue_capacity: usize,
     cache_capacity: usize,
-    cache_min_work: u64,
-    shared_cache: Option<Arc<ResultCache>>,
     prestige: Option<PrestigeVector>,
     index: Option<InvertedIndex>,
     registry: Option<EngineRegistry>,
-    default_engine: String,
-    quota: QuotaSettings,
+    quota: Option<QuotaConfig>,
     persistence: Option<(PathBuf, FsyncPolicy)>,
     slow_query_threshold: Duration,
     collector_cadence: Duration,
     slos: Option<Vec<SloSpec>>,
-    event_log_capacity: usize,
-    watchdog_factor: u64,
 }
 
 impl ServiceBuilder {
@@ -377,28 +283,6 @@ impl ServiceBuilder {
         self
     }
 
-    /// Admission threshold of the private result cache, in nodes explored
-    /// (default 0: admit everything).  Outcomes measured cheaper than this
-    /// are recomputed on demand instead of occupying a cache slot, so a
-    /// stream of tiny queries cannot evict the expensive outcomes caching
-    /// exists for.  Ignored when [`ServiceBuilder::shared_cache`] supplies
-    /// the cache — configure the threshold on the shared instance
-    /// ([`ResultCache::min_work`]) instead.
-    pub fn cache_min_work(mut self, min_work: u64) -> Self {
-        self.cache_min_work = min_work;
-        self
-    }
-
-    /// Shares an existing result cache instead of creating a private one.
-    /// Keys carry the graph epoch, so one cache can serve several services
-    /// (and graph versions) without cross-talk.  A shared cache is never
-    /// purged on [`Service::swap_graph`] — another service may still serve
-    /// the old epoch.
-    pub fn shared_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.shared_cache = Some(cache);
-        self
-    }
-
     /// Uses a precomputed prestige vector instead of the uniform default.
     pub fn prestige(mut self, prestige: PrestigeVector) -> Self {
         self.prestige = Some(prestige);
@@ -412,85 +296,31 @@ impl ServiceBuilder {
         self
     }
 
-    /// Replaces the engine registry (default: the paper's engines).
+    /// Replaces the engine registry (default: the paper's engines).  It
+    /// must resolve `"bidirectional"`, the engine a [`QuerySpec`] naming
+    /// none runs.
     pub fn registry(mut self, registry: EngineRegistry) -> Self {
         self.registry = Some(registry);
         self
     }
 
-    /// Sets the engine run when a [`QuerySpec`] names none.
-    ///
-    /// # Panics
-    /// `build` panics when this name is not in the registry.
-    pub fn default_engine(mut self, name: impl Into<String>) -> Self {
-        self.default_engine = name.into();
-        self
-    }
-
     /// Enables per-tenant admission quotas: every tenant owns a token
     /// bucket of capacity `burst` refilled at `rate_per_sec` tokens per
-    /// second, and each submission — cache hit or miss — takes one token
-    /// (or a cost-weighted charge; see
-    /// [`ServiceBuilder::quota_work_per_token`]).  An underfunded bucket
-    /// rejects with [`SubmitError::QuotaExceeded`], whose `retry_after`
-    /// says when the charge becomes affordable.
+    /// second, and each submission — cache hit or miss — takes one token.
+    /// An empty bucket rejects with [`SubmitError::QuotaExceeded`], whose
+    /// `retry_after` says when the next token arrives.
     ///
     /// Quotas complement the scheduler's fair share: fair share decides
     /// *who runs next* among admitted work, the quota decides *whether a
     /// tenant may submit at all*.  Submissions naming no tenant share the
     /// anonymous tenant `""` (and therefore one bucket).  Rejections are
-    /// counted per tenant in [`crate::TenantMetrics::quota_rejected`],
-    /// and each tracked tenant's governing rate is surfaced in
-    /// [`crate::TenantMetrics::quota_rate_per_sec`].
+    /// counted per tenant in [`crate::TenantMetrics::quota_rejected`].
     ///
-    /// This sets the rate every tenant shares by default; named tenants
-    /// can get their own rate via [`ServiceBuilder::tenant_quota_for`].
     /// Default: no quota (every submission admitted subject to queue
     /// capacity).  `rate_per_sec` is floored at one token per day and
     /// `burst` at 1.
     pub fn tenant_quota(mut self, rate_per_sec: f64, burst: u64) -> Self {
-        self.quota.default = Some(QuotaConfig::new(rate_per_sec, burst));
-        self
-    }
-
-    /// Configures a *per-tenant* quota override: `tenant` gets its own
-    /// token bucket of capacity `burst` refilled at `rate_per_sec`,
-    /// regardless of the shared default — a paid tier bursts higher, an
-    /// abusive scraper is pinned lower.  May be called once per tenant.
-    ///
-    /// Overrides work with or without a [`ServiceBuilder::tenant_quota`]
-    /// default; without one, tenants that have no override are unlimited.
-    pub fn tenant_quota_for(
-        mut self,
-        tenant: impl Into<String>,
-        rate_per_sec: f64,
-        burst: u64,
-    ) -> Self {
-        self.quota
-            .overrides
-            .insert(tenant.into(), QuotaConfig::new(rate_per_sec, burst));
-        self
-    }
-
-    /// Switches quota charging from flat (one token per submission) to
-    /// **cost-weighted**: a submission is charged
-    /// `max(1, estimated_work / work_per_token)` tokens, where
-    /// `estimated_work` is the scheduler's a priori estimate
-    /// ([`banks_core::QueryCost`]).  A tenant's quota then bounds the
-    /// *engine work* it can demand per second, not merely its request
-    /// rate — a burst of expensive trawls drains the bucket as fast as
-    /// many cheap lookups.
-    ///
-    /// Details: the one-token floor is charged *up front*, before any
-    /// resolution work, so an over-quota tenant cannot extract free
-    /// tokenization/cache probes by hammering; the work-priced remainder
-    /// is charged once the resolved origin sets make the estimate
-    /// available.  Cache hits are charged only the floor (they cost the
-    /// service almost nothing), and a single query estimated above
-    /// `burst × work_per_token` is clamped to the full bucket rather than
-    /// being forever unaffordable.
-    pub fn quota_work_per_token(mut self, work_per_token: u64) -> Self {
-        self.quota.work_per_token = Some(work_per_token.max(1));
+        self.quota = Some(QuotaConfig::new(rate_per_sec, burst));
         self
     }
 
@@ -545,41 +375,10 @@ impl ServiceBuilder {
     /// Replaces the stock SLO set ([`SloSpec::defaults`]: `ttfa_p99 <
     /// 250 ms`, `error_ratio < 1%`, `queue_wait_p90 < 50 ms`).  An empty
     /// vector disables SLO judgment — health stays `ok` and `GET
-    /// /debug/slo` reports no specs.
+    /// /debug/slo` reports no specs.  A JSON config parses into specs
+    /// with [`crate::parse_slo_specs`].
     pub fn slos(mut self, specs: Vec<SloSpec>) -> Self {
         self.slos = Some(specs);
-        self
-    }
-
-    /// Loads the SLO set from a JSON config file (see [`parse_slo_specs`]
-    /// for the format) — the operator-facing twin of
-    /// [`ServiceBuilder::slos`].  Errors carry the offending path or the
-    /// parse failure; an unreadable or malformed file must fail loudly at
-    /// boot, not silently fall back to the defaults.
-    pub fn slos_from_path(self, path: impl AsRef<Path>) -> Result<Self, String> {
-        let path = path.as_ref();
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("read SLO config {}: {e}", path.display()))?;
-        let specs =
-            parse_slo_specs(&text).map_err(|e| format!("SLO config {}: {e}", path.display()))?;
-        Ok(self.slos(specs))
-    }
-
-    /// Capacity of the structured event-log ring (default 1024, minimum
-    /// 1).  Once full, the oldest events are evicted and counted in
-    /// [`ServiceMetrics::event_log_dropped`].
-    pub fn event_log_capacity(mut self, capacity: usize) -> Self {
-        self.event_log_capacity = capacity;
-        self
-    }
-
-    /// Nodes-explored multiple of the scheduler's a priori estimate beyond
-    /// which a finished query trips the watchdog (default 8×, floored at
-    /// 2×): the overrun is counted in
-    /// [`ServiceMetrics::watchdog_overruns`] and logged as a
-    /// `watchdog-overrun` event.
-    pub fn watchdog_overrun_factor(mut self, factor: u64) -> Self {
-        self.watchdog_factor = factor.max(2);
         self
     }
 
@@ -589,8 +388,9 @@ impl ServiceBuilder {
     /// # Panics
     /// Panics when persistence is enabled and recovery or the initial
     /// checkpoint fails — use [`ServiceBuilder::try_build`] to handle
-    /// those errors.  (Without persistence this never fails, except for
-    /// the documented unknown-default-engine panic.)
+    /// those errors.  (Without persistence this never fails, except when
+    /// a custom [`ServiceBuilder::registry`] lacks `"bidirectional"`, the
+    /// engine run when a [`QuerySpec`] names none.)
     pub fn build(self) -> Service {
         match self.try_build() {
             Ok(service) => service,
@@ -605,7 +405,7 @@ impl ServiceBuilder {
         // Derived parts (uniform prestige, label index) refresh exactly on
         // `apply_mutations`; caller-supplied parts are treated as external
         // (prestige carried forward, index updated additively only).
-        let events = EventLog::new(self.event_log_capacity);
+        let events = EventLog::new(EVENT_LOG_CAPACITY);
         let (snapshot, epochs) = Epochs::boot(
             self.graph,
             self.prestige,
@@ -614,25 +414,16 @@ impl ServiceBuilder {
             &events,
         )?;
         let registry = self.registry.unwrap_or_default();
-        if !registry.contains(&self.default_engine) {
-            panic!("{}", registry.unknown(&self.default_engine));
-        }
-        let (cache, cache_private) = match self.shared_cache {
-            Some(cache) => (cache, false),
-            None => (
-                Arc::new(ResultCache::new(self.cache_capacity).min_work(self.cache_min_work)),
-                true,
-            ),
+        let Some(default_engine) = registry.canonical(DEFAULT_ENGINE) else {
+            panic!("{}", registry.unknown(DEFAULT_ENGINE));
         };
-        let quota_enabled = self.quota.enabled();
         let inner = Arc::new(Inner {
             serving: Mutex::new(Arc::new(snapshot)),
             publish_generation: AtomicU64::new(0),
             published: Condvar::new(),
             registry,
-            default_engine: self.default_engine,
-            cache,
-            cache_private,
+            default_engine,
+            cache: ResultCache::new(self.cache_capacity),
             queue: Mutex::new(QueueState {
                 jobs: WorkQueue::new(),
                 executing: 0,
@@ -641,8 +432,7 @@ impl ServiceBuilder {
             queue_capacity: self.queue_capacity,
             work_available: Condvar::new(),
             idle: Condvar::new(),
-            quota: quota_enabled.then(|| Mutex::new(QuotaState::new(self.quota.clone()))),
-            quota_settings: quota_enabled.then_some(self.quota),
+            quota: self.quota.map(|config| Mutex::new(QuotaState::new(config))),
             epochs,
             counters: Counters::default(),
             waits: Mutex::new(WaitStats::default()),
@@ -657,7 +447,6 @@ impl ServiceBuilder {
             slo: SloEngine::new(self.slos.unwrap_or_else(SloSpec::defaults)),
             slo_report: Mutex::new(SloReport::default()),
             replication: Mutex::new(ReplicationState::default()),
-            watchdog_factor: self.watchdog_factor,
             collector_cadence: self.collector_cadence,
         });
         let workers = (0..self.workers)
@@ -690,134 +479,6 @@ impl ServiceBuilder {
     }
 }
 
-/// Parses a JSON SLO configuration: either a top-level array of spec
-/// objects or an object with a `"slos"` array member.  Each spec requires
-/// `"name"`, `"metric"` and `"threshold"`; the optional `"budget"`,
-/// `"fast_window_ms"`, `"slow_window_ms"`, `"fire_burn"` and
-/// `"resolve_burn"` members override the [`SloSpec::upper_bound`]
-/// defaults.  Unknown members, and a `"metric"` the collector records no
-/// series for, are rejected — a typo must not silently weaken an objective.
-///
-/// ```
-/// let specs = banks_service::parse_slo_specs(
-///     r#"{"slos":[{"name":"replication_lag","metric":"replication_lag_ms",
-///                  "threshold":5000}]}"#,
-/// )
-/// .unwrap();
-/// assert_eq!(specs.len(), 1);
-/// assert_eq!(specs[0].metric, "replication_lag_ms");
-/// ```
-pub fn parse_slo_specs(text: &str) -> Result<Vec<SloSpec>, String> {
-    use banks_core::json::JsonValue;
-
-    let doc = banks_core::json::parse(text)?;
-    let entries: &[JsonValue] = match &doc {
-        JsonValue::Array(items) => items,
-        JsonValue::Object(map) => match map.get("slos") {
-            Some(JsonValue::Array(items)) => items,
-            Some(_) => return Err("\"slos\" must be an array".to_string()),
-            None => {
-                return Err(
-                    "expected a top-level array or an object with a \"slos\" array".to_string(),
-                )
-            }
-        },
-        _ => return Err("expected a top-level array or object".to_string()),
-    };
-    let known_metrics = timeseries_schema();
-    let mut specs = Vec::with_capacity(entries.len());
-    for (i, entry) in entries.iter().enumerate() {
-        let JsonValue::Object(map) = entry else {
-            return Err(format!("slo #{i}: expected an object"));
-        };
-        for key in map.keys() {
-            if ![
-                "name",
-                "metric",
-                "threshold",
-                "budget",
-                "fast_window_ms",
-                "slow_window_ms",
-                "fire_burn",
-                "resolve_burn",
-            ]
-            .contains(&key.as_str())
-            {
-                return Err(format!("slo #{i}: unknown member {key:?}"));
-            }
-        }
-        let string_field = |key: &str| -> Result<String, String> {
-            match map.get(key) {
-                Some(JsonValue::String(s)) if !s.is_empty() => Ok(s.clone()),
-                Some(JsonValue::String(_)) => Err(format!("slo #{i}: {key:?} must be non-empty")),
-                Some(_) => Err(format!("slo #{i}: {key:?} must be a string")),
-                None => Err(format!("slo #{i}: missing {key:?}")),
-            }
-        };
-        let number_field = |key: &str| -> Result<Option<f64>, String> {
-            match map.get(key) {
-                Some(JsonValue::Number(n)) if n.is_finite() => Ok(Some(*n)),
-                Some(_) => Err(format!("slo #{i}: {key:?} must be a finite number")),
-                None => Ok(None),
-            }
-        };
-        let window_field = |key: &str| -> Result<Option<u64>, String> {
-            match number_field(key)? {
-                Some(n) if n >= 1.0 && n.fract() == 0.0 => Ok(Some(n as u64)),
-                Some(_) => Err(format!(
-                    "slo #{i}: {key:?} must be a positive integer of ms"
-                )),
-                None => Ok(None),
-            }
-        };
-        let threshold =
-            number_field("threshold")?.ok_or_else(|| format!("slo #{i}: missing \"threshold\""))?;
-        let name = string_field("name")?;
-        let metric = string_field("metric")?;
-        // `burn_over` finds no samples for a series the collector does not
-        // record, so such an objective would read `ok` and never fire.
-        if !known_metrics.contains(&metric.as_str()) {
-            return Err(format!(
-                "slo #{i}: unknown metric {metric:?}; known metrics: {}",
-                known_metrics.join(", ")
-            ));
-        }
-        let mut spec = SloSpec::upper_bound(name, metric, threshold);
-        if let Some(budget) = number_field("budget")? {
-            if !(budget > 0.0 && budget <= 1.0) {
-                return Err(format!("slo #{i}: \"budget\" must be in (0, 1]"));
-            }
-            spec.budget = budget;
-        }
-        if let Some(fast) = window_field("fast_window_ms")? {
-            spec.fast_window_ms = fast;
-        }
-        if let Some(slow) = window_field("slow_window_ms")? {
-            spec.slow_window_ms = slow;
-        }
-        if let Some(fire) = number_field("fire_burn")? {
-            spec.fire_burn = fire;
-        }
-        if let Some(resolve) = number_field("resolve_burn")? {
-            spec.resolve_burn = resolve;
-        }
-        if spec.fast_window_ms > spec.slow_window_ms {
-            return Err(format!(
-                "slo #{i}: fast window must not exceed the slow window"
-            ));
-        }
-        if let Some(dup) = specs
-            .iter()
-            .map(|s: &SloSpec| &s.name)
-            .find(|n| **n == spec.name)
-        {
-            return Err(format!("slo #{i}: duplicate name {dup:?}"));
-        }
-        specs.push(spec);
-    }
-    Ok(specs)
-}
-
 /// A multi-threaded query service owning one *serving snapshot* (graph,
 /// prestige, keyword index — see [`GraphSnapshot`]) plus an engine registry
 /// and result cache.
@@ -828,7 +489,7 @@ pub fn parse_slo_specs(text: &str) -> Result<Vec<SloSpec>, String> {
 /// Admission is a bounded **priority scheduler** — shortest expected work
 /// first ([`banks_core::QueryCost`]), per-tenant fair share, aging so
 /// nothing starves (see [`QuerySpec::tenant`] / [`QuerySpec::priority`]) —
-/// repeated queries are served from the shared LRU [`ResultCache`], and
+/// repeated queries are served from the service's LRU [`ResultCache`], and
 /// per-answer deadlines are deterministic work budgets
 /// ([`banks_core::SearchParams::answer_work_budget`]).  The served graph
 /// can be replaced online with [`Service::swap_graph`].
@@ -874,19 +535,14 @@ impl Service {
             workers: default_workers,
             queue_capacity: 64,
             cache_capacity: 256,
-            cache_min_work: 0,
-            shared_cache: None,
             prestige: None,
             index: None,
             registry: None,
-            default_engine: "bidirectional".to_string(),
-            quota: QuotaSettings::default(),
+            quota: None,
             persistence: None,
             slow_query_threshold: Duration::from_millis(250),
             collector_cadence: Duration::from_secs(10),
             slos: None,
-            event_log_capacity: 1024,
-            watchdog_factor: 8,
         }
     }
 
@@ -899,49 +555,43 @@ impl Service {
         let t0 = Instant::now();
         let spec = spec.into();
         let inner = &self.inner;
-        let engine = spec.engine.unwrap_or_else(|| inner.default_engine.clone());
-        if !inner.registry.contains(&engine) {
-            return Err(SubmitError::UnknownEngine(inner.registry.unknown(&engine)));
-        }
+        // One spelling per engine from here on: the canonical name keys
+        // the cache, the calibration table, the trace and the metrics, so
+        // "BIDIR" and "bidirectional" share all of them.
+        let engine = match &spec.engine {
+            None => inner.default_engine,
+            Some(name) => inner
+                .registry
+                .canonical(name)
+                .ok_or_else(|| SubmitError::UnknownEngine(inner.registry.unknown(name)))?,
+        };
         let tenant = spec.tenant.unwrap_or_default();
         let mut trace = TraceCtx::new(spec.trace, t0);
 
-        let quota_reject = |tenant: String, retry_after: Duration| {
-            Counters::bump(&inner.counters.quota_rejected);
-            inner
-                .waits
-                .lock()
-                .expect("waits lock")
-                .record_quota_rejection(&tenant);
-            inner.events.emit(
-                EventLevel::Warn,
-                "quota-reject",
-                format!("tenant {tenant:?} over quota, retry in {retry_after:?}"),
-            );
-            Err(SubmitError::QuotaExceeded {
-                tenant,
-                retry_after,
-            })
-        };
-        let cost_weighted = inner
-            .quota_settings
-            .as_ref()
-            .is_some_and(|s| s.work_per_token.is_some());
-
-        // Admission quota, the one-token floor: charged per submission,
-        // before any work happens — an over-quota tenant is rejected
-        // without keyword normalization, origin-set resolution or a cache
-        // probe, whichever charging model is active (the quota throttles
-        // the tenant's request *rate* first).  Cost-weighted quotas charge
-        // the work-priced remainder further down, once the resolved origin
-        // sets make the estimate available.
+        // Admission quota: one token per submission, taken before any work
+        // happens — an over-quota tenant is rejected without keyword
+        // normalization, origin-set resolution or a cache probe.
         if let Some(quota) = &inner.quota {
             let verdict = quota
                 .lock()
                 .expect("quota lock")
-                .try_take(&tenant, Instant::now(), 1.0);
+                .try_take(&tenant, Instant::now());
             if let Err(retry_after) = verdict {
-                return quota_reject(tenant, retry_after);
+                Counters::bump(&inner.counters.quota_rejected);
+                inner
+                    .waits
+                    .lock()
+                    .expect("waits lock")
+                    .record_quota_rejection(&tenant);
+                inner.events.emit(
+                    EventLevel::Warn,
+                    "quota-reject",
+                    format!("tenant {tenant:?} over quota, retry in {retry_after:?}"),
+                );
+                return Err(SubmitError::QuotaExceeded {
+                    tenant,
+                    retry_after,
+                });
             }
         }
         trace.admit_us = trace.elapsed_us();
@@ -964,7 +614,7 @@ impl Service {
             snapshot.epoch(),
             normalized.keywords().to_vec(),
             &spec.params,
-            &engine,
+            engine,
             &matches,
         );
         trace.resolve_end_us = trace.elapsed_us();
@@ -979,10 +629,6 @@ impl Service {
         if let Some(hit) = inner.cache.get(&cache_key) {
             // Served entirely from the cache: no queue slot, no worker, no
             // engine — the handle is complete before `submit` returns.
-            // Cost-weighted quotas charge hits only the one-token floor
-            // (already taken up front): the quota still bounds the request
-            // rate, but a hit costs the service almost nothing, so it is
-            // not billed as engine work.
             Counters::bump(&inner.counters.submitted);
             Counters::bump(&inner.counters.cache_hits);
             Counters::bump(&inner.counters.completed);
@@ -993,38 +639,19 @@ impl Service {
                 first_answer.get_or_insert_with(|| submitted_at.elapsed());
                 Counters::bump(&inner.counters.answers_delivered);
             }
-            let total_us = trace.elapsed_us();
-            let slow = Duration::from_micros(total_us) >= inner.slow_threshold;
-            let retained = (trace.requested.is_some() || slow).then(|| {
-                Arc::new(build_trace(
-                    &trace,
-                    id,
-                    &engine,
-                    &tenant,
-                    cache_key.epoch,
-                    true,
-                    slow,
-                    total_us,
-                    None,
-                    None,
-                    first_answer,
-                    &hit.stats,
-                ))
-            });
-            if slow {
-                Counters::bump(&inner.counters.slow_queries);
-            }
-            if let Some(t) = &retained {
-                inner.traces.push(Arc::clone(t));
-            }
-            let _ = tx.send(QueryEvent::Finished(QueryResult {
-                stats: hit.stats.clone(),
-                cache_hit: true,
-                time_to_first_answer: first_answer,
-                queue_wait: std::time::Duration::ZERO,
-                epoch: cache_key.epoch,
-                trace: trace.requested.is_some().then_some(retained).flatten(),
-            }));
+            finish(
+                inner,
+                &tx,
+                &trace,
+                id,
+                engine,
+                &tenant,
+                cache_key.epoch,
+                None,
+                first_answer,
+                hit.stats.clone(),
+                Duration::ZERO,
+            );
             return Ok(QueryHandle {
                 id,
                 token,
@@ -1039,35 +666,12 @@ impl Service {
         // measured/estimated `nodes_explored` for this (engine,
         // origin-size) cell — so systematic over- or under-estimation
         // corrects itself as queries complete.
-        let mut cost = QueryCost::estimate(&matches, &spec.params, &engine);
+        let mut cost = QueryCost::estimate(&matches, &spec.params, engine);
         cost.estimated_work =
             inner
                 .calibration
-                .corrected(&engine, cost.origin_nodes as usize, cost.estimated_work);
+                .corrected(engine, cost.origin_nodes as usize, cost.estimated_work);
         let charged = spec.priority.charge(cost.estimated_work);
-
-        // Cost-weighted quota, the remainder beyond the up-front floor:
-        // the same a priori estimate prices the admission — an expensive
-        // trawl drains the tenant's bucket as fast as many cheap lookups
-        // would (the total charge, floor included, is clamped to the
-        // bucket's burst).
-        if cost_weighted {
-            if let Some(quota) = &inner.quota {
-                let tokens = inner
-                    .quota_settings
-                    .as_ref()
-                    .expect("settings exist when quota does")
-                    .charge_for(cost.estimated_work);
-                let verdict = quota.lock().expect("quota lock").try_take_remainder(
-                    &tenant,
-                    Instant::now(),
-                    tokens,
-                );
-                if let Err(retry_after) = verdict {
-                    return quota_reject(tenant, retry_after);
-                }
-            }
-        }
 
         trace.enqueued_us = trace.elapsed_us();
         let job = Job {
@@ -1218,13 +822,7 @@ impl Service {
         let epoch = self.epoch();
         let mut metrics = {
             let waits = self.inner.waits.lock().expect("waits lock");
-            ServiceMetrics::snapshot(
-                &self.inner.counters,
-                &waits,
-                queued,
-                epoch,
-                self.inner.quota_settings.as_ref(),
-            )
+            ServiceMetrics::snapshot(&self.inner.counters, &waits, queued, epoch)
         };
         let durability = self.durability();
         metrics.persistence_enabled = durability.enabled;
@@ -1314,8 +912,8 @@ impl Service {
         self.inner.slow_threshold
     }
 
-    /// The shared result cache (hit/miss counters included).
-    pub fn cache(&self) -> &Arc<ResultCache> {
+    /// This service's result cache (hit/miss counters included).
+    pub fn cache(&self) -> &ResultCache {
         &self.inner.cache
     }
 
@@ -1455,7 +1053,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     }
     let engine = inner
         .registry
-        .create(&job.engine)
+        .create(job.engine)
         .expect("engine validated at submit time");
     let mut stream = engine.start(ctx);
 
@@ -1498,7 +1096,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     // abort happened to land, so it is not a sample.
     if !stats.cancelled {
         inner.calibration.record(
-            &job.engine,
+            job.engine,
             job.cost.origin_nodes as usize,
             job.cost.estimated_work,
             stats.nodes_explored as u64,
@@ -1507,10 +1105,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
         // is either a bad estimate or a pathological input — flag it.
         let measured = stats.nodes_explored as u64;
         if job.cost.estimated_work > 0
-            && measured
-                >= inner
-                    .watchdog_factor
-                    .saturating_mul(job.cost.estimated_work)
+            && measured >= WATCHDOG_OVERRUN_FACTOR.saturating_mul(job.cost.estimated_work)
         {
             Counters::bump(&inner.counters.watchdog_overruns);
             inner.events.emit(
@@ -1518,7 +1113,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
                 "watchdog-overrun",
                 format!(
                     "query {} explored {} nodes, >= {}x its estimate of {}",
-                    job.id.0, measured, inner.watchdog_factor, job.cost.estimated_work
+                    job.id.0, measured, WATCHDOG_OVERRUN_FACTOR, job.cost.estimated_work
                 ),
             );
         }
@@ -1529,17 +1124,16 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     // result.  (Work-budget truncation, by contrast, is deterministic and
     // safe to cache.)  The key carries the job's pinned epoch, so a result
     // computed on a superseded snapshot can never serve post-swap queries —
-    // and in a *private* cache such an entry could never be hit at all
-    // (swap already evicted its epoch; all future lookups use newer ones),
-    // so storing it would only waste a slot: skip it.  The epoch check and
-    // the insert happen under the serving lock so a concurrent swap cannot
-    // slip between them and evict before we insert; `swap_snapshot` takes
-    // the same lock first and evicts after releasing it, so the lock order
-    // (serving → cache) is acyclic.  Shared caches always take the insert —
-    // another service may be serving that epoch.
+    // and such an entry could never be hit at all (swap already evicted
+    // its epoch; all future lookups use newer ones), so storing it would
+    // only waste a slot: skip it.  The epoch check and the insert happen
+    // under the serving lock so a concurrent swap cannot slip between them
+    // and evict before we insert; `swap_snapshot` takes the same lock
+    // first and evicts after releasing it, so the lock order (serving →
+    // cache) is acyclic.
     if !stats.cancelled {
         let serving = inner.serving.lock().expect("serving lock");
-        if !inner.cache_private || job.cache_key.epoch == serving.epoch() {
+        if job.cache_key.epoch == serving.epoch() {
             inner.cache.insert(
                 job.cache_key.clone(),
                 Arc::new(SearchOutcome {
@@ -1549,224 +1143,100 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
             );
         }
     }
-    let total_us = job.trace.elapsed_us();
-    let slow = Duration::from_micros(total_us) >= inner.slow_threshold;
-    let retained = (job.trace.requested.is_some() || slow).then(|| {
-        Arc::new(build_trace(
-            &job.trace,
-            job.id,
-            &job.engine,
-            &job.tenant,
-            job.cache_key.epoch,
-            false,
-            slow,
-            total_us,
-            Some(pickup_us),
-            Some(expand_end_us),
-            first_answer,
-            &stats,
-        ))
-    });
-    if let Some(trace) = &retained {
-        if slow {
-            Counters::bump(&inner.counters.slow_queries);
-        }
-        inner.traces.push(Arc::clone(trace));
-    }
-    let _ = job.events.send(QueryEvent::Finished(QueryResult {
+    finish(
+        inner,
+        &job.events,
+        &job.trace,
+        job.id,
+        job.engine,
+        &job.tenant,
+        job.cache_key.epoch,
+        Some((pickup_us, expand_end_us)),
+        first_answer,
         stats,
-        cache_hit: false,
-        time_to_first_answer: first_answer,
         queue_wait,
-        epoch: job.cache_key.epoch,
-        trace: job.trace.requested.is_some().then_some(retained).flatten(),
-    }));
+    );
 }
 
-/// Cross-tick state the collector carries: previous cumulative counter and
-/// histogram-bucket values (differenced into per-tick rates and windowed
-/// percentiles) plus the queue-saturation hysteresis flag.
-struct CollectorState {
-    prev_submitted: u64,
-    prev_rejected: u64,
-    prev_quota_rejected: u64,
-    prev_ttfa: [u64; HISTOGRAM_BUCKETS],
-    prev_wait: [u64; HISTOGRAM_BUCKETS],
-    saturated: bool,
-}
-
-impl Default for CollectorState {
-    fn default() -> Self {
-        CollectorState {
-            prev_submitted: 0,
-            prev_rejected: 0,
-            prev_quota_rejected: 0,
-            prev_ttfa: [0; HISTOGRAM_BUCKETS],
-            prev_wait: [0; HISTOGRAM_BUCKETS],
-            saturated: false,
+/// The one finish step of every query, cache hit or executed: the slow
+/// check, the trace (assembled only when requested or slow) and its
+/// retention, the `slow_queries` bump, and the `Finished` event.  `ran`
+/// holds the `(pickup, expand_end)` offsets of an executed query and is
+/// `None` for a cache hit, which never queues or runs.
+#[allow(clippy::too_many_arguments)]
+fn finish(
+    inner: &Inner,
+    events: &Sender<QueryEvent>,
+    ctx: &TraceCtx,
+    id: QueryId,
+    engine: &str,
+    tenant: &str,
+    epoch: u64,
+    ran: Option<(u64, u64)>,
+    time_to_first_answer: Option<Duration>,
+    stats: SearchStats,
+    queue_wait: Duration,
+) {
+    let total_us = ctx.elapsed_us();
+    let slow = Duration::from_micros(total_us) >= inner.slow_threshold;
+    let retained = (ctx.requested.is_some() || slow).then(|| {
+        let mut trace = QueryTrace {
+            id: id.0,
+            client_ref: ctx.requested.clone(),
+            tenant: (!tenant.is_empty()).then(|| tenant.to_string()),
+            engine: engine.to_string(),
+            cache_hit: ran.is_none(),
+            slow,
+            epoch,
+            total_us,
+            spans: Vec::new(),
+            counters: Vec::new(),
+        };
+        trace.push_span("admit", 0, ctx.admit_us);
+        trace.push_span("resolve", ctx.resolve_start_us, ctx.resolve_end_us);
+        if let Some((pickup, expand_end)) = ran {
+            trace.push_span("queue", ctx.enqueued_us, pickup);
+            trace.push_span("expand", pickup, expand_end);
         }
-    }
-}
-
-/// Collector thread body: on every cadence tick, snapshot the service's
-/// counters, gauges and windowed latency percentiles into the time-series
-/// ring, run the SLO burn-rate evaluation over it, publish the report, and
-/// emit alert-fire / alert-resolve / queue-saturation events.  Exits when
-/// the stop flag is raised (signalled through the paired condvar).
-fn collector_loop(inner: Arc<Inner>, stop: Arc<(Mutex<bool>, Condvar)>, cadence: Duration) {
-    let (flag, signal) = &*stop;
-    let mut state = CollectorState::default();
-    // First tick up front: the report and the ring are populated right
-    // after boot instead of one full cadence in (which, at the production
-    // default of 10 s, would leave /debug/slo empty against every early
-    // probe).
-    collector_tick(&inner, &mut state, unix_ms());
-    loop {
-        {
-            // The predicate, not the signal, decides: a stop raised while
-            // the first tick ran must not wait out a whole cadence.
-            let stopped = flag.lock().expect("collector stop lock");
-            let (stopped, _) = signal
-                .wait_timeout_while(stopped, cadence, |stopped| !*stopped)
-                .expect("collector stop lock");
-            if *stopped {
-                return;
+        if let Some(ttfa) = time_to_first_answer {
+            let ttfa_us = ttfa.as_micros().min(u64::MAX as u128) as u64;
+            trace.push_span(
+                "first-answer",
+                ctx.submitted_off_us,
+                ctx.submitted_off_us + ttfa_us,
+            );
+        }
+        trace.push_span("finish", 0, total_us);
+        // Explicitly traced queries carry the live counters the step
+        // driver sampled; slow-only traces fall back to the final
+        // statistics (same values, just not sampled mid-flight).
+        match &ctx.counters {
+            Some(c) => {
+                trace.push_counter("heap_pops", c.heap_pops.get());
+                trace.push_counter("nodes_touched", c.nodes_touched.get());
+                trace.push_counter("rows_expanded", c.rows_expanded.get());
+                trace.push_counter("answers_emitted", c.answers_emitted.get());
+            }
+            None => {
+                trace.push_counter("heap_pops", stats.nodes_explored as u64);
+                trace.push_counter("nodes_touched", stats.nodes_touched as u64);
+                trace.push_counter("rows_expanded", stats.edges_traversed as u64);
+                trace.push_counter("answers_emitted", stats.answers_output as u64);
             }
         }
-        collector_tick(&inner, &mut state, unix_ms());
+        let trace = Arc::new(trace);
+        inner.traces.push(Arc::clone(&trace));
+        trace
+    });
+    if slow {
+        Counters::bump(&inner.counters.slow_queries);
     }
-}
-
-/// One collector pass at `now_ms`: record a tick and judge the SLOs.
-/// Split from [`collector_loop`] so the pass itself has no sleeping and a
-/// deterministic time base.
-fn collector_tick(inner: &Inner, state: &mut CollectorState, now_ms: u64) {
-    let c = &inner.counters;
-    let submitted = c.submitted.load(Ordering::Relaxed);
-    let rejected = c.rejected.load(Ordering::Relaxed);
-    let quota_rejected = c.quota_rejected.load(Ordering::Relaxed);
-
-    // Per-tick error ratio: this tick's rejections over this tick's
-    // submission attempts (accepted + rejected), NaN when there were none —
-    // a cumulative ratio would never recover from a burst of rejects.
-    let d_accepted = submitted.saturating_sub(state.prev_submitted);
-    let d_rejected = rejected.saturating_sub(state.prev_rejected)
-        + quota_rejected.saturating_sub(state.prev_quota_rejected);
-    let attempts = d_accepted + d_rejected;
-    let error_ratio = if attempts == 0 {
-        f64::NAN
-    } else {
-        d_rejected as f64 / attempts as f64
-    };
-
-    // Windowed percentiles from histogram-bucket deltas: the latency of
-    // *this tick's* samples only, NaN on idle ticks.  Unlike the cumulative
-    // summaries, these decay once a regression ends — which is what lets a
-    // fired SLO alert resolve.
-    let ttfa_now = inner.ttfa_hist.bucket_counts();
-    let ttfa_delta: [u64; HISTOGRAM_BUCKETS] =
-        std::array::from_fn(|i| ttfa_now[i].saturating_sub(state.prev_ttfa[i]));
-    let wait_now = inner.waits.lock().expect("waits lock").bucket_counts();
-    let wait_delta: [u64; HISTOGRAM_BUCKETS] =
-        std::array::from_fn(|i| wait_now[i].saturating_sub(state.prev_wait[i]));
-    let pct = |delta: &[u64; HISTOGRAM_BUCKETS], p: f64| -> f64 {
-        Histogram::percentile_of(delta, p)
-            .map(|d| d.as_micros().min(u64::MAX as u128) as f64)
-            .unwrap_or(f64::NAN)
-    };
-
-    let queued = inner.queue.lock().expect("queue lock").jobs.len();
-    let saturation = queued as f64 / inner.queue_capacity.max(1) as f64;
-
-    // Replication lag is a follower-only signal: standalone services and
-    // leaders record NaN (no sample) so a `replication_lag` SLO judges
-    // only actual followers.
-    let replication_lag_ms = {
-        let replication = inner.replication.lock().expect("replication lock");
-        if replication.role() == ReplicationRole::Follower {
-            replication.status(now_ms).lag_ms as f64
-        } else {
-            f64::NAN
-        }
-    };
-
-    // Values in timeseries_schema() order.
-    inner.series.record(
-        now_ms,
-        &[
-            submitted as f64,
-            c.executed.load(Ordering::Relaxed) as f64,
-            c.completed.load(Ordering::Relaxed) as f64,
-            rejected as f64,
-            quota_rejected as f64,
-            c.cancelled.load(Ordering::Relaxed) as f64,
-            c.cache_hits.load(Ordering::Relaxed) as f64,
-            c.answers_delivered.load(Ordering::Relaxed) as f64,
-            c.slow_queries.load(Ordering::Relaxed) as f64,
-            queued as f64,
-            error_ratio,
-            pct(&ttfa_delta, 0.50),
-            pct(&ttfa_delta, 0.90),
-            pct(&ttfa_delta, 0.99),
-            pct(&wait_delta, 0.50),
-            pct(&wait_delta, 0.90),
-            saturation,
-            replication_lag_ms,
-        ],
-    );
-
-    let (report, transitions) = inner.slo.evaluate(&inner.series, now_ms);
-    for t in &transitions {
-        if t.to == Health::Ok {
-            inner.events.emit(
-                EventLevel::Info,
-                "alert-resolve",
-                format!("slo {} recovered ({} -> ok)", t.slo, t.from.as_str()),
-            );
-        } else {
-            inner.events.emit(
-                EventLevel::Warn,
-                "alert-fire",
-                format!(
-                    "slo {} is {} ({} -> {})",
-                    t.slo,
-                    t.to.as_str(),
-                    t.from.as_str(),
-                    t.to.as_str()
-                ),
-            );
-        }
-    }
-    *inner.slo_report.lock().expect("slo report lock") = report;
-
-    // Queue-saturation watchdog with hysteresis: trip crossing 80%
-    // occupancy, clear only once it falls back under 50%.
-    if !state.saturated && saturation >= QUEUE_SATURATION_TRIP {
-        state.saturated = true;
-        Counters::bump(&c.watchdog_queue_trips);
-        inner.events.emit(
-            EventLevel::Warn,
-            "watchdog-queue",
-            format!(
-                "admission queue saturated: {queued}/{} slots occupied",
-                inner.queue_capacity
-            ),
-        );
-    } else if state.saturated && saturation < QUEUE_SATURATION_CLEAR {
-        state.saturated = false;
-        inner.events.emit(
-            EventLevel::Info,
-            "watchdog-queue",
-            format!(
-                "admission queue drained back under {}%",
-                (QUEUE_SATURATION_CLEAR * 100.0) as u64
-            ),
-        );
-    }
-
-    state.prev_submitted = submitted;
-    state.prev_rejected = rejected;
-    state.prev_quota_rejected = quota_rejected;
-    state.prev_ttfa = ttfa_now;
-    state.prev_wait = wait_now;
+    let _ = events.send(QueryEvent::Finished(QueryResult {
+        stats,
+        cache_hit: ran.is_none(),
+        time_to_first_answer,
+        queue_wait,
+        epoch,
+        trace: retained.filter(|_| ctx.requested.is_some()),
+    }));
 }

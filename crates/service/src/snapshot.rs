@@ -14,9 +14,9 @@
 //!   alive until the last such query drops its reference;
 //! * queries admitted **after** the swap resolve, expand and cache against
 //!   the new version;
-//! * the shared result cache needs no flush: keys carry the graph
+//! * the result cache needs no flush: keys carry the graph
 //!   [epoch](DataGraph::epoch), so entries for the old version simply stop
-//!   matching (a service that owns its cache also evicts them eagerly).
+//!   matching (the service also evicts them eagerly).
 
 use banks_core::{build_label_index, label_index_delta};
 use banks_graph::{BatchOutcome, DataGraph, MutationBatch};

@@ -172,14 +172,14 @@ fn operational_paths_emit_structured_events() {
 
 #[test]
 fn watchdog_flags_queries_that_blow_past_their_estimate() {
-    // Two keywords 300 hops apart: the origin sets are single nodes, so the
-    // a priori estimate is tiny (2 × (1 + top_k × 16)), but connecting them
-    // forces the engine down the whole chain — hundreds of explored nodes,
-    // comfortably past 2× the estimate.
+    // Two keywords 600 hops apart: the origin sets are single nodes, so the
+    // a priori estimate is tiny (2 × (1 + top_k × 16) = 34), but connecting
+    // them forces the engine down the whole chain — hundreds of explored
+    // nodes, comfortably past the watchdog's 8× (272).
     let mut b = GraphBuilder::new();
     let start = b.add_node("endpoint", "alphastart");
     let mut prev = start;
-    for i in 0..300 {
+    for i in 0..600 {
         let link = b.add_node("link", format!("hop {i}"));
         b.add_edge(prev, link).unwrap();
         prev = link;
@@ -187,27 +187,24 @@ fn watchdog_flags_queries_that_blow_past_their_estimate() {
     let end = b.add_node("endpoint", "omegaend");
     b.add_edge(prev, end).unwrap();
 
-    let service = Service::builder(b.build_default())
-        .workers(1)
-        .watchdog_overrun_factor(2)
-        .build();
+    let service = Service::builder(b.build_default()).workers(1).build();
     let (outcome, _) = service
         .submit(
             QuerySpec::parse("alphastart omegaend")
-                .params(banks_core::SearchParams::with_top_k(1).dmax(400)),
+                .params(banks_core::SearchParams::with_top_k(1).dmax(800)),
         )
         .unwrap()
         .wait();
     assert!(!outcome.answers.is_empty(), "chain query found no answer");
     assert!(
-        outcome.stats.nodes_explored >= 200,
+        outcome.stats.nodes_explored >= 400,
         "expected a long exploration, got {}",
         outcome.stats.nodes_explored
     );
     let overran = wait_for(Duration::from_secs(5), || {
         service.metrics().watchdog_overruns >= 1
     });
-    assert!(overran, "watchdog never tripped on a 300-hop exploration");
+    assert!(overran, "watchdog never tripped on a 600-hop exploration");
     let events = service.events().since(0, 1000);
     assert!(events.iter().any(|e| e.kind == "watchdog-overrun"));
 }

@@ -231,107 +231,3 @@ fn apply_mutations_compacts_long_overlay_chains() {
     }
     assert!(service.snapshot().graph().overlay_ratio() <= 0.25);
 }
-
-#[test]
-fn tenant_quota_overrides_give_named_tenants_their_own_rate() {
-    let service = Service::builder(tiny())
-        .workers(1)
-        .cache_capacity(0)
-        .tenant_quota(0.001, 2)
-        .tenant_quota_for("vip", 0.001, 50)
-        .tenant_quota_for("crawler", 0.001, 1)
-        .build();
-
-    let spec = |tenant: &str| QuerySpec::parse("gray locks").top_k(3).tenant(tenant);
-
-    // default tenants: burst 2
-    assert!(service.submit(spec("free")).is_ok());
-    assert!(service.submit(spec("free")).is_ok());
-    assert!(matches!(
-        service.submit(spec("free")),
-        Err(SubmitError::QuotaExceeded { .. })
-    ));
-    // the crawler override pins it to burst 1
-    assert!(service.submit(spec("crawler")).is_ok());
-    assert!(matches!(
-        service.submit(spec("crawler")),
-        Err(SubmitError::QuotaExceeded { .. })
-    ));
-    // the vip override bursts far beyond the default
-    for _ in 0..10 {
-        service.submit(spec("vip")).expect("vip within burst");
-    }
-
-    // configured rates surface in the per-tenant metrics
-    let metrics = service.metrics();
-    let vip = metrics.tenant("vip").expect("vip row");
-    assert_eq!(vip.quota_burst, Some(50));
-    assert_eq!(vip.quota_rate_per_sec, Some(0.001));
-    let free = metrics.tenant("free").expect("free row");
-    assert_eq!(free.quota_burst, Some(2), "default config surfaced");
-    let crawler = metrics.tenant("crawler").expect("crawler row");
-    assert_eq!(crawler.quota_burst, Some(1));
-    assert_eq!(crawler.quota_rejected, 1);
-}
-
-#[test]
-fn cost_weighted_quota_charges_estimated_work() {
-    // burst 10 tokens, one token per unit of estimated work: a single
-    // multi-keyword top-5 query estimates far beyond 10 and drains the
-    // whole bucket (clamped), so the very next submission bounces.
-    let service = Service::builder(tiny())
-        .workers(1)
-        .cache_capacity(0)
-        .tenant_quota(0.001, 10)
-        .quota_work_per_token(1)
-        .build();
-
-    let heavy = || QuerySpec::parse("gray locks").top_k(5).tenant("t");
-    let handle = service.submit(heavy()).expect("first query admitted");
-    handle.wait();
-    match service.submit(heavy()) {
-        Err(SubmitError::QuotaExceeded { tenant, .. }) => assert_eq!(tenant, "t"),
-        Err(other) => panic!("expected cost-weighted rejection, got {other:?}"),
-        Ok(_) => panic!("expected cost-weighted rejection, got admission"),
-    }
-
-    // An override with a deep bucket absorbs the same work.
-    let service = Service::builder(tiny())
-        .workers(1)
-        .cache_capacity(0)
-        .tenant_quota(0.001, 10)
-        .tenant_quota_for("vip", 0.001, 100_000)
-        .quota_work_per_token(1)
-        .build();
-    for _ in 0..5 {
-        let handle = service
-            .submit(QuerySpec::parse("gray locks").top_k(5).tenant("vip"))
-            .expect("vip bucket absorbs the work");
-        handle.wait();
-    }
-}
-
-#[test]
-fn cost_weighted_quota_charges_cache_hits_the_floor() {
-    // "gray locks" top_k 5 estimates 2 origins × (1 + 5×16) = 162 units of
-    // work.  A burst of 165 covers the miss (162 tokens) plus a couple of
-    // one-token hits — but not two misses: hits must be charged the floor,
-    // not the estimate.
-    let service = Service::builder(tiny())
-        .workers(1)
-        .cache_capacity(64)
-        .tenant_quota(0.001, 165)
-        .quota_work_per_token(1)
-        .build();
-    let spec = || QuerySpec::parse("gray locks").top_k(5).tenant("t");
-
-    let (_, r) = service.submit(spec()).expect("miss admitted").wait();
-    assert!(!r.cache_hit);
-    for _ in 0..2 {
-        let (_, r) = service
-            .submit(spec())
-            .expect("hit charged one token")
-            .wait();
-        assert!(r.cache_hit);
-    }
-}

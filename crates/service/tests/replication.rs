@@ -618,7 +618,7 @@ fn head_announcements_feed_lag_and_metrics() {
 }
 
 #[test]
-fn slo_specs_parse_from_json_and_swap_at_runtime() {
+fn slo_specs_parse_from_json_and_swap_at_runtime() -> Result<(), String> {
     let specs = parse_slo_specs(
         r#"{"slos":[
             {"name":"replication_lag","metric":"replication_lag_ms","threshold":5000},
@@ -660,18 +660,11 @@ fn slo_specs_parse_from_json_and_swap_at_runtime() {
         assert!(parse_slo_specs(bad).is_err(), "should reject {bad}");
     }
 
-    // Boot from a config file, then swap and upsert at runtime.
-    let dir = tmp_dir("slo");
-    let path = dir.join("slo.json");
-    std::fs::write(
-        &path,
-        r#"[{"name":"queued","metric":"queued","threshold":10}]"#,
-    )
-    .unwrap();
+    // Boot from a parsed config, then swap and upsert at runtime.
+    let text = r#"[{"name":"queued","metric":"queued","threshold":10}]"#;
     let service = Service::builder(dblp_like())
         .workers(1)
-        .slos_from_path(&path)
-        .unwrap()
+        .slos(parse_slo_specs(text)?)
         .build();
     assert_eq!(
         service.slo_specs(),
@@ -682,18 +675,12 @@ fn slo_specs_parse_from_json_and_swap_at_runtime() {
     service.replace_slos(SloSpec::defaults());
     assert_eq!(service.slo_specs(), SloSpec::defaults());
 
-    let missing = Service::builder(decoy()).slos_from_path(dir.join("absent.json"));
-    assert!(missing.is_err());
-
     // An objective on a series nobody records would read `ok` forever.
-    std::fs::write(
-        &path,
-        r#"[{"name":"ttfa","metric":"ttfa_p9_us","threshold":1}]"#,
-    )
-    .unwrap();
-    let Err(typo) = Service::builder(decoy()).slos_from_path(&path) else {
-        panic!("an unknown metric must fail at boot");
+    let Err(typo) = parse_slo_specs(r#"[{"name":"ttfa","metric":"ttfa_p9_us","threshold":1}]"#)
+    else {
+        panic!("an unknown metric must fail to parse");
     };
     assert!(typo.contains("unknown metric \"ttfa_p9_us\""), "{typo}");
     assert!(typo.contains("ttfa_p99_us, queue_wait_p50_us"), "{typo}");
+    Ok(())
 }

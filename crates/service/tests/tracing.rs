@@ -155,7 +155,21 @@ fn slow_queries_are_retained_unrequested() {
     assert!(trace.slow);
     let slow = service.slow_traces(10);
     assert!(slow.iter().any(|t| t.id == id.0));
-    assert!(service.metrics().slow_queries >= 1);
+
+    // The replay is a cache hit and goes through the same finish step:
+    // retained as slow, still no trace on the untraced result.
+    let handle = service.submit(QuerySpec::parse("soumen").top_k(2)).unwrap();
+    let hit_id = handle.id();
+    let (_, hit) = handle.wait();
+    assert!(hit.cache_hit);
+    assert!(
+        hit.trace.is_none(),
+        "slow retention does not leak a trace onto an untraced hit"
+    );
+    let hit_trace = service.trace(hit_id).expect("slow hit retained");
+    assert!(hit_trace.slow);
+    assert!(hit_trace.cache_hit);
+    assert_eq!(service.metrics().slow_queries, 2);
 }
 
 #[test]
@@ -279,7 +293,9 @@ fn calibration_rows_appear_after_executed_queries() {
     }
     let engines: Vec<&str> = rows.iter().map(|r| r.engine.as_str()).collect();
     assert!(engines.contains(&"bidirectional"));
-    assert!(engines.contains(&"mi"));
+    // rows are keyed by the canonical name, not the alias submitted
+    assert!(engines.contains(&"mi-backward"));
+    assert!(!engines.contains(&"mi"));
 }
 
 #[test]

@@ -106,7 +106,6 @@ fn main() {
         .workers(4)
         .queue_capacity(1024)
         .cache_capacity(512)
-        .cache_min_work(32) // trivial lookups are cheaper to recompute
         .index(v1.dataset.index().clone())
         .build();
     let epoch_v1 = service.epoch();
