@@ -14,9 +14,8 @@
 //!   `top_k`, emission policy or engine never alias.
 //!
 //! The cache is thread-safe (a mutex around the table, atomics for the
-//! hit/miss counters) and shared by the [`crate::Banks`] facade and the
-//! concurrent query service, which both consult it before starting any
-//! engine: a hit performs **zero** expansion work.
+//! hit/miss counters); the concurrent query service consults it before
+//! starting any engine, so a hit performs **zero** expansion work.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -24,10 +23,8 @@ use std::sync::{Arc, Mutex};
 
 use banks_textindex::KeywordMatches;
 
-use crate::engine::{RankedAnswer, SearchOutcome};
+use crate::engine::SearchOutcome;
 use crate::params::{Fnv1a, SearchParams};
-use crate::stats::SearchStats;
-use crate::stream::AnswerStream;
 
 /// The composite cache key: `(graph epoch, normalized keywords, params +
 /// engine fingerprint)`.
@@ -217,50 +214,10 @@ impl ResultCache {
     }
 }
 
-/// An [`AnswerStream`] replaying a cached outcome: the answers arrive in
-/// their original order with the original stats, and no engine runs.
-pub struct CachedStream {
-    answers: std::collections::VecDeque<RankedAnswer>,
-    stats: SearchStats,
-    engine_name: &'static str,
-}
-
-impl CachedStream {
-    /// Builds a replay stream over a cached outcome.
-    pub fn new(outcome: &SearchOutcome) -> Self {
-        CachedStream {
-            answers: outcome.answers.iter().cloned().collect(),
-            stats: outcome.stats.clone(),
-            engine_name: "cached",
-        }
-    }
-}
-
-impl Iterator for CachedStream {
-    type Item = RankedAnswer;
-
-    fn next(&mut self) -> Option<RankedAnswer> {
-        self.answers.pop_front()
-    }
-}
-
-impl AnswerStream for CachedStream {
-    fn stats(&self) -> SearchStats {
-        self.stats.clone()
-    }
-
-    fn engine_name(&self) -> &'static str {
-        self.engine_name
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.answers.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::SearchStats;
 
     fn matches_for(word: &str) -> KeywordMatches {
         KeywordMatches::from_sets(vec![(word, vec![banks_graph::NodeId(0)])])
@@ -383,22 +340,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert!(cache.get(&key(2, "a")).is_some());
         assert_eq!(cache.evict_epoch(1), 0, "already gone");
-    }
-
-    #[test]
-    fn cached_stream_replays_in_order() {
-        let out = SearchOutcome {
-            answers: Vec::new(),
-            stats: SearchStats {
-                answers_output: 0,
-                ..SearchStats::default()
-            },
-        };
-        let mut stream = CachedStream::new(&out);
-        assert!(stream.is_exhausted());
-        assert!(stream.next().is_none());
-        assert_eq!(stream.engine_name(), "cached");
-        assert_eq!(stream.stats().answers_output, 0);
     }
 
     #[test]

@@ -58,12 +58,12 @@
 //! ## Serving-tier building blocks
 //!
 //! [`ResultCache`] is a thread-safe LRU over completed [`SearchOutcome`]s,
-//! keyed by `(graph epoch, normalized keywords, params/engine fingerprint)`
-//! and interposed in the facade ([`Banks::with_cache`]); the concurrent
-//! query service (`banks-service`) shares the same cache type, the same
-//! cancellation tokens, and the same work-budget deadlines.  The wire
-//! codecs the front-end and the follower share live here too: [`json`]
-//! renders and parses JSON, [`sse`] writes and parses server-sent events.
+//! keyed by `(graph epoch, normalized keywords, params/engine fingerprint)`;
+//! the concurrent query service (`banks-service`) keeps its answers there
+//! and shares the same cancellation tokens and work-budget deadlines.  The
+//! wire codecs the front-end and the follower share live here too:
+//! [`json`] renders and parses JSON, [`sse`] writes and parses server-sent
+//! events and hex-codes binary payloads.
 //!
 //! ## The engines
 //!
@@ -119,7 +119,7 @@ pub mod stream;
 pub use answer::AnswerTree;
 pub use backward::BackwardExpandingSearch;
 pub use bidirectional::{BidirectionalConfig, BidirectionalSearch};
-pub use cache::{CacheKey, CachedStream, ResultCache};
+pub use cache::{CacheKey, ResultCache};
 pub use cancel::CancelToken;
 pub use cost::QueryCost;
 pub use engine::{RankedAnswer, SearchEngine, SearchOutcome};

@@ -22,14 +22,12 @@
 //! session can either [`QuerySession::run`] to completion or stream
 //! answers lazily via [`QuerySession::stream`].
 
-use std::cell::OnceCell;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use banks_graph::{DataGraph, KindId};
 use banks_prestige::PrestigeVector;
 use banks_textindex::{IndexBuilder, InvertedIndex, KeywordMatches, Query};
 
-use crate::cache::{CacheKey, CachedStream, ResultCache};
 use crate::cancel::CancelToken;
 use crate::engine::{SearchEngine, SearchOutcome};
 use crate::params::{EmissionPolicy, SearchParams};
@@ -84,15 +82,14 @@ pub fn label_index_delta(
     }
 }
 
-/// A search handle over one graph: prestige, keyword index, engine registry
-/// and (optionally) a result cache in one place.
+/// A search handle over one graph: prestige, keyword index and engine
+/// registry in one place.
 pub struct Banks<'g> {
     graph: &'g DataGraph,
     prestige: Option<PrestigeVector>,
     index: Option<InvertedIndex>,
     registry: EngineRegistry,
     default_engine: String,
-    cache: Option<Arc<ResultCache>>,
     uniform_prestige: OnceLock<PrestigeVector>,
     label_index: OnceLock<InvertedIndex>,
 }
@@ -107,30 +104,9 @@ impl<'g> Banks<'g> {
             index: None,
             registry: EngineRegistry::with_default_engines(),
             default_engine: "bidirectional".to_string(),
-            cache: None,
             uniform_prestige: OnceLock::new(),
             label_index: OnceLock::new(),
         }
-    }
-
-    /// Attaches a fresh LRU result cache of the given capacity: repeated
-    /// queries against the same graph epoch are answered without running any
-    /// engine.  Capacity 0 disables caching.
-    pub fn with_cache(self, capacity: usize) -> Self {
-        self.with_shared_cache(Arc::new(ResultCache::new(capacity)))
-    }
-
-    /// Attaches an existing (possibly shared) result cache.  Because cache
-    /// keys carry the graph epoch, one cache can safely serve many graphs
-    /// and graph versions — a bumped epoch simply never hits old entries.
-    pub fn with_shared_cache(mut self, cache: Arc<ResultCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// The attached result cache, if any.
-    pub fn cache(&self) -> Option<&Arc<ResultCache>> {
-        self.cache.as_ref()
     }
 
     /// Uses a precomputed prestige vector (e.g. biased PageRank) instead of
@@ -199,10 +175,8 @@ impl<'g> Banks<'g> {
 
     /// The single normalization point for every query path.
     ///
-    /// [`Banks::query`] and [`Banks::query_str`] used to rely on whatever
-    /// normalization the resolution step applied internally; now both (and
-    /// the result-cache key, which must agree with them byte for byte) go
-    /// through this one function: each keyword is run through the index's
+    /// [`Banks::query`] and [`Banks::query_str`] both go through this one
+    /// function: each keyword is run through the index's
     /// tokenizer (lower-cased, punctuation stripped, whitespace collapsed)
     /// and keywords that normalize to nothing are dropped.
     pub fn normalize_query(&self, query: &Query) -> Query {
@@ -228,16 +202,11 @@ impl<'g> Banks<'g> {
     pub fn query_parsed(&self, query: &Query) -> QuerySession<'_, 'g> {
         let normalized = self.normalize_query(query);
         let matches = KeywordMatches::resolve_normalized(self.graph, self.index(), &normalized);
-        let session = self.session(matches);
-        let _ = session.cache_keywords.set(normalized.keywords().to_vec());
-        session
+        self.session(matches)
     }
 
     /// Starts a query from pre-resolved origin sets (hand-built sets in
-    /// tests, or match sources other than the text index).  For cache
-    /// keying, the set names are run through the same normalization as
-    /// every other query path — lazily, so sessions that never touch a
-    /// cache never build the label index either.
+    /// tests, or match sources other than the text index).
     pub fn query_matches(&self, matches: KeywordMatches) -> QuerySession<'_, 'g> {
         self.session(matches)
     }
@@ -246,7 +215,6 @@ impl<'g> Banks<'g> {
         QuerySession {
             banks: self,
             matches,
-            cache_keywords: OnceCell::new(),
             params: SearchParams::default(),
             engine: self.default_engine.clone(),
             cancel: None,
@@ -259,11 +227,6 @@ impl<'g> Banks<'g> {
 pub struct QuerySession<'b, 'g> {
     banks: &'b Banks<'g>,
     matches: KeywordMatches,
-    /// Keywords after the facade-wide normalization, used as the
-    /// result-cache key component.  Filled eagerly by the query paths that
-    /// normalize anyway, lazily (first [`QuerySession::cache_key`] call)
-    /// for pre-resolved matches — so cache-less sessions never pay for it.
-    cache_keywords: OnceCell<Vec<String>>,
     params: SearchParams,
     engine: String,
     cancel: Option<CancelToken>,
@@ -356,26 +319,6 @@ impl<'b, 'g> QuerySession<'b, 'g> {
         &self.params
     }
 
-    /// The result-cache key this session would be stored under: graph
-    /// epoch, normalized keywords, and a fingerprint over the parameters,
-    /// engine and resolved origin sets (so hand-built matches with equal
-    /// names but different sets never alias).
-    pub fn cache_key(&self) -> CacheKey {
-        let keywords = self.cache_keywords.get_or_init(|| {
-            self.banks
-                .normalize_query(&Query::from_keywords(self.matches.keywords().to_vec()))
-                .keywords()
-                .to_vec()
-        });
-        CacheKey::new(
-            self.banks.graph.epoch(),
-            keywords.clone(),
-            &self.params,
-            &self.engine,
-            &self.matches,
-        )
-    }
-
     /// The engine instance this session will run.
     pub fn build_engine(&self) -> Box<dyn SearchEngine> {
         self.banks
@@ -384,19 +327,8 @@ impl<'b, 'g> QuerySession<'b, 'g> {
             .unwrap_or_else(|e| panic!("engine disappeared from the registry: {e}"))
     }
 
-    /// Starts the search and returns the lazy answer stream.  With a cache
-    /// attached, a hit is replayed without running any engine.
+    /// Starts the search and returns the lazy answer stream.
     pub fn stream(&self) -> Box<dyn AnswerStream + '_> {
-        if let Some(cache) = self.banks.cache() {
-            if let Some(hit) = cache.get(&self.cache_key()) {
-                return Box::new(CachedStream::new(&hit));
-            }
-        }
-        self.live_stream()
-    }
-
-    /// Starts the underlying engine, bypassing the cache.
-    fn live_stream(&self) -> Box<dyn AnswerStream + '_> {
         let mut ctx = QueryContext::new(
             self.banks.graph,
             self.banks.prestige(),
@@ -409,23 +341,9 @@ impl<'b, 'g> QuerySession<'b, 'g> {
         self.build_engine().start(ctx)
     }
 
-    /// Runs the search to completion (drains the stream).  With a cache
-    /// attached, a hit returns the stored outcome with zero engine work and
-    /// a completed miss populates the cache (cancelled runs are never
-    /// stored — their answer sets are not reproducible).
+    /// Runs the search to completion (drains the stream).
     pub fn run(&self) -> SearchOutcome {
-        let Some(cache) = self.banks.cache() else {
-            return drain(self.live_stream());
-        };
-        let key = self.cache_key();
-        if let Some(hit) = cache.get(&key) {
-            return (*hit).clone();
-        }
-        let outcome = drain(self.live_stream());
-        if !outcome.stats.cancelled {
-            cache.insert(key, Arc::new(outcome.clone()));
-        }
-        outcome
+        drain(self.stream())
     }
 }
 
@@ -540,117 +458,16 @@ mod tests {
         let a = banks.query(["  Jim   GRAY ", "Locks!"]);
         // query_str(): raw string with a quoted phrase.
         let b = banks.query_str("\"jim gray\" locks");
-        // query_matches(): hand-built sets under un-normalized names.
-        let c = banks.query_matches(KeywordMatches::from_sets(vec![
-            ("Jim Gray", vec![NodeId(0)]),
-            (" LOCKS ", vec![NodeId(1)]),
-        ]));
-        // Index-resolved paths agree completely...
-        assert_eq!(a.cache_key(), b.cache_key());
-        // ...and every path normalizes keywords through the same function.
+        // Both resolve the same normalized keywords to the same sets.
         let canonical = vec!["jim gray".to_string(), "locks".to_string()];
-        assert_eq!(a.cache_key().keywords, canonical);
-        assert_eq!(b.cache_key().keywords, canonical);
-        assert_eq!(c.cache_key().keywords, canonical);
-        // Hand-built origin sets participate in the fingerprint, so equal
-        // names with different sets never alias.
-        let d = banks.query_matches(KeywordMatches::from_sets(vec![
-            ("Jim Gray", vec![NodeId(2)]),
-            (" LOCKS ", vec![NodeId(1)]),
-        ]));
-        assert_ne!(c.cache_key(), d.cache_key());
-    }
-
-    #[test]
-    fn cache_hit_runs_no_engine_at_all() {
-        let graph = tiny_graph();
-        let factory_calls = std::sync::Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let counter = std::sync::Arc::clone(&factory_calls);
-        let mut banks = Banks::open(&graph).with_cache(8);
-        banks.register_engine(
-            "counted",
-            Box::new(move || {
-                counter.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                Box::new(crate::bidirectional::BidirectionalSearch::new())
-            }),
-        );
-
-        let first = banks.query(["gray", "locks"]).engine("counted").run();
-        assert!(!first.answers.is_empty());
-        assert_eq!(factory_calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-
-        // Identical query, same epoch: served from the cache — the engine
-        // factory is never even invoked, so zero `advance()` work happens.
-        let second = banks.query(["gray", "locks"]).engine("counted").run();
-        assert_eq!(factory_calls.load(std::sync::atomic::Ordering::SeqCst), 1);
-        assert_eq!(first.signatures(), second.signatures());
-        assert_eq!(first.stats, second.stats);
-        let cache = banks.cache().unwrap();
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-
-        // Different params form a different key.
-        let _ = banks
-            .query(["gray", "locks"])
-            .engine("counted")
-            .top_k(3)
-            .run();
-        assert_eq!(factory_calls.load(std::sync::atomic::Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn cached_stream_replays_the_outcome() {
-        let graph = tiny_graph();
-        let banks = Banks::open(&graph).with_cache(8);
-        let batch = banks.query(["gray", "locks"]).run();
-        let replay: Vec<_> = banks.query(["gray", "locks"]).stream().collect();
-        assert_eq!(batch.answers.len(), replay.len());
-        for (a, b) in batch.answers.iter().zip(&replay) {
-            assert_eq!(a.tree.signature(), b.tree.signature());
-            assert_eq!(a.rank, b.rank);
+        for session in [&a, &b] {
+            assert_eq!(session.matches().keywords(), canonical);
+            assert_eq!(session.matches().origin_set(0), &[NodeId(0)]);
+            assert_eq!(session.matches().origin_set(1), &[NodeId(1)]);
         }
-    }
-
-    #[test]
-    fn epoch_bump_invalidates_a_shared_cache() {
-        let cache = std::sync::Arc::new(crate::cache::ResultCache::new(8));
-        let mut graph = tiny_graph();
-        {
-            let banks = Banks::open(&graph).with_shared_cache(std::sync::Arc::clone(&cache));
-            let _ = banks.query(["gray", "locks"]).run();
-            let _ = banks.query(["gray", "locks"]).run();
-        }
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 1);
-
-        // Same cache, same query — but the graph moved to a new epoch.
-        graph.bump_epoch();
-        {
-            let banks = Banks::open(&graph).with_shared_cache(std::sync::Arc::clone(&cache));
-            let _ = banks.query(["gray", "locks"]).run();
-        }
-        assert_eq!(cache.hits(), 1, "bumped epoch must not hit stale entries");
-        assert_eq!(cache.misses(), 2);
-    }
-
-    #[test]
-    fn cancelled_session_runs_are_not_cached() {
-        let graph = tiny_graph();
-        let banks = Banks::open(&graph).with_cache(8);
-        let token = CancelToken::new();
-        token.cancel();
-        let cancelled = banks.query(["gray", "locks"]).cancel_token(token).run();
-        assert!(cancelled.stats.cancelled);
-        assert!(cancelled.answers.is_empty());
-        assert!(
-            banks.cache().unwrap().is_empty(),
-            "aborted run must not be stored"
-        );
-
-        // The same query without the token runs fresh and completes.
-        let clean = banks.query(["gray", "locks"]).run();
-        assert!(!clean.answers.is_empty());
-        assert!(!clean.stats.cancelled);
+        // Hand-built set names normalize through the same function.
+        let names = Query::from_keywords(["Jim Gray", " LOCKS "]);
+        assert_eq!(banks.normalize_query(&names).keywords(), canonical);
     }
 
     #[test]

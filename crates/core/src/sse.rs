@@ -4,7 +4,9 @@
 //! leader's WAL as SSE, so one module owns the framing: [`SseWriter`]
 //! renders frames and [`SseParser`] reads them back.  Keeping them together
 //! makes "what the server writes, every client reads back exactly" a local
-//! invariant, checked by the round-trip property test below.
+//! invariant, checked by the round-trip property test below.  Binary
+//! payloads (the WAL record bytes of replication `record` events) travel
+//! as hex: [`to_hex`] and [`from_hex`] are that pair.
 //!
 //! Two properties of the writer matter for time-to-first-answer — the
 //! paper's headline metric — to survive the network hop:
@@ -153,10 +155,56 @@ pub fn parse(body: &str) -> Vec<SseEvent> {
         .collect()
 }
 
+/// Lowercase hex of `bytes`.
+pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(bytes.len() * 2);
+    for b in bytes {
+        out.push(DIGITS[(b >> 4) as usize] as char);
+        out.push(DIGITS[(b & 0x0f) as usize] as char);
+    }
+    out
+}
+
+/// Decodes hex of either case back into bytes.  Only an even number of
+/// `[0-9a-fA-F]` bytes decodes; anything else is an error naming the
+/// offending byte offset, never a panic.
+pub fn from_hex(text: impl AsRef<[u8]>) -> Result<Vec<u8>, String> {
+    let digits = text.as_ref();
+    if !digits.len().is_multiple_of(2) {
+        return Err(format!("odd hex length {}", digits.len()));
+    }
+    let nibble = |digit: u8| (digit as char).to_digit(16);
+    digits
+        .chunks_exact(2)
+        .enumerate()
+        .map(|(i, pair)| match (nibble(pair[0]), nibble(pair[1])) {
+            (Some(high), Some(low)) => Ok((high << 4 | low) as u8),
+            _ => Err(format!("invalid hex at offset {}", 2 * i)),
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    #[test]
+    fn hex_round_trips_and_refuses_everything_else() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        assert_eq!(from_hex(to_hex(&bytes)).unwrap(), bytes);
+        assert_eq!(to_hex(&[0x00, 0xff, 0x10, 0xab]), "00ff10ab");
+        assert_eq!(from_hex("00FF10Ab").unwrap(), vec![0x00, 0xff, 0x10, 0xab]);
+        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
+        assert!(from_hex("0").is_err(), "odd length");
+        assert!(from_hex("zz").is_err(), "non-hex digits");
+        // A multi-byte character straddling a digit pair, and a sign that
+        // `u8::from_str_radix` would accept.
+        assert_eq!(from_hex("aéb").unwrap_err(), "invalid hex at offset 0");
+        assert_eq!(from_hex("+f").unwrap_err(), "invalid hex at offset 0");
+        assert_eq!(from_hex("00-1").unwrap_err(), "invalid hex at offset 2");
+    }
 
     /// A writer recording both the bytes and the flush boundaries.
     #[derive(Default)]

@@ -10,9 +10,10 @@
 //! silent.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::sync::Arc;
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
+
+use crate::bounded::BoundedRing;
 
 /// Severity of an [`Event`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -54,129 +55,47 @@ pub struct Event {
     pub message: String,
 }
 
-/// A bounded, shareable ring of [`Event`]s with monotone ids.
+/// A bounded, shareable ring of [`Event`]s whose ring ids are the event
+/// ids.
 ///
 /// `emit` is cheap (one mutex push); overflow evicts the oldest event and
-/// bumps [`EventLog::dropped`] so the loss is visible on `/metrics`.  A
+/// bumps [`BoundedRing::dropped`] so the loss is visible on `/metrics`.  A
 /// live tail blocks in [`EventLog::wait_since`] and is woken by the `emit`
-/// that gives it something to read; with nobody waiting, `emit` signals
-/// nothing.
-#[derive(Debug)]
-pub struct EventLog {
-    capacity: usize,
-    /// Advanced only under the ring's lock, so ids enter the ring in
-    /// ascending order; atomic so [`EventLog::last_id`] need not lock.
-    next_id: AtomicU64,
-    dropped: AtomicU64,
-    ring: Mutex<Ring>,
-    appended: Condvar,
-}
+/// that gives it something to read.
+pub type EventLog = BoundedRing<Event>;
 
-#[derive(Debug, Default)]
-struct Ring {
-    events: VecDeque<Arc<Event>>,
-    /// Threads blocked in [`EventLog::wait_since`].
-    waiters: usize,
-}
-
-impl Ring {
-    /// Events with id above `since`, oldest first, at most `limit`.
-    fn page(&self, since: u64, limit: usize) -> Vec<Arc<Event>> {
-        let first = self.events.partition_point(|e| e.id <= since);
-        self.events.range(first..).take(limit).cloned().collect()
-    }
+/// Events with id above `since`, oldest first, at most `limit`.
+fn page(events: &VecDeque<Arc<Event>>, since: u64, limit: usize) -> Vec<Arc<Event>> {
+    let first = events.partition_point(|e| e.id <= since);
+    events.range(first..).take(limit).cloned().collect()
 }
 
 impl EventLog {
-    /// A log retaining at most `capacity` events (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        EventLog {
-            capacity: capacity.max(1),
-            next_id: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
-            ring: Mutex::new(Ring::default()),
-            appended: Condvar::new(),
-        }
-    }
-
-    fn ring(&self) -> MutexGuard<'_, Ring> {
-        self.ring.lock().expect("event ring lock")
-    }
-
     /// Appends an event, assigning it the next id (returned).  Evicts the
     /// oldest retained event when full.
     pub fn emit(&self, level: EventLevel, kind: &'static str, message: String) -> u64 {
         let at_unix_ms = unix_ms();
-        let mut ring = self.ring();
-        // The id is taken under the lock: taken before it, two emitters
-        // could append out of id order, and a pager whose cursor had
-        // reached the larger id would never see the smaller one.
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        ring.events.push_back(Arc::new(Event {
-            id,
-            at_unix_ms,
-            level,
-            kind,
-            message,
-        }));
-        // `notify_all` is a system call even with nobody to wake, and
-        // `emit` sits on the admission-reject path.
-        if ring.waiters > 0 {
-            self.appended.notify_all();
-        }
-        id
+        self.push(|id| {
+            Arc::new(Event {
+                id,
+                at_unix_ms,
+                level,
+                kind,
+                message,
+            })
+        })
     }
 
     /// Retained events with id strictly greater than `since`, oldest first,
     /// capped at `limit`.  `since = 0` pages from the beginning of the ring.
     pub fn since(&self, since: u64, limit: usize) -> Vec<Arc<Event>> {
-        self.ring().page(since, limit)
+        self.read(|events| page(events, since, limit))
     }
 
     /// [`EventLog::since`], blocking until there is at least one such
-    /// event or `timeout` has passed (then the page is empty).  The check
-    /// and the wait happen under one lock, so an event emitted in between
-    /// is never slept through.
+    /// event or `timeout` has passed (then the page is empty).
     pub fn wait_since(&self, since: u64, limit: usize, timeout: Duration) -> Vec<Arc<Event>> {
-        let deadline = Instant::now() + timeout;
-        let mut ring = self.ring();
-        loop {
-            let left = deadline.saturating_duration_since(Instant::now());
-            if ring.events.back().is_some_and(|e| e.id > since) || left.is_zero() {
-                return ring.page(since, limit);
-            }
-            ring.waiters += 1;
-            ring = self
-                .appended
-                .wait_timeout(ring, left)
-                .expect("event ring lock")
-                .0;
-            ring.waiters -= 1;
-        }
-    }
-
-    /// The id of the most recently emitted event (0 before the first one).
-    pub fn last_id(&self) -> u64 {
-        self.next_id.load(Ordering::Relaxed) - 1
-    }
-
-    /// Events evicted from the ring because it was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.ring().events.len()
-    }
-
-    /// Whether the log holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.read_after(since, timeout, |events| page(events, since, limit))
     }
 }
 
@@ -231,76 +150,6 @@ mod tests {
         assert_eq!(e.kind, "recovery");
         assert!(e.message.contains("3 records"));
         assert!(e.at_unix_ms > 0);
-    }
-
-    /// Four emitters race while a reader pages: whatever the ring still
-    /// holds reaches the reader exactly once and in id order, and an id
-    /// the reader never saw was evicted, which `dropped` counted.
-    #[test]
-    fn concurrent_emitters_never_reorder_ids_under_a_pager() {
-        const THREADS: u64 = 4;
-        const EACH: u64 = 2_000;
-        for capacity in [THREADS * EACH, 64] {
-            let log = EventLog::new(capacity as usize);
-            let seen = std::thread::scope(|scope| {
-                for _ in 0..THREADS {
-                    scope.spawn(|| {
-                        for i in 0..EACH {
-                            log.emit(EventLevel::Info, "swap", format!("epoch {i}"));
-                        }
-                    });
-                }
-                let mut seen: Vec<u64> = Vec::new();
-                let mut cursor = 0;
-                while cursor < THREADS * EACH {
-                    let page = if seen.len().is_multiple_of(2) {
-                        log.wait_since(cursor, 100, Duration::from_secs(10))
-                    } else {
-                        log.since(cursor, 100)
-                    };
-                    for event in page {
-                        assert!(event.id > cursor, "id {} after {cursor}", event.id);
-                        cursor = event.id;
-                        seen.push(event.id);
-                    }
-                }
-                seen
-            });
-            assert_eq!(log.last_id(), THREADS * EACH);
-            let missed = THREADS * EACH - seen.len() as u64;
-            assert!(
-                missed <= log.dropped(),
-                "{missed} missed, {}",
-                log.dropped()
-            );
-            if capacity == THREADS * EACH {
-                assert_eq!((missed, log.dropped()), (0, 0));
-            }
-        }
-    }
-
-    #[test]
-    fn wait_since_returns_on_emit_or_on_timeout() {
-        let log = EventLog::new(8);
-        let started = Instant::now();
-        assert!(log.wait_since(0, 10, Duration::from_millis(30)).is_empty());
-        assert!(started.elapsed() >= Duration::from_millis(30));
-
-        log.emit(EventLevel::Info, "swap", "already there".into());
-        assert_eq!(log.wait_since(0, 10, Duration::from_secs(10)).len(), 1);
-
-        // The emit happens only once the waiter is registered, so the
-        // wake-up is what ends the wait, not the timeout.
-        std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| log.wait_since(1, 10, Duration::from_secs(10)));
-            while log.ring().waiters == 0 {
-                std::thread::yield_now();
-            }
-            log.emit(EventLevel::Warn, "alert-fire", "woken".into());
-            let page = waiter.join().unwrap();
-            assert_eq!(page.iter().map(|e| e.id).collect::<Vec<_>>(), vec![2]);
-        });
-        assert_eq!(log.ring().waiters, 0);
     }
 
     #[test]

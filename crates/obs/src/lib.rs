@@ -16,44 +16,47 @@
 //!   expanded) an engine's step driver publishes with relaxed stores;
 //! * [`QueryTrace`] / [`TraceSpan`] — one query's phase timeline
 //!   (admit → queue → resolve → expand → first-answer → finish);
-//! * [`TraceRing`] — the bounded ring retaining traced and slow queries
-//!   for `GET /debug/slow` and `GET /debug/trace/<id>`;
+//! * [`BoundedRing`] — the one bounded retention ring: a mutex-guarded
+//!   queue that numbers its items, counts evictions, and wakes blocked
+//!   readers on push;
+//! * [`TraceRing`] — its use retaining traced and slow queries for
+//!   `GET /debug/slow` and `GET /debug/trace/<id>`;
 //! * [`CostCalibration`] — an online EMA correction of the a priori cost
 //!   model from measured `nodes_explored`, per (engine, origin-size
 //!   bucket);
 //! * [`PromText`] — a Prometheus text-format (version 0.0.4) writer with
 //!   `# HELP`/`# TYPE` bookkeeping and a duplicate-series guard.
 //!
-//! PR 9 grew the kit from pure measurement into retention and judgment:
+//! Beyond measurement, the kit retains and judges:
 //!
-//! * [`TimeSeriesRing`] — lock-free bounded retention of a fixed schema of
-//!   series, snapshotted by a collector thread on a fixed cadence, with
-//!   windowed deltas, rates, and percentile trajectories;
+//! * [`TimeSeriesRing`] — a fixed schema of series beside a bounded ring
+//!   of their samples, snapshotted by a collector thread on a fixed
+//!   cadence and read in time windows by the SLO engine;
 //! * [`SloEngine`] / [`SloSpec`] — declarative objectives judged by
 //!   multi-window (5 m / 1 h) burn rate with hysteresis, yielding the
 //!   three-state [`Health`] surfaced on `/healthz` and `GET /debug/slo`;
-//! * [`EventLog`] / [`Event`] — a bounded leveled event ring with
+//! * [`EventLog`] / [`Event`] — the ring's use for leveled events with
 //!   monotone ids, served as JSON pages and a live SSE tail that honors
 //!   `Last-Event-ID`.
 
 #![deny(missing_docs)]
 
+mod bounded;
 mod calib;
 mod counter;
 mod event;
 mod hist;
 mod prom;
-mod ring;
 mod slo;
 mod timeseries;
 mod trace;
 
+pub use bounded::BoundedRing;
 pub use calib::{origin_bucket, CalibrationRow, CostCalibration, ORIGIN_BUCKETS};
 pub use counter::{Counter, Gauge, WorkCounters};
 pub use event::{Event, EventLevel, EventLog};
 pub use hist::{Histogram, LatencySummary, HISTOGRAM_BUCKETS};
 pub use prom::PromText;
-pub use ring::TraceRing;
 pub use slo::{Health, SloEngine, SloReport, SloRow, SloSpec, SloTransition};
 pub use timeseries::{TimeSample, TimeSeriesRing};
-pub use trace::{QueryTrace, TraceSpan};
+pub use trace::{QueryTrace, TraceRing, TraceSpan};

@@ -4,17 +4,14 @@
 //! answers "what changed over the last five minutes".  A collector thread
 //! snapshots a fixed schema of scalar series (cumulative counters, gauges,
 //! windowed latency percentiles) on a fixed cadence — default 10 s buckets
-//! retained in a 360-slot window, i.e. one hour — and the ring exposes
-//! windowed deltas, per-second rates, and the raw sample trajectory.
-//!
-//! The ring is lock-free: each slot is a seqlock (a version word that goes
-//! odd while the single writer is mid-update), so the collector's write is
-//! wait-free and HTTP readers never block it.  A reader that catches a
-//! slot mid-write simply retries that slot.  Values are `f64`; `NaN` means
-//! "no observation this tick" (e.g. a windowed percentile over an idle
-//! interval) and is skipped by the delta/rate helpers.
+//! retained in a 360-slot window, i.e. one hour — and the SLO engine reads
+//! windows of those samples on the same thread.  Values are `f64`; `NaN`
+//! means "no observation this tick" (e.g. a windowed percentile over an
+//! idle interval).
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use crate::bounded::BoundedRing;
 
 /// One materialized tick of every series in the schema.
 #[derive(Clone, Debug, PartialEq)]
@@ -28,45 +25,19 @@ pub struct TimeSample {
     pub values: Vec<f64>,
 }
 
-#[derive(Debug)]
-struct Slot {
-    /// Seqlock version: odd while the writer is mid-update.
-    version: AtomicU64,
-    seq: AtomicU64,
-    at_ms: AtomicU64,
-    /// `f64` bit patterns.
-    values: Vec<AtomicU64>,
-}
-
-/// A fixed-schema, bounded, lock-free ring of metric snapshots.
-///
-/// Single-writer: exactly one thread (the service's collector) calls
-/// [`TimeSeriesRing::record`]; any number of threads may read.  Racing
-/// writers would never be unsound (every field is atomic) but could tear
-/// each other's samples.
+/// A fixed schema of series beside a bounded ring of their samples.
 #[derive(Debug)]
 pub struct TimeSeriesRing {
     schema: Vec<&'static str>,
-    slots: Vec<Slot>,
-    ticks: AtomicU64,
+    samples: BoundedRing<TimeSample>,
 }
 
 impl TimeSeriesRing {
     /// A ring retaining `capacity` ticks (minimum 2) of the given series.
     pub fn new(schema: Vec<&'static str>, capacity: usize) -> Self {
-        let width = schema.len();
-        let capacity = capacity.max(2);
         TimeSeriesRing {
             schema,
-            slots: (0..capacity)
-                .map(|_| Slot {
-                    version: AtomicU64::new(0),
-                    seq: AtomicU64::new(0),
-                    at_ms: AtomicU64::new(0),
-                    values: (0..width).map(|_| AtomicU64::new(0)).collect(),
-                })
-                .collect(),
-            ticks: AtomicU64::new(0),
+            samples: BoundedRing::new(capacity.max(2)),
         }
     }
 
@@ -75,140 +46,36 @@ impl TimeSeriesRing {
         &self.schema
     }
 
-    /// The slot index of a series name, if present.
+    /// The value index of a series name, if present.
     pub fn index_of(&self, name: &str) -> Option<usize> {
         self.schema.iter().position(|s| *s == name)
     }
 
-    /// Number of ticks currently retained.
-    pub fn len(&self) -> usize {
-        (self.ticks.load(Ordering::Acquire) as usize).min(self.slots.len())
-    }
-
-    /// Whether no tick has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.ticks.load(Ordering::Acquire) == 0
-    }
-
-    /// Maximum ticks retained.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Total ticks ever recorded (wraparound does not reset this).
-    pub fn total_ticks(&self) -> u64 {
-        self.ticks.load(Ordering::Acquire)
-    }
-
-    /// Records one tick (single-writer).  `values` must match the schema
-    /// width; the oldest tick is overwritten once the ring is full.
-    /// Returns the 1-based tick number.
+    /// Records one tick.  `values` must match the schema width; the oldest
+    /// tick is evicted once the ring is full.  Returns the 1-based tick
+    /// number.
     pub fn record(&self, at_ms: u64, values: &[f64]) -> u64 {
         assert_eq!(values.len(), self.schema.len(), "schema width mismatch");
-        let tick = self.ticks.load(Ordering::Relaxed);
-        let slot = &self.slots[(tick as usize) % self.slots.len()];
-        slot.version.fetch_add(1, Ordering::Release); // odd: in progress
-        slot.seq.store(tick + 1, Ordering::Release);
-        slot.at_ms.store(at_ms, Ordering::Release);
-        for (cell, v) in slot.values.iter().zip(values) {
-            cell.store(v.to_bits(), Ordering::Release);
-        }
-        slot.version.fetch_add(1, Ordering::Release); // even: stable
-        self.ticks.store(tick + 1, Ordering::Release);
-        tick + 1
-    }
-
-    fn read_slot(&self, index: usize) -> Option<TimeSample> {
-        let slot = &self.slots[index];
-        loop {
-            let v1 = slot.version.load(Ordering::Acquire);
-            if v1 == 0 {
-                return None; // never written
-            }
-            if v1 % 2 == 1 {
-                std::hint::spin_loop();
-                continue; // writer mid-update; retry
-            }
-            let sample = TimeSample {
-                seq: slot.seq.load(Ordering::Acquire),
-                at_ms: slot.at_ms.load(Ordering::Acquire),
-                values: slot
-                    .values
-                    .iter()
-                    .map(|c| f64::from_bits(c.load(Ordering::Acquire)))
-                    .collect(),
-            };
-            if slot.version.load(Ordering::Acquire) == v1 {
-                return Some(sample);
-            }
-        }
-    }
-
-    /// The most recent `n` ticks, oldest first.
-    pub fn recent(&self, n: usize) -> Vec<TimeSample> {
-        let ticks = self.ticks.load(Ordering::Acquire);
-        let have = (ticks as usize).min(self.slots.len());
-        let take = n.min(have);
-        let mut out = Vec::with_capacity(take);
-        for back in (0..take).rev() {
-            let tick = ticks - 1 - back as u64;
-            if let Some(s) = self.read_slot((tick as usize) % self.slots.len()) {
-                // A slot lapped by the writer mid-read carries a newer seq;
-                // keep it only if it is the tick we asked for.
-                if s.seq == tick + 1 {
-                    out.push(s);
-                }
-            }
-        }
-        out
+        let values = values.to_vec();
+        self.samples
+            .push(|seq| Arc::new(TimeSample { seq, at_ms, values }))
     }
 
     /// The latest tick, if any.
-    pub fn latest(&self) -> Option<TimeSample> {
-        self.recent(1).pop()
+    pub fn latest(&self) -> Option<Arc<TimeSample>> {
+        self.samples.read(|samples| samples.back().cloned())
     }
 
     /// Retained ticks with `at_ms >= now_ms - window_ms`, oldest first.
-    pub fn window(&self, window_ms: u64, now_ms: u64) -> Vec<TimeSample> {
+    pub fn window(&self, window_ms: u64, now_ms: u64) -> Vec<Arc<TimeSample>> {
         let cutoff = now_ms.saturating_sub(window_ms);
-        let mut samples = self.recent(self.slots.len());
-        samples.retain(|s| s.at_ms >= cutoff);
-        samples
-    }
-
-    /// Last-minus-first finite value of `name` over the window — the
-    /// growth of a cumulative counter.  `None` when the series is unknown
-    /// or fewer than two finite samples fall in the window.
-    pub fn delta(&self, name: &str, window_ms: u64, now_ms: u64) -> Option<f64> {
-        let idx = self.index_of(name)?;
-        let finite: Vec<(u64, f64)> = self
-            .window(window_ms, now_ms)
-            .into_iter()
-            .filter(|s| s.values[idx].is_finite())
-            .map(|s| (s.at_ms, s.values[idx]))
-            .collect();
-        let (first, last) = (finite.first()?, finite.last()?);
-        if first.0 == last.0 {
-            return None;
-        }
-        Some(last.1 - first.1)
-    }
-
-    /// Windowed delta divided by the elapsed seconds between the first and
-    /// last finite samples: the per-second rate of a cumulative counter.
-    pub fn rate_per_sec(&self, name: &str, window_ms: u64, now_ms: u64) -> Option<f64> {
-        let idx = self.index_of(name)?;
-        let finite: Vec<(u64, f64)> = self
-            .window(window_ms, now_ms)
-            .into_iter()
-            .filter(|s| s.values[idx].is_finite())
-            .map(|s| (s.at_ms, s.values[idx]))
-            .collect();
-        let (first, last) = (finite.first()?, finite.last()?);
-        if last.0 <= first.0 {
-            return None;
-        }
-        Some((last.1 - first.1) / ((last.0 - first.0) as f64 / 1000.0))
+        self.samples.read(|samples| {
+            samples
+                .iter()
+                .filter(|s| s.at_ms >= cutoff)
+                .cloned()
+                .collect()
+        })
     }
 }
 
@@ -220,13 +87,18 @@ mod tests {
         TimeSeriesRing::new(vec!["submitted", "queued", "ttfa_p99_us"], 4)
     }
 
+    /// Every retained tick, oldest first.
+    fn all(r: &TimeSeriesRing) -> Vec<Arc<TimeSample>> {
+        r.window(u64::MAX, u64::MAX)
+    }
+
     #[test]
     fn records_and_reads_back_in_order() {
         let r = ring();
-        assert!(r.is_empty());
+        assert!(r.latest().is_none());
         r.record(1000, &[1.0, 0.0, 50.0]);
         r.record(2000, &[3.0, 1.0, 60.0]);
-        let samples = r.recent(10);
+        let samples = all(&r);
         assert_eq!(samples.len(), 2);
         assert_eq!(samples[0].seq, 1);
         assert_eq!(samples[1].at_ms, 2000);
@@ -240,41 +112,8 @@ mod tests {
         for i in 0..10u64 {
             r.record(i * 1000, &[i as f64, 0.0, 0.0]);
         }
-        assert_eq!(r.total_ticks(), 10);
-        assert_eq!(r.len(), 4);
-        let seqs: Vec<u64> = r.recent(10).iter().map(|s| s.seq).collect();
+        let seqs: Vec<u64> = all(&r).iter().map(|s| s.seq).collect();
         assert_eq!(seqs, vec![7, 8, 9, 10], "oldest first, post-wrap");
-    }
-
-    #[test]
-    fn windowed_delta_and_rate() {
-        let r = TimeSeriesRing::new(vec!["executed"], 16);
-        for i in 0..6u64 {
-            r.record(i * 1000, &[(i * 10) as f64]);
-        }
-        // full window: 0 → 50 over 5 s
-        assert_eq!(r.delta("executed", 10_000, 5_000), Some(50.0));
-        assert_eq!(r.rate_per_sec("executed", 10_000, 5_000), Some(10.0));
-        // 2 s window ending at t=5s covers ticks at 3,4,5 s: 30 → 50
-        assert_eq!(r.delta("executed", 2_000, 5_000), Some(20.0));
-        assert_eq!(r.delta("nope", 10_000, 5_000), None);
-        assert_eq!(
-            r.delta("executed", 0, 5_000),
-            None,
-            "single-sample window has no delta"
-        );
-    }
-
-    #[test]
-    fn nan_samples_are_skipped_by_delta_and_rate() {
-        let r = TimeSeriesRing::new(vec!["p99"], 8);
-        r.record(0, &[10.0]);
-        r.record(1000, &[f64::NAN]);
-        r.record(2000, &[30.0]);
-        assert_eq!(r.delta("p99", 10_000, 2_000), Some(20.0));
-        assert_eq!(r.rate_per_sec("p99", 10_000, 2_000), Some(10.0));
-        let latest = r.latest().unwrap();
-        assert!(latest.values[0].is_finite());
     }
 
     #[test]
@@ -286,41 +125,5 @@ mod tests {
         let w = r.window(1_500, 4_000);
         assert_eq!(w.len(), 2, "ticks at 3000 and 4000 ms");
         assert_eq!(w[0].at_ms, 3000);
-    }
-
-    #[test]
-    fn concurrent_readers_never_see_torn_samples() {
-        use std::sync::Arc;
-        let r = Arc::new(TimeSeriesRing::new(vec!["a", "b"], 8));
-        let writer = {
-            let r = Arc::clone(&r);
-            std::thread::spawn(move || {
-                for i in 0..20_000u64 {
-                    // a and b always move together; a torn read breaks that.
-                    r.record(i, &[i as f64, (i * 2) as f64]);
-                }
-            })
-        };
-        let readers: Vec<_> = (0..3)
-            .map(|_| {
-                let r = Arc::clone(&r);
-                std::thread::spawn(move || {
-                    for _ in 0..2_000 {
-                        for s in r.recent(8) {
-                            assert_eq!(
-                                s.values[1],
-                                s.values[0] * 2.0,
-                                "torn sample at seq {}",
-                                s.seq
-                            );
-                        }
-                    }
-                })
-            })
-            .collect();
-        writer.join().unwrap();
-        for h in readers {
-            h.join().unwrap();
-        }
     }
 }

@@ -5,7 +5,12 @@
 //! moment the service first saw the query, plus a small table of engine
 //! work counters sampled at completion.  Offsets (rather than absolute
 //! timestamps) make traces cheap to record, trivially serializable, and
-//! self-consistent: every span is bounded by `[0, total_us]`.
+//! self-consistent: every span is bounded by `[0, total_us]`.  A
+//! [`TraceRing`] retains the traced and slow ones.
+
+use std::sync::Arc;
+
+use crate::bounded::BoundedRing;
 
 /// One named phase of a query's lifecycle.
 ///
@@ -86,9 +91,92 @@ impl QueryTrace {
     }
 }
 
+/// A bounded ring of recently retained [`QueryTrace`]s.
+///
+/// The service pushes every explicitly traced query plus every query that
+/// crossed the slow threshold; the oldest trace is dropped when the ring
+/// is full, and counted.  Lookups by query id serve
+/// `GET /debug/trace/<id>`; the recent-slow view serves `GET /debug/slow`.
+pub type TraceRing = BoundedRing<QueryTrace>;
+
+impl TraceRing {
+    /// The trace for query `id`, if still retained.
+    pub fn get(&self, id: u64) -> Option<Arc<QueryTrace>> {
+        self.read(|traces| traces.iter().rev().find(|t| t.id == id).cloned())
+    }
+
+    /// The most recent retained traces, newest first, capped at `limit`.
+    /// When `slow_only` is set, only traces that crossed the slow
+    /// threshold are returned.
+    pub fn recent(&self, limit: usize, slow_only: bool) -> Vec<Arc<QueryTrace>> {
+        self.read(|traces| {
+            traces
+                .iter()
+                .rev()
+                .filter(|t| !slow_only || t.slow)
+                .take(limit)
+                .cloned()
+                .collect()
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn trace(id: u64, slow: bool) -> Arc<QueryTrace> {
+        Arc::new(QueryTrace {
+            id,
+            slow,
+            ..QueryTrace::default()
+        })
+    }
+
+    #[test]
+    fn ring_evicts_oldest_at_capacity() {
+        let ring = TraceRing::new(3);
+        for id in 1..=5 {
+            ring.push(|_| trace(id, false));
+        }
+        assert_eq!(ring.len(), 3);
+        assert_eq!(ring.dropped(), 2, "evictions are counted");
+        assert!(ring.get(1).is_none());
+        assert!(ring.get(2).is_none());
+        assert!(ring.get(3).is_some());
+        assert!(ring.get(5).is_some());
+    }
+
+    #[test]
+    fn recent_is_newest_first_and_filters_slow() {
+        let ring = TraceRing::new(10);
+        ring.push(|_| trace(1, true));
+        ring.push(|_| trace(2, false));
+        ring.push(|_| trace(3, true));
+
+        let all: Vec<u64> = ring.recent(10, false).iter().map(|t| t.id).collect();
+        assert_eq!(all, vec![3, 2, 1]);
+
+        let slow: Vec<u64> = ring.recent(10, true).iter().map(|t| t.id).collect();
+        assert_eq!(slow, vec![3, 1]);
+
+        assert_eq!(ring.recent(1, false).len(), 1);
+    }
+
+    #[test]
+    fn duplicate_ids_resolve_to_the_newest() {
+        let ring = TraceRing::new(4);
+        for total_us in [100, 200] {
+            ring.push(|_| {
+                Arc::new(QueryTrace {
+                    id: 9,
+                    total_us,
+                    ..QueryTrace::default()
+                })
+            });
+        }
+        assert_eq!(ring.get(9).unwrap().total_us, 200);
+    }
 
     #[test]
     fn spans_and_counters_are_retrievable_by_name() {

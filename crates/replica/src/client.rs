@@ -210,8 +210,8 @@ pub(crate) fn get(
 
 /// Opens a streaming GET and returns the reader positioned at the body,
 /// with `read_timeout` set on the socket so callers can poll a stop flag
-/// between SSE lines.  Non-200 responses drain the error body into the
-/// returned [`Response`]-shaped error string.
+/// between SSE lines.  A non-200 response is an error carrying at most
+/// [`MAX_HEAD_BYTES`] of its body.
 pub(crate) fn open_stream(
     url: &LeaderUrl,
     path: &str,
@@ -225,8 +225,10 @@ pub(crate) fn open_stream(
     let mut reader = BufReader::new(stream);
     let (status, _) = read_head(&mut reader)?;
     if status != 200 {
+        // The message lands in a `replication-disconnect` event on every
+        // retry, so the peer's error body is read only up to a bound.
         let mut body = Vec::new();
-        let _ = reader.read_to_end(&mut body);
+        let _ = reader.take(MAX_HEAD_BYTES).read_to_end(&mut body);
         return Err(std::io::Error::other(format!(
             "leader answered {status} on {}: {}",
             path,
@@ -285,6 +287,16 @@ mod tests {
         let url = stub(vec![b'H'; 4 * MAX_HEAD_BYTES as usize]);
         let err = open_stream(&url, "/replication/stream", &[], WAIT, WAIT).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    }
+
+    #[test]
+    fn a_refused_stream_reads_a_bounded_error_body() {
+        let mut answer = b"HTTP/1.1 500 Internal Server Error\r\n\r\n".to_vec();
+        answer.resize(answer.len() + (4 << 20), b'x');
+        let err = open_stream(&stub(answer), "/replication/stream", &[], WAIT, WAIT).unwrap_err();
+        let message = err.to_string();
+        assert!(message.starts_with("leader answered 500"), "{message:.80}");
+        assert!(message.len() < 64 * 1024, "{} bytes", message.len());
     }
 
     #[test]

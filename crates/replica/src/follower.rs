@@ -8,12 +8,11 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use banks_core::json::{self, JsonValue};
-use banks_core::sse::SseParser;
+use banks_core::sse::{from_hex, SseParser};
 use banks_obs::EventLevel;
 use banks_service::{decode_record, ReplicationApplyError, ReplicationRole, Service};
 
 use crate::client::{self, LeaderUrl};
-use crate::from_hex;
 
 /// How long a connect / one-shot GET may take before the attempt counts
 /// as failed and backoff kicks in.
@@ -259,7 +258,8 @@ fn apply_record(service: &Arc<Service>, data: &str) -> Result<(), ApplyOutcome> 
         .get("payload")
         .and_then(JsonValue::as_str)
         .ok_or_else(|| ApplyOutcome::Fatal("record event without payload".to_string()))?;
-    let bytes = from_hex(payload).map_err(ApplyOutcome::Fatal)?;
+    let bytes = from_hex(payload)
+        .map_err(|e| ApplyOutcome::Fatal(format!("record payload is not hex: {e}")))?;
     let (record, _) = decode_record(&bytes)
         .map_err(|e| ApplyOutcome::Fatal(format!("record payload does not decode: {e}")))?;
     match service.apply_replicated(&record) {

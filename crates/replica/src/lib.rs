@@ -78,31 +78,3 @@ mod follower;
 
 pub use client::{LeaderUrl, Response};
 pub use follower::Follower;
-
-/// Decodes lowercase/uppercase hex into bytes (the `payload` encoding of
-/// replication `record` events).
-pub fn from_hex(text: &str) -> Result<Vec<u8>, String> {
-    if !text.len().is_multiple_of(2) {
-        return Err(format!("odd hex length {}", text.len()));
-    }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16)
-                .map_err(|_| format!("invalid hex at offset {i}"))
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::from_hex;
-
-    #[test]
-    fn hex_round_trips() {
-        assert_eq!(from_hex("").unwrap(), Vec::<u8>::new());
-        assert_eq!(from_hex("00ff10Ab").unwrap(), vec![0x00, 0xff, 0x10, 0xab]);
-        assert!(from_hex("0").is_err(), "odd length");
-        assert!(from_hex("zz").is_err(), "non-hex digits");
-    }
-}

@@ -10,8 +10,12 @@
 //! * a follower whose cursor falls behind the leader's WAL truncation
 //!   horizon re-bootstraps automatically and still converges;
 //! * the follower's replicated state is durable: a rebuilt service over
-//!   the follower's data directory serves the replicated epoch.
+//!   the follower's data directory serves the replicated epoch;
+//! * a record the follower cannot decode ends the session, never the
+//!   follower thread: it disconnects and connects again.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -336,4 +340,60 @@ fn an_unreachable_leader_retries_without_panicking() {
         panic!("https URL must be rejected at start");
     };
     assert!(err.contains("https"), "err: {err}");
+}
+
+#[test]
+fn a_payload_that_is_not_hex_disconnects_and_reconnects() {
+    // A stub leader for two sessions, each streaming one `record` event
+    // with a multi-byte character straddling the first hex digit pair.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let url = format!("http://{}", listener.local_addr().unwrap());
+    let leader = std::thread::spawn(move || {
+        for stream in listener.incoming().take(2) {
+            let mut stream = stream.unwrap();
+            let mut request = BufReader::new(stream.try_clone().unwrap());
+            let mut line = String::new();
+            while request.read_line(&mut line).unwrap_or(0) > 2 {
+                line.clear();
+            }
+            let _ = stream.write_all(
+                "HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\n\r\n\
+                 event: record\nid: 1\ndata: {\"payload\":\"a\u{e9}b\"}\n\n"
+                    .as_bytes(),
+            );
+        }
+    });
+
+    let follower = Arc::new(Service::builder(boot_graph()).workers(1).build());
+    let client = Follower::start(Arc::clone(&follower), &url).unwrap();
+    let lifecycle = || {
+        follower
+            .events()
+            .since(0, 10_000)
+            .into_iter()
+            .filter(|e| e.kind.starts_with("replication-"))
+            .collect::<Vec<_>>()
+    };
+    assert!(
+        wait_for(Duration::from_secs(10), || lifecycle().len() >= 3),
+        "the follower stopped after {:?}",
+        lifecycle().iter().map(|e| e.kind).collect::<Vec<_>>()
+    );
+    let events = lifecycle();
+    let kinds: Vec<&str> = events.iter().take(3).map(|e| e.kind).collect();
+    assert_eq!(
+        kinds,
+        [
+            "replication-connect",
+            "replication-disconnect",
+            "replication-connect"
+        ]
+    );
+    assert!(
+        events[1].message.contains("not hex"),
+        "{}",
+        events[1].message
+    );
+    client.stop();
+    leader.join().unwrap();
 }

@@ -28,6 +28,8 @@
 
 use std::io::{BufRead, Write};
 
+use banks_core::sse::from_hex;
+
 /// Idle seconds a kept-alive connection is allowed between requests.
 /// Single source of truth: advertised in the `Keep-Alive` response header
 /// by [`write_response`] and enforced (as the socket read timeout between
@@ -149,9 +151,9 @@ pub fn percent_decode(s: &str) -> String {
                 out.push(b' ');
                 i += 1;
             }
-            b'%' => match (hex_val(bytes.get(i + 1)), hex_val(bytes.get(i + 2))) {
-                (Some(hi), Some(lo)) => {
-                    out.push(hi * 16 + lo);
+            b'%' => match bytes.get(i + 1..i + 3).map(from_hex) {
+                Some(Ok(decoded)) => {
+                    out.extend(decoded);
                     i += 3;
                 }
                 _ => {
@@ -166,15 +168,6 @@ pub fn percent_decode(s: &str) -> String {
         }
     }
     String::from_utf8_lossy(&out).into_owned()
-}
-
-fn hex_val(b: Option<&u8>) -> Option<u8> {
-    match b {
-        Some(b @ b'0'..=b'9') => Some(b - b'0'),
-        Some(b @ b'a'..=b'f') => Some(b - b'a' + 10),
-        Some(b @ b'A'..=b'F') => Some(b - b'A' + 10),
-        _ => None,
-    }
 }
 
 /// Reads one line (up to LF), stripping the trailing CRLF/LF.  Counts the

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use banks_core::json as corejson;
-use banks_core::sse::SseWriter;
+use banks_core::sse::{to_hex, SseWriter};
 use banks_core::EmissionPolicy;
 use banks_graph::{GraphMutation, MutationBatch, NodeId, OpEffect};
 use banks_service::{
@@ -387,19 +387,6 @@ fn respond_slo_update(
     };
     let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
     keep_alive
-}
-
-/// Lowercase hex of `bytes` — the `payload` encoding of replication
-/// `record` events (the exact WAL record bytes, CRC framing included, so
-/// the follower re-verifies integrity end to end).
-fn to_hex(bytes: &[u8]) -> String {
-    const DIGITS: &[u8; 16] = b"0123456789abcdef";
-    let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push(DIGITS[(b >> 4) as usize] as char);
-        out.push(DIGITS[(b & 0x0f) as usize] as char);
-    }
-    out
 }
 
 /// The `head` event payload: where the leader is, where its truncation

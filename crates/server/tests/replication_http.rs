@@ -61,14 +61,6 @@ fn tmp_dir(tag: &str) -> std::path::PathBuf {
     ))
 }
 
-fn from_hex(text: &str) -> Vec<u8> {
-    assert!(text.len().is_multiple_of(2), "odd hex length: {text:?}");
-    (0..text.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&text[i..i + 2], 16).expect("hex digit pair"))
-        .collect()
-}
-
 /// A raw client on `GET /replication/stream`, handing frames out as they
 /// arrive.
 struct Tail {
@@ -244,7 +236,7 @@ fn stream_ships_wal_records_that_decode_and_resume() {
         let epoch = data.get("epoch").and_then(JsonValue::as_usize).unwrap() as u64;
         assert_eq!(frame.id, Some(epoch), "id: must carry the record epoch");
         let payload = data.get("payload").and_then(|p| p.as_str()).unwrap();
-        let (record, _) = decode_record(&from_hex(payload)).expect("payload decodes");
+        let (record, _) = decode_record(&sse::from_hex(payload).unwrap()).expect("payload decodes");
         assert_eq!(record.epoch, epoch);
         assert_eq!(record.parent_epoch, parent);
         parent = epoch;

@@ -18,10 +18,8 @@ const QUEUE_SATURATION_TRIP: f64 = 0.8;
 const QUEUE_SATURATION_CLEAR: f64 = 0.5;
 
 /// The fixed schema of series the collector snapshots every tick.
-/// Cumulative counters keep their counter names (windowed deltas/rates come
-/// from [`banks_obs::TimeSeriesRing::delta`] /
-/// [`banks_obs::TimeSeriesRing::rate_per_sec`]);
-/// `*_p*_us` series are **windowed** percentiles — computed from the
+/// Cumulative counters and gauges keep their counter names and are
+/// sampled as they stand; `*_p*_us` series are **windowed** percentiles — computed from the
 /// histogram-bucket delta of the tick, `NaN` when the tick saw no samples —
 /// so they decay when a latency regression ends, which is what lets an SLO
 /// alert resolve.

@@ -306,7 +306,7 @@ impl Service {
         trace.push_counter("accepted", accepted as u64);
         trace.push_counter("rejected", rejected as u64);
         let trace = Arc::new(trace);
-        self.inner.traces.push(Arc::clone(&trace));
+        self.inner.traces.push(|_| Arc::clone(&trace));
 
         MutationReport {
             epoch,

@@ -1225,7 +1225,7 @@ fn finish(
             }
         }
         let trace = Arc::new(trace);
-        inner.traces.push(Arc::clone(&trace));
+        inner.traces.push(|_| Arc::clone(&trace));
         trace
     });
     if slow {

@@ -57,7 +57,10 @@ fn collector_populates_the_time_series_ring() {
         assert!(!outcome.answers.is_empty());
     }
     assert!(
-        wait_for(Duration::from_secs(5), || service.time_series().len() >= 3),
+        wait_for(Duration::from_secs(5), || service
+            .time_series()
+            .latest()
+            .is_some_and(|s| s.seq >= 3)),
         "collector never recorded 3 ticks"
     );
     let series = service.time_series();
