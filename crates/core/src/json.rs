@@ -388,12 +388,16 @@ impl Parser<'_> {
                     return Err(format!("raw control byte in string at offset {}", self.pos))
                 }
                 Some(_) => {
-                    // copy one UTF-8 scalar (input is &str, so boundaries are valid)
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
+                    // copy the whole run up to the next quote, escape or
+                    // control byte; it ends at an ASCII byte of a `&str`,
+                    // so it is whole UTF-8, and each byte is looked at once
+                    let start = self.pos;
+                    while let Some(b' '..=b'!' | b'#'..=b'[' | b']'..) = self.peek() {
+                        self.pos += 1;
+                    }
+                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
                         .map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
                 }
             }
         }
@@ -592,6 +596,18 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        let body = format!("{{\"q\":\"{}é\"}}", "a".repeat(1 << 20));
+        let started = std::time::Instant::now();
+        let value = parse(&body).unwrap();
+        assert!(started.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(
+            value.get("q").and_then(JsonValue::as_str).map(str::len),
+            Some((1 << 20) + 2)
+        );
     }
 
     #[test]

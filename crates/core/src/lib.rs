@@ -63,7 +63,8 @@
 //! and shares the same cancellation tokens and work-budget deadlines.  The
 //! wire codecs the front-end and the follower share live here too:
 //! [`json`] renders and parses JSON, [`sse`] writes and parses server-sent
-//! events and hex-codes binary payloads.
+//! events and hex-codes binary payloads, and [`http`] reads HTTP/1.1
+//! message heads.
 //!
 //! ## The engines
 //!
@@ -103,6 +104,7 @@ pub mod cache;
 pub mod cancel;
 pub mod cost;
 pub mod engine;
+pub mod http;
 pub mod json;
 pub mod output;
 pub mod params;

@@ -1,4 +1,11 @@
-//! Stable binary serialization of [`GraphMutation`] batches.
+//! The workspace's one little-endian byte codec, and the stable binary
+//! serialization of [`GraphMutation`] batches built on it.
+//!
+//! [`Cursor`] and the `put_*` writers are how every binary format is read
+//! and written: mutation batches here, WAL records and snapshots in
+//! `banks-persist`.  Every read is checked against the remaining input
+//! and fails with a typed [`CodecError`] instead of panicking — the bytes
+//! may come off a disk that crashed mid-write or a peer that lies.
 //!
 //! The write-ahead log in `banks-persist` appends every accepted
 //! [`MutationBatch`] to disk and replays it after a crash, so the encoding
@@ -7,10 +14,11 @@
 //! stored as raw IEEE-754 bit patterns so a replayed batch reproduces the
 //! pre-crash graph bit for bit.
 //!
-//! Decoding is totally defensive — truncated, oversized or unknown-tag
-//! input yields [`GraphError::ParseError`] (with the failing op index as
-//! the `line`), never a panic, because the bytes may come off a torn or
-//! corrupted log.
+//! Decoding a batch is totally defensive — truncated, oversized or
+//! unknown-tag input yields [`GraphError::ParseError`] (with the failing op
+//! index as the `line`), never a panic.
+
+use std::fmt;
 
 use crate::error::GraphError;
 use crate::ids::NodeId;
@@ -27,6 +35,229 @@ const TAG_SET_LABEL: u8 = 3;
 const TAG_SET_WEIGHT: u8 = 4;
 const TAG_REMOVE_NODE: u8 = 5;
 
+// ------------------------------------------------------------------ writing
+
+/// Appends a `u16` in little-endian order.
+pub fn put_u16(buf: &mut Vec<u8>, v: u16) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u32` in little-endian order.
+pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends a `u64` in little-endian order.
+pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
+    buf.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Appends an `f64` as its raw IEEE-754 bit pattern (bit-exact round trip).
+pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
+    put_u64(buf, v.to_bits());
+}
+
+/// Appends a length-prefixed UTF-8 string (`len: u32` + bytes).
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
+    put_u32(buf, s.len() as u32);
+    buf.extend_from_slice(s.as_bytes());
+}
+
+/// Appends a `[u32]` slice verbatim (little-endian elements).
+pub fn put_u32_slice(buf: &mut Vec<u8>, vs: &[u32]) {
+    buf.reserve(vs.len() * 4);
+    for &v in vs {
+        put_u32(buf, v);
+    }
+}
+
+/// Appends an `[f64]` slice as raw bit patterns.
+pub fn put_f64_slice(buf: &mut Vec<u8>, vs: &[f64]) {
+    buf.reserve(vs.len() * 8);
+    for &v in vs {
+        put_f64(buf, v);
+    }
+}
+
+// ------------------------------------------------------------------ reading
+
+/// Why a [`Cursor`] read failed.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CodecError {
+    /// The input ends inside the value being read.
+    Truncated {
+        /// Offset of the value's first byte within the containing input.
+        offset: u64,
+        /// What was being read.
+        region: &'static str,
+    },
+    /// The bytes are there but do not form a valid value.
+    Corrupt {
+        /// Human-readable description of the problem.
+        detail: String,
+    },
+}
+
+impl fmt::Display for CodecError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CodecError::Truncated { offset, region } => {
+                write!(f, "input truncated at byte {offset} while reading {region}")
+            }
+            CodecError::Corrupt { detail } => f.write_str(detail),
+        }
+    }
+}
+
+impl std::error::Error for CodecError {}
+
+/// Result of a [`Cursor`] read.
+pub type CodecResult<T> = std::result::Result<T, CodecError>;
+
+/// Bounds-checked little-endian cursor over a byte slice.
+pub struct Cursor<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Offset of `bytes[0]` within the containing input, for errors.
+    base_offset: u64,
+}
+
+impl<'a> Cursor<'a> {
+    /// Wraps a slice whose first byte sits at `base_offset` in its input.
+    pub fn new(bytes: &'a [u8], base_offset: u64) -> Self {
+        Cursor {
+            bytes,
+            pos: 0,
+            base_offset,
+        }
+    }
+
+    /// Bytes not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// True when every byte has been consumed.
+    pub fn is_done(&self) -> bool {
+        self.remaining() == 0
+    }
+
+    /// Absolute offset of the next unread byte.
+    pub fn offset(&self) -> u64 {
+        self.base_offset + self.pos as u64
+    }
+
+    /// Takes `n` raw bytes.
+    pub fn take(&mut self, n: usize, region: &'static str) -> CodecResult<&'a [u8]> {
+        if self.remaining() < n {
+            return Err(CodecError::Truncated {
+                offset: self.offset(),
+                region,
+            });
+        }
+        let slice = &self.bytes[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    fn array<const N: usize>(&mut self, region: &'static str) -> CodecResult<[u8; N]> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N, region)?);
+        Ok(out)
+    }
+
+    /// Reads a `u8`.
+    pub fn u8(&mut self, region: &'static str) -> CodecResult<u8> {
+        Ok(self.take(1, region)?[0])
+    }
+
+    /// Reads a little-endian `u16`.
+    pub fn u16(&mut self, region: &'static str) -> CodecResult<u16> {
+        self.array(region).map(u16::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u32`.
+    pub fn u32(&mut self, region: &'static str) -> CodecResult<u32> {
+        self.array(region).map(u32::from_le_bytes)
+    }
+
+    /// Reads a little-endian `u64`.
+    pub fn u64(&mut self, region: &'static str) -> CodecResult<u64> {
+        self.array(region).map(u64::from_le_bytes)
+    }
+
+    /// Reads an `f64` bit pattern.
+    pub fn f64(&mut self, region: &'static str) -> CodecResult<f64> {
+        self.u64(region).map(f64::from_bits)
+    }
+
+    /// Reads a `u64` and validates it as an element count: `count * width`
+    /// must fit in the remaining input, which bounds allocations by the
+    /// input size no matter what a corrupt header claims.
+    pub fn count(&mut self, width: usize, region: &'static str) -> CodecResult<usize> {
+        let count = self.u64(region)? as usize;
+        if count
+            .checked_mul(width)
+            .is_none_or(|bytes| bytes > self.remaining())
+        {
+            return Err(CodecError::Corrupt {
+                detail: format!(
+                    "{region}: count {count} x {width} bytes exceeds the {} bytes left",
+                    self.remaining()
+                ),
+            });
+        }
+        Ok(count)
+    }
+
+    /// Reads a length-prefixed UTF-8 string.
+    pub fn string(&mut self, region: &'static str) -> CodecResult<String> {
+        self.str(region).map(str::to_owned)
+    }
+
+    /// Reads a length-prefixed UTF-8 string in place, for callers that
+    /// store it in a form other than `String`.
+    pub fn str(&mut self, region: &'static str) -> CodecResult<&'a str> {
+        let len = self.u32(region)? as usize;
+        let bytes = self.take(len, region)?;
+        std::str::from_utf8(bytes).map_err(|e| CodecError::Corrupt {
+            detail: format!("{region}: invalid UTF-8: {e}"),
+        })
+    }
+
+    /// Reads `n` little-endian `u32`s, decoding them as the iterator runs.
+    pub fn u32s(
+        &mut self,
+        n: usize,
+        region: &'static str,
+    ) -> CodecResult<impl Iterator<Item = u32> + 'a> {
+        let raw = self.take(n.saturating_mul(4), region)?;
+        Ok(raw
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes([c[0], c[1], c[2], c[3]])))
+    }
+
+    /// Reads `n` little-endian `u32`s.
+    pub fn u32_vec(&mut self, n: usize, region: &'static str) -> CodecResult<Vec<u32>> {
+        self.u32s(n, region).map(Iterator::collect)
+    }
+
+    /// Reads `n` `f64` bit patterns.
+    pub fn f64_vec(&mut self, n: usize, region: &'static str) -> CodecResult<Vec<f64>> {
+        let raw = self.take(n.saturating_mul(8), region)?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|c| {
+                f64::from_bits(u64::from_le_bytes([
+                    c[0], c[1], c[2], c[3], c[4], c[5], c[6], c[7],
+                ]))
+            })
+            .collect())
+    }
+}
+
+// ---------------------------------------------------------- mutation batches
+
 /// Encodes a batch into a self-describing byte string.
 ///
 /// Layout: `version: u8`, `op_count: u32`, then each op as a `tag: u8`
@@ -36,7 +267,7 @@ const TAG_REMOVE_NODE: u8 = 5;
 pub fn encode_batch(batch: &MutationBatch) -> Vec<u8> {
     let mut buf = Vec::with_capacity(8 + batch.len() * 16);
     buf.push(CODEC_VERSION);
-    buf.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+    put_u32(&mut buf, batch.len() as u32);
     for op in batch.ops() {
         match op {
             GraphMutation::AddNode { kind, label } => {
@@ -46,35 +277,35 @@ pub fn encode_batch(batch: &MutationBatch) -> Vec<u8> {
             }
             GraphMutation::AddEdge { from, to, weight } => {
                 buf.push(TAG_ADD_EDGE);
-                buf.extend_from_slice(&from.0.to_le_bytes());
-                buf.extend_from_slice(&to.0.to_le_bytes());
+                put_u32(&mut buf, from.0);
+                put_u32(&mut buf, to.0);
                 match weight {
                     Some(w) => {
                         buf.push(1);
-                        buf.extend_from_slice(&w.to_bits().to_le_bytes());
+                        put_f64(&mut buf, *w);
                     }
                     None => buf.push(0),
                 }
             }
             GraphMutation::RemoveEdge { from, to } => {
                 buf.push(TAG_REMOVE_EDGE);
-                buf.extend_from_slice(&from.0.to_le_bytes());
-                buf.extend_from_slice(&to.0.to_le_bytes());
+                put_u32(&mut buf, from.0);
+                put_u32(&mut buf, to.0);
             }
             GraphMutation::SetLabel { node, label } => {
                 buf.push(TAG_SET_LABEL);
-                buf.extend_from_slice(&node.0.to_le_bytes());
+                put_u32(&mut buf, node.0);
                 put_str(&mut buf, label);
             }
             GraphMutation::SetWeight { from, to, weight } => {
                 buf.push(TAG_SET_WEIGHT);
-                buf.extend_from_slice(&from.0.to_le_bytes());
-                buf.extend_from_slice(&to.0.to_le_bytes());
-                buf.extend_from_slice(&weight.to_bits().to_le_bytes());
+                put_u32(&mut buf, from.0);
+                put_u32(&mut buf, to.0);
+                put_f64(&mut buf, *weight);
             }
             GraphMutation::RemoveNode { node } => {
                 buf.push(TAG_REMOVE_NODE);
-                buf.extend_from_slice(&node.0.to_le_bytes());
+                put_u32(&mut buf, node.0);
             }
         }
     }
@@ -87,140 +318,139 @@ pub fn encode_batch(batch: &MutationBatch) -> Vec<u8> {
 /// invalid UTF-8 with [`GraphError::ParseError`]; the reported `line` is
 /// the 1-based index of the op being decoded (0 for header problems).
 pub fn decode_batch(bytes: &[u8]) -> Result<MutationBatch> {
-    let mut r = Reader::new(bytes);
-    let version = r.u8(0)?;
+    let mut op = 0;
+    decode_ops(&mut Cursor::new(bytes, 0), &mut op).map_err(|e| GraphError::ParseError {
+        line: op,
+        message: e.to_string(),
+    })
+}
+
+/// The body of [`decode_batch`]; `op` tracks the op being decoded.
+fn decode_ops(c: &mut Cursor<'_>, op: &mut usize) -> CodecResult<MutationBatch> {
+    let corrupt = |detail: String| CodecError::Corrupt { detail };
+    let version = c.u8("codec version")?;
     if version != CODEC_VERSION {
-        return Err(parse_err(
-            0,
-            format!("unsupported mutation codec version {version}"),
-        ));
+        return Err(corrupt(format!(
+            "unsupported mutation codec version {version}"
+        )));
     }
-    let count = r.u32(0)? as usize;
+    let count = c.u32("op count")? as usize;
     // A conservative bound: every op needs at least 1 tag byte.
-    if count > bytes.len() {
-        return Err(parse_err(
-            0,
-            format!("op count {count} exceeds payload of {} bytes", bytes.len()),
-        ));
+    if count > c.remaining() {
+        return Err(corrupt(format!(
+            "op count {count} exceeds the {} bytes left",
+            c.remaining()
+        )));
     }
     let mut batch = MutationBatch::new();
     for i in 1..=count {
-        let op = match r.u8(i)? {
+        *op = i;
+        let mutation = match c.u8("op tag")? {
             TAG_ADD_NODE => GraphMutation::AddNode {
-                kind: r.string(i)?,
-                label: r.string(i)?,
+                kind: c.string("node kind")?,
+                label: c.string("node label")?,
             },
             TAG_ADD_EDGE => {
-                let from = NodeId(r.u32(i)?);
-                let to = NodeId(r.u32(i)?);
-                let weight = match r.u8(i)? {
+                let from = NodeId(c.u32("node id")?);
+                let to = NodeId(c.u32("node id")?);
+                let weight = match c.u8("weight flag")? {
                     0 => None,
-                    1 => Some(f64::from_bits(r.u64(i)?)),
-                    other => {
-                        return Err(parse_err(i, format!("invalid weight flag {other}")));
-                    }
+                    1 => Some(c.f64("edge weight")?),
+                    other => return Err(corrupt(format!("invalid weight flag {other}"))),
                 };
                 GraphMutation::AddEdge { from, to, weight }
             }
             TAG_REMOVE_EDGE => GraphMutation::RemoveEdge {
-                from: NodeId(r.u32(i)?),
-                to: NodeId(r.u32(i)?),
+                from: NodeId(c.u32("node id")?),
+                to: NodeId(c.u32("node id")?),
             },
             TAG_SET_LABEL => GraphMutation::SetLabel {
-                node: NodeId(r.u32(i)?),
-                label: r.string(i)?,
+                node: NodeId(c.u32("node id")?),
+                label: c.string("node label")?,
             },
             TAG_SET_WEIGHT => GraphMutation::SetWeight {
-                from: NodeId(r.u32(i)?),
-                to: NodeId(r.u32(i)?),
-                weight: f64::from_bits(r.u64(i)?),
+                from: NodeId(c.u32("node id")?),
+                to: NodeId(c.u32("node id")?),
+                weight: c.f64("edge weight")?,
             },
             TAG_REMOVE_NODE => GraphMutation::RemoveNode {
-                node: NodeId(r.u32(i)?),
+                node: NodeId(c.u32("node id")?),
             },
-            tag => return Err(parse_err(i, format!("unknown mutation tag {tag}"))),
+            tag => return Err(corrupt(format!("unknown mutation tag {tag}"))),
         };
-        batch.push(op);
+        batch.push(mutation);
     }
-    if !r.is_done() {
-        return Err(parse_err(
-            count,
-            format!("{} trailing bytes after final op", r.remaining()),
-        ));
+    if !c.is_done() {
+        return Err(corrupt(format!(
+            "{} trailing bytes after final op",
+            c.remaining()
+        )));
     }
     Ok(batch)
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn parse_err(line: usize, message: String) -> GraphError {
-    GraphError::ParseError { line, message }
-}
-
-/// Bounds-checked little-endian cursor over the encoded bytes.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Reader { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize, op: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(parse_err(
-                op,
-                format!(
-                    "truncated input: wanted {n} bytes, {} left",
-                    self.bytes.len() - self.pos
-                ),
-            ));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, op: usize) -> Result<u8> {
-        Ok(self.take(1, op)?[0])
-    }
-
-    fn u32(&mut self, op: usize) -> Result<u32> {
-        let b = self.take(4, op)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self, op: usize) -> Result<u64> {
-        let b = self.take(8, op)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
-    }
-
-    fn string(&mut self, op: usize) -> Result<String> {
-        let len = self.u32(op)? as usize;
-        let bytes = self.take(len, op)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| parse_err(op, format!("invalid UTF-8 in string: {e}")))
-    }
-
-    fn is_done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn round_trips_scalars_and_slices() {
+        let mut buf = Vec::new();
+        put_u16(&mut buf, 513);
+        put_u32(&mut buf, 7);
+        put_u64(&mut buf, u64::MAX - 1);
+        put_f64(&mut buf, 0.1 + 0.2);
+        put_str(&mut buf, "BANKS");
+        put_u32_slice(&mut buf, &[1, 2, 3]);
+        put_f64_slice(&mut buf, &[1.5, -2.5]);
+
+        let mut c = Cursor::new(&buf, 0);
+        assert_eq!(c.u16("t").unwrap(), 513);
+        assert_eq!(c.u32("t").unwrap(), 7);
+        assert_eq!(c.u64("t").unwrap(), u64::MAX - 1);
+        assert_eq!(c.f64("t").unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(c.string("t").unwrap(), "BANKS");
+        assert_eq!(c.u32_vec(3, "t").unwrap(), vec![1, 2, 3]);
+        assert_eq!(c.f64_vec(2, "t").unwrap(), vec![1.5, -2.5]);
+        assert!(c.is_done());
+    }
+
+    #[test]
+    fn truncated_reads_are_typed() {
+        let mut c = Cursor::new(&[1, 2], 100);
+        assert_eq!(
+            c.u32("header"),
+            Err(CodecError::Truncated {
+                offset: 100,
+                region: "header"
+            })
+        );
+        // An element count that overflows the byte length is a truncation.
+        assert!(matches!(
+            c.u32_vec(usize::MAX, "ids"),
+            Err(CodecError::Truncated { offset: 100, .. })
+        ));
+    }
+
+    #[test]
+    fn absurd_counts_are_rejected_before_allocation() {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, u64::MAX / 2);
+        let mut c = Cursor::new(&buf, 0);
+        assert!(matches!(
+            c.count(8, "postings"),
+            Err(CodecError::Corrupt { .. })
+        ));
+    }
+
+    #[test]
+    fn bad_utf8_is_corrupt_not_panic() {
+        let mut buf = Vec::new();
+        put_u32(&mut buf, 2);
+        buf.extend_from_slice(&[0xFF, 0xFE]);
+        let mut c = Cursor::new(&buf, 0);
+        assert!(matches!(c.string("label"), Err(CodecError::Corrupt { .. })));
+    }
 
     fn sample_batch() -> MutationBatch {
         MutationBatch::new()

@@ -9,6 +9,7 @@
 use std::fmt;
 use std::io;
 
+use banks_graph::codec::CodecError;
 use banks_graph::GraphError;
 
 /// Errors produced while writing, reading or recovering persistent state.
@@ -127,6 +128,15 @@ impl From<GraphError> for PersistError {
     }
 }
 
+impl From<CodecError> for PersistError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::Truncated { offset, region } => PersistError::Truncated { offset, region },
+            CodecError::Corrupt { detail } => PersistError::Corrupt { detail },
+        }
+    }
+}
+
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, PersistError>;
 
@@ -172,6 +182,14 @@ mod tests {
         assert!(matches!(io_err, PersistError::Io(_)));
         let g: PersistError = GraphError::TooManyKinds.into();
         assert!(matches!(g, PersistError::Graph(_)));
+        let cut = banks_graph::codec::Cursor::new(&[1], 40).u32("record header");
+        assert!(matches!(
+            PersistError::from(cut.unwrap_err()),
+            PersistError::Truncated {
+                offset: 40,
+                region: "record header"
+            }
+        ));
         fn assert_err<E: std::error::Error>(_: &E) {}
         assert_err(&io_err);
     }

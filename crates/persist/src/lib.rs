@@ -33,7 +33,6 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod bytes;
 pub mod crc;
 pub mod error;
 mod par;
@@ -52,6 +51,6 @@ pub use store::{
     SNAPSHOT_PREFIX, WAL_FILE,
 };
 pub use wal::{
-    decode_record, encode_record, read_strict, scan_bytes, scan_file, Chain, FsyncPolicy, Wal,
-    WalChunk, WalPosition, WalRecord, WalScan, WAL_MAGIC, WAL_VERSION,
+    decode_record, encode_record, scan_bytes, scan_file, Chain, FsyncPolicy, Wal, WalChunk,
+    WalPosition, WalRecord, WalScan, WAL_MAGIC, WAL_VERSION,
 };

@@ -54,6 +54,9 @@
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
+use banks_graph::codec::{
+    put_f64, put_f64_slice, put_str, put_u16, put_u32, put_u32_slice, put_u64, Cursor,
+};
 use banks_graph::{
     BackwardWeightPolicy, CsrAdjacency, DataGraph, EdgeKind, ExpansionPolicy, KindId, NodeId,
     NodeMeta, StorageParts, StorageRef,
@@ -61,7 +64,6 @@ use banks_graph::{
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, Tokenizer};
 
-use crate::bytes::{put_f64, put_f64_slice, put_str, put_u32, put_u32_slice, put_u64, Cursor};
 use crate::crc::crc32;
 use crate::error::{PersistError, Result};
 use crate::par::{run_ordered, Job, Task};
@@ -334,7 +336,7 @@ fn encode_meta(parts: StorageRef<'_>) -> Vec<u8> {
     let mut meta = Vec::new();
     put_u64(&mut meta, parts.meta.len() as u64);
     for m in parts.meta {
-        meta.extend_from_slice(&(m.kind.0).to_le_bytes());
+        put_u16(&mut meta, m.kind.0);
         put_str(&mut meta, &m.label);
     }
     meta
@@ -429,7 +431,7 @@ fn encode_index(idx: &InvertedIndex) -> Vec<u8> {
         put_str(&mut buf, term);
         put_u32(&mut buf, kinds.len() as u32);
         for k in kinds {
-            buf.extend_from_slice(&k.0.to_le_bytes());
+            put_u16(&mut buf, k.0);
         }
     }
     buf
@@ -737,7 +739,13 @@ pub fn decode_header(bytes: &[u8]) -> Result<(u64, u64)> {
             expected: SNAPSHOT_MAGIC,
         });
     }
-    let stored_crc = u32::from_le_bytes(bytes[HEADER_LEN - 4..HEADER_LEN].try_into().unwrap());
+    let mut c = Cursor::new(&bytes[8..HEADER_LEN], 8);
+    let version = c.u32("header version")?;
+    let _page_size = c.u32("header page size")?;
+    let epoch = c.u64("header epoch")?;
+    let record_count = c.u64("header record count")?;
+    c.take(HEADER_LEN - 4 - c.offset() as usize, "header padding")?;
+    let stored_crc = c.u32("header crc")?;
     let computed = crc32(&bytes[..HEADER_LEN - 4]);
     if computed != stored_crc {
         return Err(PersistError::ChecksumMismatch {
@@ -746,17 +754,12 @@ pub fn decode_header(bytes: &[u8]) -> Result<(u64, u64)> {
             computed,
         });
     }
-    let mut c = Cursor::new(&bytes[8..HEADER_LEN - 4], 8);
-    let version = c.u32("header version")?;
     if version != FORMAT_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
             supported: FORMAT_VERSION,
         });
     }
-    let _page_size = c.u32("header page size")?;
-    let epoch = c.u64("header epoch")?;
-    let record_count = c.u64("header record count")?;
     if record_count > (bytes.len() / RECORD_HEADER_LEN) as u64 {
         return Err(PersistError::Corrupt {
             detail: format!("record count {record_count} exceeds file capacity"),
@@ -843,7 +846,7 @@ fn decode_degrees(payload: &[u8]) -> Result<Degrees> {
 fn decode_tombstones(payload: &[u8]) -> Result<Vec<u32>> {
     let mut c = Cursor::new(payload, 0);
     let n = c.count(4, "tombstones")?;
-    c.u32_vec(n, "tombstone ids")
+    Ok(c.u32_vec(n, "tombstone ids")?)
 }
 
 fn decode_prestige(payload: &[u8]) -> Result<PrestigeVector> {
@@ -930,11 +933,7 @@ fn decode_index(payload: &[u8]) -> Result<InvertedIndex> {
                 detail: format!("posting list of {n} nodes exceeds record"),
             });
         }
-        let nodes: Arc<[NodeId]> = c
-            .take(n * 4, "postings")?
-            .chunks_exact(4)
-            .map(|b| NodeId(u32::from_le_bytes([b[0], b[1], b[2], b[3]])))
-            .collect();
+        let nodes: Arc<[NodeId]> = c.u32s(n, "postings")?.map(NodeId).collect();
         postings.push((term, nodes));
     }
 
@@ -1114,29 +1113,20 @@ mod tests {
 
     #[test]
     fn csr_payloads_are_page_aligned() {
-        let g = sample_graph();
-        let bytes = encode_snapshot(&g, None, None);
-        // Walk the records and check the CSR payload offsets.
-        let (_, record_count) = decode_header(&bytes).unwrap();
-        let mut pos = HEADER_LEN;
-        let mut seen_csr = 0;
-        for _ in 0..record_count {
-            let mut c = Cursor::new(&bytes[pos..], pos as u64);
-            let tag = c.u32("t").unwrap();
-            let pad = c.u32("t").unwrap() as usize;
-            let len = c.u64("t").unwrap() as usize;
-            let payload_start = pos + RECORD_HEADER_LEN + pad;
-            if tag == TAG_CSR_OUT || tag == TAG_CSR_INC {
-                assert_eq!(
-                    payload_start % PAGE_SIZE as usize,
-                    0,
-                    "CSR payload must be page aligned"
-                );
-                seen_csr += 1;
-            }
-            pos = (payload_start + len).div_ceil(8) * 8;
+        let bytes = encode_snapshot(&sample_graph(), None, None);
+        let csr: Vec<usize> = record_table(&bytes)
+            .into_iter()
+            .filter(|(tag, _, _)| *tag == TAG_CSR_OUT || *tag == TAG_CSR_INC)
+            .map(|(_, start, _)| start)
+            .collect();
+        assert_eq!(csr.len(), 2);
+        for start in csr {
+            assert_eq!(
+                start % PAGE_SIZE as usize,
+                0,
+                "CSR payload must be page aligned"
+            );
         }
-        assert_eq!(seen_csr, 2);
     }
 
     #[test]
@@ -1237,27 +1227,21 @@ mod tests {
     }
 
     /// Rewrites a record's payload byte and its CRC, so only the meaning
-    /// changes.
+    /// changes.  Only records without a pad (every non-CSR one) qualify:
+    /// their header sits right before the payload.
     fn patch_payload(bytes: &mut [u8], tag: u32, offset: usize, value: u8) {
+        assert!(
+            tag != TAG_CSR_OUT && tag != TAG_CSR_INC,
+            "CSR records are padded"
+        );
         let (_, start, len) = record_table(bytes)
             .into_iter()
             .find(|(t, _, _)| *t == tag)
             .unwrap();
         bytes[start + offset] = value;
         let crc = crc32(&bytes[start..start + len]);
-        let crc_at = start - RECORD_HEADER_LEN - record_pad_of(bytes, start);
-        bytes[crc_at + 16..crc_at + 20].copy_from_slice(&crc.to_le_bytes());
-    }
-
-    /// The pad a record whose payload starts at `start` carries (0 for
-    /// every non-CSR record).
-    fn record_pad_of(bytes: &[u8], start: usize) -> usize {
-        record_table(bytes)
-            .into_iter()
-            .find(|(_, s, _)| *s == start)
-            .map(|(tag, _, _)| tag)
-            .filter(|tag| *tag == TAG_CSR_OUT || *tag == TAG_CSR_INC)
-            .map_or(0, |_| start % PAGE_SIZE as usize)
+        let crc_at = start - RECORD_HEADER_LEN + 16;
+        bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
     }
 
     const LABELS: Derivation = Derivation {
@@ -1619,7 +1603,7 @@ mod tests {
             let n = rng.below(4);
             put_u32(&mut buf, n as u32);
             for _ in 0..n {
-                buf.extend_from_slice(&(rng.below(5) as u16).to_le_bytes());
+                put_u16(&mut buf, rng.below(5) as u16);
             }
         }
         buf

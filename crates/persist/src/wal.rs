@@ -36,9 +36,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use banks_graph::codec::{put_u32, put_u64, Cursor};
 use banks_graph::{decode_batch, encode_batch, MutationBatch};
 
-use crate::bytes::{put_u32, put_u64, Cursor};
 use crate::crc::crc32;
 use crate::error::{PersistError, Result};
 
@@ -196,27 +196,23 @@ pub fn encode_record(seq: u64, parent_epoch: u64, epoch: u64, batch: &MutationBa
 /// errors — a replication follower must reject a damaged shipment rather
 /// than truncate-and-continue like the local crash-recovery scan does.
 pub fn decode_record(bytes: &[u8]) -> Result<(WalRecord, usize)> {
-    if bytes.len() < 8 {
-        return Err(PersistError::Truncated {
-            offset: 0,
-            region: "wal record framing",
-        });
-    }
-    let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-    let stored = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
+    decode_frame(bytes, 0)
+}
+
+/// The one record frame decoder, behind both the strict [`decode_record`]
+/// and the lenient scan: the record at the start of `bytes`, whose first
+/// byte sits at file offset `offset`, and its length in bytes.
+fn decode_frame(bytes: &[u8], offset: u64) -> Result<(WalRecord, usize)> {
+    let mut c = Cursor::new(bytes, offset);
+    let len = c.u32("wal record framing")? as usize;
+    let stored = c.u32("wal record framing")?;
     if len < WAL_RECORD_HEADER_LEN - 8 {
         return Err(PersistError::Corrupt {
             detail: format!("wal record body of {len} bytes is too short"),
         });
     }
-    let body_end = 8usize
-        .checked_add(len)
-        .filter(|e| *e <= bytes.len())
-        .ok_or(PersistError::Truncated {
-            offset: 8,
-            region: "wal record body",
-        })?;
-    let body = &bytes[8..body_end];
+    let body_offset = c.offset();
+    let body = c.take(len, "wal record body")?;
     let computed = crc32(body);
     if computed != stored {
         return Err(PersistError::ChecksumMismatch {
@@ -225,31 +221,28 @@ pub fn decode_record(bytes: &[u8]) -> Result<(WalRecord, usize)> {
             computed,
         });
     }
-    let mut c = Cursor::new(body, 8);
+    let mut c = Cursor::new(body, body_offset);
     let seq = c.u64("wal seq")?;
     let parent_epoch = c.u64("wal parent epoch")?;
     let epoch = c.u64("wal epoch")?;
-    let batch =
-        decode_batch(c.take(c.remaining(), "wal payload")?).map_err(|e| PersistError::Corrupt {
-            detail: format!("undecodable batch in wal record {seq}: {e}"),
-        })?;
-    Ok((
-        WalRecord {
-            seq,
-            parent_epoch,
-            epoch,
-            batch,
-        },
-        body_end,
-    ))
+    let payload = c.take(c.remaining(), "wal payload")?;
+    let batch = decode_batch(payload).map_err(|e| PersistError::Corrupt {
+        detail: format!("undecodable batch in wal record {seq}: {e}"),
+    })?;
+    let record = WalRecord {
+        seq,
+        parent_epoch,
+        epoch,
+        batch,
+    };
+    Ok((record, 8 + len))
 }
 
-fn header() -> [u8; WAL_HEADER_LEN] {
-    let mut h = [0u8; WAL_HEADER_LEN];
-    h[..8].copy_from_slice(WAL_MAGIC);
-    h[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
-    let crc = crc32(&h[..12]);
-    h[12..].copy_from_slice(&crc.to_le_bytes());
+fn header() -> Vec<u8> {
+    let mut h = WAL_MAGIC.to_vec();
+    put_u32(&mut h, WAL_VERSION);
+    let crc = crc32(&h);
+    put_u32(&mut h, crc);
     h
 }
 
@@ -278,69 +271,22 @@ fn scan_from(bytes: &[u8], offset: u64, first_seq: u64) -> Result<WalScan> {
         valid_bytes: at(pos),
         ..WalScan::default()
     };
-    let mut expected_seq = first_seq;
     while pos < bytes.len() {
-        if bytes.len() - pos < 8 {
-            scan.anomaly = Some(format!("torn record header at byte {}", at(pos)));
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().unwrap());
-        let body_start = pos + 8;
-        let body_end = match body_start.checked_add(len) {
-            Some(e) if e <= bytes.len() => e,
-            _ => {
-                scan.anomaly = Some(format!(
-                    "torn record at byte {}: {len}-byte body extends past EOF",
-                    at(pos)
-                ));
-                break;
+        let expected = first_seq + scan.records.len() as u64;
+        let anomaly = match decode_frame(&bytes[pos..], at(pos)) {
+            Ok((record, _)) if record.seq != expected => {
+                format!("sequence gap: found {}, expected {expected}", record.seq)
             }
-        };
-        if len < WAL_RECORD_HEADER_LEN - 8 {
-            scan.anomaly = Some(format!(
-                "record at byte {} too short ({len} bytes)",
-                at(pos)
-            ));
-            break;
-        }
-        let body = &bytes[body_start..body_end];
-        let computed = crc32(body);
-        if computed != stored_crc {
-            scan.anomaly = Some(format!(
-                "checksum mismatch at byte {}: stored {stored_crc:#010x}, \
-                 computed {computed:#010x}",
-                at(pos)
-            ));
-            break;
-        }
-        let mut c = Cursor::new(body, at(body_start));
-        let seq = c.u64("wal seq")?;
-        let parent_epoch = c.u64("wal parent epoch")?;
-        let epoch = c.u64("wal epoch")?;
-        let batch = match decode_batch(c.take(c.remaining(), "wal payload")?) {
-            Ok(b) => b,
-            Err(e) => {
-                scan.anomaly = Some(format!("undecodable batch at byte {}: {e}", at(pos)));
-                break;
+            Ok((record, len)) => {
+                scan.records.push(record);
+                pos += len;
+                scan.valid_bytes = at(pos);
+                continue;
             }
+            Err(e) => e.to_string(),
         };
-        if seq != expected_seq {
-            scan.anomaly = Some(format!(
-                "sequence gap at byte {}: found {seq}, expected {expected_seq}",
-                at(pos)
-            ));
-            break;
-        }
-        expected_seq += 1;
-        scan.records.push(WalRecord {
-            seq,
-            parent_epoch,
-            epoch,
-            batch,
-        });
-        pos = body_end;
-        scan.valid_bytes = at(pos);
+        scan.anomaly = Some(format!("record at byte {}: {anomaly}", at(pos)));
+        break;
     }
     Ok(scan)
 }
@@ -353,14 +299,17 @@ fn check_header(bytes: &[u8]) -> Result<()> {
             region: "wal header",
         });
     }
-    if &bytes[..8] != WAL_MAGIC {
+    let mut c = Cursor::new(&bytes[..WAL_HEADER_LEN], 0);
+    let magic = c.take(WAL_MAGIC.len(), "wal magic")?;
+    if magic != WAL_MAGIC {
         return Err(PersistError::BadMagic {
-            found: bytes[..8].to_vec(),
+            found: magic.to_vec(),
             expected: WAL_MAGIC,
         });
     }
-    let stored = u32::from_le_bytes(bytes[12..16].try_into().unwrap());
-    let computed = crc32(&bytes[..12]);
+    let version = c.u32("wal version")?;
+    let stored = c.u32("wal header crc")?;
+    let computed = crc32(&bytes[..WAL_HEADER_LEN - 4]);
     if stored != computed {
         return Err(PersistError::ChecksumMismatch {
             region: "wal header",
@@ -368,7 +317,6 @@ fn check_header(bytes: &[u8]) -> Result<()> {
             computed,
         });
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     if version != WAL_VERSION {
         return Err(PersistError::UnsupportedVersion {
             found: version,
@@ -387,17 +335,6 @@ pub fn scan_file(path: &Path) -> Result<WalScan> {
             Ok(WalScan::default())
         }
         Err(e) => Err(e),
-    }
-}
-
-/// Strictly reads a WAL file: any anomaly (torn tail included) becomes a
-/// typed error.  Used by tests and integrity checks; recovery paths want
-/// [`scan_file`].
-pub fn read_strict(path: &Path) -> Result<Vec<WalRecord>> {
-    let scan = scan_file(path)?;
-    match scan.anomaly {
-        None => Ok(scan.records),
-        Some(detail) => Err(PersistError::Corrupt { detail }),
     }
 }
 
@@ -437,20 +374,11 @@ impl Wal {
             .open(path)?;
         file.write_all(&header())?;
         file.sync_all()?;
-        Ok(Wal {
-            path: path.to_path_buf(),
-            file,
-            fsync,
-            unsynced: 0,
-            next_seq: 1,
-            records: 0,
-            bytes: WAL_HEADER_LEN as u64,
-            fsync_hist: banks_obs::Histogram::new(),
-            syncs: 0,
-            last_sync_us: 0,
-            generation: 0,
-            reads: 0,
-        })
+        let empty = WalScan {
+            valid_bytes: WAL_HEADER_LEN as u64,
+            ..WalScan::default()
+        };
+        Ok(Wal::at(path, file, fsync, &empty))
     }
 
     /// Opens an existing WAL for appending after a recovery scan,
@@ -461,10 +389,17 @@ impl Wal {
             // No file (or nothing valid): start fresh.
             return Wal::create(path, fsync);
         }
-        let file = OpenOptions::new().write(true).open(path)?;
+        let mut file = OpenOptions::new().write(true).open(path)?;
         file.set_len(scan.valid_bytes)?;
         file.sync_all()?;
-        let mut wal = Wal {
+        // Position at the end of the valid prefix.
+        file.seek(SeekFrom::Start(scan.valid_bytes))?;
+        Ok(Wal::at(path, file, fsync, scan))
+    }
+
+    /// The WAL in `file`, positioned at the end of the records of `scan`.
+    fn at(path: &Path, file: File, fsync: FsyncPolicy, scan: &WalScan) -> Wal {
+        Wal {
             path: path.to_path_buf(),
             file,
             fsync,
@@ -477,10 +412,7 @@ impl Wal {
             last_sync_us: 0,
             generation: 0,
             reads: 0,
-        };
-        // Position at the end of the valid prefix.
-        wal.file.seek(SeekFrom::Start(scan.valid_bytes))?;
-        Ok(wal)
+        }
     }
 
     /// Appends one accepted batch and applies the fsync policy.  Returns
@@ -746,14 +678,49 @@ mod tests {
 
         let scan = scan_file(&path).unwrap();
         assert_eq!(scan.records.len(), 1, "only the record before the flip");
-        assert!(scan.anomaly.unwrap().contains("checksum mismatch"));
+        let anomaly = scan.anomaly.unwrap();
+        assert!(anomaly.contains("checksum mismatch"), "{anomaly}");
+        assert!(anomaly.contains(&format!("byte {first_end}")), "{anomaly}");
         assert_eq!(scan.valid_bytes, first_end);
-
-        assert!(matches!(
-            read_strict(&path),
-            Err(PersistError::Corrupt { .. })
-        ));
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// One frame decoder behind both readers: on every truncation and
+    /// every single-byte flip of a 3-record log, stepping [`decode_record`]
+    /// from record boundary to record boundary fails at exactly the record
+    /// where [`scan_bytes`] stops with an anomaly.
+    #[test]
+    fn strict_and_lenient_reads_stop_at_the_same_record() {
+        let mut log = header();
+        for i in 0..3 {
+            log.extend(encode_record(i + 1, i, i + 1, &sample_batch(i)));
+        }
+        // (records decoded, whether a record failed)
+        let strict = |bytes: &[u8]| {
+            let (mut pos, mut records) = (WAL_HEADER_LEN, 0);
+            while pos < bytes.len() {
+                match decode_record(&bytes[pos..]) {
+                    Ok((_, len)) => (pos, records) = (pos + len, records + 1),
+                    Err(_) => return (records, true),
+                }
+            }
+            (records, false)
+        };
+        let agree = |bytes: &[u8], what: String| {
+            let scan = scan_bytes(bytes).unwrap();
+            let lenient = (scan.records.len(), scan.anomaly.is_some());
+            assert_eq!(strict(bytes), lenient, "{what}: {:?}", scan.anomaly);
+        };
+        for cut in WAL_HEADER_LEN..=log.len() {
+            agree(&log[..cut], format!("cut at {cut}"));
+        }
+        for at in WAL_HEADER_LEN..log.len() {
+            for mask in [0x01, 0x80, 0xFF] {
+                let mut flipped = log.clone();
+                flipped[at] ^= mask;
+                agree(&flipped, format!("byte {at} ^ {mask:#04x}"));
+            }
+        }
     }
 
     #[test]

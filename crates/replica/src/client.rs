@@ -4,9 +4,11 @@
 //! parsing, and a streaming mode that hands back the socket positioned at
 //! the start of an SSE body.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+use banks_core::http;
 
 /// A parsed `http://host:port[/base]` leader address.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -93,20 +95,31 @@ pub struct Response {
 impl Response {
     /// The first header named `name` (case-insensitive), trimmed.
     pub fn header(&self, name: &str) -> Option<&str> {
-        let name = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, v)| v.as_str())
+        http::header(&self.headers, name)
     }
 }
 
-fn write_request(
-    stream: &mut TcpStream,
+/// Bound on a response's status line and headers together: the budget
+/// the server grants a request head, so a peer that never ends its head
+/// costs the follower 16 KiB, not its memory.
+const MAX_HEAD_BYTES: usize = 16 * 1024;
+
+/// Most of an announced body length reserved before its bytes arrive —
+/// enough for a snapshot of a ~400k-node graph in one allocation, too
+/// little for a hostile `Content-Length` to exhaust memory.
+const MAX_BODY_RESERVE: u64 = 64 * 1024 * 1024;
+
+/// Sends a GET and reads the response head: the status code from the
+/// status line, then the header fields under the shared grammar.  The
+/// body is left unread, in the returned reader.
+fn send(
     url: &LeaderUrl,
     path: &str,
     extra_headers: &[(&str, String)],
-) -> std::io::Result<()> {
+    timeout: Duration,
+) -> std::io::Result<(Response, BufReader<TcpStream>)> {
+    let mut stream = url.connect(timeout)?;
+    stream.set_read_timeout(Some(timeout))?;
     let mut request = format!(
         "GET {} HTTP/1.1\r\nHost: {}\r\nConnection: close\r\n",
         url.path(path),
@@ -116,34 +129,10 @@ fn write_request(
         request.push_str(&format!("{name}: {value}\r\n"));
     }
     request.push_str("\r\n");
-    stream.write_all(request.as_bytes())
-}
-
-/// Bound on a response's status line and headers together: the budget
-/// the server grants a request head, so a peer that never ends its head
-/// costs the follower 16 KiB, not its memory.
-const MAX_HEAD_BYTES: u64 = 16 * 1024;
-
-/// Most of an announced body length reserved before its bytes arrive —
-/// enough for a snapshot of a ~400k-node graph in one allocation, too
-/// little for a hostile `Content-Length` to exhaust memory.
-const MAX_BODY_RESERVE: u64 = 64 * 1024 * 1024;
-
-fn read_head(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Vec<(String, String)>)> {
-    let mut head = reader.take(MAX_HEAD_BYTES);
-    let mut next_line = || {
-        let mut line = String::new();
-        head.read_line(&mut line)?;
-        if !line.ends_with('\n') {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("response head cut short or over {MAX_HEAD_BYTES} bytes"),
-            ));
-        }
-        line.truncate(line.trim_end_matches(['\r', '\n']).len());
-        Ok(line)
-    };
-    let line = next_line()?;
+    stream.write_all(request.as_bytes())?;
+    let mut reader = BufReader::new(stream);
+    let mut budget = MAX_HEAD_BYTES;
+    let line = http::read_line(&mut reader, &mut budget)?;
     let status = line
         .split(' ')
         .nth(1)
@@ -154,16 +143,13 @@ fn read_head(reader: &mut BufReader<TcpStream>) -> std::io::Result<(u16, Vec<(St
                 format!("bad status line: {line:?}"),
             )
         })?;
-    let mut headers = Vec::new();
-    loop {
-        let line = next_line()?;
-        if line.is_empty() {
-            return Ok((status, headers));
-        }
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
+    let headers = http::read_fields(&mut reader, &mut budget)?;
+    let response = Response {
+        status,
+        headers,
+        body: Vec::new(),
+    };
+    Ok((response, reader))
 }
 
 /// One whole GET: connect, send, read status + headers + body, close.
@@ -173,23 +159,15 @@ pub(crate) fn get(
     extra_headers: &[(&str, String)],
     timeout: Duration,
 ) -> std::io::Result<Response> {
-    let mut stream = url.connect(timeout)?;
-    stream.set_read_timeout(Some(timeout))?;
-    write_request(&mut stream, url, path, extra_headers)?;
-    let mut reader = BufReader::new(stream);
-    let (status, headers) = read_head(&mut reader)?;
-    let length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse::<u64>().ok());
-    let mut body = Vec::new();
-    match length {
+    let (mut response, mut reader) = send(url, path, extra_headers, timeout)?;
+    let body = &mut response.body;
+    match http::content_length(&response.headers)? {
         // The peer's `Content-Length` is a claim: it sizes the buffer up
         // to `MAX_BODY_RESERVE`, and past that the body grows only as its
         // bytes arrive.
         Some(length) => {
             body.reserve_exact(length.min(MAX_BODY_RESERVE) as usize);
-            let read = reader.take(length).read_to_end(&mut body)?;
+            let read = reader.take(length).read_to_end(body)?;
             if (read as u64) < length {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::UnexpectedEof,
@@ -198,14 +176,10 @@ pub(crate) fn get(
             }
         }
         None => {
-            reader.read_to_end(&mut body)?;
+            reader.read_to_end(body)?;
         }
     }
-    Ok(Response {
-        status,
-        headers,
-        body,
-    })
+    Ok(response)
 }
 
 /// Opens a streaming GET and returns the reader positioned at the body,
@@ -219,16 +193,12 @@ pub(crate) fn open_stream(
     connect_timeout: Duration,
     read_timeout: Duration,
 ) -> std::io::Result<BufReader<TcpStream>> {
-    let mut stream = url.connect(connect_timeout)?;
-    stream.set_read_timeout(Some(connect_timeout))?;
-    write_request(&mut stream, url, path, extra_headers)?;
-    let mut reader = BufReader::new(stream);
-    let (status, _) = read_head(&mut reader)?;
+    let (Response { status, .. }, reader) = send(url, path, extra_headers, connect_timeout)?;
     if status != 200 {
         // The message lands in a `replication-disconnect` event on every
         // retry, so the peer's error body is read only up to a bound.
         let mut body = Vec::new();
-        let _ = reader.take(MAX_HEAD_BYTES).read_to_end(&mut body);
+        let _ = reader.take(MAX_HEAD_BYTES as u64).read_to_end(&mut body);
         return Err(std::io::Error::other(format!(
             "leader answered {status} on {}: {}",
             path,
@@ -252,10 +222,9 @@ mod tests {
         std::thread::spawn(move || {
             let (mut stream, _) = listener.accept().unwrap();
             let mut request = BufReader::new(stream.try_clone().unwrap());
-            let mut line = String::new();
-            while request.read_line(&mut line).unwrap_or(0) > 2 {
-                line.clear();
-            }
+            let mut budget = MAX_HEAD_BYTES;
+            http::read_line(&mut request, &mut budget).unwrap();
+            http::read_fields(&mut request, &mut budget).unwrap();
             // The client may hang up first; that is what is under test.
             let _ = stream.write_all(&response);
         });
@@ -276,6 +245,22 @@ mod tests {
     }
 
     #[test]
+    fn an_ambiguous_content_length_is_refused() {
+        for head in [
+            "Content-Length: +5\r\n",
+            "Content-Length: 5\r\nContent-Length: 50\r\n",
+        ] {
+            let url = stub(format!("HTTP/1.1 200 OK\r\n{head}\r\nhello").into_bytes());
+            let err = get(&url, "/healthz", &[], WAIT).unwrap_err();
+            assert_eq!(
+                err.kind(),
+                std::io::ErrorKind::InvalidData,
+                "{head:?}: {err}"
+            );
+        }
+    }
+
+    #[test]
     fn a_response_head_past_the_budget_is_refused() {
         let endless = format!(
             "HTTP/1.1 200 OK\r\n{}",
@@ -284,7 +269,7 @@ mod tests {
         let err = get(&stub(endless.into_bytes()), "/healthz", &[], WAIT).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
 
-        let url = stub(vec![b'H'; 4 * MAX_HEAD_BYTES as usize]);
+        let url = stub(vec![b'H'; 4 * MAX_HEAD_BYTES]);
         let err = open_stream(&url, "/replication/stream", &[], WAIT, WAIT).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     }

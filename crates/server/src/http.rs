@@ -8,12 +8,10 @@
 //!   total head size ([`Limits::max_head_bytes`]), so a client cannot make
 //!   the server buffer without bound;
 //! * bodies require `Content-Length` (chunked transfer encoding is
-//!   rejected) and are capped by [`Limits::max_body_bytes`]; the length
-//!   must be plain ASCII digits, and repeated `Content-Length` headers
-//!   must agree (RFC 9112 §6.3) — otherwise the body boundary, and with it
-//!   the next request on a kept-alive connection, would be ambiguous;
-//! * partial reads are handled by construction: every read goes through
-//!   `BufRead`, which retries short reads until a full line/body arrives;
+//!   rejected) and are capped by [`Limits::max_body_bytes`];
+//! * the head grammar past the request line — the budgeted line reader,
+//!   header fields and the `Content-Length` rule — is
+//!   [`banks_core::http`], the one the follower reads responses with;
 //! * methods must be ASCII-uppercase tokens — binary garbage on the wire
 //!   fails fast with [`ParseError::BadRequest`] instead of being echoed
 //!   into some later error message.
@@ -28,6 +26,7 @@
 
 use std::io::{BufRead, Write};
 
+use banks_core::http::{self as head, HeadError};
 use banks_core::sse::from_hex;
 
 /// Idle seconds a kept-alive connection is allowed between requests.
@@ -93,9 +92,14 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<std::io::Error> for ParseError {
-    fn from(e: std::io::Error) -> Self {
-        ParseError::Io(e)
+impl From<HeadError> for ParseError {
+    fn from(e: HeadError) -> Self {
+        match e {
+            HeadError::Closed => ParseError::ConnectionClosed,
+            HeadError::TooLarge => ParseError::HeadTooLarge,
+            HeadError::Malformed(msg) => ParseError::BadRequest(msg),
+            HeadError::Io(e) => ParseError::Io(e),
+        }
     }
 }
 
@@ -117,11 +121,7 @@ pub struct Request {
 impl Request {
     /// The first value of header `name` (case-insensitive).
     pub fn header(&self, name: &str) -> Option<&str> {
-        let wanted = name.to_ascii_lowercase();
-        self.headers
-            .iter()
-            .find(|(n, _)| *n == wanted)
-            .map(|(_, v)| v.as_str())
+        head::header(&self.headers, name)
     }
 
     /// The percent-decoded value of query parameter `name`, if present.
@@ -170,45 +170,6 @@ pub fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Reads one line (up to LF), stripping the trailing CRLF/LF.  Counts the
-/// raw bytes consumed against `budget`.
-fn read_line(
-    reader: &mut impl BufRead,
-    budget: &mut usize,
-    started: bool,
-) -> Result<String, ParseError> {
-    let mut raw = Vec::new();
-    loop {
-        let mut byte = [0u8; 1];
-        match reader.read(&mut byte) {
-            Ok(0) => {
-                if raw.is_empty() && !started {
-                    return Err(ParseError::ConnectionClosed);
-                }
-                return Err(ParseError::BadRequest(
-                    "connection closed mid-line".to_string(),
-                ));
-            }
-            Ok(_) => {
-                if *budget == 0 {
-                    return Err(ParseError::HeadTooLarge);
-                }
-                *budget -= 1;
-                if byte[0] == b'\n' {
-                    break;
-                }
-                raw.push(byte[0]);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(ParseError::Io(e)),
-        }
-    }
-    if raw.last() == Some(&b'\r') {
-        raw.pop();
-    }
-    String::from_utf8(raw).map_err(|_| ParseError::BadRequest("non-utf8 header line".to_string()))
-}
-
 /// Reads and parses one request from `reader`.
 ///
 /// Blocks until a full request (head + declared body) has arrived; short
@@ -217,7 +178,7 @@ fn read_line(
 pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Request, ParseError> {
     let mut budget = limits.max_head_bytes;
 
-    let request_line = read_line(reader, &mut budget, false)?;
+    let request_line = head::read_line(reader, &mut budget)?;
     let mut parts = request_line.split(' ');
     let method = parts.next().unwrap_or("").to_string();
     let target = parts
@@ -248,20 +209,7 @@ pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reques
     let path = percent_decode(raw_path);
     let query = raw_query.to_string();
 
-    let mut headers = Vec::new();
-    loop {
-        let line = read_line(reader, &mut budget, true)?;
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ParseError::BadRequest(format!("header without colon: {line:?}")))?;
-        if name.is_empty() || name.contains(' ') {
-            return Err(ParseError::BadRequest(format!("bad header name {name:?}")));
-        }
-        headers.push((name.to_ascii_lowercase(), value.trim().to_string()));
-    }
+    let headers = head::read_fields(reader, &mut budget)?;
 
     let mut request = Request {
         method,
@@ -278,39 +226,17 @@ pub fn read_request(reader: &mut impl BufRead, limits: &Limits) -> Result<Reques
             )));
         }
     }
-    if let Some(len) = content_length(&request.headers)? {
-        if len > limits.max_body_bytes {
+    if let Some(len) = head::content_length(&request.headers)? {
+        if len > limits.max_body_bytes as u64 {
             return Err(ParseError::BodyTooLarge);
         }
-        let mut body = vec![0u8; len];
+        let mut body = vec![0u8; len as usize];
         reader
             .read_exact(&mut body)
             .map_err(|_| ParseError::BadRequest("connection closed mid-body".to_string()))?;
         request.body = body;
     }
     Ok(request)
-}
-
-/// The declared body length: every `Content-Length` header must be plain
-/// ASCII digits (`usize::from_str` alone would take `+5`), and repeated
-/// headers must carry the same value.
-fn content_length(headers: &[(String, String)]) -> Result<Option<usize>, ParseError> {
-    let bad = |raw: &str| ParseError::BadRequest(format!("bad content-length {raw:?}"));
-    let mut declared: Option<&str> = None;
-    for (_, raw) in headers.iter().filter(|(name, _)| name == "content-length") {
-        if raw.is_empty() || !raw.bytes().all(|b| b.is_ascii_digit()) {
-            return Err(bad(raw));
-        }
-        if let Some(first) = declared.filter(|first| *first != raw) {
-            return Err(ParseError::BadRequest(format!(
-                "conflicting content-length headers {first:?} and {raw:?}"
-            )));
-        }
-        declared = Some(raw);
-    }
-    declared
-        .map(|raw| raw.parse().map_err(|_| bad(raw)))
-        .transpose()
 }
 
 /// Human-readable reason phrase for the status codes this server emits.

@@ -13,7 +13,7 @@
 //!   carries.
 
 use banks_core::json as corejson;
-use banks_service::{LatencySummary, QueryTrace, ReplicationStatus, ServiceMetrics};
+use banks_service::{LatencySummary, QueryTrace, ReplicationStatus, ServiceMetrics, SloRow};
 
 pub use banks_core::json::{parse, JsonValue};
 
@@ -28,6 +28,22 @@ pub fn replication(r: &ReplicationStatus) -> String {
         r.applied_epoch,
         r.lag_records,
         r.lag_ms,
+    )
+}
+
+/// Renders one objective's burn-rate row, as both the metrics document
+/// and `/debug/slo` list it.
+pub(crate) fn slo_row(row: &SloRow) -> String {
+    format!(
+        "{{\"name\":{},\"metric\":{},\"state\":\"{}\",\"threshold\":{},\
+         \"value\":{},\"burn_fast\":{},\"burn_slow\":{}}}",
+        corejson::string(&row.name),
+        corejson::string(&row.metric),
+        row.state.as_str(),
+        corejson::number(row.threshold),
+        corejson::number(row.value),
+        corejson::number(row.burn_fast),
+        corejson::number(row.burn_slow),
     )
 }
 
@@ -82,24 +98,7 @@ pub fn metrics(m: &ServiceMetrics) -> String {
         m.watchdog_queue_trips,
         corejson::number(m.queue_saturation),
     ));
-    buf.push_str(",\"slo\":[");
-    for (i, row) in m.slo.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&format!(
-            "{{\"name\":{},\"metric\":{},\"state\":\"{}\",\"threshold\":{},\
-             \"value\":{},\"burn_fast\":{},\"burn_slow\":{}}}",
-            corejson::string(&row.name),
-            corejson::string(&row.metric),
-            row.state.as_str(),
-            corejson::number(row.threshold),
-            corejson::number(row.value),
-            corejson::number(row.burn_fast),
-            corejson::number(row.burn_slow),
-        ));
-    }
-    buf.push(']');
+    buf.push_str(&format!(",\"slo\":{}", array(&m.slo, slo_row)));
     for (name, summary) in [
         ("queue_wait", &m.queue_wait),
         ("ttfa", &m.ttfa),
@@ -109,12 +108,8 @@ pub fn metrics(m: &ServiceMetrics) -> String {
     ] {
         buf.push_str(&format!(",\"{name}\":{}", latency_summary(summary)));
     }
-    buf.push_str(",\"calibration\":[");
-    for (i, row) in m.calibration.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&format!(
+    let calibration = array(&m.calibration, |row| {
+        format!(
             "{{\"engine\":{},\"origin_bucket\":{},\"origin_lo\":{},\"origin_hi\":{},\
              \"samples\":{},\"mean_nodes_explored\":{},\"correction\":{}}}",
             corejson::string(&row.engine),
@@ -124,15 +119,10 @@ pub fn metrics(m: &ServiceMetrics) -> String {
             row.samples,
             row.mean_nodes_explored,
             corejson::number(row.correction),
-        ));
-    }
-    buf.push(']');
-    buf.push_str(",\"tenants\":[");
-    for (i, t) in m.tenants.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&format!(
+        )
+    });
+    let tenants = array(&m.tenants, |t| {
+        format!(
             "{{\"tenant\":{},\"executed\":{},\"quota_rejected\":{},\
              \"mean_queue_wait_us\":{},\"max_queue_wait_us\":{}}}",
             corejson::string(&t.tenant),
@@ -140,9 +130,11 @@ pub fn metrics(m: &ServiceMetrics) -> String {
             t.quota_rejected,
             corejson::duration_us(t.mean_queue_wait),
             corejson::duration_us(t.max_queue_wait),
-        ));
-    }
-    buf.push_str("]}");
+        )
+    });
+    buf.push_str(&format!(
+        ",\"calibration\":{calibration},\"tenants\":{tenants}}}"
+    ));
     buf
 }
 
@@ -180,40 +172,34 @@ pub fn query_trace(t: &QueryTrace) -> String {
         t.epoch,
         t.total_us,
     );
-    buf.push_str(",\"spans\":[");
-    for (i, span) in t.spans.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&format!(
+    let spans = array(&t.spans, |span| {
+        format!(
             "{{\"name\":{},\"start_us\":{},\"end_us\":{}}}",
             corejson::string(span.name),
             span.start_us,
             span.end_us,
-        ));
-    }
-    buf.push_str("],\"counters\":{");
-    for (i, (name, value)) in t.counters.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&format!("{}:{value}", corejson::string(name)));
-    }
-    buf.push_str("}}");
+        )
+    });
+    let counters: Vec<String> = (t.counters.iter())
+        .map(|(name, value)| format!("{}:{value}", corejson::string(name)))
+        .collect();
+    let counters = counters.join(",");
+    buf.push_str(&format!(",\"spans\":{spans},\"counters\":{{{counters}}}}}"));
     buf
 }
 
 /// Renders a slice of strings as a JSON array of string literals.
 pub fn string_array<S: AsRef<str>>(items: &[S]) -> String {
-    let mut buf = String::from("[");
-    for (i, item) in items.iter().enumerate() {
-        if i > 0 {
-            buf.push(',');
-        }
-        buf.push_str(&corejson::string(item.as_ref()));
-    }
-    buf.push(']');
-    buf
+    array(items, |item| corejson::string(item.as_ref()))
+}
+
+/// Renders `items` as a JSON array, each one through `render`.
+pub(crate) fn array<T>(
+    items: impl IntoIterator<Item = T>,
+    render: impl FnMut(T) -> String,
+) -> String {
+    let items: Vec<String> = items.into_iter().map(render).collect();
+    format!("[{}]", items.join(","))
 }
 
 /// Renders the uniform error envelope:

@@ -592,18 +592,12 @@ fn respond_slow(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep
         .and_then(|raw| raw.parse::<usize>().ok())
         .unwrap_or(32);
     let traces = ctx.service.slow_traces(limit);
-    let mut body = format!(
-        "{{\"slow_query_threshold_us\":{},\"count\":{},\"traces\":[",
+    let body = format!(
+        "{{\"slow_query_threshold_us\":{},\"count\":{},\"traces\":{}}}",
         ctx.service.slow_query_threshold().as_micros(),
         traces.len(),
+        json::array(&traces, |trace| json::query_trace(trace)),
     );
-    for (i, trace) in traces.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&json::query_trace(trace));
-    }
-    body.push_str("]}");
     let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
 }
 
@@ -614,28 +608,12 @@ fn respond_slow(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep
 /// this endpoint is a read, never a judgment.
 fn respond_slo(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
     let report = ctx.service.slo_report();
-    let mut body = format!(
-        "{{\"health\":\"{}\",\"collector_cadence_ms\":{},\"slos\":[",
+    let body = format!(
+        "{{\"health\":\"{}\",\"collector_cadence_ms\":{},\"slos\":{}}}",
         report.health.as_str(),
         ctx.service.collector_cadence().as_millis(),
+        json::array(&report.rows, json::slo_row),
     );
-    for (i, row) in report.rows.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&format!(
-            "{{\"name\":{},\"metric\":{},\"state\":\"{}\",\"threshold\":{},\
-             \"value\":{},\"burn_fast\":{},\"burn_slow\":{}}}",
-            corejson::string(&row.name),
-            corejson::string(&row.metric),
-            row.state.as_str(),
-            corejson::number(row.threshold),
-            corejson::number(row.value),
-            corejson::number(row.burn_fast),
-            corejson::number(row.burn_slow),
-        ));
-    }
-    body.push_str("]}");
     let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
 }
 
@@ -671,19 +649,13 @@ fn respond_events(ctx: &ServerContext, request: &Request, w: &mut impl Write, ke
         .unwrap_or(256)
         .min(EVENTS_PAGE_LIMIT);
     let events = ctx.service.events().since(since, limit);
-    let mut body = format!(
-        "{{\"since\":{since},\"last_id\":{},\"dropped\":{},\"count\":{},\"events\":[",
+    let body = format!(
+        "{{\"since\":{since},\"last_id\":{},\"dropped\":{},\"count\":{},\"events\":{}}}",
         ctx.service.events().last_id(),
         ctx.service.events().dropped(),
         events.len(),
+        json::array(&events, |event| event_json(event)),
     );
-    for (i, event) in events.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
-        }
-        body.push_str(&event_json(event));
-    }
-    body.push_str("]}");
     let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
 }
 
@@ -844,27 +816,19 @@ fn respond_mutate(
         Err(error) => return respond_error(w, error),
     };
     let report = ctx.service.apply_mutations(&batch);
-    let mut results = String::from("[");
-    for (i, result) in report.outcome.results.iter().enumerate() {
-        if i > 0 {
-            results.push(',');
-        }
-        match result {
-            Ok(effect) => {
-                results.push_str(&format!(
-                    "{{\"index\":{i},\"status\":\"accepted\",{}}}",
-                    op_effect_json(effect)
-                ));
-            }
-            Err(error) => {
-                results.push_str(&format!(
-                    "{{\"index\":{i},\"status\":\"rejected\",\"error\":{}}}",
-                    corejson::string(&error.to_string())
-                ));
-            }
-        }
-    }
-    results.push(']');
+    let results = json::array(
+        report.outcome.results.iter().enumerate(),
+        |(i, result)| match result {
+            Ok(effect) => format!(
+                "{{\"index\":{i},\"status\":\"accepted\",{}}}",
+                op_effect_json(effect)
+            ),
+            Err(error) => format!(
+                "{{\"index\":{i},\"status\":\"rejected\",\"error\":{}}}",
+                corejson::string(&error.to_string())
+            ),
+        },
+    );
     let body = format!(
         "{{\"swapped\":{},\"epoch\":{},\"previous_epoch\":{},\"accepted\":{},\
          \"rejected\":{},\"apply_us\":{},\"results\":{results}}}",

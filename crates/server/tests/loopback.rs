@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use banks_core::json as corejson;
-use banks_core::sse;
+use banks_core::{http, sse};
 use banks_graph::{DataGraph, GraphBuilder};
 use banks_server::json::JsonValue;
 use banks_server::Server;
@@ -618,32 +618,19 @@ fn queue_full_maps_to_503() {
 }
 
 /// Reads exactly one keep-alive-framed response (status line + headers +
-/// `Content-Length` body) off `reader`, leaving the connection open.
+/// `Content-Length` body) off `reader`, leaving the connection open, and
+/// renders it back as text for the `common` helpers.
 fn read_framed_response(reader: &mut BufReader<TcpStream>) -> String {
-    let mut head = String::new();
-    loop {
-        let mut line = String::new();
-        assert!(
-            reader.read_line(&mut line).expect("read head line") > 0,
-            "connection closed mid-head (got {head:?})"
-        );
-        head.push_str(&line);
-        if line == "\r\n" {
-            break;
-        }
+    let mut budget = usize::MAX;
+    let mut text = http::read_line(reader, &mut budget).expect("status line");
+    let fields = http::read_fields(reader, &mut budget).expect("response head");
+    for (name, value) in &fields {
+        text.push_str(&format!("\r\n{name}: {value}"));
     }
-    let content_length: usize = head
-        .lines()
-        .find_map(|l| {
-            let (n, v) = l.split_once(':')?;
-            n.eq_ignore_ascii_case("content-length")
-                .then(|| v.trim().parse().ok())?
-        })
-        .expect("content-length header");
-    let mut body = vec![0u8; content_length];
+    let length = http::content_length(&fields).expect("plain content-length");
+    let mut body = vec![0u8; length.expect("content-length header") as usize];
     reader.read_exact(&mut body).expect("read body");
-    head.push_str(&String::from_utf8(body).expect("utf-8 body"));
-    head
+    text + "\r\n\r\n" + &String::from_utf8(body).expect("utf-8 body")
 }
 
 #[test]

@@ -193,8 +193,14 @@ impl Service {
     /// (last writer wins).  A checkpoint failure does not undo the swap
     /// (queries are already running on the new graph); it is recorded and
     /// surfaced via [`Service::durability`].
-    pub fn swap_snapshot(&self, snapshot: GraphSnapshot) -> u64 {
+    pub fn swap_snapshot(&self, mut snapshot: GraphSnapshot) -> u64 {
         let admin = self.inner.epochs.mutate.lock().expect("mutate lock");
+        // A clone of the serving version, or of one a writer has replaced
+        // since it was taken, gets a fresh epoch: serving epochs only grow,
+        // and recovery chains the WAL from the newest snapshot's epoch.
+        if snapshot.epoch() <= self.epoch() {
+            snapshot.bump_epoch();
+        }
         let epoch = self.swap_snapshot_inner(&admin, snapshot);
         if let Some(mut persistence) = self.inner.epochs.persistence() {
             let _ = self.checkpoint_locked(&mut persistence, "post-swap");
@@ -441,15 +447,12 @@ impl Service {
 
     /// Publishes `snapshot` as the serving version — the only place the
     /// serving `Arc` is replaced, and only under the `mutate` lock.
-    fn swap_snapshot_inner(&self, _admin: &MutexGuard<'_, ()>, mut snapshot: GraphSnapshot) -> u64 {
+    fn swap_snapshot_inner(&self, _admin: &MutexGuard<'_, ()>, snapshot: GraphSnapshot) -> u64 {
         let old_epoch;
         let new_epoch;
         {
             let mut serving = self.inner.serving.lock().expect("serving lock");
             old_epoch = serving.epoch();
-            if snapshot.epoch() == old_epoch {
-                snapshot.bump_epoch();
-            }
             new_epoch = snapshot.epoch();
             *serving = Arc::new(snapshot);
             self.inner.publish_generation.fetch_add(1, Ordering::SeqCst);
@@ -662,6 +665,31 @@ mod tests {
             }
         }
         panic!("a {ROTATE_WAL_BYTES}-byte WAL must rotate within 64 records");
+    }
+
+    /// A swap whose snapshot was built before another swap landed still
+    /// moves the serving epoch forward, so a reboot chains the WAL from
+    /// the newest snapshot on disk.
+    #[test]
+    fn a_stale_swap_gets_a_fresh_epoch_and_recovers() {
+        let dir = tmp_dir("stale-swap");
+        let boot = || {
+            Service::builder(graph())
+                .workers(1)
+                .persistence(&dir, FsyncPolicy::Always)
+                .build()
+        };
+        let service = boot();
+        let stale = GraphSnapshot::with_defaults(service.snapshot().graph().clone());
+        let newer = service.swap_graph(service.snapshot().graph().clone());
+        assert!(
+            service.swap_snapshot(stale) > newer,
+            "serving epochs only grow"
+        );
+        let epoch = service.apply_mutations(&relabel(0)).epoch;
+        drop(service);
+        assert_eq!(boot().epoch(), epoch);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
