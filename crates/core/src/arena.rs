@@ -21,18 +21,23 @@
 //!   heap's candidate pool (`output.rs`) live here too, so a warmed-up
 //!   arena runs a query without allocating.
 //!
-//! Arenas are checked out of a **per-thread free list** by
-//! [`Lease::checkout`] and handed back when the lease drops, so a worker
-//! thread reuses one arena for every query it runs, while two streams alive
-//! on one thread hold two arenas.  [`Arena::begin`] resets *everything* a
-//! query can read, so even an arena abandoned mid-search is clean on its
-//! next checkout; a lease dropped while its thread is panicking is thrown
-//! away regardless.
+//! Arenas are checked out of **one process-wide pool** by
+//! [`Lease::checkout`] and handed back when the lease drops, on whatever
+//! thread that happens.  The pool is a `Mutex<Vec<Arena>>` touched twice a
+//! query, so a process holds as many arenas as it ever had searches live at
+//! once — not one per thread that ever ran a query: service workers, a
+//! follower's workers and short-lived threads all draw on the same arenas.
+//! Only a live lease can return an arena, so the pool needs no cap.
+//! [`Arena::begin`] resets *everything* a query can read, so even an arena
+//! abandoned mid-search is clean on its next checkout; a lease dropped
+//! while its thread is panicking is thrown away regardless, and a pool lock
+//! poisoned by a panic elsewhere is used as it is (a `Vec` push or pop
+//! leaves nothing half done).
 
-use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use banks_graph::NodeId;
 
@@ -41,10 +46,6 @@ use crate::pq::IndexedMaxHeap;
 
 /// "No slot": end of a parent list, or an `sp` pointer not yet set.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
-
-/// Arenas kept per thread.  One serves a worker; the headroom covers a few
-/// streams interleaved on one thread without letting a burst pin memory.
-const MAX_POOLED: usize = 4;
 
 #[derive(Clone, Copy, Default)]
 struct Stamp {
@@ -401,27 +402,104 @@ fn walk_chain(
     }
 }
 
-thread_local! {
-    static FREE: RefCell<Vec<Arena>> = const { RefCell::new(Vec::new()) };
+/// The arenas of the process that are not on loan.
+static POOL: Pool = Pool::new();
+
+/// A free list of arenas.  Production code has exactly one, [`POOL`]; tests
+/// make their own so that they can count what comes back.
+pub(crate) struct Pool {
+    free: Mutex<Vec<Arena>>,
 }
 
-/// An [`Arena`] checked out of the calling thread's free list; handed back
-/// on drop.
+impl Pool {
+    const fn new() -> Pool {
+        Pool {
+            free: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The free list, also after a panic while it was held: a `Vec` push
+    /// or pop cannot leave it half-changed.
+    fn lock(&self) -> MutexGuard<'_, Vec<Arena>> {
+        self.free.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Takes a pooled arena (or a new one) and resets it for a `k`-keyword
+    /// search over a graph of `num_nodes` nodes.
+    fn lease(&'static self, num_nodes: usize, k: usize) -> Lease {
+        let mut arena = self.lock().pop().unwrap_or_default();
+        arena.begin(num_nodes, k);
+        Lease { arena, pool: self }
+    }
+}
+
+/// The pool [`Lease::checkout`] draws from: [`POOL`].
+#[cfg(not(test))]
+fn pool() -> &'static Pool {
+    &POOL
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A test's own pool, for the thread it installed it on.
+    static TEST_POOL: std::cell::Cell<Option<&'static Pool>> =
+        const { std::cell::Cell::new(None) };
+}
+
+/// The pool [`Lease::checkout`] draws from: the one the test installed on
+/// this thread, else [`POOL`].
+#[cfg(test)]
+fn pool() -> &'static Pool {
+    TEST_POOL.with(std::cell::Cell::get).unwrap_or(&POOL)
+}
+
+#[cfg(test)]
+impl Pool {
+    /// A new, empty pool that `Lease::checkout` on the calling thread draws
+    /// from from now on.  Leaked, because a lease may outlive the test's
+    /// stack frame on another thread.
+    pub fn private() -> &'static Pool {
+        let pool: &'static Pool = Box::leak(Box::new(Pool::new()));
+        pool.install();
+        pool
+    }
+
+    /// Makes `Lease::checkout` on the calling thread draw from this pool.
+    pub fn install(&'static self) {
+        TEST_POOL.with(|installed| installed.set(Some(self)));
+    }
+
+    /// Number of arenas not on loan.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// The generation counter of every pooled arena: a fresh arena reads 1
+    /// after its first query, so the sum counts the queries they ran.
+    pub fn generations(&self) -> Vec<u32> {
+        self.lock().iter().map(|arena| arena.generation).collect()
+    }
+
+    /// Sets the generation counter of every pooled arena (to provoke a
+    /// wrap).
+    pub fn set_generation(&self, generation: u32) {
+        for arena in self.lock().iter_mut() {
+            arena.generation = generation;
+        }
+    }
+}
+
+/// An [`Arena`] on loan from a [`Pool`]; handed back on drop.
 pub(crate) struct Lease {
     arena: Arena,
+    pool: &'static Pool,
 }
 
 impl Lease {
     /// Takes a pooled arena (or a new one) and resets it for a `k`-keyword
     /// search over a graph of `num_nodes` nodes.
     pub fn checkout(num_nodes: usize, k: usize) -> Lease {
-        let mut arena = FREE
-            .try_with(|free| free.borrow_mut().pop())
-            .ok()
-            .flatten()
-            .unwrap_or_default();
-        arena.begin(num_nodes, k);
-        Lease { arena }
+        pool().lease(num_nodes, k)
     }
 }
 
@@ -433,14 +511,7 @@ impl Drop for Lease {
             return;
         }
         let arena = std::mem::take(&mut self.arena);
-        // `try_with`: a stream dropped during thread teardown finds the
-        // free list already destroyed and simply frees its arena.
-        let _ = FREE.try_with(|free| {
-            let mut free = free.borrow_mut();
-            if free.len() < MAX_POOLED {
-                free.push(arena);
-            }
-        });
+        self.pool.lock().push(arena);
     }
 }
 
@@ -456,23 +527,6 @@ impl DerefMut for Lease {
     fn deref_mut(&mut self) -> &mut Arena {
         &mut self.arena
     }
-}
-
-/// Number of arenas in the calling thread's free list.
-#[cfg(test)]
-pub(crate) fn pooled() -> usize {
-    FREE.with(|free| free.borrow().len())
-}
-
-/// Sets the generation counter of every arena in the calling thread's free
-/// list (to provoke a wrap).
-#[cfg(test)]
-pub(crate) fn set_pooled_generation(generation: u32) {
-    FREE.with(|free| {
-        for arena in free.borrow_mut().iter_mut() {
-            arena.generation = generation;
-        }
-    });
 }
 
 #[cfg(test)]
@@ -550,7 +604,8 @@ mod tests {
 
     #[test]
     fn leases_return_to_the_pool_and_two_live_leases_are_distinct() {
-        assert_eq!(pooled(), 0, "a test runs on a thread of its own");
+        let pool = Pool::private();
+        assert_eq!(pool.len(), 0, "a test's pool starts empty");
         {
             let mut first = Lease::checkout(4, 1);
             let mut second = Lease::checkout(4, 1);
@@ -559,8 +614,53 @@ mod tests {
             second.slot_for(NodeId(2));
             assert_eq!(first.slots.len(), 1);
         }
-        assert_eq!(pooled(), 2);
+        assert_eq!(pool.len(), 2);
         let reused = Lease::checkout(4, 1);
         assert!(reused.slots.is_empty(), "a pooled arena comes back reset");
+    }
+
+    /// `k` leases live at once, on `k` threads, leave `k` pooled arenas —
+    /// round after round, never more, and none lost: every checkout ran on
+    /// one of them.
+    #[test]
+    fn k_live_leases_leave_exactly_k_pooled_arenas() {
+        const ROUNDS: u32 = 50;
+        for k in [1, 3, 6] {
+            let pool = Pool::private();
+            let all_live = std::sync::Barrier::new(k);
+            for round in 1..=ROUNDS {
+                std::thread::scope(|scope| {
+                    for _ in 0..k {
+                        scope.spawn(|| {
+                            let mut lease = pool.lease(16, 2);
+                            lease.slot_for(NodeId(3));
+                            all_live.wait();
+                            assert_eq!(lease.slots.len(), 1, "no other thread wrote here");
+                        });
+                    }
+                });
+                assert_eq!(pool.len(), k, "round {round}, {k} live leases");
+            }
+            let runs: u32 = pool.generations().iter().sum();
+            assert_eq!(runs, ROUNDS * k as u32, "no arena was lost or lent twice");
+        }
+    }
+
+    /// A panic while the pool lock is held poisons it; checkouts and
+    /// returns go on as before.
+    #[test]
+    fn a_poisoned_pool_still_lends_and_takes_back() {
+        let pool = Pool::private();
+        drop(Lease::checkout(4, 1));
+        let poisoned = std::panic::catch_unwind(|| {
+            let _free = pool.free.lock().unwrap();
+            panic!("poison the pool lock");
+        });
+        assert!(poisoned.is_err() && pool.free.is_poisoned());
+        let mut lease = Lease::checkout(4, 1);
+        assert!(lease.slots.is_empty());
+        lease.slot_for(NodeId(2));
+        drop(lease);
+        assert_eq!(pool.generations(), [2], "the pooled arena was reused");
     }
 }

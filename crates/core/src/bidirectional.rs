@@ -29,7 +29,7 @@
 //! hashes, allocates nor walks a chain for a candidate it then drops:
 //!
 //! * **State** lives in a per-query arena (`arena.rs`) on loan from the
-//!   thread's free list: node → slot through a generation-stamped array,
+//!   process-wide pool: node → slot through a generation-stamped array,
 //!   per-keyword `dist`/`act`/`sp` as struct-of-arrays with their folds
 //!   (`min`, `Σ`, finite count) cached per slot, explored parents in one
 //!   edge pool.  `Q_in`/`Q_out` are [`crate::pq::IndexedMaxHeap`]s keyed by
@@ -163,7 +163,7 @@ struct Expander<'a> {
     model: ScoreModel,
     num_keywords: usize,
     /// Per-node state, both frontier queues and every scratch buffer, on
-    /// loan from the thread's free list until the stream drops.
+    /// loan from the process-wide arena pool until the stream drops.
     state: Lease,
     heap: OutputHeap,
     /// Shared stream-driver state (ready queue, counters, lifecycle).
@@ -785,7 +785,7 @@ impl<'a> Expander<'a> {
 
 impl Drop for Expander<'_> {
     /// The candidate pool goes back into the arena, and with it to the
-    /// thread's free list (or nowhere, if the thread is panicking).
+    /// process-wide arena pool (or nowhere, if the thread is panicking).
     fn drop(&mut self) {
         self.state.candidates = self.heap.take_pool();
     }
@@ -888,6 +888,7 @@ impl<'a> AnswerStream for Expander<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::Pool;
     use crate::params::{EmissionPolicy, SearchParams};
     use banks_graph::builder::graph_from_edges;
     use banks_graph::{DataGraph, GraphBuilder};
@@ -1420,14 +1421,16 @@ mod tests {
         out
     }
 
-    /// The same search on a thread of its own: a brand-new arena.
-    fn on_fresh_thread(g: &DataGraph, m: &KeywordMatches, params: SearchParams) -> String {
+    /// The same search on a fresh arena: on a thread of its own, drawing
+    /// from a pool of its own.
+    fn on_fresh_arena(g: &DataGraph, m: &KeywordMatches, params: SearchParams) -> String {
         std::thread::scope(|scope| {
             scope
                 .spawn(|| {
-                    assert_eq!(crate::arena::pooled(), 0);
-                    let p = uniform(g);
-                    fingerprint(&BidirectionalSearch::new().search(g, &p, m, &params))
+                    let pool = Pool::private();
+                    let run = search(g, m, params);
+                    assert_eq!(pool.generations(), [1], "one new arena ran it");
+                    run
                 })
                 .join()
                 .expect("reference search panicked")
@@ -1445,13 +1448,14 @@ mod tests {
     #[test]
     fn arena_is_reused_across_graphs_of_different_size() {
         use banks_graph::MutationBatch;
+        let pool = Pool::private();
         let params = SearchParams::with_top_k(64);
         let (small, small_matches) = chain(6);
         assert_eq!(
             search(&small, &small_matches, params),
-            on_fresh_thread(&small, &small_matches, params)
+            on_fresh_arena(&small, &small_matches, params)
         );
-        assert_eq!(crate::arena::pooled(), 1);
+        assert_eq!(pool.len(), 1);
 
         // Nodes 6 and 7 exist only in the overlay: 5 -> 6 -> 7.
         let (grown, outcome) = small.apply_batch(
@@ -1467,13 +1471,13 @@ mod tests {
             KeywordMatches::from_sets(vec![("left", vec![NodeId(0)]), ("right", vec![NodeId(7)])]);
         assert_eq!(
             search(&grown, &grown_matches, params),
-            on_fresh_thread(&grown, &grown_matches, params)
+            on_fresh_arena(&grown, &grown_matches, params)
         );
         assert_eq!(
             search(&small, &small_matches, params),
-            on_fresh_thread(&small, &small_matches, params)
+            on_fresh_arena(&small, &small_matches, params)
         );
-        assert_eq!(crate::arena::pooled(), 1, "one arena did all three");
+        assert_eq!(pool.generations(), [3], "one arena did all three");
     }
 
     /// One arena — and in it one candidate pool, whose per-keyword arrays
@@ -1481,6 +1485,7 @@ mod tests {
     /// keywords in turn.
     #[test]
     fn arena_is_reused_across_keyword_counts() {
+        let pool = Pool::private();
         let params = SearchParams::with_top_k(64);
         let (g, two) = chain(9);
         let three = KeywordMatches::from_sets(vec![
@@ -1492,35 +1497,39 @@ mod tests {
         for matches in [&two, &three, &two, &one, &three, &two] {
             assert_eq!(
                 search(&g, matches, params),
-                on_fresh_thread(&g, matches, params),
+                on_fresh_arena(&g, matches, params),
                 "{} keyword(s)",
                 matches.num_keywords()
             );
-            assert_eq!(crate::arena::pooled(), 1);
+            assert_eq!(pool.len(), 1);
         }
+        assert_eq!(pool.generations(), [6], "one arena ran all six");
     }
 
     /// When the generation counter wraps, stamps of the query that ran
     /// 2^32 generations ago must not read as live.
     #[test]
     fn generation_wrap_does_not_resurrect_old_state() {
+        let pool = Pool::private();
         let params = SearchParams::with_top_k(64);
         let (g, m) = chain(12);
-        let expected = on_fresh_thread(&g, &m, params);
-        crate::arena::set_pooled_generation(0);
-        assert_eq!(search(&g, &m, params), expected); // stamps carry generation 1
-        crate::arena::set_pooled_generation(u32::MAX); // next begin() wraps to 0 -> 1
+        let expected = on_fresh_arena(&g, &m, params);
+        assert_eq!(search(&g, &m, params), expected); // a new arena: stamps carry generation 1
+        assert_eq!(pool.generations(), [1]);
+        pool.set_generation(u32::MAX); // next begin() wraps to 0 -> 1
         let (other, other_matches) = chain(9);
         assert_eq!(
             search(&other, &other_matches, params),
-            on_fresh_thread(&other, &other_matches, params)
+            on_fresh_arena(&other, &other_matches, params)
         );
+        assert_eq!(pool.generations(), [1], "the wrap happened");
         assert_eq!(search(&g, &m, params), expected);
     }
 
     /// Two streams polled alternately on one thread hold two arenas.
     #[test]
     fn interleaved_streams_on_one_thread_do_not_share_state() {
+        let pool = Pool::private();
         let params = SearchParams::with_top_k(64).emission(EmissionPolicy::Immediate);
         let (g1, m1) = chain(10);
         let (g2, m2) = chain(7);
@@ -1545,20 +1554,21 @@ mod tests {
         };
         assert_eq!(
             interleaved(answers1, first.as_ref()),
-            on_fresh_thread(&g1, &m1, params)
+            on_fresh_arena(&g1, &m1, params)
         );
         assert_eq!(
             interleaved(answers2, second.as_ref()),
-            on_fresh_thread(&g2, &m2, params)
+            on_fresh_arena(&g2, &m2, params)
         );
         drop((first, second));
-        assert_eq!(crate::arena::pooled(), 2);
+        assert_eq!(pool.len(), 2);
     }
 
     /// A client that disconnects (`take(1)`, drop) hands back an arena the
     /// next query can use as if it were new.
     #[test]
     fn stream_dropped_mid_search_returns_a_clean_arena() {
+        let pool = Pool::private();
         let params = SearchParams::with_top_k(64).emission(EmissionPolicy::Immediate);
         let (g, m) = chain(14);
         let p = uniform(&g);
@@ -1568,22 +1578,80 @@ mod tests {
             assert!(stream.next().is_some());
             assert!(!stream.is_exhausted(), "dropped with work left");
         }
-        assert_eq!(crate::arena::pooled(), 1);
+        assert_eq!(pool.len(), 1);
         let (other, other_matches) = chain(9);
         assert_eq!(
             search(&other, &other_matches, params),
-            on_fresh_thread(&other, &other_matches, params)
+            on_fresh_arena(&other, &other_matches, params)
         );
-        assert_eq!(crate::arena::pooled(), 1);
+        assert_eq!(pool.generations(), [2], "the dropped stream's arena ran it");
+    }
+
+    /// A stream started on one thread and dropped on another hands its
+    /// arena back to the pool it came from, not to the dropping thread's.
+    /// (That the stream may move at all is `Arena: Send`, checked by the
+    /// compiler.)
+    #[test]
+    fn stream_dropped_on_another_thread_returns_its_arena() {
+        let pool = Pool::private();
+        let params = SearchParams::with_top_k(64).emission(EmissionPolicy::Immediate);
+        let (g, m) = chain(14);
+        let p = uniform(&g);
+        let mut stream = Expander::new(
+            BidirectionalConfig::default(),
+            QueryContext::new(&g, &p, &m, params),
+        );
+        assert!(stream.next().is_some());
+        std::thread::scope(|scope| {
+            scope
+                .spawn(move || {
+                    assert!(!stream.is_exhausted(), "dropped with work left");
+                    drop(stream);
+                })
+                .join()
+                .expect("dropping the stream panicked");
+        });
+        assert_eq!(pool.len(), 1);
+        let (other, other_matches) = chain(9);
+        assert_eq!(
+            search(&other, &other_matches, params),
+            on_fresh_arena(&other, &other_matches, params)
+        );
+        assert_eq!(pool.generations(), [2], "the moved stream's arena ran it");
+    }
+
+    /// Queries run one after another on short-lived threads share one
+    /// arena: a thread's exit takes nothing out of the pool.
+    #[test]
+    fn queries_on_short_lived_threads_share_one_arena() {
+        const THREADS: u32 = 8;
+        let pool = Pool::private();
+        let params = SearchParams::with_top_k(64);
+        let (g, m) = chain(12);
+        let expected = on_fresh_arena(&g, &m, params);
+        for _ in 0..THREADS {
+            let run = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        pool.install();
+                        search(&g, &m, params)
+                    })
+                    .join()
+                    .expect("query thread panicked")
+            });
+            assert_eq!(run, expected);
+        }
+        assert_eq!(pool.generations(), [THREADS], "one arena ran every query");
     }
 
     /// A `next()` that panics does not put its arena back.
     #[test]
     fn panicking_search_does_not_return_its_arena() {
+        let pool = Pool::private();
         let params = SearchParams::with_top_k(64);
         let (g, m) = chain(8);
-        assert_eq!(search(&g, &m, params), on_fresh_thread(&g, &m, params));
-        assert_eq!(crate::arena::pooled(), 1);
+        assert_eq!(search(&g, &m, params), on_fresh_arena(&g, &m, params));
+        assert_eq!(pool.len(), 1);
 
         // A prestige vector for a smaller graph: seeding node 7 indexes
         // past its end.
@@ -1595,10 +1663,10 @@ mod tests {
         });
         assert!(result.is_err(), "the search must have panicked");
         assert_eq!(
-            crate::arena::pooled(),
+            pool.len(),
             0,
             "the arena the panicking search held is gone, not pooled"
         );
-        assert_eq!(search(&g, &m, params), on_fresh_thread(&g, &m, params));
+        assert_eq!(search(&g, &m, params), on_fresh_arena(&g, &m, params));
     }
 }

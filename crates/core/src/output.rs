@@ -24,7 +24,7 @@
 //!
 //! All of it is a `CandidatePool` of five `Vec`s that is cleared, not
 //! dropped, between queries: the expansion engine parks it in its
-//! per-thread arena (`arena.rs`).
+//! pooled arena (`arena.rs`).
 
 use std::time::Duration;
 
