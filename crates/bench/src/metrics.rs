@@ -39,7 +39,7 @@ impl EngineKind {
     }
 
     /// Instantiates the engine through the default registry (built once —
-    /// this runs inside criterion-timed loops).
+    /// this runs inside timed loops).
     pub fn engine(&self) -> Box<dyn SearchEngine> {
         static REGISTRY: std::sync::OnceLock<EngineRegistry> = std::sync::OnceLock::new();
         REGISTRY

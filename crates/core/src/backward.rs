@@ -365,10 +365,6 @@ impl<'a> ExpansionMachine for MiExpander<'a> {
         self.ctx.is_cancelled()
     }
 
-    fn observer(&self) -> Option<&banks_obs::WorkCounters> {
-        self.ctx.observer
-    }
-
     fn advance(&mut self) {
         MiExpander::advance(self)
     }

@@ -850,10 +850,6 @@ impl<'a> ExpansionMachine for Expander<'a> {
         self.ctx.is_cancelled()
     }
 
-    fn observer(&self) -> Option<&banks_obs::WorkCounters> {
-        self.ctx.observer
-    }
-
     fn advance(&mut self) {
         Expander::advance(self)
     }

@@ -128,7 +128,7 @@ pub use engine::{RankedAnswer, SearchEngine, SearchOutcome};
 pub use params::{EmissionPolicy, SearchParams};
 pub use registry::{EngineRegistry, UnknownEngine};
 pub use relevance::{GroundTruth, RecallPrecision};
-pub use score::{EdgeScoreCombiner, ScoreModel};
+pub use score::ScoreModel;
 pub use session::{build_label_index, label_index_delta, Banks, QuerySession};
 pub use si_backward::SingleIteratorBackwardSearch;
 pub use stats::{AnswerTiming, SearchStats};

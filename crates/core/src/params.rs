@@ -1,7 +1,5 @@
 //! Search parameters shared by all engines.
 
-use crate::score::EdgeScoreCombiner;
-
 /// When buffered answers are released from the output heap.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EmissionPolicy {
@@ -37,8 +35,6 @@ pub struct SearchParams {
     pub top_k: usize,
     /// How eagerly buffered answers are released.
     pub emission: EmissionPolicy,
-    /// Mapping from the aggregate tree edge weight to a relevance factor.
-    pub edge_score: EdgeScoreCombiner,
     /// Safety cap on the number of nodes an engine may explore (pop from its
     /// queues) before giving up.  `None` means unlimited.
     pub max_explored: Option<usize>,
@@ -65,7 +61,6 @@ impl Default for SearchParams {
             lambda: 0.2,
             top_k: 10,
             emission: EmissionPolicy::ExactBound,
-            edge_score: EdgeScoreCombiner::ReciprocalEdgeSum,
             max_explored: None,
             max_generated: None,
             answer_work_budget: None,
@@ -129,7 +124,7 @@ impl SearchParams {
 
     /// The score model induced by these parameters.
     pub fn score_model(&self) -> crate::score::ScoreModel {
-        crate::score::ScoreModel::new(self.edge_score, self.lambda)
+        crate::score::ScoreModel::new(self.lambda)
     }
 
     /// A stable 64-bit fingerprint of the full parameter set, used (together
@@ -151,13 +146,6 @@ impl SearchParams {
             EmissionPolicy::Heuristic => 1,
             EmissionPolicy::Immediate => 2,
         });
-        match self.edge_score {
-            EdgeScoreCombiner::ReciprocalEdgeSum => fnv.write_u64(0),
-            EdgeScoreCombiner::ExponentialDecay { scale } => {
-                fnv.write_u64(1);
-                fnv.write_u64(scale.to_bits());
-            }
-        }
         fnv.write_opt_usize(self.max_explored);
         fnv.write_opt_usize(self.max_generated);
         fnv.write_opt_usize(self.answer_work_budget);
@@ -270,11 +258,6 @@ mod tests {
             base.fingerprint(),
             "Some(0) must differ from None"
         );
-        let decay = SearchParams {
-            edge_score: crate::score::EdgeScoreCombiner::ExponentialDecay { scale: 2.0 },
-            ..SearchParams::default()
-        };
-        assert_ne!(base.fingerprint(), decay.fingerprint());
     }
 
     #[test]

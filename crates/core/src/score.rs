@@ -13,52 +13,25 @@
 //! *increase* with relevance (answers with higher scores are output first),
 //! the edge weight sum has to pass through a monotone decreasing map before
 //! being multiplied with `N^λ` — exactly as in BANKS-I, which uses
-//! `1/(1+E)`.  [`EdgeScoreCombiner`] makes that map explicit and pluggable;
-//! the reciprocal map is the default used everywhere in the reproduction.
+//! `1/(1+E)`; this reproduction applies that map everywhere.
 
-/// Monotone decreasing map from the aggregate tree edge weight `E` to a
-/// relevance factor in `(0, 1]`.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub enum EdgeScoreCombiner {
-    /// `1 / (1 + E)` — the BANKS-I map; the default.
-    #[default]
-    ReciprocalEdgeSum,
-    /// `exp(-E / scale)` — a steeper alternative used in ablations.
-    ExponentialDecay {
-        /// Scale of the exponential decay (larger = gentler).
-        scale: f64,
-    },
-}
-
-impl EdgeScoreCombiner {
-    /// Maps the aggregate edge weight to a relevance factor.
-    #[inline]
-    pub fn relevance(&self, aggregate_edge_weight: f64) -> f64 {
-        debug_assert!(aggregate_edge_weight >= 0.0);
-        match self {
-            EdgeScoreCombiner::ReciprocalEdgeSum => 1.0 / (1.0 + aggregate_edge_weight),
-            EdgeScoreCombiner::ExponentialDecay { scale } => (-aggregate_edge_weight / scale).exp(),
-        }
-    }
-}
-
-/// The full scoring model: edge-score map plus the prestige exponent `λ`.
+/// The full scoring model: the `1/(1+E)` edge map and the prestige
+/// exponent `λ`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ScoreModel {
-    combiner: EdgeScoreCombiner,
     lambda: f64,
 }
 
 impl ScoreModel {
     /// Creates a score model.
-    pub fn new(combiner: EdgeScoreCombiner, lambda: f64) -> Self {
+    pub fn new(lambda: f64) -> Self {
         assert!(lambda >= 0.0, "λ must be non-negative");
-        ScoreModel { combiner, lambda }
+        ScoreModel { lambda }
     }
 
-    /// The paper's defaults: reciprocal edge map, `λ = 0.2`.
+    /// The paper's default, `λ = 0.2`.
     pub fn paper_default() -> Self {
-        ScoreModel::new(EdgeScoreCombiner::ReciprocalEdgeSum, 0.2)
+        ScoreModel::new(0.2)
     }
 
     /// The prestige exponent.
@@ -66,17 +39,13 @@ impl ScoreModel {
         self.lambda
     }
 
-    /// The edge-score map.
-    pub fn combiner(&self) -> EdgeScoreCombiner {
-        self.combiner
-    }
-
     /// Overall tree score from the aggregate edge weight `E = Σ_i s(T, t_i)`
     /// and tree node prestige `N`.
     #[inline]
     pub fn tree_score(&self, aggregate_edge_weight: f64, node_prestige: f64) -> f64 {
+        debug_assert!(aggregate_edge_weight >= 0.0);
         debug_assert!(node_prestige >= 0.0);
-        self.combiner.relevance(aggregate_edge_weight) * node_prestige.powf(self.lambda)
+        1.0 / (1.0 + aggregate_edge_weight) * node_prestige.powf(self.lambda)
     }
 
     /// Upper bound on the overall score of any answer whose aggregate edge
@@ -108,18 +77,11 @@ mod tests {
 
     #[test]
     fn reciprocal_map_is_monotone_decreasing() {
-        let c = EdgeScoreCombiner::ReciprocalEdgeSum;
-        assert_eq!(c.relevance(0.0), 1.0);
-        assert!(c.relevance(1.0) > c.relevance(2.0));
-        assert!(c.relevance(2.0) > c.relevance(10.0));
-        assert!(c.relevance(10.0) > 0.0);
-    }
-
-    #[test]
-    fn exponential_map_is_monotone_decreasing() {
-        let c = EdgeScoreCombiner::ExponentialDecay { scale: 2.0 };
-        assert!((c.relevance(0.0) - 1.0).abs() < 1e-12);
-        assert!(c.relevance(1.0) > c.relevance(3.0));
+        let m = ScoreModel::new(0.0);
+        assert_eq!(m.tree_score(0.0, 1.0), 1.0);
+        assert!(m.tree_score(1.0, 1.0) > m.tree_score(2.0, 1.0));
+        assert!(m.tree_score(2.0, 1.0) > m.tree_score(10.0, 1.0));
+        assert!(m.tree_score(10.0, 1.0) > 0.0);
     }
 
     #[test]
@@ -130,12 +92,11 @@ mod tests {
         // higher prestige wins at equal length
         assert!(m.tree_score(2.0, 2.0) > m.tree_score(2.0, 1.0));
         assert_eq!(m.lambda(), 0.2);
-        assert_eq!(m.combiner(), EdgeScoreCombiner::ReciprocalEdgeSum);
     }
 
     #[test]
     fn lambda_zero_ignores_prestige() {
-        let m = ScoreModel::new(EdgeScoreCombiner::ReciprocalEdgeSum, 0.0);
+        let m = ScoreModel::new(0.0);
         assert_eq!(m.tree_score(3.0, 0.5), m.tree_score(3.0, 100.0));
     }
 
@@ -161,6 +122,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_lambda() {
-        let _ = ScoreModel::new(EdgeScoreCombiner::ReciprocalEdgeSum, -1.0);
+        let _ = ScoreModel::new(-1.0);
     }
 }

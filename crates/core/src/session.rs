@@ -89,7 +89,6 @@ pub struct Banks<'g> {
     prestige: Option<PrestigeVector>,
     index: Option<InvertedIndex>,
     registry: EngineRegistry,
-    default_engine: String,
     uniform_prestige: OnceLock<PrestigeVector>,
     label_index: OnceLock<InvertedIndex>,
 }
@@ -103,7 +102,6 @@ impl<'g> Banks<'g> {
             prestige: None,
             index: None,
             registry: EngineRegistry::with_default_engines(),
-            default_engine: "bidirectional".to_string(),
             uniform_prestige: OnceLock::new(),
             label_index: OnceLock::new(),
         }
@@ -121,25 +119,6 @@ impl<'g> Banks<'g> {
     pub fn with_index(mut self, index: InvertedIndex) -> Self {
         self.index = Some(index);
         self
-    }
-
-    /// Sets the default engine for sessions created from this handle.
-    ///
-    /// # Panics
-    /// Panics when the name resolves to no registered engine; the message
-    /// lists the known engines and the nearest alias.
-    pub fn with_engine(mut self, name: impl Into<String>) -> Self {
-        let name = name.into();
-        if self.registry.canonical(&name).is_none() {
-            panic!("{}", self.registry.unknown(&name));
-        }
-        self.default_engine = name;
-        self
-    }
-
-    /// Registers a custom engine factory on this handle's registry.
-    pub fn register_engine(&mut self, name: &'static str, factory: crate::registry::EngineFactory) {
-        self.registry.register(name, factory);
     }
 
     /// The engine names this handle can instantiate.
@@ -205,18 +184,12 @@ impl<'g> Banks<'g> {
         self.session(matches)
     }
 
-    /// Starts a query from pre-resolved origin sets (hand-built sets in
-    /// tests, or match sources other than the text index).
-    pub fn query_matches(&self, matches: KeywordMatches) -> QuerySession<'_, 'g> {
-        self.session(matches)
-    }
-
     fn session(&self, matches: KeywordMatches) -> QuerySession<'_, 'g> {
         QuerySession {
             banks: self,
             matches,
             params: SearchParams::default(),
-            engine: self.default_engine.clone(),
+            engine: "bidirectional".to_string(),
             cancel: None,
         }
     }
@@ -314,11 +287,6 @@ impl<'b, 'g> QuerySession<'b, 'g> {
         &self.matches
     }
 
-    /// The parameters this session will run with.
-    pub fn current_params(&self) -> &SearchParams {
-        &self.params
-    }
-
     /// The engine instance this session will run.
     pub fn build_engine(&self) -> Box<dyn SearchEngine> {
         self.banks
@@ -410,13 +378,6 @@ mod tests {
     }
 
     #[test]
-    fn with_engine_changes_the_default() {
-        let graph = tiny_graph();
-        let banks = Banks::open(&graph).with_engine("si-backward");
-        assert_eq!(banks.query(["gray"]).build_engine().name(), "SI-Backward");
-    }
-
-    #[test]
     #[should_panic(expected = "unknown engine")]
     fn unknown_engine_panics_with_candidates() {
         let graph = tiny_graph();
@@ -494,20 +455,5 @@ mod tests {
             updated.matching_nodes(&successor, "venue"),
             rebuilt.matching_nodes(&successor, "venue")
         );
-    }
-
-    #[test]
-    fn custom_engines_can_be_registered() {
-        let graph = tiny_graph();
-        let mut banks = Banks::open(&graph);
-        banks.register_engine(
-            "mine",
-            Box::new(|| Box::new(crate::si_backward::SingleIteratorBackwardSearch::new())),
-        );
-        assert_eq!(
-            banks.query(["gray"]).engine("mine").build_engine().name(),
-            "SI-Backward"
-        );
-        assert!(banks.engine_names().contains(&"mine"));
     }
 }

@@ -6,7 +6,8 @@
 //! It further distinguishes, per answer, the *generation time* (when the
 //! answer tree was first built) from the *output time* (when the upper-bound
 //! logic finally allowed it to be released).  [`SearchStats`] carries all of
-//! these.
+//! these, and it is the one record of engine work: a query trace's
+//! counters are read from it, so a new engine counter belongs here.
 
 use std::time::Duration;
 
@@ -55,93 +56,9 @@ pub struct SearchStats {
     pub cancelled: bool,
 }
 
-impl SearchStats {
-    /// Merges per-answer timing information into the summary figures the
-    /// paper reports: the time and explored-count at which the *last* output
-    /// answer was generated and output.
-    pub fn last_answer_summary(timings: &[AnswerTiming]) -> Option<AnswerTiming> {
-        timings.iter().copied().max_by_key(|t| t.output_at)
-    }
-
-    /// Ratio of another run's explored nodes to this run's (used for the
-    /// paper's `SI-Bkwd / Bidir` style columns).  Returns `None` when this
-    /// run explored zero nodes.
-    pub fn explored_ratio_vs(&self, other: &SearchStats) -> Option<f64> {
-        if self.nodes_explored == 0 {
-            None
-        } else {
-            Some(other.nodes_explored as f64 / self.nodes_explored as f64)
-        }
-    }
-
-    /// Ratio of another run's touched nodes to this run's.
-    pub fn touched_ratio_vs(&self, other: &SearchStats) -> Option<f64> {
-        if self.nodes_touched == 0 {
-            None
-        } else {
-            Some(other.nodes_touched as f64 / self.nodes_touched as f64)
-        }
-    }
-
-    /// Ratio of another run's duration to this run's.
-    pub fn time_ratio_vs(&self, other: &SearchStats) -> Option<f64> {
-        let mine = self.duration.as_secs_f64();
-        if mine <= 0.0 {
-            None
-        } else {
-            Some(other.duration.as_secs_f64() / mine)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn timing(gen_ms: u64, out_ms: u64, gen_n: usize, out_n: usize) -> AnswerTiming {
-        AnswerTiming {
-            generated_at: Duration::from_millis(gen_ms),
-            output_at: Duration::from_millis(out_ms),
-            explored_at_generation: gen_n,
-            explored_at_output: out_n,
-        }
-    }
-
-    #[test]
-    fn last_answer_summary_picks_latest_output() {
-        let timings = vec![
-            timing(1, 10, 5, 50),
-            timing(3, 30, 15, 150),
-            timing(2, 20, 10, 100),
-        ];
-        let last = SearchStats::last_answer_summary(&timings).unwrap();
-        assert_eq!(last.output_at, Duration::from_millis(30));
-        assert_eq!(last.explored_at_output, 150);
-        assert!(SearchStats::last_answer_summary(&[]).is_none());
-    }
-
-    #[test]
-    fn ratios() {
-        let a = SearchStats {
-            nodes_explored: 10,
-            nodes_touched: 100,
-            duration: Duration::from_millis(20),
-            ..Default::default()
-        };
-        let b = SearchStats {
-            nodes_explored: 40,
-            nodes_touched: 300,
-            duration: Duration::from_millis(60),
-            ..Default::default()
-        };
-        assert_eq!(a.explored_ratio_vs(&b), Some(4.0));
-        assert_eq!(a.touched_ratio_vs(&b), Some(3.0));
-        assert!((a.time_ratio_vs(&b).unwrap() - 3.0).abs() < 1e-9);
-        let zero = SearchStats::default();
-        assert_eq!(zero.explored_ratio_vs(&b), None);
-        assert_eq!(zero.touched_ratio_vs(&b), None);
-        assert_eq!(zero.time_ratio_vs(&b), None);
-    }
 
     #[test]
     fn default_stats_are_zeroed() {

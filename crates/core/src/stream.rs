@@ -40,7 +40,6 @@ use std::collections::VecDeque;
 use std::time::Instant;
 
 use banks_graph::DataGraph;
-use banks_obs::WorkCounters;
 use banks_prestige::PrestigeVector;
 use banks_textindex::KeywordMatches;
 
@@ -69,11 +68,6 @@ pub struct QueryContext<'a> {
     /// Cooperative cancellation flag, checked before every expansion step.
     /// `None` means the search cannot be cancelled externally.
     pub cancel: Option<&'a CancelToken>,
-    /// Live work counters the stream driver publishes progress samples
-    /// into with relaxed stores after every expansion step.  `None` (the
-    /// default) skips sampling entirely, keeping untraced queries free of
-    /// instrumentation cost.
-    pub observer: Option<&'a WorkCounters>,
 }
 
 impl<'a> QueryContext<'a> {
@@ -91,7 +85,6 @@ impl<'a> QueryContext<'a> {
             matches,
             params,
             cancel: None,
-            observer: None,
         }
     }
 
@@ -99,14 +92,6 @@ impl<'a> QueryContext<'a> {
     /// expansion step and stops (without exhausting) once it is cancelled.
     pub fn with_cancel(mut self, token: &'a CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches live work counters: the stream driver publishes a progress
-    /// sample (heap pops, rows expanded, answers) after every expansion
-    /// step with relaxed stores.
-    pub fn with_observer(mut self, observer: &'a WorkCounters) -> Self {
-        self.observer = Some(observer);
         self
     }
 
@@ -237,25 +222,6 @@ pub(crate) trait ExpansionMachine {
     fn advance(&mut self);
     /// Ends the search: flush buffered answers and seal the statistics.
     fn finish(&mut self);
-    /// The live work counters attached to the query, if any.  The shared
-    /// driver publishes a progress sample into them after every step.
-    fn observer(&self) -> Option<&WorkCounters> {
-        None
-    }
-}
-
-/// Publishes the machine's current counters into its observer (if one is
-/// attached) as absolute relaxed stores.
-fn publish_progress<M: ExpansionMachine>(machine: &M) {
-    if let Some(obs) = machine.observer() {
-        let stats = &machine.core().stats;
-        obs.store(
-            stats.nodes_explored as u64,
-            stats.nodes_touched as u64,
-            stats.edges_traversed as u64,
-            machine.core().produced as u64,
-        );
-    }
 }
 
 /// The shared `Iterator::next` body: pump the ready queue, honour
@@ -292,12 +258,10 @@ pub(crate) fn next_answer<M: ExpansionMachine>(machine: &mut M) -> Option<Ranked
                 // the cut-off point is identical under any load.
                 core.stats.truncated = true;
                 machine.finish();
-                publish_progress(machine);
                 continue;
             }
         }
         machine.advance();
-        publish_progress(machine);
     }
 }
 

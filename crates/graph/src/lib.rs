@@ -25,8 +25,7 @@
 //!   O(touched rows) instead of a rebuild,
 //! * [`ExpansionPolicy`] / [`BackwardWeightPolicy`] — the knobs controlling
 //!   how backward edges are derived,
-//! * traversal helpers ([`traversal`]), statistics ([`stats`]) and
-//!   Graphviz export ([`dot`]).
+//! * statistics ([`stats`]).
 //!
 //! The in-memory representation follows the paper's "the graph is really
 //! only an index" philosophy: nodes carry only a kind id and a short label;
@@ -35,14 +34,12 @@
 pub mod builder;
 pub mod codec;
 pub mod csr;
-pub mod dot;
 pub mod error;
 pub mod graph;
 pub mod ids;
 pub mod mutation;
 pub mod node;
 pub mod stats;
-pub mod traversal;
 pub mod weights;
 
 pub use builder::GraphBuilder;

@@ -14,8 +14,8 @@
 //!   untouched behind an `Arc`, and only the adjacency rows the batch
 //!   actually dirtied are rewritten into the copy-on-write overlay,
 //! * [`BatchOutcome`] — per-op accept/reject results plus the delta the
-//!   layers above need (dirty nodes for prestige refresh, label changes for
-//!   index deltas, newly interned kinds).
+//!   layers above need (label changes for index deltas, newly interned
+//!   kinds).
 //!
 //! ## Semantics
 //!
@@ -277,9 +277,6 @@ pub struct BatchOutcome {
     /// One result per op, in batch order: the effect, or why the op was
     /// rejected.  Rejected ops change nothing.
     pub results: Vec<std::result::Result<OpEffect, GraphError>>,
-    /// Nodes whose forward in-degree changed, plus every node the batch
-    /// added — the dirty set an incremental prestige recompute refreshes.
-    pub dirty_nodes: Vec<NodeId>,
     /// Nodes whose indexed text changed (added or relabelled), with their
     /// pre-batch labels — the input to an inverted-index delta.
     pub label_changes: Vec<LabelChange>,
@@ -794,14 +791,9 @@ impl<'g> DeltaBuilder<'g> {
             epoch: fresh_epoch(),
         };
 
-        let mut dirty: BTreeSet<u32> = indeg_changed;
-        for i in self.base_nodes..graph.num_nodes() {
-            dirty.insert(i as u32);
-        }
         let num_kinds_before = self.g.num_kinds();
         let outcome = BatchOutcome {
             results,
-            dirty_nodes: dirty.into_iter().map(NodeId).collect(),
             label_changes: label_old
                 .into_iter()
                 .map(|(node, old_label)| LabelChange {
@@ -1105,14 +1097,13 @@ mod tests {
     }
 
     #[test]
-    fn dirty_nodes_cover_indegree_changes_and_additions() {
+    fn label_changes_cover_added_nodes() {
         let g = graph_from_edges(4, &[(0, 1), (2, 3)]);
         let batch = MutationBatch::new()
             .add_node("node", "new")
             .add_edge(NodeId(0), NodeId(4))
             .remove_edge(NodeId(2), NodeId(3));
         let (_, outcome) = g.apply_batch(&batch);
-        assert_eq!(outcome.dirty_nodes, vec![NodeId(3), NodeId(4)]);
         assert_eq!(outcome.label_changes.len(), 1);
         assert_eq!(outcome.label_changes[0].node, NodeId(4));
         assert_eq!(outcome.label_changes[0].old_label, None);

@@ -76,16 +76,6 @@ impl ExpansionPolicy {
         Self::default()
     }
 
-    /// An undirected-style configuration in which backward edges mirror the
-    /// forward weight.
-    pub fn undirected_like() -> Self {
-        ExpansionPolicy {
-            add_backward_edges: true,
-            backward_weight: BackwardWeightPolicy::Mirror,
-            default_forward_weight: 1.0,
-        }
-    }
-
     /// A strictly directed configuration with no backward edges.
     pub fn directed_only() -> Self {
         ExpansionPolicy {
@@ -149,10 +139,6 @@ mod tests {
 
     #[test]
     fn preset_policies() {
-        assert_eq!(
-            ExpansionPolicy::undirected_like().backward_weight,
-            BackwardWeightPolicy::Mirror
-        );
         assert!(!ExpansionPolicy::directed_only().add_backward_edges);
     }
 }

@@ -1,7 +1,6 @@
 //! Property-based tests for the graph substrate.
 
 use banks_graph::builder::GraphBuilder;
-use banks_graph::traversal::{dijkstra, Direction};
 use banks_graph::{BackwardWeightPolicy, EdgeKind, ExpansionPolicy, NodeId};
 use proptest::prelude::*;
 
@@ -70,43 +69,20 @@ proptest! {
         }
     }
 
-    /// Under the Mirror policy the expanded graph is weight-symmetric, so
-    /// Dijkstra distances are symmetric too.
+    /// Under the Mirror policy the expanded graph is weight-symmetric:
+    /// every edge has a reverse twin of the same weight.
     #[test]
-    fn mirror_policy_gives_symmetric_distances((n, edges) in arb_graph()) {
+    fn mirror_policy_is_weight_symmetric((n, edges) in arb_graph()) {
         let policy = ExpansionPolicy {
             add_backward_edges: true,
             backward_weight: BackwardWeightPolicy::Mirror,
             default_forward_weight: 1.0,
         };
         let g = build(n, &edges, policy);
-        // sample a handful of node pairs to keep runtime bounded
-        let nodes: Vec<NodeId> = g.nodes().collect();
-        for (i, &a) in nodes.iter().enumerate().take(5) {
-            let from_a = dijkstra(&g, a, Direction::Outgoing);
-            for &b in nodes.iter().skip(i).take(5) {
-                let from_b = dijkstra(&g, b, Direction::Outgoing);
-                let d_ab = from_a.distance(b);
-                let d_ba = from_b.distance(a);
-                if d_ab.is_finite() || d_ba.is_finite() {
-                    prop_assert!((d_ab - d_ba).abs() < 1e-9,
-                        "asymmetric distances {} vs {}", d_ab, d_ba);
-                }
-            }
-        }
-    }
-
-    /// Dijkstra distances satisfy the triangle inequality over direct edges.
-    #[test]
-    fn dijkstra_relaxed_edges((n, edges) in arb_graph()) {
-        let g = build(n, &edges, ExpansionPolicy::paper_default());
-        if g.num_nodes() == 0 { return Ok(()); }
-        let src = NodeId(0);
-        let sp = dijkstra(&g, src, Direction::Outgoing);
         for u in g.nodes() {
-            if !sp.is_reachable(u) { continue; }
             for e in g.out_edges(u) {
-                prop_assert!(sp.distance(e.to) <= sp.distance(u) + e.weight + 1e-9);
+                prop_assert!(g.out_edges(e.to).any(|b| b.to == u && (b.weight - e.weight).abs() < 1e-12),
+                    "edge {:?} has no reverse twin of equal weight", e);
             }
         }
     }

@@ -6,14 +6,10 @@
 //! harness.  `std`-only, dependency-free, and designed so the instruments
 //! themselves stay off the hot path:
 //!
-//! * [`Counter`] / [`Gauge`] — relaxed-atomic scalars, safe to bump from
-//!   any thread without a lock;
 //! * [`Histogram`] — a lock-free log₂-microsecond latency histogram with
 //!   [`LatencySummary`] percentiles (p50/p90/p99), generalized from the
 //!   service's original queue-wait histogram so one implementation serves
 //!   queue wait, TTFA, mutation apply, checkpoint and WAL-fsync latencies;
-//! * [`WorkCounters`] — the per-query live counters (heap pops, rows
-//!   expanded) an engine's step driver publishes with relaxed stores;
 //! * [`QueryTrace`] / [`TraceSpan`] — one query's phase timeline
 //!   (admit → queue → resolve → expand → first-answer → finish);
 //! * [`BoundedRing`] — the one bounded retention ring: a mutex-guarded
@@ -43,7 +39,6 @@
 
 mod bounded;
 mod calib;
-mod counter;
 mod event;
 mod hist;
 mod prom;
@@ -53,7 +48,6 @@ mod trace;
 
 pub use bounded::BoundedRing;
 pub use calib::{origin_bucket, CalibrationRow, CostCalibration, ORIGIN_BUCKETS};
-pub use counter::{Counter, Gauge, WorkCounters};
 pub use event::{Event, EventLevel, EventLog};
 pub use hist::{Histogram, LatencySummary, HISTOGRAM_BUCKETS};
 pub use prom::PromText;

@@ -3,7 +3,7 @@
 //! A [`QueryTrace`] is one query's post-mortem timeline: a handful of
 //! named [`TraceSpan`]s whose endpoints are microsecond offsets from the
 //! moment the service first saw the query, plus a small table of engine
-//! work counters sampled at completion.  Offsets (rather than absolute
+//! work counters taken from its final statistics.  Offsets (rather than absolute
 //! timestamps) make traces cheap to record, trivially serializable, and
 //! self-consistent: every span is bounded by `[0, total_us]`.  A
 //! [`TraceRing`] retains the traced and slow ones.
@@ -57,8 +57,8 @@ pub struct QueryTrace {
     pub total_us: u64,
     /// Phase spans, in the order they were recorded.
     pub spans: Vec<TraceSpan>,
-    /// Engine work counters sampled at completion
-    /// (`heap_pops`, `rows_expanded`, …).
+    /// Engine work counters from the query's final statistics
+    /// (`heap_pops`, `rows_expanded`, …; all zero for a cache hit).
     pub counters: Vec<(&'static str, u64)>,
 }
 
@@ -72,7 +72,7 @@ impl QueryTrace {
         });
     }
 
-    /// Appends a work counter sample.
+    /// Appends a work counter.
     pub fn push_counter(&mut self, name: &'static str, value: u64) {
         self.counters.push((name, value));
     }

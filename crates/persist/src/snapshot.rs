@@ -28,7 +28,8 @@
 //! writer knows how it derived index and prestige).  Record 11 is 32 bytes
 //! on disk: a 24-byte record header and a 2-byte payload padded to 8 —
 //! byte 0 names the index (0 label index, 1 external), byte 1 the prestige
-//! (0 uniform, 1 indegree, 2 pinned).  The serving tier writes it at every
+//! (0 uniform, 2 pinned; 1 once named indegree prestige and now reads as no
+//! derivation).  The serving tier writes it at every
 //! checkpoint so that a follower, or a restart with nothing to replay, can
 //! serve the persisted index and prestige instead of deriving them again
 //! ([`Derivation`]).  Readers skip tags they do not know, so a file with
@@ -115,8 +116,6 @@ pub enum IndexDerivation {
 pub enum PrestigeDerivation {
     /// `1.0` for every node.
     Uniform,
-    /// Indegree prestige, recomputable from the graph.
-    Indegree,
     /// Supplied from outside; only the persisted values say what it is.
     Pinned,
 }
@@ -140,7 +139,6 @@ impl Derivation {
         };
         let prestige = match self.prestige {
             PrestigeDerivation::Uniform => 0,
-            PrestigeDerivation::Indegree => 1,
             PrestigeDerivation::Pinned => 2,
         };
         vec![index, prestige]
@@ -157,7 +155,6 @@ impl Derivation {
         };
         let prestige = match payload.get(1)? {
             0 => PrestigeDerivation::Uniform,
-            1 => PrestigeDerivation::Indegree,
             2 => PrestigeDerivation::Pinned,
             _ => return None,
         };
@@ -1267,7 +1264,7 @@ mod tests {
             },
             Derivation {
                 index: IndexDerivation::Labels,
-                prestige: PrestigeDerivation::Indegree,
+                prestige: PrestigeDerivation::Pinned,
             },
         ] {
             let bytes = encode_snapshot_with(&g, Some(&prestige), Some(&index), Some(derivation));
@@ -1323,11 +1320,12 @@ mod tests {
                 Ok(_) => panic!("a flip in the payload at {i} decoded"),
             }
         }
-        // A mode byte this build does not know (CRC intact): the file
-        // loads, without a derivation to go by.
-        for offset in 0..2 {
+        // A mode byte this build does not know (CRC intact), the retired
+        // indegree prestige byte among them: the file loads, without a
+        // derivation to go by.
+        for (offset, value) in [(0, 7), (1, 7), (1, 1)] {
             let mut unknown = bytes.clone();
-            patch_payload(&mut unknown, TAG_DERIVATION, offset, 7);
+            patch_payload(&mut unknown, TAG_DERIVATION, offset, value);
             let decoded = decode_snapshot(&unknown).unwrap();
             assert_eq!(decoded.derivation, None);
             assert!(decoded.index.is_some());

@@ -16,20 +16,11 @@
 //! * [`PrestigeVector`] — an immutable per-node prestige assignment,
 //! * [`PageRankConfig`] / [`compute_pagerank`] — the paper's biased random
 //!   walk via power iteration,
-//! * [`refresh_pagerank`] — a warm-start refresh after an incremental
-//!   graph mutation, with a documented staleness bound
-//!   ([`PageRankStats::staleness_bound`]),
-//! * [`compute_indegree_prestige`] — the simpler indegree-based prestige of
-//!   BANKS-I, useful as a cheap alternative and for ablations, plus
-//!   [`IndegreePrestige`], its incrementally-refreshable state (dirty-node
-//!   updates bit-identical to a full recompute),
 //! * [`PrestigeVector::uniform`] — the "all node prestiges are unity"
 //!   setting used in the paper's worked example (Figure 4).
 
-pub mod indegree;
 pub mod pagerank;
 pub mod vector;
 
-pub use indegree::{compute_indegree_prestige, IndegreePrestige};
-pub use pagerank::{compute_pagerank, refresh_pagerank, PageRankConfig, PageRankStats};
+pub use pagerank::{compute_pagerank, PageRankConfig, PageRankStats};
 pub use vector::PrestigeVector;

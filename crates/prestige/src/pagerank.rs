@@ -43,26 +43,6 @@ pub struct PageRankStats {
     pub converged: bool,
 }
 
-impl PageRankStats {
-    /// A posteriori bound on the L1 distance between the returned vector
-    /// and the true stationary vector of the graph it ran on.
-    ///
-    /// The power iteration contracts the L1 error by (at most) the damping
-    /// factor `d` per sweep, so if the last sweep moved the vector by
-    /// `final_delta`, the remaining distance to the fixed point is at most
-    /// `final_delta · d / (1 − d)` (the geometric tail).  This is the
-    /// **staleness bound** the serving tier quotes when it refreshes
-    /// prestige incrementally with [`refresh_pagerank`] instead of running
-    /// the full iteration to convergence.
-    pub fn staleness_bound(&self, damping: f64) -> f64 {
-        if damping >= 1.0 {
-            f64::INFINITY
-        } else {
-            self.final_delta * damping / (1.0 - damping)
-        }
-    }
-}
-
 /// Computes the paper's biased PageRank prestige.
 ///
 /// At each step the walker at node `u` follows edge `u -> v` with probability
@@ -74,55 +54,6 @@ impl PageRankStats {
 pub fn compute_pagerank(
     graph: &DataGraph,
     config: PageRankConfig,
-) -> (PrestigeVector, PageRankStats) {
-    let n = graph.num_nodes();
-    let uniform = if n == 0 { 0.0 } else { 1.0 / n as f64 };
-    power_iterate(graph, config, vec![uniform; n])
-}
-
-/// Warm-start ("dirty region") refresh of a previously-computed prestige
-/// vector after an incremental graph change.
-///
-/// Instead of restarting the power iteration from the uniform vector, the
-/// walk starts from `previous` (nodes the mutation appended start at the
-/// uniform mass; the vector is renormalised).  After a small batch the
-/// starting point is already close to the new fixed point everywhere
-/// outside the mutated region, so far fewer sweeps reach a given accuracy —
-/// pass a `config` with a reduced `max_iterations` to bound the refresh
-/// cost.
-///
-/// **Staleness bound** (documented contract): each sweep contracts the L1
-/// distance to the new stationary vector by at most the damping factor
-/// `d`, so after `t` sweeps the error is at most `d^t · δ₀` (with `δ₀` the
-/// initial distance, itself bounded by the size of the mutation's
-/// footprint), and the returned [`PageRankStats`] certify the a posteriori
-/// bound [`PageRankStats::staleness_bound`] = `final_delta · d / (1 − d)`.
-/// Callers that need exactness run [`compute_pagerank`] to convergence;
-/// callers serving frequent small deltas accept the quantified staleness.
-pub fn refresh_pagerank(
-    graph: &DataGraph,
-    previous: &PrestigeVector,
-    config: PageRankConfig,
-) -> (PrestigeVector, PageRankStats) {
-    let n = graph.num_nodes();
-    let uniform = if n == 0 { 0.0 } else { 1.0 / n as f64 };
-    let mut init: Vec<f64> = previous.values().to_vec();
-    init.resize(n, uniform);
-    let sum: f64 = init.iter().sum();
-    if sum > 0.0 {
-        init.iter_mut().for_each(|x| *x /= sum);
-    } else {
-        init = vec![uniform; n];
-    }
-    power_iterate(graph, config, init)
-}
-
-/// The shared power-iteration core: runs sweeps from `init` until the
-/// tolerance or the iteration cap is reached.
-fn power_iterate(
-    graph: &DataGraph,
-    config: PageRankConfig,
-    init: Vec<f64>,
 ) -> (PrestigeVector, PageRankStats) {
     let n = graph.num_nodes();
     if n == 0 {
@@ -153,7 +84,7 @@ fn power_iterate(
     }
 
     let uniform = 1.0 / n as f64;
-    let mut rank = init;
+    let mut rank = vec![uniform; n];
     let mut next = vec![0.0f64; n];
     let mut iterations = 0usize;
     let mut final_delta = f64::INFINITY;
@@ -283,81 +214,6 @@ mod tests {
         let (p, stats) = compute_pagerank(&g, PageRankConfig::default());
         assert!(p.is_empty());
         assert!(stats.converged);
-    }
-
-    #[test]
-    fn warm_start_refresh_converges_faster_after_a_small_delta() {
-        use banks_graph::{MutationBatch, NodeId};
-        // An irregular graph (skewed in-degrees: a ring, extra chords, and
-        // a hub), so the stationary vector is far from uniform and a warm
-        // start has something to be warm about.
-        let mut edges: Vec<(u32, u32)> = (0..200u32).map(|i| (i, (i + 1) % 200)).collect();
-        edges.extend((0..100u32).filter_map(|i| {
-            let t = (3 * i + 7) % 200;
-            (t != i).then_some((i, t))
-        }));
-        edges.extend((150..180u32).map(|i| (i, 0)));
-        let g = graph_from_edges(200, &edges);
-        let config = PageRankConfig::default();
-        let (full, full_stats) = compute_pagerank(&g, config);
-        assert!(full_stats.converged);
-
-        let (g2, _) = g.apply_batch(
-            &MutationBatch::new()
-                .add_edge(NodeId(0), NodeId(100))
-                .remove_edge(NodeId(5), NodeId(6)),
-        );
-        // After the same small number of sweeps, the warm start is far
-        // closer to the new fixed point than the cold start: its residual
-        // (the L1 movement of the last sweep) is what certifies it.
-        let budget = PageRankConfig {
-            max_iterations: 4,
-            tolerance: 0.0,
-            ..config
-        };
-        let (_, cold_stats) = compute_pagerank(&g2, budget);
-        let (_, warm_stats) = refresh_pagerank(&g2, &full, budget);
-        assert!(
-            warm_stats.final_delta < cold_stats.final_delta / 4.0,
-            "warm residual {} must be well under cold residual {}",
-            warm_stats.final_delta,
-            cold_stats.final_delta
-        );
-
-        // Run to convergence: the refreshed vector agrees with the cold
-        // recompute to within the shared tolerance.
-        let (cold, _) = compute_pagerank(&g2, config);
-        let (warm, _) = refresh_pagerank(&g2, &full, config);
-        let l1: f64 = warm
-            .values()
-            .iter()
-            .zip(cold.values())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        assert!(l1 < 1e-6, "refreshed vector drifted: L1 {l1}");
-    }
-
-    #[test]
-    fn staleness_bound_is_finite_and_scales_with_final_delta() {
-        let stats = PageRankStats {
-            iterations: 3,
-            final_delta: 0.01,
-            converged: false,
-        };
-        let bound = stats.staleness_bound(0.85);
-        assert!((bound - 0.01 * 0.85 / 0.15).abs() < 1e-12);
-        assert!(stats.staleness_bound(1.0).is_infinite());
-        // a truncated refresh quantifies its own staleness
-        let g = graph_from_edges(50, &(0..49u32).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let (v, _) = compute_pagerank(&g, PageRankConfig::default());
-        let truncated = PageRankConfig {
-            max_iterations: 2,
-            tolerance: 0.0,
-            ..Default::default()
-        };
-        let (_, rs) = refresh_pagerank(&g, &v, truncated);
-        // warm start from the fixed point: the residual bound is tiny
-        assert!(rs.staleness_bound(truncated.damping) < 1e-6);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! * **Incremental mutations** — [`Service::apply_mutations`] applies a
 //!   [`banks_graph::MutationBatch`] to the served snapshot as a *delta*:
 //!   copy-on-write adjacency, index delta (only touched labels
-//!   re-tokenized), incremental prestige refresh — built outside the
+//!   re-tokenized), prestige carried forward — built outside the
 //!   serving lock and swapped in through the same epoch-pinning machinery
 //!   as a wholesale swap, at O(touched rows) instead of O(V + E).
 //! * **[`QueryHandle`]** — returned by [`Service::submit`]: stream answers

@@ -16,7 +16,7 @@ use banks_core::{
 use banks_graph::DataGraph;
 use banks_obs::{
     CostCalibration, EventLevel, EventLog, Health, Histogram, QueryTrace, SloEngine, SloReport,
-    SloSpec, TimeSeriesRing, TraceRing, WorkCounters,
+    SloSpec, TimeSeriesRing, TraceRing,
 };
 use banks_persist::{FsyncPolicy, PersistError};
 use banks_prestige::PrestigeVector;
@@ -114,9 +114,8 @@ pub(crate) fn unix_ms() -> u64 {
 /// execution, as microsecond offsets from `t0` (the top of
 /// [`Service::submit`]).  Built for *every* query — a handful of `Instant`
 /// reads — so slow queries produce a trace even when the caller did not
-/// ask for one; the [`QueryTrace`] itself is only assembled (and the
-/// engine's [`WorkCounters`] only attached) when tracing was requested or
-/// the query crossed the slow threshold.
+/// ask for one; the [`QueryTrace`] itself is only assembled when tracing
+/// was requested or the query crossed the slow threshold.
 struct TraceCtx {
     /// The client correlation reference when the submission explicitly
     /// requested a trace ([`QuerySpec::trace`]).
@@ -127,14 +126,10 @@ struct TraceCtx {
     resolve_end_us: u64,
     enqueued_us: u64,
     submitted_off_us: u64,
-    /// Live engine counters, allocated only for explicitly traced queries
-    /// so untraced expansion steps skip the sampling stores entirely.
-    counters: Option<Arc<WorkCounters>>,
 }
 
 impl TraceCtx {
     fn new(requested: Option<String>, t0: Instant) -> Self {
-        let counters = requested.as_ref().map(|_| Arc::new(WorkCounters::new()));
         TraceCtx {
             requested,
             t0,
@@ -143,7 +138,6 @@ impl TraceCtx {
             resolve_end_us: 0,
             enqueued_us: 0,
             submitted_off_us: 0,
-            counters,
         }
     }
 
@@ -1041,16 +1035,13 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     Counters::bump(&inner.counters.executed);
     let pickup_us = job.trace.elapsed_us();
     let snapshot = &job.snapshot;
-    let mut ctx = QueryContext::new(
+    let ctx = QueryContext::new(
         snapshot.graph(),
         snapshot.prestige(),
         &job.matches,
         job.spec_params,
     )
     .with_cancel(&job.token);
-    if let Some(counters) = job.trace.counters.as_deref() {
-        ctx = ctx.with_observer(counters);
-    }
     let engine = inner
         .registry
         .create(job.engine)
@@ -1207,23 +1198,14 @@ fn finish(
             );
         }
         trace.push_span("finish", 0, total_us);
-        // Explicitly traced queries carry the live counters the step
-        // driver sampled; slow-only traces fall back to the final
-        // statistics (same values, just not sampled mid-flight).
-        match &ctx.counters {
-            Some(c) => {
-                trace.push_counter("heap_pops", c.heap_pops.get());
-                trace.push_counter("nodes_touched", c.nodes_touched.get());
-                trace.push_counter("rows_expanded", c.rows_expanded.get());
-                trace.push_counter("answers_emitted", c.answers_emitted.get());
-            }
-            None => {
-                trace.push_counter("heap_pops", stats.nodes_explored as u64);
-                trace.push_counter("nodes_touched", stats.nodes_touched as u64);
-                trace.push_counter("rows_expanded", stats.edges_traversed as u64);
-                trace.push_counter("answers_emitted", stats.answers_output as u64);
-            }
-        }
+        // The engine work of this request: the final statistics of an
+        // executed query, nothing for a cache hit (which ran no engine).
+        let none = SearchStats::default();
+        let work = if ran.is_some() { &stats } else { &none };
+        trace.push_counter("heap_pops", work.nodes_explored as u64);
+        trace.push_counter("nodes_touched", work.nodes_touched as u64);
+        trace.push_counter("rows_expanded", work.edges_traversed as u64);
+        trace.push_counter("answers_emitted", work.answers_output as u64);
         let trace = Arc::new(trace);
         inner.traces.push(|_| Arc::clone(&trace));
         trace

@@ -24,7 +24,7 @@ use banks_persist::{
     decode_snapshot_with, encode_snapshot_with, Derivation, IndexDerivation, Keep, PersistError,
     PrestigeDerivation, SnapshotContents,
 };
-use banks_prestige::{IndegreePrestige, PrestigeVector};
+use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, TextDelta};
 
 /// Overlay fraction beyond which [`GraphSnapshot::maybe_compact`] flattens
@@ -33,14 +33,10 @@ const COMPACT_OVERLAY_RATIO: f64 = 0.25;
 
 /// How a snapshot's prestige vector is kept current when the graph mutates
 /// under it ([`GraphSnapshot::apply_batch`]).
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 enum PrestigeMode {
     /// Uniform prestige (the default): successors stay uniform.
     Uniform,
-    /// Indegree prestige with incrementally-refreshable raw state:
-    /// successors refresh only the dirty nodes, bit-identical to a full
-    /// recompute.
-    Indegree(IndegreePrestige),
     /// Caller-supplied prestige the snapshot cannot re-derive: successors
     /// keep the existing values, and nodes a mutation appends are assigned
     /// the current maximum (never penalised relative to existing nodes)
@@ -98,9 +94,8 @@ impl GraphSnapshot {
     /// (appended nodes get the current maximum) and apply only *additive*
     /// index changes (new nodes' labels become searchable; relabels never
     /// remove postings, since the index may cover richer text than the
-    /// labels).  Use [`GraphSnapshot::with_defaults`] /
-    /// [`GraphSnapshot::with_indegree_prestige`] for derivations that
-    /// refresh exactly.
+    /// labels).  Use [`GraphSnapshot::with_defaults`] for derivations
+    /// that refresh exactly.
     pub fn new(graph: DataGraph, prestige: PrestigeVector, index: InvertedIndex) -> Self {
         GraphSnapshot {
             graph,
@@ -238,21 +233,9 @@ impl GraphSnapshot {
             },
             prestige: match self.prestige_mode {
                 PrestigeMode::Uniform => PrestigeDerivation::Uniform,
-                PrestigeMode::Indegree(_) => PrestigeDerivation::Indegree,
                 PrestigeMode::Pinned => PrestigeDerivation::Pinned,
             },
         }
-    }
-
-    /// Builds a serving version with indegree prestige (BANKS-I style,
-    /// `log2(1 + indegree)` rescaled to max 1) and the label index.  The
-    /// backend keeps its raw state, so [`GraphSnapshot::apply_batch`]
-    /// refreshes prestige incrementally — touching only the dirty nodes —
-    /// while staying bit-identical to a from-scratch recompute.
-    pub fn with_indegree_prestige(graph: DataGraph) -> Self {
-        let state = IndegreePrestige::compute(&graph);
-        let prestige = state.to_vector();
-        Self::assemble(graph, Some((prestige, PrestigeMode::Indegree(state))), None)
     }
 
     /// Applies a [`MutationBatch`], producing the successor serving
@@ -268,9 +251,8 @@ impl GraphSnapshot {
     ///   rebuild; a caller-supplied index applies **additive** changes
     ///   only (see [`GraphSnapshot::new`]),
     /// * the **prestige vector** refreshes according to how it was
-    ///   derived: uniform stays uniform, indegree refreshes its dirty
-    ///   nodes exactly, and pinned external vectors are carried forward
-    ///   (see [`GraphSnapshot::new`]).
+    ///   derived: uniform stays uniform, and pinned external vectors are
+    ///   carried forward (see [`GraphSnapshot::new`]).
     ///
     /// `self` is untouched; queries pinned to it are unaffected.
     pub fn apply_batch(&self, batch: &MutationBatch) -> (GraphSnapshot, BatchOutcome) {
@@ -292,13 +274,8 @@ impl GraphSnapshot {
             },
         };
         let index = self.index.apply_delta(&index_delta);
-        let (prestige, prestige_mode) = match &self.prestige_mode {
-            PrestigeMode::Uniform => (PrestigeVector::uniform_for(&graph), PrestigeMode::Uniform),
-            PrestigeMode::Indegree(state) => {
-                let mut state = state.clone();
-                state.refresh(&graph, &outcome.dirty_nodes);
-                (state.to_vector(), PrestigeMode::Indegree(state))
-            }
+        let prestige = match self.prestige_mode {
+            PrestigeMode::Uniform => PrestigeVector::uniform_for(&graph),
             PrestigeMode::Pinned => {
                 let mut values = self.prestige.values().to_vec();
                 let fill = if values.is_empty() {
@@ -307,7 +284,7 @@ impl GraphSnapshot {
                     self.prestige.max()
                 };
                 values.resize(graph.num_nodes(), fill);
-                (PrestigeVector::from_values(values), PrestigeMode::Pinned)
+                PrestigeVector::from_values(values)
             }
         };
         (
@@ -315,7 +292,7 @@ impl GraphSnapshot {
                 graph,
                 prestige,
                 index,
-                prestige_mode,
+                prestige_mode: self.prestige_mode,
                 index_mode: self.index_mode,
             },
             outcome,
@@ -407,11 +384,6 @@ fn persisted_parts(contents: SnapshotContents) -> PersistedParts {
             .filter(|p| p.len() == graph.num_nodes())
             .map(|p| match derivation.prestige {
                 PrestigeDerivation::Uniform => (p, PrestigeMode::Uniform),
-                // The refresh state is not persisted; it is recomputed from
-                // the graph, and the values stay the ones written.
-                PrestigeDerivation::Indegree => {
-                    (p, PrestigeMode::Indegree(IndegreePrestige::compute(&graph)))
-                }
                 PrestigeDerivation::Pinned => (p, PrestigeMode::Pinned),
             });
     (graph, prestige, index)
@@ -493,21 +465,6 @@ mod tests {
             .index()
             .matching_nodes(snap.graph(), "recovery")
             .is_empty());
-    }
-
-    #[test]
-    fn apply_batch_refreshes_indegree_prestige_exactly() {
-        use banks_graph::{MutationBatch, NodeId};
-        use banks_prestige::compute_indegree_prestige;
-        let snap = GraphSnapshot::with_indegree_prestige(tiny());
-        let batch = MutationBatch::new()
-            .add_node("writes", "w9")
-            .add_edge(NodeId(3), NodeId(0));
-        let (next, _) = snap.apply_batch(&batch);
-        let full = compute_indegree_prestige(next.graph());
-        for (a, b) in next.prestige().values().iter().zip(full.values()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "incremental == full recompute");
-        }
     }
 
     #[test]

@@ -72,6 +72,19 @@ fn assert_spans_consistent(trace: &QueryTrace, ttfa: Option<Duration>) {
     }
 }
 
+/// A cache hit ran no engine: however it came to be traced, its trace
+/// reports no engine work.
+fn assert_no_engine_work(trace: &QueryTrace) {
+    for name in [
+        "heap_pops",
+        "nodes_touched",
+        "rows_expanded",
+        "answers_emitted",
+    ] {
+        assert_eq!(trace.counter(name), Some(0), "{name} of {trace:?}");
+    }
+}
+
 #[test]
 fn requested_traces_ride_the_result_and_the_ring() {
     let service = Service::builder(dblp_like()).workers(2).build();
@@ -94,7 +107,7 @@ fn requested_traces_ride_the_result_and_the_ring() {
     assert_spans_consistent(trace, result.time_to_first_answer);
     assert!(
         trace.counter("nodes_touched").is_some(),
-        "work counters sampled: {:?}",
+        "work counters recorded: {:?}",
         trace.counters
     );
 
@@ -135,6 +148,49 @@ fn cache_hits_trace_without_queueing() {
     assert!(trace.span("queue").is_none(), "cache hits never queue");
     assert!(trace.span("expand").is_none());
     assert_spans_consistent(trace, replay.time_to_first_answer);
+    assert_no_engine_work(trace);
+}
+
+/// A trace's four work counters are the query's final `SearchStats`, for
+/// every paper engine.
+#[test]
+fn traced_counters_equal_the_final_search_stats() {
+    let service = Service::builder(dblp_like()).workers(1).build();
+    for engine in ["bidirectional", "si-backward", "mi-backward"] {
+        let (_, result) = service
+            .submit(
+                QuerySpec::parse("soumen bidirectional")
+                    .top_k(3)
+                    .engine(engine)
+                    .trace(engine),
+            )
+            .unwrap()
+            .wait();
+        assert!(!result.cache_hit);
+        let trace = result.trace.as_ref().expect("trace was requested");
+        let stats = &result.stats;
+        assert!(stats.nodes_explored > 0, "{engine} explored nothing");
+        assert_eq!(
+            trace.counter("heap_pops"),
+            Some(stats.nodes_explored as u64),
+            "{engine}"
+        );
+        assert_eq!(
+            trace.counter("nodes_touched"),
+            Some(stats.nodes_touched as u64),
+            "{engine}"
+        );
+        assert_eq!(
+            trace.counter("rows_expanded"),
+            Some(stats.edges_traversed as u64),
+            "{engine}"
+        );
+        assert_eq!(
+            trace.counter("answers_emitted"),
+            Some(stats.answers_output as u64),
+            "{engine}"
+        );
+    }
 }
 
 #[test]
@@ -153,6 +209,11 @@ fn slow_queries_are_retained_unrequested() {
     );
     let trace = service.trace(id).expect("slow trace retained");
     assert!(trace.slow);
+    assert!(result.stats.nodes_explored > 0);
+    assert_eq!(
+        trace.counter("heap_pops"),
+        Some(result.stats.nodes_explored as u64)
+    );
     let slow = service.slow_traces(10);
     assert!(slow.iter().any(|t| t.id == id.0));
 
@@ -169,6 +230,7 @@ fn slow_queries_are_retained_unrequested() {
     let hit_trace = service.trace(hit_id).expect("slow hit retained");
     assert!(hit_trace.slow);
     assert!(hit_trace.cache_hit);
+    assert_no_engine_work(&hit_trace);
     assert_eq!(service.metrics().slow_queries, 2);
 }
 

@@ -1,8 +1,6 @@
 //! Per-keyword origin sets (`S_i`) — the interface between the index and the
 //! search algorithms.
 
-use std::collections::HashMap;
-
 use banks_graph::{DataGraph, NodeId};
 
 use crate::index::InvertedIndex;
@@ -102,23 +100,6 @@ impl KeywordMatches {
         all
     }
 
-    /// For every node that matches at least one keyword, the bitmask of
-    /// keyword indices it matches (keyword `i` sets bit `i`).  Keyword counts
-    /// beyond 64 are not supported (the paper's queries have 2–7 keywords).
-    pub fn node_keyword_bitmask(&self) -> HashMap<NodeId, u64> {
-        assert!(
-            self.keywords.len() <= 64,
-            "more than 64 keywords are not supported"
-        );
-        let mut map: HashMap<NodeId, u64> = HashMap::new();
-        for (i, set) in self.sets.iter().enumerate() {
-            for node in set {
-                *map.entry(*node).or_insert(0) |= 1 << i;
-            }
-        }
-        map
-    }
-
     /// Largest origin-set size (used by the workload classifier: the paper's
     /// "large origin" queries are those where some keyword matches more than
     /// 8000 records).
@@ -180,18 +161,6 @@ mod tests {
         let m = KeywordMatches::resolve(&g, &idx, &q);
         assert!(!m.all_keywords_matched());
         assert_eq!(m.min_origin_size(), 0);
-    }
-
-    #[test]
-    fn bitmask_combines_keywords() {
-        let m = KeywordMatches::from_sets(vec![
-            ("a", vec![NodeId(1), NodeId(2)]),
-            ("b", vec![NodeId(2), NodeId(3)]),
-        ]);
-        let mask = m.node_keyword_bitmask();
-        assert_eq!(mask[&NodeId(1)], 0b01);
-        assert_eq!(mask[&NodeId(2)], 0b11);
-        assert_eq!(mask[&NodeId(3)], 0b10);
     }
 
     #[test]

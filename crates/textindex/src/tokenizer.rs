@@ -61,11 +61,6 @@ impl Tokenizer {
         self
     }
 
-    /// Returns true if `token` (already lower-case) is a stop word.
-    pub fn is_stopword(&self, token: &str) -> bool {
-        self.stopwords.contains(token)
-    }
-
     /// Iterates over the configured stop words in arbitrary order
     /// (serialization surface — pair with [`Tokenizer::with_stopwords`]).
     pub fn stopwords(&self) -> impl Iterator<Item = &str> {
@@ -160,8 +155,6 @@ mod tests {
         assert!(t.tokenize("the query").contains(&"the".to_string()));
         let t = Tokenizer::new().with_stopword_removal(true);
         assert_eq!(t.tokenize("the query"), vec!["query"]);
-        assert!(t.is_stopword("the"));
-        assert!(!t.is_stopword("query"));
     }
 
     #[test]

@@ -106,10 +106,10 @@ pub use banks_textindex as textindex;
 pub mod prelude {
     pub use banks_core::{
         build_label_index, drain, AnswerStream, AnswerTree, BackwardExpandingSearch, Banks,
-        BidirectionalConfig, BidirectionalSearch, CacheKey, CancelToken, EdgeScoreCombiner,
-        EmissionPolicy, EngineRegistry, GroundTruth, QueryContext, QueryCost, QuerySession,
-        RankedAnswer, ResultCache, ScoreModel, SearchEngine, SearchOutcome, SearchParams,
-        SearchStats, SingleIteratorBackwardSearch, UnknownEngine,
+        BidirectionalConfig, BidirectionalSearch, CacheKey, CancelToken, EmissionPolicy,
+        EngineRegistry, GroundTruth, QueryContext, QueryCost, QuerySession, RankedAnswer,
+        ResultCache, ScoreModel, SearchEngine, SearchOutcome, SearchParams, SearchStats,
+        SingleIteratorBackwardSearch, UnknownEngine,
     };
     pub use banks_datagen::{
         figure4_example, DblpConfig, DblpDataset, ImdbConfig, ImdbDataset, KeywordCategory,
@@ -120,9 +120,7 @@ pub mod prelude {
         GraphStats, MutationBatch, NodeId,
     };
     pub use banks_persist::{read_snapshot, recover, write_snapshot, SnapshotContents};
-    pub use banks_prestige::{
-        compute_pagerank, refresh_pagerank, IndegreePrestige, PageRankConfig, PrestigeVector,
-    };
+    pub use banks_prestige::{compute_pagerank, PageRankConfig, PrestigeVector};
     pub use banks_relational::{Database, DatabaseSchema, GraphExtraction, SparseSearch, TupleId};
     pub use banks_replica::Follower;
     pub use banks_server::Server;

@@ -307,39 +307,6 @@ fn randomized_batches_match_a_from_scratch_rebuild() {
     }
 }
 
-/// The indegree-prestige chain must match a full recompute bit for bit
-/// through arbitrary batches (the uniform default is covered above; this
-/// exercises the incremental backend through the same randomized stream).
-#[test]
-fn randomized_batches_keep_indegree_prestige_exact() {
-    use banks::prestige::compute_indegree_prestige;
-    for seed in 20..=23u64 {
-        let mut rng = Rng::new(seed.wrapping_mul(0xA24BAED4963EE407));
-        let mut model = Model::random(&mut rng);
-        let mut snapshot = GraphSnapshot::with_indegree_prestige(model.rebuild());
-        for round in 0..3 {
-            let batch = random_batch(&mut rng, &mut model);
-            let (next, _) = snapshot.apply_batch(&batch);
-            snapshot = next;
-            let full = compute_indegree_prestige(snapshot.graph());
-            assert_eq!(snapshot.prestige().len(), full.len());
-            for (i, (a, b)) in snapshot
-                .prestige()
-                .values()
-                .iter()
-                .zip(full.values())
-                .enumerate()
-            {
-                assert_eq!(
-                    a.to_bits(),
-                    b.to_bits(),
-                    "seed {seed} round {round}: prestige of node {i}"
-                );
-            }
-        }
-    }
-}
-
 /// Compaction must be invisible to queries: same epoch, same rows, same
 /// answers.
 #[test]
