@@ -30,7 +30,7 @@ use banks_textindex::{IndexBuilder, InvertedIndex, KeywordMatches, Query};
 
 use crate::cancel::CancelToken;
 use crate::engine::{SearchEngine, SearchOutcome};
-use crate::params::{EmissionPolicy, SearchParams};
+use crate::params::SearchParams;
 use crate::registry::EngineRegistry;
 use crate::stream::{drain, AnswerStream, QueryContext};
 
@@ -224,48 +224,6 @@ impl<'b, 'g> QuerySession<'b, 'g> {
     /// Number of answers requested.
     pub fn top_k(mut self, top_k: usize) -> Self {
         self.params.top_k = top_k;
-        self
-    }
-
-    /// Depth cutoff `dmax`.
-    pub fn dmax(mut self, dmax: usize) -> Self {
-        self.params = self.params.dmax(dmax);
-        self
-    }
-
-    /// Activation attenuation `µ`.
-    pub fn mu(mut self, mu: f64) -> Self {
-        self.params = self.params.mu(mu);
-        self
-    }
-
-    /// Prestige exponent `λ`.
-    pub fn lambda(mut self, lambda: f64) -> Self {
-        self.params = self.params.lambda(lambda);
-        self
-    }
-
-    /// Emission policy for the output heap.
-    pub fn emission(mut self, emission: EmissionPolicy) -> Self {
-        self.params = self.params.emission(emission);
-        self
-    }
-
-    /// Safety cap on explored nodes.
-    pub fn max_explored(mut self, cap: usize) -> Self {
-        self.params = self.params.max_explored(cap);
-        self
-    }
-
-    /// Safety cap on generated answer trees.
-    pub fn max_generated(mut self, cap: usize) -> Self {
-        self.params = self.params.max_generated(cap);
-        self
-    }
-
-    /// Per-answer streaming work budget (nodes explored between emissions).
-    pub fn answer_work_budget(mut self, budget: usize) -> Self {
-        self.params = self.params.answer_work_budget(budget);
         self
     }
 

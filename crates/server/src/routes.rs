@@ -1,41 +1,13 @@
-//! Request dispatch: the endpoint surface over [`banks_service::Service`].
+//! Request dispatch: one static route table over [`banks_service::Service`].
 //!
-//! | endpoint | behaviour |
-//! |----------|-----------|
-//! | `POST /query` (also `GET`) | submit a [`QuerySpec`], stream `answer` events as SSE (each carrying its 1-based rank as the SSE `id:`, so `Last-Event-ID` resumes mid-stream), finish with a `finished` event (plus a `trace` event when `X-Banks-Trace` was sent) |
-//! | `GET /metrics` | [`banks_service::ServiceMetrics`] as JSON; `?format=prometheus` renders text format 0.0.4; identity encoding whatever `Accept-Encoding` says |
-//! | `GET /debug/slow` | recent slow-query traces (newest first; `?limit=N`) |
-//! | `GET /debug/trace/<id>` | one retained trace by query id (`7` or `q7`) |
-//! | `GET /debug/slo` | the stored SLO burn-rate report: overall health + per-objective rows |
-//! | `GET /debug/events` | a page of the structured event log (`?since=<id>&limit=N`) |
-//! | `GET /debug/events/tail` | live SSE tail of the event log, woken by each `emit`; `Last-Event-ID` (or `?since=`) resumes after a disconnect; ends on server shutdown |
-//! | `POST /admin/swap` | rebuild and atomically swap the served snapshot |
-//! | `POST /admin/mutate` | apply a JSON [`MutationBatch`] incrementally: new epoch + per-op accept/reject; 409 + `Location` on a follower |
-//! | `POST /admin/checkpoint` | force a durable snapshot and truncate the WAL |
-//! | `POST /admin/slo` | replace (`{"slos":[…]}` / bare array) or upsert (single spec object) the SLO set at runtime |
-//! | `GET /replication/stream` | SSE tail of the leader WAL, woken by each epoch publish: a `head` event first, then `record` events (hex-encoded WAL record bytes, epoch as SSE `id:`) with a `head` before each batch and once a second while idle, a terminal `bootstrap` event when the cursor is behind the truncation horizon; resume via `Last-Event-ID` or `?from_epoch=`; ends on server shutdown |
-//! | `GET /replication/snapshot` | the newest on-disk snapshot, verbatim (`X-Banks-Snapshot-Epoch` header) — follower bootstrap |
-//! | `GET /healthz` | liveness probe (epoch, workers, engines) + durability status + replication status + three-state SLO health |
-//!
-//! Tenant and priority travel as headers (`X-Banks-Tenant`,
-//! `X-Banks-Priority`), so the PR-3 scheduler and the quota layer govern
-//! remote traffic exactly as in-process traffic; `X-Banks-Trace` requests
-//! a per-query phase trace, echoed back with the header's value as the
-//! correlation reference.  Every failure maps to a structured JSON error
-//! envelope with the appropriate status code: malformed requests → 400,
-//! unknown engines (with their "did you mean" suggestion) → 404, quota
-//! rejections → 429 + `Retry-After`, a full admission queue or shutdown →
-//! 503.
-//!
-//! ## Keep-alive
-//!
-//! The non-streaming endpoints honour `Connection: keep-alive`: a client
-//! sending the header may reuse the connection for up to
-//! [`KEEPALIVE_MAX_REQUESTS`] requests, with [`KEEPALIVE_IDLE`] allowed
-//! between them — a metrics scraper polls without a handshake per sample,
-//! and an ingest pipeline streams many small mutation batches down one
-//! connection.  SSE query streams occupy their connection anyway and
-//! always close; error responses close.
+//! Each row of [`ROUTES`] names the methods a path accepts and the handler
+//! that serves it (the endpoints themselves are listed in the crate docs).
+//! Every handler has one signature, so dispatch, the 404-versus-405 answer
+//! and keep-alive all follow from the table: a handler returns whether the
+//! connection stays open — the non-streaming ones honour the client's
+//! `Connection: keep-alive` for up to [`KEEPALIVE_MAX_REQUESTS`] requests
+//! with [`KEEPALIVE_IDLE`] between them, while SSE streams and error
+//! responses always close.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -105,6 +77,19 @@ impl HttpError {
     fn bad_request(message: impl Into<String>) -> Self {
         HttpError::new(400, "bad_request", message)
     }
+
+    /// A store error: 409 without a data directory, else a 500 named
+    /// `failed`.
+    fn persist(error: PersistError, failed: &'static str) -> Self {
+        match error {
+            PersistError::Disabled => HttpError::new(
+                409,
+                "persistence_disabled",
+                "service is running without a data directory",
+            ),
+            error => HttpError::new(500, failed, error.to_string()),
+        }
+    }
 }
 
 /// Serves one connection: parse, dispatch, respond — looping while the
@@ -124,133 +109,42 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(reader_stream);
-    let mut writer = &stream;
 
     let limits = Limits::default();
     let mut served = 0usize;
     loop {
         let request = match http::read_request(&mut reader, &limits) {
             Ok(request) => request,
-            // Idle keep-alive connections end here: either an orderly close
-            // or the idle read timeout surfacing as an I/O error.
-            Err(ParseError::ConnectionClosed) | Err(ParseError::Io(_)) => return,
-            Err(ParseError::BadRequest(msg)) => {
-                respond_error(&mut writer, HttpError::bad_request(msg));
-                return;
-            }
-            Err(ParseError::HeadTooLarge) => {
-                respond_error(
-                    &mut writer,
-                    HttpError::new(431, "headers_too_large", "request head too large"),
-                );
-                return;
-            }
-            Err(ParseError::BodyTooLarge) => {
-                respond_error(
-                    &mut writer,
-                    HttpError::new(413, "body_too_large", "request body too large"),
-                );
+            Err(error) => {
+                let error = match error {
+                    // Idle keep-alive connections end here: either an
+                    // orderly close or the idle read timeout surfacing as
+                    // an I/O error.
+                    ParseError::ConnectionClosed | ParseError::Io(_) => return,
+                    ParseError::BadRequest(msg) => HttpError::bad_request(msg),
+                    ParseError::HeadTooLarge => {
+                        HttpError::new(431, "headers_too_large", "request head too large")
+                    }
+                    ParseError::BodyTooLarge => {
+                        HttpError::new(413, "body_too_large", "request body too large")
+                    }
+                };
+                respond_error(&stream, error);
                 return;
             }
         };
         served += 1;
 
-        // Opt-in persistence, for non-streaming endpoints only: the client
-        // must say `Connection: keep-alive`, and the request budget bounds
-        // how long one connection can monopolise a handler.
-        let wants_keep_alive = request.header("connection").is_some_and(|v| {
-            v.split(',')
-                .any(|t| t.trim().eq_ignore_ascii_case("keep-alive"))
-        });
-        let keep = wants_keep_alive
-            && served < KEEPALIVE_MAX_REQUESTS
-            && request.path != "/query"
-            && request.path != "/debug/events/tail"
-            && request.path != "/replication/stream";
-
-        // Dispatch returns whether the connection actually stays open —
-        // error responses always close (and say so on the wire), so the
-        // loop must agree with what the responder wrote.
-        let kept = match (request.method.as_str(), request.path.as_str()) {
-            ("GET", "/healthz") => {
-                respond_healthz(ctx, &mut writer, keep);
-                keep
-            }
-            ("GET", "/metrics") => {
-                respond_metrics(ctx, &request, &mut writer, keep);
-                keep
-            }
-            ("GET", "/debug/slow") => {
-                respond_slow(ctx, &request, &mut writer, keep);
-                keep
-            }
-            ("GET", "/debug/slo") => {
-                respond_slo(ctx, &mut writer, keep);
-                keep
-            }
-            ("GET", "/debug/events") => {
-                respond_events(ctx, &request, &mut writer, keep);
-                keep
-            }
-            ("GET", "/debug/events/tail") => {
-                respond_events_tail(ctx, &request, &stream);
-                false
-            }
-            ("GET", path) if path.starts_with("/debug/trace/") => {
-                respond_trace(ctx, path, &mut writer, keep)
-            }
-            ("POST", "/query") | ("GET", "/query") => {
-                respond_query(ctx, &request, &stream);
-                false
-            }
-            ("POST", "/admin/swap") => {
-                respond_swap(ctx, &mut writer, keep);
-                keep
-            }
-            ("POST", "/admin/mutate") => respond_mutate(ctx, &request, &mut writer, keep),
-            ("POST", "/admin/checkpoint") => respond_checkpoint(ctx, &mut writer, keep),
-            ("POST", "/admin/slo") => respond_slo_update(ctx, &request, &mut writer, keep),
-            ("GET", "/replication/stream") => {
-                respond_replication_stream(ctx, &request, &stream);
-                false
-            }
-            ("GET", "/replication/snapshot") => {
-                respond_replication_snapshot(ctx, &mut writer, keep)
-            }
-            (_, path)
-                if path.starts_with("/debug/trace/")
-                    || matches!(
-                        path,
-                        "/healthz"
-                            | "/metrics"
-                            | "/query"
-                            | "/debug/slow"
-                            | "/debug/slo"
-                            | "/debug/events"
-                            | "/debug/events/tail"
-                            | "/admin/swap"
-                            | "/admin/mutate"
-                            | "/admin/checkpoint"
-                            | "/admin/slo"
-                            | "/replication/stream"
-                            | "/replication/snapshot"
-                    ) =>
-            {
-                respond_error(
-                    &mut writer,
-                    HttpError::new(
-                        405,
-                        "method_not_allowed",
-                        format!("{} not allowed on {}", request.method, request.path),
-                    ),
-                )
-            }
-            (_, path) => respond_error(
-                &mut writer,
-                HttpError::new(404, "not_found", format!("no route for {path}")),
-            ),
-        };
-        if !kept {
+        // Opt-in persistence: the client must say `Connection: keep-alive`,
+        // and the request budget bounds how long one connection can
+        // monopolise a handler.  The handler has the last word — streams
+        // and error responses close whatever was asked.
+        let keep = served < KEEPALIVE_MAX_REQUESTS
+            && request.header("connection").is_some_and(|v| {
+                v.split(',')
+                    .any(|t| t.trim().eq_ignore_ascii_case("keep-alive"))
+            });
+        if !dispatch(ctx, &request, &stream, keep) {
             return;
         }
         // The next request gets the (shorter) keep-alive idle budget.
@@ -258,9 +152,66 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
     }
 }
 
+/// Every endpoint's signature: the request, the connection it arrived on,
+/// and whether the client may keep that connection; returns whether it
+/// stays open.
+type Handler = fn(&ServerContext, &Request, &TcpStream, bool) -> bool;
+
+/// The one prefix route; its handler reads the query id after it.
+const TRACE_ROUTE: &str = "/debug/trace/";
+
+/// The endpoints: `(methods, path, handler)`.  A path ending in `/`
+/// matches every path under it; any other path matches exactly.
+static ROUTES: &[(&[&str], &str, Handler)] = &[
+    (&["POST", "GET"], "/query", respond_query),
+    (&["GET"], "/metrics", respond_metrics),
+    (&["GET"], "/debug/slow", respond_slow),
+    (&["GET"], TRACE_ROUTE, respond_trace),
+    (&["GET"], "/debug/slo", respond_slo),
+    (&["GET"], "/debug/events", respond_events),
+    (&["GET"], "/debug/events/tail", respond_events_tail),
+    (&["POST"], "/admin/swap", respond_swap),
+    (&["POST"], "/admin/mutate", respond_mutate),
+    (&["POST"], "/admin/checkpoint", respond_checkpoint),
+    (&["POST"], "/admin/slo", respond_slo_update),
+    (&["GET"], "/replication/stream", respond_replication_stream),
+    (&["GET"], "/replication/snapshot", respond_snapshot),
+    (&["GET"], "/healthz", respond_healthz),
+];
+
+/// Serves `request` from its row of [`ROUTES`]: 404 when no row has its
+/// path, 405 when the row does not list its method.
+fn dispatch(ctx: &ServerContext, request: &Request, stream: &TcpStream, keep: bool) -> bool {
+    let path = request.path.as_str();
+    let row = ROUTES.iter().find(|(_, route, _)| {
+        if route.ends_with('/') {
+            path.starts_with(route)
+        } else {
+            path == *route
+        }
+    });
+    match row {
+        Some((methods, _, handler)) if methods.contains(&request.method.as_str()) => {
+            handler(ctx, request, stream, keep)
+        }
+        Some(_) => respond_error(
+            stream,
+            HttpError::new(
+                405,
+                "method_not_allowed",
+                format!("{} not allowed on {path}", request.method),
+            ),
+        ),
+        None => respond_error(
+            stream,
+            HttpError::new(404, "not_found", format!("no route for {path}")),
+        ),
+    }
+}
+
 /// Writes `error` as its JSON envelope and returns `false`: an error
 /// response always closes the connection.
-fn respond_error(w: &mut impl Write, error: HttpError) -> bool {
+fn respond_error(mut w: &TcpStream, error: HttpError) -> bool {
     let body = json::error_body(error.status, error.code, &error.message, &error.extras);
     let headers: Vec<(&str, &str)> = error
         .headers
@@ -268,7 +219,7 @@ fn respond_error(w: &mut impl Write, error: HttpError) -> bool {
         .map(|(n, v)| (*n, v.as_str()))
         .collect();
     let _ = http::write_response(
-        w,
+        &mut w,
         error.status,
         &headers,
         "application/json",
@@ -278,7 +229,60 @@ fn respond_error(w: &mut impl Write, error: HttpError) -> bool {
     false
 }
 
-fn respond_healthz(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
+/// Writes a 200 JSON response and returns whether the connection stays
+/// open: `keep_alive`.
+fn reply_json(mut w: &TcpStream, body: &str, keep_alive: bool) -> bool {
+    let _ = http::write_response(
+        &mut w,
+        200,
+        &[],
+        "application/json",
+        body.as_bytes(),
+        keep_alive,
+    );
+    keep_alive
+}
+
+/// The request body as text and as JSON, or the 400 to send back: a body
+/// that is not UTF-8, is empty (`expected` says what belongs there) or is
+/// not JSON.
+fn json_body<'r>(request: &'r Request, expected: &str) -> Result<(&'r str, JsonValue), HttpError> {
+    let body = request.body_utf8().map_err(HttpError::bad_request)?;
+    if body.trim().is_empty() {
+        return Err(HttpError::bad_request(format!(
+            "empty body (expected {expected})"
+        )));
+    }
+    let value =
+        json::parse(body).map_err(|e| HttpError::bad_request(format!("invalid JSON body: {e}")))?;
+    Ok((body, value))
+}
+
+/// The query parameter `name`, when present and parseable as a `T`.
+fn param<T: std::str::FromStr>(request: &Request, name: &str) -> Option<T> {
+    request.query_param(name)?.parse().ok()
+}
+
+/// Opens an SSE stream: writes [`STREAM_HEADER`] and returns the resume
+/// cursor with the writer, or `None` when the peer is already gone.  The
+/// cursor is `Last-Event-ID` (the header wins), else the query parameter
+/// `name`, else 0.
+fn open_stream<'s>(
+    request: &Request,
+    stream: &'s TcpStream,
+    name: Option<&str>,
+) -> Option<(u64, SseWriter<&'s TcpStream>)> {
+    let cursor = request
+        .header("last-event-id")
+        .and_then(|raw| raw.trim().parse::<u64>().ok())
+        .or_else(|| param(request, name?))
+        .unwrap_or(0);
+    let mut writer = stream;
+    writer.write_all(STREAM_HEADER.as_bytes()).ok()?;
+    Some((cursor, SseWriter::new(writer)))
+}
+
+fn respond_healthz(ctx: &ServerContext, _: &Request, w: &TcpStream, keep_alive: bool) -> bool {
     let engines = json::string_array(&ctx.service.engine_names());
     // Durability fields are all-zero (and `persistence` false) when the
     // service runs without a data directory, so probes read one shape
@@ -302,14 +306,14 @@ fn respond_healthz(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
         durability.wal_bytes,
         json::replication(&ctx.service.replication_status()),
     );
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
+    reply_json(w, &body, keep_alive)
 }
 
 /// `POST /admin/checkpoint`: write a durable snapshot of the serving
 /// version and truncate the WAL.  409 when the service has no data
 /// directory; 500 (with the typed message) when the write fails.  Returns
 /// whether the connection stays open — error responses close it.
-fn respond_checkpoint(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) -> bool {
+fn respond_checkpoint(ctx: &ServerContext, _: &Request, w: &TcpStream, keep_alive: bool) -> bool {
     let started = Instant::now();
     match ctx.service.checkpoint() {
         Ok(epoch) => {
@@ -317,19 +321,9 @@ fn respond_checkpoint(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool)
                 "{{\"checkpointed\":true,\"epoch\":{epoch},\"checkpoint_us\":{}}}",
                 started.elapsed().as_micros(),
             );
-            let _ =
-                http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
-            keep_alive
+            reply_json(w, &body, keep_alive)
         }
-        Err(PersistError::Disabled) => respond_error(
-            w,
-            HttpError::new(
-                409,
-                "persistence_disabled",
-                "service is running without a data directory",
-            ),
-        ),
-        Err(e) => respond_error(w, HttpError::new(500, "checkpoint_failed", e.to_string())),
+        Err(e) => respond_error(w, HttpError::persist(e, "checkpoint_failed")),
     }
 }
 
@@ -342,24 +336,12 @@ fn respond_checkpoint(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool)
 fn respond_slo_update(
     ctx: &ServerContext,
     request: &Request,
-    w: &mut impl Write,
+    w: &TcpStream,
     keep_alive: bool,
 ) -> bool {
-    let body = match request.body_utf8() {
-        Ok(body) if !body.trim().is_empty() => body,
-        Ok(_) => {
-            return respond_error(
-                w,
-                HttpError::bad_request("empty body (expected SLO spec JSON)"),
-            )
-        }
-        Err(e) => return respond_error(w, HttpError::bad_request(e)),
-    };
-    let value = match json::parse(body) {
-        Ok(value) => value,
-        Err(e) => {
-            return respond_error(w, HttpError::bad_request(format!("invalid JSON body: {e}")))
-        }
+    let (body, value) = match json_body(request, "SLO spec JSON") {
+        Ok(parsed) => parsed,
+        Err(error) => return respond_error(w, error),
     };
     let replace = matches!(value, JsonValue::Array(_)) || value.get("slos").is_some();
     let text = if replace {
@@ -385,8 +367,7 @@ fn respond_slo_update(
             ctx.service.slo_specs().len()
         )
     };
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
-    keep_alive
+    reply_json(w, &body, keep_alive)
 }
 
 /// The `head` event payload: where the leader is, where its truncation
@@ -423,32 +404,25 @@ const STREAM_KEEPALIVE: Duration = Duration::from_secs(1);
 /// checkpoint moved the horizon, so an idle stream reads no file and
 /// takes no `persistence` lock.  A failed read closes the stream after a
 /// `replication-error` event; server shutdown closes it at once.
-fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
-    let mut writer = stream;
-    let mut cursor = request
-        .header("last-event-id")
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .or_else(|| {
-            request
-                .query_param("from_epoch")
-                .and_then(|raw| raw.parse::<u64>().ok())
-        })
-        .unwrap_or(0);
+fn respond_replication_stream(
+    ctx: &ServerContext,
+    request: &Request,
+    stream: &TcpStream,
+    _: bool,
+) -> bool {
     if !ctx.service.durability().enabled {
-        respond_error(
-            &mut writer,
+        return respond_error(
+            stream,
             HttpError::new(
                 409,
                 "persistence_disabled",
                 "replication requires the leader to run with a data directory",
             ),
         );
-        return;
     }
-    if writer.write_all(STREAM_HEADER.as_bytes()).is_err() {
-        return;
-    }
-    let mut sse = SseWriter::new(writer);
+    let Some((mut cursor, mut sse)) = open_stream(request, stream, Some("from_epoch")) else {
+        return false;
+    };
     let mut position = WalPosition::default();
     let mut greeted = false;
     // Read before the records are looked for: a publish that the read
@@ -464,7 +438,7 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
                     "replication-error",
                     format!("closing a replication stream at epoch {cursor}: WAL read failed: {e}"),
                 );
-                return;
+                return false;
             }
         };
         // A checkpoint can truncate the WAL at any moment, turning
@@ -478,7 +452,7 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
                     ctx.service.epoch()
                 ),
             );
-            return;
+            return false;
         }
         if (!greeted || !tail.records.is_empty())
             && sse
@@ -488,7 +462,7 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
                 )
                 .is_err()
         {
-            return;
+            return false;
         }
         greeted = true;
         for record in tail.records {
@@ -503,7 +477,7 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
                 record.seq, record.parent_epoch, record.epoch,
             );
             if sse.event_with_id("record", record.epoch, &data).is_err() {
-                return;
+                return false;
             }
             cursor = record.epoch;
         }
@@ -521,23 +495,24 @@ fn respond_replication_stream(ctx: &ServerContext, request: &Request, stream: &T
                     .event("head", &replication_head_json(ctx, checkpoint_epoch, 0))
                     .is_err()
             {
-                return;
+                return false;
             }
         }
     }
+    false
 }
 
 /// `GET /replication/snapshot`: the newest on-disk snapshot, verbatim —
 /// what a bootstrapping follower decodes and installs.  The snapshot's
 /// epoch rides in `X-Banks-Snapshot-Epoch`.  409 without persistence, 404
 /// before the first checkpoint has been written.
-fn respond_replication_snapshot(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) -> bool {
+fn respond_snapshot(ctx: &ServerContext, _: &Request, mut w: &TcpStream, keep_alive: bool) -> bool {
     match ctx.service.newest_snapshot_file() {
         Ok(Some((epoch, path))) => match std::fs::read(&path) {
             Ok(bytes) => {
                 let epoch_header = epoch.to_string();
                 let _ = http::write_response(
-                    w,
+                    &mut w,
                     200,
                     &[("X-Banks-Snapshot-Epoch", epoch_header.as_str())],
                     "application/octet-stream",
@@ -555,25 +530,19 @@ fn respond_replication_snapshot(ctx: &ServerContext, w: &mut impl Write, keep_al
             w,
             HttpError::new(404, "no_snapshot", "no snapshot has been written yet"),
         ),
-        Err(PersistError::Disabled) => respond_error(
-            w,
-            HttpError::new(
-                409,
-                "persistence_disabled",
-                "service is running without a data directory",
-            ),
-        ),
-        Err(e) => respond_error(
-            w,
-            HttpError::new(500, "snapshot_list_failed", e.to_string()),
-        ),
+        Err(e) => respond_error(w, HttpError::persist(e, "snapshot_list_failed")),
     }
 }
 
 /// `GET /metrics`: JSON by default, Prometheus text format 0.0.4 with
 /// `?format=prometheus`.  The body is always identity-encoded: HTTP lets a
 /// server ignore `Accept-Encoding`, and scrapers accept that.
-fn respond_metrics(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep_alive: bool) {
+fn respond_metrics(
+    ctx: &ServerContext,
+    request: &Request,
+    mut w: &TcpStream,
+    keep_alive: bool,
+) -> bool {
     let metrics = ctx.service.metrics();
     let (body, content_type) = match request.query_param("format").as_deref() {
         Some("prometheus") => (
@@ -582,15 +551,13 @@ fn respond_metrics(ctx: &ServerContext, request: &Request, w: &mut impl Write, k
         ),
         _ => (json::metrics(&metrics), "application/json"),
     };
-    let _ = http::write_response(w, 200, &[], content_type, body.as_bytes(), keep_alive);
+    let _ = http::write_response(&mut w, 200, &[], content_type, body.as_bytes(), keep_alive);
+    keep_alive
 }
 
 /// `GET /debug/slow`: the retained slow-query traces, newest first.
-fn respond_slow(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep_alive: bool) {
-    let limit = request
-        .query_param("limit")
-        .and_then(|raw| raw.parse::<usize>().ok())
-        .unwrap_or(32);
+fn respond_slow(ctx: &ServerContext, request: &Request, w: &TcpStream, keep_alive: bool) -> bool {
+    let limit = param(request, "limit").unwrap_or(32);
     let traces = ctx.service.slow_traces(limit);
     let body = format!(
         "{{\"slow_query_threshold_us\":{},\"count\":{},\"traces\":{}}}",
@@ -598,7 +565,7 @@ fn respond_slow(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep
         traces.len(),
         json::array(&traces, |trace| json::query_trace(trace)),
     );
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
+    reply_json(w, &body, keep_alive)
 }
 
 /// `GET /debug/slo`: the stored burn-rate report — overall health, the
@@ -606,7 +573,7 @@ fn respond_slow(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep
 /// report is the one the collector wrote on its last tick (evaluation
 /// happens on the collector thread, where transitions become events), so
 /// this endpoint is a read, never a judgment.
-fn respond_slo(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
+fn respond_slo(ctx: &ServerContext, _: &Request, w: &TcpStream, keep_alive: bool) -> bool {
     let report = ctx.service.slo_report();
     let body = format!(
         "{{\"health\":\"{}\",\"collector_cadence_ms\":{},\"slos\":{}}}",
@@ -614,7 +581,7 @@ fn respond_slo(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
         ctx.service.collector_cadence().as_millis(),
         json::array(&report.rows, json::slo_row),
     );
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
+    reply_json(w, &body, keep_alive)
 }
 
 /// One event as the JSON object both `/debug/events` and the SSE tail
@@ -638,14 +605,9 @@ const EVENTS_PAGE_LIMIT: usize = 1024;
 /// carries `last_id` (the newest id ever assigned — the cursor for the
 /// next poll) and `dropped` (ring evictions), so a poller can both page
 /// and detect loss.
-fn respond_events(ctx: &ServerContext, request: &Request, w: &mut impl Write, keep_alive: bool) {
-    let since = request
-        .query_param("since")
-        .and_then(|raw| raw.parse::<u64>().ok())
-        .unwrap_or(0);
-    let limit = request
-        .query_param("limit")
-        .and_then(|raw| raw.parse::<usize>().ok())
+fn respond_events(ctx: &ServerContext, request: &Request, w: &TcpStream, keep_alive: bool) -> bool {
+    let since: u64 = param(request, "since").unwrap_or(0);
+    let limit = param(request, "limit")
         .unwrap_or(256)
         .min(EVENTS_PAGE_LIMIT);
     let events = ctx.service.events().since(since, limit);
@@ -656,7 +618,7 @@ fn respond_events(ctx: &ServerContext, request: &Request, w: &mut impl Write, ke
         events.len(),
         json::array(&events, |event| event_json(event)),
     );
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
+    reply_json(w, &body, keep_alive)
 }
 
 /// `GET /debug/events/tail`: live SSE tail of the event log.
@@ -670,21 +632,15 @@ fn respond_events(ctx: &ServerContext, request: &Request, w: &mut impl Write, ke
 /// `emit`; each second without one it probes the peer and sends a
 /// keep-alive comment, so an abandoned tail releases its handler.  Server
 /// shutdown emits a `shutdown` event, which ends the tail after it.
-fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
-    let mut writer = stream;
-    let mut cursor = request
-        .header("last-event-id")
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .or_else(|| {
-            request
-                .query_param("since")
-                .and_then(|raw| raw.parse::<u64>().ok())
-        })
-        .unwrap_or(0);
-    if writer.write_all(STREAM_HEADER.as_bytes()).is_err() {
-        return;
-    }
-    let mut sse = SseWriter::new(writer);
+fn respond_events_tail(
+    ctx: &ServerContext,
+    request: &Request,
+    stream: &TcpStream,
+    _: bool,
+) -> bool {
+    let Some((mut cursor, mut sse)) = open_stream(request, stream, Some("since")) else {
+        return false;
+    };
     // Shutdown sets the flag and then emits its `shutdown` event, so a
     // tail that sees the flag still waits for that event and delivers it;
     // only a tail already past it ends at its first idle wait.
@@ -697,18 +653,18 @@ fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStrea
         if batch.is_empty()
             && (stopping || peer_disconnected(stream) || sse.comment("keepalive").is_err())
         {
-            return;
+            return false;
         }
         for event in batch {
             if sse
                 .event_with_id("event", event.id, &event_json(&event))
                 .is_err()
             {
-                return;
+                return false;
             }
             cursor = event.id;
             if event.kind == "shutdown" && ctx.shutdown.load(Ordering::SeqCst) {
-                return;
+                return false;
             }
         }
     }
@@ -717,8 +673,8 @@ fn respond_events_tail(ctx: &ServerContext, request: &Request, stream: &TcpStrea
 /// `GET /debug/trace/<id>`: one retained trace by query id (`7` and the
 /// display form `q7` both work).  404 once the ring has evicted it (or if
 /// it was never retained — traces are kept only when requested or slow).
-fn respond_trace(ctx: &ServerContext, path: &str, w: &mut impl Write, keep_alive: bool) -> bool {
-    let raw = path.trim_start_matches("/debug/trace/");
+fn respond_trace(ctx: &ServerContext, request: &Request, w: &TcpStream, keep_alive: bool) -> bool {
+    let raw = request.path.trim_start_matches(TRACE_ROUTE);
     let id = raw.strip_prefix('q').unwrap_or(raw).parse::<u64>();
     let trace = match id {
         Ok(id) => ctx.service.trace(banks_service::QueryId(id)),
@@ -730,12 +686,7 @@ fn respond_trace(ctx: &ServerContext, path: &str, w: &mut impl Write, keep_alive
         }
     };
     match trace {
-        Some(trace) => {
-            let body = json::query_trace(&trace);
-            let _ =
-                http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
-            keep_alive
-        }
+        Some(trace) => reply_json(w, &json::query_trace(&trace), keep_alive),
         None => respond_error(
             w,
             HttpError::new(
@@ -747,7 +698,7 @@ fn respond_trace(ctx: &ServerContext, path: &str, w: &mut impl Write, keep_alive
     }
 }
 
-fn respond_swap(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
+fn respond_swap(ctx: &ServerContext, _: &Request, w: &TcpStream, keep_alive: bool) -> bool {
     let started = Instant::now();
     let previous_epoch = ctx.service.epoch();
     // Build the new snapshot *before* touching the serving lock: queries
@@ -765,7 +716,7 @@ fn respond_swap(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
          \"rebuild_us\":{}}}",
         started.elapsed().as_micros(),
     );
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
+    reply_json(w, &body, keep_alive)
 }
 
 /// `POST /admin/mutate`: apply a JSON mutation batch incrementally.
@@ -787,12 +738,7 @@ fn respond_swap(ctx: &ServerContext, w: &mut impl Write, keep_alive: bool) {
 /// results; a malformed *body* is a 400 before anything is applied, while
 /// a semantically invalid *op* (unknown node, missing edge) is applied
 /// batch semantics: it is rejected individually and the rest proceed.
-fn respond_mutate(
-    ctx: &ServerContext,
-    request: &Request,
-    w: &mut impl Write,
-    keep_alive: bool,
-) -> bool {
+fn respond_mutate(ctx: &ServerContext, request: &Request, w: &TcpStream, keep_alive: bool) -> bool {
     // A follower's graph is the leader's graph: accepting a local write
     // would fork the replicated history.  Redirect the writer instead.
     if ctx.service.replication_status().role == ReplicationRole::Follower {
@@ -803,9 +749,10 @@ fn respond_mutate(
         );
         if let Some(leader) = &ctx.leader_url {
             let base = leader.trim_end_matches('/');
+            // `request.path` is this route's own path.
             error
                 .headers
-                .push(("Location", format!("{base}/admin/mutate")));
+                .push(("Location", format!("{base}{}", request.path)));
             error.extras.push(("leader", corejson::string(leader)));
         }
         return respond_error(w, error);
@@ -839,8 +786,7 @@ fn respond_mutate(
         report.outcome.rejected(),
         started.elapsed().as_micros(),
     );
-    let _ = http::write_response(w, 200, &[], "application/json", body.as_bytes(), keep_alive);
-    keep_alive
+    reply_json(w, &body, keep_alive)
 }
 
 fn op_effect_json(effect: &OpEffect) -> String {
@@ -867,14 +813,7 @@ fn op_effect_json(effect: &OpEffect) -> String {
 
 /// Parses the `POST /admin/mutate` body into a [`MutationBatch`].
 fn parse_mutation_body(request: &Request) -> Result<MutationBatch, HttpError> {
-    let body = request.body_utf8().map_err(HttpError::bad_request)?;
-    if body.trim().is_empty() {
-        return Err(HttpError::bad_request(
-            "empty body (expected a JSON object with an \"ops\" array)",
-        ));
-    }
-    let value =
-        json::parse(body).map_err(|e| HttpError::bad_request(format!("invalid JSON body: {e}")))?;
+    let (_, value) = json_body(request, "a JSON object with an \"ops\" array")?;
     let ops = match value.get("ops") {
         Some(JsonValue::Array(items)) => items,
         Some(_) => return Err(HttpError::bad_request("\"ops\" must be an array")),
@@ -1019,14 +958,7 @@ fn parse_emission(raw: &str) -> Result<EmissionPolicy, HttpError> {
 }
 
 fn spec_from_json_body(request: &Request) -> Result<QuerySpec, HttpError> {
-    let body = request.body_utf8().map_err(HttpError::bad_request)?;
-    if body.trim().is_empty() {
-        return Err(HttpError::bad_request(
-            "empty body (expected a JSON object with \"q\" or \"keywords\")",
-        ));
-    }
-    let value =
-        json::parse(body).map_err(|e| HttpError::bad_request(format!("invalid JSON body: {e}")))?;
+    let (_, value) = json_body(request, "a JSON object with \"q\" or \"keywords\"")?;
     if !matches!(value, JsonValue::Object(_)) {
         return Err(HttpError::bad_request("body must be a JSON object"));
     }
@@ -1140,38 +1072,22 @@ fn submit_error(err: SubmitError) -> HttpError {
 }
 
 /// `POST /query`: submit and stream.
-fn respond_query(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
-    let mut writer = stream;
-    let spec = match build_spec(request) {
-        Ok(spec) => spec,
-        Err(error) => {
-            respond_error(&mut writer, error);
-            return;
-        }
-    };
-    let handle = match ctx.service.submit(spec) {
-        Ok(handle) => handle,
-        Err(err) => {
-            respond_error(&mut writer, submit_error(err));
-            return;
-        }
-    };
-
-    if writer.write_all(STREAM_HEADER.as_bytes()).is_err() {
-        handle.cancel();
-        return;
-    }
+fn respond_query(ctx: &ServerContext, request: &Request, stream: &TcpStream, _: bool) -> bool {
+    let handle =
+        match build_spec(request).and_then(|spec| ctx.service.submit(spec).map_err(submit_error)) {
+            Ok(handle) => handle,
+            Err(error) => return respond_error(stream, error),
+        };
     // Answer frames carry their 1-based rank as the SSE `id:`.  A client
     // reconnecting with `Last-Event-ID: K` has already consumed the first
     // K answers of this stream; the engine is deterministic for a fixed
     // epoch (and the result cache makes the re-run cheap), so the handler
     // re-executes and suppresses what was already delivered.
-    let skip = request
-        .header("last-event-id")
-        .and_then(|raw| raw.trim().parse::<u64>().ok())
-        .unwrap_or(0);
+    let Some((skip, mut sse)) = open_stream(request, stream, None) else {
+        handle.cancel();
+        return false;
+    };
     let mut delivered = 0u64;
-    let mut sse = SseWriter::new(writer);
     // A dead client must cancel the query even when the engine emits
     // nothing for a long stretch (or nothing at all), so the receive is
     // *bounded*: on every timeout tick the handler probes the peer — a
@@ -1219,6 +1135,7 @@ fn respond_query(ctx: &ServerContext, request: &Request, stream: &TcpStream) {
             }
         }
     }
+    false
 }
 
 /// The `finished` event payload.

@@ -544,6 +544,54 @@ fn unknown_routes_and_methods_map_to_404_and_405() {
     assert_eq!(status_of(&response), 405);
     let response = send(addr, "GET /admin/swap HTTP/1.1\r\nHost: t\r\n\r\n");
     assert_eq!(status_of(&response), 405, "swap is POST-only");
+
+    // Every route against every method: a listed method is served (its
+    // handler may still refuse the request, never as 404 or 405), any
+    // other method is a 405.  Only the status line of a listed method's
+    // response is read — `/debug/events/tail` streams until the peer goes.
+    let routes: [(&[&str], &str); 14] = [
+        (&["POST", "GET"], "/query"),
+        (&["GET"], "/metrics"),
+        (&["GET"], "/debug/slow"),
+        (&["GET"], "/debug/trace/x"),
+        (&["GET"], "/debug/slo"),
+        (&["GET"], "/debug/events"),
+        (&["GET"], "/debug/events/tail"),
+        (&["POST"], "/admin/swap"),
+        (&["POST"], "/admin/mutate"),
+        (&["POST"], "/admin/checkpoint"),
+        (&["POST"], "/admin/slo"),
+        (&["GET"], "/replication/stream"),
+        (&["GET"], "/replication/snapshot"),
+        (&["GET"], "/healthz"),
+    ];
+    for (methods, path) in routes {
+        for method in ["GET", "POST", "PUT", "DELETE"] {
+            let request =
+                format!("{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n");
+            if methods.contains(&method) {
+                let mut conn = TcpStream::connect(addr).expect("connect");
+                conn.write_all(request.as_bytes()).expect("send request");
+                let mut status_line = String::new();
+                BufReader::new(conn)
+                    .read_line(&mut status_line)
+                    .expect("status line");
+                let status = status_of(&status_line);
+                assert!(
+                    status != 404 && status != 405,
+                    "{method} {path} is routed, got {status_line:?}"
+                );
+            } else {
+                let response = send(addr, &request);
+                assert_eq!(status_of(&response), 405, "{method} {path}: {response:?}");
+                assert_eq!(
+                    error_code(&response),
+                    "method_not_allowed",
+                    "{method} {path}"
+                );
+            }
+        }
+    }
     server.shutdown();
 }
 
@@ -643,10 +691,13 @@ fn keep_alive_reuses_one_connection_for_non_sse_endpoints() {
     let mut writer = conn.try_clone().expect("clone");
     let mut reader = BufReader::new(conn);
 
-    // Three different endpoints down one connection.
+    // Six different endpoints down one connection.
     for (i, request) in [
         "GET /healthz HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n".to_string(),
         "GET /metrics HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n".to_string(),
+        "GET /debug/slow HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n".to_string(),
+        "GET /debug/slo HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n".to_string(),
+        "GET /debug/events HTTP/1.1\r\nHost: t\r\nConnection: keep-alive\r\n\r\n".to_string(),
         {
             let body = r#"{"ops":[{"op":"set_label","node":0,"label":"J. Gray"}]}"#;
             format!(

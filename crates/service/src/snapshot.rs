@@ -31,37 +31,6 @@ use banks_textindex::{InvertedIndex, TextDelta};
 /// a graph.
 const COMPACT_OVERLAY_RATIO: f64 = 0.25;
 
-/// How a snapshot's prestige vector is kept current when the graph mutates
-/// under it ([`GraphSnapshot::apply_batch`]).
-#[derive(Clone, Copy, Debug)]
-enum PrestigeMode {
-    /// Uniform prestige (the default): successors stay uniform.
-    Uniform,
-    /// Caller-supplied prestige the snapshot cannot re-derive: successors
-    /// keep the existing values, and nodes a mutation appends are assigned
-    /// the current maximum (never penalised relative to existing nodes)
-    /// until the caller swaps in a freshly-computed vector.
-    Pinned,
-}
-
-/// How a snapshot's keyword index is kept current when the graph mutates
-/// under it.
-#[derive(Clone, Copy, Debug)]
-enum IndexMode {
-    /// The index covers exactly the node labels (built by
-    /// [`build_label_index`]): label deltas apply in full — removals for
-    /// relabels, additions for new text — and stay equivalent to a from-
-    /// scratch rebuild.
-    Labels,
-    /// A caller-supplied index the snapshot cannot re-derive (it may cover
-    /// text the graph never sees).  Successors apply **additive** changes
-    /// only — labels of newly-added nodes and new relation names — and
-    /// never remove postings: a relabel leaves the node's old terms
-    /// matching (documented staleness) rather than corrupting posting
-    /// lists that were built from richer text.
-    External,
-}
-
 /// One immutable serving version: the data graph together with the prestige
 /// vector and keyword index derived from it.
 ///
@@ -79,8 +48,19 @@ pub struct GraphSnapshot {
     graph: DataGraph,
     prestige: PrestigeVector,
     index: InvertedIndex,
-    prestige_mode: PrestigeMode,
-    index_mode: IndexMode,
+    /// How the prestige is kept current when the graph mutates under it
+    /// ([`GraphSnapshot::apply_batch`]): `Uniform` successors stay
+    /// uniform; `Pinned` (caller-supplied, not re-derivable) successors
+    /// keep the existing values, and nodes a mutation appends get the
+    /// current maximum until the caller swaps in a fresh vector.
+    prestige_mode: PrestigeDerivation,
+    /// How the index is kept current: `Labels` (built by
+    /// [`build_label_index`]) applies label deltas in full and stays
+    /// equivalent to a rebuild; `External` (caller-supplied, may cover
+    /// text the graph never sees) applies additive changes only — a
+    /// relabel leaves the old terms matching rather than corrupting
+    /// postings built from richer text.
+    index_mode: IndexDerivation,
 }
 
 impl GraphSnapshot {
@@ -101,8 +81,8 @@ impl GraphSnapshot {
             graph,
             prestige,
             index,
-            prestige_mode: PrestigeMode::Pinned,
-            index_mode: IndexMode::External,
+            prestige_mode: PrestigeDerivation::Pinned,
+            index_mode: IndexDerivation::External,
         }
     }
 
@@ -144,8 +124,8 @@ impl GraphSnapshot {
     ) -> Self {
         Self::assemble(
             graph,
-            prestige.map(|p| (p, PrestigeMode::Pinned)),
-            index.map(|i| (i, IndexMode::External)),
+            prestige.map(|p| (p, PrestigeDerivation::Pinned)),
+            index.map(|i| (i, IndexDerivation::External)),
         )
     }
 
@@ -168,11 +148,11 @@ impl GraphSnapshot {
             (contents.graph, None, None)
         };
         let prestige = prestige
-            .map(|p| (p, PrestigeMode::Pinned))
-            .or(persisted_prestige.filter(|(_, mode)| matches!(mode, PrestigeMode::Uniform)));
+            .map(|p| (p, PrestigeDerivation::Pinned))
+            .or(persisted_prestige.filter(|(_, mode)| *mode == PrestigeDerivation::Uniform));
         let index = index
-            .map(|i| (i, IndexMode::External))
-            .or(persisted_index.filter(|(_, mode)| matches!(mode, IndexMode::Labels)));
+            .map(|i| (i, IndexDerivation::External))
+            .or(persisted_index.filter(|(_, mode)| *mode == IndexDerivation::Labels));
         Self::assemble(graph, prestige, index)
     }
 
@@ -196,13 +176,17 @@ impl GraphSnapshot {
     /// default: the label index, uniform prestige.
     fn assemble(
         graph: DataGraph,
-        prestige: Option<(PrestigeVector, PrestigeMode)>,
-        index: Option<(InvertedIndex, IndexMode)>,
+        prestige: Option<(PrestigeVector, PrestigeDerivation)>,
+        index: Option<(InvertedIndex, IndexDerivation)>,
     ) -> Self {
         let (index, index_mode) =
-            index.unwrap_or_else(|| (build_label_index(&graph), IndexMode::Labels));
-        let (prestige, prestige_mode) = prestige
-            .unwrap_or_else(|| (PrestigeVector::uniform_for(&graph), PrestigeMode::Uniform));
+            index.unwrap_or_else(|| (build_label_index(&graph), IndexDerivation::Labels));
+        let (prestige, prestige_mode) = prestige.unwrap_or_else(|| {
+            (
+                PrestigeVector::uniform_for(&graph),
+                PrestigeDerivation::Uniform,
+            )
+        });
         GraphSnapshot {
             graph,
             prestige,
@@ -227,14 +211,8 @@ impl GraphSnapshot {
     /// How this version's index and prestige were derived.
     fn derivation(&self) -> Derivation {
         Derivation {
-            index: match self.index_mode {
-                IndexMode::Labels => IndexDerivation::Labels,
-                IndexMode::External => IndexDerivation::External,
-            },
-            prestige: match self.prestige_mode {
-                PrestigeMode::Uniform => PrestigeDerivation::Uniform,
-                PrestigeMode::Pinned => PrestigeDerivation::Pinned,
-            },
+            index: self.index_mode,
+            prestige: self.prestige_mode,
         }
     }
 
@@ -259,12 +237,12 @@ impl GraphSnapshot {
         let (graph, outcome) = self.graph.apply_batch(batch);
         let full_delta = label_index_delta(&graph, &outcome);
         let index_delta = match self.index_mode {
-            IndexMode::Labels => full_delta,
+            IndexDerivation::Labels => full_delta,
             // External index: keep every existing posting (the index may
             // know text the graph does not); only additions — labels of
             // nodes that did not exist before, and new relation names —
             // are safe to merge in.
-            IndexMode::External => TextDelta {
+            IndexDerivation::External => TextDelta {
                 changes: full_delta
                     .changes
                     .into_iter()
@@ -275,8 +253,8 @@ impl GraphSnapshot {
         };
         let index = self.index.apply_delta(&index_delta);
         let prestige = match self.prestige_mode {
-            PrestigeMode::Uniform => PrestigeVector::uniform_for(&graph),
-            PrestigeMode::Pinned => {
+            PrestigeDerivation::Uniform => PrestigeVector::uniform_for(&graph),
+            PrestigeDerivation::Pinned => {
                 let mut values = self.prestige.values().to_vec();
                 let fill = if values.is_empty() {
                     1.0
@@ -359,8 +337,8 @@ impl GraphSnapshot {
 /// cannot vouch for it (see [`GraphSnapshot::decode_persisted`]).
 type PersistedParts = (
     DataGraph,
-    Option<(PrestigeVector, PrestigeMode)>,
-    Option<(InvertedIndex, IndexMode)>,
+    Option<(PrestigeVector, PrestigeDerivation)>,
+    Option<(InvertedIndex, IndexDerivation)>,
 );
 
 fn persisted_parts(contents: SnapshotContents) -> PersistedParts {
@@ -375,17 +353,10 @@ fn persisted_parts(contents: SnapshotContents) -> PersistedParts {
     };
     let index = index
         .filter(|index| fits(index, &graph))
-        .map(|index| match derivation.index {
-            IndexDerivation::Labels => (index, IndexMode::Labels),
-            IndexDerivation::External => (index, IndexMode::External),
-        });
-    let prestige =
-        prestige
-            .filter(|p| p.len() == graph.num_nodes())
-            .map(|p| match derivation.prestige {
-                PrestigeDerivation::Uniform => (p, PrestigeMode::Uniform),
-                PrestigeDerivation::Pinned => (p, PrestigeMode::Pinned),
-            });
+        .map(|index| (index, derivation.index));
+    let prestige = prestige
+        .filter(|p| p.len() == graph.num_nodes())
+        .map(|p| (p, derivation.prestige));
     (graph, prestige, index)
 }
 

@@ -13,9 +13,9 @@
 //!
 //! `--obs-gate` instead runs the observability overhead gate: the same
 //! workload with the observability stack off and on — per-query tracing
-//! plus the 100 ms collector / SLO / event-log retention layer —
-//! interleaved; writes `BENCH_obs.json` and exits non-zero if the stack
-//! costs more than 5% QPS.
+//! plus the 100 ms collector / SLO / event-log retention layer — in pairs
+//! that alternate which side runs first; writes `BENCH_obs.json` and exits
+//! non-zero if the median per-pair regression exceeds 5% QPS.
 
 use std::time::{Duration, Instant};
 
@@ -38,10 +38,10 @@ fn main() {
 /// a ring push per query) *and* the retention layer runs hot — a 100 ms
 /// collector cadence snapshotting the time series, evaluating the stock
 /// SLOs, and feeding the event log.  Rounds run on fresh services so
-/// cache state is identical.  Compares best-of QPS and enforces the <5%
-/// regression budget.
+/// cache state is identical.  Gates the median per-pair QPS regression
+/// on the <5% budget.
 fn obs_gate() {
-    const ROUNDS: usize = 5;
+    const PAIRS: usize = 9;
     const BUDGET_PCT: f64 = 5.0;
 
     let data = DblpDataset::generate(DblpConfig {
@@ -61,7 +61,7 @@ fn obs_gate() {
         ..WorkloadConfig::default()
     });
     println!(
-        "obs gate: {} queries x {ROUNDS} rounds, traced vs untraced",
+        "obs gate: {} queries x {PAIRS} pairs, traced vs untraced",
         cases.len()
     );
 
@@ -95,25 +95,41 @@ fn obs_gate() {
         cases.len() as f64 / started.elapsed().as_secs_f64()
     };
 
-    // Interleaved rounds cancel out drift (thermal, page cache, neighbours).
-    let mut qps_off: Vec<f64> = Vec::new();
-    let mut qps_on: Vec<f64> = Vec::new();
+    // Each pair runs both sides back to back, alternating which goes
+    // first, so drift (thermal, page cache, neighbours) and the cost of
+    // going second land on both sides alike; the gate reads the median of
+    // the per-pair regressions, which one noisy run cannot move.
     run(false); // warm-up, discarded
-    for _ in 0..ROUNDS {
-        qps_off.push(run(false));
-        qps_on.push(run(true));
-    }
-    let best = |xs: &[f64]| xs.iter().cloned().fold(f64::MIN, f64::max);
-    let (off, on) = (best(&qps_off), best(&qps_on));
-    let regression_pct = 100.0 * (off - on) / off;
-    println!("  tracing off: {off:.0} QPS (best of {ROUNDS})");
-    println!("  tracing on:  {on:.0} QPS (best of {ROUNDS})");
-    println!("  regression:  {regression_pct:.2}% (budget {BUDGET_PCT}%)");
+    let mut regressions: Vec<f64> = (0..PAIRS)
+        .map(|pair| {
+            let (off, on) = if pair % 2 == 0 {
+                let off = run(false);
+                (off, run(true))
+            } else {
+                let on = run(true);
+                (run(false), on)
+            };
+            100.0 * (off - on) / off
+        })
+        .collect();
+    let per_pair = regressions
+        .iter()
+        .map(|r| format!("{r:.2}"))
+        .collect::<Vec<_>>()
+        .join(",");
+    regressions.sort_by(f64::total_cmp);
+    let quantile = |q: f64| regressions[((PAIRS - 1) as f64 * q).round() as usize];
+    let regression_pct = quantile(0.5);
+    let iqr_pct = quantile(0.75) - quantile(0.25);
+    println!("  per-pair regression: [{per_pair}] %");
+    println!(
+        "  median regression:   {regression_pct:.2}% (IQR {iqr_pct:.2}, budget {BUDGET_PCT}%)"
+    );
 
     let report = format!(
-        "{{\"bench\":\"obs_overhead_gate\",\"queries\":{},\"rounds\":{ROUNDS},\
-         \"qps_tracing_off\":{off:.1},\"qps_tracing_on\":{on:.1},\
-         \"regression_pct\":{regression_pct:.2},\"budget_pct\":{BUDGET_PCT}}}\n",
+        "{{\"bench\":\"obs_overhead_gate\",\"queries\":{},\"pairs\":{PAIRS},\
+         \"regression_pct_per_pair\":[{per_pair}],\"regression_pct\":{regression_pct:.2},\
+         \"regression_iqr_pct\":{iqr_pct:.2},\"budget_pct\":{BUDGET_PCT}}}\n",
         cases.len()
     );
     std::fs::write("BENCH_obs.json", &report).expect("write BENCH_obs.json");

@@ -179,8 +179,7 @@ fn work_budget_streams_terminate() {
 
     let session = banks
         .query_parsed(&case.query())
-        .top_k(1000)
-        .answer_work_budget(0);
+        .params(SearchParams::with_top_k(1000).answer_work_budget(0));
     let mut stream = session.stream();
     let mut count = 0usize;
     while stream.next().is_some() {
