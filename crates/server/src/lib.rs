@@ -34,6 +34,9 @@
 //! | `GET /replication/snapshot` | the newest on-disk snapshot verbatim (epoch in `X-Banks-Snapshot-Epoch`) — follower bootstrap seed |
 //! | `GET /healthz` | liveness: status, SLO `health` verdict, serving epoch, worker count, engine names, durability (`last_checkpoint_epoch`, `wal_records`, `wal_bytes`), replication role + lag |
 //!
+//! Each row is one row of the static route table in [`routes`]: a path no
+//! row names gets **404**, a method its row does not list gets **405**.
+//!
 //! `POST /query` takes a JSON body — `{"q":"jim gray","top_k":5}` or
 //! `{"keywords":["jim","gray"],"engine":"si-backward"}` — while `GET
 //! /query?q=jim+gray&top_k=5` serves the same stream to `EventSource`-style

@@ -1,13 +1,15 @@
 //! Request dispatch: one static route table over [`banks_service::Service`].
 //!
-//! Each row of [`ROUTES`] names the methods a path accepts and the handler
-//! that serves it (the endpoints themselves are listed in the crate docs).
-//! Every handler has one signature, so dispatch, the 404-versus-405 answer
-//! and keep-alive all follow from the table: a handler returns whether the
-//! connection stays open — the non-streaming ones honour the client's
-//! `Connection: keep-alive` for up to [`KEEPALIVE_MAX_REQUESTS`] requests
-//! with [`KEEPALIVE_IDLE`] between them, while SSE streams and error
-//! responses always close.
+//! Each row of the `ROUTES` table names the methods a path accepts and the
+//! handler that serves it (the endpoints themselves are listed in the
+//! crate docs).  Every handler has one signature, so dispatch, the
+//! 404-versus-405 answer and keep-alive all follow from the table: a
+//! handler returns whether the connection stays open — the non-streaming
+//! ones honour the client's `Connection: keep-alive` for up to
+//! [`KEEPALIVE_MAX_REQUESTS`] requests with [`KEEPALIVE_IDLE`] between
+//! them, while SSE streams and error responses always close.  The
+//! handlers live by resource in `query`, `admin`, `debug` and
+//! `replication`.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
