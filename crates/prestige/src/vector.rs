@@ -74,17 +74,6 @@ impl PrestigeVector {
         &self.values
     }
 
-    /// Returns a copy rescaled so the values sum to `target_sum`
-    /// (useful to compare vectors computed with different conventions).
-    pub fn rescaled(&self, target_sum: f64) -> PrestigeVector {
-        let current = self.sum();
-        if current <= 0.0 {
-            return self.clone();
-        }
-        let factor = target_sum / current;
-        PrestigeVector::from_values(self.values.iter().map(|v| v * factor).collect())
-    }
-
     /// The `k` nodes with highest prestige, in descending prestige order
     /// (ties broken by node id for determinism).
     pub fn top_k(&self, k: usize) -> Vec<(NodeId, f64)> {
@@ -126,14 +115,6 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn rejects_negative_values() {
         let _ = PrestigeVector::from_values(vec![0.1, -0.5]);
-    }
-
-    #[test]
-    fn rescaling_preserves_ratios() {
-        let p = PrestigeVector::from_values(vec![1.0, 3.0]);
-        let r = p.rescaled(1.0);
-        assert!((r.sum() - 1.0).abs() < 1e-12);
-        assert!((r.get(NodeId(1)) / r.get(NodeId(0)) - 3.0).abs() < 1e-12);
     }
 
     #[test]

@@ -168,6 +168,14 @@ fn follower_bootstraps_tails_and_serves_identical_answers() {
         }),
         "lag_records never drained"
     );
+    assert!(
+        wait_for(Duration::from_secs(5), || follower
+            .events()
+            .since(0, 10_000)
+            .iter()
+            .any(|e| e.kind == "replication-catchup")),
+        "a follower that caught up never logged replication-catchup"
+    );
 
     // The lifecycle left a paper trail in the structured event log.
     let events = follower.events().since(0, 10_000);

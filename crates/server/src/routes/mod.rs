@@ -189,7 +189,8 @@ static ROUTES: &[(&[&str], &str, Handler)] = &[
 ];
 
 /// Serves `request` from its row of [`ROUTES`]: 404 when no row has its
-/// path, 405 when the row does not list its method.
+/// path, 405 (with the row's methods as `Allow`) when the row does not
+/// list its method.
 fn dispatch(ctx: &ServerContext, request: &Request, stream: &TcpStream, keep: bool) -> bool {
     let path = request.path.as_str();
     let row = ROUTES.iter().find(|(_, route, _)| {
@@ -203,14 +204,15 @@ fn dispatch(ctx: &ServerContext, request: &Request, stream: &TcpStream, keep: bo
         Some((methods, _, handler)) if methods.contains(&request.method.as_str()) => {
             handler(ctx, request, stream, keep)
         }
-        Some(_) => respond_error(
-            stream,
-            HttpError::new(
+        Some((methods, _, _)) => {
+            let mut error = HttpError::new(
                 405,
                 "method_not_allowed",
                 format!("{} not allowed on {path}", request.method),
-            ),
-        ),
+            );
+            error.headers.push(("Allow", methods.join(", ")));
+            respond_error(stream, error)
+        }
         None => respond_error(
             stream,
             HttpError::new(404, "not_found", format!("no route for {path}")),

@@ -161,6 +161,10 @@ fn checkpoint_without_persistence_is_409_and_healthz_zeros() {
         "POST /admin/checkpoint HTTP/1.1\r\nHost: t\r\nContent-Length: 0\r\n\r\n",
     );
     assert_eq!(status_of(&response), 409);
+    assert!(
+        response.starts_with("HTTP/1.1 409 Conflict\r\n"),
+        "{response:?}"
+    );
     assert_eq!(error_code(&response), "persistence_disabled");
     server.shutdown();
 }
@@ -588,6 +592,11 @@ fn unknown_routes_and_methods_map_to_404_and_405() {
                     error_code(&response),
                     "method_not_allowed",
                     "{method} {path}"
+                );
+                assert_eq!(
+                    header_of(&response, "Allow"),
+                    Some(methods.join(", ").as_str()),
+                    "{method} {path}: a 405 names the allowed methods"
                 );
             }
         }

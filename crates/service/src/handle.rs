@@ -1,6 +1,6 @@
 //! The caller's side of a submitted query.
 
-use std::sync::mpsc::{Receiver, RecvTimeoutError, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -146,17 +146,6 @@ impl QueryHandle {
             }
             Err(RecvTimeoutError::Timeout) => Err(RecvTimeout::TimedOut),
             Err(RecvTimeoutError::Disconnected) => Err(RecvTimeout::Closed),
-        }
-    }
-
-    /// Non-blocking poll for the next event.
-    pub fn try_recv(&self) -> Option<QueryEvent> {
-        match self.events.try_recv() {
-            Ok(event) => {
-                self.stash_if_finished(&event);
-                Some(event)
-            }
-            Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => None,
         }
     }
 

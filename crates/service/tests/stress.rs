@@ -9,6 +9,8 @@
 //! Race bugs rarely reproduce in debug builds — CI runs this file under
 //! `--release` as well.
 
+use std::time::{Duration, Instant};
+
 use banks_core::{AnswerTree, Banks, EmissionPolicy, RankedAnswer, SearchParams, SearchStats};
 use banks_datagen::{DblpConfig, DblpDataset, WorkloadConfig, WorkloadGenerator};
 use banks_graph::{DataGraph, GraphBuilder};
@@ -212,11 +214,13 @@ fn bounded_queue_rejects_when_full() {
     };
 
     // One worker, queue bound 1: the first query occupies the worker, the
-    // second waits, the third must be rejected.
+    // second waits, the third must be rejected.  The collector ticks fast
+    // enough to see the full queue.
     let service = Service::builder(graph)
         .workers(1)
         .queue_capacity(1)
         .cache_capacity(0)
+        .collector_cadence(Duration::from_millis(10))
         .build();
     let running = service.submit(slow()).expect("first accepted");
     // Ensure the worker picked the first job up before filling the queue.
@@ -228,6 +232,22 @@ fn bounded_queue_rejects_when_full() {
         other => panic!("expected QueueFull, got {other:?}"),
     }
     assert_eq!(service.metrics().rejected, 1);
+    let logged = |kind: &str| {
+        service
+            .events()
+            .since(0, 100)
+            .iter()
+            .any(|e| e.kind == kind)
+    };
+    assert!(logged("admission-reject"), "a full queue logs the reject");
+    let started = Instant::now();
+    while !logged("watchdog-queue") && started.elapsed() < Duration::from_secs(5) {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        logged("watchdog-queue"),
+        "a collector tick over the full queue trips the watchdog"
+    );
 
     // Unblock everything so shutdown is quick.
     running.cancel();

@@ -47,7 +47,6 @@ fn dblp_service() -> Service {
         .queue_capacity(1024)
         .cache_capacity(256)
         .tenant_quota(25.0, 40)
-        .slos(SloSpec::defaults())
         .index(data.dataset.index().clone())
         .build()
 }

@@ -72,9 +72,7 @@ fn obs_gate() {
             .cache_capacity(256)
             .index(data.dataset.index().clone());
         if traced {
-            builder = builder
-                .collector_cadence(Duration::from_millis(100))
-                .slos(SloSpec::defaults());
+            builder = builder.collector_cadence(Duration::from_millis(100));
         }
         let service = builder.build();
         let started = Instant::now();
