@@ -270,8 +270,7 @@ fn collector_tick(inner: &Inner, state: &mut CollectorState, now_ms: u64) {
             .unwrap_or(f64::NAN)
     };
 
-    let queued = inner.queue.lock().expect("queue lock").jobs.len();
-    let saturation = queued as f64 / inner.queue_capacity.max(1) as f64;
+    let (queued, saturation) = inner.queue_occupancy();
 
     // Replication lag is a follower-only signal: standalone services and
     // leaders record NaN (no sample) so a `replication_lag` SLO judges

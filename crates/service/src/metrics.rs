@@ -24,6 +24,7 @@ use std::time::Duration;
 use banks_obs::{CalibrationRow, Health, Histogram, LatencySummary, SloRow, HISTOGRAM_BUCKETS};
 
 use crate::replication::ReplicationStatus;
+use crate::service::Service;
 
 /// Lock-free counters updated by the submit path and the workers.
 #[derive(Debug, Default)]
@@ -274,59 +275,67 @@ pub struct ServiceMetrics {
     pub replication: ReplicationStatus,
 }
 
-impl ServiceMetrics {
-    pub(crate) fn snapshot(
-        counters: &Counters,
-        waits: &WaitStats,
-        queued: usize,
-        epoch: u64,
-    ) -> Self {
+impl Service {
+    /// A point-in-time snapshot of the aggregate counters, queue-wait
+    /// percentiles, per-tenant scheduling outcomes and durability state.
+    pub fn metrics(&self) -> ServiceMetrics {
+        let inner = &self.inner;
+        let (queued, queue_saturation) = inner.queue_occupancy();
+        let (queue_wait, tenants) = {
+            let waits = inner.waits.lock().expect("waits lock");
+            (waits.summary(), waits.tenant_metrics())
+        };
+        let (health, slo) = {
+            let report = inner.slo_report.lock().expect("slo report lock");
+            (report.health, report.rows.clone())
+        };
+        let durability = self.durability();
+        let c = &inner.counters;
+        let read = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
         ServiceMetrics {
-            submitted: counters.submitted.load(Ordering::Relaxed),
-            rejected: counters.rejected.load(Ordering::Relaxed),
-            quota_rejected: counters.quota_rejected.load(Ordering::Relaxed),
-            executed: counters.executed.load(Ordering::Relaxed),
-            completed: counters.completed.load(Ordering::Relaxed),
-            cancelled: counters.cancelled.load(Ordering::Relaxed),
-            truncated: counters.truncated.load(Ordering::Relaxed),
-            cache_hits: counters.cache_hits.load(Ordering::Relaxed),
-            answers_delivered: counters.answers_delivered.load(Ordering::Relaxed),
-            nodes_explored: counters.nodes_explored.load(Ordering::Relaxed),
+            submitted: read(&c.submitted),
+            rejected: read(&c.rejected),
+            quota_rejected: read(&c.quota_rejected),
+            executed: read(&c.executed),
+            completed: read(&c.completed),
+            cancelled: read(&c.cancelled),
+            truncated: read(&c.truncated),
+            cache_hits: read(&c.cache_hits),
+            answers_delivered: read(&c.answers_delivered),
+            nodes_explored: read(&c.nodes_explored),
             queued: queued as u64,
-            swaps: counters.swaps.load(Ordering::Relaxed),
-            mutation_batches: counters.mutation_batches.load(Ordering::Relaxed),
-            mutation_ops_accepted: counters.mutation_ops_accepted.load(Ordering::Relaxed),
-            mutation_ops_rejected: counters.mutation_ops_rejected.load(Ordering::Relaxed),
-            epoch,
-            // Durability, the latency distributions
-            // other than queue wait, and the calibration table are owned by
-            // other locks; `Service::metrics` fills them in after this
-            // snapshot.
-            persistence_enabled: false,
-            last_checkpoint_epoch: 0,
-            wal_records: 0,
-            wal_bytes: 0,
-            checkpoints: 0,
-            slow_queries: counters.slow_queries.load(Ordering::Relaxed),
-            queue_wait: waits.summary(),
-            ttfa: LatencySummary::default(),
-            mutation_apply: LatencySummary::default(),
-            checkpoint_latency: LatencySummary::default(),
-            wal_fsync: LatencySummary::default(),
-            tenants: waits.tenant_metrics(),
-            calibration: Vec::new(),
-            health: Health::Ok,
-            slo: Vec::new(),
-            trace_ring_dropped: 0,
-            event_log_dropped: 0,
-            event_log_last_id: 0,
-            watchdog_overruns: counters.watchdog_overruns.load(Ordering::Relaxed),
-            watchdog_queue_trips: counters.watchdog_queue_trips.load(Ordering::Relaxed),
-            queue_saturation: 0.0,
-            replication: ReplicationStatus::default(),
+            swaps: read(&c.swaps),
+            mutation_batches: read(&c.mutation_batches),
+            mutation_ops_accepted: read(&c.mutation_ops_accepted),
+            mutation_ops_rejected: read(&c.mutation_ops_rejected),
+            epoch: self.epoch(),
+            persistence_enabled: durability.enabled,
+            last_checkpoint_epoch: durability.last_checkpoint_epoch,
+            wal_records: durability.wal_records,
+            wal_bytes: durability.wal_bytes,
+            checkpoints: durability.checkpoints,
+            slow_queries: read(&c.slow_queries),
+            queue_wait,
+            ttfa: inner.ttfa_hist.summary(),
+            mutation_apply: inner.mutation_apply_hist.summary(),
+            checkpoint_latency: durability.checkpoint_latency,
+            wal_fsync: durability.wal_fsync,
+            tenants,
+            calibration: inner.calibration.rows(),
+            health,
+            slo,
+            trace_ring_dropped: inner.traces.dropped(),
+            event_log_dropped: inner.events.dropped(),
+            event_log_last_id: inner.events.last_id(),
+            watchdog_overruns: read(&c.watchdog_overruns),
+            watchdog_queue_trips: read(&c.watchdog_queue_trips),
+            queue_saturation,
+            replication: self.replication_status(),
         }
     }
+}
 
+impl ServiceMetrics {
     /// Fraction of accepted queries served from the cache (0.0 when none
     /// were accepted).
     pub fn cache_hit_rate(&self) -> f64 {
@@ -349,20 +358,22 @@ mod tests {
 
     #[test]
     fn snapshot_reads_counters() {
-        let counters = Counters::default();
+        let mut graph = banks_graph::GraphBuilder::new();
+        graph.add_node("author", "Jim Gray");
+        let service = Service::builder(graph.build_default()).workers(1).build();
+        let counters = &service.inner.counters;
         Counters::bump(&counters.submitted);
         Counters::bump(&counters.submitted);
         Counters::bump(&counters.cache_hits);
         Counters::bump(&counters.swaps);
         Counters::add(&counters.answers_delivered, 5);
-        let waits = WaitStats::default();
-        let snap = ServiceMetrics::snapshot(&counters, &waits, 3, 42);
+        let snap = service.metrics();
         assert_eq!(snap.submitted, 2);
         assert_eq!(snap.cache_hits, 1);
         assert_eq!(snap.answers_delivered, 5);
-        assert_eq!(snap.queued, 3);
+        assert_eq!(snap.queued, 0);
         assert_eq!(snap.swaps, 1);
-        assert_eq!(snap.epoch, 42);
+        assert_eq!(snap.epoch, service.epoch());
         assert!((snap.cache_hit_rate() - 0.5).abs() < 1e-12);
         assert_eq!(ServiceMetrics::default().cache_hit_rate(), 0.0);
         assert_eq!(snap.queue_wait, LatencySummary::default());

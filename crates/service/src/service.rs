@@ -11,7 +11,8 @@ use std::time::{Duration, Instant};
 use banks_core::cache::CacheKey;
 use banks_core::registry::UnknownEngine;
 use banks_core::{
-    CancelToken, EngineRegistry, QueryContext, QueryCost, ResultCache, SearchOutcome, SearchStats,
+    CancelToken, EngineRegistry, QueryContext, QueryCost, RankedAnswer, ResultCache, SearchOutcome,
+    SearchStats,
 };
 use banks_graph::DataGraph;
 use banks_obs::{
@@ -25,7 +26,7 @@ use banks_textindex::{InvertedIndex, KeywordMatches};
 use crate::collector::{collector_loop, timeseries_schema};
 use crate::epoch::Epochs;
 use crate::handle::{HandleState, QueryEvent, QueryHandle, QueryId, QueryResult};
-use crate::metrics::{Counters, ServiceMetrics, WaitStats};
+use crate::metrics::{Counters, WaitStats};
 use crate::quota::{QuotaConfig, QuotaState};
 use crate::replication::{ReplicationRole, ReplicationState, ReplicationStatus};
 use crate::sched::WorkQueue;
@@ -92,13 +93,14 @@ const TIMESERIES_CAPACITY: usize = 360;
 const DEFAULT_ENGINE: &str = "bidirectional";
 
 /// Capacity of the structured event-log ring; once full, the oldest events
-/// are evicted and counted in [`ServiceMetrics::event_log_dropped`].
+/// are evicted and counted in
+/// [`ServiceMetrics::event_log_dropped`](crate::ServiceMetrics::event_log_dropped).
 const EVENT_LOG_CAPACITY: usize = 1024;
 
 /// Nodes-explored multiple of the scheduler's a priori estimate at which a
 /// finished query trips the watchdog: the overrun is counted in
-/// [`ServiceMetrics::watchdog_overruns`] and logged as a
-/// `watchdog-overrun` event.
+/// [`ServiceMetrics::watchdog_overruns`](crate::ServiceMetrics::watchdog_overruns)
+/// and logged as a `watchdog-overrun` event.
 const WATCHDOG_OVERRUN_FACTOR: u64 = 8;
 
 /// Wall-clock milliseconds since the Unix epoch (the time base of the
@@ -116,16 +118,16 @@ pub(crate) fn unix_ms() -> u64 {
 /// reads — so slow queries produce a trace even when the caller did not
 /// ask for one; the [`QueryTrace`] itself is only assembled when tracing
 /// was requested or the query crossed the slow threshold.
-struct TraceCtx {
+pub(crate) struct TraceCtx {
     /// The client correlation reference when the submission explicitly
     /// requested a trace ([`QuerySpec::trace`]).
-    requested: Option<String>,
-    t0: Instant,
-    admit_us: u64,
-    resolve_start_us: u64,
-    resolve_end_us: u64,
-    enqueued_us: u64,
-    submitted_off_us: u64,
+    pub(crate) requested: Option<String>,
+    pub(crate) t0: Instant,
+    pub(crate) admit_us: u64,
+    pub(crate) resolve_start_us: u64,
+    pub(crate) resolve_end_us: u64,
+    pub(crate) enqueued_us: u64,
+    pub(crate) submitted_off_us: u64,
 }
 
 impl TraceCtx {
@@ -141,40 +143,60 @@ impl TraceCtx {
         }
     }
 
-    fn elapsed_us(&self) -> u64 {
+    pub(crate) fn elapsed_us(&self) -> u64 {
         self.t0.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
 }
 
-/// One unit of queued work, pinned to the serving snapshot it was admitted
-/// under.
-pub(crate) struct Job {
-    id: QueryId,
-    /// The graph version this query resolves, expands and caches against —
-    /// fixed at admission, unaffected by later swaps.
-    snapshot: Arc<GraphSnapshot>,
-    matches: KeywordMatches,
-    cache_key: CacheKey,
-    spec_params: banks_core::SearchParams,
+/// A query's identity from admission to finish: built once in
+/// [`Service::submit`], carried by the [`Job`] to a worker, and read by
+/// [`finish`] for the trace, the counters and the `Finished` event.
+pub(crate) struct Ticket {
+    pub(crate) id: QueryId,
     /// The registry's canonical name for the requested engine.
-    engine: &'static str,
-    tenant: String,
-    token: CancelToken,
-    events: Sender<QueryEvent>,
-    state: Arc<HandleState>,
-    submitted_at: Instant,
+    pub(crate) engine: &'static str,
+    pub(crate) tenant: String,
+    /// The epoch of the snapshot pinned at admission: the query resolves,
+    /// expands and caches against it, unaffected by later swaps.
+    pub(crate) epoch: u64,
+    pub(crate) trace: TraceCtx,
+    pub(crate) events: Sender<QueryEvent>,
+    pub(crate) submitted_at: Instant,
+}
+
+impl Ticket {
+    /// Sends one answer to the handle and counts it delivered; returns
+    /// whether the handle is still there to read it.
+    pub(crate) fn deliver(&self, counters: &Counters, answer: RankedAnswer) -> bool {
+        let sent = self.events.send(QueryEvent::Answer(answer)).is_ok();
+        if sent {
+            Counters::bump(&counters.answers_delivered);
+        }
+        sent
+    }
+}
+
+/// One unit of queued work: the [`Ticket`] plus what execution needs.
+pub(crate) struct Job {
+    pub(crate) ticket: Ticket,
+    /// The graph version pinned at admission (`ticket.epoch`'s).
+    pub(crate) snapshot: Arc<GraphSnapshot>,
+    pub(crate) matches: KeywordMatches,
+    pub(crate) cache_key: CacheKey,
+    pub(crate) spec_params: banks_core::SearchParams,
     /// The a priori cost estimate the scheduler charged (calibration
     /// feedback compares it with the measured `nodes_explored`).
-    cost: QueryCost,
-    trace: TraceCtx,
+    pub(crate) cost: QueryCost,
+    pub(crate) token: CancelToken,
+    pub(crate) state: Arc<HandleState>,
 }
 
 pub(crate) struct QueueState {
     pub(crate) jobs: WorkQueue<Job>,
     /// Jobs currently running on a worker (popped but not finished) — the
     /// other half of the quiescence test [`Service::drain`] waits on.
-    executing: usize,
-    shutdown: bool,
+    pub(crate) executing: usize,
+    pub(crate) shutdown: bool,
 }
 
 /// Everything the workers share.
@@ -190,20 +212,20 @@ pub(crate) struct Inner {
     pub(crate) publish_generation: AtomicU64,
     /// Signalled after every `publish_generation` advance.
     pub(crate) published: Condvar,
-    registry: EngineRegistry,
+    pub(crate) registry: EngineRegistry,
     /// The canonical name [`DEFAULT_ENGINE`] resolves to in `registry`.
-    default_engine: &'static str,
+    pub(crate) default_engine: &'static str,
     /// This service's own result cache: a swap evicts the superseded
     /// epoch's entries.
     pub(crate) cache: ResultCache,
     pub(crate) queue: Mutex<QueueState>,
     pub(crate) queue_capacity: usize,
-    work_available: Condvar,
+    pub(crate) work_available: Condvar,
     /// Signalled whenever the queue empties *and* the last executing job
     /// finishes; [`Service::drain`] waits on it.
-    idle: Condvar,
+    pub(crate) idle: Condvar,
     /// Per-tenant token buckets (`None`: quotas disabled).
-    quota: Option<Mutex<QuotaState>>,
+    pub(crate) quota: Option<Mutex<QuotaState>>,
     /// The writers' lock and the durability state: every new serving
     /// version is made through it (see [`crate::epoch`]).
     pub(crate) epochs: Epochs,
@@ -213,15 +235,17 @@ pub(crate) struct Inner {
     /// Retained phase traces (explicitly traced + slow queries).
     pub(crate) traces: TraceRing,
     /// End-to-end latency beyond which a query counts as *slow*: its trace
-    /// is retained and [`ServiceMetrics::slow_queries`] is bumped.
-    slow_threshold: Duration,
+    /// is retained and
+    /// [`ServiceMetrics::slow_queries`](crate::ServiceMetrics::slow_queries)
+    /// is bumped.
+    pub(crate) slow_threshold: Duration,
     /// Time-to-first-answer distribution across executed queries.
     pub(crate) ttfa_hist: Histogram,
     /// Apply-latency distribution of successful mutation batches.
     pub(crate) mutation_apply_hist: Histogram,
     /// Online correction of the a priori cost model from measured
     /// `nodes_explored`, per (engine, origin-size bucket).
-    calibration: CostCalibration,
+    pub(crate) calibration: CostCalibration,
     /// The structured operational event log (admission rejects, mutation
     /// batches, checkpoints, swaps, alerts, watchdog trips).
     pub(crate) events: EventLog,
@@ -237,6 +261,16 @@ pub(crate) struct Inner {
     pub(crate) replication: Mutex<ReplicationState>,
     /// Collector cadence (also reported on `GET /debug/slo`).
     collector_cadence: Duration,
+}
+
+impl Inner {
+    /// Jobs waiting in the admission queue, and that count as a fraction
+    /// of the queue bound (the `queue_saturation` gauge and the
+    /// collector's watchdog input).
+    pub(crate) fn queue_occupancy(&self) -> (usize, f64) {
+        let queued = self.queue.lock().expect("queue lock").jobs.len();
+        (queued, queued as f64 / self.queue_capacity.max(1) as f64)
+    }
 }
 
 /// Configures and spawns a [`Service`].
@@ -350,7 +384,9 @@ impl ServiceBuilder {
     /// 250 ms): its phase trace is retained in the bounded trace ring —
     /// retrievable via [`Service::slow_traces`] / [`Service::trace`], and
     /// over HTTP at `GET /debug/slow` — even when the submission did not
-    /// request tracing, and [`ServiceMetrics::slow_queries`] is bumped.
+    /// request tracing, and
+    /// [`ServiceMetrics::slow_queries`](crate::ServiceMetrics::slow_queries)
+    /// is bumped.
     pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
         self.slow_query_threshold = threshold;
         self
@@ -613,12 +649,24 @@ impl Service {
         );
         trace.resolve_end_us = trace.elapsed_us();
 
-        let id = QueryId(inner.next_id.fetch_add(1, Ordering::Relaxed));
-        let token = CancelToken::new();
-        let state = Arc::new(HandleState::default());
-        let (tx, rx) = channel();
+        let (events, rx) = channel();
+        let handle = QueryHandle {
+            id: QueryId(inner.next_id.fetch_add(1, Ordering::Relaxed)),
+            token: CancelToken::new(),
+            events: rx,
+            state: Arc::new(HandleState::default()),
+        };
         let submitted_at = Instant::now();
         trace.submitted_off_us = trace.elapsed_us();
+        let mut ticket = Ticket {
+            id: handle.id,
+            engine,
+            tenant,
+            epoch: snapshot.epoch(),
+            trace,
+            events,
+            submitted_at,
+        };
 
         if let Some(hit) = inner.cache.get(&cache_key) {
             // Served entirely from the cache: no queue slot, no worker, no
@@ -626,32 +674,21 @@ impl Service {
             Counters::bump(&inner.counters.submitted);
             Counters::bump(&inner.counters.cache_hits);
             Counters::bump(&inner.counters.completed);
-            state.publish(hit.stats.clone());
+            handle.state.publish(hit.stats.clone());
             let mut first_answer = None;
             for answer in &hit.answers {
-                let _ = tx.send(QueryEvent::Answer(answer.clone()));
+                ticket.deliver(&inner.counters, answer.clone());
                 first_answer.get_or_insert_with(|| submitted_at.elapsed());
-                Counters::bump(&inner.counters.answers_delivered);
             }
             finish(
                 inner,
-                &tx,
-                &trace,
-                id,
-                engine,
-                &tenant,
-                cache_key.epoch,
+                &ticket,
                 None,
                 first_answer,
                 hit.stats.clone(),
                 Duration::ZERO,
             );
-            return Ok(QueryHandle {
-                id,
-                token,
-                events: rx,
-                state,
-            });
+            return Ok(handle);
         }
 
         // Shortest-expected-work-first: the scheduler charges the a priori
@@ -667,27 +704,23 @@ impl Service {
                 .corrected(engine, cost.origin_nodes as usize, cost.estimated_work);
         let charged = spec.priority.charge(cost.estimated_work);
 
-        trace.enqueued_us = trace.elapsed_us();
+        ticket.trace.enqueued_us = ticket.trace.elapsed_us();
         let job = Job {
-            id,
+            ticket,
             snapshot,
             matches,
             cache_key,
             spec_params: spec.params,
-            engine,
-            tenant: tenant.clone(),
-            token: token.clone(),
-            events: tx,
-            state: Arc::clone(&state),
-            submitted_at,
             cost,
-            trace,
+            token: handle.token.clone(),
+            state: Arc::clone(&handle.state),
         };
         {
             let mut queue = inner.queue.lock().expect("queue lock");
             if queue.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
+            let tenant = &job.ticket.tenant;
             if queue.jobs.len() >= inner.queue_capacity {
                 Counters::bump(&inner.counters.rejected);
                 inner.events.emit(
@@ -707,16 +740,12 @@ impl Service {
                     capacity: inner.queue_capacity,
                 });
             }
+            let tenant = tenant.clone();
             queue.jobs.push(&tenant, charged, job);
             Counters::bump(&inner.counters.submitted);
         }
         inner.work_available.notify_one();
-        Ok(QueryHandle {
-            id,
-            token,
-            events: rx,
-            state,
-        })
+        Ok(handle)
     }
 
     /// Declares this service's replication role (default
@@ -807,39 +836,6 @@ impl Service {
     /// The currently configured SLO specs.
     pub fn slo_specs(&self) -> Vec<SloSpec> {
         self.inner.slo.specs()
-    }
-
-    /// A point-in-time snapshot of the aggregate counters, queue-wait
-    /// percentiles, per-tenant scheduling outcomes and durability state.
-    pub fn metrics(&self) -> ServiceMetrics {
-        let queued = self.inner.queue.lock().expect("queue lock").jobs.len();
-        let epoch = self.epoch();
-        let mut metrics = {
-            let waits = self.inner.waits.lock().expect("waits lock");
-            ServiceMetrics::snapshot(&self.inner.counters, &waits, queued, epoch)
-        };
-        let durability = self.durability();
-        metrics.persistence_enabled = durability.enabled;
-        metrics.last_checkpoint_epoch = durability.last_checkpoint_epoch;
-        metrics.wal_records = durability.wal_records;
-        metrics.wal_bytes = durability.wal_bytes;
-        metrics.checkpoints = durability.checkpoints;
-        metrics.checkpoint_latency = durability.checkpoint_latency;
-        metrics.wal_fsync = durability.wal_fsync;
-        metrics.ttfa = self.inner.ttfa_hist.summary();
-        metrics.mutation_apply = self.inner.mutation_apply_hist.summary();
-        metrics.calibration = self.inner.calibration.rows();
-        {
-            let report = self.inner.slo_report.lock().expect("slo report lock");
-            metrics.health = report.health;
-            metrics.slo = report.rows.clone();
-        }
-        metrics.trace_ring_dropped = self.inner.traces.dropped();
-        metrics.event_log_dropped = self.inner.events.dropped();
-        metrics.event_log_last_id = self.inner.events.last_id();
-        metrics.queue_saturation = queued as f64 / self.inner.queue_capacity.max(1) as f64;
-        metrics.replication = self.replication_status();
-        metrics
     }
 
     /// The service's current three-state health — the worst SLO verdict of
@@ -1002,7 +998,7 @@ impl Drop for ExecutingGuard<'_> {
 
 /// Worker thread body: pop jobs (priority order) until shutdown, then drain
 /// and exit.
-fn worker_loop(inner: Arc<Inner>) {
+pub(crate) fn worker_loop(inner: Arc<Inner>) {
     loop {
         let job = {
             let mut queue = inner.queue.lock().expect("queue lock");
@@ -1018,12 +1014,12 @@ fn worker_loop(inner: Arc<Inner>) {
             }
         };
         let guard = ExecutingGuard { inner: &inner };
-        let queue_wait = job.submitted_at.elapsed();
+        let queue_wait = job.ticket.submitted_at.elapsed();
         inner
             .waits
             .lock()
             .expect("waits lock")
-            .record(&job.tenant, queue_wait);
+            .record(&job.ticket.tenant, queue_wait);
         execute(&inner, job, queue_wait);
         drop(guard);
     }
@@ -1033,7 +1029,7 @@ fn worker_loop(inner: Arc<Inner>) {
 /// against the snapshot the job was pinned to at admission.
 fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     Counters::bump(&inner.counters.executed);
-    let pickup_us = job.trace.elapsed_us();
+    let pickup_us = job.ticket.trace.elapsed_us();
     let snapshot = &job.snapshot;
     let ctx = QueryContext::new(
         snapshot.graph(),
@@ -1044,7 +1040,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     .with_cancel(&job.token);
     let engine = inner
         .registry
-        .create(job.engine)
+        .create(job.ticket.engine)
         .expect("engine validated at submit time");
     let mut stream = engine.start(ctx);
 
@@ -1053,21 +1049,17 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     let mut receiver_gone = false;
     #[allow(clippy::while_let_on_iterator)] // stats() borrows between polls
     while let Some(answer) = stream.next() {
-        first_answer.get_or_insert_with(|| job.submitted_at.elapsed());
+        first_answer.get_or_insert_with(|| job.ticket.submitted_at.elapsed());
         job.state.publish(stream.stats());
-        if !receiver_gone {
-            if job.events.send(QueryEvent::Answer(answer.clone())).is_err() {
-                // The handle is gone: nobody will read further answers.
-                // Cancel cooperatively so the engine stops within one step.
-                receiver_gone = true;
-                job.token.cancel();
-            } else {
-                Counters::bump(&inner.counters.answers_delivered);
-            }
+        if !receiver_gone && !job.ticket.deliver(&inner.counters, answer.clone()) {
+            // The handle is gone: nobody will read further answers.
+            // Cancel cooperatively so the engine stops within one step.
+            receiver_gone = true;
+            job.token.cancel();
         }
         answers.push(answer);
     }
-    let expand_end_us = job.trace.elapsed_us();
+    let expand_end_us = job.ticket.trace.elapsed_us();
 
     let stats = stream.stats();
     job.state.publish(stats.clone());
@@ -1087,7 +1079,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     // abort happened to land, so it is not a sample.
     if !stats.cancelled {
         inner.calibration.record(
-            job.engine,
+            job.ticket.engine,
             job.cost.origin_nodes as usize,
             job.cost.estimated_work,
             stats.nodes_explored as u64,
@@ -1104,7 +1096,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
                 "watchdog-overrun",
                 format!(
                     "query {} explored {} nodes, >= {}x its estimate of {}",
-                    job.id.0, measured, WATCHDOG_OVERRUN_FACTOR, job.cost.estimated_work
+                    job.ticket.id.0, measured, WATCHDOG_OVERRUN_FACTOR, job.cost.estimated_work
                 ),
             );
         }
@@ -1124,7 +1116,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     // cache) is acyclic.
     if !stats.cancelled {
         let serving = inner.serving.lock().expect("serving lock");
-        if job.cache_key.epoch == serving.epoch() {
+        if job.ticket.epoch == serving.epoch() {
             inner.cache.insert(
                 job.cache_key.clone(),
                 Arc::new(SearchOutcome {
@@ -1136,12 +1128,7 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
     }
     finish(
         inner,
-        &job.events,
-        &job.trace,
-        job.id,
-        job.engine,
-        &job.tenant,
-        job.cache_key.epoch,
+        &job.ticket,
         Some((pickup_us, expand_end_us)),
         first_answer,
         stats,
@@ -1154,31 +1141,26 @@ fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
 /// retention, the `slow_queries` bump, and the `Finished` event.  `ran`
 /// holds the `(pickup, expand_end)` offsets of an executed query and is
 /// `None` for a cache hit, which never queues or runs.
-#[allow(clippy::too_many_arguments)]
-fn finish(
+pub(crate) fn finish(
     inner: &Inner,
-    events: &Sender<QueryEvent>,
-    ctx: &TraceCtx,
-    id: QueryId,
-    engine: &str,
-    tenant: &str,
-    epoch: u64,
+    ticket: &Ticket,
     ran: Option<(u64, u64)>,
     time_to_first_answer: Option<Duration>,
     stats: SearchStats,
     queue_wait: Duration,
 ) {
+    let ctx = &ticket.trace;
     let total_us = ctx.elapsed_us();
     let slow = Duration::from_micros(total_us) >= inner.slow_threshold;
     let retained = (ctx.requested.is_some() || slow).then(|| {
         let mut trace = QueryTrace {
-            id: id.0,
+            id: ticket.id.0,
             client_ref: ctx.requested.clone(),
-            tenant: (!tenant.is_empty()).then(|| tenant.to_string()),
-            engine: engine.to_string(),
+            tenant: (!ticket.tenant.is_empty()).then(|| ticket.tenant.clone()),
+            engine: ticket.engine.to_string(),
             cache_hit: ran.is_none(),
             slow,
-            epoch,
+            epoch: ticket.epoch,
             total_us,
             spans: Vec::new(),
             counters: Vec::new(),
@@ -1213,12 +1195,12 @@ fn finish(
     if slow {
         Counters::bump(&inner.counters.slow_queries);
     }
-    let _ = events.send(QueryEvent::Finished(QueryResult {
+    let _ = ticket.events.send(QueryEvent::Finished(QueryResult {
         stats,
         cache_hit: ran.is_none(),
         time_to_first_answer,
         queue_wait,
-        epoch,
+        epoch: ticket.epoch,
         trace: retained.filter(|_| ctx.requested.is_some()),
     }));
 }
