@@ -144,6 +144,7 @@
 
 #![deny(missing_docs)]
 
+mod admission;
 mod collector;
 mod epoch;
 pub mod handle;
@@ -155,6 +156,7 @@ mod sched;
 pub mod service;
 pub mod snapshot;
 pub mod spec;
+mod worker;
 
 pub use banks_obs::{
     CalibrationRow, Event, EventLevel, EventLog, Health, LatencySummary, QueryTrace, SloReport,

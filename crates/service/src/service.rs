@@ -3,82 +3,33 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use banks_core::cache::CacheKey;
-use banks_core::registry::UnknownEngine;
-use banks_core::{
-    CancelToken, EngineRegistry, QueryContext, QueryCost, RankedAnswer, ResultCache, SearchOutcome,
-    SearchStats,
-};
+use banks_core::{EngineRegistry, ResultCache};
 use banks_graph::DataGraph;
 use banks_obs::{
-    CostCalibration, EventLevel, EventLog, Health, Histogram, QueryTrace, SloEngine, SloReport,
-    SloSpec, TimeSeriesRing, TraceRing,
+    CostCalibration, EventLog, Health, Histogram, QueryTrace, SloEngine, SloReport, SloSpec,
+    TimeSeriesRing, TraceRing,
 };
 use banks_persist::{FsyncPolicy, PersistError};
 use banks_prestige::PrestigeVector;
-use banks_textindex::{InvertedIndex, KeywordMatches};
+use banks_textindex::InvertedIndex;
 
+use crate::admission::Job;
+pub use crate::admission::SubmitError;
 use crate::collector::{collector_loop, timeseries_schema};
 use crate::epoch::Epochs;
-use crate::handle::{HandleState, QueryEvent, QueryHandle, QueryId, QueryResult};
+use crate::handle::QueryId;
 use crate::metrics::{Counters, WaitStats};
 use crate::quota::{QuotaConfig, QuotaState};
 use crate::replication::{ReplicationRole, ReplicationState, ReplicationStatus};
 use crate::sched::WorkQueue;
 use crate::snapshot::GraphSnapshot;
-use crate::spec::QuerySpec;
-
-/// Why a submission was not accepted.
-#[derive(Debug)]
-pub enum SubmitError {
-    /// Admission control: the bounded queue is full.  Back off and retry —
-    /// accepting the query anyway would only grow an unbounded backlog.
-    QueueFull {
-        /// The configured queue bound.
-        capacity: usize,
-    },
-    /// The requested engine is not registered; the error lists the known
-    /// engines and the nearest alias.
-    UnknownEngine(UnknownEngine),
-    /// The tenant's token bucket is empty (see
-    /// [`ServiceBuilder::tenant_quota`]).  Quota rejection happens before
-    /// any work — no snapshot pin, no cache lookup, no queue slot.
-    QuotaExceeded {
-        /// The tenant whose bucket rejected the submission.
-        tenant: String,
-        /// Time until the bucket refills enough for one submission — the
-        /// value an HTTP front-end surfaces as `Retry-After`.
-        retry_after: Duration,
-    },
-    /// The service is shutting down.
-    ShuttingDown,
-}
-
-impl std::fmt::Display for SubmitError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SubmitError::QueueFull { capacity } => {
-                write!(f, "admission queue full ({capacity} queries waiting)")
-            }
-            SubmitError::UnknownEngine(e) => write!(f, "{e}"),
-            SubmitError::QuotaExceeded {
-                tenant,
-                retry_after,
-            } => write!(
-                f,
-                "tenant {tenant:?} is over its admission quota (retry in {retry_after:?})"
-            ),
-            SubmitError::ShuttingDown => write!(f, "service is shutting down"),
-        }
-    }
-}
-
-impl std::error::Error for SubmitError {}
+use crate::worker::worker_loop;
+#[cfg(doc)]
+use crate::{handle::QueryHandle, spec::QuerySpec};
 
 /// Capacity of the trace retention ring ([`Service::trace`] /
 /// [`Service::slow_traces`] look traces up in it).
@@ -97,12 +48,6 @@ const DEFAULT_ENGINE: &str = "bidirectional";
 /// [`ServiceMetrics::event_log_dropped`](crate::ServiceMetrics::event_log_dropped).
 const EVENT_LOG_CAPACITY: usize = 1024;
 
-/// Nodes-explored multiple of the scheduler's a priori estimate at which a
-/// finished query trips the watchdog: the overrun is counted in
-/// [`ServiceMetrics::watchdog_overruns`](crate::ServiceMetrics::watchdog_overruns)
-/// and logged as a `watchdog-overrun` event.
-const WATCHDOG_OVERRUN_FACTOR: u64 = 8;
-
 /// Wall-clock milliseconds since the Unix epoch (the time base of the
 /// time-series ring and SLO evaluation).
 pub(crate) fn unix_ms() -> u64 {
@@ -110,85 +55,6 @@ pub(crate) fn unix_ms() -> u64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_millis().min(u64::MAX as u128) as u64)
         .unwrap_or(0)
-}
-
-/// Phase timestamps collected while a query moves through admission and
-/// execution, as microsecond offsets from `t0` (the top of
-/// [`Service::submit`]).  Built for *every* query — a handful of `Instant`
-/// reads — so slow queries produce a trace even when the caller did not
-/// ask for one; the [`QueryTrace`] itself is only assembled when tracing
-/// was requested or the query crossed the slow threshold.
-pub(crate) struct TraceCtx {
-    /// The client correlation reference when the submission explicitly
-    /// requested a trace ([`QuerySpec::trace`]).
-    pub(crate) requested: Option<String>,
-    pub(crate) t0: Instant,
-    pub(crate) admit_us: u64,
-    pub(crate) resolve_start_us: u64,
-    pub(crate) resolve_end_us: u64,
-    pub(crate) enqueued_us: u64,
-    pub(crate) submitted_off_us: u64,
-}
-
-impl TraceCtx {
-    fn new(requested: Option<String>, t0: Instant) -> Self {
-        TraceCtx {
-            requested,
-            t0,
-            admit_us: 0,
-            resolve_start_us: 0,
-            resolve_end_us: 0,
-            enqueued_us: 0,
-            submitted_off_us: 0,
-        }
-    }
-
-    pub(crate) fn elapsed_us(&self) -> u64 {
-        self.t0.elapsed().as_micros().min(u64::MAX as u128) as u64
-    }
-}
-
-/// A query's identity from admission to finish: built once in
-/// [`Service::submit`], carried by the [`Job`] to a worker, and read by
-/// [`finish`] for the trace, the counters and the `Finished` event.
-pub(crate) struct Ticket {
-    pub(crate) id: QueryId,
-    /// The registry's canonical name for the requested engine.
-    pub(crate) engine: &'static str,
-    pub(crate) tenant: String,
-    /// The epoch of the snapshot pinned at admission: the query resolves,
-    /// expands and caches against it, unaffected by later swaps.
-    pub(crate) epoch: u64,
-    pub(crate) trace: TraceCtx,
-    pub(crate) events: Sender<QueryEvent>,
-    pub(crate) submitted_at: Instant,
-}
-
-impl Ticket {
-    /// Sends one answer to the handle and counts it delivered; returns
-    /// whether the handle is still there to read it.
-    pub(crate) fn deliver(&self, counters: &Counters, answer: RankedAnswer) -> bool {
-        let sent = self.events.send(QueryEvent::Answer(answer)).is_ok();
-        if sent {
-            Counters::bump(&counters.answers_delivered);
-        }
-        sent
-    }
-}
-
-/// One unit of queued work: the [`Ticket`] plus what execution needs.
-pub(crate) struct Job {
-    pub(crate) ticket: Ticket,
-    /// The graph version pinned at admission (`ticket.epoch`'s).
-    pub(crate) snapshot: Arc<GraphSnapshot>,
-    pub(crate) matches: KeywordMatches,
-    pub(crate) cache_key: CacheKey,
-    pub(crate) spec_params: banks_core::SearchParams,
-    /// The a priori cost estimate the scheduler charged (calibration
-    /// feedback compares it with the measured `nodes_explored`).
-    pub(crate) cost: QueryCost,
-    pub(crate) token: CancelToken,
-    pub(crate) state: Arc<HandleState>,
 }
 
 pub(crate) struct QueueState {
@@ -576,178 +442,6 @@ impl Service {
         }
     }
 
-    /// Submits a query.  Returns immediately: on a cache hit the handle is
-    /// already fully populated (zero engine work), otherwise the query
-    /// enters the bounded priority scheduler at its estimated cost
-    /// ([`banks_core::QueryCost`], scaled by [`QuerySpec::priority`]) and
-    /// waits for a worker.
-    pub fn submit(&self, spec: impl Into<QuerySpec>) -> Result<QueryHandle, SubmitError> {
-        let t0 = Instant::now();
-        let spec = spec.into();
-        let inner = &self.inner;
-        // One spelling per engine from here on: the canonical name keys
-        // the cache, the calibration table, the trace and the metrics, so
-        // "BIDIR" and "bidirectional" share all of them.
-        let engine = match &spec.engine {
-            None => inner.default_engine,
-            Some(name) => inner
-                .registry
-                .canonical(name)
-                .ok_or_else(|| SubmitError::UnknownEngine(inner.registry.unknown(name)))?,
-        };
-        let tenant = spec.tenant.unwrap_or_default();
-        let mut trace = TraceCtx::new(spec.trace, t0);
-
-        // Admission quota: one token per submission, taken before any work
-        // happens — an over-quota tenant is rejected without keyword
-        // normalization, origin-set resolution or a cache probe.
-        if let Some(quota) = &inner.quota {
-            let verdict = quota
-                .lock()
-                .expect("quota lock")
-                .try_take(&tenant, Instant::now());
-            if let Err(retry_after) = verdict {
-                Counters::bump(&inner.counters.quota_rejected);
-                inner
-                    .waits
-                    .lock()
-                    .expect("waits lock")
-                    .record_quota_rejection(&tenant);
-                inner.events.emit(
-                    EventLevel::Warn,
-                    "quota-reject",
-                    format!("tenant {tenant:?} over quota, retry in {retry_after:?}"),
-                );
-                return Err(SubmitError::QuotaExceeded {
-                    tenant,
-                    retry_after,
-                });
-            }
-        }
-        trace.admit_us = trace.elapsed_us();
-
-        // Pin the serving snapshot: everything below — keyword resolution,
-        // cache key, execution — consistently uses this version, no matter
-        // how many swaps happen while the query waits or runs.
-        let snapshot = self.snapshot();
-
-        // The same single normalization point as the `Banks` facade: the
-        // normalized keywords feed both origin-set resolution and the cache
-        // key.  Resolution must precede the cache lookup because the
-        // resolved origin sets participate in the key (two indexes can give
-        // the same keywords different sets); it is cheap next to expansion.
-        trace.resolve_start_us = trace.elapsed_us();
-        let normalized = spec.query.normalized(snapshot.index().tokenizer());
-        let matches =
-            KeywordMatches::resolve_normalized(snapshot.graph(), snapshot.index(), &normalized);
-        let cache_key = CacheKey::new(
-            snapshot.epoch(),
-            normalized.keywords().to_vec(),
-            &spec.params,
-            engine,
-            &matches,
-        );
-        trace.resolve_end_us = trace.elapsed_us();
-
-        let (events, rx) = channel();
-        let handle = QueryHandle {
-            id: QueryId(inner.next_id.fetch_add(1, Ordering::Relaxed)),
-            token: CancelToken::new(),
-            events: rx,
-            state: Arc::new(HandleState::default()),
-        };
-        let submitted_at = Instant::now();
-        trace.submitted_off_us = trace.elapsed_us();
-        let mut ticket = Ticket {
-            id: handle.id,
-            engine,
-            tenant,
-            epoch: snapshot.epoch(),
-            trace,
-            events,
-            submitted_at,
-        };
-
-        if let Some(hit) = inner.cache.get(&cache_key) {
-            // Served entirely from the cache: no queue slot, no worker, no
-            // engine — the handle is complete before `submit` returns.
-            Counters::bump(&inner.counters.submitted);
-            Counters::bump(&inner.counters.cache_hits);
-            Counters::bump(&inner.counters.completed);
-            handle.state.publish(hit.stats.clone());
-            let mut first_answer = None;
-            for answer in &hit.answers {
-                ticket.deliver(&inner.counters, answer.clone());
-                first_answer.get_or_insert_with(|| submitted_at.elapsed());
-            }
-            finish(
-                inner,
-                &ticket,
-                None,
-                first_answer,
-                hit.stats.clone(),
-                Duration::ZERO,
-            );
-            return Ok(handle);
-        }
-
-        // Shortest-expected-work-first: the scheduler charges the a priori
-        // estimate, scaled by the submission's priority class.  The static
-        // model is blended with the online calibration table — the EMA of
-        // measured/estimated `nodes_explored` for this (engine,
-        // origin-size) cell — so systematic over- or under-estimation
-        // corrects itself as queries complete.
-        let mut cost = QueryCost::estimate(&matches, &spec.params, engine);
-        cost.estimated_work =
-            inner
-                .calibration
-                .corrected(engine, cost.origin_nodes as usize, cost.estimated_work);
-        let charged = spec.priority.charge(cost.estimated_work);
-
-        ticket.trace.enqueued_us = ticket.trace.elapsed_us();
-        let job = Job {
-            ticket,
-            snapshot,
-            matches,
-            cache_key,
-            spec_params: spec.params,
-            cost,
-            token: handle.token.clone(),
-            state: Arc::clone(&handle.state),
-        };
-        {
-            let mut queue = inner.queue.lock().expect("queue lock");
-            if queue.shutdown {
-                return Err(SubmitError::ShuttingDown);
-            }
-            let tenant = &job.ticket.tenant;
-            if queue.jobs.len() >= inner.queue_capacity {
-                Counters::bump(&inner.counters.rejected);
-                inner.events.emit(
-                    EventLevel::Warn,
-                    "admission-reject",
-                    format!(
-                        "queue full ({} waiting), rejected a {} submission",
-                        inner.queue_capacity,
-                        if tenant.is_empty() {
-                            "anonymous".to_string()
-                        } else {
-                            format!("tenant {tenant:?}")
-                        }
-                    ),
-                );
-                return Err(SubmitError::QueueFull {
-                    capacity: inner.queue_capacity,
-                });
-            }
-            let tenant = tenant.clone();
-            queue.jobs.push(&tenant, charged, job);
-            Counters::bump(&inner.counters.submitted);
-        }
-        inner.work_available.notify_one();
-        Ok(handle)
-    }
-
     /// Declares this service's replication role (default
     /// [`ReplicationRole::Standalone`]).  The role is descriptive state —
     /// it feeds [`ReplicationStatus::role`], the `replication_lag_ms`
@@ -977,230 +671,4 @@ impl Drop for Service {
     fn drop(&mut self) {
         self.begin_shutdown();
     }
-}
-
-/// Decrements [`QueueState::executing`] when dropped — including on an
-/// unwind out of `execute` — so a panicking engine cannot leave the count
-/// permanently raised and wedge [`Service::drain`] forever.
-struct ExecutingGuard<'a> {
-    inner: &'a Inner,
-}
-
-impl Drop for ExecutingGuard<'_> {
-    fn drop(&mut self) {
-        let mut queue = self.inner.queue.lock().expect("queue lock");
-        queue.executing -= 1;
-        if queue.executing == 0 && queue.jobs.is_empty() {
-            self.inner.idle.notify_all();
-        }
-    }
-}
-
-/// Worker thread body: pop jobs (priority order) until shutdown, then drain
-/// and exit.
-pub(crate) fn worker_loop(inner: Arc<Inner>) {
-    loop {
-        let job = {
-            let mut queue = inner.queue.lock().expect("queue lock");
-            loop {
-                if let Some(job) = queue.jobs.pop() {
-                    queue.executing += 1;
-                    break job;
-                }
-                if queue.shutdown {
-                    return;
-                }
-                queue = inner.work_available.wait(queue).expect("queue lock");
-            }
-        };
-        let guard = ExecutingGuard { inner: &inner };
-        let queue_wait = job.ticket.submitted_at.elapsed();
-        inner
-            .waits
-            .lock()
-            .expect("waits lock")
-            .record(&job.ticket.tenant, queue_wait);
-        execute(&inner, job, queue_wait);
-        drop(guard);
-    }
-}
-
-/// Runs one query to completion (or cancellation) on the calling worker,
-/// against the snapshot the job was pinned to at admission.
-fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
-    Counters::bump(&inner.counters.executed);
-    let pickup_us = job.ticket.trace.elapsed_us();
-    let snapshot = &job.snapshot;
-    let ctx = QueryContext::new(
-        snapshot.graph(),
-        snapshot.prestige(),
-        &job.matches,
-        job.spec_params,
-    )
-    .with_cancel(&job.token);
-    let engine = inner
-        .registry
-        .create(job.ticket.engine)
-        .expect("engine validated at submit time");
-    let mut stream = engine.start(ctx);
-
-    let mut answers = Vec::new();
-    let mut first_answer = None;
-    let mut receiver_gone = false;
-    #[allow(clippy::while_let_on_iterator)] // stats() borrows between polls
-    while let Some(answer) = stream.next() {
-        first_answer.get_or_insert_with(|| job.ticket.submitted_at.elapsed());
-        job.state.publish(stream.stats());
-        if !receiver_gone && !job.ticket.deliver(&inner.counters, answer.clone()) {
-            // The handle is gone: nobody will read further answers.
-            // Cancel cooperatively so the engine stops within one step.
-            receiver_gone = true;
-            job.token.cancel();
-        }
-        answers.push(answer);
-    }
-    let expand_end_us = job.ticket.trace.elapsed_us();
-
-    let stats = stream.stats();
-    job.state.publish(stats.clone());
-    Counters::bump(&inner.counters.completed);
-    if stats.cancelled {
-        Counters::bump(&inner.counters.cancelled);
-    }
-    if stats.truncated {
-        Counters::bump(&inner.counters.truncated);
-    }
-    Counters::add(&inner.counters.nodes_explored, stats.nodes_explored as u64);
-    if let Some(ttfa) = first_answer {
-        inner.ttfa_hist.record(ttfa);
-    }
-    // Calibration feedback: a completed (even truncated) run measures what
-    // the estimate predicted; a cancelled one measures only where the
-    // abort happened to land, so it is not a sample.
-    if !stats.cancelled {
-        inner.calibration.record(
-            job.ticket.engine,
-            job.cost.origin_nodes as usize,
-            job.cost.estimated_work,
-            stats.nodes_explored as u64,
-        );
-        // Watchdog: a query that blew far past its a priori work estimate
-        // is either a bad estimate or a pathological input — flag it.
-        let measured = stats.nodes_explored as u64;
-        if job.cost.estimated_work > 0
-            && measured >= WATCHDOG_OVERRUN_FACTOR.saturating_mul(job.cost.estimated_work)
-        {
-            Counters::bump(&inner.counters.watchdog_overruns);
-            inner.events.emit(
-                EventLevel::Warn,
-                "watchdog-overrun",
-                format!(
-                    "query {} explored {} nodes, >= {}x its estimate of {}",
-                    job.ticket.id.0, measured, WATCHDOG_OVERRUN_FACTOR, job.cost.estimated_work
-                ),
-            );
-        }
-    }
-
-    // Only completed searches are cached: a cancelled run's answer set is
-    // whatever happened to be emitted before the abort, not a reproducible
-    // result.  (Work-budget truncation, by contrast, is deterministic and
-    // safe to cache.)  The key carries the job's pinned epoch, so a result
-    // computed on a superseded snapshot can never serve post-swap queries —
-    // and such an entry could never be hit at all (swap already evicted
-    // its epoch; all future lookups use newer ones), so storing it would
-    // only waste a slot: skip it.  The epoch check and the insert happen
-    // under the serving lock so a concurrent swap cannot slip between them
-    // and evict before we insert; `swap_snapshot` takes the same lock
-    // first and evicts after releasing it, so the lock order (serving →
-    // cache) is acyclic.
-    if !stats.cancelled {
-        let serving = inner.serving.lock().expect("serving lock");
-        if job.ticket.epoch == serving.epoch() {
-            inner.cache.insert(
-                job.cache_key.clone(),
-                Arc::new(SearchOutcome {
-                    answers,
-                    stats: stats.clone(),
-                }),
-            );
-        }
-    }
-    finish(
-        inner,
-        &job.ticket,
-        Some((pickup_us, expand_end_us)),
-        first_answer,
-        stats,
-        queue_wait,
-    );
-}
-
-/// The one finish step of every query, cache hit or executed: the slow
-/// check, the trace (assembled only when requested or slow) and its
-/// retention, the `slow_queries` bump, and the `Finished` event.  `ran`
-/// holds the `(pickup, expand_end)` offsets of an executed query and is
-/// `None` for a cache hit, which never queues or runs.
-pub(crate) fn finish(
-    inner: &Inner,
-    ticket: &Ticket,
-    ran: Option<(u64, u64)>,
-    time_to_first_answer: Option<Duration>,
-    stats: SearchStats,
-    queue_wait: Duration,
-) {
-    let ctx = &ticket.trace;
-    let total_us = ctx.elapsed_us();
-    let slow = Duration::from_micros(total_us) >= inner.slow_threshold;
-    let retained = (ctx.requested.is_some() || slow).then(|| {
-        let mut trace = QueryTrace {
-            id: ticket.id.0,
-            client_ref: ctx.requested.clone(),
-            tenant: (!ticket.tenant.is_empty()).then(|| ticket.tenant.clone()),
-            engine: ticket.engine.to_string(),
-            cache_hit: ran.is_none(),
-            slow,
-            epoch: ticket.epoch,
-            total_us,
-            spans: Vec::new(),
-            counters: Vec::new(),
-        };
-        trace.push_span("admit", 0, ctx.admit_us);
-        trace.push_span("resolve", ctx.resolve_start_us, ctx.resolve_end_us);
-        if let Some((pickup, expand_end)) = ran {
-            trace.push_span("queue", ctx.enqueued_us, pickup);
-            trace.push_span("expand", pickup, expand_end);
-        }
-        if let Some(ttfa) = time_to_first_answer {
-            let ttfa_us = ttfa.as_micros().min(u64::MAX as u128) as u64;
-            trace.push_span(
-                "first-answer",
-                ctx.submitted_off_us,
-                ctx.submitted_off_us + ttfa_us,
-            );
-        }
-        trace.push_span("finish", 0, total_us);
-        // The engine work of this request: the final statistics of an
-        // executed query, nothing for a cache hit (which ran no engine).
-        let none = SearchStats::default();
-        let work = if ran.is_some() { &stats } else { &none };
-        trace.push_counter("heap_pops", work.nodes_explored as u64);
-        trace.push_counter("nodes_touched", work.nodes_touched as u64);
-        trace.push_counter("rows_expanded", work.edges_traversed as u64);
-        trace.push_counter("answers_emitted", work.answers_output as u64);
-        let trace = Arc::new(trace);
-        inner.traces.push(|_| Arc::clone(&trace));
-        trace
-    });
-    if slow {
-        Counters::bump(&inner.counters.slow_queries);
-    }
-    let _ = ticket.events.send(QueryEvent::Finished(QueryResult {
-        stats,
-        cache_hit: ran.is_none(),
-        time_to_first_answer,
-        queue_wait,
-        epoch: ticket.epoch,
-        trace: retained.filter(|_| ctx.requested.is_some()),
-    }));
 }
