@@ -145,9 +145,10 @@ fn spec_from_json_body(request: &Request) -> Result<QuerySpec, HttpError> {
 
 /// Maps a [`SubmitError`] onto the wire: status, code, retry hints.
 fn submit_error(err: SubmitError) -> HttpError {
+    let message = err.to_string();
     match err {
         SubmitError::UnknownEngine(e) => {
-            let mut error = HttpError::new(404, "unknown_engine", e.to_string());
+            let mut error = HttpError::new(404, "unknown_engine", message);
             error.extras.push(("known", json::string_array(&e.known)));
             error.extras.push((
                 "suggestion",
@@ -174,18 +175,12 @@ fn submit_error(err: SubmitError) -> HttpError {
             error
         }
         SubmitError::QueueFull { capacity } => {
-            let mut error = HttpError::new(
-                503,
-                "queue_full",
-                format!("admission queue full ({capacity} queries waiting)"),
-            );
+            let mut error = HttpError::new(503, "queue_full", message);
             error.headers.push(("Retry-After", "1".to_string()));
             error.extras.push(("capacity", capacity.to_string()));
             error
         }
-        SubmitError::ShuttingDown => {
-            HttpError::new(503, "shutting_down", "service is shutting down")
-        }
+        SubmitError::ShuttingDown => HttpError::new(503, "shutting_down", message),
     }
 }
 

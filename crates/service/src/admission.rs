@@ -84,22 +84,9 @@ pub(crate) struct TraceCtx {
     pub(crate) resolve_start_us: u64,
     pub(crate) resolve_end_us: u64,
     pub(crate) enqueued_us: u64,
-    pub(crate) submitted_off_us: u64,
 }
 
 impl TraceCtx {
-    fn new(requested: Option<String>, t0: Instant) -> Self {
-        TraceCtx {
-            requested,
-            t0,
-            admit_us: 0,
-            resolve_start_us: 0,
-            resolve_end_us: 0,
-            enqueued_us: 0,
-            submitted_off_us: 0,
-        }
-    }
-
     pub(crate) fn elapsed_us(&self) -> u64 {
         self.t0.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
@@ -169,7 +156,14 @@ impl Service {
                 .ok_or_else(|| SubmitError::UnknownEngine(inner.registry.unknown(name)))?,
         };
         let tenant = spec.tenant.unwrap_or_default();
-        let mut trace = TraceCtx::new(spec.trace, t0);
+        let mut trace = TraceCtx {
+            requested: spec.trace,
+            t0,
+            admit_us: 0,
+            resolve_start_us: 0,
+            resolve_end_us: 0,
+            enqueued_us: 0,
+        };
 
         // Admission quota: one token per submission, taken before any work
         // happens — an over-quota tenant is rejected without keyword
@@ -229,8 +223,6 @@ impl Service {
             events: rx,
             state: Arc::new(HandleState::default()),
         };
-        let submitted_at = Instant::now();
-        trace.submitted_off_us = trace.elapsed_us();
         let mut ticket = Ticket {
             id: handle.id,
             engine,
@@ -238,7 +230,7 @@ impl Service {
             epoch: snapshot.epoch(),
             trace,
             events,
-            submitted_at,
+            submitted_at: Instant::now(),
         };
 
         if let Some(hit) = inner.cache.get(&cache_key) {
@@ -251,7 +243,7 @@ impl Service {
             let mut first_answer = None;
             for answer in &hit.answers {
                 ticket.deliver(&inner.counters, answer.clone());
-                first_answer.get_or_insert_with(|| submitted_at.elapsed());
+                first_answer.get_or_insert_with(|| ticket.submitted_at.elapsed());
             }
             finish(
                 inner,

@@ -186,19 +186,6 @@ struct CollectorState {
     saturated: bool,
 }
 
-impl Default for CollectorState {
-    fn default() -> Self {
-        CollectorState {
-            prev_submitted: 0,
-            prev_rejected: 0,
-            prev_quota_rejected: 0,
-            prev_ttfa: [0; HISTOGRAM_BUCKETS],
-            prev_wait: [0; HISTOGRAM_BUCKETS],
-            saturated: false,
-        }
-    }
-}
-
 /// Collector thread body: on every cadence tick, snapshot the service's
 /// counters, gauges and windowed latency percentiles into the time-series
 /// ring, run the SLO burn-rate evaluation over it, publish the report, and
@@ -210,7 +197,14 @@ pub(crate) fn collector_loop(
     cadence: Duration,
 ) {
     let (flag, signal) = &*stop;
-    let mut state = CollectorState::default();
+    let mut state = CollectorState {
+        prev_submitted: 0,
+        prev_rejected: 0,
+        prev_quota_rejected: 0,
+        prev_ttfa: [0; HISTOGRAM_BUCKETS],
+        prev_wait: [0; HISTOGRAM_BUCKETS],
+        saturated: false,
+    };
     // First tick up front: the report and the ring are populated right
     // after boot instead of one full cadence in (which, at the production
     // default of 10 s, would leave /debug/slo empty against every early

@@ -101,20 +101,10 @@ impl QueryHandle {
         self.id
     }
 
-    /// A clone of the query's cancellation token (usable from any thread).
-    pub fn cancel_token(&self) -> CancelToken {
-        self.token.clone()
-    }
-
     /// Requests cooperative cancellation: the executing engine stops within
     /// one expansion step.  Already-produced answers remain receivable.
     pub fn cancel(&self) {
         self.token.cancel();
-    }
-
-    /// Whether cancellation has been requested.
-    pub fn is_cancelled(&self) -> bool {
-        self.token.is_cancelled()
     }
 
     /// Snapshot of the work counters published by the worker so far (zeros
@@ -181,26 +171,14 @@ impl QueryHandle {
     /// reused.  Only when the service dropped the query before it ran —
     /// shutdown — does the result fall back to `cancelled` stats.
     pub fn wait(self) -> (SearchOutcome, QueryResult) {
-        let mut answers = Vec::new();
-        let mut result = None;
-        while let Some(event) = self.recv() {
-            match event {
-                QueryEvent::Answer(answer) => answers.push(answer),
-                QueryEvent::Finished(r) => {
-                    result = Some(r);
-                    break;
-                }
-            }
-        }
-        let result = result
-            .or_else(|| self.result())
-            .unwrap_or_else(|| QueryResult {
-                stats: SearchStats {
-                    cancelled: true,
-                    ..SearchStats::default()
-                },
-                ..QueryResult::default()
-            });
+        let answers = std::iter::from_fn(|| self.next_answer()).collect();
+        let result = self.result().unwrap_or_else(|| QueryResult {
+            stats: SearchStats {
+                cancelled: true,
+                ..SearchStats::default()
+            },
+            ..QueryResult::default()
+        });
         (
             SearchOutcome {
                 answers,

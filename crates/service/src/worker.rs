@@ -204,8 +204,7 @@ pub(crate) fn finish(
             slow,
             epoch: ticket.epoch,
             total_us,
-            spans: Vec::new(),
-            counters: Vec::new(),
+            ..QueryTrace::default()
         };
         trace.push_span("admit", 0, ctx.admit_us);
         trace.push_span("resolve", ctx.resolve_start_us, ctx.resolve_end_us);
@@ -214,12 +213,9 @@ pub(crate) fn finish(
             trace.push_span("expand", pickup, expand_end);
         }
         if let Some(ttfa) = time_to_first_answer {
-            let ttfa_us = ttfa.as_micros().min(u64::MAX as u128) as u64;
-            trace.push_span(
-                "first-answer",
-                ctx.submitted_off_us,
-                ctx.submitted_off_us + ttfa_us,
-            );
+            let us = |d: Duration| d.as_micros().min(u64::MAX as u128) as u64;
+            let submitted = us(ticket.submitted_at.duration_since(ctx.t0));
+            trace.push_span("first-answer", submitted, submitted + us(ttfa));
         }
         trace.push_span("finish", 0, total_us);
         // The engine work of this request: the final statistics of an
