@@ -280,12 +280,12 @@ impl Service {
             token: handle.token.clone(),
             state: Arc::clone(&handle.state),
         };
+        let tenant = job.ticket.tenant.clone();
         {
             let mut queue = inner.queue.lock().expect("queue lock");
             if queue.shutdown {
                 return Err(SubmitError::ShuttingDown);
             }
-            let tenant = &job.ticket.tenant;
             if queue.jobs.len() >= inner.queue_capacity {
                 Counters::bump(&inner.counters.rejected);
                 inner.events.emit(
@@ -305,7 +305,6 @@ impl Service {
                     capacity: inner.queue_capacity,
                 });
             }
-            let tenant = tenant.clone();
             queue.jobs.push(&tenant, charged, job);
             Counters::bump(&inner.counters.submitted);
         }

@@ -1,5 +1,7 @@
 //! The worker-pool query service: priority admission, pinned snapshots,
-//! online graph swapping.
+//! online graph swapping.  This module holds the shared state, the
+//! builder, the accessors and shutdown; a submission's path runs through
+//! `admission.rs` and `worker.rs`.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -29,7 +31,7 @@ use crate::sched::WorkQueue;
 use crate::snapshot::GraphSnapshot;
 use crate::worker::worker_loop;
 #[cfg(doc)]
-use crate::{handle::QueryHandle, spec::QuerySpec};
+use crate::{handle::QueryHandle, metrics::ServiceMetrics, spec::QuerySpec};
 
 /// Capacity of the trace retention ring ([`Service::trace`] /
 /// [`Service::slow_traces`] look traces up in it).
@@ -44,8 +46,7 @@ const TIMESERIES_CAPACITY: usize = 360;
 const DEFAULT_ENGINE: &str = "bidirectional";
 
 /// Capacity of the structured event-log ring; once full, the oldest events
-/// are evicted and counted in
-/// [`ServiceMetrics::event_log_dropped`](crate::ServiceMetrics::event_log_dropped).
+/// are evicted and counted in [`ServiceMetrics::event_log_dropped`].
 const EVENT_LOG_CAPACITY: usize = 1024;
 
 /// Wall-clock milliseconds since the Unix epoch (the time base of the
@@ -101,9 +102,7 @@ pub(crate) struct Inner {
     /// Retained phase traces (explicitly traced + slow queries).
     pub(crate) traces: TraceRing,
     /// End-to-end latency beyond which a query counts as *slow*: its trace
-    /// is retained and
-    /// [`ServiceMetrics::slow_queries`](crate::ServiceMetrics::slow_queries)
-    /// is bumped.
+    /// is retained and [`ServiceMetrics::slow_queries`] is bumped.
     pub(crate) slow_threshold: Duration,
     /// Time-to-first-answer distribution across executed queries.
     pub(crate) ttfa_hist: Histogram,
@@ -250,9 +249,7 @@ impl ServiceBuilder {
     /// 250 ms): its phase trace is retained in the bounded trace ring —
     /// retrievable via [`Service::slow_traces`] / [`Service::trace`], and
     /// over HTTP at `GET /debug/slow` — even when the submission did not
-    /// request tracing, and
-    /// [`ServiceMetrics::slow_queries`](crate::ServiceMetrics::slow_queries)
-    /// is bumped.
+    /// request tracing, and [`ServiceMetrics::slow_queries`] is bumped.
     pub fn slow_query_threshold(mut self, threshold: Duration) -> Self {
         self.slow_query_threshold = threshold;
         self

@@ -13,12 +13,15 @@ use crate::handle::{QueryEvent, QueryResult};
 use crate::metrics::Counters;
 use crate::service::Inner;
 #[cfg(doc)]
-use crate::service::{QueueState, Service};
+use crate::{
+    metrics::ServiceMetrics,
+    service::{QueueState, Service},
+};
 
 /// Nodes-explored multiple of the scheduler's a priori estimate at which a
 /// finished query trips the watchdog: the overrun is counted in
-/// [`ServiceMetrics::watchdog_overruns`](crate::ServiceMetrics::watchdog_overruns)
-/// and logged as a `watchdog-overrun` event.
+/// [`ServiceMetrics::watchdog_overruns`] and logged as a
+/// `watchdog-overrun` event.
 const WATCHDOG_OVERRUN_FACTOR: u64 = 8;
 
 /// Decrements [`QueueState::executing`] when dropped — including on an
@@ -69,7 +72,7 @@ pub(crate) fn worker_loop(inner: Arc<Inner>) {
 
 /// Runs one query to completion (or cancellation) on the calling worker,
 /// against the snapshot the job was pinned to at admission.
-fn execute(inner: &Inner, job: Job, queue_wait: std::time::Duration) {
+fn execute(inner: &Inner, job: Job, queue_wait: Duration) {
     Counters::bump(&inner.counters.executed);
     let pickup_us = job.ticket.trace.elapsed_us();
     let snapshot = &job.snapshot;
