@@ -9,17 +9,31 @@
 //!   It maps a node to its **slot** and carries the generation that wrote
 //!   it; bumping the arena's generation forgets every mapping in O(1).
 //! * Slots are handed out in first-touch order.  Per-slot scalars live in
-//!   one [`Slot`] record; the per-keyword vectors are struct-of-arrays,
-//!   `dist[slot * k + i]` / `act[..]` / `sp[..]` / `sp_weight[..]`.  The
-//!   folds the scheduler asks for on every priority computation
-//!   (`min_dist`, `Σ act`, number of finite distances) are cached in the
-//!   slot and refreshed where the vectors change.
+//!   one [`Slot`] record.  Per keyword `i`, a slot has one [`Label`] at
+//!   `labels[slot * k + i]` — its distance, its `sp` pointer and the tree
+//!   weight of that hop side by side, because `Arena::relax` writes the
+//!   three together and a hop of an `sp` chain reads the three together —
+//!   and one activation at `act[slot * k + i]`, which only activation
+//!   spreading touches.  The folds the scheduler asks for on every
+//!   priority computation (`min_dist`, `Σ act`, number of finite
+//!   distances) are cached in the slot and refreshed where the labels or
+//!   activations change.
+//! * Every loop over a slot's `k` entries is generic over a [`Width`]: the
+//!   engine is compiled once for each keyword count from 1 to 4
+//!   ([`Fixed`]), where `k` is a constant the compiler unrolls those loops
+//!   by and checks a slot's bounds against once, and once for a count
+//!   known only at run time ([`Runtime`]); `BidirectionalSearch::start`
+//!   picks the copy.  The source is the same for all of them.
 //! * Explored-parent lists (`P_u` of Figure 2) are singly linked through
-//!   one shared edge pool, in registration order.
+//!   one shared edge pool, in registration order; each slot also keeps the
+//!   activation normaliser `Σ 1/w` over its list, added to as the list
+//!   grows.
 //! * The two frontier queues, the per-keyword frontier-distance heaps, the
 //!   scratch buffers of `emit` / `attach` / the row scan and the output
 //!   heap's candidate pool (`output.rs`) live here too, so a warmed-up
-//!   arena runs a query without allocating.
+//!   arena runs a query without allocating.  A query of `k` keywords uses
+//!   the first `k` frontier heaps and leaves the others empty, with their
+//!   capacity, for the next query that needs them.
 //!
 //! Arenas are checked out of **one process-wide pool** by
 //! [`Lease::checkout`] and handed back when the lease drops, on whatever
@@ -36,7 +50,7 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::ops::{Deref, DerefMut};
+use std::ops::{Deref, DerefMut, Range};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use banks_graph::NodeId;
@@ -46,6 +60,42 @@ use crate::pq::IndexedMaxHeap;
 
 /// "No slot": end of a parent list, or an `sp` pointer not yet set.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
+
+/// A query's keyword count `k`, as the loops over a slot's per-keyword
+/// entries see it.  See the module docs.
+pub(crate) trait Width: Copy {
+    /// The keyword count.
+    fn get(self) -> usize;
+}
+
+/// A keyword count fixed when the engine is compiled.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Fixed<const K: usize>;
+
+impl<const K: usize> Width for Fixed<K> {
+    #[inline(always)]
+    fn get(self) -> usize {
+        K
+    }
+}
+
+/// A keyword count known when the query starts.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Runtime(pub usize);
+
+impl Width for Runtime {
+    #[inline(always)]
+    fn get(self) -> usize {
+        self.0
+    }
+}
+
+/// Where a slot's `k` entries sit in [`Arena::labels`] and [`Arena::act`].
+#[inline(always)]
+fn span(w: impl Width, slot: u32) -> Range<usize> {
+    let at = slot as usize * w.get();
+    at..at + w.get()
+}
 
 #[derive(Clone, Copy, Default)]
 struct Stamp {
@@ -66,6 +116,9 @@ pub(crate) struct Slot {
     /// [`Arena::parents`], or [`NO_SLOT`].
     pub parents_head: u32,
     parents_tail: u32,
+    /// `Σ 1/weight` over the parent list, added in list order: what
+    /// `Activate` divides the spread fraction by.
+    pub parents_inverse_weight: f64,
     /// Already expanded by the incoming iterator (`X_in`).
     pub in_xin: bool,
     /// Already expanded by the outgoing iterator (`X_out`).
@@ -81,6 +134,27 @@ pub(crate) struct Slot {
     /// Aggregate edge weight of the best candidate already generated with
     /// this node as root (avoids re-emitting unchanged trees).
     pub best_emitted_weight: f64,
+}
+
+/// What a node knows about one keyword `i` (Figure 2 of the paper).
+#[derive(Clone, Copy)]
+pub(crate) struct Label {
+    /// `dist_{u,i}`: best known path length from the node to a node in
+    /// `S_i`.
+    pub dist: f64,
+    /// Tree weight of the `sp` hop: the cheapest parallel edge.
+    pub sp_weight: f64,
+    /// `sp_{u,i}`: slot of the child to follow for the best known path to
+    /// `t_i`, or [`NO_SLOT`].
+    pub sp: u32,
+}
+
+impl Label {
+    const UNREACHED: Label = Label {
+        dist: f64::INFINITY,
+        sp_weight: 0.0,
+        sp: NO_SLOT,
+    };
 }
 
 /// One explored edge `parent -> child`, in the child's parent list.
@@ -104,22 +178,20 @@ pub(crate) struct Arena {
     /// Number of keywords of the current query.
     pub k: usize,
     pub slots: Vec<Slot>,
-    /// `dist_{u,i}`: best known path length from the node to a node in
-    /// `S_i`.
-    pub dist: Vec<f64>,
-    /// `a_{u,i}`: activation received from keyword `i`.
+    /// One [`Label`] per (slot, keyword), at `slot * k + keyword`.
+    pub labels: Vec<Label>,
+    /// `a_{u,i}`: activation received from keyword `i`, at `slot * k + i`.
     pub act: Vec<f64>,
-    /// `sp_{u,i}`: slot of the child to follow for the best known path to
-    /// `t_i`, with the tree weight of that hop.
-    pub sp: Vec<u32>,
-    pub sp_weight: Vec<f64>,
     pub parents: Vec<ParentEdge>,
     pub q_in: IndexedMaxHeap,
     pub q_out: IndexedMaxHeap,
-    /// Per keyword, a lazy min-heap of `(dist bits, slot)` snapshots of
-    /// nodes in `Q_in` (the output bound of Section 4.5).  Distances are
-    /// non-negative, so their bit patterns order as the values do.
-    pub frontier: Vec<BinaryHeap<Reverse<(u64, u32)>>>,
+    /// Per keyword, a lazy min-heap of snapshots of nodes in `Q_in` (the
+    /// output bound of Section 4.5).  A snapshot is one integer, the
+    /// distance's bits above the slot ([`snapshot_parts`]): distances are
+    /// non-negative, so their bit patterns order as the values do, and one
+    /// comparison orders by `(distance, slot)`.  At least `k` long: heaps
+    /// past the first `k` are empty and kept for their capacity.
+    pub frontier: Vec<BinaryHeap<Reverse<u128>>>,
     /// Scratch: the adjacency row being expanded.
     pub row: Vec<(NodeId, f64)>,
     /// Scratch: work stack of `Attach` / `Activate`.
@@ -154,16 +226,15 @@ impl Arena {
         }
         self.k = k;
         self.slots.clear();
-        self.dist.clear();
+        self.labels.clear();
         self.act.clear();
-        self.sp.clear();
-        self.sp_weight.clear();
         self.parents.clear();
         self.q_in.clear();
         self.q_out.clear();
-        self.frontier.truncate(k);
         self.frontier.iter_mut().for_each(BinaryHeap::clear);
-        self.frontier.resize_with(k, BinaryHeap::new);
+        if self.frontier.len() < k {
+            self.frontier.resize_with(k, BinaryHeap::new);
+        }
     }
 
     /// The node's slot, claimed on first touch.
@@ -192,6 +263,7 @@ impl Arena {
             finite: 0,
             parents_head: NO_SLOT,
             parents_tail: NO_SLOT,
+            parents_inverse_weight: 0.0,
             in_xin: false,
             in_xout: false,
             touched_in: false,
@@ -201,44 +273,37 @@ impl Arena {
             best_emitted_weight: f64::INFINITY,
         });
         let len = self.slots.len() * self.k;
-        self.dist.resize(len, f64::INFINITY);
+        self.labels.resize(len, Label::UNREACHED);
         self.act.resize(len, 0.0);
-        self.sp.resize(len, NO_SLOT);
-        self.sp_weight.resize(len, 0.0);
         slot
+    }
+
+    /// A slot's labels, one per keyword.
+    #[inline]
+    pub fn labels(&self, w: impl Width, slot: u32) -> &[Label] {
+        debug_assert_eq!(w.get(), self.k);
+        &self.labels[span(w, slot)]
     }
 
     /// Recomputes the cached folds over a slot's distances.
     #[inline]
-    pub fn refresh_dist(&mut self, slot: u32) {
-        let at = slot as usize * self.k;
-        let dist = &self.dist[at..at + self.k];
+    pub fn refresh_dist(&mut self, w: impl Width, slot: u32) {
+        let labels = &self.labels[span(w, slot)];
         let record = &mut self.slots[slot as usize];
-        record.min_dist = dist.iter().copied().fold(f64::INFINITY, f64::min);
-        record.finite = dist.iter().filter(|d| d.is_finite()).count() as u32;
+        record.min_dist = labels.iter().map(|l| l.dist).fold(f64::INFINITY, f64::min);
+        record.finite = labels.iter().filter(|l| l.dist.is_finite()).count() as u32;
     }
 
     /// Recomputes the cached sum over a slot's activations.
     #[inline]
-    pub fn refresh_act(&mut self, slot: u32) {
-        let at = slot as usize * self.k;
-        self.slots[slot as usize].total_act = self.act[at..at + self.k].iter().sum();
+    pub fn refresh_act(&mut self, w: impl Width, slot: u32) {
+        self.slots[slot as usize].total_act = self.act[span(w, slot)].iter().sum();
     }
 
     /// Whether the node has a finite distance to every keyword.
     #[inline]
-    pub fn is_complete(&self, slot: u32) -> bool {
-        self.slots[slot as usize].finite as usize == self.k
-    }
-
-    /// The parent list starting at entry `head`, in registration order.
-    pub fn parent_edges(&self, head: u32) -> impl Iterator<Item = &ParentEdge> {
-        let mut at = head;
-        std::iter::from_fn(move || {
-            let edge = self.parents.get(at as usize)?;
-            at = edge.next;
-            Some(edge)
-        })
+    pub fn is_complete(&self, w: impl Width, slot: u32) -> bool {
+        self.slots[slot as usize].finite as usize == w.get()
     }
 
     /// Distance update along an explored edge `to -> via` of weight
@@ -253,27 +318,42 @@ impl Arena {
     /// with a finite distance has a snapshot of its *current* value.  (An
     /// improvement is by more than the staleness tolerance, so the
     /// snapshot it supersedes reads as stale.)
-    pub fn relax(&mut self, to: u32, via: u32, weight: f64, tree_weight: f64) -> bool {
-        let (to_at, via_at) = (to as usize * self.k, via as usize * self.k);
+    pub fn relax(
+        &mut self,
+        w: impl Width,
+        to: u32,
+        via: u32,
+        weight: f64,
+        tree_weight: f64,
+    ) -> bool {
+        debug_assert!(weight > 0.0, "graph edge weights are positive");
+        // A self-loop shortens no path: with a positive weight the
+        // candidate is never below the distance it would replace.
+        let Ok([to_labels, via_labels]) = self.labels.get_disjoint_mut([span(w, to), span(w, via)])
+        else {
+            return false;
+        };
         let mut improved = false;
         let mut queued = false;
-        for i in 0..self.k {
-            let candidate = self.dist[via_at + i] + weight;
-            if candidate < self.dist[to_at + i] - 1e-12 {
+        for (i, (label, via_label)) in to_labels.iter_mut().zip(via_labels.iter()).enumerate() {
+            let candidate = via_label.dist + weight;
+            if candidate < label.dist - 1e-12 {
                 if !improved {
                     improved = true;
                     queued = self.q_in.contains(to);
                 }
-                self.dist[to_at + i] = candidate;
-                self.sp[to_at + i] = via;
-                self.sp_weight[to_at + i] = tree_weight;
+                *label = Label {
+                    dist: candidate,
+                    sp_weight: tree_weight,
+                    sp: via,
+                };
                 if queued {
-                    self.snapshot(i, candidate, to);
+                    snapshot(&mut self.frontier, i, candidate, to);
                 }
             }
         }
         if improved {
-            self.refresh_dist(to);
+            self.refresh_dist(w, to);
         }
         improved
     }
@@ -281,35 +361,50 @@ impl Arena {
     /// Activation spreading: `receiver` takes, per keyword, the larger of
     /// what it has and `share · µ` of the spreader's activation.  Returns
     /// whether anything rose.
-    pub fn spread(&mut self, spreader: u32, receiver: u32, mu: f64, share: f64) -> bool {
-        let (from_at, to_at) = (spreader as usize * self.k, receiver as usize * self.k);
+    pub fn spread(
+        &mut self,
+        w: impl Width,
+        spreader: u32,
+        receiver: u32,
+        mu: f64,
+        share: f64,
+    ) -> bool {
+        // By index, not by two slices: a node spreads to itself over a
+        // self-loop.
+        let (to, from) = (span(w, receiver).start, span(w, spreader).start);
+        let act = &mut self.act[..];
         let mut changed = false;
-        for i in 0..self.k {
-            let candidate = self.act[from_at + i] * mu * share;
-            if candidate > self.act[to_at + i] {
-                self.act[to_at + i] = candidate;
+        for i in 0..w.get() {
+            let candidate = act[from + i] * mu * share;
+            if candidate > act[to + i] {
+                act[to + i] = candidate;
                 changed = true;
             }
         }
         if changed {
-            self.refresh_act(receiver);
+            self.refresh_act(w, receiver);
         }
         changed
     }
 
-    /// Records that `slot`, waiting in `Q_in`, is `dist` away from
-    /// `keyword`.
-    #[inline]
-    pub fn snapshot(&mut self, keyword: usize, dist: f64, slot: u32) {
-        debug_assert!(dist >= 0.0, "bit order needs non-negative distances");
-        self.frontier[keyword].push(Reverse((dist.to_bits(), slot)));
+    /// Puts a node into `Q_in` with `priority` and snapshots its finite
+    /// distances for the output bound (from here on `Arena::relax`
+    /// snapshots what changes).
+    pub fn enqueue_incoming(&mut self, w: impl Width, slot: u32, priority: f64) {
+        self.q_in
+            .push(slot, self.slots[slot as usize].node, priority);
+        for (keyword, label) in self.labels[span(w, slot)].iter().enumerate() {
+            if label.dist.is_finite() {
+                snapshot(&mut self.frontier, keyword, label.dist, slot);
+            }
+        }
     }
 
     /// Whether the `sp` chain from `root` towards `keyword` is short enough
     /// for [`Arena::trace_path`] to succeed — the same walk, recording
     /// nothing.
-    pub fn chain_fits(&self, root: u32, keyword: usize, dmax: usize) -> bool {
-        walk_chain(&self.dist, &self.sp, self.k, root, keyword, dmax, |_, _| {})
+    pub fn chain_fits(&self, w: impl Width, root: u32, keyword: usize, dmax: usize) -> bool {
+        walk_chain(&self.labels, w, root, keyword, dmax, |_| {})
     }
 
     /// Follows the `sp` pointers from `root` to a node matching `keyword`,
@@ -327,20 +422,18 @@ impl Arena {
     /// (The two edges of slack are historical; chains of `dmax + 1` and
     /// `dmax + 2` edges pass.)  The walk cannot cycle: every hop strictly
     /// decreases the distance.
-    pub fn trace_path(&mut self, root: u32, keyword: usize, dmax: usize) -> bool {
+    pub fn trace_path(&mut self, w: impl Width, root: u32, keyword: usize, dmax: usize) -> bool {
         let Arena {
-            dist,
-            sp,
-            sp_weight,
+            labels,
             slots,
             path_nodes,
             ..
         } = self;
         let mut weight = 0.0;
         path_nodes.push(slots[root as usize].node);
-        let reached = walk_chain(dist, sp, self.k, root, keyword, dmax, |at, next| {
-            weight += sp_weight[at];
-            path_nodes.push(slots[next as usize].node);
+        let reached = walk_chain(labels, w, root, keyword, dmax, |hop| {
+            weight += hop.sp_weight;
+            path_nodes.push(slots[hop.sp as usize].node);
         });
         if reached {
             self.path_ends.push(self.path_nodes.len());
@@ -365,36 +458,48 @@ impl Arena {
             tail => self.parents[tail as usize].next = new,
         }
         record.parents_tail = new;
+        record.parents_inverse_weight += 1.0 / weight;
     }
 }
 
+/// Records that `slot`, waiting in `Q_in`, is `dist` away from `keyword`.
+#[inline]
+fn snapshot(frontier: &mut [BinaryHeap<Reverse<u128>>], keyword: usize, dist: f64, slot: u32) {
+    debug_assert!(dist >= 0.0, "bit order needs non-negative distances");
+    frontier[keyword].push(Reverse(u128::from(dist.to_bits()) << 32 | u128::from(slot)));
+}
+
+/// The distance and the slot of a frontier snapshot.
+#[inline]
+pub(crate) fn snapshot_parts(snapshot: u128) -> (f64, u32) {
+    (f64::from_bits((snapshot >> 32) as u64), snapshot as u32)
+}
+
 /// Follows the `sp` pointers from `root` until a node matching `keyword`
-/// (distance zero), calling `hop(at, next)` for every edge taken, where `at`
-/// indexes the per-keyword arrays of the node being left and `next` is the
-/// slot entered.  `false` if the chain takes more than `dmax + 2` hops (or
-/// breaks off, which a complete root's does not).
+/// (distance zero), calling `hop` with the label of every node left (its
+/// `sp` is the slot entered).  `false` if the chain takes more than
+/// `dmax + 2` hops (or breaks off, which a complete root's does not).
 #[inline]
 fn walk_chain(
-    dist: &[f64],
-    sp: &[u32],
-    k: usize,
+    labels: &[Label],
+    w: impl Width,
     root: u32,
     keyword: usize,
     dmax: usize,
-    mut hop: impl FnMut(usize, u32),
+    mut hop: impl FnMut(&Label),
 ) -> bool {
     let mut cur = root;
     let mut hops = 0usize;
     loop {
-        let at = cur as usize * k + keyword;
-        if dist[at] <= 0.0 {
+        let label = &labels[span(w, cur).start + keyword];
+        if label.dist <= 0.0 {
             return true;
         }
-        cur = sp[at];
-        if cur == NO_SLOT {
+        if label.sp == NO_SLOT {
             return false; // no finite distance: the caller checked completeness
         }
-        hop(at, cur);
+        hop(label);
+        cur = label.sp;
         hops += 1;
         if hops > dmax + 2 {
             return false;
@@ -535,24 +640,66 @@ mod tests {
 
     #[test]
     fn slots_are_claimed_in_first_touch_order_and_forgotten_by_begin() {
+        let two = Fixed::<2>;
         let mut lease = Lease::checkout(10, 2);
         assert_eq!(lease.slot_for(NodeId(7)), 0);
         assert_eq!(lease.slot_for(NodeId(3)), 1);
         assert_eq!(lease.slot_for(NodeId(7)), 0);
-        assert_eq!(lease.dist.len(), 4);
-        assert!(lease.dist.iter().all(|d| d.is_infinite()));
-        assert!(!lease.is_complete(0));
-        lease.dist[0] = 1.5;
-        lease.dist[1] = 0.5;
-        lease.refresh_dist(0);
-        assert!(lease.is_complete(0));
+        assert_eq!(lease.labels.len(), 4);
+        assert!(lease.labels.iter().all(|l| l.dist.is_infinite()));
+        assert!(!lease.is_complete(two, 0));
+        lease.labels[0].dist = 1.5;
+        lease.labels[1].dist = 0.5;
+        lease.refresh_dist(two, 0);
+        assert!(lease.is_complete(two, 0));
         assert_eq!(lease.slots[0].min_dist, 0.5);
 
         lease.begin(10, 3);
-        assert!(lease.slots.is_empty() && lease.dist.is_empty());
+        assert!(lease.slots.is_empty() && lease.labels.is_empty());
         assert_eq!(lease.slot_for(NodeId(3)), 0, "old mappings are gone");
-        assert_eq!(lease.dist.len(), 3);
+        assert_eq!(lease.labels.len(), 3);
         assert_eq!(lease.frontier.len(), 3);
+    }
+
+    /// A query with fewer keywords than the last one leaves the extra
+    /// frontier heaps in place, empty, with their capacity.
+    #[test]
+    fn begin_keeps_frontier_heaps_past_k_empty() {
+        let mut lease = Lease::checkout(10, 3);
+        let slot = lease.slot_for(NodeId(4));
+        lease.labels[2].dist = 1.0;
+        lease.enqueue_incoming(Fixed::<3>, slot, 1.0);
+        assert_eq!(lease.frontier[2].len(), 1);
+        let capacity = lease.frontier[2].capacity();
+        lease.begin(10, 1);
+        assert_eq!(lease.frontier.len(), 3);
+        assert!(lease.frontier.iter().all(BinaryHeap::is_empty));
+        assert_eq!(lease.frontier[2].capacity(), capacity);
+    }
+
+    /// Every hop of an `sp` chain reads one label: distance, pointer and
+    /// the weight a tree reports for the hop.
+    #[test]
+    fn trace_path_follows_labels_to_the_keyword() {
+        let w = Runtime(2);
+        let mut lease = Lease::checkout(10, 2);
+        let (root, mid, leaf) = (
+            lease.slot_for(NodeId(9)),
+            lease.slot_for(NodeId(5)),
+            lease.slot_for(NodeId(1)),
+        );
+        lease.labels[leaf as usize * 2 + 1].dist = 0.0;
+        assert!(lease.relax(w, mid, leaf, 2.0, 1.5));
+        assert!(lease.relax(w, root, mid, 1.0, 1.0));
+        assert!(!lease.relax(w, root, mid, 1.0, 1.0), "nothing shorter");
+        assert!(!lease.relax(w, root, root, 1.0, 1.0), "a self-loop");
+        assert_eq!(lease.labels(w, root)[1].dist, 3.0);
+        assert!(lease.chain_fits(w, root, 1, 8));
+        assert!(lease.trace_path(w, root, 1, 8));
+        assert_eq!(lease.path_nodes, [NodeId(9), NodeId(5), NodeId(1)]);
+        assert_eq!(lease.path_weights, [2.5]);
+        assert!(lease.chain_fits(w, root, 1, 0), "dmax + 2 hops pass");
+        assert!(!lease.chain_fits(w, root, 0, 8), "no path to keyword 0");
     }
 
     #[test]

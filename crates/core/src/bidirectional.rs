@@ -29,14 +29,25 @@
 //! hashes, allocates nor walks a chain for a candidate it then drops:
 //!
 //! * **State** lives in a per-query arena (`arena.rs`) on loan from the
-//!   process-wide pool: node → slot through a generation-stamped array,
-//!   per-keyword `dist`/`act`/`sp` as struct-of-arrays with their folds
-//!   (`min`, `Σ`, finite count) cached per slot, explored parents in one
-//!   edge pool.  `Q_in`/`Q_out` are [`crate::pq::IndexedMaxHeap`]s keyed by
-//!   slot, so a priority change is a sift from the entry's position,
+//!   process-wide pool: node → slot through a generation-stamped array;
+//!   per (slot, keyword) one label of distance, `sp` pointer and hop
+//!   weight, so a relaxation or a chain hop reads one cache line, and
+//!   activations beside them, with their folds (`min`, `Σ`, finite count)
+//!   cached per slot; explored parents in one edge pool, with each slot's
+//!   `Activate` normaliser `Σ 1/w` kept as its list grows.  `Q_in`/`Q_out`
+//!   are [`crate::pq::IndexedMaxHeap`]s keyed by slot, whose entries carry
+//!   the priority as the integer `total_cmp` orders by, so a priority
+//!   change is a sift of integer comparisons from the entry's position,
 //!   nothing stale is ever queued, and a re-push that changes nothing
-//!   (every node `Attach` visits, under activation priority) costs a
-//!   comparison.
+//!   costs a comparison.  `Attach` changes distances only, so under
+//!   activation priority it re-pushes nothing at all.
+//! * **The keyword count is a constant.**  `Expander` is generic over
+//!   the query's width; [`BidirectionalSearch`] starts a copy compiled
+//!   for one to four keywords, or the runtime-width copy beyond, so every
+//!   per-keyword loop of a step (`relax`, `spread`, the fold refreshes,
+//!   the snapshot on entering `Q_in`, `emit`'s aggregate and minimality
+//!   test, the chain walks, the frontier bound) has a length the compiler
+//!   knows.  There is one source for all widths.
 //! * **Candidates are judged where they lie.**  `Attach` reaches a
 //!   complete node some six times per explored node, and nine in ten of
 //!   the trees rooted there are non-minimal — which the root's own row
@@ -58,14 +69,16 @@
 //!
 //! None of this changes what is computed: answers, their order and every
 //! [`SearchStats`] counter are pinned by `tests/engine_golden.rs` to the
-//! values of the hash-map implementation the arena replaced.
+//! values of the hash-map implementation the arena replaced, and
+//! `examples/pool_pass.rs --check` pins the work counters of the
+//! benchmark's query pool.
 
 use std::cmp::Reverse;
 
 use banks_graph::NodeId;
 
 use crate::answer::score_tree;
-use crate::arena::{Arena, Lease, ParentEdge, NO_SLOT};
+use crate::arena::{snapshot_parts, Arena, Fixed, Lease, ParentEdge, Runtime, Width, NO_SLOT};
 use crate::engine::{RankedAnswer, SearchEngine};
 use crate::output::{signature_hash, Candidate, OutputHeap};
 use crate::score::ScoreModel;
@@ -134,7 +147,14 @@ impl SearchEngine for BidirectionalSearch {
     }
 
     fn start<'a>(&self, ctx: QueryContext<'a>) -> Box<dyn AnswerStream + 'a> {
-        Box::new(Expander::new(self.config, ctx))
+        let config = self.config;
+        match ctx.matches.num_keywords() {
+            1 => Box::new(Expander::new(config, ctx, Fixed::<1>)),
+            2 => Box::new(Expander::new(config, ctx, Fixed::<2>)),
+            3 => Box::new(Expander::new(config, ctx, Fixed::<3>)),
+            4 => Box::new(Expander::new(config, ctx, Fixed::<4>)),
+            k => Box::new(Expander::new(config, ctx, Runtime(k))),
+        }
     }
 }
 
@@ -156,12 +176,13 @@ enum Side {
 /// The shared expansion machinery for Bidirectional and SI-Backward search,
 /// structured as a resumable step machine: [`Expander::advance`] performs
 /// one unit of work, and the [`Iterator`] implementation calls it until the
-/// next answer is released.
-struct Expander<'a> {
+/// next answer is released.  `W` is the query's keyword count, fixed at
+/// compile time for the common counts (see `arena.rs`).
+struct Expander<'a, W: Width> {
     config: BidirectionalConfig,
     ctx: QueryContext<'a>,
     model: ScoreModel,
-    num_keywords: usize,
+    width: W,
     /// Per-node state, both frontier queues and every scratch buffer, on
     /// loan from the process-wide arena pool until the stream drops.
     state: Lease,
@@ -170,15 +191,16 @@ struct Expander<'a> {
     core: StreamCore,
 }
 
-impl<'a> Expander<'a> {
-    fn new(config: BidirectionalConfig, ctx: QueryContext<'a>) -> Self {
+impl<'a, W: Width> Expander<'a, W> {
+    fn new(config: BidirectionalConfig, ctx: QueryContext<'a>, width: W) -> Self {
         let num_keywords = ctx.matches.num_keywords();
+        assert_eq!(width.get(), num_keywords, "the width is the keyword count");
         let model = ctx.params.score_model();
         let mut state = Lease::checkout(ctx.graph.num_nodes(), num_keywords);
         Expander {
             config,
             model,
-            num_keywords,
+            width,
             heap: OutputHeap::with_pool(
                 std::mem::take(&mut state.candidates),
                 model,
@@ -212,7 +234,7 @@ impl<'a> Expander<'a> {
     fn advance(&mut self) {
         if !self.core.seeded {
             self.core.begin();
-            if self.num_keywords == 0 || !self.ctx.matches.all_keywords_matched() {
+            if self.width.get() == 0 || !self.ctx.matches.all_keywords_matched() {
                 self.finish();
                 return;
             }
@@ -274,21 +296,21 @@ impl<'a> Expander<'a> {
     /// (Equation 1 of the paper).
     fn seed(&mut self) {
         let matches = self.ctx.matches;
-        let k = self.num_keywords;
-        for i in 0..k {
+        let w = self.width;
+        for i in 0..w.get() {
             let origin = matches.origin_set(i);
             let origin_size = origin.len().max(1) as f64;
             for &u in origin {
                 let prestige = self.ctx.prestige.get(u);
                 let state = &mut *self.state;
                 let slot = state.slot_for(u);
-                let at = slot as usize * k + i;
-                state.dist[at] = 0.0;
-                state.sp[at] = NO_SLOT;
+                let at = slot as usize * w.get() + i;
+                state.labels[at].dist = 0.0;
+                state.labels[at].sp = NO_SLOT;
                 state.act[at] = state.act[at].max(prestige / origin_size);
                 state.slots[slot as usize].depth = 0;
-                state.refresh_dist(slot);
-                state.refresh_act(slot);
+                state.refresh_dist(w, slot);
+                state.refresh_act(w, slot);
             }
         }
         for u in matches.all_origin_nodes() {
@@ -297,30 +319,21 @@ impl<'a> Expander<'a> {
             // Keyword nodes that already match every keyword are answers on
             // their own (single-keyword queries, or one node containing all
             // terms).
-            if self.state.is_complete(slot) {
+            if self.state.is_complete(w, slot) {
                 self.emit(slot);
             }
         }
     }
 
-    /// Puts a node into `Q_in` and snapshots its finite distances for the
-    /// output bound (from here on `Arena::relax` snapshots what changes).
+    /// Puts a node into `Q_in`, snapshotting its finite distances.
     fn enqueue_incoming(&mut self, slot: u32) {
         let priority = self.priority(slot);
-        let state = &mut *self.state;
-        let record = &mut state.slots[slot as usize];
+        let record = &mut self.state.slots[slot as usize];
         if !record.touched_in {
             record.touched_in = true;
             self.core.stats.nodes_touched += 1;
         }
-        state.q_in.push(slot, record.node, priority);
-        let at = slot as usize * state.k;
-        for keyword in 0..state.k {
-            let dist = state.dist[at + keyword];
-            if dist.is_finite() {
-                state.snapshot(keyword, dist, slot);
-            }
-        }
+        self.state.enqueue_incoming(self.width, slot, priority);
     }
 
     /// Puts a node into `Q_out`.
@@ -366,7 +379,7 @@ impl<'a> Expander<'a> {
         self.state.slots[v as usize].in_xin = true;
         self.core.stats.nodes_explored += 1;
 
-        if self.state.is_complete(v) {
+        if self.state.is_complete(self.width, v) {
             self.emit(v);
         }
 
@@ -415,7 +428,7 @@ impl<'a> Expander<'a> {
         self.state.slots[u as usize].in_xout = true;
         self.core.stats.nodes_explored += 1;
 
-        if self.state.is_complete(u) {
+        if self.state.is_complete(self.width, u) {
             self.emit(u);
         }
 
@@ -484,7 +497,7 @@ impl<'a> Expander<'a> {
         }
 
         // Distance updates: u reaches keyword i through v.
-        if self.state.relax(u, v, weight, tree_weight) {
+        if self.state.relax(self.width, u, v, weight, tree_weight) {
             self.attach(u);
         }
 
@@ -499,7 +512,7 @@ impl<'a> Expander<'a> {
             let share = (1.0 / weight) / normalisation;
             if self
                 .state
-                .spread(spreader, receiver, self.ctx.params.mu, share)
+                .spread(self.width, spreader, receiver, self.ctx.params.mu, share)
             {
                 self.activate(receiver);
             }
@@ -520,8 +533,13 @@ impl<'a> Expander<'a> {
                 self.core.stats.truncated = true;
                 break;
             }
-            self.reprioritise(node);
-            if self.state.is_complete(node) {
+            // A distance change moves the key only under distance
+            // priority; under activation priority the re-push would find
+            // the key it already has.
+            if !self.config.use_activation {
+                self.reprioritise(node);
+            }
+            if self.state.is_complete(self.width, node) {
                 self.emit(node);
             }
             let state = &mut *self.state;
@@ -533,7 +551,7 @@ impl<'a> Expander<'a> {
                     weight,
                     tree_weight,
                 } = state.parents[at as usize];
-                if state.relax(parent, node, weight, tree_weight) {
+                if state.relax(self.width, parent, node, weight, tree_weight) {
                     work.push(parent);
                 }
                 at = next;
@@ -559,12 +577,12 @@ impl<'a> Expander<'a> {
             }
             self.reprioritise(node);
             let state = &mut *self.state;
-            let head = state.slots[node as usize].parents_head;
-            let z: f64 = state.parent_edges(head).map(|e| 1.0 / e.weight).sum();
+            let record = &state.slots[node as usize];
+            let z = record.parents_inverse_weight;
             if z <= 0.0 {
                 continue; // no explored parents
             }
-            let mut at = head;
+            let mut at = record.parents_head;
             while at != NO_SLOT {
                 let ParentEdge {
                     parent,
@@ -572,7 +590,7 @@ impl<'a> Expander<'a> {
                     weight,
                     ..
                 } = state.parents[at as usize];
-                if state.spread(node, parent, mu, (1.0 / weight) / z) {
+                if state.spread(self.width, node, parent, mu, (1.0 / weight) / z) {
                     work.push(parent);
                 }
                 at = next;
@@ -604,27 +622,26 @@ impl<'a> Expander<'a> {
                 return;
             }
         }
-        let k = self.num_keywords;
-        let at = root as usize * k;
-        let aggregate: f64 = self.state.dist[at..at + k].iter().sum();
+        let w = self.width;
+        let labels = self.state.labels(w, root);
+        let aggregate: f64 = labels.iter().map(|l| l.dist).sum();
         if aggregate >= self.state.slots[root as usize].best_emitted_weight - 1e-12 {
             return; // nothing better than what this root already produced
         }
+        // Minimality (Section 3): the root matches a keyword itself, or its
+        // paths leave through at least two different children.  Both read
+        // off the root's own labels.
+        let minimal =
+            labels.iter().any(|l| l.dist <= 0.0) || labels.iter().any(|l| l.sp != labels[0].sp);
 
         let dmax = self.ctx.params.dmax;
         let state = &mut *self.state;
-        // Minimality (Section 3): the root matches a keyword itself, or its
-        // paths leave through at least two different children.  Both read
-        // off the root's own row.
-        let first_hops = &state.sp[at..at + k];
-        let minimal = state.dist[at..at + k].iter().any(|dist| *dist <= 0.0)
-            || first_hops.iter().any(|hop| *hop != first_hops[0]);
         // A chain longer than `dmax + 2` hops makes this no candidate at
         // all (see `Arena::trace_path`): nothing is counted and the root's
         // `best_emitted_weight` stays, so it is tried again whenever `emit`
         // next reaches it.  A non-minimal tree is only measured, not traced.
         if !minimal {
-            if (0..k).all(|keyword| state.chain_fits(root, keyword, dmax)) {
+            if (0..w.get()).all(|keyword| state.chain_fits(w, root, keyword, dmax)) {
                 state.slots[root as usize].best_emitted_weight = aggregate;
                 self.core.stats.answers_generated += 1;
                 self.heap.discard_non_minimal();
@@ -634,7 +651,7 @@ impl<'a> Expander<'a> {
         state.path_nodes.clear();
         state.path_ends.clear();
         state.path_weights.clear();
-        if !(0..k).all(|keyword| state.trace_path(root, keyword, dmax)) {
+        if !(0..w.get()).all(|keyword| state.trace_path(w, root, keyword, dmax)) {
             return;
         }
         state.slots[root as usize].best_emitted_weight = aggregate;
@@ -691,16 +708,17 @@ impl<'a> Expander<'a> {
     /// the paper's own bound it is an approximation — nodes that already
     /// left the frontier may still complete into slightly better answers.
     fn min_future_edge_weight(&mut self) -> f64 {
+        let w = self.width;
         let state = &mut *self.state;
-        let k = state.k;
+        let frontier = &mut state.frontier[..w.get()];
         let mut global_min = f64::INFINITY;
-        for (i, heap) in state.frontier.iter_mut().enumerate() {
+        for (i, heap) in frontier.iter_mut().enumerate() {
             // Drop snapshots of nodes that left `Q_in` or whose distance
             // has improved since; what is then on top is the live minimum.
-            while let Some(&Reverse((bits, slot))) = heap.peek() {
-                let snapshot = f64::from_bits(bits);
+            while let Some(&Reverse(top)) = heap.peek() {
+                let (snapshot, slot) = snapshot_parts(top);
                 let live = state.q_in.contains(slot)
-                    && (state.dist[slot as usize * k + i] - snapshot).abs() <= 1e-12;
+                    && (state.labels[slot as usize * w.get() + i].dist - snapshot).abs() <= 1e-12;
                 if live {
                     global_min = global_min.min(snapshot);
                     break;
@@ -711,12 +729,11 @@ impl<'a> Expander<'a> {
         if global_min.is_infinite() {
             return 0.0;
         }
-        state
-            .frontier
+        frontier
             .iter()
             .map(|heap| {
                 heap.peek()
-                    .map_or(global_min, |Reverse((bits, _))| f64::from_bits(*bits))
+                    .map_or(global_min, |Reverse(top)| snapshot_parts(*top).0)
             })
             .sum()
     }
@@ -731,11 +748,10 @@ impl<'a> Expander<'a> {
         if self.state.q_in.len() > SCANNED_FRONTIER {
             return;
         }
-        let k = self.num_keywords;
-        let mut minima = vec![f64::INFINITY; k];
+        let mut minima = vec![f64::INFINITY; self.width.get()];
         for slot in self.state.q_in.slots() {
-            for (keyword, min) in minima.iter_mut().enumerate() {
-                *min = min.min(self.state.dist[slot as usize * k + keyword]);
+            for (min, label) in minima.iter_mut().zip(self.state.labels(self.width, slot)) {
+                *min = min.min(label.dist);
             }
         }
         let global_min = minima.iter().copied().fold(f64::INFINITY, f64::min);
@@ -783,7 +799,7 @@ impl<'a> Expander<'a> {
     }
 }
 
-impl Drop for Expander<'_> {
+impl<W: Width> Drop for Expander<'_, W> {
     /// The candidate pool goes back into the arena, and with it to the
     /// process-wide arena pool (or nowhere, if the thread is panicking).
     fn drop(&mut self) {
@@ -833,7 +849,7 @@ impl ParallelRuns {
     }
 }
 
-impl<'a> ExpansionMachine for Expander<'a> {
+impl<W: Width> ExpansionMachine for Expander<'_, W> {
     fn core(&self) -> &StreamCore {
         &self.core
     }
@@ -859,7 +875,7 @@ impl<'a> ExpansionMachine for Expander<'a> {
     }
 }
 
-impl<'a> Iterator for Expander<'a> {
+impl<W: Width> Iterator for Expander<'_, W> {
     type Item = RankedAnswer;
 
     fn next(&mut self) -> Option<RankedAnswer> {
@@ -867,7 +883,7 @@ impl<'a> Iterator for Expander<'a> {
     }
 }
 
-impl<'a> AnswerStream for Expander<'a> {
+impl<W: Width> AnswerStream for Expander<'_, W> {
     fn stats(&self) -> SearchStats {
         self.core.live_stats()
     }
@@ -1301,16 +1317,18 @@ mod tests {
         let (g, m) = chain(17);
         let p = uniform(&g);
         let params = SearchParams::with_top_k(64);
+        let w = Fixed::<2>;
         let mut expander = Expander::new(
             BidirectionalConfig::default(),
             QueryContext::new(&g, &p, &m, params),
+            w,
         );
         while !expander.core.done {
             expander.advance();
         }
         let state = &mut *expander.state;
         let complete: Vec<u32> = (0..state.slots.len() as u32)
-            .filter(|slot| state.is_complete(*slot))
+            .filter(|slot| state.is_complete(w, *slot))
             .collect();
         let generated = complete
             .iter()
@@ -1336,14 +1354,14 @@ mod tests {
             state.path_nodes.clear();
             state.path_ends.clear();
             state.path_weights.clear();
-            let traced = (0..2).all(|keyword| state.trace_path(root, keyword, params.dmax));
+            let traced = (0..2).all(|keyword| state.trace_path(w, root, keyword, params.dmax));
             assert!(!traced, "root {} traces", state.slots[root as usize].node);
             // The chain is overlong, not broken: it does reach the keyword.
             let hops = (0..2)
                 .map(|keyword| {
                     let (mut cur, mut hops) = (root, 0);
-                    while state.dist[cur as usize * 2 + keyword] > 0.0 {
-                        cur = state.sp[cur as usize * 2 + keyword];
+                    while state.labels(w, cur)[keyword].dist > 0.0 {
+                        cur = state.labels(w, cur)[keyword].sp;
                         assert_ne!(cur, NO_SLOT);
                         hops += 1;
                     }
@@ -1596,6 +1614,7 @@ mod tests {
         let mut stream = Expander::new(
             BidirectionalConfig::default(),
             QueryContext::new(&g, &p, &m, params),
+            Fixed::<2>,
         );
         assert!(stream.next().is_some());
         std::thread::scope(|scope| {

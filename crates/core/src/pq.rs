@@ -11,12 +11,13 @@
 //! Order is `(priority, lower NodeId first)`, a total order with no equal
 //! keys (a node is queued at most once), so the pop sequence is fully
 //! determined by the pushed keys and does not depend on the heap's shape.
+//! Priorities compare as [`f64::total_cmp`] orders them; an entry stores
+//! the integer that order compares (`order_key`), computed once per push,
+//! so a sift compares integers.
 //!
 //! Memory is proportional to the slots pushed, not to the graph:
 //! [`IndexedMaxHeap::clear`] truncates both arrays in O(1) and keeps their
 //! capacity for the next query.
-
-use std::cmp::Ordering;
 
 use banks_graph::NodeId;
 
@@ -28,9 +29,25 @@ const ARITY: usize = 4;
 /// Position-array value of a slot that is not queued.
 const ABSENT: u32 = u32::MAX;
 
+/// The integer whose order is [`f64::total_cmp`]'s order of `priority`:
+/// the bits, with the magnitude bits flipped for negative values.  The map
+/// is its own inverse ([`priority_of`]).
+#[inline]
+fn order_key(priority: f64) -> i64 {
+    let bits = priority.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// The priority whose [`order_key`] is `key`.
+#[inline]
+fn priority_of(key: i64) -> f64 {
+    f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
+}
+
 #[derive(Clone, Copy)]
 struct Entry {
-    priority: f64,
+    /// [`order_key`] of the priority.
+    key: i64,
     node: NodeId,
     slot: u32,
 }
@@ -40,10 +57,12 @@ impl Entry {
     /// so that runs are fully deterministic.
     #[inline]
     fn beats(&self, other: &Entry) -> bool {
-        self.priority
-            .total_cmp(&other.priority)
-            .then_with(|| other.node.cmp(&self.node))
-            == Ordering::Greater
+        self.key > other.key || (self.key == other.key && self.node < other.node)
+    }
+
+    #[inline]
+    fn unpack(&self) -> (u32, NodeId, f64) {
+        (self.slot, self.node, priority_of(self.key))
     }
 }
 
@@ -91,16 +110,17 @@ impl IndexedMaxHeap {
     /// Returns `true` if the slot was not previously queued.
     pub fn push(&mut self, slot: u32, node: NodeId, priority: f64) -> bool {
         let entry = Entry {
-            priority,
+            key: order_key(priority),
             node,
             slot,
         };
         if self.contains(slot) {
             let at = self.position[slot as usize] as usize;
-            if self.entries[at].priority.to_bits() == priority.to_bits() {
-                // Same key: the entry is where it belongs.  `Attach` re-pushes
-                // every node it visits, and under activation priority a
-                // distance update changes nothing here.
+            if self.entries[at].key == entry.key {
+                // Same key: the entry is where it belongs.  Under distance
+                // priority `Attach` re-pushes every node it visits, and an
+                // update of any distance but the smallest changes nothing
+                // here.
                 return false;
             }
             let raised = entry.beats(&self.entries[at]);
@@ -123,7 +143,7 @@ impl IndexedMaxHeap {
     /// The queued `(slot, node, priority)` with the highest priority.
     #[inline]
     pub fn peek(&self) -> Option<(u32, NodeId, f64)> {
-        self.entries.first().map(|e| (e.slot, e.node, e.priority))
+        self.entries.first().map(Entry::unpack)
     }
 
     /// Removes and returns the entry with the highest priority.
@@ -135,7 +155,7 @@ impl IndexedMaxHeap {
             self.entries[0] = last;
             self.sift_down(0);
         }
-        Some((top.slot, top.node, top.priority))
+        Some(top.unpack())
     }
 
     /// Moves the entry at `at` towards the root until its parent beats it.
@@ -259,20 +279,12 @@ mod tests {
         for (id, priority) in [(1, 0.5), (2, 0.9), (3, 0.1), (4, 0.5), (5, 0.7), (6, 0.3)] {
             push(&mut q, id, priority);
         }
-        let before: Vec<(u32, u64)> = q
-            .entries
-            .iter()
-            .map(|e| (e.slot, e.priority.to_bits()))
-            .collect();
+        let before: Vec<(u32, i64)> = q.entries.iter().map(|e| (e.slot, e.key)).collect();
         let positions = q.position.clone();
         for (id, priority) in [(4, 0.5), (2, 0.9), (3, 0.1)] {
             assert!(!push(&mut q, id, priority));
         }
-        let after: Vec<(u32, u64)> = q
-            .entries
-            .iter()
-            .map(|e| (e.slot, e.priority.to_bits()))
-            .collect();
+        let after: Vec<(u32, i64)> = q.entries.iter().map(|e| (e.slot, e.key)).collect();
         assert_eq!(before, after);
         assert_eq!(positions, q.position);
         q.assert_consistent();
@@ -343,6 +355,36 @@ mod tests {
                 })
                 .collect()
         })
+    }
+
+    /// The integer image orders as `total_cmp` does, and gives the
+    /// priority back bit for bit.
+    #[test]
+    fn order_keys_follow_total_cmp() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5e-324,
+            1e-20,
+            0.25,
+            1.0,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for a in values {
+            assert_eq!(priority_of(order_key(a)).to_bits(), a.to_bits());
+            for b in values {
+                assert_eq!(
+                    order_key(a).cmp(&order_key(b)),
+                    a.total_cmp(&b),
+                    "{a} vs {b}"
+                );
+            }
+        }
     }
 
     proptest! {

@@ -132,13 +132,16 @@ impl<T> WorkQueue<T> {
             item,
         };
         self.seq += 1;
-        let tenant = self
-            .tenants
-            .entry(tenant.to_string())
-            .or_insert_with(|| TenantQueue {
+        // Probed by `&str`: the name is copied only when the tenant becomes
+        // active.
+        if !self.tenants.contains_key(tenant) {
+            let queue = TenantQueue {
                 vtime: 0,
                 heap: BinaryHeap::new(),
-            });
+            };
+            self.tenants.insert(tenant.to_owned(), queue);
+        }
+        let tenant = self.tenants.get_mut(tenant).expect("inserted above");
         if tenant.heap.is_empty() {
             // Reactivation: an idle tenant re-enters at the system virtual
             // time — level with whoever is being served right now.  No
@@ -155,13 +158,11 @@ impl<T> WorkQueue<T> {
     pub(crate) fn pop(&mut self) -> Option<T> {
         // BTreeMap iterates in name order, so the first minimum wins ties
         // deterministically.  Tenant counts are small; the scan is O(T).
-        let name = self
+        let (name, tenant) = self
             .tenants
-            .iter()
+            .iter_mut()
             .filter(|(_, t)| !t.heap.is_empty())
-            .min_by_key(|(_, t)| t.vtime)
-            .map(|(name, _)| name.clone())?;
-        let tenant = self.tenants.get_mut(&name).expect("tenant exists");
+            .min_by_key(|(_, t)| t.vtime)?;
         let entry = tenant.heap.pop().expect("tenant backlogged");
         // System virtual time = virtual time of the tenant entering service
         // (monotone): the fair-share baseline newcomers start from.
@@ -171,6 +172,7 @@ impl<T> WorkQueue<T> {
         if tenant.heap.is_empty() {
             // Drop drained tenants so the map tracks the active set, not
             // every tenant name ever seen.
+            let name = name.clone();
             self.tenants.remove(&name);
         }
         self.len -= 1;

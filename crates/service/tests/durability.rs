@@ -67,6 +67,17 @@ fn answers(service: &Service, query: &str) -> Vec<(String, Vec<(u32, u64)>)> {
     per_engine
 }
 
+/// The messages of the service's `recovery` events.
+fn recovery_events(service: &Service) -> Vec<String> {
+    service
+        .events()
+        .since(0, 10_000)
+        .iter()
+        .filter(|e| e.kind == "recovery")
+        .map(|e| e.message.clone())
+        .collect()
+}
+
 #[test]
 fn mutations_survive_a_crash_and_answers_match_on_all_engines() {
     let dir = tmp_dir("equiv");
@@ -97,6 +108,10 @@ fn mutations_survive_a_crash_and_answers_match_on_all_engines() {
         // the second batch is the WAL suffix recovery must replay.)
         pre_wal_records = service.durability().wal_records;
         assert!(pre_wal_records >= 1);
+        assert!(
+            recovery_events(&service).is_empty(),
+            "a fresh data directory recovers nothing"
+        );
     }
 
     // Reboot with a decoy builder graph: recovery must ignore it.
@@ -110,6 +125,12 @@ fn mutations_survive_a_crash_and_answers_match_on_all_engines() {
     assert_eq!(
         status.replayed_records, pre_wal_records,
         "exactly the WAL suffix replayed"
+    );
+    let recovery = recovery_events(&service);
+    assert_eq!(recovery.len(), 1, "one recovery per boot: {recovery:?}");
+    assert!(
+        recovery[0].ends_with(&format!("replayed {pre_wal_records} WAL record(s)")),
+        "{recovery:?}"
     );
     let post_answers = answers(&service, "soumen keyword");
     assert_eq!(

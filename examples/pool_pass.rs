@@ -10,7 +10,9 @@
 //! `benchmark/src/corpus.rs`), runs every query sequentially through
 //! `Banks::open` — engine `bidirectional`, uniform prestige, `top_k` 10,
 //! `ExactBound` — `PASSES` times (default 10), and prints the best and
-//! median pass time next to the work counters summed over one pass.
+//! median pass time, in total and for the two- and three-keyword queries
+//! apart (each engine width runs its own compiled copy of the inner loop),
+//! next to the work counters summed over one pass.
 //!
 //! The sums are machine-independent and must not move unless the engine's
 //! behaviour is meant to change; `--check` exits 1 if they differ from the
@@ -18,7 +20,7 @@
 //! printed, never gated.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use banks::datagen::OriginBias;
 use banks::prelude::*;
@@ -71,6 +73,12 @@ fn query_pool(data: &DblpDataset) -> Vec<Vec<String>> {
     pool
 }
 
+/// The smallest and the median of `times`.
+fn best_and_median(times: &mut [f64]) -> (f64, f64) {
+    times.sort_by(f64::total_cmp);
+    (times[0], times[times.len() / 2])
+}
+
 fn main() {
     let mut passes = 10usize;
     let mut check = false;
@@ -102,17 +110,24 @@ fn main() {
         pool.len()
     );
 
+    // Keyword-count classes of the pool, and each pass's time per class.
+    let classes: BTreeSet<usize> = pool.iter().map(Vec::len).collect();
+    let mut class_times: Vec<Vec<f64>> = vec![Vec::with_capacity(passes); classes.len()];
     let mut times = Vec::with_capacity(passes);
     let mut sums = [0usize; 6];
     for pass in 0..passes.max(1) {
         let mut now = [0usize; 6];
+        let mut in_class = vec![Duration::ZERO; classes.len()];
         let started = Instant::now();
         for keywords in &pool {
+            let query_started = Instant::now();
             let outcome = banks
                 .query(keywords.iter().map(String::as_str))
                 .engine("bidirectional")
                 .top_k(10)
                 .run();
+            let class = classes.range(..keywords.len()).count();
+            in_class[class] += query_started.elapsed();
             let stats = &outcome.stats;
             for (sum, value) in now.iter_mut().zip([
                 stats.nodes_explored,
@@ -126,16 +141,20 @@ fn main() {
             }
         }
         times.push(started.elapsed().as_secs_f64());
+        for (times, spent) in class_times.iter_mut().zip(in_class) {
+            times.push(spent.as_secs_f64());
+        }
         assert!(pass == 0 || now == sums, "a pass must repeat exactly");
         sums = now;
     }
 
-    times.sort_by(f64::total_cmp);
-    println!(
-        "pass time: best {:.3} s, median {:.3} s",
-        times[0],
-        times[times.len() / 2]
-    );
+    let (best, median) = best_and_median(&mut times);
+    println!("pass time: best {best:.3} s, median {median:.3} s");
+    for (k, times) in classes.iter().zip(&mut class_times) {
+        let queries = pool.iter().filter(|q| q.len() == *k).count();
+        let (best, median) = best_and_median(times);
+        println!("  {k} keywords ({queries} queries): best {best:.3} s, median {median:.3} s");
+    }
     let mut moved = false;
     for (sum, (name, expected)) in sums.into_iter().zip(EXPECTED) {
         let verdict = if sum == expected {

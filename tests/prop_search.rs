@@ -6,11 +6,13 @@
 use banks::prelude::*;
 use proptest::prelude::*;
 
-/// A random small graph plus 2–3 random disjoint keyword sets.
+/// A random small graph plus 1–6 random keyword sets: every keyword count
+/// the engine is compiled for on its own (1–4) and the runtime-width code
+/// past them.
 fn arb_instance() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, Vec<Vec<u32>>)> {
     (4usize..20).prop_flat_map(|n| {
         let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 3..(n * 2));
-        let keywords = (2usize..=3).prop_flat_map(move |k| {
+        let keywords = (1usize..=6).prop_flat_map(move |k| {
             proptest::collection::vec(proptest::collection::vec(0..n as u32, 1..4), k..=k)
         });
         (Just(n), edges, keywords)
