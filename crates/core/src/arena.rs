@@ -19,11 +19,13 @@
 //!   distances) are cached in the slot and refreshed where the labels or
 //!   activations change.
 //! * Every loop over a slot's `k` entries is generic over a [`Width`]: the
-//!   engine is compiled once for each keyword count from 1 to 4
-//!   ([`Fixed`]), where `k` is a constant the compiler unrolls those loops
-//!   by and checks a slot's bounds against once, and once for a count
-//!   known only at run time ([`Runtime`]); `BidirectionalSearch::start`
-//!   picks the copy.  The source is the same for all of them.
+//!   engine is compiled once each for 2 and 3 keywords, the counts the
+//!   benchmark's query pools send ([`Fixed`]), where `k` is a constant
+//!   the compiler unrolls those loops by and checks a slot's bounds
+//!   against once, and once for a count known only at run time
+//!   ([`Runtime`]), which runs every other count.
+//!   `BidirectionalSearch::start` picks the copy.  The source is the same
+//!   for all of them.
 //! * Explored-parent lists (`P_u` of Figure 2) are singly linked through
 //!   one shared edge pool, in registration order; each slot also keeps the
 //!   activation normaliser `Σ 1/w` over its list, added to as the list
@@ -329,10 +331,13 @@ impl Arena {
         debug_assert!(weight > 0.0, "graph edge weights are positive");
         // A self-loop shortens no path: with a positive weight the
         // candidate is never below the distance it would replace.
-        let Ok([to_labels, via_labels]) = self.labels.get_disjoint_mut([span(w, to), span(w, via)])
-        else {
+        if to == via {
             return false;
-        };
+        }
+        let [to_labels, via_labels] = self
+            .labels
+            .get_disjoint_mut([span(w, to), span(w, via)])
+            .expect("two distinct claimed slots");
         let mut improved = false;
         let mut queued = false;
         for (i, (label, via_label)) in to_labels.iter_mut().zip(via_labels.iter()).enumerate() {

@@ -40,14 +40,17 @@
 //!   change is a sift of integer comparisons from the entry's position,
 //!   nothing stale is ever queued, and a re-push that changes nothing
 //!   costs a comparison.  `Attach` changes distances only, so under
-//!   activation priority it re-pushes nothing at all.
+//!   activation priority it re-pushes nothing — until an `Activate` cut
+//!   short by `PROPAGATION_CAP` leaves raised activations un-keyed;
+//!   from then on it re-pushes every node it visits.
 //! * **The keyword count is a constant.**  `Expander` is generic over
 //!   the query's width; [`BidirectionalSearch`] starts a copy compiled
-//!   for one to four keywords, or the runtime-width copy beyond, so every
-//!   per-keyword loop of a step (`relax`, `spread`, the fold refreshes,
-//!   the snapshot on entering `Q_in`, `emit`'s aggregate and minimality
-//!   test, the chain walks, the frontier bound) has a length the compiler
-//!   knows.  There is one source for all widths.
+//!   for two or for three keywords (what the benchmark's query pools
+//!   send), so every per-keyword loop of a step (`relax`, `spread`, the
+//!   fold refreshes, the snapshot on entering `Q_in`, `emit`'s aggregate
+//!   and minimality test, the chain walks, the frontier bound) has a
+//!   length the compiler knows; any other count runs the runtime-width
+//!   copy.  There is one source for all widths.
 //! * **Candidates are judged where they lie.**  `Attach` reaches a
 //!   complete node some six times per explored node, and nine in ten of
 //!   the trees rooted there are non-minimal — which the root's own row
@@ -149,10 +152,8 @@ impl SearchEngine for BidirectionalSearch {
     fn start<'a>(&self, ctx: QueryContext<'a>) -> Box<dyn AnswerStream + 'a> {
         let config = self.config;
         match ctx.matches.num_keywords() {
-            1 => Box::new(Expander::new(config, ctx, Fixed::<1>)),
             2 => Box::new(Expander::new(config, ctx, Fixed::<2>)),
             3 => Box::new(Expander::new(config, ctx, Fixed::<3>)),
-            4 => Box::new(Expander::new(config, ctx, Fixed::<4>)),
             k => Box::new(Expander::new(config, ctx, Runtime(k))),
         }
     }
@@ -534,9 +535,11 @@ impl<'a, W: Width> Expander<'a, W> {
                 break;
             }
             // A distance change moves the key only under distance
-            // priority; under activation priority the re-push would find
-            // the key it already has.
-            if !self.config.use_activation {
+            // priority.  Under activation priority the re-push finds the
+            // key the node already has, unless an `Activate` cut short by
+            // the cap left raised activations un-keyed: from then on it
+            // re-keys as well.
+            if !self.config.use_activation || self.core.stats.truncated {
                 self.reprioritise(node);
             }
             if self.state.is_complete(self.width, node) {
@@ -1385,6 +1388,45 @@ mod tests {
         (g, m)
     }
 
+    /// Two hubs with more parents each than [`PROPAGATION_CAP`], over a
+    /// sparse random remainder (xorshift, from `seed`).  Each keyword
+    /// matches one hub and two other nodes, so the activation a hub takes
+    /// in has to spread to more explored parents than the cap lets through.
+    fn hubbed(seed: u64) -> (DataGraph, KeywordMatches) {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = |bound: u32| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % u64::from(bound)) as u32
+        };
+        let (n, hubs) = (3 * PROPAGATION_CAP as u32 / 2, 2);
+        let mut edges = Vec::new();
+        for hub in 0..hubs {
+            for _ in 0..PROPAGATION_CAP + PROPAGATION_CAP / 4 {
+                edges.push((hubs + next(n - hubs), hub));
+            }
+        }
+        for node in hubs..n {
+            let target = next(n);
+            if target != node {
+                edges.push((node, target));
+            }
+        }
+        let sets: Vec<_> = (0..hubs)
+            .map(|hub| {
+                (
+                    format!("k{hub}"),
+                    vec![NodeId(hub), NodeId(next(n)), NodeId(next(n))],
+                )
+            })
+            .collect();
+        (
+            graph_from_edges(n as usize, &edges),
+            KeywordMatches::from_sets(sets),
+        )
+    }
+
     /// A propagation that runs into [`PROPAGATION_CAP`] (lowered for unit
     /// tests) is cut short as before, but the search says so.
     #[test]
@@ -1408,6 +1450,40 @@ mod tests {
             let big = run(PROPAGATION_CAP + PROPAGATION_CAP / 2);
             assert!(big.stats.truncated, "{config:?}: the hub update was cut");
             assert!(!big.answers.is_empty(), "what was found still comes out");
+        }
+    }
+
+    /// An `Activate` cut short by the cap leaves nodes with raised
+    /// activations that were never re-keyed in their queue; `Attach`
+    /// re-keys every node it reaches from then on.  Skipping that re-key
+    /// moves these runs' explored counts and marks, so their counters,
+    /// answers and marks are pinned to values recorded with it in place.
+    #[test]
+    fn capped_activation_runs_match_recorded() {
+        // (seed, nodes explored, FNV-1a of `fingerprint`)
+        const RECORDED: [(u64, usize, u64); 3] = [
+            (70, 11, 0xabc1_adcf_d8ff_c13a),
+            (110, 11, 0xa4ae_1b85_e77c_3092),
+            (162, 11, 0x8ad5_40be_1e4e_f604),
+        ];
+        for (seed, explored, digest) in RECORDED {
+            let (g, m) = hubbed(seed);
+            let run = BidirectionalSearch::new().search(
+                &g,
+                &uniform(&g),
+                &m,
+                &SearchParams::with_top_k(10),
+            );
+            assert!(run.stats.truncated, "seed {seed}: a propagation was cut");
+            assert_eq!(run.answers.len(), 10, "seed {seed}");
+            let mut fnv = crate::params::Fnv1a::new();
+            fnv.write_bytes(fingerprint(&run).as_bytes());
+            assert_eq!(
+                (run.stats.nodes_explored, fnv.finish()),
+                (explored, digest),
+                "seed {seed}: {}",
+                fingerprint(&run)
+            );
         }
     }
 

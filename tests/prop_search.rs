@@ -6,9 +6,9 @@
 use banks::prelude::*;
 use proptest::prelude::*;
 
-/// A random small graph plus 1–6 random keyword sets: every keyword count
-/// the engine is compiled for on its own (1–4) and the runtime-width code
-/// past them.
+/// A random small graph plus 1–6 random keyword sets: the keyword counts
+/// the engine is compiled for on their own (2 and 3) and the runtime-width
+/// code that runs every other count.
 fn arb_instance() -> impl Strategy<Value = (usize, Vec<(u32, u32)>, Vec<Vec<u32>>)> {
     (4usize..20).prop_flat_map(|n| {
         let edges = proptest::collection::vec((0..n as u32, 0..n as u32), 3..(n * 2));
