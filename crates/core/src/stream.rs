@@ -384,30 +384,112 @@ mod tests {
         assert!(!stream.is_exhausted());
     }
 
-    /// All three engines honour cancellation through the shared driver.
+    /// Every registry engine stops for the same reasons, checked in the
+    /// same order by the one stream driver.  Each row is one stop case run
+    /// on every engine; each cell is `(answers_output, nodes_explored,
+    /// flags)`, the flags naming which of `truncated` (`t`), `cancelled`
+    /// (`c`) and `is_exhausted()` (`x`) hold.  `tests/engine_golden.tsv`
+    /// pins answers and counters but not `truncated`, so this table is what
+    /// holds the order of the checks.
     #[test]
     fn every_engine_honours_cancellation() {
-        use crate::backward::BackwardExpandingSearch;
-        use crate::si_backward::SingleIteratorBackwardSearch;
+        use crate::params::EmissionPolicy;
+        use crate::registry::EngineRegistry;
 
-        let g = graph_from_edges(50, &(0..49).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let p = PrestigeVector::uniform_for(&g);
-        let m = KeywordMatches::from_sets(vec![("a", vec![NodeId(0)]), ("b", vec![NodeId(49)])]);
-        let params = SearchParams::default();
-        let engines: Vec<Box<dyn crate::SearchEngine>> = vec![
-            Box::new(BidirectionalSearch::new()),
-            Box::new(SingleIteratorBackwardSearch::new()),
-            Box::new(BackwardExpandingSearch::new()),
+        type Cell = (usize, usize, &'static str);
+        const ENGINES: [&str; 5] = [
+            "bidirectional",
+            "si-backward",
+            "mi-backward",
+            "bidirectional-no-activation",
+            "backward-activation",
         ];
-        for engine in engines {
-            let token = crate::CancelToken::new();
-            token.cancel();
-            let mut stream =
-                engine.start(QueryContext::new(&g, &p, &m, params).with_cancel(&token));
-            assert!(stream.next().is_none(), "{}", engine.name());
-            assert!(stream.stats().cancelled, "{}", engine.name());
-            assert!(!stream.is_exhausted(), "{}", engine.name());
+        // The cycle of `cancellation_mid_stream_stops_within_one_step`: six
+        // answers (eighteen for MI-Backward), so every stop rule can trip
+        // before the end.
+        let g = graph_from_edges(
+            12,
+            &[
+                (6, 0),
+                (6, 1),
+                (7, 1),
+                (7, 2),
+                (8, 2),
+                (8, 3),
+                (9, 3),
+                (9, 4),
+                (10, 4),
+                (10, 5),
+                (11, 5),
+                (11, 0),
+            ],
+        );
+        let p = PrestigeVector::uniform_for(&g);
+        let m = KeywordMatches::from_sets(vec![
+            ("a", vec![NodeId(0), NodeId(2), NodeId(4)]),
+            ("b", vec![NodeId(1), NodeId(3), NodeId(5)]),
+        ]);
+        let wide = SearchParams::with_top_k(64);
+        // (case, params, answers taken before the token is cancelled, one
+        // cell per engine in `ENGINES` order)
+        #[rustfmt::skip]
+        let cases: [(&str, SearchParams, Option<usize>, [Cell; 5]); 10] = [
+            ("cancel before the first poll", wide, Some(0),
+                [(0, 0, "c"), (0, 0, "c"), (0, 0, "c"), (0, 0, "c"), (0, 0, "c")]),
+            ("cancel after the first answer", wide.emission(EmissionPolicy::Immediate), Some(1),
+                [(1, 2, "c"), (1, 2, "c"), (1, 13, "c"), (1, 2, "c"), (1, 2, "c")]),
+            ("top_k reached", SearchParams::with_top_k(2), None,
+                [(2, 6, "x"), (2, 6, "x"), (2, 14, "x"), (2, 6, "x"), (2, 6, "x")]),
+            ("frontier exhausted", wide, None,
+                [(6, 24, "x"), (6, 12, "x"), (18, 72, "x"), (6, 24, "x"), (6, 12, "x")]),
+            ("max_explored", wide.max_explored(4), None,
+                [(3, 4, "tx"), (3, 4, "tx"), (0, 4, "tx"), (3, 4, "tx"), (3, 4, "tx")]),
+            ("max_generated", wide.max_generated(2), None,
+                [(2, 3, "tx"), (2, 3, "tx"), (2, 14, "tx"), (2, 3, "tx"), (2, 3, "tx")]),
+            ("answer_work_budget(0)", wide.answer_work_budget(0), None,
+                [(0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx")]),
+            ("budget and cap on one step", wide.answer_work_budget(0).max_explored(1), None,
+                [(0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx")]),
+            // The two backward-only frontiers empty on their 12th node:
+            // exhausted is checked before the cap, so they are not truncated.
+            ("cap at the frontier's end", wide.max_explored(12), None,
+                [(6, 12, "tx"), (6, 12, "x"), (0, 12, "tx"), (6, 12, "tx"), (6, 12, "x")]),
+            // The second answer leaves on the 6th node: `top_k` is checked
+            // before the cap, so only MI-Backward is truncated.
+            ("top_k and a cap", SearchParams::with_top_k(2).max_explored(6), None,
+                [(2, 6, "x"), (2, 6, "x"), (0, 6, "tx"), (2, 6, "x"), (2, 6, "x")]),
+        ];
+        let registry = EngineRegistry::with_default_engines();
+        let mut failures = Vec::new();
+        for (case, params, cancel_after, cells) in cases {
+            for (name, expected) in ENGINES.into_iter().zip(cells) {
+                let engine = registry.resolve(name).expect("a registry engine");
+                let token = crate::CancelToken::new();
+                let mut stream =
+                    engine.start(QueryContext::new(&g, &p, &m, params).with_cancel(&token));
+                if let Some(taken) = cancel_after {
+                    for _ in 0..taken {
+                        stream.next().expect("an answer before the cancel");
+                    }
+                    token.cancel();
+                }
+                while stream.next().is_some() {}
+                let stats = stream.stats();
+                let flags: String = [
+                    (stats.truncated, 't'),
+                    (stats.cancelled, 'c'),
+                    (stream.is_exhausted(), 'x'),
+                ]
+                .into_iter()
+                .filter_map(|(holds, flag)| holds.then_some(flag))
+                .collect();
+                let cell = (stats.answers_output, stats.nodes_explored, flags.as_str());
+                if cell != expected {
+                    failures.push(format!("{case} / {name}: {cell:?}, recorded {expected:?}"));
+                }
+            }
         }
+        assert!(failures.is_empty(), "{}", failures.join("\n"));
     }
 
     #[test]
