@@ -8,6 +8,13 @@
 //! decides which iterator advances.  When a node has been visited by at
 //! least one iterator of every keyword, each combination of one iterator per
 //! keyword that reached it defines an answer tree rooted at that node.
+//!
+//! `MiExpander` is only the expansion: it seeds one iterator per keyword
+//! node, and a step advances the iterator with the smallest next distance
+//! and releases answers against the bound `k ·` that distance.  The stream
+//! around it — lazy seeding, cancellation, the work budget, `top_k`, the
+//! safety caps and the final flush — is the driver in `stream.rs`, shared
+//! with Bidirectional and SI-Backward.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
@@ -15,11 +22,10 @@ use std::collections::{BinaryHeap, HashMap};
 use banks_graph::{DataGraph, NodeId};
 
 use crate::answer::AnswerTree;
-use crate::engine::{RankedAnswer, SearchEngine};
-use crate::output::OutputHeap;
+use crate::engine::SearchEngine;
+use crate::pq::{order_key, priority_of};
 use crate::score::ScoreModel;
-use crate::stats::SearchStats;
-use crate::stream::{next_answer, AnswerStream, ExpansionMachine, QueryContext, StreamCore};
+use crate::stream::{AnswerStream, Expansion, QueryContext, Stream, StreamCore};
 
 /// Upper bound on the number of answer-tree combinations generated when a
 /// single node is reached by many iterators of the same keyword, protecting
@@ -37,18 +43,6 @@ impl BackwardExpandingSearch {
     }
 }
 
-#[derive(PartialEq, PartialOrd)]
-struct OrderedF64(f64);
-
-impl Eq for OrderedF64 {}
-
-#[allow(clippy::derive_ord_xor_partial_ord)]
-impl Ord for OrderedF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// One single-source shortest-path iterator (one per keyword node).
 struct SsspIterator {
     keyword: usize,
@@ -62,7 +56,8 @@ struct SsspIterator {
     pred: HashMap<NodeId, NodeId>,
     /// Hop depth of each labelled node.
     depth: HashMap<NodeId, u32>,
-    frontier: BinaryHeap<Reverse<(OrderedF64, NodeId)>>,
+    /// Tentative distances by [`order_key`], smallest first.
+    frontier: BinaryHeap<Reverse<(i64, NodeId)>>,
 }
 
 impl SsspIterator {
@@ -78,23 +73,24 @@ impl SsspIterator {
         };
         it.tentative.insert(origin, 0.0);
         it.depth.insert(origin, 0);
-        it.frontier.push(Reverse((OrderedF64(0.0), origin)));
+        it.frontier.push(Reverse((order_key(0.0), origin)));
         it
     }
 
     /// Distance of the next node this iterator would visit, if any.
     fn peek_dist(&mut self) -> Option<f64> {
-        while let Some(Reverse((OrderedF64(d), node))) = self.frontier.peek() {
-            let stale = self.visited.contains_key(node)
+        while let Some(&Reverse((key, node))) = self.frontier.peek() {
+            let d = priority_of(key);
+            let stale = self.visited.contains_key(&node)
                 || self
                     .tentative
-                    .get(node)
+                    .get(&node)
                     .map(|t| (t - d).abs() > 1e-12)
                     .unwrap_or(true);
             if stale {
                 self.frontier.pop();
             } else {
-                return Some(*d);
+                return Some(d);
             }
         }
         None
@@ -105,7 +101,8 @@ impl SsspIterator {
     /// distance, and the number of nodes newly labelled (touched).
     fn step(&mut self, graph: &DataGraph, dmax: usize) -> Option<(NodeId, f64, usize)> {
         self.peek_dist()?;
-        let Reverse((OrderedF64(d), m)) = self.frontier.pop()?;
+        let Reverse((key, m)) = self.frontier.pop()?;
+        let d = priority_of(key);
         self.visited.insert(m, d);
         let depth_m = *self.depth.get(&m).unwrap_or(&0);
         let mut newly_touched = 0usize;
@@ -128,7 +125,7 @@ impl SsspIterator {
                     self.tentative.insert(u, candidate);
                     self.pred.insert(u, m);
                     self.depth.insert(u, depth_m + 1);
-                    self.frontier.push(Reverse((OrderedF64(candidate), u)));
+                    self.frontier.push(Reverse((order_key(candidate), u)));
                 }
             }
         }
@@ -159,110 +156,84 @@ impl SearchEngine for BackwardExpandingSearch {
     }
 
     fn start<'a>(&self, ctx: QueryContext<'a>) -> Box<dyn AnswerStream + 'a> {
-        Box::new(MiExpander::new(ctx))
+        Stream::boxed(ctx, MiExpander::new(ctx))
     }
 }
 
-/// The multi-iterator expansion machinery as a resumable step machine: each
-/// [`MiExpander::advance`] call finalises (at most) one node of one
-/// iterator, and the [`Iterator`] implementation calls it until the next
-/// answer is released.  The control flow replicates the pre-streaming batch
-/// loop exactly, so draining the stream reproduces the batch results answer
-/// for answer.
+/// The multi-iterator expansion machinery, run by the stream driver one
+/// step at a time (see `stream.rs`): each step finalises one node of one
+/// iterator.
 struct MiExpander<'a> {
     ctx: QueryContext<'a>,
     model: ScoreModel,
     num_keywords: usize,
     /// One SSSP iterator per keyword node.
     iterators: Vec<SsspIterator>,
-    /// Global scheduler over iterators, keyed by their next frontier
-    /// distance (lazy re-validation at pop time).
-    scheduler: BinaryHeap<Reverse<(OrderedF64, usize)>>,
+    /// Global scheduler over iterators, keyed by the [`order_key`] of
+    /// their next frontier distance, smallest first.  An iterator has at
+    /// most one entry, pushed after its last step, so the key is current
+    /// when it is popped.
+    scheduler: BinaryHeap<Reverse<(i64, usize)>>,
     /// `visited_by[node][keyword]` = iterator indices that have visited it.
     visited_by: HashMap<NodeId, Vec<Vec<usize>>>,
-    heap: OutputHeap,
-    /// Shared stream-driver state (ready queue, counters, lifecycle).
+    /// Work counters and the output heap.
     core: StreamCore,
 }
 
 impl<'a> MiExpander<'a> {
     fn new(ctx: QueryContext<'a>) -> Self {
-        let num_keywords = ctx.matches.num_keywords();
-        let model = ctx.params.score_model();
         MiExpander {
-            model,
-            num_keywords,
+            model: ctx.params.score_model(),
+            num_keywords: ctx.matches.num_keywords(),
             iterators: Vec::new(),
             scheduler: BinaryHeap::new(),
             visited_by: HashMap::new(),
-            heap: OutputHeap::new(
-                model,
-                ctx.params.emission,
-                num_keywords,
-                ctx.prestige.max(),
-                ctx.params.top_k,
-            ),
-            core: StreamCore::new(),
+            core: StreamCore::new(&ctx, Default::default()),
             ctx,
         }
     }
+}
 
-    /// Seeding on the first call, then one scheduler pop per call.
-    fn advance(&mut self) {
-        if !self.core.seeded {
-            self.core.begin();
-            if self.num_keywords == 0 || !self.ctx.matches.all_keywords_matched() {
-                self.finish();
-                return;
+impl Expansion for MiExpander<'_> {
+    fn core(&self) -> &StreamCore {
+        &self.core
+    }
+
+    fn core_mut(&mut self) -> &mut StreamCore {
+        &mut self.core
+    }
+
+    /// One iterator per keyword node, each scheduled at distance 0.
+    fn seed(&mut self) {
+        for i in 0..self.num_keywords {
+            for origin in self.ctx.matches.origin_set(i) {
+                self.iterators.push(SsspIterator::new(i, *origin));
             }
-            // One iterator per keyword node.
-            for i in 0..self.num_keywords {
-                for origin in self.ctx.matches.origin_set(i) {
-                    self.iterators.push(SsspIterator::new(i, *origin));
-                }
-            }
-            self.core.stats.nodes_touched = self.iterators.len(); // every origin is labelled once
-            for (idx, it) in self.iterators.iter_mut().enumerate() {
-                if let Some(d) = it.peek_dist() {
-                    self.scheduler.push(Reverse((OrderedF64(d), idx)));
-                }
-            }
-            return;
         }
+        self.core.stats.nodes_touched = self.iterators.len(); // every origin is labelled once
+        for (idx, it) in self.iterators.iter_mut().enumerate() {
+            if let Some(d) = it.peek_dist() {
+                self.scheduler.push(Reverse((order_key(d), idx)));
+            }
+        }
+    }
 
-        let Some(Reverse((OrderedF64(d), idx))) = self.scheduler.pop() else {
-            self.finish();
+    fn frontier_exhausted(&self) -> bool {
+        self.scheduler.is_empty()
+    }
+
+    /// Advances the iterator with the globally smallest frontier distance,
+    /// generates the answers its new node completes, and releases what the
+    /// bound allows.
+    fn step(&mut self) {
+        let Some(Reverse((key, idx))) = self.scheduler.pop() else {
             return;
         };
-        if self.core.produced >= self.ctx.params.top_k {
-            self.finish();
-            return;
-        }
-        if let Some(cap) = self.ctx.params.max_explored {
-            if self.core.stats.nodes_explored >= cap {
-                self.core.stats.truncated = true;
-                self.finish();
-                return;
-            }
-        }
-        if let Some(cap) = self.ctx.params.max_generated {
-            if self.core.stats.answers_generated >= cap {
-                self.core.stats.truncated = true;
-                self.finish();
-                return;
-            }
-        }
-
-        // Re-validate the scheduler entry.
-        match self.iterators[idx].peek_dist() {
-            None => return,
-            Some(current) if (current - d).abs() > 1e-12 => {
-                self.scheduler.push(Reverse((OrderedF64(current), idx)));
-                return;
-            }
-            Some(_) => {}
-        }
-
+        debug_assert_eq!(
+            self.iterators[idx].peek_dist().map(order_key),
+            Some(key),
+            "a scheduler entry is its iterator's current frontier distance"
+        );
         let graph = self.ctx.graph;
         let Some((m, dist_m, newly_touched)) =
             self.iterators[idx].step(graph, self.ctx.params.dmax)
@@ -273,7 +244,7 @@ impl<'a> MiExpander<'a> {
         self.core.stats.nodes_touched += newly_touched;
         self.core.stats.edges_traversed += graph.in_degree(m);
         if let Some(next) = self.iterators[idx].peek_dist() {
-            self.scheduler.push(Reverse((OrderedF64(next), idx)));
+            self.scheduler.push(Reverse((order_key(next), idx)));
         }
 
         // Record the visit and generate answers for new combinations.
@@ -287,10 +258,8 @@ impl<'a> MiExpander<'a> {
         if all_reached {
             let combos = enumerate_combinations(lists, keyword, idx, MAX_COMBINATIONS_PER_VISIT);
             for combo in combos {
-                if let Some(cap) = self.ctx.params.max_generated {
-                    if self.core.stats.answers_generated >= cap {
-                        break;
-                    }
+                if !self.core.may_generate() {
+                    break;
                 }
                 let mut paths = Vec::with_capacity(self.num_keywords);
                 let mut ok = true;
@@ -308,11 +277,10 @@ impl<'a> MiExpander<'a> {
                 }
                 let tree = AnswerTree::new(m, paths, graph, self.ctx.prestige, &self.model);
                 self.core.stats.answers_generated += 1;
-                self.heap.insert(
-                    tree,
-                    self.core.started.elapsed(),
-                    self.core.stats.nodes_explored,
-                );
+                let explored = self.core.stats.nodes_explored;
+                self.core
+                    .heap
+                    .insert(tree, self.core.started.elapsed(), explored);
             }
         }
 
@@ -322,77 +290,7 @@ impl<'a> MiExpander<'a> {
         // pays at least the globally smallest frontier distance `dist_m`
         // for every keyword path still to be discovered — the paper's
         // `h(m_1..m_k) = k · dist_m`.
-        let min_future = self.num_keywords as f64 * dist_m;
-        let released = self.heap.release(
-            min_future,
-            self.core.started.elapsed(),
-            self.core.stats.nodes_explored,
-        );
-        self.core.push_released(self.ctx.params.top_k, released);
-    }
-
-    /// Frontier exhausted, caps hit, `top_k` produced, or deadline missed:
-    /// flush the buffer and seal the statistics.
-    fn finish(&mut self) {
-        if self.core.done {
-            return;
-        }
-        let released = self
-            .heap
-            .flush(self.core.started.elapsed(), self.core.stats.nodes_explored);
-        self.core.push_released(self.ctx.params.top_k, released);
-        self.core.seal(
-            self.heap.duplicates_discarded(),
-            self.heap.non_minimal_discarded(),
-        );
-    }
-}
-
-impl<'a> ExpansionMachine for MiExpander<'a> {
-    fn core(&self) -> &StreamCore {
-        &self.core
-    }
-
-    fn core_mut(&mut self) -> &mut StreamCore {
-        &mut self.core
-    }
-
-    fn answer_work_budget(&self) -> Option<usize> {
-        self.ctx.params.answer_work_budget
-    }
-
-    fn is_cancelled(&self) -> bool {
-        self.ctx.is_cancelled()
-    }
-
-    fn advance(&mut self) {
-        MiExpander::advance(self)
-    }
-
-    fn finish(&mut self) {
-        MiExpander::finish(self)
-    }
-}
-
-impl<'a> Iterator for MiExpander<'a> {
-    type Item = RankedAnswer;
-
-    fn next(&mut self) -> Option<RankedAnswer> {
-        next_answer(self)
-    }
-}
-
-impl<'a> AnswerStream for MiExpander<'a> {
-    fn stats(&self) -> SearchStats {
-        self.core.live_stats()
-    }
-
-    fn engine_name(&self) -> &'static str {
-        "MI-Backward"
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.core.is_exhausted()
+        self.core.release(self.num_keywords as f64 * dist_m);
     }
 }
 

@@ -23,6 +23,12 @@
 //! distance), which is exactly how
 //! [`crate::SingleIteratorBackwardSearch`] is implemented.
 //!
+//! `Expander` is only the expansion: it seeds `Q_in` with the keyword
+//! nodes, and a step expands the frontier node of higher priority and
+//! releases what the frontier bound allows.  The stream around it — lazy
+//! seeding, cancellation, the work budget, `top_k`, the safety caps and the
+//! final flush — is the driver in `stream.rs`, shared with MI-Backward.
+//!
 //! # How a step is paid for
 //!
 //! A step pops one queue entry, scans one adjacency row, and neither
@@ -71,7 +77,7 @@
 //!   clear them returns without scanning the buffer or reading the clock.
 //!
 //! None of this changes what is computed: answers, their order and every
-//! [`SearchStats`] counter are pinned by `tests/engine_golden.rs` to the
+//! [`crate::SearchStats`] counter are pinned by `tests/engine_golden.rs` to the
 //! values of the hash-map implementation the arena replaced, and
 //! `examples/pool_pass.rs --check` pins the work counters of the
 //! benchmark's query pool.
@@ -82,11 +88,10 @@ use banks_graph::NodeId;
 
 use crate::answer::score_tree;
 use crate::arena::{snapshot_parts, Arena, Fixed, Lease, ParentEdge, Runtime, Width, NO_SLOT};
-use crate::engine::{RankedAnswer, SearchEngine};
-use crate::output::{signature_hash, Candidate, OutputHeap};
+use crate::engine::SearchEngine;
+use crate::output::{signature_hash, Candidate};
 use crate::score::ScoreModel;
-use crate::stats::SearchStats;
-use crate::stream::{next_answer, AnswerStream, ExpansionMachine, QueryContext, StreamCore};
+use crate::stream::{AnswerStream, Expansion, QueryContext, Stream, StreamCore};
 
 /// Configuration switches that turn the full Bidirectional algorithm into
 /// its ablated variants.
@@ -134,27 +139,22 @@ impl BidirectionalSearch {
     }
 }
 
-/// Display name of a configuration.
-fn config_name(config: BidirectionalConfig) -> &'static str {
-    match (config.enable_outgoing, config.use_activation) {
-        (true, true) => "Bidirectional",
-        (true, false) => "Bidirectional(no-activation)",
-        (false, true) => "Backward(activation)",
-        (false, false) => "SI-Backward",
-    }
-}
-
 impl SearchEngine for BidirectionalSearch {
     fn name(&self) -> &'static str {
-        config_name(self.config)
+        match (self.config.enable_outgoing, self.config.use_activation) {
+            (true, true) => "Bidirectional",
+            (true, false) => "Bidirectional(no-activation)",
+            (false, true) => "Backward(activation)",
+            (false, false) => "SI-Backward",
+        }
     }
 
     fn start<'a>(&self, ctx: QueryContext<'a>) -> Box<dyn AnswerStream + 'a> {
         let config = self.config;
         match ctx.matches.num_keywords() {
-            2 => Box::new(Expander::new(config, ctx, Fixed::<2>)),
-            3 => Box::new(Expander::new(config, ctx, Fixed::<3>)),
-            k => Box::new(Expander::new(config, ctx, Runtime(k))),
+            2 => Stream::boxed(ctx, Expander::new(config, ctx, Fixed::<2>)),
+            3 => Stream::boxed(ctx, Expander::new(config, ctx, Fixed::<3>)),
+            k => Stream::boxed(ctx, Expander::new(config, ctx, Runtime(k))),
         }
     }
 }
@@ -175,10 +175,9 @@ enum Side {
 }
 
 /// The shared expansion machinery for Bidirectional and SI-Backward search,
-/// structured as a resumable step machine: [`Expander::advance`] performs
-/// one unit of work, and the [`Iterator`] implementation calls it until the
-/// next answer is released.  `W` is the query's keyword count, fixed at
-/// compile time for the common counts (see `arena.rs`).
+/// run by the stream driver one step at a time (see `stream.rs`).  `W` is
+/// the query's keyword count, fixed at compile time for the common counts
+/// (see `arena.rs`).
 struct Expander<'a, W: Width> {
     config: BidirectionalConfig,
     ctx: QueryContext<'a>,
@@ -187,8 +186,8 @@ struct Expander<'a, W: Width> {
     /// Per-node state, both frontier queues and every scratch buffer, on
     /// loan from the process-wide arena pool until the stream drops.
     state: Lease,
-    heap: OutputHeap,
-    /// Shared stream-driver state (ready queue, counters, lifecycle).
+    /// Work counters and the output heap, built on the arena's candidate
+    /// storage.
     core: StreamCore,
 }
 
@@ -196,22 +195,13 @@ impl<'a, W: Width> Expander<'a, W> {
     fn new(config: BidirectionalConfig, ctx: QueryContext<'a>, width: W) -> Self {
         let num_keywords = ctx.matches.num_keywords();
         assert_eq!(width.get(), num_keywords, "the width is the keyword count");
-        let model = ctx.params.score_model();
         let mut state = Lease::checkout(ctx.graph.num_nodes(), num_keywords);
         Expander {
             config,
-            model,
+            model: ctx.params.score_model(),
             width,
-            heap: OutputHeap::with_pool(
-                std::mem::take(&mut state.candidates),
-                model,
-                ctx.params.emission,
-                num_keywords,
-                ctx.prestige.max(),
-                ctx.params.top_k,
-            ),
+            core: StreamCore::new(&ctx, std::mem::take(&mut state.candidates)),
             state,
-            core: StreamCore::new(),
             ctx,
         }
     }
@@ -223,106 +213,6 @@ impl<'a, W: Width> Expander<'a, W> {
         } else {
             // Distance prioritisation: smaller distance = higher priority.
             -record.min_dist
-        }
-    }
-
-    /// Performs one unit of work: seeding on the first call, then exactly
-    /// one frontier expansion (plus the release check) per call, finishing
-    /// the search when the frontier is exhausted, `top_k` is produced, or a
-    /// safety cap trips.  The control flow replicates the pre-streaming
-    /// batch loop exactly, so draining the stream reproduces the batch
-    /// results answer for answer.
-    fn advance(&mut self) {
-        if !self.core.seeded {
-            self.core.begin();
-            if self.width.get() == 0 || !self.ctx.matches.all_keywords_matched() {
-                self.finish();
-                return;
-            }
-            self.seed();
-            return;
-        }
-
-        if self.state.q_in.is_empty() && self.state.q_out.is_empty() {
-            self.finish();
-            return;
-        }
-        if self.core.produced >= self.ctx.params.top_k {
-            self.finish();
-            return;
-        }
-        if let Some(cap) = self.ctx.params.max_explored {
-            if self.core.stats.nodes_explored >= cap {
-                self.core.stats.truncated = true;
-                self.finish();
-                return;
-            }
-        }
-        if let Some(cap) = self.ctx.params.max_generated {
-            if self.core.stats.answers_generated >= cap {
-                self.core.stats.truncated = true;
-                self.finish();
-                return;
-            }
-        }
-
-        match self.pick_side() {
-            Some(Side::Incoming) => self.expand_incoming(),
-            Some(Side::Outgoing) => self.expand_outgoing(),
-            None => {
-                self.finish();
-                return;
-            }
-        }
-        self.release();
-        #[cfg(debug_assertions)]
-        self.check_frontier_bound();
-    }
-
-    /// Ends the search: whatever is still buffered can safely be flushed
-    /// (if we stopped early the remaining answers are still the best known
-    /// ones), and the final statistics are sealed.
-    fn finish(&mut self) {
-        if self.core.done {
-            return;
-        }
-        self.flush_remaining();
-        self.core.seal(
-            self.heap.duplicates_discarded(),
-            self.heap.non_minimal_discarded(),
-        );
-    }
-
-    /// Inserts all keyword nodes into `Q_in` with their seed activation
-    /// (Equation 1 of the paper).
-    fn seed(&mut self) {
-        let matches = self.ctx.matches;
-        let w = self.width;
-        for i in 0..w.get() {
-            let origin = matches.origin_set(i);
-            let origin_size = origin.len().max(1) as f64;
-            for &u in origin {
-                let prestige = self.ctx.prestige.get(u);
-                let state = &mut *self.state;
-                let slot = state.slot_for(u);
-                let at = slot as usize * w.get() + i;
-                state.labels[at].dist = 0.0;
-                state.labels[at].sp = NO_SLOT;
-                state.act[at] = state.act[at].max(prestige / origin_size);
-                state.slots[slot as usize].depth = 0;
-                state.refresh_dist(w, slot);
-                state.refresh_act(w, slot);
-            }
-        }
-        for u in matches.all_origin_nodes() {
-            let slot = self.state.slot_for(u);
-            self.enqueue_incoming(slot);
-            // Keyword nodes that already match every keyword are answers on
-            // their own (single-keyword queries, or one node containing all
-            // terms).
-            if self.state.is_complete(w, slot) {
-                self.emit(slot);
-            }
         }
     }
 
@@ -647,7 +537,7 @@ impl<'a, W: Width> Expander<'a, W> {
             if (0..w.get()).all(|keyword| state.chain_fits(w, root, keyword, dmax)) {
                 state.slots[root as usize].best_emitted_weight = aggregate;
                 self.core.stats.answers_generated += 1;
-                self.heap.discard_non_minimal();
+                self.core.heap.discard_non_minimal();
             }
             return;
         }
@@ -685,7 +575,7 @@ impl<'a, W: Width> Expander<'a, W> {
         );
 
         let started = self.core.started;
-        self.heap.insert_candidate(
+        self.core.heap.insert_candidate(
             Candidate {
                 hash: signature_hash(signature),
                 signature,
@@ -776,7 +666,7 @@ impl<'a, W: Width> Expander<'a, W> {
     /// Releases buffered answers allowed by the emission policy.
     fn release(&mut self) {
         // Nothing buffered or no budget left: no bound could release anything.
-        if !self.heap.can_release(f64::INFINITY) {
+        if !self.core.heap.can_release(f64::INFINITY) {
             return;
         }
         // Both emission policies use the paper's h(m_1..m_k) = Σ_i m_i
@@ -784,21 +674,7 @@ impl<'a, W: Width> Expander<'a, W> {
         // node prestige (Section 4.5).  Output order is best-effort (the
         // recall/precision experiment quantifies this).
         let bound = self.min_future_edge_weight();
-        if !self.heap.can_release(bound) {
-            return;
-        }
-        let elapsed = self.core.started.elapsed();
-        let explored = self.core.stats.nodes_explored;
-        let released = self.heap.release(bound, elapsed, explored);
-        self.core.push_released(self.ctx.params.top_k, released);
-    }
-
-    /// Flushes the heap at the end of the search.
-    fn flush_remaining(&mut self) {
-        let elapsed = self.core.started.elapsed();
-        let explored = self.core.stats.nodes_explored;
-        let released = self.heap.flush(elapsed, explored);
-        self.core.push_released(self.ctx.params.top_k, released);
+        self.core.release(bound);
     }
 }
 
@@ -806,7 +682,7 @@ impl<W: Width> Drop for Expander<'_, W> {
     /// The candidate pool goes back into the arena, and with it to the
     /// process-wide arena pool (or nowhere, if the thread is panicking).
     fn drop(&mut self) {
-        self.state.candidates = self.heap.take_pool();
+        self.state.candidates = self.core.heap.take_pool();
     }
 }
 
@@ -852,7 +728,7 @@ impl ParallelRuns {
     }
 }
 
-impl<W: Width> ExpansionMachine for Expander<'_, W> {
+impl<W: Width> Expansion for Expander<'_, W> {
     fn core(&self) -> &StreamCore {
         &self.core
     }
@@ -861,42 +737,56 @@ impl<W: Width> ExpansionMachine for Expander<'_, W> {
         &mut self.core
     }
 
-    fn answer_work_budget(&self) -> Option<usize> {
-        self.ctx.params.answer_work_budget
+    /// Inserts all keyword nodes into `Q_in` with their seed activation
+    /// (Equation 1 of the paper).
+    fn seed(&mut self) {
+        let matches = self.ctx.matches;
+        let w = self.width;
+        for i in 0..w.get() {
+            let origin = matches.origin_set(i);
+            let origin_size = origin.len().max(1) as f64;
+            for &u in origin {
+                let prestige = self.ctx.prestige.get(u);
+                let state = &mut *self.state;
+                let slot = state.slot_for(u);
+                let at = slot as usize * w.get() + i;
+                state.labels[at].dist = 0.0;
+                state.labels[at].sp = NO_SLOT;
+                state.act[at] = state.act[at].max(prestige / origin_size);
+                state.slots[slot as usize].depth = 0;
+                state.refresh_dist(w, slot);
+                state.refresh_act(w, slot);
+            }
+        }
+        for u in matches.all_origin_nodes() {
+            let slot = self.state.slot_for(u);
+            self.enqueue_incoming(slot);
+            // Keyword nodes that already match every keyword are answers on
+            // their own (single-keyword queries, or one node containing all
+            // terms).
+            if self.state.is_complete(w, slot) {
+                self.emit(slot);
+            }
+        }
     }
 
-    fn is_cancelled(&self) -> bool {
-        self.ctx.is_cancelled()
+    /// Both queues are empty, or only `Q_out` is left while the outgoing
+    /// iterator is off.
+    fn frontier_exhausted(&self) -> bool {
+        self.pick_side().is_none()
     }
 
-    fn advance(&mut self) {
-        Expander::advance(self)
-    }
-
-    fn finish(&mut self) {
-        Expander::finish(self)
-    }
-}
-
-impl<W: Width> Iterator for Expander<'_, W> {
-    type Item = RankedAnswer;
-
-    fn next(&mut self) -> Option<RankedAnswer> {
-        next_answer(self)
-    }
-}
-
-impl<W: Width> AnswerStream for Expander<'_, W> {
-    fn stats(&self) -> SearchStats {
-        self.core.live_stats()
-    }
-
-    fn engine_name(&self) -> &'static str {
-        config_name(self.config)
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.core.is_exhausted()
+    /// Expands the better of the two frontiers (Figure 3, the `switch` at
+    /// line 5), then releases what the frontier bound allows.
+    fn step(&mut self) {
+        if self.pick_side() == Some(Side::Incoming) {
+            self.expand_incoming();
+        } else {
+            self.expand_outgoing();
+        }
+        self.release();
+        #[cfg(debug_assertions)]
+        self.check_frontier_bound();
     }
 }
 
@@ -1129,23 +1019,6 @@ mod tests {
         assert_eq!(b, c);
     }
 
-    /// The explored-nodes safety cap truncates the search.
-    #[test]
-    fn explored_cap_truncates() {
-        let g = graph_from_edges(50, &(0..49).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let p = uniform(&g);
-        let matches =
-            KeywordMatches::from_sets(vec![("a", vec![NodeId(0)]), ("b", vec![NodeId(49)])]);
-        let outcome = BidirectionalSearch::new().search(
-            &g,
-            &p,
-            &matches,
-            &SearchParams::default().max_explored(3),
-        );
-        assert!(outcome.stats.truncated);
-        assert!(outcome.stats.nodes_explored <= 4);
-    }
-
     /// One `next()` call on a multi-keyword stream explores strictly fewer
     /// nodes than draining the search to completion.
     #[test]
@@ -1207,36 +1080,6 @@ mod tests {
         assert!(stream.is_exhausted());
     }
 
-    /// An exhausted work budget flushes generated answers and ends the
-    /// stream with the truncation flag set — deterministically, at the same
-    /// node count on every run.
-    #[test]
-    fn exhausted_work_budget_truncates_the_stream() {
-        let g = graph_from_edges(50, &(0..49).map(|i| (i, i + 1)).collect::<Vec<_>>());
-        let p = uniform(&g);
-        let matches =
-            KeywordMatches::from_sets(vec![("a", vec![NodeId(0)]), ("b", vec![NodeId(49)])]);
-        let params = SearchParams::default().answer_work_budget(0);
-        let mut stream = BidirectionalSearch::new()
-            .start(crate::stream::QueryContext::new(&g, &p, &matches, params));
-        // Drain whatever the budget lets through; the stream must end.
-        while stream.next().is_some() {}
-        assert!(stream.is_exhausted());
-        assert!(
-            stream.stats().truncated,
-            "exhausted work budget must set the truncation flag"
-        );
-        assert!(
-            stream.stats().nodes_explored <= 2,
-            "a zero budget must stop expansion almost immediately, explored {}",
-            stream.stats().nodes_explored
-        );
-
-        // Determinism: a second run truncates at exactly the same point.
-        let rerun = BidirectionalSearch::new().search(&g, &p, &matches, &params);
-        assert_eq!(rerun.stats.nodes_explored, stream.stats().nodes_explored);
-    }
-
     /// Live statistics grow monotonically while the stream runs.
     #[test]
     fn stream_stats_are_live() {
@@ -1272,7 +1115,6 @@ mod tests {
             assert!(now >= previous);
             previous = now;
         }
-        assert_eq!(stream.engine_name(), "Bidirectional");
         let sealed = stream.stats();
         assert_eq!(sealed.answers_output, sealed.answers_output.max(1));
     }
@@ -1321,14 +1163,10 @@ mod tests {
         let p = uniform(&g);
         let params = SearchParams::with_top_k(64);
         let w = Fixed::<2>;
-        let mut expander = Expander::new(
-            BidirectionalConfig::default(),
-            QueryContext::new(&g, &p, &m, params),
-            w,
-        );
-        while !expander.core.done {
-            expander.advance();
-        }
+        let ctx = QueryContext::new(&g, &p, &m, params);
+        let mut stream = Stream::new(ctx, Expander::new(BidirectionalConfig::default(), ctx, w));
+        while stream.next().is_some() {}
+        let expander = stream.engine_mut();
         let state = &mut *expander.state;
         let complete: Vec<u32> = (0..state.slots.len() as u32)
             .filter(|slot| state.is_complete(w, *slot))
@@ -1687,10 +1525,10 @@ mod tests {
         let params = SearchParams::with_top_k(64).emission(EmissionPolicy::Immediate);
         let (g, m) = chain(14);
         let p = uniform(&g);
-        let mut stream = Expander::new(
-            BidirectionalConfig::default(),
-            QueryContext::new(&g, &p, &m, params),
-            Fixed::<2>,
+        let ctx = QueryContext::new(&g, &p, &m, params);
+        let mut stream = Stream::new(
+            ctx,
+            Expander::new(BidirectionalConfig::default(), ctx, Fixed::<2>),
         );
         assert!(stream.next().is_some());
         std::thread::scope(|scope| {

@@ -41,20 +41,10 @@ pub struct SearchOutcome {
 }
 
 impl SearchOutcome {
-    /// The answer trees only, in output order.
-    pub fn trees(&self) -> Vec<&AnswerTree> {
-        self.answers.iter().map(|a| &a.tree).collect()
-    }
-
     /// Signatures (distinct node sets) of the output answers, useful for
     /// comparing the answer sets of different algorithms.
     pub fn signatures(&self) -> Vec<Vec<banks_graph::NodeId>> {
         self.answers.iter().map(|a| a.tree.signature()).collect()
-    }
-
-    /// Timings of the output answers.
-    pub fn timings(&self) -> Vec<AnswerTiming> {
-        self.answers.iter().map(|a| a.timing).collect()
     }
 
     /// The best (highest) score among output answers.
@@ -69,16 +59,7 @@ impl SearchOutcome {
     /// was output (the paper's Figure 5/6 time-to-first-answer metric).
     /// `None` when the search produced no answers.
     pub fn time_to_first_answer(&self) -> Option<Duration> {
-        self.time_to_kth_answer(1)
-    }
-
-    /// Wall-clock time until the `k`-th answer (1-based) was output.
-    /// `None` when fewer than `k` answers were produced or `k == 0`.
-    pub fn time_to_kth_answer(&self, k: usize) -> Option<Duration> {
-        if k == 0 {
-            return None;
-        }
-        self.answers.get(k - 1).map(|a| a.timing.output_at)
+        self.answers.first().map(|a| a.timing.output_at)
     }
 }
 
@@ -151,9 +132,7 @@ mod tests {
     #[test]
     fn outcome_accessors() {
         let o = dummy_outcome();
-        assert_eq!(o.trees().len(), 1);
         assert_eq!(o.signatures(), vec![vec![NodeId(0), NodeId(1), NodeId(2)]]);
-        assert_eq!(o.timings().len(), 1);
         assert!(o.best_score().unwrap() > 0.0);
         let empty = SearchOutcome::default();
         assert!(empty.best_score().is_none());
@@ -163,9 +142,6 @@ mod tests {
     fn time_to_answer_helpers() {
         let o = dummy_outcome();
         assert_eq!(o.time_to_first_answer(), Some(Duration::from_millis(2)));
-        assert_eq!(o.time_to_kth_answer(1), Some(Duration::from_millis(2)));
-        assert_eq!(o.time_to_kth_answer(2), None);
-        assert_eq!(o.time_to_kth_answer(0), None);
         assert_eq!(SearchOutcome::default().time_to_first_answer(), None);
     }
 }

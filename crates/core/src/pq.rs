@@ -33,14 +33,14 @@ const ABSENT: u32 = u32::MAX;
 /// the bits, with the magnitude bits flipped for negative values.  The map
 /// is its own inverse ([`priority_of`]).
 #[inline]
-fn order_key(priority: f64) -> i64 {
+pub(crate) fn order_key(priority: f64) -> i64 {
     let bits = priority.to_bits() as i64;
     bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
 /// The priority whose [`order_key`] is `key`.
 #[inline]
-fn priority_of(key: i64) -> f64 {
+pub(crate) fn priority_of(key: i64) -> f64 {
     f64::from_bits((key ^ (((key >> 63) as u64) >> 1) as i64) as u64)
 }
 

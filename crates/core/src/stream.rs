@@ -1,4 +1,5 @@
-//! The streaming execution model: lazily evaluated answer streams.
+//! The streaming execution model: lazily evaluated answer streams, and the
+//! one driver that runs every engine.
 //!
 //! The paper's headline result is *incremental* emission — Bidirectional
 //! expansion produces its first relevant answers long before the search
@@ -8,8 +9,8 @@
 //! finished [`SearchOutcome`] and can neither observe
 //! time-to-first-answer directly nor terminate a search early.
 //!
-//! [`AnswerStream`] makes emission the primitive.  Engines are resumable
-//! step machines: [`crate::SearchEngine::start`] returns a stream, and each
+//! [`AnswerStream`] makes emission the primitive.
+//! [`crate::SearchEngine::start`] returns a stream, and each
 //! [`Iterator::next`] call advances the underlying expansion *only* until
 //! the next answer clears the emission policy.  Consequences:
 //!
@@ -24,15 +25,50 @@
 //!   budget is exceeded, the engine stops expanding, flushes the answers it
 //!   has already generated, and ends the stream (marking
 //!   [`SearchStats::truncated`]).  Work budgets are deterministic — unlike
-//!   the wall-clock gap accounting they replaced, they behave identically
-//!   whether the process is idle or saturated by a hundred concurrent
-//!   queries,
+//!   wall-clock gaps, they behave identically whether the process is idle
+//!   or saturated by a hundred concurrent queries,
 //! * a cooperative [`crate::CancelToken`] carried by the [`QueryContext`]
 //!   is checked before every expansion step, so another thread can abort
 //!   the search without dropping the stream (marking
 //!   [`SearchStats::cancelled`]; the stream is *not* exhausted).
 //!
-//! The batch entry point [`crate::SearchEngine::search`] is now a default
+//! # One driver, many engines
+//!
+//! The three algorithms differ only in how they expand, so an engine is
+//! just its expansion: an `Expansion` that can
+//!
+//! * **seed** its frontier with the keyword nodes,
+//! * say whether its **frontier is exhausted**,
+//! * take one **step** — expand one frontier node, hand the candidates it
+//!   generates to the output heap in its `StreamCore`, and release what
+//!   its bound on future answers allows (`StreamCore::release`).
+//!
+//! Everything around that is the driver's, written once here: lazy
+//! seeding on the first poll (so the stats' clock starts at the consumer's
+//! first `next()`), the ready queue and ranks, cancellation, the work
+//! budget, the stop rules and the final flush.  Each `next()` hands out a
+//! ready answer if there is one; otherwise it checks, in this order,
+//!
+//! 1. the search has ended — `None`;
+//! 2. the token is cancelled — `None`, [`SearchStats::cancelled`], no
+//!    flush (a cancelled stream is not exhausted);
+//! 3. more than `answer_work_budget` nodes explored since the last answer
+//!    left — truncated, then the finish;
+//!
+//! and otherwise advances the engine: the first advance seeds it (or
+//! finishes at once when there is no keyword or one matches nothing), and
+//! every later one first checks
+//!
+//! 4. the frontier is exhausted,
+//! 5. `top_k` answers are out,
+//! 6. `max_explored` nodes are explored — truncated,
+//! 7. `max_generated` answers are generated — truncated,
+//!
+//! finishing on the first that holds, and otherwise takes one step.  The
+//! finish flushes the output heap once — whatever is still buffered is the
+//! best known, even if the search stopped early — and seals the stats.
+//!
+//! The batch entry point [`crate::SearchEngine::search`] is a default
 //! method that drains the stream, so both paths share one implementation
 //! and produce identical answer sequences.
 
@@ -46,6 +82,7 @@ use banks_textindex::KeywordMatches;
 use crate::answer::AnswerTree;
 use crate::cancel::CancelToken;
 use crate::engine::{RankedAnswer, SearchOutcome};
+use crate::output::{CandidatePool, OutputHeap};
 use crate::params::SearchParams;
 use crate::stats::{AnswerTiming, SearchStats};
 
@@ -104,76 +141,116 @@ impl<'a> QueryContext<'a> {
 /// A lazily evaluated stream of ranked answers.
 ///
 /// Produced by [`crate::SearchEngine::start`].  Each `next()` call resumes
-/// the engine's expansion state machine until the next answer is released
-/// by the emission policy (or the search exhausts / hits a cap / misses its
-/// per-answer deadline).  Dropping the stream terminates the search.
+/// the engine's expansion until the next answer is released by the
+/// emission policy (or the search exhausts / hits a cap / runs out of its
+/// per-answer work budget).  Dropping the stream terminates the search.
 pub trait AnswerStream: Iterator<Item = RankedAnswer> {
     /// Snapshot of the work counters so far.  While the stream is live the
     /// duration field reflects elapsed time; after exhaustion it is the
     /// total search duration.
     fn stats(&self) -> SearchStats;
 
-    /// The engine variant driving this stream.
-    fn engine_name(&self) -> &'static str;
-
     /// True once the stream can produce no further answers (every
     /// subsequent `next()` returns `None`).
     fn is_exhausted(&self) -> bool;
 }
 
-/// The stream-driver state shared by every engine's step machine: the
-/// ready queue, emission bookkeeping, lifecycle flags and work counters.
-/// Engines own one `StreamCore` and contribute only their expansion logic
-/// through [`ExpansionMachine`].
+/// What an engine's expansion writes to: the work counters, the clock its
+/// answer timings read, and the output heap (Section 4.5) its candidates
+/// wait in.  The lifecycle — ranks, the ready queue, whether the search
+/// has started or ended — is the driver's alone.
 pub(crate) struct StreamCore {
+    /// Buffered candidates, released as the engine's bound allows and
+    /// flushed once when the search ends.
+    pub heap: OutputHeap,
+    /// The consumer's first poll (reset when the engine is seeded).
+    pub started: Instant,
+    pub stats: SearchStats,
+    top_k: usize,
+    max_generated: Option<usize>,
     /// Answers released by the emission policy but not yet consumed by the
     /// stream's caller.
-    pub ready: VecDeque<RankedAnswer>,
+    ready: VecDeque<RankedAnswer>,
     /// Total answers ever pushed into `ready` (the batch API's
     /// `outputs.len()`): ranks and the `top_k` cutoff derive from it.
-    pub produced: usize,
-    /// Whether the engine has seeded its frontier (done lazily on the
-    /// first `next()` call so `started` reflects the consumer's first
-    /// poll).
-    pub seeded: bool,
-    /// Whether the search has finished (frontier exhausted, caps hit,
-    /// `top_k` reached, or work budget exceeded) and flushed its buffer.
-    pub done: bool,
-    pub started: Instant,
+    produced: usize,
+    /// Whether the engine has been seeded (on the first poll).
+    seeded: bool,
+    /// Whether the search has ended and flushed its output heap.
+    done: bool,
     /// `nodes_explored` when the previous answer left the stream (work
     /// budget bookkeeping).
-    pub last_emission_explored: usize,
-    pub stats: SearchStats,
+    last_emission_explored: usize,
 }
 
 impl StreamCore {
-    pub fn new() -> Self {
+    /// State for one search, its output heap built on `pool` (storage an
+    /// earlier query used, or a fresh one).
+    pub fn new(ctx: &QueryContext<'_>, pool: CandidatePool) -> Self {
+        let params = &ctx.params;
         StreamCore {
+            heap: OutputHeap::with_pool(
+                pool,
+                params.score_model(),
+                params.emission,
+                ctx.matches.num_keywords(),
+                ctx.prestige.max(),
+                params.top_k,
+            ),
+            started: Instant::now(),
+            stats: SearchStats::default(),
+            top_k: params.top_k,
+            max_generated: params.max_generated,
             ready: VecDeque::new(),
             produced: 0,
             seeded: false,
             done: false,
-            started: Instant::now(),
             last_emission_explored: 0,
-            stats: SearchStats::default(),
         }
     }
 
-    /// Marks the lazy-initialisation point: the consumer's first poll.
-    pub fn begin(&mut self) {
-        self.seeded = true;
-        self.started = Instant::now();
-        self.last_emission_explored = 0;
+    /// Whether `max_generated` still allows another answer to be
+    /// generated.  Engines ask before each candidate; the driver ends the
+    /// search, truncated, once it does not.
+    #[inline]
+    pub fn may_generate(&self) -> bool {
+        self.max_generated
+            .is_none_or(|cap| self.stats.answers_generated < cap)
     }
 
-    /// Moves policy-released answers into the ready queue, assigning ranks.
-    pub fn push_released(&mut self, top_k: usize, released: Vec<(AnswerTree, AnswerTiming)>) {
+    /// Releases every buffered answer the emission policy lets out given
+    /// `min_future_edge_weight`, the engine's bound on the aggregate edge
+    /// weight of any answer not yet generated.
+    pub fn release(&mut self, min_future_edge_weight: f64) {
+        if !self.heap.can_release(min_future_edge_weight) {
+            return;
+        }
+        let released = self.heap.release(
+            min_future_edge_weight,
+            self.started.elapsed(),
+            self.stats.nodes_explored,
+        );
+        self.push_released(released);
+    }
+
+    /// Ends the search: flushes the output heap once and seals the stats.
+    fn finish(&mut self) {
+        self.release(f64::INFINITY);
+        self.stats.answers_output = self.produced;
+        self.stats.duplicates_discarded = self.heap.duplicates_discarded();
+        self.stats.non_minimal_discarded = self.heap.non_minimal_discarded();
+        self.stats.duration = self.started.elapsed();
+        self.done = true;
+    }
+
+    /// Moves released answers into the ready queue, assigning ranks.
+    fn push_released(&mut self, released: Vec<(AnswerTree, AnswerTiming)>) {
         for (tree, timing) in released {
             // The heap's lifetime budget (initialized to top_k) already
             // caps total releases; assert that invariant instead of
             // silently re-enforcing it.
             debug_assert!(
-                self.produced < top_k,
+                self.produced < self.top_k,
                 "OutputHeap released more than top_k answers"
             );
             let rank = self.produced;
@@ -182,86 +259,138 @@ impl StreamCore {
             self.ready.push_back(RankedAnswer { rank, tree, timing });
         }
     }
-
-    /// Seals the final statistics and marks the stream done.
-    pub fn seal(&mut self, duplicates_discarded: usize, non_minimal_discarded: usize) {
-        self.stats.answers_output = self.produced;
-        self.stats.duplicates_discarded = duplicates_discarded;
-        self.stats.non_minimal_discarded = non_minimal_discarded;
-        self.stats.duration = self.started.elapsed();
-        self.done = true;
-    }
-
-    /// Snapshot for [`AnswerStream::stats`]: live elapsed time while
-    /// running, sealed duration once done.
-    pub fn live_stats(&self) -> SearchStats {
-        let mut stats = self.stats.clone();
-        if self.seeded && !self.done {
-            stats.duration = self.started.elapsed();
-        }
-        stats
-    }
-
-    pub fn is_exhausted(&self) -> bool {
-        self.done && self.ready.is_empty()
-    }
 }
 
-/// An engine's resumable expansion logic, plugged into the shared
-/// [`next_answer`] driver.
-pub(crate) trait ExpansionMachine {
+/// An engine's expansion, run by [`Stream`] (see the module docs for the
+/// contract and what the driver does around it).
+pub(crate) trait Expansion {
     fn core(&self) -> &StreamCore;
     fn core_mut(&mut self) -> &mut StreamCore;
-    /// The per-answer work budget (nodes explored between emissions) from
-    /// the engine's parameters.
-    fn answer_work_budget(&self) -> Option<usize>;
-    /// Whether the query's cancellation token has been triggered.
-    fn is_cancelled(&self) -> bool;
-    /// One unit of work: seed on the first call, then one expansion step;
-    /// must call `finish` when the search ends.
-    fn advance(&mut self);
-    /// Ends the search: flush buffered answers and seal the statistics.
-    fn finish(&mut self);
+    /// Puts the keyword nodes on the frontier.  Called once, on the first
+    /// poll, and only when every keyword matches some node.
+    fn seed(&mut self);
+    /// Whether no frontier node is left to expand.
+    fn frontier_exhausted(&self) -> bool;
+    /// Expands one frontier node and releases what the engine's bound
+    /// allows.  Called only while the frontier is not exhausted.
+    fn step(&mut self);
 }
 
-/// The shared `Iterator::next` body: pump the ready queue, honour
-/// cancellation and the per-answer work budget, and otherwise advance the
-/// machine one step.
-pub(crate) fn next_answer<M: ExpansionMachine>(machine: &mut M) -> Option<RankedAnswer> {
-    loop {
-        if let Some(answer) = machine.core_mut().ready.pop_front() {
-            let core = machine.core_mut();
-            core.last_emission_explored = core.stats.nodes_explored;
-            return Some(answer);
+/// The answer stream of every engine: the driver around an [`Expansion`].
+pub(crate) struct Stream<'a, E> {
+    ctx: QueryContext<'a>,
+    engine: E,
+}
+
+impl<'a, E: Expansion + 'a> Stream<'a, E> {
+    pub fn new(ctx: QueryContext<'a>, engine: E) -> Self {
+        Stream { ctx, engine }
+    }
+
+    /// The stream, boxed as [`crate::SearchEngine::start`] returns it.
+    pub fn boxed(ctx: QueryContext<'a>, engine: E) -> Box<dyn AnswerStream + 'a> {
+        Box::new(Self::new(ctx, engine))
+    }
+
+    /// The engine behind the stream, for tests that inspect its state.
+    #[cfg(test)]
+    pub fn engine_mut(&mut self) -> &mut E {
+        &mut self.engine
+    }
+
+    /// Seeds the engine on the first call; afterwards finishes the search
+    /// if a stop rule holds (checks 4–7 of the module docs, in order) and
+    /// otherwise takes one step.
+    fn advance(&mut self) {
+        let params = &self.ctx.params;
+        let core = self.engine.core_mut();
+        if !core.seeded {
+            core.seeded = true;
+            core.started = Instant::now();
+            let matches = self.ctx.matches;
+            if matches.num_keywords() == 0 || !matches.all_keywords_matched() {
+                core.finish();
+            } else {
+                self.engine.seed();
+            }
+            return;
         }
-        if machine.core().done {
-            return None;
+        let exhausted = self.engine.frontier_exhausted();
+        let core = self.engine.core_mut();
+        if exhausted || core.produced >= params.top_k {
+            core.finish();
+            return;
         }
-        if machine.is_cancelled() {
-            // Cooperative abort: stop immediately without flushing or
-            // sealing.  The stream is not exhausted — the engine never
-            // proved there were no further answers — and the live stats
-            // stay consistent (monotone counters, live duration).
-            machine.core_mut().stats.cancelled = true;
-            return None;
+        let explored_cap = params
+            .max_explored
+            .is_some_and(|cap| core.stats.nodes_explored >= cap);
+        if explored_cap || !core.may_generate() {
+            core.stats.truncated = true;
+            core.finish();
+            return;
         }
-        if let Some(budget) = machine.answer_work_budget() {
-            let core = machine.core_mut();
-            let spent = core
-                .stats
-                .nodes_explored
-                .saturating_sub(core.last_emission_explored);
-            if core.seeded && spent > budget {
+        self.engine.step();
+    }
+}
+
+impl<'a, E: Expansion + 'a> Iterator for Stream<'a, E> {
+    type Item = RankedAnswer;
+
+    /// Hands out a ready answer, or runs checks 1–3 of the module docs and
+    /// advances the engine until one is ready or the search ends.
+    fn next(&mut self) -> Option<RankedAnswer> {
+        loop {
+            let core = self.engine.core_mut();
+            if let Some(answer) = core.ready.pop_front() {
+                core.last_emission_explored = core.stats.nodes_explored;
+                return Some(answer);
+            }
+            if core.done {
+                return None;
+            }
+            if self.ctx.is_cancelled() {
+                // Cooperative abort: stop immediately without flushing or
+                // sealing.  The stream is not exhausted — the engine never
+                // proved there were no further answers — and the live stats
+                // stay consistent (monotone counters, live duration).
+                core.stats.cancelled = true;
+                return None;
+            }
+            let spent = core.stats.nodes_explored - core.last_emission_explored;
+            if core.seeded
+                && self
+                    .ctx
+                    .params
+                    .answer_work_budget
+                    .is_some_and(|budget| spent > budget)
+            {
                 // Out of work budget for this answer: stop expanding, hand
                 // out whatever was already generated, and end the stream.
                 // Node counts (unlike wall-clock gaps) are deterministic, so
                 // the cut-off point is identical under any load.
                 core.stats.truncated = true;
-                machine.finish();
+                core.finish();
                 continue;
             }
+            self.advance();
         }
-        machine.advance();
+    }
+}
+
+impl<'a, E: Expansion + 'a> AnswerStream for Stream<'a, E> {
+    /// Live elapsed time while running, the sealed duration once done.
+    fn stats(&self) -> SearchStats {
+        let core = self.engine.core();
+        let mut stats = core.stats.clone();
+        if core.seeded && !core.done {
+            stats.duration = core.started.elapsed();
+        }
+        stats
+    }
+
+    fn is_exhausted(&self) -> bool {
+        let core = self.engine.core();
+        core.done && core.ready.is_empty()
     }
 }
 
@@ -365,23 +494,6 @@ mod tests {
         // ...and repeated polling stays put.
         assert!(stream.next().is_none());
         assert_eq!(stream.stats().nodes_explored, live_after.nodes_explored);
-    }
-
-    /// A token cancelled before the first poll prevents any work at all.
-    #[test]
-    fn cancellation_before_start_explores_nothing() {
-        let g = graph_from_edges(3, &[(2, 0), (2, 1)]);
-        let p = PrestigeVector::uniform_for(&g);
-        let m = KeywordMatches::from_sets(vec![("a", vec![NodeId(0)]), ("b", vec![NodeId(1)])]);
-        let token = crate::CancelToken::new();
-        token.cancel();
-        let mut stream = BidirectionalSearch::new()
-            .start(QueryContext::new(&g, &p, &m, SearchParams::default()).with_cancel(&token));
-        assert!(stream.next().is_none());
-        let stats = stream.stats();
-        assert!(stats.cancelled);
-        assert_eq!(stats.nodes_explored, 0);
-        assert!(!stream.is_exhausted());
     }
 
     /// Every registry engine stops for the same reasons, checked in the

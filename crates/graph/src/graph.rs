@@ -474,11 +474,6 @@ impl DataGraph {
         self.base.tombstones.binary_search(&node.0).is_ok()
     }
 
-    /// Number of tombstoned (removed) nodes.
-    pub fn num_tombstoned(&self) -> usize {
-        self.base.tombstones.len() + self.overlay.tombstones.len()
-    }
-
     /// All tombstoned node ids, sorted ascending.
     pub fn tombstoned_nodes(&self) -> Vec<u32> {
         let mut all: Vec<u32> = self.base.tombstones.clone();

@@ -1225,7 +1225,6 @@ mod tests {
         assert!(!flat.has_overlay());
         assert!(flat.is_tombstoned(NodeId(2)));
         assert_eq!(flat.num_nodes(), g2.num_nodes());
-        assert_eq!(flat.num_tombstoned(), 1);
         assert_eq!(flat.tombstoned_nodes(), vec![2]);
         assert_graphs_identical(&flat, &g2);
         // Mutating the compacted graph still rejects the dead id.

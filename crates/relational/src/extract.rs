@@ -15,7 +15,6 @@ use banks_graph::{DataGraph, ExpansionPolicy, GraphBuilder, NodeId};
 use banks_textindex::{IndexBuilder, InvertedIndex};
 
 use crate::database::{Database, TupleId};
-use crate::schema::TableId;
 
 /// The product of extracting a [`Database`] into graph form.
 #[derive(Clone, Debug)]
@@ -97,28 +96,12 @@ impl GraphExtraction {
     pub fn node_of(&self, tuple: TupleId) -> NodeId {
         NodeId(self.node_offsets[tuple.table.index()] + tuple.row)
     }
-
-    /// The tuple corresponding to a graph node.
-    pub fn tuple_of(&self, node: NodeId) -> TupleId {
-        let mut table_idx = 0usize;
-        for (i, offset) in self.node_offsets.iter().enumerate() {
-            if node.0 >= *offset {
-                table_idx = i;
-            } else {
-                break;
-            }
-        }
-        TupleId {
-            table: TableId(table_idx as u16),
-            row: node.0 - self.node_offsets[table_idx],
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::DatabaseSchema;
+    use crate::schema::{DatabaseSchema, TableId};
     use banks_graph::EdgeKind;
 
     fn tiny_db() -> (Database, TableId, TableId, TableId) {
@@ -186,17 +169,5 @@ mod tests {
         let papers = ext.index.matching_nodes(&ext.graph, "paper");
         assert_eq!(papers.len(), 2);
         assert!(papers.contains(&ext.node_of(TupleId::new(paper, 0))));
-    }
-
-    #[test]
-    fn tuple_node_roundtrip() {
-        let (db, author, paper, writes) = tiny_db();
-        let ext = GraphExtraction::extract(&db);
-        for table in [author, paper, writes] {
-            for row in db.rows(table) {
-                let tuple = TupleId::new(table, row);
-                assert_eq!(ext.tuple_of(ext.node_of(tuple)), tuple);
-            }
-        }
     }
 }

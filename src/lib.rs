@@ -60,8 +60,6 @@
 //! assert_eq!(first.tree.root, writes);
 //!
 //! // Engines are selected by registry name.
-//! let baseline = session.stream();
-//! assert_eq!(baseline.engine_name(), "Bidirectional");
 //! let outcome_si = banks.query(["gray", "locks"]).engine("si-backward").run();
 //! assert_eq!(outcome_si.answers[0].tree.root, writes);
 //! ```
