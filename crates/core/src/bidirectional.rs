@@ -510,10 +510,8 @@ impl<'a, W: Width> Expander<'a, W> {
     /// heap keeps it.  About nine candidates in ten are non-minimal and
     /// are never traced at all; of the rest one in seven is a duplicate.
     fn emit(&mut self, root: u32) {
-        if let Some(cap) = self.ctx.params.max_generated {
-            if self.core.stats.answers_generated >= cap {
-                return;
-            }
+        if !self.core.may_generate() {
+            return;
         }
         let w = self.width;
         let labels = self.state.labels(w, root);

@@ -356,13 +356,13 @@ impl<'a, E: Expansion + 'a> Iterator for Stream<'a, E> {
                 core.stats.cancelled = true;
                 return None;
             }
+            // Nothing is spent before the engine is seeded.
             let spent = core.stats.nodes_explored - core.last_emission_explored;
-            if core.seeded
-                && self
-                    .ctx
-                    .params
-                    .answer_work_budget
-                    .is_some_and(|budget| spent > budget)
+            if self
+                .ctx
+                .params
+                .answer_work_budget
+                .is_some_and(|budget| spent > budget)
             {
                 // Out of work budget for this answer: stop expanding, hand
                 // out whatever was already generated, and end the stream.
