@@ -77,8 +77,8 @@
 //!   clear them returns without scanning the buffer or reading the clock.
 //!
 //! None of this changes what is computed: answers, their order and every
-//! [`crate::SearchStats`] counter are pinned by `tests/engine_golden.rs` to the
-//! values of the hash-map implementation the arena replaced, and
+//! [`crate::SearchStats`] counter are pinned by `tests/engine_golden.rs`
+//! to the values of the hash-map implementation the arena replaced, and
 //! `examples/pool_pass.rs --check` pins the work counters of the
 //! benchmark's query pool.
 
@@ -768,10 +768,9 @@ impl<W: Width> Expansion for Expander<'_, W> {
         }
     }
 
-    /// Both queues are empty, or only `Q_out` is left while the outgoing
-    /// iterator is off.
+    /// Neither iterator has a node to pop: `pick_side` would pick none.
     fn frontier_exhausted(&self) -> bool {
-        self.pick_side().is_none()
+        self.state.q_in.is_empty() && (!self.config.enable_outgoing || self.state.q_out.is_empty())
     }
 
     /// Expands the better of the two frontiers (Figure 3, the `switch` at
