@@ -1,25 +1,40 @@
 //! The multi-iterator Backward expanding search baseline (Section 3 of the
 //! paper; "MI-Backward" in the evaluation).
 //!
-//! One single-source-shortest-path iterator is created for every node that
-//! matches a keyword.  Each iterator runs Dijkstra's algorithm over the
-//! *incoming* edges of the expanded graph (it explores the nodes that can
-//! reach its origin).  At every step the globally smallest frontier distance
-//! decides which iterator advances.  When a node has been visited by at
-//! least one iterator of every keyword, each combination of one iterator per
-//! keyword that reached it defines an answer tree rooted at that node.
+//! One single-source-shortest-path iterator runs from every node that
+//! matches a keyword: Dijkstra's algorithm over the *incoming* edges of the
+//! expanded graph, so it explores the nodes that can reach its origin.  The
+//! paper always advances the iterator whose next distance is globally
+//! smallest.  Here that schedule is one frontier heap of
+//! `(distance, iterator, node)` entries: popping the smallest entry
+//! finalises the closest node of the iterator that should move next, ties
+//! going to the lower iterator, then to the lower node.  One label map,
+//! keyed by `(iterator, node)`, holds each iterator's tentative distance,
+//! predecessor, hop depth and whether the node is finalised.  An entry
+//! whose label has since improved or been finalised is stale; stale entries
+//! are dropped from the top of the heap after every step, so the top is
+//! always live and the frontier is exhausted exactly when the heap is
+//! empty.  A finalised label is never relabelled, so predecessor chains
+//! cannot cycle: a path is the label's own `depth` hops of `pred`.
+//!
+//! When a node has been finalised by at least one iterator of every
+//! keyword, each combination of one such iterator per keyword defines an
+//! answer tree rooted at that node.  A visit generates the combinations
+//! that contain its own iterator, walked in place with the last keyword
+//! varying fastest, at most [`MAX_COMBINATIONS_PER_VISIT`] of them.
 //!
 //! `MiExpander` is only the expansion: it seeds one iterator per keyword
-//! node, and a step advances the iterator with the smallest next distance
-//! and releases answers against the bound `k ·` that distance.  The stream
-//! around it — lazy seeding, cancellation, the work budget, `top_k`, the
-//! safety caps and the final flush — is the driver in `stream.rs`, shared
-//! with Bidirectional and SI-Backward.
+//! node, and a step finalises one entry and releases answers against the
+//! bound `k ·` its distance.  The stream around it — lazy seeding,
+//! cancellation, the work budget, `top_k`, the safety caps and the final
+//! flush — is the driver in `stream.rs`, shared with Bidirectional and
+//! SI-Backward.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 
-use banks_graph::{DataGraph, NodeId};
+use banks_graph::NodeId;
 
 use crate::answer::AnswerTree;
 use crate::engine::SearchEngine;
@@ -43,113 +58,6 @@ impl BackwardExpandingSearch {
     }
 }
 
-/// One single-source shortest-path iterator (one per keyword node).
-struct SsspIterator {
-    keyword: usize,
-    origin: NodeId,
-    /// Tentative distance labels.
-    tentative: HashMap<NodeId, f64>,
-    /// Finalised nodes.
-    visited: HashMap<NodeId, f64>,
-    /// `pred[u]` is the next node on the best path from `u` towards the
-    /// origin (i.e. the node whose expansion relaxed `u`).
-    pred: HashMap<NodeId, NodeId>,
-    /// Hop depth of each labelled node.
-    depth: HashMap<NodeId, u32>,
-    /// Tentative distances by [`order_key`], smallest first.
-    frontier: BinaryHeap<Reverse<(i64, NodeId)>>,
-}
-
-impl SsspIterator {
-    fn new(keyword: usize, origin: NodeId) -> Self {
-        let mut it = SsspIterator {
-            keyword,
-            origin,
-            tentative: HashMap::new(),
-            visited: HashMap::new(),
-            pred: HashMap::new(),
-            depth: HashMap::new(),
-            frontier: BinaryHeap::new(),
-        };
-        it.tentative.insert(origin, 0.0);
-        it.depth.insert(origin, 0);
-        it.frontier.push(Reverse((order_key(0.0), origin)));
-        it
-    }
-
-    /// Distance of the next node this iterator would visit, if any.
-    fn peek_dist(&mut self) -> Option<f64> {
-        while let Some(&Reverse((key, node))) = self.frontier.peek() {
-            let d = priority_of(key);
-            let stale = self.visited.contains_key(&node)
-                || self
-                    .tentative
-                    .get(&node)
-                    .map(|t| (t - d).abs() > 1e-12)
-                    .unwrap_or(true);
-            if stale {
-                self.frontier.pop();
-            } else {
-                return Some(d);
-            }
-        }
-        None
-    }
-
-    /// Runs one `getnext()` step: finalises the closest frontier node and
-    /// relaxes its incoming edges.  Returns the finalised node, its
-    /// distance, and the number of nodes newly labelled (touched).
-    fn step(&mut self, graph: &DataGraph, dmax: usize) -> Option<(NodeId, f64, usize)> {
-        self.peek_dist()?;
-        let Reverse((key, m)) = self.frontier.pop()?;
-        let d = priority_of(key);
-        self.visited.insert(m, d);
-        let depth_m = *self.depth.get(&m).unwrap_or(&0);
-        let mut newly_touched = 0usize;
-        if (depth_m as usize) < dmax {
-            for e in graph.in_edges(m) {
-                let u = e.from;
-                if self.visited.contains_key(&u) {
-                    continue;
-                }
-                let candidate = d + e.weight;
-                let better = self
-                    .tentative
-                    .get(&u)
-                    .map(|t| candidate < *t - 1e-12)
-                    .unwrap_or(true);
-                if better {
-                    if !self.tentative.contains_key(&u) {
-                        newly_touched += 1;
-                    }
-                    self.tentative.insert(u, candidate);
-                    self.pred.insert(u, m);
-                    self.depth.insert(u, depth_m + 1);
-                    self.frontier.push(Reverse((order_key(candidate), u)));
-                }
-            }
-        }
-        Some((m, d, newly_touched))
-    }
-
-    /// Path from `root` to this iterator's origin, following the relaxation
-    /// predecessors.  `root` must have been visited.
-    fn path_to_origin(&self, root: NodeId) -> Option<Vec<NodeId>> {
-        let mut path = vec![root];
-        let mut cur = root;
-        let mut guard = 0usize;
-        while cur != self.origin {
-            cur = *self.pred.get(&cur)?;
-            path.push(cur);
-            guard += 1;
-            if guard > 10_000 {
-                return None;
-            }
-        }
-        Some(path)
-    }
-}
-
 impl SearchEngine for BackwardExpandingSearch {
     fn name(&self) -> &'static str {
         "MI-Backward"
@@ -160,6 +68,19 @@ impl SearchEngine for BackwardExpandingSearch {
     }
 }
 
+/// What one iterator knows about one node it has reached.
+struct Label {
+    /// Best distance to the iterator's origin found so far.
+    dist: f64,
+    /// The next node on that path towards the origin (the origin's own
+    /// label points at itself).
+    pred: NodeId,
+    /// Hops on that path.
+    depth: u32,
+    /// Whether `dist` is final.
+    done: bool,
+}
+
 /// The multi-iterator expansion machinery, run by the stream driver one
 /// step at a time (see `stream.rs`): each step finalises one node of one
 /// iterator.
@@ -167,14 +88,14 @@ struct MiExpander<'a> {
     ctx: QueryContext<'a>,
     model: ScoreModel,
     num_keywords: usize,
-    /// One SSSP iterator per keyword node.
-    iterators: Vec<SsspIterator>,
-    /// Global scheduler over iterators, keyed by the [`order_key`] of
-    /// their next frontier distance, smallest first.  An iterator has at
-    /// most one entry, pushed after its last step, so the key is current
-    /// when it is popped.
-    scheduler: BinaryHeap<Reverse<(i64, usize)>>,
-    /// `visited_by[node][keyword]` = iterator indices that have visited it.
+    /// The keyword of each iterator; an iterator is its index here.
+    keyword_of: Vec<usize>,
+    /// `(order_key(dist), iterator, node)`, smallest first; the top entry
+    /// is live.
+    frontier: BinaryHeap<Reverse<(i64, usize, NodeId)>>,
+    /// The label of every `(iterator, node)` pair reached.
+    labels: HashMap<(usize, NodeId), Label>,
+    /// `visited_by[node][keyword]` = iterators that finalised the node.
     visited_by: HashMap<NodeId, Vec<Vec<usize>>>,
     /// Work counters and the output heap.
     core: StreamCore,
@@ -185,13 +106,38 @@ impl<'a> MiExpander<'a> {
         MiExpander {
             model: ctx.params.score_model(),
             num_keywords: ctx.matches.num_keywords(),
-            iterators: Vec::new(),
-            scheduler: BinaryHeap::new(),
+            keyword_of: Vec::new(),
+            frontier: BinaryHeap::new(),
+            labels: HashMap::new(),
             visited_by: HashMap::new(),
             core: StreamCore::new(&ctx, Default::default()),
             ctx,
         }
     }
+
+    /// Whether `entry` no longer carries its label's current distance.
+    fn is_stale(&self, &Reverse((key, it, node)): &Reverse<(i64, usize, NodeId)>) -> bool {
+        let label = &self.labels[&(it, node)];
+        label.done || order_key(label.dist) != key
+    }
+}
+
+/// The path from `root` to the origin of iterator `it`, which finalised
+/// `root`.
+fn path_to_origin(
+    labels: &HashMap<(usize, NodeId), Label>,
+    it: usize,
+    root: NodeId,
+) -> Vec<NodeId> {
+    let depth = labels[&(it, root)].depth as usize;
+    let mut path = Vec::with_capacity(depth + 1);
+    let mut cur = root;
+    path.push(cur);
+    for _ in 0..depth {
+        cur = labels[&(it, cur)].pred;
+        path.push(cur);
+    }
+    path
 }
 
 impl Expansion for MiExpander<'_> {
@@ -203,163 +149,120 @@ impl Expansion for MiExpander<'_> {
         &mut self.core
     }
 
-    /// One iterator per keyword node, each scheduled at distance 0.
+    /// One iterator per keyword node, each labelling its origin at 0.
     fn seed(&mut self) {
-        for i in 0..self.num_keywords {
-            for origin in self.ctx.matches.origin_set(i) {
-                self.iterators.push(SsspIterator::new(i, *origin));
+        for keyword in 0..self.num_keywords {
+            for &origin in self.ctx.matches.origin_set(keyword) {
+                let it = self.keyword_of.len();
+                self.keyword_of.push(keyword);
+                let label = Label {
+                    dist: 0.0,
+                    pred: origin,
+                    depth: 0,
+                    done: false,
+                };
+                self.labels.insert((it, origin), label);
+                self.frontier.push(Reverse((order_key(0.0), it, origin)));
             }
         }
-        self.core.stats.nodes_touched = self.iterators.len(); // every origin is labelled once
-        for (idx, it) in self.iterators.iter_mut().enumerate() {
-            if let Some(d) = it.peek_dist() {
-                self.scheduler.push(Reverse((order_key(d), idx)));
-            }
-        }
+        self.core.stats.nodes_touched = self.keyword_of.len(); // every origin is labelled once
     }
 
     fn frontier_exhausted(&self) -> bool {
-        self.scheduler.is_empty()
+        self.frontier.is_empty()
     }
 
-    /// Advances the iterator with the globally smallest frontier distance,
-    /// generates the answers its new node completes, and releases what the
-    /// bound allows.
+    /// Finalises the globally closest frontier entry, relaxes its node's
+    /// in-edges for its iterator, generates the answers the visit
+    /// completes, and releases what the bound allows.
     fn step(&mut self) {
-        let Some(Reverse((key, idx))) = self.scheduler.pop() else {
+        let Some(Reverse((key, it, m))) = self.frontier.pop() else {
             return;
         };
-        debug_assert_eq!(
-            self.iterators[idx].peek_dist().map(order_key),
-            Some(key),
-            "a scheduler entry is its iterator's current frontier distance"
-        );
+        let dist = priority_of(key);
+        let label = self
+            .labels
+            .get_mut(&(it, m))
+            .expect("a frontier entry has a label");
+        label.done = true;
+        let depth = label.depth;
         let graph = self.ctx.graph;
-        let Some((m, dist_m, newly_touched)) =
-            self.iterators[idx].step(graph, self.ctx.params.dmax)
-        else {
-            return;
-        };
         self.core.stats.nodes_explored += 1;
-        self.core.stats.nodes_touched += newly_touched;
         self.core.stats.edges_traversed += graph.in_degree(m);
-        if let Some(next) = self.iterators[idx].peek_dist() {
-            self.scheduler.push(Reverse((order_key(next), idx)));
+        if (depth as usize) < self.ctx.params.dmax {
+            for e in graph.in_edges(m) {
+                let candidate = dist + e.weight;
+                let relabel = Label {
+                    dist: candidate,
+                    pred: m,
+                    depth: depth + 1,
+                    done: false,
+                };
+                match self.labels.entry((it, e.from)) {
+                    Entry::Vacant(slot) => {
+                        slot.insert(relabel);
+                        self.core.stats.nodes_touched += 1;
+                    }
+                    Entry::Occupied(mut slot) => {
+                        let old = slot.get_mut();
+                        if old.done || candidate >= old.dist - 1e-12 {
+                            continue;
+                        }
+                        *old = relabel;
+                    }
+                }
+                self.frontier
+                    .push(Reverse((order_key(candidate), it, e.from)));
+            }
+        }
+        while self.frontier.peek().is_some_and(|top| self.is_stale(top)) {
+            self.frontier.pop();
         }
 
-        // Record the visit and generate answers for new combinations.
-        let keyword = self.iterators[idx].keyword;
+        // Record the visit and generate the combinations that contain `it`.
+        let keyword = self.keyword_of[it];
+        let k = self.num_keywords;
         let lists = self
             .visited_by
             .entry(m)
-            .or_insert_with(|| vec![Vec::new(); self.num_keywords]);
-        lists[keyword].push(idx);
-        let all_reached = lists.iter().all(|l| !l.is_empty());
-        if all_reached {
-            let combos = enumerate_combinations(lists, keyword, idx, MAX_COMBINATIONS_PER_VISIT);
-            for combo in combos {
+            .or_insert_with(|| vec![Vec::new(); k]);
+        lists[keyword].push(it);
+        if lists.iter().all(|l| !l.is_empty()) {
+            // `pick[j]` indexes `lists[j]`; `pick[keyword]` stays 0 unused.
+            let mut pick = vec![0usize; k];
+            for _ in 0..MAX_COMBINATIONS_PER_VISIT {
                 if !self.core.may_generate() {
                     break;
                 }
-                let mut paths = Vec::with_capacity(self.num_keywords);
-                let mut ok = true;
-                for iter_idx in &combo {
-                    match self.iterators[*iter_idx].path_to_origin(m) {
-                        Some(p) => paths.push(p),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if !ok {
-                    continue;
-                }
+                let paths = (0..k)
+                    .map(|j| {
+                        let iter = if j == keyword { it } else { lists[j][pick[j]] };
+                        path_to_origin(&self.labels, iter, m)
+                    })
+                    .collect();
                 let tree = AnswerTree::new(m, paths, graph, self.ctx.prestige, &self.model);
                 self.core.stats.answers_generated += 1;
                 let explored = self.core.stats.nodes_explored;
                 self.core
                     .heap
                     .insert(tree, self.core.started.elapsed(), explored);
+                let Some(j) = (0..k).rfind(|&j| j != keyword && pick[j] + 1 < lists[j].len())
+                else {
+                    break;
+                };
+                pick[j] += 1;
+                pick[j + 1..].fill(0);
             }
         }
 
         // Release answers using the coarse bound of Section 4.5: because
         // the iterators run Dijkstra, distances are finalised in
         // non-decreasing order, so any answer generated in the future
-        // pays at least the globally smallest frontier distance `dist_m`
+        // pays at least the globally smallest frontier distance `dist`
         // for every keyword path still to be discovered — the paper's
-        // `h(m_1..m_k) = k · dist_m`.
-        self.core.release(self.num_keywords as f64 * dist_m);
+        // `h(m_1..m_k) = k · dist`.
+        self.core.release(k as f64 * dist);
     }
-}
-
-/// Enumerates combinations of one iterator per keyword that include the
-/// newly arrived iterator `new_idx` for keyword `new_keyword` (so that every
-/// combination is generated exactly once over the lifetime of the search).
-fn enumerate_combinations(
-    lists: &[Vec<usize>],
-    new_keyword: usize,
-    new_idx: usize,
-    cap: usize,
-) -> Vec<Vec<usize>> {
-    let mut result = Vec::new();
-    let mut current = vec![0usize; lists.len()];
-    fn recurse(
-        lists: &[Vec<usize>],
-        new_keyword: usize,
-        new_idx: usize,
-        cap: usize,
-        keyword: usize,
-        current: &mut Vec<usize>,
-        result: &mut Vec<Vec<usize>>,
-    ) {
-        if result.len() >= cap {
-            return;
-        }
-        if keyword == lists.len() {
-            result.push(current.clone());
-            return;
-        }
-        if keyword == new_keyword {
-            current[keyword] = new_idx;
-            recurse(
-                lists,
-                new_keyword,
-                new_idx,
-                cap,
-                keyword + 1,
-                current,
-                result,
-            );
-        } else {
-            for idx in &lists[keyword] {
-                current[keyword] = *idx;
-                recurse(
-                    lists,
-                    new_keyword,
-                    new_idx,
-                    cap,
-                    keyword + 1,
-                    current,
-                    result,
-                );
-                if result.len() >= cap {
-                    return;
-                }
-            }
-        }
-    }
-    recurse(
-        lists,
-        new_keyword,
-        new_idx,
-        cap,
-        0,
-        &mut current,
-        &mut result,
-    );
-    result
 }
 
 #[cfg(test)]
@@ -370,25 +273,12 @@ mod tests {
     use crate::params::SearchParams;
     use crate::si_backward::SingleIteratorBackwardSearch;
     use banks_graph::builder::graph_from_edges;
+    use banks_graph::DataGraph;
     use banks_prestige::PrestigeVector;
     use banks_textindex::KeywordMatches;
 
     fn uniform(graph: &DataGraph) -> PrestigeVector {
         PrestigeVector::uniform_for(graph)
-    }
-
-    #[test]
-    fn enumerate_combinations_includes_new_iterator() {
-        let lists = vec![vec![1, 2], vec![3], vec![4, 5]];
-        let combos = enumerate_combinations(&lists, 1, 3, 100);
-        assert_eq!(combos.len(), 4);
-        for c in &combos {
-            assert_eq!(c[1], 3);
-            assert!(lists[0].contains(&c[0]));
-            assert!(lists[2].contains(&c[2]));
-        }
-        let capped = enumerate_combinations(&lists, 1, 3, 2);
-        assert_eq!(capped.len(), 2);
     }
 
     #[test]
