@@ -1,11 +1,12 @@
 //! Prometheus text-format (version 0.0.4) rendering.
 //!
 //! A tiny writer for the exposition format: `# HELP`/`# TYPE` emitted once
-//! per metric family, label values escaped per the spec, and a
-//! duplicate-series guard so a renderer bug can never produce output a
-//! scraper would reject.
+//! per metric family, every line of a family in one group (samples are
+//! buffered per family, so a caller may interleave families), label values
+//! escaped per the spec, and a duplicate-series guard so a renderer bug can
+//! never produce output a scraper would reject.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -28,8 +29,11 @@ use std::time::Duration;
 /// ```
 #[derive(Debug, Default)]
 pub struct PromText {
-    out: String,
-    families: BTreeSet<String>,
+    /// Each family's `# HELP`/`# TYPE` lines and samples, in the order the
+    /// families were first seen.
+    families: Vec<String>,
+    /// Family name → its index in `families`.
+    index: HashMap<String, usize>,
     series: BTreeSet<String>,
 }
 
@@ -39,18 +43,23 @@ impl PromText {
         PromText::default()
     }
 
-    /// Emits `# HELP`/`# TYPE` for a family the first time it is seen.
-    fn family(&mut self, name: &str, kind: &str, help: &str) {
-        if self.families.insert(name.to_string()) {
-            let _ = writeln!(self.out, "# HELP {name} {help}");
-            let _ = writeln!(self.out, "# TYPE {name} {kind}");
+    /// The index of family `name`, opened with its `# HELP`/`# TYPE` lines
+    /// the first time it is seen.
+    fn family(&mut self, name: &str, kind: &str, help: &str) -> usize {
+        if let Some(&family) = self.index.get(name) {
+            return family;
         }
+        let family = self.families.len();
+        self.families
+            .push(format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
+        self.index.insert(name.to_string(), family);
+        family
     }
 
-    /// Appends one `name{labels} value` sample line.  Duplicate series
-    /// (same name + label set) are dropped rather than emitted twice —
-    /// Prometheus rejects expositions containing them.
-    fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
+    /// Appends one `name{labels} value` sample line to `family`.  Duplicate
+    /// series (same name + label set) are dropped rather than emitted
+    /// twice — Prometheus rejects expositions containing them.
+    fn sample(&mut self, family: usize, name: &str, labels: &[(&str, &str)], value: f64) {
         let mut series = name.to_string();
         if !labels.is_empty() {
             series.push('{');
@@ -65,31 +74,31 @@ impl PromText {
         if !self.series.insert(series.clone()) {
             return;
         }
-        let _ = writeln!(self.out, "{series} {}", format_value(value));
+        let _ = writeln!(self.families[family], "{series} {}", format_value(value));
     }
 
     /// A label-free counter family with one sample.
     pub fn counter(&mut self, name: &str, help: &str, value: u64) {
-        self.family(name, "counter", help);
-        self.sample(name, &[], value as f64);
+        let family = self.family(name, "counter", help);
+        self.sample(family, name, &[], value as f64);
     }
 
     /// A label-free gauge family with one sample.
     pub fn gauge(&mut self, name: &str, help: &str, value: f64) {
-        self.family(name, "gauge", help);
-        self.sample(name, &[], value);
+        let family = self.family(name, "gauge", help);
+        self.sample(family, name, &[], value);
     }
 
     /// A labeled counter sample (`# HELP`/`# TYPE` emitted once per family).
     pub fn counter_labeled(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: u64) {
-        self.family(name, "counter", help);
-        self.sample(name, labels, value as f64);
+        let family = self.family(name, "counter", help);
+        self.sample(family, name, labels, value as f64);
     }
 
     /// A labeled gauge sample (`# HELP`/`# TYPE` emitted once per family).
     pub fn gauge_labeled(&mut self, name: &str, help: &str, labels: &[(&str, &str)], value: f64) {
-        self.family(name, "gauge", help);
-        self.sample(name, labels, value);
+        let family = self.family(name, "gauge", help);
+        self.sample(family, name, labels, value);
     }
 
     /// A latency distribution as a Prometheus `summary` in seconds:
@@ -103,22 +112,23 @@ impl PromText {
         mean: Duration,
         quantiles: &[(&str, Duration)],
     ) {
-        self.family(name, "summary", help);
+        let family = self.family(name, "summary", help);
         for (q, d) in quantiles {
-            self.sample(name, &[("quantile", q)], d.as_secs_f64());
+            self.sample(family, name, &[("quantile", q)], d.as_secs_f64());
         }
         self.sample(
+            family,
             &format!("{name}_sum"),
             &[],
             mean.as_secs_f64() * count as f64,
         );
-        self.sample(&format!("{name}_count"), &[], count as f64);
+        self.sample(family, &format!("{name}_count"), &[], count as f64);
     }
 
-    /// The finished exposition text.  Prometheus requires the body to end
-    /// with a newline (or be empty).
+    /// The finished exposition text, one group of lines per family.
+    /// Prometheus requires the body to end with a newline (or be empty).
     pub fn render(self) -> String {
-        self.out
+        self.families.concat()
     }
 }
 
@@ -161,6 +171,22 @@ mod tests {
         assert_eq!(text.matches("# TYPE banks_x_total counter").count(), 1);
         assert!(text.contains("banks_x_total{tenant=\"a\"} 1"));
         assert!(text.contains("banks_x_total{tenant=\"b\"} 2"));
+    }
+
+    #[test]
+    fn interleaved_families_render_grouped() {
+        let mut p = PromText::new();
+        for tenant in ["a", "b"] {
+            p.counter_labeled("banks_x_total", "X.", &[("tenant", tenant)], 1);
+            p.gauge_labeled("banks_y", "Y.", &[("tenant", tenant)], 2.0);
+        }
+        assert_eq!(
+            p.render(),
+            "# HELP banks_x_total X.\n# TYPE banks_x_total counter\n\
+             banks_x_total{tenant=\"a\"} 1\nbanks_x_total{tenant=\"b\"} 1\n\
+             # HELP banks_y Y.\n# TYPE banks_y gauge\n\
+             banks_y{tenant=\"a\"} 2\nbanks_y{tenant=\"b\"} 2\n"
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! samples plus `_sum`/`_count`), per-tenant rows as `tenant`-labeled
 //! series, and the cost-model calibration table as
 //! `engine`/`origin_bucket`-labeled series.  The writer itself
-//! ([`banks_obs::PromText`]) deduplicates `HELP`/`TYPE` lines and refuses
-//! duplicate series, so the output always satisfies the scrape grammar.
+//! ([`banks_obs::PromText`]) deduplicates `HELP`/`TYPE` lines, keeps each
+//! family's lines in one group although the per-row loops below interleave
+//! families, and refuses duplicate series, so the output always satisfies
+//! the scrape grammar.
 
 use banks_obs::PromText;
 use banks_service::{Health, LatencySummary, ServiceMetrics};
@@ -407,6 +409,46 @@ mod tests {
                 "family {family} has no samples"
             );
         }
+    }
+
+    /// Text format 0.0.4 wants all lines of a family in one group, also
+    /// when the snapshot has several SLO, tenant and calibration rows.
+    #[test]
+    fn every_family_is_one_group_of_lines() {
+        let mut m = populated();
+        m.slo.push(SloRow {
+            name: "queue_p95".to_string(),
+            ..m.slo[0].clone()
+        });
+        m.tenants.push(TenantMetrics {
+            tenant: "globex".to_string(),
+            ..m.tenants[0].clone()
+        });
+        m.calibration.push(CalibrationRow {
+            engine: "mi-backward".to_string(),
+            ..m.calibration[0].clone()
+        });
+        let text = render(&m);
+        let mut runs: Vec<&str> = Vec::new();
+        for line in text.lines() {
+            let family = match line.strip_prefix("# ") {
+                Some(comment) => comment.split(' ').nth(1).unwrap(),
+                None => {
+                    let series = line.split(['{', ' ']).next().unwrap();
+                    series
+                        .strip_suffix("_sum")
+                        .or_else(|| series.strip_suffix("_count"))
+                        .unwrap_or(series)
+                }
+            };
+            if runs.last() != Some(&family) {
+                assert!(!runs.contains(&family), "{family} is split:\n{text}");
+                runs.push(family);
+            }
+        }
+        assert!(text.contains("banks_slo_state{slo=\"queue_p95\"} 1"));
+        assert!(text.contains("banks_tenant_executed_total{tenant=\"globex\"} 5"));
+        assert!(text.contains("banks_calibration_samples_total{engine=\"mi-backward\","));
     }
 
     #[test]
