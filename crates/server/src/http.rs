@@ -267,9 +267,25 @@ pub fn write_response(
     body: &[u8],
     keep_alive: bool,
 ) -> std::io::Result<()> {
+    let head = response_head(status, extra_headers, content_type, body.len(), keep_alive);
+    w.write_all(head.as_bytes())?;
+    w.write_all(body)?;
+    w.flush()
+}
+
+/// The status line and headers [`write_response`] sends before a body of
+/// `content_length` bytes, ending in the blank line — alone, the answer to
+/// a `HEAD` request.
+pub fn response_head(
+    status: u16,
+    extra_headers: &[(&str, &str)],
+    content_type: &str,
+    content_length: usize,
+    keep_alive: bool,
+) -> String {
     let mut head = format!("HTTP/1.1 {status} {}\r\n", reason_phrase(status));
     head.push_str(&format!("Content-Type: {content_type}\r\n"));
-    head.push_str(&format!("Content-Length: {}\r\n", body.len()));
+    head.push_str(&format!("Content-Length: {content_length}\r\n"));
     for (name, value) in extra_headers {
         head.push_str(&format!("{name}: {value}\r\n"));
     }
@@ -280,9 +296,7 @@ pub fn write_response(
     } else {
         head.push_str("Connection: close\r\n\r\n");
     }
-    w.write_all(head.as_bytes())?;
-    w.write_all(body)?;
-    w.flush()
+    head
 }
 
 #[cfg(test)]

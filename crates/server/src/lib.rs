@@ -36,6 +36,9 @@
 //!
 //! Each row is one row of the static route table in [`routes`]: a path no
 //! row names gets **404**, a method its row does not list gets **405**.
+//! Every `GET` row also answers `HEAD` with the `GET` status and headers
+//! and no body; on the three SSE routes that is the stream header alone,
+//! and no query or stream starts.
 //!
 //! `POST /query` takes a JSON body — `{"q":"jim gray","top_k":5}` or
 //! `{"keywords":["jim","gray"],"engine":"si-backward"}` — while `GET

@@ -1,14 +1,13 @@
 //! `/admin/*`: snapshot swap, incremental mutation, checkpoint and the
 //! runtime SLO set.
 
-use std::net::TcpStream;
 use std::time::Instant;
 
 use banks_core::json as corejson;
 use banks_graph::{GraphMutation, MutationBatch, NodeId, OpEffect};
 use banks_service::{parse_slo_specs, GraphSnapshot, ReplicationRole};
 
-use super::{json_body, reply_json, respond_error, HttpError, ServerContext};
+use super::{json_body, reply_json, respond_error, Conn, HttpError, ServerContext};
 use crate::http::Request;
 use crate::json::{self, JsonValue};
 
@@ -19,7 +18,7 @@ use crate::json::{self, JsonValue};
 pub(super) fn respond_checkpoint(
     ctx: &ServerContext,
     _: &Request,
-    w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     let started = Instant::now();
@@ -44,7 +43,7 @@ pub(super) fn respond_checkpoint(
 pub(super) fn respond_slo_update(
     ctx: &ServerContext,
     request: &Request,
-    w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     let (body, value) = match json_body(request, "SLO spec JSON") {
@@ -78,12 +77,7 @@ pub(super) fn respond_slo_update(
     reply_json(w, &body, keep_alive)
 }
 
-pub(super) fn respond_swap(
-    ctx: &ServerContext,
-    _: &Request,
-    w: &TcpStream,
-    keep_alive: bool,
-) -> bool {
+pub(super) fn respond_swap(ctx: &ServerContext, _: &Request, w: &Conn, keep_alive: bool) -> bool {
     let started = Instant::now();
     let previous_epoch = ctx.service.epoch();
     // Build the new snapshot *before* touching the serving lock: queries
@@ -126,7 +120,7 @@ pub(super) fn respond_swap(
 pub(super) fn respond_mutate(
     ctx: &ServerContext,
     request: &Request,
-    w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     // A follower's graph is the leader's graph: accepting a local write

@@ -1,22 +1,21 @@
 //! Health, metrics and the `/debug/*` reads: slow and retained traces, the
 //! SLO report, the event log and its live tail.
 
-use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 
 use banks_core::json as corejson;
 
 use super::{
-    open_stream, param, peer_disconnected, reply_json, respond_error, HttpError, ServerContext,
-    STREAM_KEEPALIVE, TRACE_ROUTE,
+    open_stream, param, peer_disconnected, reply_json, respond_error, Conn, HttpError,
+    ServerContext, STREAM_KEEPALIVE, TRACE_ROUTE,
 };
-use crate::http::{self, Request};
+use crate::http::Request;
 use crate::json;
 
 pub(super) fn respond_healthz(
     ctx: &ServerContext,
     _: &Request,
-    w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     let engines = json::string_array(&ctx.service.engine_names());
@@ -51,7 +50,7 @@ pub(super) fn respond_healthz(
 pub(super) fn respond_metrics(
     ctx: &ServerContext,
     request: &Request,
-    mut w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     let metrics = ctx.service.metrics();
@@ -62,15 +61,14 @@ pub(super) fn respond_metrics(
         ),
         _ => (json::metrics(&metrics), "application/json"),
     };
-    let _ = http::write_response(&mut w, 200, &[], content_type, body.as_bytes(), keep_alive);
-    keep_alive
+    w.respond(200, &[], content_type, body.as_bytes(), keep_alive)
 }
 
 /// `GET /debug/slow`: the retained slow-query traces, newest first.
 pub(super) fn respond_slow(
     ctx: &ServerContext,
     request: &Request,
-    w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     let limit = param(request, "limit").unwrap_or(32);
@@ -89,12 +87,7 @@ pub(super) fn respond_slow(
 /// report is the one the collector wrote on its last tick (evaluation
 /// happens on the collector thread, where transitions become events), so
 /// this endpoint is a read, never a judgment.
-pub(super) fn respond_slo(
-    ctx: &ServerContext,
-    _: &Request,
-    w: &TcpStream,
-    keep_alive: bool,
-) -> bool {
+pub(super) fn respond_slo(ctx: &ServerContext, _: &Request, w: &Conn, keep_alive: bool) -> bool {
     let report = ctx.service.slo_report();
     let body = format!(
         "{{\"health\":\"{}\",\"collector_cadence_ms\":{},\"slos\":{}}}",
@@ -129,7 +122,7 @@ const EVENTS_PAGE_LIMIT: usize = 1024;
 pub(super) fn respond_events(
     ctx: &ServerContext,
     request: &Request,
-    w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     let since: u64 = param(request, "since").unwrap_or(0);
@@ -161,10 +154,10 @@ pub(super) fn respond_events(
 pub(super) fn respond_events_tail(
     ctx: &ServerContext,
     request: &Request,
-    stream: &TcpStream,
+    conn: &Conn,
     _: bool,
 ) -> bool {
-    let Some((mut cursor, mut sse)) = open_stream(request, stream, Some("since")) else {
+    let Some((mut cursor, mut sse)) = open_stream(request, conn.stream, Some("since")) else {
         return false;
     };
     // Shutdown sets the flag and then emits its `shutdown` event, so a
@@ -177,7 +170,7 @@ pub(super) fn respond_events_tail(
             .events()
             .wait_since(cursor, EVENTS_PAGE_LIMIT, STREAM_KEEPALIVE);
         if batch.is_empty()
-            && (stopping || peer_disconnected(stream) || sse.comment("keepalive").is_err())
+            && (stopping || peer_disconnected(conn.stream) || sse.comment("keepalive").is_err())
         {
             return false;
         }
@@ -202,7 +195,7 @@ pub(super) fn respond_events_tail(
 pub(super) fn respond_trace(
     ctx: &ServerContext,
     request: &Request,
-    w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     let raw = request.path.trim_start_matches(TRACE_ROUTE);

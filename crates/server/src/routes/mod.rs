@@ -7,9 +7,12 @@
 //! handler returns whether the connection stays open — the non-streaming
 //! ones honour the client's `Connection: keep-alive` for up to
 //! [`KEEPALIVE_MAX_REQUESTS`] requests with [`KEEPALIVE_IDLE`] between
-//! them, while SSE streams and error responses always close.  The
-//! handlers live by resource in `query`, `admin`, `debug` and
-//! `replication`.
+//! them, while SSE streams and error responses always close.  A row that
+//! lists `GET` also serves `HEAD`: the `GET` handler answers through a
+//! [`Conn`] that sends the status line and headers without the body, except
+//! on the SSE routes, which send the stream header and close without
+//! starting a stream.  The handlers live by resource in `query`, `admin`,
+//! `debug` and `replication`.
 
 use std::io::{BufReader, Write};
 use std::net::TcpStream;
@@ -138,7 +141,7 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
                         HttpError::new(413, "body_too_large", "request body too large")
                     }
                 };
-                respond_error(&stream, error);
+                respond_error(&Conn::new(&stream, false), error);
                 return;
             }
         };
@@ -164,7 +167,40 @@ pub(crate) fn handle_connection(ctx: &ServerContext, stream: TcpStream) {
 /// Every endpoint's signature: the request, the connection it arrived on,
 /// and whether the client may keep that connection; returns whether it
 /// stays open.
-type Handler = fn(&ServerContext, &Request, &TcpStream, bool) -> bool;
+type Handler = fn(&ServerContext, &Request, &Conn, bool) -> bool;
+
+/// The connection a handler answers on.
+pub(crate) struct Conn<'s> {
+    pub(crate) stream: &'s TcpStream,
+    /// Whether the request was `HEAD`: responses then carry no body.
+    head: bool,
+}
+
+impl<'s> Conn<'s> {
+    fn new(stream: &'s TcpStream, head: bool) -> Self {
+        Conn { stream, head }
+    }
+
+    /// Writes one complete response, without its body when answering
+    /// `HEAD`, and returns `keep_alive`.
+    fn respond(
+        &self,
+        status: u16,
+        headers: &[(&str, &str)],
+        content_type: &str,
+        body: &[u8],
+        keep_alive: bool,
+    ) -> bool {
+        let mut w = self.stream;
+        let _ = if self.head {
+            let head = http::response_head(status, headers, content_type, body.len(), keep_alive);
+            w.write_all(head.as_bytes()).and_then(|()| w.flush())
+        } else {
+            http::write_response(&mut w, status, headers, content_type, body, keep_alive)
+        };
+        keep_alive
+    }
+}
 
 /// The one prefix route; its handler reads the query id after it.
 const TRACE_ROUTE: &str = "/debug/trace/";
@@ -188,11 +224,18 @@ static ROUTES: &[(&[&str], &str, Handler)] = &[
     (&["GET"], "/healthz", respond_healthz),
 ];
 
+/// The routes whose `GET` answer is an SSE stream.
+const STREAM_ROUTES: [&str; 3] = ["/query", "/debug/events/tail", "/replication/stream"];
+
 /// Serves `request` from its row of [`ROUTES`]: 404 when no row has its
-/// path, 405 (with the row's methods as `Allow`) when the row does not
-/// list its method.
+/// path, 405 (with the row's methods, and `HEAD` after `GET`, as `Allow`)
+/// when the row does not list its method.  `HEAD` is served where `GET`
+/// is, by the `GET` handler without the body; on a [`STREAM_ROUTES`] path
+/// it gets the stream header alone.
 fn dispatch(ctx: &ServerContext, request: &Request, stream: &TcpStream, keep: bool) -> bool {
     let path = request.path.as_str();
+    let head = request.method == "HEAD";
+    let conn = Conn::new(stream, head);
     let row = ROUTES.iter().find(|(_, route, _)| {
         if route.ends_with('/') {
             path.starts_with(route)
@@ -200,58 +243,56 @@ fn dispatch(ctx: &ServerContext, request: &Request, stream: &TcpStream, keep: bo
             path == *route
         }
     });
-    match row {
-        Some((methods, _, handler)) if methods.contains(&request.method.as_str()) => {
-            handler(ctx, request, stream, keep)
-        }
-        Some((methods, _, _)) => {
-            let mut error = HttpError::new(
-                405,
-                "method_not_allowed",
-                format!("{} not allowed on {path}", request.method),
-            );
-            error.headers.push(("Allow", methods.join(", ")));
-            respond_error(stream, error)
-        }
-        None => respond_error(
-            stream,
+    let Some((methods, route, handler)) = row else {
+        return respond_error(
+            &conn,
             HttpError::new(404, "not_found", format!("no route for {path}")),
-        ),
+        );
+    };
+    let serves_get = methods.contains(&"GET");
+    if !(methods.contains(&request.method.as_str()) || head && serves_get) {
+        let mut error = HttpError::new(
+            405,
+            "method_not_allowed",
+            format!("{} not allowed on {path}", request.method),
+        );
+        let mut allow = methods.to_vec();
+        if serves_get {
+            allow.push("HEAD");
+        }
+        error.headers.push(("Allow", allow.join(", ")));
+        return respond_error(&conn, error);
     }
+    if head && STREAM_ROUTES.contains(route) {
+        let mut w = stream;
+        let _ = w.write_all(STREAM_HEADER.as_bytes());
+        return false;
+    }
+    handler(ctx, request, &conn, keep)
 }
 
 /// Writes `error` as its JSON envelope and returns `false`: an error
 /// response always closes the connection.
-fn respond_error(mut w: &TcpStream, error: HttpError) -> bool {
+fn respond_error(w: &Conn, error: HttpError) -> bool {
     let body = json::error_body(error.status, error.code, &error.message, &error.extras);
     let headers: Vec<(&str, &str)> = error
         .headers
         .iter()
         .map(|(n, v)| (*n, v.as_str()))
         .collect();
-    let _ = http::write_response(
-        &mut w,
+    w.respond(
         error.status,
         &headers,
         "application/json",
         body.as_bytes(),
         false,
-    );
-    false
+    )
 }
 
 /// Writes a 200 JSON response and returns whether the connection stays
 /// open: `keep_alive`.
-fn reply_json(mut w: &TcpStream, body: &str, keep_alive: bool) -> bool {
-    let _ = http::write_response(
-        &mut w,
-        200,
-        &[],
-        "application/json",
-        body.as_bytes(),
-        keep_alive,
-    );
-    keep_alive
+fn reply_json(w: &Conn, body: &str, keep_alive: bool) -> bool {
+    w.respond(200, &[], "application/json", body.as_bytes(), keep_alive)
 }
 
 /// The request body as text and as JSON, or the 400 to send back: a body

@@ -1,14 +1,15 @@
 //! `/query`: the query spec a request describes, its submission, and the
 //! SSE answer stream.
 
-use std::net::TcpStream;
 use std::time::Duration;
 
 use banks_core::json as corejson;
 use banks_core::EmissionPolicy;
 use banks_service::{Priority, QueryEvent, QueryResult, QuerySpec, RecvTimeout, SubmitError};
 
-use super::{json_body, open_stream, peer_disconnected, respond_error, HttpError, ServerContext};
+use super::{
+    json_body, open_stream, peer_disconnected, respond_error, Conn, HttpError, ServerContext,
+};
 use crate::http::Request;
 use crate::json::{self, JsonValue};
 
@@ -185,23 +186,18 @@ fn submit_error(err: SubmitError) -> HttpError {
 }
 
 /// `POST /query`: submit and stream.
-pub(super) fn respond_query(
-    ctx: &ServerContext,
-    request: &Request,
-    stream: &TcpStream,
-    _: bool,
-) -> bool {
+pub(super) fn respond_query(ctx: &ServerContext, request: &Request, conn: &Conn, _: bool) -> bool {
     let handle =
         match build_spec(request).and_then(|spec| ctx.service.submit(spec).map_err(submit_error)) {
             Ok(handle) => handle,
-            Err(error) => return respond_error(stream, error),
+            Err(error) => return respond_error(conn, error),
         };
     // Answer frames carry their 1-based rank as the SSE `id:`.  A client
     // reconnecting with `Last-Event-ID: K` has already consumed the first
     // K answers of this stream; the engine is deterministic for a fixed
     // epoch (and the result cache makes the re-run cheap), so the handler
     // re-executes and suppresses what was already delivered.
-    let Some((skip, mut sse)) = open_stream(request, stream, None) else {
+    let Some((skip, mut sse)) = open_stream(request, conn.stream, None) else {
         handle.cancel();
         return false;
     };
@@ -222,7 +218,7 @@ pub(super) fn respond_query(
                 // The SSE payload is rendered by the same banks-core
                 // function an in-process consumer would use: the stream is
                 // byte-identical to the in-process encoding.
-                if peer_disconnected(stream)
+                if peer_disconnected(conn.stream)
                     || sse
                         .event_with_id("answer", delivered, &corejson::ranked_answer(&answer))
                         .is_err()
@@ -246,7 +242,7 @@ pub(super) fn respond_query(
             }
             Err(RecvTimeout::Closed) => break,
             Err(RecvTimeout::TimedOut) => {
-                if peer_disconnected(stream) || sse.comment("keepalive").is_err() {
+                if peer_disconnected(conn.stream) || sse.comment("keepalive").is_err() {
                     handle.cancel();
                     break;
                 }

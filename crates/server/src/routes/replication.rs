@@ -1,16 +1,15 @@
 //! `/replication/*`: the WAL stream and the snapshot a follower bootstraps
 //! from.
 
-use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 
 use banks_core::sse::to_hex;
 use banks_service::{encode_record, EventLevel, WalPosition};
 
 use super::{
-    open_stream, peer_disconnected, respond_error, HttpError, ServerContext, STREAM_KEEPALIVE,
+    open_stream, peer_disconnected, respond_error, Conn, HttpError, ServerContext, STREAM_KEEPALIVE,
 };
-use crate::http::{self, Request};
+use crate::http::Request;
 
 /// The `head` event payload: where the leader is, where its truncation
 /// horizon is, and how many WAL records lie beyond the follower's cursor.
@@ -45,12 +44,12 @@ fn replication_head_json(ctx: &ServerContext, checkpoint_epoch: u64, pending: us
 pub(super) fn respond_replication_stream(
     ctx: &ServerContext,
     request: &Request,
-    stream: &TcpStream,
+    conn: &Conn,
     _: bool,
 ) -> bool {
     if !ctx.service.durability().enabled {
         return respond_error(
-            stream,
+            conn,
             HttpError::new(
                 409,
                 "persistence_disabled",
@@ -58,7 +57,7 @@ pub(super) fn respond_replication_stream(
             ),
         );
     }
-    let Some((mut cursor, mut sse)) = open_stream(request, stream, Some("from_epoch")) else {
+    let Some((mut cursor, mut sse)) = open_stream(request, conn.stream, Some("from_epoch")) else {
         return false;
     };
     let mut position = WalPosition::default();
@@ -128,7 +127,7 @@ pub(super) fn respond_replication_stream(
                 seen = now;
                 break;
             }
-            if peer_disconnected(stream)
+            if peer_disconnected(conn.stream)
                 || sse
                     .event("head", &replication_head_json(ctx, checkpoint_epoch, 0))
                     .is_err()
@@ -147,22 +146,20 @@ pub(super) fn respond_replication_stream(
 pub(super) fn respond_snapshot(
     ctx: &ServerContext,
     _: &Request,
-    mut w: &TcpStream,
+    w: &Conn,
     keep_alive: bool,
 ) -> bool {
     match ctx.service.newest_snapshot_file() {
         Ok(Some((epoch, path))) => match std::fs::read(&path) {
             Ok(bytes) => {
                 let epoch_header = epoch.to_string();
-                let _ = http::write_response(
-                    &mut w,
+                w.respond(
                     200,
                     &[("X-Banks-Snapshot-Epoch", epoch_header.as_str())],
                     "application/octet-stream",
                     &bytes,
                     keep_alive,
-                );
-                keep_alive
+                )
             }
             Err(e) => respond_error(
                 w,

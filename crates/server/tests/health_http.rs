@@ -16,7 +16,7 @@ use banks_server::Server;
 use banks_service::{Service, SloSpec};
 
 mod common;
-use common::{get, send};
+use common::{body_of, get, header_of, send, status_of};
 
 fn tiny_graph() -> DataGraph {
     let mut b = GraphBuilder::new();
@@ -367,6 +367,61 @@ fn query_answers_carry_ids_and_resume_skips_what_was_delivered() {
         resumed_frames.iter().any(|f| f.name == "finished"),
         "resumed stream still finishes"
     );
+    server.shutdown();
+}
+
+/// `HEAD` is `GET` without the body: the same status and headers, and
+/// nothing after the blank line.  On an SSE route it is the stream header
+/// alone, and no query runs.  A 405 lists `HEAD` wherever it lists `GET`.
+#[test]
+fn head_is_get_without_the_body() {
+    let service = Arc::new(Service::builder(tiny_graph()).workers(1).build());
+    let server = Server::builder(Arc::clone(&service)).spawn().unwrap();
+    let addr = server.local_addr();
+    let head = |path: &str| send(addr, &format!("HEAD {path} HTTP/1.1\r\nHost: t\r\n\r\n"));
+    let head_of = |response: &str| response.split_once("\r\n\r\n").unwrap().0.to_string();
+
+    let got = get(addr, "/healthz");
+    let headed = head("/healthz");
+    assert_eq!(head_of(&headed), head_of(&got));
+    assert_eq!(body_of(&headed), "");
+    let length: usize = header_of(&headed, "Content-Length")
+        .unwrap()
+        .parse()
+        .unwrap();
+    assert_eq!(length, body_of(&got).len());
+
+    for path in ["/metrics", "/metrics?format=prometheus"] {
+        let got = get(addr, path);
+        let headed = head(path);
+        assert_eq!(status_of(&headed), 200, "{path}");
+        assert_eq!(body_of(&headed), "", "{path}");
+        for name in ["Content-Type", "Connection"] {
+            assert_eq!(header_of(&headed, name), header_of(&got, name), "{path}");
+        }
+        let length: usize = header_of(&headed, "Content-Length")
+            .unwrap()
+            .parse()
+            .unwrap();
+        assert!(length > 0, "{path}");
+    }
+
+    let headed = head("/query?q=gray+locks");
+    assert_eq!(status_of(&headed), 200);
+    assert_eq!(
+        header_of(&headed, "Content-Type"),
+        Some("text/event-stream")
+    );
+    assert_eq!(body_of(&headed), "");
+    assert_eq!(service.metrics().submitted, 0, "HEAD /query runs no query");
+
+    let refused = send(addr, "POST /healthz HTTP/1.1\r\nHost: t\r\n\r\n");
+    assert_eq!(status_of(&refused), 405);
+    assert_eq!(header_of(&refused, "Allow"), Some("GET, HEAD"));
+    let refused = head("/admin/swap");
+    assert_eq!(status_of(&refused), 405);
+    assert_eq!(header_of(&refused, "Allow"), Some("POST"));
+    assert_eq!(body_of(&refused), "");
     server.shutdown();
 }
 
