@@ -21,7 +21,7 @@
 //! keyword, each combination of one such iterator per keyword defines an
 //! answer tree rooted at that node.  A visit generates the combinations
 //! that contain its own iterator, walked in place with the last keyword
-//! varying fastest, at most [`MAX_COMBINATIONS_PER_VISIT`] of them.
+//! varying fastest, at most `MAX_COMBINATIONS_PER_VISIT` (256) of them.
 //!
 //! `MiExpander` is only the expansion: it seeds one iterator per keyword
 //! node, and a step finalises one entry and releases answers against the

@@ -9,7 +9,7 @@
 //! [`KEEPALIVE_MAX_REQUESTS`] requests with [`KEEPALIVE_IDLE`] between
 //! them, while SSE streams and error responses always close.  A row that
 //! lists `GET` also serves `HEAD`: the `GET` handler answers through a
-//! [`Conn`] that sends the status line and headers without the body, except
+//! `Conn` that sends the status line and headers without the body, except
 //! on the SSE routes, which send the stream header and close without
 //! starting a stream.  The handlers live by resource in `query`, `admin`,
 //! `debug` and `replication`.
