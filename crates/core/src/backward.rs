@@ -417,35 +417,32 @@ mod tests {
         }
     }
 
-    /// Hub 34 points at 17 `a` papers (0..17), 17 `b` papers (17..34) and,
-    /// through 35, at the one `c` node 36, with no backward edges.  The `c`
-    /// iterator reaches the hub last, when 17 × 17 = 289 combinations
-    /// complete in that one visit: the first 256 of them in (a, b) order
-    /// are generated, each an answer of its own.
+    /// Hub 35 points at 17 `a` papers (0..17), 17 `b` papers (17..34) and
+    /// the one `c` node 34.  With `dmax(1)` every iterator reaches the hub
+    /// and stops there, and the `c` iterator, the last of the ties at
+    /// distance 1, finalises it last: 17 × 17 = 289 combinations complete
+    /// in that one visit, and the first 256 of them in (a, b) order are
+    /// generated, each an answer of its own.
     #[test]
     fn one_visit_generates_at_most_the_combination_cap() {
-        let mut b = banks_graph::GraphBuilder::with_capacity(37, 36);
-        for i in 0..37 {
-            b.add_node("node", format!("v{i}"));
-        }
-        for (from, to) in (0..34).map(|i| (34, i)).chain([(34, 35), (35, 36)]) {
-            b.add_edge(NodeId(from), NodeId(to)).unwrap();
-        }
-        let g = b.build(banks_graph::ExpansionPolicy::directed_only());
+        let edges: Vec<(u32, u32)> = (0..35).map(|i| (35, i)).collect();
+        let g = graph_from_edges(36, &edges);
         let p = uniform(&g);
         let m = KeywordMatches::from_sets(vec![
             ("a", (0..17).map(NodeId).collect()),
             ("b", (17..34).map(NodeId).collect()),
-            ("c", vec![NodeId(36)]),
+            ("c", vec![NodeId(34)]),
         ]);
-        let out = BackwardExpandingSearch::new().search(&g, &p, &m, &SearchParams::with_top_k(300));
+        let params = SearchParams::with_top_k(300).dmax(1);
+        let out = BackwardExpandingSearch::new().search(&g, &p, &m, &params);
         assert_eq!(out.stats.answers_generated, 256);
-        assert_eq!(out.stats.nodes_explored, 71);
+        assert_eq!(out.stats.nodes_explored, 70);
+        assert_eq!(out.stats.nodes_touched, 70);
         let mut signatures: Vec<Vec<NodeId>> =
             out.answers.iter().map(|a| a.tree.signature()).collect();
         signatures.sort();
         let first_256: Vec<Vec<NodeId>> = (0..17)
-            .flat_map(|a| (17..34).map(move |b| [a, b, 34, 35, 36].map(NodeId).to_vec()))
+            .flat_map(|a| (17..34).map(move |b| [a, b, 34, 35].map(NodeId).to_vec()))
             .take(256)
             .collect();
         assert_eq!(signatures, first_256);

@@ -186,26 +186,15 @@ mod tests {
 
     #[test]
     fn dangling_nodes_do_not_lose_mass() {
-        // Strictly directed chain: node 2 is dangling.
-        let g = {
-            let mut b = GraphBuilder::new();
-            for i in 0..3 {
-                b.add_node("node", format!("v{i}"));
-            }
-            b.add_edge(NodeId(0), NodeId(1)).unwrap();
-            b.add_edge(NodeId(1), NodeId(2)).unwrap();
-            b.build(ExpansionPolicy::directed_only())
-        };
-        let (p, _) = compute_pagerank(
-            &g,
-            PageRankConfig {
-                use_backward_edges: false,
-                ..Default::default()
-            },
-        );
+        // Every edge has a backward twin, so only the isolated node 3 is
+        // dangling; its mass is spread by teleportation, not lost.
+        let g = graph_from_edges(4, &[(0, 1), (1, 2)]);
+        let (p, _) = compute_pagerank(&g, PageRankConfig::default());
         assert!((p.sum() - 1.0).abs() < 1e-9);
-        // Downstream nodes accumulate prestige.
-        assert!(p.get(NodeId(2)) > p.get(NodeId(0)));
+        assert!(p.get(NodeId(3)) > 0.0);
+        // Nodes that receive edges outrank the one that receives none.
+        assert!(p.get(NodeId(3)) < p.get(NodeId(0)));
+        assert!(p.get(NodeId(0)) < p.get(NodeId(1)));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Fingerprints of the generated corpora, their label indexes and one
-//! encoded snapshot, pinned to the values the generators produced before
+//! Fingerprints of the generated corpora, their label indexes and three
+//! encoded snapshots, pinned to the values the generators produced before
 //! the boot path was made linear (recorded on commit f2c5527).
 //!
 //! The benchmark's corpora, `engine_golden.tsv` and every equivalence suite
@@ -222,4 +222,48 @@ fn snapshot_bytes_are_unchanged() {
         h.0,
         0xe2fa_11a4_08f8_5556,
     )]);
+}
+
+/// An 800-author corpus with its PageRank prestige at epoch 1, and its
+/// successor after one mixed mutation batch at epoch 2: every byte of both
+/// snapshots, so the derived backward edges, the prestige walk, the
+/// mutation delta and the expansion-policy record stay as they were.
+#[test]
+fn pagerank_and_mutated_snapshot_bytes_are_unchanged() {
+    let data = dblp(800, 1500, 8, 7);
+    let mut graph = data.dataset.graph().clone();
+    graph.restore_epoch(1);
+    let fresh = NodeId(graph.num_nodes() as u32);
+    let cited = graph
+        .nodes()
+        .find_map(|u| graph.out_edges(u).find(|e| e.kind.is_forward()))
+        .unwrap();
+    let batch = MutationBatch::new()
+        .add_node("paper", "fresh keyword search paper")
+        .add_edge(fresh, NodeId(0))
+        .add_edge_weighted(fresh, NodeId(1), 2.5)
+        .remove_edge(cited.from, cited.to);
+    let (mut successor, outcome) = graph.apply_batch(&batch);
+    assert_eq!(outcome.accepted(), 4);
+    successor.restore_epoch(2);
+    let recorded = [
+        (&graph, 1_567_960, 0x87dc_3172_6ec5_7eb3),
+        (&successor, 1_568_048, 0x51f8_dd50_505b_6396),
+    ];
+    let rows: Vec<(String, u64, u64)> = recorded
+        .into_iter()
+        .map(|(g, len, recorded)| {
+            let (prestige, _) = compute_pagerank(g, PageRankConfig::default());
+            let bytes = encode_snapshot(g, Some(&prestige), Some(&build_label_index(g)));
+            assert_eq!(bytes.len(), len, "epoch {} snapshot length", g.epoch());
+            let mut h = Fnv::new();
+            h.bytes(&bytes);
+            (
+                format!("epoch {} ({} bytes)", g.epoch(), bytes.len()),
+                h.0,
+                recorded,
+            )
+        })
+        .collect();
+    check(&rows);
 }
