@@ -7,7 +7,7 @@ use banks_datagen::{
     PatentsDataset, QueryCase, WorkloadConfig, WorkloadGenerator,
 };
 use banks_graph::GraphStats;
-use banks_prestige::{compute_pagerank, PageRankConfig, PrestigeVector};
+use banks_prestige::{compute_pagerank, PrestigeVector};
 use banks_relational::SparseSearch;
 
 use crate::metrics::{average, run_engine_on_case, EngineKind, QueryMetrics};
@@ -88,7 +88,7 @@ impl Environment {
     /// Generates the environment for a scale.
     pub fn prepare(scale: BenchScale) -> Self {
         let data = DblpDataset::generate(scale.dblp_config());
-        let (prestige, _) = compute_pagerank(data.dataset.graph(), PageRankConfig::default());
+        let (prestige, _) = compute_pagerank(data.dataset.graph());
         Environment { data, prestige }
     }
 

@@ -21,7 +21,8 @@
 //! keyword, each combination of one such iterator per keyword defines an
 //! answer tree rooted at that node.  A visit generates the combinations
 //! that contain its own iterator, walked in place with the last keyword
-//! varying fastest, at most `MAX_COMBINATIONS_PER_VISIT` (256) of them.
+//! varying fastest, at most `MAX_COMBINATIONS_PER_VISIT` (256) of them; a
+//! visit that leaves combinations ungenerated marks the search truncated.
 //!
 //! `MiExpander` is only the expansion: it seeds one iterator per keyword
 //! node, and a step finalises one entry and releases answers against the
@@ -230,7 +231,12 @@ impl Expansion for MiExpander<'_> {
         if lists.iter().all(|l| !l.is_empty()) {
             // `pick[j]` indexes `lists[j]`; `pick[keyword]` stays 0 unused.
             let mut pick = vec![0usize; k];
-            for _ in 0..MAX_COMBINATIONS_PER_VISIT {
+            for generated in 0.. {
+                if generated == MAX_COMBINATIONS_PER_VISIT {
+                    // Combinations are left: the answer set is incomplete.
+                    self.core.stats.truncated = true;
+                    break;
+                }
                 if !self.core.may_generate() {
                     break;
                 }
@@ -422,7 +428,8 @@ mod tests {
     /// and stops there, and the `c` iterator, the last of the ties at
     /// distance 1, finalises it last: 17 × 17 = 289 combinations complete
     /// in that one visit, and the first 256 of them in (a, b) order are
-    /// generated, each an answer of its own.
+    /// generated, each an answer of its own; the 33 dropped mark the search
+    /// truncated.
     #[test]
     fn one_visit_generates_at_most_the_combination_cap() {
         let edges: Vec<(u32, u32)> = (0..35).map(|i| (35, i)).collect();
@@ -438,6 +445,7 @@ mod tests {
         assert_eq!(out.stats.answers_generated, 256);
         assert_eq!(out.stats.nodes_explored, 70);
         assert_eq!(out.stats.nodes_touched, 70);
+        assert!(out.stats.truncated);
         let mut signatures: Vec<Vec<NodeId>> =
             out.answers.iter().map(|a| a.tree.signature()).collect();
         signatures.sort();

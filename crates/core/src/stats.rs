@@ -48,7 +48,8 @@ pub struct SearchStats {
     pub duration: Duration,
     /// Whether the search stopped because a safety cap
     /// (`max_explored` / `max_generated`) or the per-answer work budget
-    /// (`answer_work_budget`) was hit.
+    /// (`answer_work_budget`) was hit, or MI-Backward left combinations of
+    /// one visit ungenerated past its per-visit cap.
     pub truncated: bool,
     /// Whether the search stopped because its [`crate::CancelToken`] was
     /// cancelled.  A cancelled stream is *not* exhausted: the engine simply

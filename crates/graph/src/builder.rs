@@ -6,14 +6,13 @@ use crate::error::GraphError;
 use crate::graph::DataGraph;
 use crate::ids::{KindId, NodeId};
 use crate::node::NodeMeta;
-use crate::weights::ExpansionPolicy;
 use crate::Result;
 
 /// Builder that accumulates typed nodes and *original* (forward) edges and
 /// freezes them into an immutable [`DataGraph`].
 ///
 /// ```
-/// use banks_graph::{GraphBuilder, ExpansionPolicy};
+/// use banks_graph::GraphBuilder;
 ///
 /// let mut b = GraphBuilder::new();
 /// let paper = b.add_node("paper", "Transaction Recovery");
@@ -21,7 +20,7 @@ use crate::Result;
 /// let writes = b.add_node("writes", "w1");
 /// b.add_edge(writes, paper).unwrap();
 /// b.add_edge(writes, author).unwrap();
-/// let g = b.build(ExpansionPolicy::paper_default());
+/// let g = b.build_default();
 /// assert_eq!(g.num_nodes(), 3);
 /// // two forward + two backward edges
 /// assert_eq!(g.num_directed_edges(), 4);
@@ -31,10 +30,9 @@ pub struct GraphBuilder {
     kinds: Vec<String>,
     kind_lookup: HashMap<String, KindId>,
     nodes: Vec<NodeMeta>,
-    /// Original forward edges; `None` weight means "use the policy default".
-    edges: Vec<(NodeId, NodeId, Option<f64>)>,
+    /// Original forward edges with their weights.
+    edges: Vec<(NodeId, NodeId, f64)>,
     allow_self_loops: bool,
-    allow_parallel_edges: bool,
 }
 
 impl Default for GraphBuilder {
@@ -58,7 +56,6 @@ impl GraphBuilder {
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
             allow_self_loops: false,
-            allow_parallel_edges: true,
         }
     }
 
@@ -66,13 +63,6 @@ impl GraphBuilder {
     /// contain them and they only create degenerate one-node "trees").
     pub fn allow_self_loops(mut self, allow: bool) -> Self {
         self.allow_self_loops = allow;
-        self
-    }
-
-    /// Forbids parallel forward edges between the same ordered node pair.
-    /// When disallowed, later duplicates are silently ignored at `build`.
-    pub fn allow_parallel_edges(mut self, allow: bool) -> Self {
-        self.allow_parallel_edges = allow;
         self
     }
 
@@ -102,9 +92,9 @@ impl GraphBuilder {
     }
 
     /// Adds an original forward edge `from -> to` with the default weight
-    /// (resolved against the [`ExpansionPolicy`] at build time).
+    /// 1 (the paper: "defined by the schema, and default to 1").
     pub fn add_edge(&mut self, from: NodeId, to: NodeId) -> Result<()> {
-        self.push_edge(from, to, None)
+        self.push_edge(from, to, 1.0)
     }
 
     /// Adds an original forward edge with an explicit weight.
@@ -112,10 +102,10 @@ impl GraphBuilder {
         if !weight.is_finite() || weight <= 0.0 {
             return Err(GraphError::InvalidEdgeWeight { from, to, weight });
         }
-        self.push_edge(from, to, Some(weight))
+        self.push_edge(from, to, weight)
     }
 
-    fn push_edge(&mut self, from: NodeId, to: NodeId, weight: Option<f64>) -> Result<()> {
+    fn push_edge(&mut self, from: NodeId, to: NodeId, weight: f64) -> Result<()> {
         self.check_node(from)?;
         self.check_node(to)?;
         if from == to && !self.allow_self_loops {
@@ -145,36 +135,17 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Freezes the builder into an immutable [`DataGraph`] using the given
-    /// expansion policy.
-    pub fn build(self, policy: ExpansionPolicy) -> DataGraph {
-        let GraphBuilder {
-            kinds,
-            nodes,
-            mut edges,
-            allow_parallel_edges,
-            ..
-        } = self;
-        if !allow_parallel_edges {
-            let mut seen = std::collections::HashSet::with_capacity(edges.len());
-            edges.retain(|(u, v, _)| seen.insert((*u, *v)));
-        }
-        let resolved: Vec<(NodeId, NodeId, f64)> = edges
-            .into_iter()
-            .map(|(u, v, w)| (u, v, w.unwrap_or(policy.default_forward_weight)))
-            .collect();
-        DataGraph::from_parts(kinds, nodes, resolved, policy)
-    }
-
-    /// Convenience: freezes with the paper's default policy.
+    /// Freezes the builder into an immutable [`DataGraph`]: every forward
+    /// edge gets its backward twin, weighted as the paper's Section 2.3
+    /// says.
     pub fn build_default(self) -> DataGraph {
-        self.build(ExpansionPolicy::paper_default())
+        DataGraph::from_parts(self.kinds, self.nodes, self.edges)
     }
 }
 
 /// Convenience constructor used pervasively in unit tests: builds a graph
 /// from plain `(from, to)` pairs over `n` nodes, all of kind `"node"` with
-/// labels `"v{i}"`, default weights and the paper's expansion policy.
+/// labels `"v{i}"` and default weights.
 pub fn graph_from_edges(n: usize, edges: &[(u32, u32)]) -> DataGraph {
     let mut b = GraphBuilder::with_capacity(n, edges.len());
     for i in 0..n {
@@ -211,7 +182,7 @@ mod tests {
         let a = b.add_node("author", "Gray");
         let p = b.add_node("paper", "Transactions");
         b.add_edge_weighted(p, a, 1.0).unwrap();
-        let g = b.build(ExpansionPolicy::paper_default());
+        let g = b.build_default();
         assert_eq!(g.num_nodes(), 2);
         assert_eq!(g.num_original_edges(), 1);
         assert_eq!(g.num_directed_edges(), 2); // forward + backward
@@ -268,17 +239,6 @@ mod tests {
     }
 
     #[test]
-    fn deduplicates_parallel_edges_when_requested() {
-        let mut b = GraphBuilder::new().allow_parallel_edges(false);
-        let a = b.add_node("x", "a");
-        let c = b.add_node("x", "c");
-        b.add_edge(a, c).unwrap();
-        b.add_edge(a, c).unwrap();
-        let g = b.build_default();
-        assert_eq!(g.num_original_edges(), 1);
-    }
-
-    #[test]
     fn backward_edge_weight_uses_head_indegree() {
         // Three papers point at one conference; backward edges from the
         // conference must be log2(1 + 3) = 2 times the forward weight.
@@ -306,20 +266,6 @@ mod tests {
             assert_eq!(fwd.kind, EdgeKind::Forward);
             assert!((fwd.weight - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn directed_only_policy_omits_backward_edges() {
-        let g = {
-            let mut b = GraphBuilder::new();
-            let a = b.add_node("x", "a");
-            let c = b.add_node("x", "c");
-            b.add_edge(a, c).unwrap();
-            b.build(ExpansionPolicy::directed_only())
-        };
-        assert_eq!(g.num_directed_edges(), 1);
-        assert!(g.has_edge(NodeId(0), NodeId(1)));
-        assert!(!g.has_edge(NodeId(1), NodeId(0)));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::csr::{CsrAdjacency, CsrRow};
 use crate::error::GraphError;
 use crate::ids::{KindId, NodeId};
 use crate::node::{EdgeKind, NodeMeta};
-use crate::weights::ExpansionPolicy;
+use crate::weights::backward_weight;
 use crate::Result;
 
 /// Process-wide epoch source: every constructed graph (and every
@@ -198,11 +198,11 @@ impl ExactSizeIterator for RowIter<'_> {}
 /// run.
 ///
 /// The graph stores the *expanded* edge set: every original forward edge
-/// `u -> v` and, if the [`ExpansionPolicy`] asks for it, the derived backward
-/// edge `v -> u` whose weight penalises hub nodes.  Both the out-adjacency
-/// and the in-adjacency are materialised in CSR form, because the backward
-/// expanding iterators traverse edges "against the arrow" while the outgoing
-/// iterator follows them.
+/// `u -> v` and the derived backward edge `v -> u` whose weight penalises
+/// hub nodes (see [`crate::weights::backward_weight`]).  Both the
+/// out-adjacency and the in-adjacency are materialised in CSR form, because
+/// the backward expanding iterators traverse edges "against the arrow"
+/// while the outgoing iterator follows them.
 ///
 /// Graphs are *persistent values*: [`DataGraph::apply_batch`] produces a
 /// structurally-shared successor (new epoch, shared base storage, small
@@ -213,7 +213,6 @@ pub struct DataGraph {
     pub(crate) overlay: Overlay,
     pub(crate) num_original_edges: usize,
     pub(crate) num_directed_edges: usize,
-    pub(crate) policy: ExpansionPolicy,
     /// Identity/version marker used by result caches: two graphs with the
     /// same epoch hold identical data.  Fresh per construction; clones share
     /// the epoch of the original (same contents).
@@ -222,12 +221,12 @@ pub struct DataGraph {
 
 impl DataGraph {
     /// Assembles a graph from already-validated parts.  Used by
-    /// [`crate::GraphBuilder::build`]; prefer the builder in user code.
+    /// [`crate::GraphBuilder::build_default`] and by compaction; prefer the
+    /// builder in user code.
     pub fn from_parts(
         kinds: Vec<String>,
         meta: Vec<NodeMeta>,
         forward_edges: Vec<(NodeId, NodeId, f64)>,
-        policy: ExpansionPolicy,
     ) -> Self {
         let n = meta.len();
         let mut forward_indegree = vec![0u32; n];
@@ -237,22 +236,14 @@ impl DataGraph {
             forward_indegree[v.index()] += 1;
         }
 
-        let expanded_len = if policy.add_backward_edges {
-            forward_edges.len() * 2
-        } else {
-            forward_edges.len()
-        };
-        let mut expanded: Vec<(NodeId, NodeId, f64, EdgeKind)> = Vec::with_capacity(expanded_len);
+        let mut expanded: Vec<(NodeId, NodeId, f64, EdgeKind)> =
+            Vec::with_capacity(forward_edges.len() * 2);
         for (u, v, w) in &forward_edges {
             expanded.push((*u, *v, *w, EdgeKind::Forward));
         }
-        if policy.add_backward_edges {
-            for (u, v, w) in &forward_edges {
-                let bw = policy
-                    .backward_weight
-                    .backward_weight(*w, forward_indegree[v.index()] as usize);
-                expanded.push((*v, *u, bw, EdgeKind::Backward));
-            }
+        for (u, v, w) in &forward_edges {
+            let bw = backward_weight(*w, forward_indegree[v.index()] as usize);
+            expanded.push((*v, *u, bw, EdgeKind::Backward));
         }
 
         let out = CsrAdjacency::from_edges(n, &expanded);
@@ -276,7 +267,6 @@ impl DataGraph {
             overlay: Overlay::default(),
             num_original_edges: forward_edges.len(),
             num_directed_edges,
-            policy,
             epoch: fresh_epoch(),
         }
     }
@@ -355,12 +345,6 @@ impl DataGraph {
     #[inline]
     pub fn num_directed_edges(&self) -> usize {
         self.num_directed_edges
-    }
-
-    /// The policy used to expand the graph.
-    #[inline]
-    pub fn policy(&self) -> ExpansionPolicy {
-        self.policy
     }
 
     /// Returns true when the graph has no nodes.
@@ -666,7 +650,7 @@ impl DataGraph {
                 }
             }
         }
-        let mut flat = DataGraph::from_parts(kinds, meta, forward, self.policy());
+        let mut flat = DataGraph::from_parts(kinds, meta, forward);
         // Tombstones survive compaction verbatim: the flat base keeps the
         // removed ids (with empty rows and labels) so the dense id space —
         // which WAL records and replicas key on — never shifts.
@@ -704,7 +688,6 @@ impl DataGraph {
             tombstones: &self.base.tombstones,
             num_original_edges: self.num_original_edges,
             num_directed_edges: self.num_directed_edges,
-            policy: self.policy,
             epoch: self.epoch,
         })
     }
@@ -780,7 +763,6 @@ impl DataGraph {
             overlay: Overlay::default(),
             num_original_edges: parts.num_original_edges,
             num_directed_edges,
-            policy: parts.policy,
             epoch: fresh_epoch(),
         })
     }
@@ -809,8 +791,6 @@ pub struct StorageRef<'a> {
     pub num_original_edges: usize,
     /// Number of directed edges in the expanded graph.
     pub num_directed_edges: usize,
-    /// The expansion policy the graph was built with.
-    pub policy: ExpansionPolicy,
     /// The graph's epoch at serialization time.
     pub epoch: u64,
 }
@@ -834,8 +814,6 @@ pub struct StorageParts {
     pub tombstones: Vec<u32>,
     /// Number of original forward edges.
     pub num_original_edges: usize,
-    /// The expansion policy the graph was built with.
-    pub policy: ExpansionPolicy,
 }
 
 #[cfg(test)]

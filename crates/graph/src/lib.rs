@@ -23,8 +23,7 @@
 //!   first-class incremental updates: a batch produces a structurally
 //!   shared successor graph (copy-on-write adjacency, fresh epoch) in
 //!   O(touched rows) instead of a rebuild,
-//! * [`ExpansionPolicy`] / [`BackwardWeightPolicy`] — the knobs controlling
-//!   how backward edges are derived,
+//! * [`backward_weight`] — the one rule deriving a backward edge's weight,
 //! * statistics ([`stats`]).
 //!
 //! The in-memory representation follows the paper's "the graph is really
@@ -51,7 +50,7 @@ pub use ids::{EdgeId, KindId, NodeId};
 pub use mutation::{BatchOutcome, GraphMutation, LabelChange, MutationBatch, OpEffect};
 pub use node::{EdgeKind, NodeMeta};
 pub use stats::GraphStats;
-pub use weights::{BackwardWeightPolicy, ExpansionPolicy};
+pub use weights::backward_weight;
 
 /// Result alias used throughout the crate.
 pub type Result<T> = std::result::Result<T, GraphError>;

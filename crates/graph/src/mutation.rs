@@ -50,6 +50,7 @@ use crate::error::GraphError;
 use crate::graph::{fresh_epoch, DataGraph, OverlayEdge};
 use crate::ids::{KindId, NodeId};
 use crate::node::{EdgeKind, NodeMeta};
+use crate::weights::backward_weight;
 
 /// One atomic change to a [`DataGraph`].
 #[derive(Clone, Debug, PartialEq)]
@@ -68,7 +69,7 @@ pub enum GraphMutation {
         from: NodeId,
         /// Head of the edge.
         to: NodeId,
-        /// Forward weight; `None` uses the policy default.
+        /// Forward weight; `None` is the default weight 1.
         weight: Option<f64>,
     },
     /// Removes **every** forward edge `from -> to` (and the derived
@@ -154,7 +155,7 @@ impl MutationBatch {
         self
     }
 
-    /// Chainable [`GraphMutation::AddEdge`] with the policy-default weight.
+    /// Chainable [`GraphMutation::AddEdge`] with the default weight 1.
     pub fn add_edge(mut self, from: NodeId, to: NodeId) -> Self {
         self.ops.push(GraphMutation::AddEdge {
             from,
@@ -474,7 +475,7 @@ impl<'g> DeltaBuilder<'g> {
                 });
             }
             Some(w) => w,
-            None => self.g.policy().default_forward_weight,
+            None => 1.0,
         };
         self.ensure_fwd_out(from.0);
         self.ensure_fwd_in(to.0);
@@ -649,21 +650,17 @@ impl<'g> DeltaBuilder<'g> {
             .filter(|(_, d)| **d != 0)
             .map(|(n, _)| *n)
             .collect();
-        let fan_out_needed = self.g.policy().add_backward_edges;
         let mut rebuild: BTreeSet<u32> = self.touched.clone();
         rebuild.extend(indeg_changed.iter().copied());
-        if fan_out_needed {
-            for &v in &indeg_changed {
-                self.ensure_fwd_in(v);
-                let preds: Vec<u32> = self.fwd_in[&v].iter().map(|(f, _)| *f).collect();
-                rebuild.extend(preds);
-            }
+        for &v in &indeg_changed {
+            self.ensure_fwd_in(v);
+            let preds: Vec<u32> = self.fwd_in[&v].iter().map(|(f, _)| *f).collect();
+            rebuild.extend(preds);
         }
 
         // Rebuild both rows of every affected node from the final forward
         // lists, sorted exactly as the CSR sorts (target id, then kind) so
         // a from-scratch rebuild is byte-identical.
-        let policy = self.g.policy();
         let mut new_out_rows: Vec<(u32, Vec<OverlayEdge>)> = Vec::with_capacity(rebuild.len());
         let mut new_inc_rows: Vec<(u32, Vec<OverlayEdge>)> = Vec::with_capacity(rebuild.len());
         let mut directed_delta: i64 = 0;
@@ -673,53 +670,26 @@ impl<'g> DeltaBuilder<'g> {
             let out_list = &self.fwd_out[&r];
             let in_list = &self.fwd_in[&r];
 
-            let mut out_row: Vec<OverlayEdge> = Vec::with_capacity(
-                out_list.len()
-                    + if policy.add_backward_edges {
-                        in_list.len()
-                    } else {
-                        0
-                    },
-            );
+            let mut out_row: Vec<OverlayEdge> = Vec::with_capacity(out_list.len() + in_list.len());
             for (to, w) in out_list {
                 out_row.push((*to, *w, EdgeKind::Forward));
             }
-            if policy.add_backward_edges {
-                let indeg_r = self.indeg_final(r);
-                for (from, w) in in_list {
-                    out_row.push((
-                        *from,
-                        policy.backward_weight.backward_weight(*w, indeg_r),
-                        EdgeKind::Backward,
-                    ));
-                }
+            let indeg_r = self.indeg_final(r);
+            for (from, w) in in_list {
+                out_row.push((*from, backward_weight(*w, indeg_r), EdgeKind::Backward));
             }
             out_row.sort_by(|a, b| {
                 a.0.cmp(&b.0)
                     .then_with(|| a.2.is_backward().cmp(&b.2.is_backward()))
             });
 
-            let mut inc_row: Vec<OverlayEdge> = Vec::with_capacity(
-                in_list.len()
-                    + if policy.add_backward_edges {
-                        out_list.len()
-                    } else {
-                        0
-                    },
-            );
+            let mut inc_row: Vec<OverlayEdge> = Vec::with_capacity(in_list.len() + out_list.len());
             for (from, w) in in_list {
                 inc_row.push((*from, *w, EdgeKind::Forward));
             }
-            if policy.add_backward_edges {
-                for (to, w) in out_list {
-                    inc_row.push((
-                        *to,
-                        policy
-                            .backward_weight
-                            .backward_weight(*w, self.indeg_final(*to)),
-                        EdgeKind::Backward,
-                    ));
-                }
+            for (to, w) in out_list {
+                let bw = backward_weight(*w, self.indeg_final(*to));
+                inc_row.push((*to, bw, EdgeKind::Backward));
             }
             inc_row.sort_by(|a, b| {
                 a.0.cmp(&b.0)
@@ -787,7 +757,6 @@ impl<'g> DeltaBuilder<'g> {
             num_original_edges: (self.g.num_original_edges() as i64 + self.original_edges_delta)
                 as usize,
             num_directed_edges: (self.g.num_directed_edges() as i64 + directed_delta) as usize,
-            policy,
             epoch: fresh_epoch(),
         };
 
@@ -815,7 +784,6 @@ impl<'g> DeltaBuilder<'g> {
 mod tests {
     use super::*;
     use crate::builder::{graph_from_edges, graph_from_weighted_edges, GraphBuilder};
-    use crate::weights::ExpansionPolicy;
 
     fn rows(g: &DataGraph, u: u32) -> Vec<(u32, f64, bool)> {
         g.out_edges(NodeId(u))
@@ -1025,31 +993,6 @@ mod tests {
         let (g4, _) = g3.apply_batch(&MutationBatch::new().set_label(NodeId(3), "late"));
         assert_eq!(g4.node_label(NodeId(3)), "late");
         assert_eq!(g3.node_label(NodeId(3)), "v3", "ancestor unchanged");
-    }
-
-    #[test]
-    fn directed_only_policy_skips_backward_bookkeeping() {
-        let g = {
-            let mut b = GraphBuilder::new();
-            for i in 0..3 {
-                b.add_node("node", format!("v{i}"));
-            }
-            b.add_edge(NodeId(0), NodeId(1)).unwrap();
-            b.build(ExpansionPolicy::directed_only())
-        };
-        let (g2, _) = g.apply_batch(&MutationBatch::new().add_edge(NodeId(2), NodeId(1)));
-        assert_eq!(g2.num_directed_edges(), 2);
-        assert!(!g2.has_edge(NodeId(1), NodeId(2)), "no backward edges");
-        let rebuilt = {
-            let mut b = GraphBuilder::new();
-            for i in 0..3 {
-                b.add_node("node", format!("v{i}"));
-            }
-            b.add_edge(NodeId(0), NodeId(1)).unwrap();
-            b.add_edge(NodeId(2), NodeId(1)).unwrap();
-            b.build(ExpansionPolicy::directed_only())
-        };
-        assert_graphs_identical(&g2, &rebuilt);
     }
 
     #[test]

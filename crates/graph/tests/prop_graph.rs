@@ -1,7 +1,7 @@
 //! Property-based tests for the graph substrate.
 
 use banks_graph::builder::GraphBuilder;
-use banks_graph::{BackwardWeightPolicy, EdgeKind, ExpansionPolicy, NodeId};
+use banks_graph::{EdgeKind, NodeId};
 use proptest::prelude::*;
 
 /// Strategy producing a random edge list over `n` nodes.
@@ -12,7 +12,7 @@ fn arb_graph() -> impl Strategy<Value = (usize, Vec<(u32, u32, f64)>)> {
     })
 }
 
-fn build(n: usize, edges: &[(u32, u32, f64)], policy: ExpansionPolicy) -> banks_graph::DataGraph {
+fn build(n: usize, edges: &[(u32, u32, f64)]) -> banks_graph::DataGraph {
     let mut b = GraphBuilder::with_capacity(n, edges.len()).allow_self_loops(false);
     for i in 0..n {
         b.add_node("node", format!("v{i}"));
@@ -22,7 +22,7 @@ fn build(n: usize, edges: &[(u32, u32, f64)], policy: ExpansionPolicy) -> banks_
             b.add_edge_weighted(NodeId(*u), NodeId(*v), *w).unwrap();
         }
     }
-    b.build(policy)
+    b.build_default()
 }
 
 proptest! {
@@ -30,7 +30,7 @@ proptest! {
     /// weight and kind, and vice versa.
     #[test]
     fn adjacency_directions_are_mirrors((n, edges) in arb_graph()) {
-        let g = build(n, &edges, ExpansionPolicy::paper_default());
+        let g = build(n, &edges);
         for u in g.nodes() {
             let outs: Vec<_> = g.out_edges(u).collect();
             for e in outs {
@@ -43,46 +43,26 @@ proptest! {
         }
     }
 
-    /// The number of directed edges is exactly twice the number of original
-    /// edges when backward expansion is on, and equal when it is off.
+    /// Every original edge has exactly one backward twin, so the number of
+    /// directed edges is exactly twice the number of original edges.
     #[test]
-    fn edge_counts_match_policy((n, edges) in arb_graph()) {
-        let with_back = build(n, &edges, ExpansionPolicy::paper_default());
-        let without = build(n, &edges, ExpansionPolicy::directed_only());
-        prop_assert_eq!(with_back.num_directed_edges(), 2 * with_back.num_original_edges());
-        prop_assert_eq!(without.num_directed_edges(), without.num_original_edges());
-        prop_assert_eq!(with_back.num_original_edges(), without.num_original_edges());
+    fn directed_edges_are_twice_the_original_edges((n, edges) in arb_graph()) {
+        let g = build(n, &edges);
+        prop_assert_eq!(g.num_directed_edges(), 2 * g.num_original_edges());
+        prop_assert_eq!(g.num_original_edges(), edges.iter().filter(|(u, v, _)| u != v).count());
     }
 
     /// Backward edges are never cheaper than their forward counterpart under
-    /// the paper's indegree-log policy.
+    /// the paper's indegree-log rule.
     #[test]
     fn backward_edges_at_least_forward_weight((n, edges) in arb_graph()) {
-        let g = build(n, &edges, ExpansionPolicy::paper_default());
+        let g = build(n, &edges);
         for u in g.nodes() {
             for e in g.out_edges(u).filter(|e| e.kind == EdgeKind::Backward) {
                 // the matching forward edge goes e.to -> e.from
                 let fwd = g.forward_edge_weight(e.to, e.from).expect("forward twin must exist");
                 prop_assert!(e.weight >= fwd - 1e-12,
                     "backward edge {:?} cheaper than forward {}", e, fwd);
-            }
-        }
-    }
-
-    /// Under the Mirror policy the expanded graph is weight-symmetric:
-    /// every edge has a reverse twin of the same weight.
-    #[test]
-    fn mirror_policy_is_weight_symmetric((n, edges) in arb_graph()) {
-        let policy = ExpansionPolicy {
-            add_backward_edges: true,
-            backward_weight: BackwardWeightPolicy::Mirror,
-            default_forward_weight: 1.0,
-        };
-        let g = build(n, &edges, policy);
-        for u in g.nodes() {
-            for e in g.out_edges(u) {
-                prop_assert!(g.out_edges(e.to).any(|b| b.to == u && (b.weight - e.weight).abs() < 1e-12),
-                    "edge {:?} has no reverse twin of equal weight", e);
             }
         }
     }

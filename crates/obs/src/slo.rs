@@ -1,8 +1,8 @@
 //! Declarative SLOs judged by multi-window burn rate.
 //!
-//! An [`SloSpec`] names a retained time series (see
-//! [`TimeSeriesRing`](crate::TimeSeriesRing)), an upper bound, and an
-//! error budget: the fraction of ticks allowed to violate the bound.  The
+//! An [`SloSpec`] names a retained time series (see [`TimeSeriesRing`]),
+//! an upper bound, and an error budget: the fraction of ticks allowed to
+//! violate the bound.  The
 //! [`SloEngine`] evaluates every spec over a *fast* and a *slow* window
 //! (default 5 min / 1 h, the classic multi-window pair): the **burn rate**
 //! of a window is its bad-tick ratio divided by the budget, so burn 1.0

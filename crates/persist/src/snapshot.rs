@@ -25,7 +25,9 @@
 //! policy, 4 counts, 7 degrees, 5 and 6 the out and in CSR adjacency, then
 //! the optional ones — 10 tombstones (only when a node was removed),
 //! 8 prestige, 9 inverted index, and 11 **derivation** (only when the
-//! writer knows how it derived index and prestige).  Record 11 is 32 bytes
+//! writer knows how it derived index and prestige).  Record 3 is a
+//! constant 18 bytes: the graph is built one way, the paper's, and a
+//! reader refuses any other value as corrupt.  Record 11 is 32 bytes
 //! on disk: a 24-byte record header and a 2-byte payload padded to 8 —
 //! byte 0 names the index (0 label index, 1 external), byte 1 the prestige
 //! (0 uniform, 2 pinned; 1 once named indegree prestige and now reads as no
@@ -59,8 +61,7 @@ use banks_graph::codec::{
     put_f64, put_f64_slice, put_str, put_u16, put_u32, put_u32_slice, put_u64, Cursor,
 };
 use banks_graph::{
-    BackwardWeightPolicy, CsrAdjacency, DataGraph, EdgeKind, ExpansionPolicy, KindId, NodeId,
-    NodeMeta, StorageParts, StorageRef,
+    CsrAdjacency, DataGraph, EdgeKind, KindId, NodeId, NodeMeta, StorageParts, StorageRef,
 };
 use banks_prestige::PrestigeVector;
 use banks_textindex::{InvertedIndex, Tokenizer};
@@ -238,7 +239,7 @@ pub fn encode_snapshot_with(
     let mut jobs: Vec<Job<'_, Encoded>> = Vec::with_capacity(11);
     jobs.push(job(TAG_KINDS, false, 64, move || encode_kinds(parts)));
     jobs.push(job(TAG_META, false, 24 * nodes, move || encode_meta(parts)));
-    jobs.push(job(TAG_POLICY, false, 18, move || encode_policy(parts)));
+    jobs.push(job(TAG_POLICY, false, 18, encode_policy));
     jobs.push(job(TAG_COUNTS, false, 32, move || encode_counts(parts)));
     jobs.push(job(TAG_DEGREES, false, 8 * nodes, move || {
         encode_degrees(parts)
@@ -339,18 +340,13 @@ fn encode_meta(parts: StorageRef<'_>) -> Vec<u8> {
     meta
 }
 
-fn encode_policy(parts: StorageRef<'_>) -> Vec<u8> {
-    let mut policy = Vec::new();
-    policy.push(parts.policy.add_backward_edges as u8);
-    let (variant, param) = match parts.policy.backward_weight {
-        BackwardWeightPolicy::IndegreeLog => (0u8, 0.0),
-        BackwardWeightPolicy::Mirror => (1, 0.0),
-        BackwardWeightPolicy::Constant(w) => (2, w),
-        BackwardWeightPolicy::ScaledIndegreeLog(f) => (3, f),
-    };
-    policy.push(variant);
-    put_f64(&mut policy, param);
-    put_f64(&mut policy, parts.policy.default_forward_weight);
+/// Record 3, the expansion policy, in the one form the graph is built:
+/// backward edges on (1), weighted by the paper's indegree-log rule
+/// (variant 0, parameter 0.0), default forward weight 1.0.
+fn encode_policy() -> Vec<u8> {
+    let mut policy = vec![1, 0];
+    put_f64(&mut policy, 0.0);
+    put_f64(&mut policy, 1.0);
     policy
 }
 
@@ -519,7 +515,7 @@ struct RecordRef<'a> {
 struct Decoded {
     kinds: OnceLock<Result<Vec<String>>>,
     meta: OnceLock<Result<Vec<NodeMeta>>>,
-    policy: OnceLock<Result<ExpansionPolicy>>,
+    policy: OnceLock<Result<()>>,
     counts: OnceLock<Result<[usize; 4]>>,
     degrees: OnceLock<Result<Degrees>>,
     out: OnceLock<Result<CsrAdjacency>>,
@@ -618,7 +614,7 @@ pub fn decode_snapshot_with(
     let kind_count = kinds.len();
     let meta = required(decoded.meta, "meta")?;
     let node_count = meta.len();
-    let policy = required(decoded.policy, "policy")?;
+    required(decoded.policy, "policy")?;
     let [num_original_edges, num_directed_edges, counted_nodes, counted_kinds] =
         required(decoded.counts, "counts")?;
     if counted_nodes != node_count || counted_kinds != kind_count {
@@ -661,7 +657,6 @@ pub fn decode_snapshot_with(
         forward_indegree,
         forward_outdegree,
         num_original_edges,
-        policy,
         tombstones,
     })?;
     graph.restore_epoch(epoch);
@@ -792,28 +787,16 @@ fn decode_meta(payload: &[u8]) -> Result<Vec<NodeMeta>> {
     Ok(meta)
 }
 
-fn decode_policy(payload: &[u8]) -> Result<ExpansionPolicy> {
-    let mut c = Cursor::new(payload, 0);
-    let add_backward_edges = c.u8("policy")? != 0;
-    let variant = c.u8("policy")?;
-    let param = c.f64("policy")?;
-    let default_forward_weight = c.f64("policy")?;
-    let backward_weight = match variant {
-        0 => BackwardWeightPolicy::IndegreeLog,
-        1 => BackwardWeightPolicy::Mirror,
-        2 => BackwardWeightPolicy::Constant(param),
-        3 => BackwardWeightPolicy::ScaledIndegreeLog(param),
-        other => {
-            return Err(PersistError::Corrupt {
-                detail: format!("unknown backward-weight policy variant {other}"),
-            });
-        }
-    };
-    Ok(ExpansionPolicy {
-        add_backward_edges,
-        backward_weight,
-        default_forward_weight,
-    })
+/// Accepts record 3 only in the form [`encode_policy`] writes: a graph
+/// expanded any other way cannot be served as it was written.
+fn decode_policy(payload: &[u8]) -> Result<()> {
+    if payload == encode_policy() {
+        Ok(())
+    } else {
+        Err(PersistError::Corrupt {
+            detail: format!("expansion policy record {payload:02x?} is not the paper's"),
+        })
+    }
 }
 
 /// `[original edges, directed edges, nodes, kinds]`.
@@ -1000,7 +983,6 @@ mod tests {
         assert_eq!(a.num_kinds(), b.num_kinds());
         assert_eq!(a.num_original_edges(), b.num_original_edges());
         assert_eq!(a.num_directed_edges(), b.num_directed_edges());
-        assert_eq!(a.policy(), b.policy());
         for u in a.nodes() {
             assert_eq!(a.node_label(u), b.node_label(u));
             assert_eq!(a.node_kind_name(u), b.node_kind_name(u));

@@ -210,6 +210,48 @@ fn banks_persist_crc(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// Record 3 always holds the paper's expansion policy: backward edges on,
+/// the indegree-log rule (variant 0, parameter 0.0), forward weight 1.0.
+/// A snapshot naming any other policy, here the weight-mirroring variant
+/// 1 under a valid CRC, describes a graph this build does not serve, and
+/// is refused as corrupt rather than loaded.
+#[test]
+fn snapshot_naming_another_expansion_policy_is_corrupt() {
+    let mut bytes = encode_snapshot(&seed_graph(), None, None);
+    let mut pos = 64;
+    let (payload_start, len) = loop {
+        let field = |at: usize, n: usize| {
+            let mut v = [0u8; 8];
+            v[..n].copy_from_slice(&bytes[at..at + n]);
+            u64::from_le_bytes(v) as usize
+        };
+        let (tag, pad, len) = (field(pos, 4), field(pos + 4, 4), field(pos + 8, 8));
+        let payload_start = pos + 24 + pad;
+        if tag == 3 {
+            break (payload_start, len);
+        }
+        pos = (payload_start + len).div_ceil(8) * 8;
+    };
+    let payload = payload_start..payload_start + len;
+    let mut paper = vec![1u8, 0];
+    paper.extend_from_slice(&0.0f64.to_le_bytes());
+    paper.extend_from_slice(&1.0f64.to_le_bytes());
+    assert_eq!(
+        &bytes[payload.clone()],
+        &paper[..],
+        "record 3 is a constant"
+    );
+    assert!(decode_snapshot(&bytes).is_ok());
+
+    bytes[payload_start + 1] = 1;
+    let crc = banks_persist_crc(&bytes[payload]);
+    bytes[pos + 16..pos + 20].copy_from_slice(&crc.to_le_bytes());
+    match decode_snapshot(&bytes) {
+        Err(PersistError::Corrupt { detail }) => assert!(detail.contains("policy"), "{detail}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
 #[test]
 fn garbage_files_never_panic() {
     let dir = tmp_dir("garbage");

@@ -14,13 +14,13 @@
 //! This crate provides:
 //!
 //! * [`PrestigeVector`] — an immutable per-node prestige assignment,
-//! * [`PageRankConfig`] / [`compute_pagerank`] — the paper's biased random
-//!   walk via power iteration,
+//! * [`compute_pagerank`] — the paper's biased random walk via power
+//!   iteration,
 //! * [`PrestigeVector::uniform`] — the "all node prestiges are unity"
 //!   setting used in the paper's worked example (Figure 4).
 
 pub mod pagerank;
 pub mod vector;
 
-pub use pagerank::{compute_pagerank, PageRankConfig, PageRankStats};
+pub use pagerank::{compute_pagerank, PageRankStats};
 pub use vector::PrestigeVector;

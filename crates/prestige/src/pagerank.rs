@@ -4,33 +4,13 @@ use banks_graph::{DataGraph, NodeId};
 
 use crate::vector::PrestigeVector;
 
-/// Configuration for the biased PageRank power iteration.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct PageRankConfig {
-    /// Probability of following an edge rather than teleporting
-    /// (the classic damping factor; Brin & Page use 0.85).
-    pub damping: f64,
-    /// Maximum number of power-iteration sweeps.
-    pub max_iterations: usize,
-    /// Convergence threshold on the L1 change between successive iterations.
-    pub tolerance: f64,
-    /// Whether the walk follows only forward edges or the full expanded
-    /// graph (forward + backward).  The paper's walk runs on the data graph,
-    /// which contains both; following both also guarantees ergodicity on
-    /// weakly connected graphs.
-    pub use_backward_edges: bool,
-}
-
-impl Default for PageRankConfig {
-    fn default() -> Self {
-        PageRankConfig {
-            damping: 0.85,
-            max_iterations: 200,
-            tolerance: 1e-9,
-            use_backward_edges: true,
-        }
-    }
-}
+/// Probability of following an edge rather than teleporting (the classic
+/// damping factor; Brin & Page use 0.85).
+const DAMPING: f64 = 0.85;
+/// Maximum number of power-iteration sweeps.
+const MAX_ITERATIONS: usize = 200;
+/// Convergence threshold on the L1 change between successive sweeps.
+const TOLERANCE: f64 = 1e-9;
 
 /// Convergence diagnostics of a PageRank run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -47,13 +27,23 @@ pub struct PageRankStats {
 ///
 /// At each step the walker at node `u` follows edge `u -> v` with probability
 /// proportional to `1 / w(u, v)` (cheap edges are strong endorsements), or
-/// teleports to a uniformly random node with probability `1 - damping`.
-/// Nodes with no outgoing edges teleport with probability 1.
+/// teleports to a uniformly random node with probability 0.15.  The walk
+/// runs on the data graph, forward and backward edges alike, which also
+/// makes it ergodic on weakly connected graphs.  Nodes with no outgoing
+/// edges teleport with probability 1.  The power iteration stops after 200
+/// sweeps or once a sweep changes the ranks by less than 1e-9 in L1.
 ///
 /// The result is normalised to sum to 1 over all nodes.
-pub fn compute_pagerank(
+pub fn compute_pagerank(graph: &DataGraph) -> (PrestigeVector, PageRankStats) {
+    power_iteration(graph, MAX_ITERATIONS, TOLERANCE)
+}
+
+/// The power iteration behind [`compute_pagerank`], with its stop rule as
+/// parameters so that a test can cap it.
+fn power_iteration(
     graph: &DataGraph,
-    config: PageRankConfig,
+    max_iterations: usize,
+    tolerance: f64,
 ) -> (PrestigeVector, PageRankStats) {
     let n = graph.num_nodes();
     if n == 0 {
@@ -70,11 +60,8 @@ pub fn compute_pagerank(
     // Precompute, for every node, its transition targets and probabilities.
     let mut targets: Vec<Vec<(u32, f64)>> = Vec::with_capacity(n);
     for u in graph.nodes() {
-        let edges: Vec<(NodeId, f64)> = graph
-            .out_edges(u)
-            .filter(|e| config.use_backward_edges || e.kind.is_forward())
-            .map(|e| (e.to, 1.0 / e.weight))
-            .collect();
+        let edges: Vec<(NodeId, f64)> =
+            graph.out_edges(u).map(|e| (e.to, 1.0 / e.weight)).collect();
         let total: f64 = edges.iter().map(|(_, p)| p).sum();
         if total > 0.0 {
             targets.push(edges.into_iter().map(|(v, p)| (v.0, p / total)).collect());
@@ -90,20 +77,20 @@ pub fn compute_pagerank(
     let mut final_delta = f64::INFINITY;
     let mut converged = false;
 
-    for _ in 0..config.max_iterations {
+    for _ in 0..max_iterations {
         iterations += 1;
         // Mass from teleportation and dangling nodes.
         let dangling_mass: f64 = (0..n)
             .filter(|i| targets[*i].is_empty())
             .map(|i| rank[i])
             .sum();
-        let base = (1.0 - config.damping) * uniform + config.damping * dangling_mass * uniform;
+        let base = (1.0 - DAMPING) * uniform + DAMPING * dangling_mass * uniform;
         next.iter_mut().for_each(|x| *x = base);
         for u in 0..n {
             if targets[u].is_empty() {
                 continue;
             }
-            let share = config.damping * rank[u];
+            let share = DAMPING * rank[u];
             for (v, p) in &targets[u] {
                 next[*v as usize] += share * p;
             }
@@ -114,7 +101,7 @@ pub fn compute_pagerank(
             .map(|(a, b)| (a - b).abs())
             .sum();
         std::mem::swap(&mut rank, &mut next);
-        if final_delta < config.tolerance {
+        if final_delta < tolerance {
             converged = true;
             break;
         }
@@ -140,12 +127,12 @@ pub fn compute_pagerank(
 mod tests {
     use super::*;
     use banks_graph::builder::{graph_from_edges, graph_from_weighted_edges};
-    use banks_graph::{ExpansionPolicy, GraphBuilder};
+    use banks_graph::GraphBuilder;
 
     #[test]
     fn ranks_sum_to_one_and_converge() {
         let g = graph_from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 1), (4, 1), (5, 4)]);
-        let (p, stats) = compute_pagerank(&g, PageRankConfig::default());
+        let (p, stats) = compute_pagerank(&g);
         assert!((p.sum() - 1.0).abs() < 1e-9);
         assert!(stats.converged, "did not converge: {stats:?}");
         assert!(stats.iterations > 1);
@@ -156,7 +143,7 @@ mod tests {
     fn heavily_cited_node_has_higher_prestige() {
         // Many papers cite node 0; node 5 is cited by nobody.
         let g = graph_from_edges(6, &[(1, 0), (2, 0), (3, 0), (4, 0), (1, 5)]);
-        let (p, _) = compute_pagerank(&g, PageRankConfig::default());
+        let (p, _) = compute_pagerank(&g);
         assert!(p.get(NodeId(0)) > p.get(NodeId(5)));
         assert!(p.get(NodeId(0)) > p.get(NodeId(2)));
     }
@@ -172,15 +159,9 @@ mod tests {
             }
             b.add_edge_weighted(NodeId(0), NodeId(1), 1.0).unwrap();
             b.add_edge_weighted(NodeId(0), NodeId(2), 10.0).unwrap();
-            b.build(ExpansionPolicy::directed_only())
+            b.build_default()
         };
-        let (p, _) = compute_pagerank(
-            &g,
-            PageRankConfig {
-                use_backward_edges: false,
-                ..Default::default()
-            },
-        );
+        let (p, _) = compute_pagerank(&g);
         assert!(p.get(NodeId(1)) > p.get(NodeId(2)));
     }
 
@@ -189,7 +170,7 @@ mod tests {
         // Every edge has a backward twin, so only the isolated node 3 is
         // dangling; its mass is spread by teleportation, not lost.
         let g = graph_from_edges(4, &[(0, 1), (1, 2)]);
-        let (p, _) = compute_pagerank(&g, PageRankConfig::default());
+        let (p, _) = compute_pagerank(&g);
         assert!((p.sum() - 1.0).abs() < 1e-9);
         assert!(p.get(NodeId(3)) > 0.0);
         // Nodes that receive edges outrank the one that receives none.
@@ -200,7 +181,7 @@ mod tests {
     #[test]
     fn empty_graph() {
         let g = GraphBuilder::new().build_default();
-        let (p, stats) = compute_pagerank(&g, PageRankConfig::default());
+        let (p, stats) = compute_pagerank(&g);
         assert!(p.is_empty());
         assert!(stats.converged);
     }
@@ -208,14 +189,7 @@ mod tests {
     #[test]
     fn respects_iteration_cap() {
         let g = graph_from_weighted_edges(4, &[(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]);
-        let (_, stats) = compute_pagerank(
-            &g,
-            PageRankConfig {
-                max_iterations: 2,
-                tolerance: 0.0,
-                ..Default::default()
-            },
-        );
+        let (_, stats) = power_iteration(&g, 2, 0.0);
         assert_eq!(stats.iterations, 2);
         assert!(!stats.converged);
     }

@@ -11,7 +11,7 @@
 //! tuple ↔ node correspondence so relationally-derived ground truth can be
 //! translated into graph node sets.
 
-use banks_graph::{DataGraph, ExpansionPolicy, GraphBuilder, NodeId};
+use banks_graph::{DataGraph, GraphBuilder, NodeId};
 use banks_textindex::{IndexBuilder, InvertedIndex};
 
 use crate::database::{Database, TupleId};
@@ -19,8 +19,8 @@ use crate::database::{Database, TupleId};
 /// The product of extracting a [`Database`] into graph form.
 #[derive(Clone, Debug)]
 pub struct GraphExtraction {
-    /// The data graph (tuples as nodes, foreign keys as edges, backward
-    /// edges per the expansion policy).
+    /// The data graph (tuples as nodes, foreign keys as edges, each with
+    /// its weighted backward twin).
     pub graph: DataGraph,
     /// Keyword index over the tuples' text attributes.
     pub index: InvertedIndex,
@@ -30,13 +30,9 @@ pub struct GraphExtraction {
 }
 
 impl GraphExtraction {
-    /// Extracts a database with the paper's default expansion policy.
+    /// Extracts a database into the paper's data graph and its keyword
+    /// index.
     pub fn extract(db: &Database) -> Self {
-        Self::extract_with_policy(db, ExpansionPolicy::paper_default())
-    }
-
-    /// Extracts a database with an explicit expansion policy.
-    pub fn extract_with_policy(db: &Database, policy: ExpansionPolicy) -> Self {
         let schema = db.schema();
         let mut builder = GraphBuilder::with_capacity(db.total_rows(), db.total_rows());
         let mut index_builder = IndexBuilder::with_default_tokenizer();
@@ -83,7 +79,7 @@ impl GraphExtraction {
             }
         }
 
-        let graph = builder.build(policy);
+        let graph = builder.build_default();
         let index = index_builder.build();
         GraphExtraction {
             graph,

@@ -36,10 +36,10 @@ fn replication_head_json(ctx: &ServerContext, checkpoint_epoch: u64, pending: us
 /// runs without persistence (there is no WAL to stream).
 ///
 /// The handler wakes on publish: it blocks in
-/// [`Service::wait_for_publish`] and reads the WAL — only the bytes
-/// appended since its last read — when an epoch was published or a
-/// checkpoint moved the horizon, so an idle stream reads no file and
-/// takes no `persistence` lock.  A failed read closes the stream after a
+/// [`Service::wait_for_publish`](banks_service::Service::wait_for_publish)
+/// and reads the WAL — only the bytes appended since its last read — when
+/// an epoch was published or a checkpoint moved the horizon, so an idle
+/// stream reads no file and takes no `persistence` lock.  A failed read closes the stream after a
 /// `replication-error` event; server shutdown closes it at once.
 pub(super) fn respond_replication_stream(
     ctx: &ServerContext,

@@ -28,7 +28,7 @@ fn main() {
     print!("{}", stats.report(graph));
 
     println!("computing node prestige (biased PageRank)...");
-    let (prestige, pr_stats) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, pr_stats) = compute_pagerank(graph);
     println!(
         "  converged after {} iterations (delta {:.2e})",
         pr_stats.iterations, pr_stats.final_delta

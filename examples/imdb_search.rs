@@ -31,7 +31,7 @@ fn main() {
         graph.num_directed_edges()
     );
 
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
 
     // Build an IQ1-style query: an actor who appears in a movie, one word of
     // that movie's title, and the relation name "movie" as the frequent term.

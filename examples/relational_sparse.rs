@@ -72,7 +72,7 @@ fn main() {
     }
 
     // --- Bidirectional search over the extracted graph -------------------
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let banks = Banks::open(graph)
         .with_prestige(prestige)
         .with_index(data.dataset.index().clone());

@@ -114,11 +114,11 @@ pub mod prelude {
         PatentsConfig, PatentsDataset, QueryCase, WorkloadConfig, WorkloadGenerator,
     };
     pub use banks_graph::{
-        BatchOutcome, DataGraph, EdgeKind, ExpansionPolicy, GraphBuilder, GraphMutation,
-        GraphStats, MutationBatch, NodeId,
+        BatchOutcome, DataGraph, EdgeKind, GraphBuilder, GraphMutation, GraphStats, MutationBatch,
+        NodeId,
     };
     pub use banks_persist::{read_snapshot, recover, write_snapshot, SnapshotContents};
-    pub use banks_prestige::{compute_pagerank, PageRankConfig, PrestigeVector};
+    pub use banks_prestige::{compute_pagerank, PrestigeVector};
     pub use banks_relational::{Database, DatabaseSchema, GraphExtraction, SparseSearch, TupleId};
     pub use banks_replica::Follower;
     pub use banks_server::Server;

@@ -253,7 +253,7 @@ fn pagerank_and_mutated_snapshot_bytes_are_unchanged() {
     let rows: Vec<(String, u64, u64)> = recorded
         .into_iter()
         .map(|(g, len, recorded)| {
-            let (prestige, _) = compute_pagerank(g, PageRankConfig::default());
+            let (prestige, _) = compute_pagerank(g);
             let bytes = encode_snapshot(g, Some(&prestige), Some(&build_label_index(g)));
             assert_eq!(bytes.len(), len, "epoch {} snapshot length", g.epoch());
             let mut h = Fnv::new();

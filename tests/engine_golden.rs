@@ -97,7 +97,7 @@ fn fixture() -> &'static Fixture {
             seed: 20250925,
             ..DblpConfig::default()
         });
-        let (prestige, _) = compute_pagerank(data.dataset.graph(), PageRankConfig::default());
+        let (prestige, _) = compute_pagerank(data.dataset.graph());
         let mut generator = WorkloadGenerator::new(&data, 4242);
         let mut queries: Vec<Vec<String>> = Vec::new();
         for (count, num_keywords, origin_bias) in [

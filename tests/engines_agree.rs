@@ -29,7 +29,7 @@ fn workload(data: &DblpDataset, num_keywords: usize, num_queries: usize) -> Vec<
 fn every_engine_reaches_full_recall_on_planted_answers() {
     let data = dataset();
     let graph = data.dataset.graph();
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let cases = workload(&data, 2, 6);
     assert!(!cases.is_empty());
 
@@ -64,7 +64,7 @@ fn every_engine_reaches_full_recall_on_planted_answers() {
 fn answer_trees_are_structurally_valid() {
     let data = dataset();
     let graph = data.dataset.graph();
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let cases = workload(&data, 3, 4);
 
     for case in &cases {
@@ -114,7 +114,7 @@ fn bidirectional_never_does_dramatically_more_work() {
     // the paper's own "C. Mohan Rothermel" anomaly).
     let data = dataset();
     let graph = data.dataset.graph();
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let cases = workload(&data, 3, 6);
 
     let mut total_bidir = 0usize;
@@ -143,7 +143,7 @@ fn sparse_oracle_and_graph_search_agree() {
     // graph engines can find, and vice versa for the best answers.
     let data = dataset();
     let graph = data.dataset.graph();
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let cases = workload(&data, 2, 3);
 
     for case in &cases {

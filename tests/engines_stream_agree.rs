@@ -23,7 +23,7 @@ fn engine_names() -> Vec<&'static str> {
 fn engines_stream_agree_with_batch() {
     let data = dataset();
     let graph = data.dataset.graph();
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let mut generator = WorkloadGenerator::new(&data, 77);
     let cases = generator.generate(&WorkloadConfig {
         num_queries: 4,
@@ -65,7 +65,7 @@ fn engines_stream_agree_with_batch() {
 fn take_one_explores_no_more_nodes_than_full_drain() {
     let data = dataset();
     let graph = data.dataset.graph();
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let mut generator = WorkloadGenerator::new(&data, 78);
     let cases = generator.generate(&WorkloadConfig {
         num_queries: 3,
@@ -135,7 +135,7 @@ fn bidirectional_single_next_is_strictly_lazier() {
 fn facade_builder_matches_manual_wiring() {
     let data = dataset();
     let graph = data.dataset.graph();
-    let (prestige, _) = compute_pagerank(graph, PageRankConfig::default());
+    let (prestige, _) = compute_pagerank(graph);
     let mut generator = WorkloadGenerator::new(&data, 79);
     let case = generator
         .generate(&WorkloadConfig {

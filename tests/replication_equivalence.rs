@@ -290,12 +290,21 @@ fn random_mutation_chains_replicate_byte_identically_at_every_epoch() {
             &format!("seed {seed} revived (forced_bootstrap={forced_bootstrap})"),
         );
         if forced_bootstrap {
-            let bootstraps = follower
-                .events()
-                .since(0, 10_000)
-                .iter()
-                .filter(|e| e.kind == "replication-bootstrap")
-                .count();
+            // The follower emits `replication-bootstrap` only after the
+            // installed snapshot has published its epoch, so convergence
+            // can be observed before the event exists: wait for it.
+            let deadline = Instant::now() + Duration::from_secs(15);
+            let mut seen = 0;
+            let mut bootstraps = 0;
+            while bootstraps == 0 && Instant::now() < deadline {
+                let left = deadline.saturating_duration_since(Instant::now());
+                let page = follower.events().wait_since(seen, 10_000, left);
+                seen = page.last().map_or(seen, |e| e.id);
+                bootstraps += page
+                    .iter()
+                    .filter(|e| e.kind == "replication-bootstrap")
+                    .count();
+            }
             assert!(
                 bootstraps >= 1,
                 "seed {seed}: the stranded follower must have re-bootstrapped"
