@@ -27,8 +27,8 @@
 //! `MiExpander` is only the expansion: it seeds one iterator per keyword
 //! node, and a step finalises one entry and releases answers against the
 //! bound `k ·` its distance.  The stream around it — lazy seeding,
-//! cancellation, the work budget, `top_k`, the safety caps and the final
-//! flush — is the driver in `stream.rs`, shared with Bidirectional and
+//! cancellation, the work budget, `top_k`, the `max_explored` cap and the
+//! final flush — is the driver in `stream.rs`, shared with Bidirectional and
 //! SI-Backward.
 
 use std::cmp::Reverse;
@@ -237,9 +237,6 @@ impl Expansion for MiExpander<'_> {
                     self.core.stats.truncated = true;
                     break;
                 }
-                if !self.core.may_generate() {
-                    break;
-                }
                 let paths = (0..k)
                     .map(|j| {
                         let iter = if j == keyword { it } else { lists[j][pick[j]] };
@@ -409,7 +406,6 @@ mod tests {
         for (params, expected) in [
             (SearchParams::with_top_k(3), (80, 170, 3, 3, false)),
             (wide.max_explored(17), (17, 58, 0, 0, true)),
-            (wide.max_generated(5), (82, 172, 5, 5, true)),
             (wide.answer_work_budget(9), (10, 47, 0, 0, true)),
             (wide.dmax(2), (212, 212, 135, 45, false)),
         ] {

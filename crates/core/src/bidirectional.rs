@@ -26,8 +26,9 @@
 //! `Expander` is only the expansion: it seeds `Q_in` with the keyword
 //! nodes, and a step expands the frontier node of higher priority and
 //! releases what the frontier bound allows.  The stream around it — lazy
-//! seeding, cancellation, the work budget, `top_k`, the safety caps and the
-//! final flush — is the driver in `stream.rs`, shared with MI-Backward.
+//! seeding, cancellation, the work budget, `top_k`, the `max_explored`
+//! cap and the final flush — is the driver in `stream.rs`, shared with
+//! MI-Backward.
 //!
 //! # How a step is paid for
 //!
@@ -46,9 +47,7 @@
 //!   change is a sift of integer comparisons from the entry's position,
 //!   nothing stale is ever queued, and a re-push that changes nothing
 //!   costs a comparison.  `Attach` changes distances only, so under
-//!   activation priority it re-pushes nothing — until an `Activate` cut
-//!   short by `PROPAGATION_CAP` leaves raised activations un-keyed;
-//!   from then on it re-pushes every node it visits.
+//!   activation priority it re-pushes nothing.
 //! * **The keyword count is a constant.**  `Expander` is generic over
 //!   the query's width; [`BidirectionalSearch`] starts a copy compiled
 //!   for two or for three keywords (what the benchmark's query pools
@@ -421,15 +420,13 @@ impl<'a, W: Width> Expander<'a, W> {
         while let Some(node) = work.pop() {
             visited += 1;
             if visited > PROPAGATION_CAP {
-                self.core.stats.truncated = true;
+                work.push(node);
+                self.cut_short(&work);
                 break;
             }
             // A distance change moves the key only under distance
-            // priority.  Under activation priority the re-push finds the
-            // key the node already has, unless an `Activate` cut short by
-            // the cap left raised activations un-keyed: from then on it
-            // re-keys as well.
-            if !self.config.use_activation || self.core.stats.truncated {
+            // priority.
+            if !self.config.use_activation {
                 self.reprioritise(node);
             }
             if self.state.is_complete(self.width, node) {
@@ -465,7 +462,8 @@ impl<'a, W: Width> Expander<'a, W> {
         while let Some(node) = work.pop() {
             visited += 1;
             if visited > PROPAGATION_CAP {
-                self.core.stats.truncated = true;
+                work.push(node);
+                self.cut_short(&work);
                 break;
             }
             self.reprioritise(node);
@@ -492,6 +490,17 @@ impl<'a, W: Width> Expander<'a, W> {
         self.state.work = work;
     }
 
+    /// Ends a propagation cut short by [`PROPAGATION_CAP`]: the nodes still
+    /// on its work list keep labels that were never passed on, so the
+    /// search is truncated, but their own changed state is re-keyed, so no
+    /// queued key is stale.
+    fn cut_short(&mut self, left: &[u32]) {
+        self.core.stats.truncated = true;
+        for &node in left {
+            self.reprioritise(node);
+        }
+    }
+
     /// Updates a node's queue priorities after its state changed.
     fn reprioritise(&mut self, slot: u32) {
         let priority = self.priority(slot);
@@ -510,9 +519,6 @@ impl<'a, W: Width> Expander<'a, W> {
     /// heap keeps it.  About nine candidates in ten are non-minimal and
     /// are never traced at all; of the rest one in seven is a duplicate.
     fn emit(&mut self, root: u32) {
-        if !self.core.may_generate() {
-            return;
-        }
         let w = self.width;
         let labels = self.state.labels(w, root);
         let aggregate: f64 = labels.iter().map(|l| l.dist).sum();
@@ -1288,18 +1294,19 @@ mod tests {
         }
     }
 
-    /// An `Activate` cut short by the cap leaves nodes with raised
-    /// activations that were never re-keyed in their queue; `Attach`
-    /// re-keys every node it reaches from then on.  Skipping that re-key
-    /// moves these runs' explored counts and marks, so their counters,
-    /// answers and marks are pinned to values recorded with it in place.
+    /// Each run cuts an `Activate` short at a hub, and the nodes left on
+    /// its work list, their activations raised, are re-keyed at once
+    /// (`cut_short`).  Counters, answers and marks are pinned to values
+    /// recorded that way: re-keying those nodes only when a later `Attach`
+    /// reaches them keeps the answers but moves the marks and
+    /// `answers_generated`.
     #[test]
     fn capped_activation_runs_match_recorded() {
         // (seed, nodes explored, FNV-1a of `fingerprint`)
         const RECORDED: [(u64, usize, u64); 3] = [
-            (70, 11, 0xabc1_adcf_d8ff_c13a),
-            (110, 11, 0xa4ae_1b85_e77c_3092),
-            (162, 11, 0x8ad5_40be_1e4e_f604),
+            (70, 11, 0x553e_e699_25f6_24c3),
+            (110, 11, 0x5c79_f781_2306_c894),
+            (162, 11, 0x8569_fa35_dd8d_ecc9),
         ];
         for (seed, explored, digest) in RECORDED {
             let (g, m) = hubbed(seed);
@@ -1318,6 +1325,98 @@ mod tests {
                 (explored, digest),
                 "seed {seed}: {}",
                 fingerprint(&run)
+            );
+        }
+    }
+
+    /// A hub whose distances drop after its explored parents were
+    /// registered, under distance priority with `dmax(2)`.  Keywords `a`
+    /// (node 0) and `b` (node 1) both reach node 4 within two hops, but
+    /// node 4 sits at depth 2 and is never expanded by the incoming
+    /// iterator.  The hub, node 5, reaches `a` over an edge of weight 5, so
+    /// it is explored at distance 5 and its spokes get distance 6; then the
+    /// outgoing iterator finds the hub's edge to node 4, the hub drops to
+    /// distance 3, and one `Attach` has to carry that to more spokes than
+    /// the cap allows.
+    fn shortcut_hub() -> (DataGraph, KeywordMatches) {
+        let mut b = GraphBuilder::new();
+        let n: Vec<NodeId> = (0..6 + PROPAGATION_CAP + PROPAGATION_CAP / 2)
+            .map(|i| b.add_node("node", format!("n{i}")))
+            .collect();
+        for (from, to, weight) in [
+            (2, 0, 1.0),
+            (3, 1, 1.0),
+            (4, 2, 1.0),
+            (4, 3, 1.0),
+            (5, 0, 5.0),
+            (5, 4, 1.0),
+        ] {
+            b.add_edge_weighted(n[from], n[to], weight).unwrap();
+        }
+        for &spoke in &n[6..] {
+            b.add_edge(spoke, n[5]).unwrap();
+        }
+        let m = KeywordMatches::from_sets(vec![("a", vec![n[0]]), ("b", vec![n[1]])]);
+        (b.build_default(), m)
+    }
+
+    /// A propagation cut short by the cap re-keys the nodes it leaves on its
+    /// work list: after every step — the capped ones included — each queued
+    /// node's key is its current priority, under both priorities.
+    #[test]
+    fn capped_propagations_leave_no_stale_queue_key() {
+        let distance = BidirectionalConfig {
+            enable_outgoing: true,
+            use_activation: false,
+        };
+        let mut runs = Vec::new();
+        for seed in [70, 110, 162] {
+            let (g, m) = hubbed(seed);
+            let params = SearchParams::default();
+            runs.push((
+                format!("hubbed {seed}"),
+                BidirectionalConfig::default(),
+                params,
+                g,
+                m,
+            ));
+        }
+        let (g, m) = shortcut_hub();
+        runs.push((
+            "shortcut hub".to_string(),
+            distance,
+            SearchParams::default().dmax(2),
+            g,
+            m,
+        ));
+        for (name, config, params, g, m) in runs {
+            let p = uniform(&g);
+            let ctx = QueryContext::new(&g, &p, &m, params);
+            let mut expander = Expander::new(config, ctx, Runtime(m.num_keywords()));
+            expander.seed();
+            for step in 0..200 {
+                if expander.frontier_exhausted() {
+                    break;
+                }
+                expander.step();
+                let state = &expander.state;
+                let stale: Vec<u32> = state
+                    .q_in
+                    .entries()
+                    .chain(state.q_out.entries())
+                    .filter(|&(slot, key)| key.to_bits() != expander.priority(slot).to_bits())
+                    .map(|(slot, _)| slot)
+                    .collect();
+                assert!(
+                    stale.is_empty(),
+                    "{name}, step {step}: {} stale keys, first {:?}",
+                    stale.len(),
+                    &stale[..stale.len().min(8)]
+                );
+            }
+            assert!(
+                expander.core.stats.truncated,
+                "{name}: a propagation was cut"
             );
         }
     }

@@ -48,9 +48,8 @@
 //! * [`AnswerStream::stats`] exposes live work counters,
 //! * [`SearchParams::answer_work_budget`] bounds the nodes explored between
 //!   emissions (a deterministic, load-independent deadline),
-//! * a [`CancelToken`] attached via [`QueryContext::with_cancel`] (or
-//!   [`QuerySession::cancel_token`]) aborts a running search from another
-//!   thread within one expansion step.
+//! * a [`CancelToken`] attached via [`QueryContext::with_cancel`] aborts a
+//!   running search from another thread within one expansion step.
 //!
 //! The batch [`SearchEngine::search`] is a default method that drains the
 //! stream, so both paths share one implementation.

@@ -38,10 +38,6 @@ pub struct SearchParams {
     /// Safety cap on the number of nodes an engine may explore (pop from its
     /// queues) before giving up.  `None` means unlimited.
     pub max_explored: Option<usize>,
-    /// Safety cap on the number of answer trees generated (relevant for the
-    /// multi-iterator Backward search whose cross-product of iterators can
-    /// explode).  `None` means unlimited.
-    pub max_generated: Option<usize>,
     /// Work budget for producing each answer when the search runs as an
     /// [`crate::AnswerStream`]: if the engine explores more than this many
     /// nodes between consecutive emissions, it stops expanding, flushes
@@ -62,7 +58,6 @@ impl Default for SearchParams {
             top_k: 10,
             emission: EmissionPolicy::ExactBound,
             max_explored: None,
-            max_generated: None,
             answer_work_budget: None,
         }
     }
@@ -109,12 +104,6 @@ impl SearchParams {
         self
     }
 
-    /// Builder-style setter for the generated-answers cap.
-    pub fn max_generated(mut self, cap: usize) -> Self {
-        self.max_generated = Some(cap);
-        self
-    }
-
     /// Builder-style setter for the per-answer streaming work budget
     /// (nodes explored between emissions).
     pub fn answer_work_budget(mut self, budget: usize) -> Self {
@@ -147,7 +136,6 @@ impl SearchParams {
             EmissionPolicy::Immediate => 2,
         });
         fnv.write_opt_usize(self.max_explored);
-        fnv.write_opt_usize(self.max_generated);
         fnv.write_opt_usize(self.answer_work_budget);
         fnv.finish()
     }
@@ -218,7 +206,6 @@ mod tests {
             .lambda(1.0)
             .emission(EmissionPolicy::Heuristic)
             .max_explored(1000)
-            .max_generated(500)
             .answer_work_budget(250);
         assert_eq!(p.top_k, 5);
         assert_eq!(p.dmax, 4);
@@ -226,7 +213,6 @@ mod tests {
         assert_eq!(p.lambda, 1.0);
         assert_eq!(p.emission, EmissionPolicy::Heuristic);
         assert_eq!(p.max_explored, Some(1000));
-        assert_eq!(p.max_generated, Some(500));
         assert_eq!(p.answer_work_budget, Some(250));
     }
 
@@ -247,7 +233,6 @@ mod tests {
             base.emission(EmissionPolicy::Immediate).fingerprint()
         );
         assert_ne!(base.fingerprint(), base.max_explored(10).fingerprint());
-        assert_ne!(base.fingerprint(), base.max_generated(10).fingerprint());
         assert_ne!(
             base.fingerprint(),
             base.answer_work_budget(10).fingerprint()

@@ -209,6 +209,12 @@ impl IndexedMaxHeap {
         self.entries.iter().map(|e| e.slot)
     }
 
+    /// The queued `(slot, priority)` pairs, in no particular order.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, f64)> + '_ {
+        self.entries.iter().map(|e| (e.slot, priority_of(e.key)))
+    }
+
     /// Panics unless the heap property holds and the position array and the
     /// entry array describe each other.
     #[cfg(test)]

@@ -28,7 +28,6 @@ use banks_graph::{DataGraph, KindId};
 use banks_prestige::PrestigeVector;
 use banks_textindex::{IndexBuilder, InvertedIndex, KeywordMatches, Query};
 
-use crate::cancel::CancelToken;
 use crate::engine::{SearchEngine, SearchOutcome};
 use crate::params::SearchParams;
 use crate::registry::EngineRegistry;
@@ -40,7 +39,7 @@ use crate::stream::{drain, AnswerStream, QueryContext};
 /// [`Banks`] facade and the concurrent query service (which builds the index
 /// eagerly at start-up).
 pub fn build_label_index(graph: &DataGraph) -> InvertedIndex {
-    let mut builder = IndexBuilder::with_default_tokenizer();
+    let mut builder = IndexBuilder::new();
     for node in graph.nodes() {
         builder.add_text(node, graph.node_label(node));
     }
@@ -190,7 +189,6 @@ impl<'g> Banks<'g> {
             matches,
             params: SearchParams::default(),
             engine: "bidirectional".to_string(),
-            cancel: None,
         }
     }
 }
@@ -202,7 +200,6 @@ pub struct QuerySession<'b, 'g> {
     matches: KeywordMatches,
     params: SearchParams,
     engine: String,
-    cancel: Option<CancelToken>,
 }
 
 impl<'b, 'g> QuerySession<'b, 'g> {
@@ -227,13 +224,6 @@ impl<'b, 'g> QuerySession<'b, 'g> {
         self
     }
 
-    /// Attaches a cancellation token: cancelling it (from any thread) stops
-    /// the search within one expansion step.
-    pub fn cancel_token(mut self, token: CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
     /// Replaces the whole parameter set at once.
     pub fn params(mut self, params: SearchParams) -> Self {
         self.params = params;
@@ -255,16 +245,12 @@ impl<'b, 'g> QuerySession<'b, 'g> {
 
     /// Starts the search and returns the lazy answer stream.
     pub fn stream(&self) -> Box<dyn AnswerStream + '_> {
-        let mut ctx = QueryContext::new(
+        self.build_engine().start(QueryContext::new(
             self.banks.graph,
             self.banks.prestige(),
             &self.matches,
             self.params,
-        );
-        if let Some(token) = &self.cancel {
-            ctx = ctx.with_cancel(token);
-        }
-        self.build_engine().start(ctx)
+        ))
     }
 
     /// Runs the search to completion (drains the stream).
@@ -359,7 +345,7 @@ mod tests {
     fn explicit_prestige_and_index_are_used() {
         let graph = tiny_graph();
         let prestige = PrestigeVector::uniform_for(&graph);
-        let mut builder = IndexBuilder::with_default_tokenizer();
+        let mut builder = IndexBuilder::new();
         builder.add_text(NodeId(0), "custom-token");
         let banks = Banks::open(&graph)
             .with_prestige(prestige)

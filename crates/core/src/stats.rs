@@ -46,10 +46,10 @@ pub struct SearchStats {
     pub answers_output: usize,
     /// Total wall-clock duration of the search.
     pub duration: Duration,
-    /// Whether the search stopped because a safety cap
-    /// (`max_explored` / `max_generated`) or the per-answer work budget
-    /// (`answer_work_budget`) was hit, or MI-Backward left combinations of
-    /// one visit ungenerated past its per-visit cap.
+    /// Whether the search stopped because the `max_explored` cap or the
+    /// per-answer work budget (`answer_work_budget`) was hit, a
+    /// Bidirectional propagation was cut short by its cap, or MI-Backward left combinations of one
+    /// visit ungenerated past its per-visit cap.
     pub truncated: bool,
     /// Whether the search stopped because its [`crate::CancelToken`] was
     /// cancelled.  A cancelled stream is *not* exhausted: the engine simply

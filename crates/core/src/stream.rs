@@ -62,7 +62,6 @@
 //! 4. the frontier is exhausted,
 //! 5. `top_k` answers are out,
 //! 6. `max_explored` nodes are explored — truncated,
-//! 7. `max_generated` answers are generated — truncated,
 //!
 //! finishing on the first that holds, and otherwise takes one step.  The
 //! finish flushes the output heap once — whatever is still buffered is the
@@ -167,7 +166,6 @@ pub(crate) struct StreamCore {
     pub started: Instant,
     pub stats: SearchStats,
     top_k: usize,
-    max_generated: Option<usize>,
     /// Answers released by the emission policy but not yet consumed by the
     /// stream's caller.
     ready: VecDeque<RankedAnswer>,
@@ -200,22 +198,12 @@ impl StreamCore {
             started: Instant::now(),
             stats: SearchStats::default(),
             top_k: params.top_k,
-            max_generated: params.max_generated,
             ready: VecDeque::new(),
             produced: 0,
             seeded: false,
             done: false,
             last_emission_explored: 0,
         }
-    }
-
-    /// Whether `max_generated` still allows another answer to be
-    /// generated.  Engines ask before each candidate; the driver ends the
-    /// search, truncated, once it does not.
-    #[inline]
-    pub fn may_generate(&self) -> bool {
-        self.max_generated
-            .is_none_or(|cap| self.stats.answers_generated < cap)
     }
 
     /// Releases every buffered answer the emission policy lets out given
@@ -299,7 +287,7 @@ impl<'a, E: Expansion + 'a> Stream<'a, E> {
     }
 
     /// Seeds the engine on the first call; afterwards finishes the search
-    /// if a stop rule holds (checks 4–7 of the module docs, in order) and
+    /// if a stop rule holds (checks 4–6 of the module docs, in order) and
     /// otherwise takes one step.
     fn advance(&mut self) {
         let params = &self.ctx.params;
@@ -321,10 +309,10 @@ impl<'a, E: Expansion + 'a> Stream<'a, E> {
             core.finish();
             return;
         }
-        let explored_cap = params
+        if params
             .max_explored
-            .is_some_and(|cap| core.stats.nodes_explored >= cap);
-        if explored_cap || !core.may_generate() {
+            .is_some_and(|cap| core.stats.nodes_explored >= cap)
+        {
             core.stats.truncated = true;
             core.finish();
             return;
@@ -545,7 +533,7 @@ mod tests {
         // (case, params, answers taken before the token is cancelled, one
         // cell per engine in `ENGINES` order)
         #[rustfmt::skip]
-        let cases: [(&str, SearchParams, Option<usize>, [Cell; 5]); 10] = [
+        let cases: [(&str, SearchParams, Option<usize>, [Cell; 5]); 9] = [
             ("cancel before the first poll", wide, Some(0),
                 [(0, 0, "c"), (0, 0, "c"), (0, 0, "c"), (0, 0, "c"), (0, 0, "c")]),
             ("cancel after the first answer", wide.emission(EmissionPolicy::Immediate), Some(1),
@@ -556,8 +544,6 @@ mod tests {
                 [(6, 24, "x"), (6, 12, "x"), (18, 72, "x"), (6, 24, "x"), (6, 12, "x")]),
             ("max_explored", wide.max_explored(4), None,
                 [(3, 4, "tx"), (3, 4, "tx"), (0, 4, "tx"), (3, 4, "tx"), (3, 4, "tx")]),
-            ("max_generated", wide.max_generated(2), None,
-                [(2, 3, "tx"), (2, 3, "tx"), (2, 14, "tx"), (2, 3, "tx"), (2, 3, "tx")]),
             ("answer_work_budget(0)", wide.answer_work_budget(0), None,
                 [(0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx"), (0, 1, "tx")]),
             ("budget and cap on one step", wide.answer_work_budget(0).max_explored(1), None,

@@ -27,16 +27,19 @@
 //! 8 prestige, 9 inverted index, and 11 **derivation** (only when the
 //! writer knows how it derived index and prestige).  Record 3 is a
 //! constant 18 bytes: the graph is built one way, the paper's, and a
-//! reader refuses any other value as corrupt.  Record 11 is 32 bytes
-//! on disk: a 24-byte record header and a 2-byte payload padded to 8 —
-//! byte 0 names the index (0 label index, 1 external), byte 1 the prestige
-//! (0 uniform, 2 pinned; 1 once named indegree prestige and now reads as no
-//! derivation).  The serving tier writes it at every
-//! checkpoint so that a follower, or a restart with nothing to replay, can
-//! serve the persisted index and prestige instead of deriving them again
-//! ([`Derivation`]).  Readers skip tags they do not know, so a file with
-//! record 11 loads in builds that predate it, and a file without it loads
-//! as before.
+//! reader refuses any other value as corrupt.  Record 9 likewise opens
+//! with a constant 138-byte tokenizer prefix (stop-word removal off,
+//! minimum token length 1, a 20-word stop list the tokenizer never
+//! applies), and a reader refuses any other prefix as corrupt.  Record 11
+//! is 32 bytes on disk: a 24-byte record header and a 2-byte payload
+//! padded to 8 — byte 0 names the index (0 label index, 1 external),
+//! byte 1 the prestige (0 uniform, 2 pinned; 1 once named indegree
+//! prestige and now reads as no derivation).  The serving tier writes it
+//! at every checkpoint so that a follower, or a restart with nothing to
+//! replay, can serve the persisted index and prestige instead of deriving
+//! them again ([`Derivation`]).  Readers skip tags they do not know, so a
+//! file with record 11 loads in builds that predate it, and a file
+//! without it loads as before.
 //!
 //! Every record payload is guarded by a CRC-32; the CSR adjacency records
 //! additionally start on a `page_size` boundary (the `pad` field), so the
@@ -64,7 +67,7 @@ use banks_graph::{
     CsrAdjacency, DataGraph, EdgeKind, KindId, NodeId, NodeMeta, StorageParts, StorageRef,
 };
 use banks_prestige::PrestigeVector;
-use banks_textindex::{InvertedIndex, Tokenizer};
+use banks_textindex::InvertedIndex;
 
 use crate::crc::crc32;
 use crate::error::{PersistError, Result};
@@ -391,17 +394,29 @@ fn encode_csr(csr: &CsrAdjacency) -> Vec<u8> {
     buf
 }
 
-fn encode_index(idx: &InvertedIndex) -> Vec<u8> {
-    let mut buf = Vec::new();
-    let tok = idx.tokenizer();
-    buf.push(tok.removes_stopwords() as u8);
-    put_u32(&mut buf, tok.min_token_len() as u32);
-    let mut stopwords: Vec<&str> = tok.stopwords().collect();
-    stopwords.sort_unstable();
-    put_u32(&mut buf, stopwords.len() as u32);
-    for w in stopwords {
-        put_str(&mut buf, w);
+/// The stop list record 9's tokenizer prefix names, sorted.  The tokenizer
+/// drops no word; the list stays on disk so that the record keeps its
+/// bytes.
+const INDEX_STOPWORDS: [&str; 20] = [
+    "a", "an", "and", "are", "as", "at", "be", "by", "for", "from", "in", "is", "it", "of", "on",
+    "or", "that", "the", "to", "with",
+];
+
+/// The 138 bytes that open record 9, in the one form the index is built:
+/// stop-word removal off (0), minimum token length 1, then the 20 words of
+/// [`INDEX_STOPWORDS`].
+fn tokenizer_prefix() -> Vec<u8> {
+    let mut buf = vec![0];
+    put_u32(&mut buf, 1);
+    put_u32(&mut buf, INDEX_STOPWORDS.len() as u32);
+    for word in INDEX_STOPWORDS {
+        put_str(&mut buf, word);
     }
+    buf
+}
+
+fn encode_index(idx: &InvertedIndex) -> Vec<u8> {
+    let mut buf = tokenizer_prefix();
 
     // Sort terms so identical indexes serialize to identical bytes,
     // regardless of hash-map iteration order.
@@ -885,24 +900,7 @@ fn decode_csr(payload: &[u8]) -> Result<CsrAdjacency> {
 /// `Arc<[NodeId]>`; [`InvertedIndex::from_raw_parts`] copies a list again
 /// only if it is not strictly ascending.
 fn decode_index(payload: &[u8]) -> Result<InvertedIndex> {
-    let mut c = Cursor::new(payload, 0);
-    let removes = c.u8("tokenizer")? != 0;
-    let min_len = c.u32("tokenizer")? as usize;
-    let stop_count = c.u32("tokenizer")? as usize;
-    if stop_count > c.remaining() {
-        return Err(PersistError::Corrupt {
-            detail: format!("stopword count {stop_count} exceeds record"),
-        });
-    }
-    let mut stopwords = Vec::with_capacity(stop_count);
-    for _ in 0..stop_count {
-        stopwords.push(c.str("stopword")?);
-    }
-    let tokenizer = Tokenizer::new()
-        .with_stopwords(stopwords)
-        .with_stopword_removal(removes)
-        .with_min_token_len(min_len);
-
+    let mut c = index_body(payload)?;
     let term_count = c.count(5, "index terms")?;
     let mut postings = Vec::with_capacity(term_count);
     for _ in 0..term_count {
@@ -939,9 +937,19 @@ fn decode_index(payload: &[u8]) -> Result<InvertedIndex> {
         kind_terms.push((term, ids));
     }
 
-    Ok(InvertedIndex::from_raw_parts(
-        tokenizer, postings, kind_terms,
-    ))
+    Ok(InvertedIndex::from_raw_parts(postings, kind_terms))
+}
+
+/// A cursor past record 9's tokenizer prefix, or `Corrupt` when the record
+/// does not open with [`tokenizer_prefix`].
+fn index_body(payload: &[u8]) -> Result<Cursor<'_>> {
+    let prefix = tokenizer_prefix();
+    match payload.strip_prefix(&prefix[..]) {
+        Some(body) => Ok(Cursor::new(body, prefix.len() as u64)),
+        None => Err(PersistError::Corrupt {
+            detail: "index record does not open with the tokenizer prefix".to_string(),
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -966,7 +974,7 @@ mod tests {
     }
 
     fn sample_index(g: &DataGraph) -> InvertedIndex {
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         for n in g.nodes() {
             ib.add_text(n, g.node_label(n));
         }
@@ -1073,12 +1081,27 @@ mod tests {
         for (term, kinds) in index.kind_terms() {
             assert_eq!(di.kinds_for_term(term), kinds, "kind term {term}");
         }
-        let tok = di.tokenizer();
-        assert_eq!(
-            tok.removes_stopwords(),
-            index.tokenizer().removes_stopwords()
-        );
-        assert_eq!(tok.min_token_len(), index.tokenizer().min_token_len());
+    }
+
+    /// Record 9 opens with the 138 bytes every index has written: removal
+    /// off, minimum length 1, the 20 stop words.  Any other tokenizer
+    /// setting is refused, not loaded.
+    #[test]
+    fn index_record_opens_with_the_one_tokenizer_prefix() {
+        let prefix = tokenizer_prefix();
+        assert_eq!(prefix.len(), 138);
+        assert_eq!(prefix[..13], [0, 1, 0, 0, 0, 20, 0, 0, 0, 1, 0, 0, 0]);
+        let payload = encode_index(&sample_index(&sample_graph()));
+        assert!(payload.starts_with(&prefix));
+        assert!(decode_index(&payload).is_ok());
+        for (at, value) in [(0, 1), (1, 2), (5, 19), (13, b'b')] {
+            let mut other = payload.clone();
+            other[at] = value;
+            assert!(
+                matches!(decode_index(&other), Err(PersistError::Corrupt { .. })),
+                "byte {at} set to {value}"
+            );
+        }
     }
 
     #[test]
@@ -1426,24 +1449,15 @@ mod tests {
 
     // ------------------------------------------------- decode_index oracle
 
-    /// What an index holds, normalised for comparison: stop-word removal,
-    /// minimum length, sorted stop words, postings and relation-name terms.
+    /// What an index holds, normalised for comparison: postings and
+    /// relation-name terms.
     type IndexContent = (
-        bool,
-        usize,
-        Vec<String>,
         std::collections::BTreeMap<String, Vec<NodeId>>,
         std::collections::BTreeMap<String, Vec<KindId>>,
     );
 
     fn content(index: &InvertedIndex) -> IndexContent {
-        let tok = index.tokenizer();
-        let mut stopwords: Vec<String> = tok.stopwords().map(str::to_string).collect();
-        stopwords.sort_unstable();
         (
-            tok.removes_stopwords(),
-            tok.min_token_len(),
-            stopwords,
             index
                 .terms()
                 .map(|t| (t.to_string(), index.postings(t).to_vec()))
@@ -1458,25 +1472,10 @@ mod tests {
     /// The decoder this one replaced, kept as the oracle: a `String` per
     /// term, every list read into a `Vec<u32>`, mapped to `Vec<NodeId>`,
     /// then sorted and deduplicated; empty lists dropped and a repeated
-    /// term's later list winning, as the old `from_raw_parts` did.
+    /// term's later list winning, as the old `from_raw_parts` did.  The
+    /// tokenizer prefix is checked by the same `index_body`.
     fn oracle_decode_index(payload: &[u8]) -> Result<IndexContent> {
-        let mut c = Cursor::new(payload, 0);
-        let removes = c.u8("tokenizer")? != 0;
-        let min_len = c.u32("tokenizer")? as usize;
-        let stop_count = c.u32("tokenizer")? as usize;
-        if stop_count > c.remaining() {
-            return Err(PersistError::Corrupt {
-                detail: format!("stopword count {stop_count} exceeds record"),
-            });
-        }
-        let mut stopwords = Vec::with_capacity(stop_count);
-        for _ in 0..stop_count {
-            stopwords.push(c.string("stopword")?);
-        }
-        let tokenizer = Tokenizer::new()
-            .with_stopwords(stopwords)
-            .with_stopword_removal(removes)
-            .with_min_token_len(min_len);
+        let mut c = index_body(payload)?;
         let term_count = c.count(5, "index terms")?;
         let mut postings = std::collections::BTreeMap::new();
         for _ in 0..term_count {
@@ -1520,15 +1519,7 @@ mod tests {
                 kind_terms.insert(term, ids);
             }
         }
-        let mut stopwords: Vec<String> = tokenizer.stopwords().map(str::to_string).collect();
-        stopwords.sort_unstable();
-        Ok((
-            tokenizer.removes_stopwords(),
-            tokenizer.min_token_len(),
-            stopwords,
-            postings,
-            kind_terms,
-        ))
+        Ok((postings, kind_terms))
     }
 
     /// Deterministic xorshift64*.
@@ -1543,8 +1534,9 @@ mod tests {
         }
     }
 
-    /// An index record no real index would write: unsorted, repeated and
-    /// empty posting lists, repeated and non-ASCII terms.
+    /// An index record no real index would write: the tokenizer prefix,
+    /// then unsorted, repeated and empty posting lists, repeated and
+    /// non-ASCII terms.
     fn random_index_payload(rng: &mut Rng) -> Vec<u8> {
         const WORDS: &[&str] = &[
             "graph",
@@ -1559,13 +1551,7 @@ mod tests {
             "keyword",
         ];
         let word = |rng: &mut Rng| WORDS[rng.below(WORDS.len() as u64) as usize];
-        let mut buf = vec![rng.below(2) as u8];
-        put_u32(&mut buf, 1 + rng.below(4) as u32);
-        let stops = rng.below(3);
-        put_u32(&mut buf, stops as u32);
-        for _ in 0..stops {
-            put_str(&mut buf, word(rng));
-        }
+        let mut buf = tokenizer_prefix();
         let terms = rng.below(12);
         put_u64(&mut buf, terms);
         for _ in 0..terms {

@@ -210,6 +210,32 @@ fn banks_persist_crc(bytes: &[u8]) -> u32 {
     !crc
 }
 
+/// The header offset of the first record tagged `tag` and the byte range
+/// of its payload.
+fn find_record(bytes: &[u8], tag: usize) -> (usize, std::ops::Range<usize>) {
+    let mut pos = 64;
+    loop {
+        let field = |at: usize, n: usize| {
+            let mut v = [0u8; 8];
+            v[..n].copy_from_slice(&bytes[at..at + n]);
+            u64::from_le_bytes(v) as usize
+        };
+        let (found, pad, len) = (field(pos, 4), field(pos + 4, 4), field(pos + 8, 8));
+        let payload_start = pos + 24 + pad;
+        if found == tag {
+            return (pos, payload_start..payload_start + len);
+        }
+        pos = (payload_start + len).div_ceil(8) * 8;
+    }
+}
+
+/// Writes the CRC of the record at `pos` over its (edited) payload, so
+/// that only the payload's meaning is wrong.
+fn reseal(bytes: &mut [u8], pos: usize, payload: std::ops::Range<usize>) {
+    let crc = banks_persist_crc(&bytes[payload]);
+    bytes[pos + 16..pos + 20].copy_from_slice(&crc.to_le_bytes());
+}
+
 /// Record 3 always holds the paper's expansion policy: backward edges on,
 /// the indegree-log rule (variant 0, parameter 0.0), forward weight 1.0.
 /// A snapshot naming any other policy, here the weight-mirroring variant
@@ -218,21 +244,7 @@ fn banks_persist_crc(bytes: &[u8]) -> u32 {
 #[test]
 fn snapshot_naming_another_expansion_policy_is_corrupt() {
     let mut bytes = encode_snapshot(&seed_graph(), None, None);
-    let mut pos = 64;
-    let (payload_start, len) = loop {
-        let field = |at: usize, n: usize| {
-            let mut v = [0u8; 8];
-            v[..n].copy_from_slice(&bytes[at..at + n]);
-            u64::from_le_bytes(v) as usize
-        };
-        let (tag, pad, len) = (field(pos, 4), field(pos + 4, 4), field(pos + 8, 8));
-        let payload_start = pos + 24 + pad;
-        if tag == 3 {
-            break (payload_start, len);
-        }
-        pos = (payload_start + len).div_ceil(8) * 8;
-    };
-    let payload = payload_start..payload_start + len;
+    let (pos, payload) = find_record(&bytes, 3);
     let mut paper = vec![1u8, 0];
     paper.extend_from_slice(&0.0f64.to_le_bytes());
     paper.extend_from_slice(&1.0f64.to_le_bytes());
@@ -243,11 +255,41 @@ fn snapshot_naming_another_expansion_policy_is_corrupt() {
     );
     assert!(decode_snapshot(&bytes).is_ok());
 
-    bytes[payload_start + 1] = 1;
-    let crc = banks_persist_crc(&bytes[payload]);
-    bytes[pos + 16..pos + 20].copy_from_slice(&crc.to_le_bytes());
+    bytes[payload.start + 1] = 1;
+    reseal(&mut bytes, pos, payload);
     match decode_snapshot(&bytes) {
         Err(PersistError::Corrupt { detail }) => assert!(detail.contains("policy"), "{detail}"),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+/// Record 9, the index, opens with the one tokenizer's settings: no
+/// stop-word removal (byte 0), minimum token length 1, then a 20-word
+/// stop list.  A snapshot whose index turns stop-word removal on, under a
+/// valid CRC, names a tokenizer this build does not have, and is refused
+/// as corrupt rather than loaded.
+#[test]
+fn snapshot_naming_another_tokenizer_is_corrupt() {
+    let graph = seed_graph();
+    let mut builder = banks_textindex::IndexBuilder::new();
+    for node in graph.nodes() {
+        builder.add_text(node, graph.node_label(node));
+    }
+    let mut bytes = encode_snapshot(&graph, None, Some(&builder.build()));
+    let (pos, payload) = find_record(&bytes, 9);
+    assert_eq!(
+        bytes[payload.start..payload.start + 9],
+        [0, 1, 0, 0, 0, 20, 0, 0, 0],
+        "removal off, minimum length 1, 20 stop words"
+    );
+    assert!(decode_snapshot(&bytes).unwrap().index.is_some());
+
+    bytes[payload.start] = 1;
+    reseal(&mut bytes, pos, payload);
+    match decode_snapshot(&bytes) {
+        Err(PersistError::Corrupt { detail }) => {
+            assert!(detail.contains("tokenizer"), "{detail}")
+        }
         other => panic!("expected Corrupt, got {other:?}"),
     }
 }

@@ -41,7 +41,6 @@ struct TableData {
 pub struct Database {
     schema: DatabaseSchema,
     tables: Vec<TableData>,
-    tokenizer: Tokenizer,
 }
 
 impl Database {
@@ -53,21 +52,12 @@ impl Database {
     pub fn new(schema: DatabaseSchema) -> Self {
         schema.validate().expect("invalid schema");
         let tables = vec![TableData::default(); schema.num_tables()];
-        Database {
-            schema,
-            tables,
-            tokenizer: Tokenizer::new(),
-        }
+        Database { schema, tables }
     }
 
     /// The schema.
     pub fn schema(&self) -> &DatabaseSchema {
         &self.schema
-    }
-
-    /// The tokenizer used for keyword selections.
-    pub fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
     }
 
     /// Inserts a row and returns its row id.
@@ -159,13 +149,13 @@ impl Database {
     /// keyword — the relational equivalent of a keyword selection.  A
     /// multi-word keyword must have all of its words present.
     pub fn keyword_selection(&self, table: TableId, keyword: &str) -> Vec<RowId> {
-        let terms = self.tokenizer.tokenize(keyword);
+        let terms = Tokenizer.tokenize(keyword);
         if terms.is_empty() {
             return Vec::new();
         }
         self.rows(table)
             .filter(|row| {
-                let tokens = self.tokenizer.tokenize(&self.row_text(table, *row));
+                let tokens = Tokenizer.tokenize(&self.row_text(table, *row));
                 terms.iter().all(|t| tokens.contains(t))
             })
             .collect()

@@ -35,7 +35,7 @@ impl GraphExtraction {
     pub fn extract(db: &Database) -> Self {
         let schema = db.schema();
         let mut builder = GraphBuilder::with_capacity(db.total_rows(), db.total_rows());
-        let mut index_builder = IndexBuilder::with_default_tokenizer();
+        let mut index_builder = IndexBuilder::new();
 
         // Pass 1: nodes, laid out table by table.
         let mut node_offsets = Vec::with_capacity(schema.num_tables());

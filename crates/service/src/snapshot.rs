@@ -445,7 +445,7 @@ mod tests {
         let graph = tiny();
         // the external index covers richer text than the labels: node 1's
         // abstract also contains "locks"
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         for node in graph.nodes() {
             ib.add_text(node, graph.node_label(node));
         }

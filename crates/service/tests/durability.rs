@@ -353,7 +353,7 @@ fn an_idle_checkpoint_writes_nothing() {
 /// The label index from `dblp_like`, plus one term ("zeppelin", on node 0)
 /// the labels do not hold: served only if adopted from the file.
 fn marked_index(graph: &DataGraph) -> banks_textindex::InvertedIndex {
-    let mut builder = banks_textindex::IndexBuilder::with_default_tokenizer();
+    let mut builder = banks_textindex::IndexBuilder::new();
     for node in graph.nodes() {
         builder.add_text(node, graph.node_label(node));
     }
@@ -412,7 +412,7 @@ fn recovery_adopts_only_what_the_derivation_record_vouches_for() {
     // The marked index plus a term on `node` and a relation name for
     // `kind`, either of which may lie past the graph's end.
     let naming = |node: u32, kind: u16| {
-        let mut builder = banks_textindex::IndexBuilder::with_default_tokenizer();
+        let mut builder = banks_textindex::IndexBuilder::new();
         for n in graph.nodes() {
             builder.add_text(n, graph.node_label(n));
         }

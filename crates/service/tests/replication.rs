@@ -473,7 +473,7 @@ fn an_install_rederives_an_index_that_names_what_the_graph_lacks() {
     let graph = dblp_like();
     let reference = Service::builder(graph.clone()).workers(1).build();
     let naming = |node: u32, kind: u16| {
-        let mut index = banks_textindex::IndexBuilder::with_default_tokenizer();
+        let mut index = banks_textindex::IndexBuilder::new();
         for n in graph.nodes() {
             index.add_text(n, graph.node_label(n));
         }
@@ -519,7 +519,7 @@ fn an_install_rederives_an_index_that_names_what_the_graph_lacks() {
 #[test]
 fn a_follower_serves_a_supplied_index_and_pinned_prestige_as_the_leader_does() {
     let base = dblp_with_filler(440);
-    let mut index = banks_textindex::IndexBuilder::with_default_tokenizer();
+    let mut index = banks_textindex::IndexBuilder::new();
     for node in base.nodes() {
         index.add_text(node, base.node_label(node));
     }

@@ -26,9 +26,8 @@ pub struct TermStats {
 }
 
 /// Builder accumulating postings before freezing into an [`InvertedIndex`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IndexBuilder {
-    tokenizer: Tokenizer,
     postings: HashMap<String, Vec<NodeId>>,
     /// Relation-name pseudo terms: term -> kind ids whose *entire* node set
     /// matches the term.
@@ -38,19 +37,9 @@ pub struct IndexBuilder {
 }
 
 impl IndexBuilder {
-    /// Creates a builder with the given tokenizer.
-    pub fn new(tokenizer: Tokenizer) -> Self {
-        IndexBuilder {
-            tokenizer,
-            postings: HashMap::new(),
-            kind_terms: HashMap::new(),
-            term: String::new(),
-        }
-    }
-
-    /// Creates a builder with the default tokenizer.
-    pub fn with_default_tokenizer() -> Self {
-        Self::new(Tokenizer::new())
+    /// Creates an empty builder.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Indexes one attribute text for a node.  May be called repeatedly for
@@ -62,9 +51,7 @@ impl IndexBuilder {
     /// and [`IndexBuilder::build`] removes whatever repeats remain.
     pub fn add_text(&mut self, node: NodeId, text: &str) {
         for raw in Tokenizer::raw_tokens(text) {
-            if !self.tokenizer.normalize_into(raw, &mut self.term) {
-                continue;
-            }
+            Tokenizer::normalize_into(raw, &mut self.term);
             match self.postings.get_mut(self.term.as_str()) {
                 Some(list) => {
                     if list.last() != Some(&node) {
@@ -81,7 +68,7 @@ impl IndexBuilder {
     /// Registers a relation (kind) name so that a query term equal to the
     /// name matches every node of that kind, as in the paper's query model.
     pub fn add_relation_name(&mut self, name: &str, kind: KindId) {
-        for term in self.tokenizer.tokenize_unique(name) {
+        for term in Tokenizer.tokenize_unique(name) {
             self.kind_terms.entry(term).or_default().push(kind);
         }
     }
@@ -96,7 +83,6 @@ impl IndexBuilder {
     /// frozen behind `Arc`s (so index deltas can share untouched lists).
     pub fn build(self) -> InvertedIndex {
         let IndexBuilder {
-            tokenizer,
             postings,
             kind_terms,
             term: _,
@@ -114,7 +100,6 @@ impl IndexBuilder {
             kinds.insert(term, ids.into_boxed_slice());
         }
         InvertedIndex {
-            tokenizer,
             postings: index,
             kind_terms: kinds,
         }
@@ -136,7 +121,6 @@ fn is_strictly_ascending(nodes: &[NodeId]) -> bool {
 /// the touched terms' lists, however small the delta.
 #[derive(Clone, Debug)]
 pub struct InvertedIndex {
-    tokenizer: Tokenizer,
     postings: HashMap<Arc<str>, Arc<[NodeId]>>,
     kind_terms: HashMap<String, Box<[KindId]>>,
 }
@@ -170,7 +154,7 @@ impl InvertedIndex {
     /// The tokenizer the index was built with (queries must use the same
     /// normalisation).
     pub fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
+        &Tokenizer
     }
 
     /// Number of distinct indexed terms (excluding relation-name pseudo
@@ -221,7 +205,6 @@ impl InvertedIndex {
     /// list, so malformed input degrades to a valid index rather than
     /// breaking the sorted-list invariants lookups rely on.
     pub fn from_raw_parts(
-        tokenizer: Tokenizer,
         postings: Vec<(Arc<str>, Arc<[NodeId]>)>,
         kind_terms: Vec<(String, Vec<KindId>)>,
     ) -> InvertedIndex {
@@ -246,7 +229,6 @@ impl InvertedIndex {
             }
         }
         InvertedIndex {
-            tokenizer,
             postings: index,
             kind_terms: kinds,
         }
@@ -259,7 +241,7 @@ impl InvertedIndex {
     /// matches a relation name, every node of that relation is added
     /// (requires the `graph` to enumerate the kind's nodes).
     pub fn matching_nodes(&self, graph: &DataGraph, keyword: &str) -> Vec<NodeId> {
-        let terms = self.tokenizer.tokenize(keyword);
+        let terms = Tokenizer.tokenize(keyword);
         if terms.is_empty() {
             return Vec::new();
         }
@@ -319,12 +301,12 @@ impl InvertedIndex {
             let old_terms: BTreeSet<String> = change
                 .old
                 .iter()
-                .flat_map(|text| self.tokenizer.tokenize_unique(text))
+                .flat_map(|text| Tokenizer.tokenize_unique(text))
                 .collect();
             let new_terms: BTreeSet<String> = change
                 .new
                 .iter()
-                .flat_map(|text| self.tokenizer.tokenize_unique(text))
+                .flat_map(|text| Tokenizer.tokenize_unique(text))
                 .collect();
             for term in old_terms.difference(&new_terms) {
                 removals
@@ -365,7 +347,7 @@ impl InvertedIndex {
 
         let mut kind_terms = self.kind_terms.clone();
         for (name, kind) in &delta.new_relations {
-            for term in self.tokenizer.tokenize_unique(name) {
+            for term in Tokenizer.tokenize_unique(name) {
                 let mut ids: Vec<KindId> = kind_terms
                     .get(&term)
                     .map(|k| k.to_vec())
@@ -378,7 +360,6 @@ impl InvertedIndex {
         }
 
         InvertedIndex {
-            tokenizer: self.tokenizer.clone(),
             postings,
             kind_terms,
         }
@@ -420,7 +401,7 @@ mod tests {
     }
 
     fn build_index(graph: &DataGraph) -> InvertedIndex {
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         for node in graph.nodes() {
             ib.add_text(node, graph.node_label(node));
         }
@@ -471,7 +452,7 @@ mod tests {
         let n0 = b.add_node("paper", "a paper about papers");
         let _n1 = b.add_node("author", "someone");
         let g = b.build_default();
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         ib.add_text(n0, g.node_label(n0));
         ib.add_relation_name("paper", g.kind_by_name("paper").unwrap());
         let idx = ib.build();
@@ -482,7 +463,7 @@ mod tests {
 
     #[test]
     fn duplicate_postings_are_deduplicated() {
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         ib.add_text(NodeId(5), "database systems");
         ib.add_text(NodeId(5), "database recovery");
         ib.add_text(NodeId(2), "database theory");
@@ -534,7 +515,7 @@ mod tests {
         };
         let updated = idx.apply_delta(&delta);
 
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         for (node, text) in [
             (NodeId(0), "Maria Sanchez"),
             (NodeId(1), "Giora Fernandez"),
@@ -604,7 +585,7 @@ mod tests {
     fn apply_delta_handles_overlapping_terms() {
         // old and new text share a term: the node must stay posted exactly
         // once, not be removed or duplicated.
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         ib.add_text(NodeId(0), "database recovery");
         ib.add_text(NodeId(1), "database theory");
         let idx = ib.build();
@@ -651,13 +632,10 @@ mod tests {
 
     /// The path `add_text` replaced, kept as the oracle: one `String` per
     /// token, a deduplicating pass per text, every survivor pushed.
-    fn oracle_postings(
-        tokenizer: &Tokenizer,
-        calls: &[(NodeId, String)],
-    ) -> HashMap<String, Vec<NodeId>> {
+    fn oracle_postings(calls: &[(NodeId, String)]) -> HashMap<String, Vec<NodeId>> {
         let mut postings: HashMap<String, Vec<NodeId>> = HashMap::new();
         for (node, text) in calls {
-            for term in tokenizer.tokenize_unique(text) {
+            for term in Tokenizer.tokenize_unique(text) {
                 postings.entry(term).or_default().push(*node);
             }
         }
@@ -671,31 +649,18 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
 
-        /// Several `add_text` calls per node, interleaved across nodes, under
-        /// every stop-word setting and minimum length 1..4: the built index
-        /// equals the oracle's term by term.
+        /// Several `add_text` calls per node, interleaved across nodes: the
+        /// built index equals the oracle's term by term.
         #[test]
         fn add_text_builds_what_tokenize_unique_built(
-            (stopwords, min_len, calls) in (
-                0usize..3,
-                1usize..5,
-                proptest::collection::vec(
-                    (
-                        0u32..6,
-                        proptest::collection::vec((0usize..PIECES.len(), 0usize..SEPARATORS.len()), 0..10),
-                    ),
-                    0..16,
+            calls in proptest::collection::vec(
+                (
+                    0u32..6,
+                    proptest::collection::vec((0usize..PIECES.len(), 0usize..SEPARATORS.len()), 0..10),
                 ),
+                0..16,
             )
         ) {
-            let tokenizer = match stopwords {
-                0 => Tokenizer::new(),
-                1 => Tokenizer::new().with_stopword_removal(true),
-                _ => Tokenizer::new()
-                    .with_stopwords(["Straße", "data", "ǆ"])
-                    .with_stopword_removal(true),
-            }
-            .with_min_token_len(min_len);
             let calls: Vec<(NodeId, String)> = calls
                 .into_iter()
                 .map(|(node, words)| {
@@ -707,8 +672,8 @@ mod tests {
                 })
                 .collect();
 
-            let oracle = oracle_postings(&tokenizer, &calls);
-            let mut builder = IndexBuilder::new(tokenizer);
+            let oracle = oracle_postings(&calls);
+            let mut builder = IndexBuilder::new();
             for (node, text) in &calls {
                 builder.add_text(*node, text);
             }
@@ -726,7 +691,6 @@ mod tests {
         let list = |ids: &[u32]| -> Arc<[NodeId]> { ids.iter().copied().map(NodeId).collect() };
         let ascending = list(&[1, 4, 9]);
         let index = InvertedIndex::from_raw_parts(
-            Tokenizer::new(),
             vec![
                 (Arc::from("kept"), Arc::clone(&ascending)),
                 (Arc::from("repaired"), list(&[9, 1, 4, 4])),

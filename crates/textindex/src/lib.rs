@@ -10,8 +10,7 @@
 //!
 //! This crate provides:
 //!
-//! * [`Tokenizer`] — lower-casing, punctuation-splitting tokenizer with an
-//!   optional stop-word list,
+//! * [`Tokenizer`] — lower-casing, punctuation-splitting tokenizer,
 //! * [`InvertedIndex`] / [`IndexBuilder`] — term → sorted posting list of
 //!   node ids, plus per-kind pseudo terms for relation names; posting
 //!   lists are `Arc`-shared so [`InvertedIndex::apply_delta`] can produce

@@ -128,7 +128,7 @@ mod tests {
         b.add_edge(p1, a1).unwrap();
         b.add_edge(p2, a2).unwrap();
         let g = b.build_default();
-        let mut ib = IndexBuilder::with_default_tokenizer();
+        let mut ib = IndexBuilder::new();
         for n in g.nodes() {
             ib.add_text(n, g.node_label(n));
         }

@@ -178,7 +178,7 @@ mod tests {
 
     #[test]
     fn normalization_lowercases_and_drops_empty() {
-        let t = Tokenizer::new();
+        let t = Tokenizer;
         let q = Query::parse("\"C. Mohan\" ROTHERMEL ...");
         let n = q.normalized(&t);
         assert_eq!(

@@ -10,9 +10,8 @@
 //! (`rank:tree`, wall-clock timing left out) in emission order.  After the
 //! base grid (24 queries, default parameters) come the extra rows,
 //! recorded on commit 455a53a: query shapes and parameters the base grid
-//! does not reach — 1, 4 and 5 keywords, `top_k` 0 / 1 / 50, and a
-//! `max_generated` cap that truncates — and, appended after them, a
-//! `max_explored` cap that truncates.
+//! does not reach — 1, 4 and 5 keywords, `top_k` 0 / 1 / 50 — and,
+//! appended after them, a `max_explored` cap that truncates.
 //!
 //! Re-record (only when a change is *meant* to alter engine behaviour):
 //!
@@ -166,12 +165,6 @@ fn fixture() -> &'static Fixture {
                 TRACE_FAILURE_QUERY,
                 SearchParams::with_top_k(50),
                 false,
-            ),
-            (
-                "maxgen",
-                1,
-                SearchParams::with_top_k(50).max_generated(20),
-                true,
             ),
             (
                 "maxexp",

@@ -345,7 +345,7 @@ fn a_leader_with_a_supplied_index_and_pinned_prestige_replicates_byte_identicall
     let queries: Vec<String> = (0..4).map(|_| random_label(&mut rng)).collect();
 
     let graph = random_graph(&mut rng);
-    let mut index = IndexBuilder::with_default_tokenizer();
+    let mut index = IndexBuilder::new();
     for node in graph.nodes() {
         index.add_text(node, graph.node_label(node));
         if node.0 % 3 == 0 {
